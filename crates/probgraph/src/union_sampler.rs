@@ -24,9 +24,10 @@
 //!
 //! The sample loop itself performs **zero heap allocations**: worlds are
 //! written into a caller-owned scratch buffer of `words()` words.
-//! [`UnionSampler::estimate_chunked`] splits the trials into fixed-size chunks
-//! with per-chunk RNGs derived from a base seed, so the estimate is
-//! byte-identical for every thread count.
+//! [`UnionSampler::estimate_adaptive`] — the one estimator — splits the trials
+//! into fixed-size chunks with per-chunk RNGs derived from a base seed, so the
+//! estimate is byte-identical for every thread count; a [`StoppingRule`] that
+//! can never fire makes it the fixed-budget estimator.
 
 use crate::alias::AliasTable;
 use crate::model::ProbabilisticGraph;
@@ -36,13 +37,17 @@ use pgs_graph::parallel::{derive_seed, par_map_chunked_costed, CostHint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Trials per deterministic chunk of [`UnionSampler::estimate_chunked`].  The
+/// Trials per deterministic chunk of [`UnionSampler::estimate_adaptive`].  The
 /// chunk layout is part of the determinism contract: it depends only on the
 /// trial count, never on the worker count.
 const CHUNK_TRIALS: usize = 1024;
 
 /// The sequential stopping rule evaluated by
 /// [`UnionSampler::estimate_adaptive`] at its fixed chunk-round boundaries.
+///
+/// A rule with early accepts disabled and a threshold of zero (or below)
+/// can never fire — no interval lies below zero — and is the fixed-budget
+/// rule: every trial runs, in a single round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoppingRule {
     /// The decision threshold the union probability is compared against
@@ -61,12 +66,19 @@ pub struct StoppingRule {
     pub accept_early: bool,
 }
 
+impl StoppingRule {
+    /// Whether any stop can fire at all (see the type docs).
+    fn can_stop(&self) -> bool {
+        self.accept_early || self.threshold > 0.0
+    }
+}
+
 /// The result of one [`UnionSampler::estimate_adaptive`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveEstimate {
     /// `V · cnt / m` over the `m` trials actually drawn, clamped to `[0, 1]`.
-    /// When no early stop fires this is bit-identical to what
-    /// [`UnionSampler::estimate_chunked`] returns for the same `(n, seed)`.
+    /// When no early stop fires this is the full-budget estimate for
+    /// `(n, seed)`, bit-identical for every rule and thread count.
     pub estimate: f64,
     /// Trials actually drawn (`≤ n`; `0` when the `[0, min(V, 1)]` prior
     /// interval already decided).
@@ -404,66 +416,23 @@ impl UnionSampler {
             .all(|mask| !mask_covered(scratch, mask))
     }
 
-    /// Sequential estimate over `n` trials drawn from `rng`:
-    /// `V · cnt / n`, clamped to `[0, 1]`.
-    pub fn estimate<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let mut scratch = vec![0u64; self.stride];
-        let mut count = 0usize;
-        for _ in 0..n {
-            if self.sample_trial(rng, &mut scratch) {
-                count += 1;
-            }
-        }
-        (self.total_weight * count as f64 / n as f64).clamp(0.0, 1.0)
-    }
-
-    /// Deterministic, parallel estimate: the `n` trials are split into
-    /// fixed-size chunks, chunk `c` draws from
-    /// `StdRng::seed_from_u64(derive_seed([seed, c]))`, and the chunks run on
-    /// up to `threads` workers (`0` = automatic).  The chunk layout depends
-    /// only on `n`, so the result is byte-identical for every thread count.
-    pub fn estimate_chunked(&self, n: usize, seed: u64, threads: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let chunks: Vec<usize> = (0..n.div_ceil(CHUNK_TRIALS)).collect();
-        // Each chunk runs up to 1024 full trials — heavy enough that even two
-        // chunks are worth handing to the pool.
-        let counts: Vec<usize> =
-            par_map_chunked_costed(&chunks, threads, CostHint::HEAVY, |_, &c| {
-                let mut rng = StdRng::seed_from_u64(derive_seed(&[seed, c as u64]));
-                let trials = CHUNK_TRIALS.min(n - c * CHUNK_TRIALS);
-                let mut scratch = vec![0u64; self.stride];
-                let mut count = 0usize;
-                for _ in 0..trials {
-                    if self.sample_trial(&mut rng, &mut scratch) {
-                        count += 1;
-                    }
-                }
-                count
-            });
-        let count: usize = counts.iter().sum();
-        (self.total_weight * count as f64 / n as f64).clamp(0.0, 1.0)
-    }
-
-    /// [`Self::estimate_chunked`] with a sequential stopping rule: the same
-    /// deterministic chunks (chunk `c` always draws from
-    /// `derive_seed([seed, c])`) run through the worker pool in rounds of the
-    /// fixed [`adaptive_rounds`] schedule, and after each round the running
-    /// Hoeffding interval of the union probability is compared against
-    /// `rule.threshold` — once the interval lies entirely below (or, with
-    /// `rule.accept_early`, entirely at or above) the threshold, the
-    /// remaining rounds are skipped.
+    /// The Karp–Luby estimate `V · cnt / n` (clamped to `[0, 1]`) of `n`
+    /// trials under a sequential stopping rule.  The trials are split into
+    /// fixed-size chunks, chunk `c` drawing from `derive_seed([seed, c])`,
+    /// and the chunks run on up to `threads` workers (`0` = automatic) in
+    /// rounds of the fixed [`adaptive_rounds`] schedule.  After each round
+    /// the running Hoeffding interval of the union probability is compared
+    /// against `rule.threshold` — once the interval lies entirely below (or,
+    /// with `rule.accept_early`, entirely at or above) the threshold, the
+    /// remaining rounds are skipped.  A rule that can never fire runs every
+    /// chunk in one round: one pool dispatch, the fixed-budget estimate.
     ///
     /// Determinism: the chunk layout, the round boundaries and the interval
     /// are pure functions of `(n, seed)` and the deterministic chunk-prefix
     /// counts, so the result is byte-identical for every thread count.  When
-    /// no stop fires, `estimate` is bit-identical to
-    /// [`Self::estimate_chunked`] for the same `(n, seed)` — same chunks,
-    /// same integer count sum, same final expression.
+    /// no stop fires, `estimate` is the same integer count sum over the same
+    /// chunks whatever the rounds were — bit-identical to the fixed-budget
+    /// estimate for the same `(n, seed)`.
     ///
     /// Soundness: each check uses the two-sided Hoeffding half-width at
     /// confidence `1 − ξ / checks` on the Bernoulli mean `p / V`, so by a
@@ -504,7 +473,12 @@ impl UnionSampler {
                 decision: Some(true),
             };
         }
-        let rounds = adaptive_rounds(n.div_ceil(CHUNK_TRIALS));
+        let chunks = n.div_ceil(CHUNK_TRIALS);
+        let rounds = if rule.can_stop() {
+            adaptive_rounds(chunks)
+        } else {
+            vec![chunks]
+        };
         // One early check per round boundary except the last (running to the
         // final round is the full-budget answer, not an early decision).
         let checks = (rounds.len() - 1).max(1) as f64;
@@ -514,6 +488,8 @@ impl UnionSampler {
         for (ri, &round) in rounds.iter().enumerate() {
             let chunk_ids: Vec<usize> = (next_chunk..next_chunk + round).collect();
             next_chunk += round;
+            // Each chunk runs up to 1024 full trials — heavy enough that even
+            // two chunks are worth handing to the pool.
             let counts: Vec<usize> =
                 par_map_chunked_costed(&chunk_ids, threads, CostHint::HEAVY, |_, &c| {
                     let mut rng = StdRng::seed_from_u64(derive_seed(&[seed, c as u64]));
@@ -620,6 +596,14 @@ mod tests {
     use crate::montecarlo::MonteCarloConfig;
     use pgs_graph::model::GraphBuilder;
 
+    /// The fixed-budget rule: no early accepts and a zero threshold, so no
+    /// stop can ever fire.
+    const FIXED: StoppingRule = StoppingRule {
+        threshold: 0.0,
+        xi: 0.05,
+        accept_early: false,
+    };
+
     /// Figure-1-style fixture: triangle table + pendant table.
     fn fixture_002() -> ProbabilisticGraph {
         let skeleton = GraphBuilder::new()
@@ -715,8 +699,7 @@ mod tests {
         ];
         let exact = exact_union_probability(&pg, &embeddings, 22).unwrap();
         let sampler = UnionSampler::new(&pg, &embeddings).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let est = sampler.estimate(40_000, &mut rng);
+        let est = sampler.estimate_adaptive(40_000, 3, 1, &FIXED).estimate;
         assert!(
             (est - exact).abs() < 0.02,
             "estimate {est} vs exact {exact}"
@@ -735,8 +718,7 @@ mod tests {
         // 13 tables in the graph, 1 touched by the union.
         assert_eq!(sampler.projection().table_count(), 1);
         let exact = exact_union_probability(&pg, &embeddings, 22).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let est = sampler.estimate(40_000, &mut rng);
+        let est = sampler.estimate_adaptive(40_000, 17, 1, &FIXED).estimate;
         assert!(
             (est - exact).abs() < 0.02,
             "estimate {est} vs exact {exact}"
@@ -744,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_estimate_is_thread_count_invariant_and_repeatable() {
+    fn fixed_budget_estimate_is_thread_count_invariant_and_repeatable() {
         let pg = fixture_002();
         let embeddings: Vec<Vec<EdgeId>> = vec![
             vec![EdgeId(0), EdgeId(1)],
@@ -753,19 +735,21 @@ mod tests {
         ];
         let sampler = UnionSampler::new(&pg, &embeddings).unwrap();
         let n = MonteCarloConfig::default().num_samples() + 777; // non-multiple of the chunk size
-        let reference = sampler.estimate_chunked(n, 0xFACE, 1);
+        let reference = sampler.estimate_adaptive(n, 0xFACE, 1, &FIXED);
+        assert_eq!(reference.samples_drawn, n);
+        assert_eq!(reference.decision, None);
         for threads in [2usize, 3, 4, 8, 0] {
             assert_eq!(
-                sampler.estimate_chunked(n, 0xFACE, threads),
+                sampler.estimate_adaptive(n, 0xFACE, threads, &FIXED),
                 reference,
                 "threads = {threads}"
             );
         }
         // Repeat with the same seed: identical. Different seed: a different
         // (but close) estimate.
-        assert_eq!(sampler.estimate_chunked(n, 0xFACE, 4), reference);
-        let other = sampler.estimate_chunked(n, 0xBEEF, 4);
-        assert!((other - reference).abs() < 0.05);
+        assert_eq!(sampler.estimate_adaptive(n, 0xFACE, 4, &FIXED), reference);
+        let other = sampler.estimate_adaptive(n, 0xBEEF, 4, &FIXED);
+        assert!((other.estimate - reference.estimate).abs() < 0.05);
     }
 
     #[test]
@@ -780,12 +764,12 @@ mod tests {
         }
     }
 
-    /// A rule that can never fire (threshold above any reachable upper
-    /// bound would reject immediately; a threshold of 1 + V with accepts
-    /// disabled never separates), so the adaptive run must degrade to the
-    /// fixed-budget estimate bit for bit.
+    /// A rule that can stop but never does (a threshold no interval falls
+    /// below, accepts disabled) walks the doubling round schedule; the
+    /// never-firing fixed-budget rule runs one round.  Both must yield the
+    /// same full-budget estimate bit for bit.
     #[test]
-    fn adaptive_without_a_stop_matches_estimate_chunked_bitwise() {
+    fn single_round_and_round_schedule_agree_without_a_stop() {
         let pg = fixture_002();
         let embeddings: Vec<Vec<EdgeId>> = vec![
             vec![EdgeId(0), EdgeId(1)],
@@ -794,18 +778,19 @@ mod tests {
         ];
         let sampler = UnionSampler::new(&pg, &embeddings).unwrap();
         let n = 5 * 1024 + 321;
-        let rule = StoppingRule {
-            threshold: 0.0,
-            xi: 0.05,
-            accept_early: false,
+        let scheduled = StoppingRule {
+            threshold: f64::MIN_POSITIVE,
+            ..FIXED
         };
+        assert!(scheduled.can_stop() && !FIXED.can_stop());
         for seed in [0xFACEu64, 0xBEEF, 7] {
-            let adaptive = sampler.estimate_adaptive(n, seed, 1, &rule);
-            assert_eq!(adaptive.decision, None);
-            assert_eq!(adaptive.samples_drawn, n);
+            let rounds = sampler.estimate_adaptive(n, seed, 1, &scheduled);
+            assert_eq!(rounds.decision, None);
+            assert_eq!(rounds.samples_drawn, n);
+            let single = sampler.estimate_adaptive(n, seed, 2, &FIXED);
             assert_eq!(
-                adaptive.estimate.to_bits(),
-                sampler.estimate_chunked(n, seed, 1).to_bits(),
+                rounds.estimate.to_bits(),
+                single.estimate.to_bits(),
                 "seed {seed:#x}"
             );
         }
@@ -929,8 +914,7 @@ mod tests {
         // and no later embedding is ever counted against it.
         let embeddings: Vec<Vec<EdgeId>> = vec![vec![], vec![EdgeId(0)]];
         let sampler = UnionSampler::new(&pg, &embeddings).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let est = sampler.estimate(20_000, &mut rng);
+        let est = sampler.estimate_adaptive(20_000, 5, 1, &FIXED).estimate;
         assert!((est - 1.0).abs() < 0.05, "estimate {est}");
     }
 

@@ -41,6 +41,5 @@ pub use structural::{
     structural_candidates_sharded, structural_candidates_threaded, StructuralFilterStats,
 };
 pub use verify::{
-    collect_embeddings_of_relaxations, collect_relaxed_embeddings, verify_ssp_exact,
-    verify_ssp_sampled, verify_ssp_sampled_relaxed, VerifyOptions,
+    collect_embeddings_of_relaxations, verify_ssp_exact, verify_ssp_sampled, VerifyOptions,
 };

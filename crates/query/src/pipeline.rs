@@ -16,9 +16,11 @@
 //! The `Exact` baseline ([`QueryEngine::exact_scan`]) evaluates the SSP of
 //! every database graph directly.
 
-use crate::prune::{bound_candidate, prune_candidate, CrossTermRule, PruneDecision, PruneOutcome};
+use crate::prune::{bound_candidate, pruning_rules, CrossTermRule, PruneDecision, PruneOutcome};
 use crate::structural::{structural_candidates_indexed, structural_candidates_sharded};
-use crate::verify::{verify_ssp_adaptive, verify_ssp_exact, verify_ssp_with_stats, VerifyOptions};
+use crate::verify::{
+    verify_ssp, verify_ssp_exact, verify_ssp_with_stats, VerifyOptions, VerifyOutcome,
+};
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{
     derive_seed, par_map_chunked_costed, resolve_threads, CostHint, MAX_THREADS,
@@ -607,6 +609,19 @@ impl PhaseStats {
         self.probabilistic_seconds += other.probabilistic_seconds;
         self.verification_seconds += other.verification_seconds;
     }
+
+    /// Folds one phase-3 verification outcome into the counters.
+    fn record_verification(&mut self, v: &VerifyOutcome) {
+        self.verified += 1;
+        self.samples_drawn += v.samples_drawn;
+        self.samples_saved += v.budget - v.samples_drawn;
+        self.exact_verifications += usize::from(v.exact);
+        match v.early {
+            Some(true) => self.early_accepts += 1,
+            Some(false) => self.early_rejects += 1,
+            None => {}
+        }
+    }
 }
 
 /// The result of one T-PS query.
@@ -654,57 +669,24 @@ pub struct QueryEngine {
     config: EngineConfig,
 }
 
-/// Reusable flat scratch for the shard fan-out of phases 2 and 3: one
-/// counting-sort pass groups a candidate list into per-shard sublists inside
-/// two flat buffers — no per-shard `Vec`s and no fresh nested allocation per
-/// grouping.  Built lazily per query (only multi-shard queries pay for it)
-/// and shared by both phases.
+/// The shared phase-1/phase-2 front end's output — the `Prefilter → Bound`
+/// half of the candidate stream that threshold and top-k queries consume.
 #[derive(Debug)]
-struct ShardScratch {
-    /// Per shard: grouping counts, then reused as the scatter cursors.
-    counts: Vec<u32>,
-    /// Row boundaries: shard `s`'s sublist is
-    /// `items[offsets[s]..offsets[s + 1]]`.
-    offsets: Vec<u32>,
-    /// The grouped candidate ids, all shards back to back.
-    items: Vec<usize>,
-    /// `perm[i]` is where input item `i` landed in `items` — the O(n) map
-    /// from grouped-order results back to input order.
-    perm: Vec<u32>,
-}
-
-impl ShardScratch {
-    fn new(shard_count: usize) -> ShardScratch {
-        ShardScratch {
-            counts: vec![0; shard_count],
-            offsets: vec![0; shard_count + 1],
-            items: Vec::new(),
-            perm: Vec::new(),
-        }
-    }
-
-    /// The grouped candidate ids of the current grouping, shard-contiguous.
-    fn grouped(&self) -> &[usize] {
-        &self.items
-    }
-
-    /// Inverse of the grouping: reorders results computed over
-    /// [`Self::grouped`] back into the order of the list that was grouped.
-    fn ungroup<T: Copy>(&self, grouped: &[T]) -> Vec<T> {
-        debug_assert_eq!(grouped.len(), self.perm.len());
-        self.perm.iter().map(|&p| grouped[p as usize]).collect()
-    }
-}
-
-/// Per-candidate verification verdict of the threshold path's phase 3 —
-/// the decision plus the work/telemetry counters folded into `PhaseStats`.
-#[derive(Debug, Clone, Copy)]
-struct CandidateVerdict {
-    keep: bool,
-    samples: usize,
-    saved: usize,
-    exact: bool,
-    early: Option<bool>,
+struct CandidateStream {
+    /// Phase-1 survivors, ascending graph ids.
+    structural: Vec<usize>,
+    /// Phase-2 `(Usim, Lsim)` per structural candidate (parallel to
+    /// `structural`).
+    bounds: Vec<(f64, f64)>,
+    /// `relax_query_clamped(q, delta)`, computed once and shared with
+    /// phase 3.
+    relaxed: Vec<Graph>,
+    query_hash: u64,
+    delta: usize,
+    /// `δ ≥ |E(q)|`: every graph streams out with SSP exactly 1.
+    trivial: bool,
+    /// The phase-1 counters and the phase-1/phase-2 timers.
+    stats: PhaseStats,
 }
 
 impl QueryEngine {
@@ -856,55 +838,28 @@ impl QueryEngine {
     /// hash(g)])`), so the answer set is byte-identical for every thread
     /// count and for every database insertion order.
     pub fn query(&self, q: &Graph, params: &QueryParams) -> Result<QueryResult, QueryError> {
-        params.validate()?;
-        self.config.validate()?;
-        self.config.verify.validate()?;
-        if q.edge_count() == 0 {
-            return Err(QueryError::EmptyQuery);
-        }
+        self.validate_queries(params.validate(), std::slice::from_ref(q))?;
         Ok(self.query_with_threads(q, params, self.config.threads))
     }
 
-    /// Answers a batch of T-PS queries in one pool dispatch.
-    ///
-    /// With enough queries to saturate the workers the batch is parallelised
-    /// *across* queries (each query then runs its phases sequentially, which
-    /// avoids nested dispatch); with fewer queries each query runs its phases
-    /// in parallel as [`Self::query`] does.  Either way the per-candidate
-    /// seeding makes every [`QueryResult`] identical to a standalone
-    /// [`Self::query`] call.
+    /// Answers a batch of T-PS queries in one pool dispatch, parallelised
+    /// across queries when the batch saturates the workers; every
+    /// [`QueryResult`] is identical to a standalone [`Self::query`] call.
     pub fn query_batch(
         &self,
         queries: &[Graph],
         params: &QueryParams,
     ) -> Result<BatchResult, QueryError> {
-        params.validate()?;
-        self.config.validate()?;
-        self.config.verify.validate()?;
-        if queries.iter().any(|q| q.edge_count() == 0) {
-            return Err(QueryError::EmptyQuery);
-        }
-        // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
-        let t0 = Instant::now();
-        let threads = resolve_threads(self.config.threads);
-        let results: Vec<QueryResult> = if queries.len() >= threads && threads > 1 {
-            par_map_chunked_costed(queries, threads, CostHint::HEAVY, |_, q| {
-                self.query_with_threads(q, params, 1)
-            })
-        } else {
-            queries
-                .iter()
-                .map(|q| self.query_with_threads(q, params, self.config.threads))
-                .collect()
-        };
-        let mut stats = PhaseStats::default();
-        for r in &results {
-            stats.accumulate(&r.stats);
-        }
+        self.validate_queries(params.validate(), queries)?;
+        let (results, stats, wall_seconds) = self.run_batch(
+            queries,
+            |q, threads| self.query_with_threads(q, params, threads),
+            |r| &r.stats,
+        );
         Ok(BatchResult {
             results,
             stats,
-            wall_seconds: t0.elapsed().as_secs_f64(),
+            wall_seconds,
         })
     }
 
@@ -920,12 +875,7 @@ impl QueryEngine {
     /// list is byte-identical for every thread count, shard count and
     /// database insertion order.
     pub fn query_topk(&self, q: &Graph, params: &TopkParams) -> Result<TopkResult, QueryError> {
-        params.validate()?;
-        self.config.validate()?;
-        self.config.verify.validate()?;
-        if q.edge_count() == 0 {
-            return Err(QueryError::EmptyQuery);
-        }
+        self.validate_queries(params.validate(), std::slice::from_ref(q))?;
         Ok(self.query_topk_with_threads(q, params, self.config.threads))
     }
 
@@ -938,82 +888,110 @@ impl QueryEngine {
         queries: &[Graph],
         params: &TopkParams,
     ) -> Result<TopkBatchResult, QueryError> {
-        params.validate()?;
+        self.validate_queries(params.validate(), queries)?;
+        let (results, stats, wall_seconds) = self.run_batch(
+            queries,
+            |q, threads| self.query_topk_with_threads(q, params, threads),
+            |r| &r.stats,
+        );
+        Ok(TopkBatchResult {
+            results,
+            stats,
+            wall_seconds,
+        })
+    }
+
+    /// The checks every query entry point runs before touching the index:
+    /// the per-kind parameter check, the engine and verifier configuration,
+    /// and non-empty queries.
+    fn validate_queries(
+        &self,
+        params: Result<(), QueryError>,
+        queries: &[Graph],
+    ) -> Result<(), QueryError> {
+        params?;
         self.config.validate()?;
         self.config.verify.validate()?;
         if queries.iter().any(|q| q.edge_count() == 0) {
             return Err(QueryError::EmptyQuery);
         }
+        Ok(())
+    }
+
+    /// The batch driver of both query kinds: `one(q, threads)` answers one
+    /// query.  With enough queries to saturate the workers the batch is
+    /// parallelised *across* queries (each query then runs its phases
+    /// sequentially, which avoids nested dispatch); with fewer queries each
+    /// query runs its phases in parallel as a standalone call does.  Either
+    /// way the per-candidate seeding makes every result identical to a
+    /// standalone call.  Returns the results in input order, their
+    /// field-wise summed statistics and the wall-clock seconds.
+    fn run_batch<T: Send>(
+        &self,
+        queries: &[Graph],
+        one: impl Fn(&Graph, usize) -> T + Sync,
+        stats_of: impl Fn(&T) -> &PhaseStats,
+    ) -> (Vec<T>, PhaseStats, f64) {
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
         let threads = resolve_threads(self.config.threads);
-        let results: Vec<TopkResult> = if queries.len() >= threads && threads > 1 {
-            par_map_chunked_costed(queries, threads, CostHint::HEAVY, |_, q| {
-                self.query_topk_with_threads(q, params, 1)
-            })
+        let results: Vec<T> = if queries.len() >= threads && threads > 1 {
+            par_map_chunked_costed(queries, threads, CostHint::HEAVY, |_, q| one(q, 1))
         } else {
             queries
                 .iter()
-                .map(|q| self.query_topk_with_threads(q, params, self.config.threads))
+                .map(|q| one(q, self.config.threads))
                 .collect()
         };
         let mut stats = PhaseStats::default();
         for r in &results {
-            stats.accumulate(&r.stats);
+            stats.accumulate(stats_of(r));
         }
-        Ok(TopkBatchResult {
-            results,
-            stats,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        })
+        (results, stats, t0.elapsed().as_secs_f64())
     }
 
-    /// The best-first top-k pipeline with an explicit thread count.
+    /// Phases 1 and 2, shared by threshold and top-k queries (`0` threads =
+    /// auto): the structural candidates with their `(Usim, Lsim)` bound
+    /// pairs.
     ///
-    /// Phase 1 is the threshold path's structural pruning; phase 2 computes
-    /// the raw `(Usim, Lsim)` bound pair per candidate (no ε to prune
-    /// against) and orders candidates by descending capped upper bound, ties
-    /// broken by content salt then index; phase 3 walks that order
-    /// sequentially, maintaining the k best verified lower bounds — exact
-    /// verdicts contribute their SSP, sampled full-budget verdicts
-    /// `max(Lsim, ssp − τ)` — and skips the whole tail once the next upper
-    /// bound falls below the k-th best (every per-candidate computation uses
-    /// its own content-seeded RNG, so the walk order, cuts and estimates are
-    /// identical for every thread count, shard count and insertion order).
-    fn query_topk_with_threads(
+    /// Phase 1 is structural pruning via the S-Index — the query summary is
+    /// computed once, posting-list deficit accumulation touches only graphs
+    /// sharing a signature with the query, and the exact check reuses the
+    /// cached summaries.  Unsharded the exact checks fan out over filter
+    /// survivors; sharded each shard's index generates and checks its own
+    /// members in one pool task and the global-id lists merge ascending —
+    /// the outputs are byte-identical either way.  Phase 2 computes the
+    /// relaxed query set once and the bound pair of every candidate in
+    /// parallel, each from its own content-seeded RNG; `Structure` skips the
+    /// PMI and pins every pair to the vacuous `(1, 0)`.
+    ///
+    /// Trivial relaxation: when `δ ≥ |E(q)|` the relaxed query set collapses
+    /// to the empty pattern, which every possible world contains, so every
+    /// graph has SSP exactly 1.  Both phases are skipped and every graph
+    /// streams out with the exact pair `(1, 1)`.
+    fn candidate_stream(
         &self,
         q: &Graph,
-        params: &TopkParams,
+        delta: usize,
+        variant: PruningVariant,
         threads: usize,
-    ) -> TopkResult {
-        let salts = self.pmi.graph_salts();
-        // Trivial relaxation (δ ≥ |E(q)|): SSP = 1 for every graph, so the
-        // ranking is decided purely by the deterministic tie-break.
-        if params.delta >= q.edge_count() {
-            let n = self.db.len();
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_unstable_by_key(|&gi| (salts[gi], gi));
-            order.truncate(params.k);
-            return TopkResult {
-                ranked: order
-                    .into_iter()
-                    .map(|gi| RankedAnswer {
-                        graph: gi,
-                        ssp: 1.0,
-                    })
-                    .collect(),
-                stats: PhaseStats {
-                    structural_candidates: n,
-                    accepted_by_lower: n,
-                    probabilistic_candidates: n,
-                    ..PhaseStats::default()
-                },
-            };
-        }
+    ) -> CandidateStream {
         let query_hash = hash_query(q);
         let mut stats = PhaseStats::default();
+        if delta >= q.edge_count() {
+            let n = self.db.len();
+            stats.structural_candidates = n;
+            return CandidateStream {
+                structural: (0..n).collect(),
+                bounds: vec![(1.0, 1.0); n],
+                relaxed: Vec::new(),
+                query_hash,
+                delta,
+                trivial: true,
+                stats,
+            };
+        }
 
-        // Phase 1: structural pruning, identical to the threshold path.
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
         let shard_count = self.pmi.shard_count();
@@ -1023,28 +1001,25 @@ impl QueryEngine {
                 .sindex()
                 // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
                 .expect("engine invariant: the PMI always carries an S-Index");
-            structural_candidates_indexed(sindex, &self.skeletons, q, params.delta, threads)
+            structural_candidates_indexed(sindex, &self.skeletons, q, delta, threads)
         } else {
             let shards: Vec<(&StructuralIndex, &[u32])> = (0..shard_count)
                 .map(|s| (self.pmi.shard_sindex(s), self.pmi.shard_members(s)))
                 .collect();
-            structural_candidates_sharded(&shards, &self.skeletons, q, params.delta, threads)
+            structural_candidates_sharded(&shards, &self.skeletons, q, delta, threads)
         };
         stats.structural_seconds = t0.elapsed().as_secs_f64();
         stats.structural_candidates = structural.len();
         stats.posting_entries_scanned = filter_stats.posting_entries_scanned;
         stats.filter_survivors = filter_stats.filter_survivors;
 
-        // Phase 2: raw bound pairs.  Same per-candidate RNG stream as the
-        // threshold path's pruning, so the bounds are bit-identical to what
-        // `prune_candidate` would have computed.
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t1 = Instant::now();
-        let relaxed = relax_query_clamped(q, params.delta);
-        let bounds: Vec<(f64, f64)> = match params.variant {
+        let relaxed = relax_query_clamped(q, delta);
+        let bounds: Vec<(f64, f64)> = match variant {
             PruningVariant::Structure => vec![(1.0, 0.0); structural.len()],
             PruningVariant::SspBound | PruningVariant::OptSspBound => {
-                let optimal = params.variant == PruningVariant::OptSspBound;
+                let optimal = variant == PruningVariant::OptSspBound;
                 par_map_chunked_costed(&structural, threads, CostHint::MODERATE, |_, &gi| {
                     let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, gi);
                     bound_candidate(
@@ -1058,6 +1033,116 @@ impl QueryEngine {
                 })
             }
         };
+        stats.probabilistic_seconds = t1.elapsed().as_secs_f64();
+        CandidateStream {
+            structural,
+            bounds,
+            relaxed,
+            query_hash,
+            delta,
+            trivial: false,
+            stats,
+        }
+    }
+
+    /// Phase 3 for one candidate: the verifier against `threshold` under the
+    /// candidate's content-seeded RNG, its trials on up to `threads` workers.
+    fn verify_candidate(
+        &self,
+        q: &Graph,
+        stream: &CandidateStream,
+        gi: usize,
+        threshold: f64,
+        accept_early: bool,
+        threads: usize,
+    ) -> VerifyOutcome {
+        let mut rng = self.candidate_rng(stream.query_hash, SEED_PHASE_VERIFY, gi);
+        verify_ssp(
+            &self.db[gi],
+            q,
+            stream.delta,
+            &stream.relaxed,
+            &self.config.verify,
+            threshold,
+            accept_early,
+            threads,
+            &mut rng,
+        )
+    }
+
+    /// The threshold consumer of the candidate stream, with an explicit
+    /// thread count (`0` = auto).
+    ///
+    /// Pruning rules 1 and 2 (Theorems 3 and 4) split the stream against ε.
+    /// Because ε ∈ (0, 1], `Structure`'s `(1, 0)` pairs all go to
+    /// verification and the trivial relaxation's `(1, 1)` pairs are all
+    /// accepted.  Verification then runs the bound-adaptive sampler against
+    /// ε with early accepts on (DESIGN.md §16).  With more candidates than
+    /// workers the parallelism goes *across* candidates (each sampler runs
+    /// its chunks sequentially); with few candidates it goes *within* each
+    /// candidate's chunked Karp–Luby trials instead.  Every candidate's
+    /// trials come from the same fixed chunk layout and derived seeds, so
+    /// the split is purely a wall-clock decision.
+    fn query_with_threads(&self, q: &Graph, params: &QueryParams, threads: usize) -> QueryResult {
+        let stream = self.candidate_stream(q, params.delta, params.variant, threads);
+        let mut stats = stream.stats;
+        let decisions: Vec<PruneDecision> = stream
+            .bounds
+            .iter()
+            .map(|&(usim, lsim)| pruning_rules(usim, lsim, params.epsilon))
+            .collect();
+        let outcome = PruneOutcome::from_decisions(&stream.structural, &decisions);
+        stats.pruned_by_upper = outcome.pruned.len();
+        stats.accepted_by_lower = outcome.accepted.len();
+        stats.probabilistic_candidates = outcome.surviving();
+
+        // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
+        let t2 = Instant::now();
+        let workers = resolve_threads(threads);
+        let (across, within) = if outcome.candidates.len() >= workers {
+            (workers, 1)
+        } else {
+            (1, workers)
+        };
+        let verdicts: Vec<VerifyOutcome> =
+            par_map_chunked_costed(&outcome.candidates, across, CostHint::HEAVY, |_, &gi| {
+                self.verify_candidate(q, &stream, gi, params.epsilon, true, within)
+            });
+        let mut answers = outcome.accepted;
+        for (&gi, v) in outcome.candidates.iter().zip(&verdicts) {
+            stats.record_verification(v);
+            if v.early.unwrap_or(v.ssp >= params.epsilon) {
+                answers.push(gi);
+            }
+        }
+        stats.verification_seconds = t2.elapsed().as_secs_f64();
+        answers.sort_unstable();
+        QueryResult { answers, stats }
+    }
+
+    /// The best-first top-k consumer of the candidate stream, with an
+    /// explicit thread count.
+    ///
+    /// Candidates are ordered by descending capped upper bound, ties broken
+    /// by content salt then index; phase 3 walks that order sequentially,
+    /// maintaining the k best verified lower bounds — exact verdicts
+    /// contribute their SSP, sampled full-budget verdicts
+    /// `max(Lsim, ssp − τ)` — and skips the whole tail once the next upper
+    /// bound falls below the k-th best (every per-candidate computation uses
+    /// its own content-seeded RNG, so the walk order, cuts and estimates are
+    /// identical for every thread count, shard count and insertion order).
+    /// The trivial relaxation ranks by that order alone, every SSP being 1.
+    fn query_topk_with_threads(
+        &self,
+        q: &Graph,
+        params: &TopkParams,
+        threads: usize,
+    ) -> TopkResult {
+        let salts = self.pmi.graph_salts();
+        let stream = self.candidate_stream(q, params.delta, params.variant, threads);
+        let (structural, bounds) = (&stream.structural, &stream.bounds);
+        let mut stats = stream.stats;
+        stats.probabilistic_candidates = structural.len();
         // Best-first order: descending capped upper bound, ties broken by
         // content salt (then index, which only matters for byte-identical
         // duplicate graphs) — the salt tie-break keeps the walk, and with it
@@ -1070,10 +1155,19 @@ impl QueryEngine {
                 .then_with(|| salts[structural[a]].cmp(&salts[structural[b]]))
                 .then_with(|| structural[a].cmp(&structural[b]))
         });
-        stats.probabilistic_seconds = t1.elapsed().as_secs_f64();
-        stats.probabilistic_candidates = structural.len();
+        if stream.trivial {
+            stats.accepted_by_lower = structural.len();
+            let ranked = order
+                .iter()
+                .take(params.k)
+                .map(|&ci| RankedAnswer {
+                    graph: structural[ci],
+                    ssp: 1.0,
+                })
+                .collect();
+            return TopkResult { ranked, stats };
+        }
 
-        // Phase 3: best-first verification under the moving k-th-best cut.
         // The walk is sequential over candidates (each adaptive sampler fans
         // its chunks out on up to `threads` workers) because every decision
         // threshold depends on the verdicts before it; determinism comes for
@@ -1083,18 +1177,15 @@ impl QueryEngine {
         let tau = self.config.verify.mc.tau;
         // The k best verified lower bounds so far, best first, stored as the
         // bit patterns of non-negative f64s (monotone, so no float compares
-        // in the hot insert; zero canonicalised to +0.0 bits).
+        // in the hot insert; zero canonicalised to +0.0 bits).  Only the
+        // k-th entry is ever read, so the list is cut back to k entries.
         let mut lowers: Vec<u64> = Vec::new();
         let mut evaluated: Vec<(usize, f64)> = Vec::new();
         for (pos, &ci) in order.iter().enumerate() {
             let gi = structural[ci];
-            let upper = bounds[ci].0.min(1.0);
-            let kth_lower = if lowers.len() >= params.k {
-                f64::from_bits(lowers[params.k - 1])
-            } else {
-                0.0
-            };
-            if evaluated.len() >= params.k && upper < kth_lower {
+            let (upper, lsim) = bounds[ci];
+            let kth_lower = lowers.get(params.k - 1).map_or(0.0, |&b| f64::from_bits(b));
+            if evaluated.len() >= params.k && upper.min(1.0) < kth_lower {
                 // Order is descending in the upper bound: nothing after this
                 // candidate can reach the current top k either.
                 stats.topk_pruned += order.len() - pos;
@@ -1102,46 +1193,24 @@ impl QueryEngine {
             }
             // The k-th-best lower bound is the sampler's rejection threshold;
             // accepts never stop early because a ranked winner needs its
-            // full-budget estimate.  With the adaptive layer disabled the
-            // threshold drops to zero, which no interval can fall below —
-            // the sampler then always runs to completion (the fixed-budget
-            // baseline the benchmark compares against).
-            let stop_threshold = if self.config.verify.adaptive {
-                kth_lower
-            } else {
-                0.0
-            };
-            let mut rng = self.candidate_rng(query_hash, SEED_PHASE_VERIFY, gi);
-            let verdict = verify_ssp_adaptive(
-                &self.db[gi],
-                q,
-                params.delta,
-                &relaxed,
-                &self.config.verify,
-                stop_threshold,
-                false,
-                threads,
-                &mut rng,
-            );
-            stats.verified += 1;
-            stats.samples_drawn += verdict.samples_drawn;
-            stats.samples_saved += verdict.budget - verdict.samples_drawn;
-            stats.exact_verifications += usize::from(verdict.exact);
-            if verdict.early == Some(false) {
+            // full-budget estimate.
+            let v = self.verify_candidate(q, &stream, gi, kth_lower, false, threads);
+            stats.record_verification(&v);
+            if v.early == Some(false) {
                 // The interval fell below the k-th-best lower bound: the
                 // candidate cannot enter the ranking.
-                stats.early_rejects += 1;
                 continue;
             }
-            let lower = if verdict.exact {
-                verdict.ssp
+            let lower = if v.exact {
+                v.ssp
             } else {
-                (verdict.ssp - tau).max(bounds[ci].1)
+                (v.ssp - tau).max(lsim)
             };
             let bits = if lower <= 0.0 { 0u64 } else { lower.to_bits() };
             let at = lowers.partition_point(|&b| b > bits);
             lowers.insert(at, bits);
-            evaluated.push((gi, verdict.ssp));
+            lowers.truncate(params.k);
+            evaluated.push((gi, v.ssp));
         }
         // Final ranking: descending SSP, ties broken by content salt then
         // index (the satellite regression pins this against database
@@ -1161,243 +1230,6 @@ impl QueryEngine {
         TopkResult { ranked, stats }
     }
 
-    /// The three-phase pipeline with an explicit thread count (`0` = auto).
-    fn query_with_threads(&self, q: &Graph, params: &QueryParams, threads: usize) -> QueryResult {
-        // Trivial relaxation: when δ ≥ |E(q)| the relaxed query set collapses
-        // to the empty pattern, which every possible world contains, so
-        // SSP = 1 ≥ ε for every graph.  Answer directly instead of running
-        // the pruning bounds and the sampler on an empty pattern (they would
-        // eventually agree, after wasted work per candidate).
-        if params.delta >= q.edge_count() {
-            let n = self.db.len();
-            return QueryResult {
-                answers: (0..n).collect(),
-                stats: PhaseStats {
-                    structural_candidates: n,
-                    accepted_by_lower: n,
-                    probabilistic_candidates: n,
-                    ..PhaseStats::default()
-                },
-            };
-        }
-        let query_hash = hash_query(q);
-        let mut stats = PhaseStats::default();
-        // With a single pool worker the shard regroup/permute machinery of
-        // phases 2 and 3 cannot improve wall-clock — everything runs
-        // sequentially anyway — so those phases fall back to the direct maps
-        // (byte-identical results, see below).
-        let workers = resolve_threads(threads);
-        // Lazily-built flat fan-out scratch, shared by the phase-2 and
-        // phase-3 shard groupings of this query.
-        let mut shard_scratch: Option<ShardScratch> = None;
-
-        // Phase 1: structural pruning via the S-Index — the query summary is
-        // computed once, posting-list deficit accumulation touches only
-        // graphs sharing a signature with the query, and the exact check
-        // reuses the cached summaries.  Unsharded the exact checks fan out
-        // over filter survivors; sharded each shard's index generates and
-        // checks its own members in one pool task and the global-id lists
-        // merge ascending — the outputs are byte-identical either way.
-        // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
-        let t0 = Instant::now();
-        let shard_count = self.pmi.shard_count();
-        let (structural, filter_stats) = if shard_count == 1 {
-            let sindex = self
-                .pmi
-                .sindex()
-                // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
-                .expect("engine invariant: the PMI always carries an S-Index");
-            structural_candidates_indexed(sindex, &self.skeletons, q, params.delta, threads)
-        } else {
-            let shards: Vec<(&StructuralIndex, &[u32])> = (0..shard_count)
-                .map(|s| (self.pmi.shard_sindex(s), self.pmi.shard_members(s)))
-                .collect();
-            structural_candidates_sharded(&shards, &self.skeletons, q, params.delta, threads)
-        };
-        stats.structural_seconds = t0.elapsed().as_secs_f64();
-        stats.structural_candidates = structural.len();
-        stats.posting_entries_scanned = filter_stats.posting_entries_scanned;
-        stats.filter_survivors = filter_stats.filter_survivors;
-
-        // Phase 2: probabilistic pruning (parallel over candidates).  The
-        // relaxed query set is computed exactly once and shared with the
-        // verification phase below.
-        // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
-        let t1 = Instant::now();
-        let relaxed = relax_query_clamped(q, params.delta);
-        let outcome = match params.variant {
-            PruningVariant::Structure => PruneOutcome {
-                accepted: Vec::new(),
-                candidates: structural.clone(),
-                pruned: Vec::new(),
-            },
-            PruningVariant::SspBound | PruningVariant::OptSspBound => {
-                let optimal = params.variant == PruningVariant::OptSspBound;
-                let prune_one = |gi: usize| {
-                    let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, gi);
-                    prune_candidate(
-                        &self.pmi,
-                        gi,
-                        &relaxed,
-                        params.epsilon,
-                        optimal,
-                        self.config.cross_term,
-                        &mut rng,
-                    )
-                };
-                // Sharded: candidates are regrouped shard-contiguously so a
-                // worker's PMI column reads mostly stay within one segment,
-                // but the pool still chunks per *candidate* (not per shard) —
-                // an uneven shard split cannot serialize the phase.  Every
-                // candidate's RNG is derived from its content salt either
-                // way, so the decisions — permuted back into the merged
-                // candidate order — are byte-identical.
-                let decisions: Vec<PruneDecision> = if shard_count > 1 && workers > 1 {
-                    let scratch =
-                        shard_scratch.get_or_insert_with(|| ShardScratch::new(shard_count));
-                    let active = self.group_by_shard(&structural, scratch);
-                    if active.len() <= 1 {
-                        // Every candidate lives in one shard: the regroup and
-                        // permute-back would be pure overhead, so map directly.
-                        par_map_chunked_costed(
-                            &structural,
-                            threads,
-                            CostHint::MODERATE,
-                            |_, &gi| prune_one(gi),
-                        )
-                    } else {
-                        let scratch: &ShardScratch = scratch;
-                        let grouped = par_map_chunked_costed(
-                            scratch.grouped(),
-                            threads,
-                            CostHint::MODERATE,
-                            |_, &gi| prune_one(gi),
-                        );
-                        scratch.ungroup(&grouped)
-                    }
-                } else {
-                    par_map_chunked_costed(&structural, threads, CostHint::MODERATE, |_, &gi| {
-                        prune_one(gi)
-                    })
-                };
-                PruneOutcome::from_decisions(&structural, &decisions)
-            }
-        };
-        stats.probabilistic_seconds = t1.elapsed().as_secs_f64();
-        stats.pruned_by_upper = outcome.pruned.len();
-        stats.accepted_by_lower = outcome.accepted.len();
-        stats.probabilistic_candidates = outcome.surviving();
-
-        // Phase 3: verification.  With more candidates than workers the
-        // parallelism goes *across* candidates (each sampler runs its chunks
-        // sequentially); with few surviving candidates it goes *within* each
-        // candidate's sample loop instead (the chunked Karp–Luby trials).
-        // Either way every candidate's trials come from the same fixed chunk
-        // layout and derived seeds, so the split is purely a wall-clock
-        // decision — the answers are byte-identical for every thread count.
-        // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
-        let t2 = Instant::now();
-        let mut answers = outcome.accepted.clone();
-        stats.verified = outcome.candidates.len();
-        let verify_one = |gi: usize, within: usize| {
-            let mut rng = self.candidate_rng(query_hash, SEED_PHASE_VERIFY, gi);
-            if self.config.verify.adaptive {
-                // Bound-adaptive sampling (DESIGN.md §16): the stopping rule
-                // checks the running Hoeffding interval against ε at the
-                // deterministic chunk boundaries and stops as soon as the
-                // decision is resolved.  The decision stays within the
-                // (τ, ξ) band of the fixed-budget estimate.
-                let verdict = verify_ssp_adaptive(
-                    &self.db[gi],
-                    q,
-                    params.delta,
-                    &relaxed,
-                    &self.config.verify,
-                    params.epsilon,
-                    true,
-                    within,
-                    &mut rng,
-                );
-                CandidateVerdict {
-                    keep: verdict.meets,
-                    samples: verdict.samples_drawn,
-                    saved: verdict.budget - verdict.samples_drawn,
-                    exact: verdict.exact,
-                    early: verdict.early,
-                }
-            } else {
-                let verdict = verify_ssp_with_stats(
-                    &self.db[gi],
-                    q,
-                    params.delta,
-                    &relaxed,
-                    &self.config.verify,
-                    within,
-                    &mut rng,
-                );
-                CandidateVerdict {
-                    keep: verdict.ssp >= params.epsilon,
-                    samples: verdict.samples_drawn,
-                    saved: 0,
-                    exact: verdict.exact,
-                    early: None,
-                }
-            }
-        };
-        // The sampler's trials come from a fixed chunk layout and derived
-        // seeds, so all three dispatch shapes below yield byte-identical
-        // verdicts — the choice is purely a wall-clock decision.
-        let verdicts: Vec<CandidateVerdict> = if shard_count > 1
-            && workers > 1
-            && outcome.candidates.len() >= workers
-        {
-            // Sharded with enough candidates: verify in shard-contiguous
-            // order (segment locality) but chunked per candidate.  When a
-            // single shard holds every candidate the regroup is skipped.
-            let scratch = shard_scratch.get_or_insert_with(|| ShardScratch::new(shard_count));
-            let active = self.group_by_shard(&outcome.candidates, scratch);
-            if active.len() <= 1 {
-                par_map_chunked_costed(&outcome.candidates, threads, CostHint::HEAVY, |_, &gi| {
-                    verify_one(gi, 1)
-                })
-            } else {
-                let scratch: &ShardScratch = scratch;
-                let grouped = par_map_chunked_costed(
-                    scratch.grouped(),
-                    threads,
-                    CostHint::HEAVY,
-                    |_, &gi| verify_one(gi, 1),
-                );
-                scratch.ungroup(&grouped)
-            }
-        } else {
-            let (across, within) = if outcome.candidates.len() >= workers {
-                (workers, 1)
-            } else {
-                (1, workers)
-            };
-            par_map_chunked_costed(&outcome.candidates, across, CostHint::HEAVY, |_, &gi| {
-                verify_one(gi, within)
-            })
-        };
-        for (&gi, v) in outcome.candidates.iter().zip(&verdicts) {
-            if v.keep {
-                answers.push(gi);
-            }
-            stats.samples_drawn += v.samples;
-            stats.samples_saved += v.saved;
-            stats.exact_verifications += usize::from(v.exact);
-            match v.early {
-                Some(true) => stats.early_accepts += 1,
-                Some(false) => stats.early_rejects += 1,
-                None => {}
-            }
-        }
-        stats.verification_seconds = t2.elapsed().as_secs_f64();
-        answers.sort_unstable();
-        QueryResult { answers, stats }
-    }
-
     /// The RNG for one `(query, phase, candidate)` triple.  Seeded from the
     /// graph's content hash — not its database index — so shuffling the
     /// database permutes the answers without changing them.  The salt comes
@@ -1410,44 +1242,6 @@ impl QueryEngine {
             phase,
             self.pmi.graph_salts()[graph_idx],
         ]))
-    }
-
-    /// Counting-sorts a global candidate list into per-shard sublists inside
-    /// `scratch`'s flat buffers, preserving the input's relative order within
-    /// each shard (the shard fan-out unit of phases 2 and 3).  Returns the
-    /// non-empty shard ids, ascending.  No per-shard `Vec`s: one reused
-    /// offsets table and one reused items buffer carry every grouping.
-    fn group_by_shard(&self, list: &[usize], scratch: &mut ShardScratch) -> Vec<u32> {
-        let shard_count = scratch.counts.len();
-        scratch.counts.fill(0);
-        for &gi in list {
-            scratch.counts[self.pmi.shard_of_graph(gi)] += 1;
-        }
-        let mut running = 0u32;
-        scratch.offsets[0] = 0;
-        for s in 0..shard_count {
-            running += scratch.counts[s];
-            scratch.offsets[s + 1] = running;
-        }
-        // Fill cursors from the offsets, then scatter (stable within a shard),
-        // recording each input item's grouped position for `ungroup`.
-        scratch
-            .counts
-            .copy_from_slice(&scratch.offsets[..shard_count]);
-        scratch.items.clear();
-        scratch.items.resize(list.len(), 0);
-        scratch.perm.clear();
-        scratch.perm.reserve(list.len());
-        for &gi in list {
-            let s = self.pmi.shard_of_graph(gi);
-            let pos = scratch.counts[s];
-            scratch.items[pos as usize] = gi;
-            scratch.perm.push(pos);
-            scratch.counts[s] += 1;
-        }
-        (0..shard_count as u32)
-            .filter(|&s| scratch.offsets[s as usize + 1] > scratch.offsets[s as usize])
-            .collect()
     }
 
     /// The `Exact` baseline: evaluates the SSP of every database graph with the

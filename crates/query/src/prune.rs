@@ -280,6 +280,11 @@ pub fn prune_candidate<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> PruneDecision {
     let (usim, lsim) = bound_candidate(pmi, graph_idx, relaxed, optimal, cross, rng);
+    pruning_rules(usim, lsim, epsilon)
+}
+
+/// Pruning rules 1 and 2 applied to a computed `(Usim, Lsim)` pair.
+pub(crate) fn pruning_rules(usim: f64, lsim: f64, epsilon: f64) -> PruneDecision {
     if usim < epsilon {
         PruneDecision::Pruned { usim }
     } else if lsim >= epsilon {

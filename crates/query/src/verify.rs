@@ -110,13 +110,23 @@ impl VerifyOptions {
 /// counters the pipeline aggregates into `PhaseStats`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerifyOutcome {
-    /// The (estimated or exact) subgraph similarity probability.
+    /// The (estimated or exact) subgraph similarity probability.  On an early
+    /// stop this is the running estimate at the stopping boundary — only its
+    /// relation to the threshold is resolved, not its full-budget value.
     pub ssp: f64,
-    /// Monte-Carlo trials drawn (zero on the exact path).
+    /// Monte-Carlo trials actually drawn (zero on the exact path).
     pub samples_drawn: usize,
+    /// Trials a fixed-budget run draws (`mc.num_samples()` on the sampled
+    /// path, zero on the exact path) — `budget - samples_drawn` is the work
+    /// the stopping rule saved.
+    pub budget: usize,
     /// True when the answer came from the exact short-circuit (trivial δ,
     /// no embeddings, or relevant-edge set within `exact_cutoff`).
     pub exact: bool,
+    /// `Some(decision)` when the stopping rule fired before the budget was
+    /// exhausted (`true`: the SSP is at or above the threshold), `None` when
+    /// the sampler ran to completion or the exact path answered.
+    pub early: Option<bool>,
 }
 
 impl VerifyOutcome {
@@ -124,16 +134,15 @@ impl VerifyOutcome {
         VerifyOutcome {
             ssp,
             samples_drawn: 0,
+            budget: 0,
             exact: true,
+            early: None,
         }
     }
 }
 
-/// Estimates `Pr(q ⊆sim g)` with the Algorithm 5 sampler.
-///
-/// Convenience wrapper that derives the relaxed query set internally; when the
-/// set is already known (the query pipeline computes it once per query), use
-/// [`verify_ssp_sampled_relaxed`] to avoid re-deriving it for every candidate.
+/// Estimates `Pr(q ⊆sim g)` with the fixed-budget Algorithm 5 sampler,
+/// deriving the relaxed query set internally.
 pub fn verify_ssp_sampled<R: Rng + ?Sized>(
     pg: &ProbabilisticGraph,
     q: &Graph,
@@ -145,41 +154,51 @@ pub fn verify_ssp_sampled<R: Rng + ?Sized>(
         return 1.0;
     }
     let relaxed = relax_query_clamped(q, delta);
-    verify_ssp_sampled_relaxed(pg, q, delta, &relaxed, options, rng)
+    verify_ssp_with_stats(pg, q, delta, &relaxed, options, 1, rng).ssp
 }
 
-/// Estimates `Pr(q ⊆sim g)` with the Algorithm 5 sampler, reusing a
-/// precomputed relaxed query set.
-///
-/// `relaxed` must be `relax_query_clamped(q, delta)` — the pipeline computes
-/// it once per query and shares it between the pruning and verification
-/// phases, so the `δ`-clamp lives in exactly one place
-/// (`pgs_graph::relax::relax_query_clamped`).
-pub fn verify_ssp_sampled_relaxed<R: Rng + ?Sized>(
-    pg: &ProbabilisticGraph,
-    q: &Graph,
-    delta: usize,
-    relaxed: &[Graph],
-    options: &VerifyOptions,
-    rng: &mut R,
-) -> f64 {
-    verify_ssp_with_stats(pg, q, delta, relaxed, options, 1, rng).ssp
-}
-
-/// Full-fat verification entry point: Algorithm 5 over the
-/// [`UnionSampler`], with work counters and optional intra-candidate
-/// parallelism.
-///
-/// The Monte-Carlo trials are chunked deterministically and run on up to
-/// `threads` workers (`0` = automatic, `1` = sequential); the per-chunk RNGs
-/// are derived from one seed drawn from `rng`, so for a fixed caller RNG
-/// state the result is **byte-identical for every thread count**.
+/// Fixed-budget verification with work counters: [`verify_ssp`] under a
+/// stopping rule that never fires (zero threshold, no early accepts), so
+/// every sampled candidate draws the full `mc.num_samples()` budget.
 pub fn verify_ssp_with_stats<R: Rng + ?Sized>(
     pg: &ProbabilisticGraph,
     q: &Graph,
     delta: usize,
     relaxed: &[Graph],
     options: &VerifyOptions,
+    threads: usize,
+    rng: &mut R,
+) -> VerifyOutcome {
+    verify_ssp(pg, q, delta, relaxed, options, 0.0, false, threads, rng)
+}
+
+/// The verifier: Algorithm 5 over the [`UnionSampler`] with a sequential
+/// stopping rule (DESIGN.md §16), reusing a precomputed relaxed query set.
+///
+/// `relaxed` must be `relax_query_clamped(q, delta)` — the pipeline computes
+/// it once per query and shares it between the pruning and verification
+/// phases, so the `δ`-clamp lives in exactly one place.  Small instances
+/// (trivial `δ`, no embeddings, relevant-edge set within `exact_cutoff`,
+/// zero-weight union) are answered exactly.  Otherwise one chunk seed is
+/// drawn from `rng` and [`UnionSampler::estimate_adaptive`] runs the
+/// deterministic trial chunks on up to `threads` workers (`0` = automatic),
+/// checking the running Hoeffding interval against `threshold` at the chunk
+/// boundaries; `accept_early = false` restricts stopping to rejections (the
+/// top-k path needs full-budget estimates for its ranked winners).  With
+/// `options.adaptive` off the rule never fires — the fixed-budget path.
+///
+/// For a fixed caller RNG state the outcome is byte-identical for every
+/// thread count, and early decisions stay within the `(τ, ξ)` accuracy band
+/// of the fixed-budget estimate.
+#[allow(clippy::too_many_arguments)]
+pub fn verify_ssp<R: Rng + ?Sized>(
+    pg: &ProbabilisticGraph,
+    q: &Graph,
+    delta: usize,
+    relaxed: &[Graph],
+    options: &VerifyOptions,
+    threshold: f64,
+    accept_early: bool,
     threads: usize,
     rng: &mut R,
 ) -> VerifyOutcome {
@@ -201,117 +220,22 @@ pub fn verify_ssp_with_stats<R: Rng + ?Sized>(
             return VerifyOutcome::exactly(value);
         }
     }
-
-    // --- Algorithm 5 over the projected bitset sampler -------------------
     let Some(sampler) = UnionSampler::with_relevant(pg, &embeddings, &relevant) else {
         // The union event has probability zero (every Pr(Bf_i) = 0).
         return VerifyOutcome::exactly(0.0);
     };
     let n = options.mc.num_samples();
     let seed: u64 = rng.gen();
-    VerifyOutcome {
-        ssp: sampler.estimate_chunked(n, seed, threads),
-        samples_drawn: n,
-        exact: false,
-    }
-}
-
-/// The result of one bound-adaptive candidate verification (DESIGN.md §16).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveVerdict {
-    /// The (estimated or exact) subgraph similarity probability.  On an early
-    /// stop this is the running estimate at the stopping boundary — only its
-    /// relation to the threshold is resolved, not its full-budget value.
-    pub ssp: f64,
-    /// Whether the candidate meets the decision threshold (`ssp ≥ threshold`
-    /// resolved either by the stopping rule or by the final estimate).
-    pub meets: bool,
-    /// Monte-Carlo trials actually drawn (zero on the exact path).
-    pub samples_drawn: usize,
-    /// Trials a fixed-budget run would have drawn (`mc.num_samples()` on the
-    /// sampled path, zero on the exact path) — `budget - samples_drawn` is
-    /// the work the stopping rule saved.
-    pub budget: usize,
-    /// True when the answer came from the exact short-circuit.
-    pub exact: bool,
-    /// `Some(decision)` when the stopping rule fired before the budget was
-    /// exhausted, `None` when the sampler ran to completion (or the exact
-    /// path answered).
-    pub early: Option<bool>,
-}
-
-impl AdaptiveVerdict {
-    fn exactly(ssp: f64, threshold: f64) -> AdaptiveVerdict {
-        AdaptiveVerdict {
-            ssp,
-            meets: ssp >= threshold,
-            samples_drawn: 0,
-            budget: 0,
-            exact: true,
-            early: None,
-        }
-    }
-}
-
-/// Bound-adaptive verification: [`verify_ssp_with_stats`] with an early
-/// stopping rule on the sampler (DESIGN.md §16).
-///
-/// The exact short-circuits (trivial `δ`, no embeddings, relevant-edge set
-/// within `exact_cutoff`, zero-weight union) are identical to
-/// [`verify_ssp_with_stats`], and the sampled path draws its chunk seed from
-/// `rng` at the same point of the RNG stream — so with the stopping rule
-/// disabled the two entry points are bit-for-bit interchangeable.  With it
-/// enabled, [`UnionSampler::estimate_adaptive`] checks the running
-/// Hoeffding interval at deterministic chunk boundaries and stops as soon as
-/// the interval separates from `threshold`; `accept_early = false` restricts
-/// stopping to rejections (the top-k path needs full-budget estimates for
-/// its ranked winners).
-///
-/// Decisions are byte-identical across thread counts and repeats, and stay
-/// within the `(τ, ξ)` accuracy band of the fixed-budget estimate.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_ssp_adaptive<R: Rng + ?Sized>(
-    pg: &ProbabilisticGraph,
-    q: &Graph,
-    delta: usize,
-    relaxed: &[Graph],
-    options: &VerifyOptions,
-    threshold: f64,
-    accept_early: bool,
-    threads: usize,
-    rng: &mut R,
-) -> AdaptiveVerdict {
-    if q.edge_count() <= delta {
-        return AdaptiveVerdict::exactly(1.0, threshold);
-    }
-    let embeddings = collect_embeddings_of_relaxations(pg, relaxed, options.max_embeddings);
-    if embeddings.is_empty() {
-        return AdaptiveVerdict::exactly(0.0, threshold);
-    }
-    let mut relevant: Vec<_> = embeddings.iter().flatten().copied().collect();
-    relevant.sort_unstable();
-    relevant.dedup();
-    if relevant.len() <= options.exact_cutoff {
-        if let Ok(value) =
-            pgs_prob::exact::exact_union_probability(pg, &embeddings, options.exact_cutoff)
-        {
-            return AdaptiveVerdict::exactly(value, threshold);
-        }
-    }
-    let Some(sampler) = UnionSampler::with_relevant(pg, &embeddings, &relevant) else {
-        return AdaptiveVerdict::exactly(0.0, threshold);
-    };
-    let n = options.mc.num_samples();
-    let seed: u64 = rng.gen();
+    // `adaptive` off only picks the rule: a zero threshold without early
+    // accepts can never fire.
     let rule = StoppingRule {
-        threshold,
+        threshold: if options.adaptive { threshold } else { 0.0 },
         xi: options.mc.xi,
-        accept_early,
+        accept_early: options.adaptive && accept_early,
     };
     let est = sampler.estimate_adaptive(n, seed, threads, &rule);
-    AdaptiveVerdict {
+    VerifyOutcome {
         ssp: est.estimate,
-        meets: est.decision.unwrap_or(est.estimate >= threshold),
         samples_drawn: est.samples_drawn,
         budget: n,
         exact: false,
@@ -391,17 +315,6 @@ pub fn verify_ssp_exact(
     limit: usize,
 ) -> Result<f64, ProbError> {
     exact_ssp(pg, q, delta, limit)
-}
-
-/// Collects the distinct embeddings (edge sets) of every relaxed query in the
-/// skeleton of `pg`, deriving the relaxed set from `(q, delta)`.
-pub fn collect_relaxed_embeddings(
-    pg: &ProbabilisticGraph,
-    q: &Graph,
-    delta: usize,
-    max_embeddings: usize,
-) -> Vec<EdgeSet> {
-    collect_embeddings_of_relaxations(pg, &relax_query_clamped(q, delta), max_embeddings)
 }
 
 /// Collects the distinct embeddings (edge sets) of every graph in `relaxed`
@@ -567,7 +480,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let baseline = verify_ssp_sampled_baseline(&pg, &q, 1, &relaxed, &options, &mut rng);
         let mut rng = StdRng::seed_from_u64(8);
-        let fast = verify_ssp_sampled_relaxed(&pg, &q, 1, &relaxed, &options, &mut rng);
+        let fast = verify_ssp_with_stats(&pg, &q, 1, &relaxed, &options, 1, &mut rng).ssp;
         assert!(
             (baseline - fast).abs() < 0.03,
             "baseline {baseline} vs union sampler {fast}"
@@ -613,14 +526,15 @@ mod tests {
     fn collect_embeddings_dedups_and_caps() {
         let pg = fixture_002();
         let q = query();
-        let all = collect_relaxed_embeddings(&pg, &q, 1, 100);
+        let relaxed = relax_query_clamped(&q, 1);
+        let all = collect_embeddings_of_relaxations(&pg, &relaxed, 100);
         assert!(!all.is_empty());
         for i in 0..all.len() {
             for j in (i + 1)..all.len() {
                 assert_ne!(all[i], all[j], "duplicate embedding edge sets");
             }
         }
-        let capped = collect_relaxed_embeddings(&pg, &q, 1, 2);
+        let capped = collect_embeddings_of_relaxations(&pg, &relaxed, 2);
         assert!(capped.len() <= 2);
     }
 
@@ -707,24 +621,34 @@ mod tests {
     #[test]
     fn adaptive_without_a_stop_matches_with_stats_bitwise() {
         // With a threshold the interval can never separate from (and early
-        // accepts disabled), the adaptive path must reproduce the fixed-budget
-        // estimate bit for bit: same short-circuits, same seed draw, same
-        // chunk arithmetic.
+        // accepts disabled), the round-scheduled adaptive run must reproduce
+        // the single-round fixed-budget estimate bit for bit: same
+        // short-circuits, same seed draw, same chunk arithmetic.
         let (pg, q) = verification_candidate(8);
         let options = VerifyOptions {
             exact_cutoff: 0,
+            adaptive: true,
             ..VerifyOptions::default()
         };
         let relaxed = relax_query_clamped(&q, 1);
         let mut rng = StdRng::seed_from_u64(99);
         let fixed = verify_ssp_with_stats(&pg, &q, 1, &relaxed, &options, 1, &mut rng);
         let mut rng = StdRng::seed_from_u64(99);
-        let adaptive = verify_ssp_adaptive(&pg, &q, 1, &relaxed, &options, 0.0, false, 1, &mut rng);
-        assert_eq!(adaptive.ssp.to_bits(), fixed.ssp.to_bits());
-        assert_eq!(adaptive.samples_drawn, fixed.samples_drawn);
-        assert_eq!(adaptive.budget, options.mc.num_samples());
-        assert_eq!(adaptive.early, None);
-        assert!(adaptive.meets);
+        let adaptive = verify_ssp(
+            &pg,
+            &q,
+            1,
+            &relaxed,
+            &options,
+            f64::MIN_POSITIVE,
+            false,
+            1,
+            &mut rng,
+        );
+        assert_eq!(adaptive, fixed);
+        assert_eq!(fixed.budget, options.mc.num_samples());
+        assert_eq!(fixed.samples_drawn, fixed.budget);
+        assert_eq!(fixed.early, None);
     }
 
     #[test]
@@ -741,6 +665,7 @@ mod tests {
                 xi: 0.01,
                 max_samples: 40_000,
             },
+            adaptive: true,
             ..VerifyOptions::default()
         };
         let relaxed = relax_query_clamped(&q, 1);
@@ -749,13 +674,12 @@ mod tests {
         let mut saved_total = 0usize;
         for threshold in [0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0] {
             let mut rng = StdRng::seed_from_u64(5);
-            let verdict =
-                verify_ssp_adaptive(&pg, &q, 1, &relaxed, &options, threshold, true, 1, &mut rng);
+            let verdict = verify_ssp(&pg, &q, 1, &relaxed, &options, threshold, true, 1, &mut rng);
             assert!(verdict.samples_drawn <= verdict.budget);
             saved_total += verdict.budget - verdict.samples_drawn;
             if (fixed.ssp - threshold).abs() > options.mc.tau {
                 assert_eq!(
-                    verdict.meets,
+                    verdict.early.unwrap_or(verdict.ssp >= threshold),
                     fixed.ssp >= threshold,
                     "threshold={threshold}: adaptive {} (early {:?}) vs fixed {}",
                     verdict.ssp,
@@ -778,7 +702,7 @@ mod tests {
             verify_ssp_with_stats(&pg, &q, 1, &relaxed, &VerifyOptions::default(), 1, &mut rng);
         assert!(fixed.exact);
         let mut rng = StdRng::seed_from_u64(7);
-        let verdict = verify_ssp_adaptive(
+        let verdict = verify_ssp(
             &pg,
             &q,
             1,
@@ -789,14 +713,13 @@ mod tests {
             1,
             &mut rng,
         );
-        assert!(verdict.exact);
-        assert_eq!(verdict.ssp.to_bits(), fixed.ssp.to_bits());
+        assert_eq!(verdict, fixed);
         assert_eq!(verdict.samples_drawn, 0);
         assert_eq!(verdict.budget, 0);
-        assert_eq!(verdict.meets, fixed.ssp >= 0.5);
+        assert_eq!(verdict.early, None);
         // Trivial δ and no-embedding shortcuts.
         let tiny = GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 9).build();
-        let verdict = verify_ssp_adaptive(
+        let verdict = verify_ssp(
             &pg,
             &tiny,
             1,
@@ -807,10 +730,10 @@ mod tests {
             1,
             &mut rng,
         );
-        assert!(verdict.exact && verdict.meets && verdict.ssp == 1.0);
+        assert!(verdict.exact && verdict.ssp == 1.0);
         let foreign = GraphBuilder::new().vertices(&[8, 9]).edge(0, 1, 9).build();
         let relaxed = relax_query_clamped(&foreign, 0);
-        let verdict = verify_ssp_adaptive(
+        let verdict = verify_ssp(
             &pg,
             &foreign,
             0,
@@ -821,7 +744,7 @@ mod tests {
             1,
             &mut rng,
         );
-        assert!(verdict.exact && !verdict.meets && verdict.ssp == 0.0);
+        assert!(verdict.exact && verdict.ssp == 0.0);
     }
 
     #[test]

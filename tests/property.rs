@@ -13,7 +13,7 @@ use pgs_index::sip_bounds::{sip_bounds, BoundsConfig};
 use pgs_prob::neighbor::{is_neighbor_edge_set, partition_with_triangles};
 use pgs_prob::union_sampler::{StoppingRule, UnionSampler};
 use pgs_query::verify::{
-    collect_embeddings_of_relaxations, verify_ssp_sampled_baseline, verify_ssp_sampled_relaxed,
+    collect_embeddings_of_relaxations, verify_ssp_sampled_baseline, verify_ssp_with_stats,
     VerifyOptions,
 };
 use proptest::prelude::*;
@@ -232,7 +232,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(31);
         let baseline = verify_ssp_sampled_baseline(&pg, &q, delta, &relaxed, &options, &mut rng);
         let mut rng = StdRng::seed_from_u64(37);
-        let fast = verify_ssp_sampled_relaxed(&pg, &q, delta, &relaxed, &options, &mut rng);
+        let fast = verify_ssp_with_stats(&pg, &q, delta, &relaxed, &options, 1, &mut rng).ssp;
         prop_assert!((fast - exact).abs() < 0.04, "union sampler {fast} vs exact {exact}");
         prop_assert!((baseline - exact).abs() < 0.04, "baseline {baseline} vs exact {exact}");
         prop_assert!((fast - baseline).abs() < 0.08, "union sampler {fast} vs baseline {baseline}");

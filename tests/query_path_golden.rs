@@ -1,0 +1,353 @@
+//! Golden regression pin of the whole query path: verification estimates,
+//! threshold answers, top-k rankings and every deterministic `PhaseStats`
+//! counter, frozen as `tests/fixtures/query_path_expected.txt`.
+//!
+//! The fixture was generated by the `#[ignore]`d test at the bottom running
+//! on the engine *before* threshold and top-k queries were folded onto one
+//! phase-1/phase-2 front end and verification onto one stopping-rule-driven
+//! estimator.  The fold must not move a single observable bit, so the
+//! rendered workload has to match the fixture exactly:
+//!
+//! * `f64::to_bits` of fixed-budget `verify_ssp_with_stats` estimates on
+//!   `fixture_002` and `pgs_datagen::scenarios::verification_candidate`, two
+//!   caller seeds, threads {1, 2};
+//! * the answers of `query`/`query_batch` and the ranked lists (graph +
+//!   SSP bits) of `query_topk`/`query_topk_batch` on a small PPI engine,
+//!   with all 13 deterministic counters, across shards {1, 8} × adaptive
+//!   stopping {on, off} × a mostly-exact and a forced-sampling verifier.
+//!
+//! The shard count and the adaptive switch are pinned explicitly (the
+//! `PGS_SHARDS`/`PGS_ADAPTIVE` CI modes cannot change what the file means);
+//! the thread count is left at its environment default, because every line
+//! is thread-count invariant — so each CI thread mode re-checks the same
+//! file.
+
+use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
+use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
+use pgs::prelude::*;
+use pgs::prob::montecarlo::MonteCarloConfig;
+use pgs::query::pipeline::{PhaseStats, QueryEngine, TopkResult};
+use pgs::query::verify::{verify_ssp_with_stats, VerifyOptions};
+use pgs_datagen::scenarios::verification_candidate;
+use pgs_graph::relax::relax_query_clamped;
+use pgs_index::feature::FeatureSelectionParams;
+use pgs_index::pmi::PmiBuildParams;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+const FIXTURE: &str = "query_path_expected.txt";
+
+fn fixture_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// Figure-1-style fixture: a correlated triangle table plus a pendant table.
+fn fixture_002() -> ProbabilisticGraph {
+    let skeleton = GraphBuilder::new()
+        .name("002")
+        .vertices(&[0, 0, 1, 1, 2])
+        .edge(0, 1, 9)
+        .edge(0, 2, 9)
+        .edge(1, 2, 9)
+        .edge(2, 3, 9)
+        .edge(2, 4, 9)
+        .build();
+    let t1 = JointProbTable::from_max_rule(&[(EdgeId(0), 0.7), (EdgeId(1), 0.6), (EdgeId(2), 0.8)])
+        .unwrap();
+    let t2 = JointProbTable::from_max_rule(&[(EdgeId(3), 0.5), (EdgeId(4), 0.4)]).unwrap();
+    ProbabilisticGraph::new(skeleton, vec![t1, t2], true).unwrap()
+}
+
+/// The labelled triangle both verification fixtures are queried with.
+fn triangle_query() -> Graph {
+    GraphBuilder::new()
+        .vertices(&[0, 1, 2])
+        .edge(0, 1, 9)
+        .edge(1, 2, 9)
+        .edge(0, 2, 9)
+        .build()
+}
+
+/// Fixed-budget verifier options with every knob pinned; `exact_cutoff = 0`
+/// forces the sampled path wherever an embedding exists.
+fn sampled_verify_options() -> VerifyOptions {
+    VerifyOptions {
+        mc: MonteCarloConfig {
+            tau: 0.05,
+            xi: 0.01,
+            max_samples: 20_000,
+        },
+        max_embeddings: 256,
+        exact_cutoff: 0,
+        adaptive: false,
+    }
+}
+
+/// The deterministic counters of `PhaseStats` (the seconds fields are
+/// wall-clock and excluded on purpose).
+fn render_stats(s: &PhaseStats) -> String {
+    format!(
+        "sc={} pes={} fs={} pu={} al={} v={} ev={} sd={} ss={} ea={} er={} tp={} pc={}",
+        s.structural_candidates,
+        s.posting_entries_scanned,
+        s.filter_survivors,
+        s.pruned_by_upper,
+        s.accepted_by_lower,
+        s.verified,
+        s.exact_verifications,
+        s.samples_drawn,
+        s.samples_saved,
+        s.early_accepts,
+        s.early_rejects,
+        s.topk_pruned,
+        s.probabilistic_candidates,
+    )
+}
+
+fn render_ranked(r: &TopkResult) -> String {
+    let items: Vec<String> = r
+        .ranked
+        .iter()
+        .map(|a| format!("{}:{:016x}", a.graph, a.ssp.to_bits()))
+        .collect();
+    items.join(",")
+}
+
+/// One line per (fixture, δ, caller seed, threads) with the estimate's bit
+/// pattern and the work counters of the verification outcome.
+fn render_verification(out: &mut String) {
+    let options = sampled_verify_options();
+    let q = triangle_query();
+    let fixtures = [
+        ("fixture_002", fixture_002()),
+        ("candidate_8", verification_candidate(8).0),
+    ];
+    for (name, pg) in &fixtures {
+        for delta in 0..=2usize {
+            let relaxed = relax_query_clamped(&q, delta);
+            for seed in [7u64, 0x5EED] {
+                for threads in [1usize, 2] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let v =
+                        verify_ssp_with_stats(pg, &q, delta, &relaxed, &options, threads, &mut rng);
+                    writeln!(
+                        out,
+                        "verify {name} delta={delta} seed={seed:#x} threads={threads} \
+                         ssp={:016x} samples={} exact={}",
+                        v.ssp.to_bits(),
+                        v.samples_drawn,
+                        v.exact
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// The frozen PPI database the engine half of the workload runs on, plus its
+/// 4-edge query workload.
+fn ppi_workload() -> (Vec<ProbabilisticGraph>, Vec<Graph>) {
+    let ds = generate_ppi_dataset(&PpiDatasetConfig {
+        graph_count: 24,
+        vertices_per_graph: 10,
+        edges_per_graph: 14,
+        vertex_label_count: 6,
+        organism_count: 3,
+        perturbation: 0.3,
+        seed: 4242,
+        ..PpiDatasetConfig::default()
+    });
+    let queries = generate_query_workload(
+        &ds,
+        &QueryWorkloadConfig {
+            query_size: 4,
+            count: 4,
+            seed: 99,
+        },
+    )
+    .into_iter()
+    .map(|wq| wq.graph)
+    .collect();
+    (ds.graphs, queries)
+}
+
+fn engine_config(shards: usize, adaptive: bool, exact_cutoff: usize) -> EngineConfig {
+    EngineConfig {
+        pmi: PmiBuildParams {
+            features: FeatureSelectionParams {
+                max_l: 3,
+                max_features: 24,
+                max_embeddings: 12,
+                ..FeatureSelectionParams::default()
+            },
+            threads: 1,
+            seed: 11,
+            ..PmiBuildParams::default()
+        },
+        verify: VerifyOptions {
+            mc: MonteCarloConfig {
+                tau: 0.1,
+                xi: 0.05,
+                max_samples: 4_000,
+            },
+            max_embeddings: 256,
+            exact_cutoff,
+            adaptive,
+        },
+        seed: 0x601D,
+        shards,
+        ..EngineConfig::default()
+    }
+}
+
+const VARIANTS: [PruningVariant; 3] = [
+    PruningVariant::Structure,
+    PruningVariant::SspBound,
+    PruningVariant::OptSspBound,
+];
+
+/// Threshold and top-k queries, solo and batched, for one engine.
+fn render_engine(out: &mut String, tag: &str, engine: &QueryEngine, queries: &[Graph]) {
+    for variant in VARIANTS {
+        for epsilon in [0.1, 0.4, 0.9] {
+            let params = QueryParams {
+                epsilon,
+                delta: 1,
+                variant,
+            };
+            let batch = engine.query_batch(queries, &params).unwrap();
+            for (qi, q) in queries.iter().enumerate() {
+                let solo = engine.query(q, &params).unwrap();
+                writeln!(
+                    out,
+                    "{tag} query {variant:?} eps={epsilon} q={qi} answers={:?} stats=[{}]",
+                    solo.answers,
+                    render_stats(&solo.stats)
+                )
+                .unwrap();
+                let b = &batch.results[qi];
+                writeln!(
+                    out,
+                    "{tag} batch {variant:?} eps={epsilon} q={qi} answers={:?} stats=[{}]",
+                    b.answers,
+                    render_stats(&b.stats)
+                )
+                .unwrap();
+            }
+            writeln!(
+                out,
+                "{tag} batch-total {variant:?} eps={epsilon} stats=[{}]",
+                render_stats(&batch.stats)
+            )
+            .unwrap();
+        }
+        for k in [1usize, 5] {
+            let params = TopkParams {
+                k,
+                delta: 1,
+                variant,
+            };
+            let batch = engine.query_topk_batch(queries, &params).unwrap();
+            for (qi, q) in queries.iter().enumerate() {
+                let solo = engine.query_topk(q, &params).unwrap();
+                writeln!(
+                    out,
+                    "{tag} topk {variant:?} k={k} q={qi} ranked=[{}] stats=[{}]",
+                    render_ranked(&solo),
+                    render_stats(&solo.stats)
+                )
+                .unwrap();
+                let b = &batch.results[qi];
+                writeln!(
+                    out,
+                    "{tag} topk-batch {variant:?} k={k} q={qi} ranked=[{}] stats=[{}]",
+                    render_ranked(b),
+                    render_stats(&b.stats)
+                )
+                .unwrap();
+            }
+        }
+    }
+    // δ ≥ |E(q)|: the trivial relaxation shortcut of both query kinds.
+    let q = &queries[0];
+    let delta = q.edge_count();
+    let all = engine
+        .query(
+            q,
+            &QueryParams {
+                epsilon: 0.4,
+                delta,
+                variant: PruningVariant::OptSspBound,
+            },
+        )
+        .unwrap();
+    writeln!(
+        out,
+        "{tag} trivial-query answers={:?} stats=[{}]",
+        all.answers,
+        render_stats(&all.stats)
+    )
+    .unwrap();
+    let top = engine
+        .query_topk(
+            q,
+            &TopkParams {
+                k: 5,
+                delta,
+                variant: PruningVariant::OptSspBound,
+            },
+        )
+        .unwrap();
+    writeln!(
+        out,
+        "{tag} trivial-topk ranked=[{}] stats=[{}]",
+        render_ranked(&top),
+        render_stats(&top.stats)
+    )
+    .unwrap();
+}
+
+/// Renders the complete observable behaviour the fixture pins.
+fn render_workload() -> String {
+    let mut out = String::new();
+    render_verification(&mut out);
+    let (graphs, queries) = ppi_workload();
+    for shards in [1usize, 8] {
+        let built = QueryEngine::build(graphs.clone(), engine_config(shards, true, 12));
+        for exact_cutoff in [12usize, 0] {
+            for adaptive in [true, false] {
+                let engine = QueryEngine::from_parts(
+                    graphs.clone(),
+                    built.pmi().clone(),
+                    engine_config(shards, adaptive, exact_cutoff),
+                )
+                .unwrap();
+                let tag = format!("shards={shards} cutoff={exact_cutoff} adaptive={adaptive}");
+                render_engine(&mut out, &tag, &engine, &queries);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn query_path_matches_the_golden_file() {
+    let golden = std::fs::read_to_string(fixture_path(FIXTURE))
+        .expect("golden fixture query_path_expected.txt");
+    let now = render_workload();
+    for (i, (a, b)) in now.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(a, b, "line {} diverged from the golden file", i + 1);
+    }
+    assert_eq!(now.lines().count(), golden.lines().count());
+}
+
+#[test]
+#[ignore = "writes tests/fixtures/query_path_expected.txt; run only to re-pin the golden file"]
+fn generate_query_path_fixture() {
+    std::fs::write(fixture_path(FIXTURE), render_workload()).unwrap();
+}

@@ -6,7 +6,9 @@
 //! * Ties at the k-th boundary are pinned by the graph content salt, so the
 //!   selected answers must survive a database shuffle byte-for-byte.
 //! * The ranked lists must be byte-identical across thread counts, shard
-//!   counts and repeated runs, with the adaptive sampler on the noisy path.
+//!   counts and repeated runs, with the adaptive sampler on the noisy path,
+//!   and the phase-1 counters must equal a threshold query's for the same
+//!   `(q, δ, variant)` — both query kinds share one front end.
 //! * Invalid `k` surfaces as the typed facade error, not a panic.
 
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
@@ -218,6 +220,31 @@ fn topk_is_byte_identical_across_threads_and_shards() {
             assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
             assert_eq!(a.stats.samples_saved, b.stats.samples_saved);
             assert_eq!(a.stats.topk_pruned, b.stats.topk_pruned);
+            // Threshold and top-k queries share one phase-1/phase-2 front
+            // end: for the same (q, δ, variant) they report the same
+            // structural work at every shard count.
+            let t = engine
+                .query(
+                    q,
+                    &QueryParams {
+                        epsilon: 0.3,
+                        delta: params.delta,
+                        variant: params.variant,
+                    },
+                )
+                .unwrap();
+            let front = |s: &pgs::query::pipeline::PhaseStats| {
+                (
+                    s.structural_candidates,
+                    s.posting_entries_scanned,
+                    s.filter_survivors,
+                )
+            };
+            assert_eq!(
+                front(&t.stats),
+                front(&b.stats),
+                "threshold and top-k front ends diverged at shards = {shards}"
+            );
         }
     }
     // Repeats on one engine are byte-stable too.
