@@ -4,32 +4,33 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p pgs-bench --bin experiments -- [fig9|fig10|fig11|fig12|fig13|fig14|all] [--scale tiny|small|medium]
+//! cargo run --release -p pgs-bench --bin experiments -- [fig9|…|fig14|all] [--scale tiny|small|medium|paper]
+//! cargo run --release -p pgs-bench --bin experiments -- index-save|index-load|index-open <path>
+//! cargo run --release -p pgs-bench --bin experiments -- bench-shard
 //! ```
 //!
-//! The extra `bench-query` command (not part of `all`) measures end-to-end
-//! query throughput of the parallel executor — `threads = 1` vs automatic —
-//! on a 64+ graph synthetic PPI database and writes the numbers to
-//! `BENCH_query.json` for CI to archive.
+//! With no command every figure runs.  `index-save`, `index-load` and
+//! `index-open` print the answers of a fixed workload after building and
+//! saving, eagerly loading, or lazily opening an index snapshot; the three
+//! outputs must be byte-identical across processes.  `bench-shard` times the
+//! header-only snapshot open against a full load at 10k/100k skeletons and
+//! 1 vs 8 shards, and writes `BENCH_shard.json`.
 //!
-//! Absolute numbers differ from the paper (different hardware, synthetic data,
-//! laptop-scale sizes); the *shapes* — which method wins, how the curves move
-//! with each parameter — are the reproduction target and are recorded in
-//! `EXPERIMENTS.md`.
+//! End-to-end latency, throughput and per-layer costs are measured by the
+//! benchmark in `perfbench/`, not here.  Absolute numbers differ from the
+//! paper (different hardware, synthetic data, laptop-scale sizes); the
+//! *shapes* — which method wins, how the curves move with each parameter —
+//! are the reproduction target.
 
 use pgs_bench::{bench_engine_config, bench_feature_params, build_setup_with, format_row};
 use pgs_datagen::ppi::{generate_ppi_dataset, CorrelationModel, PpiDatasetConfig};
 use pgs_datagen::queries::{generate_query_workload, QueryWorkloadConfig};
-use pgs_datagen::scenarios::{
-    bulk_path_queries, bulk_skeletons, paper_scale, verification_candidate, DatasetScale,
-};
+use pgs_datagen::scenarios::{bulk_skeletons, paper_scale, DatasetScale};
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::{Pmi, PmiBuildParams};
-use pgs_index::sindex::StructuralIndex;
 use pgs_index::sip_bounds::BoundsConfig;
 use pgs_prob::independent::to_independent_model;
-use pgs_query::pipeline::{EngineConfig, PruningVariant, QueryEngine, QueryParams, TopkParams};
-use pgs_query::structural::{structural_candidates_indexed, structural_candidates_threaded};
+use pgs_query::pipeline::{EngineConfig, PruningVariant, QueryEngine, QueryParams};
 use pgs_query::verify::{verify_ssp_exact, verify_ssp_sampled, VerifyOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,14 +44,7 @@ fn main() {
         .filter(|a| a.starts_with("fig"))
         .map(|a| a.as_str())
         .collect();
-    let bench_query_requested = args.iter().any(|a| a == "bench-query");
-    let bench_pool_requested = args.iter().any(|a| a == "bench-pool");
-    let bench_index_requested = args.iter().any(|a| a == "bench-index");
-    let bench_structural_requested = args.iter().any(|a| a == "bench-structural");
-    let bench_verify_requested = args.iter().any(|a| a == "bench-verify");
     let bench_shard_requested = args.iter().any(|a| a == "bench-shard");
-    let bench_arena_requested = args.iter().any(|a| a == "bench-arena");
-    let bench_topk_requested = args.iter().any(|a| a == "bench-topk");
     let arg_after = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -61,14 +55,7 @@ fn main() {
     let index_load_path = arg_after("index-load");
     let index_open_path = arg_after("index-open");
     let run_all = (figures.is_empty()
-        && !bench_query_requested
-        && !bench_pool_requested
-        && !bench_index_requested
-        && !bench_structural_requested
-        && !bench_verify_requested
         && !bench_shard_requested
-        && !bench_arena_requested
-        && !bench_topk_requested
         && index_save_path.is_none()
         && index_load_path.is_none()
         && index_open_path.is_none())
@@ -96,29 +83,8 @@ fn main() {
     if wants("fig14") {
         figure_14(scale);
     }
-    if bench_query_requested {
-        bench_query(scale);
-    }
-    if bench_pool_requested {
-        bench_pool();
-    }
-    if bench_index_requested {
-        bench_index(scale);
-    }
-    if bench_structural_requested {
-        bench_structural();
-    }
-    if bench_verify_requested {
-        bench_verify();
-    }
     if bench_shard_requested {
         bench_shard();
-    }
-    if bench_arena_requested {
-        bench_arena();
-    }
-    if bench_topk_requested {
-        bench_topk();
     }
     if let Some(path) = index_save_path {
         index_save(&path);
@@ -226,615 +192,7 @@ fn index_open(path: &str) {
     print_answer_lines(&engine, &queries);
 }
 
-/// Index lifecycle benchmark: full build vs snapshot load vs incremental
-/// append, recorded in `BENCH_index.json`.
-fn bench_index(scale: DatasetScale) {
-    println!("## bench-index — build vs load vs incremental append");
-    let graph_count = paper_scale(scale).graph_count.max(48);
-    let config = PpiDatasetConfig {
-        graph_count,
-        ..paper_scale(scale)
-    };
-    let dataset = generate_ppi_dataset(&config);
-    let queries: Vec<pgs_graph::model::Graph> = generate_query_workload(
-        &dataset,
-        &QueryWorkloadConfig {
-            query_size: 5,
-            count: 6,
-            seed: 0xBEEF,
-        },
-    )
-    .into_iter()
-    .map(|wq| wq.graph)
-    .collect();
-    let engine_config = bench_engine_config(0xFEED);
-
-    // Full build.
-    let t0 = Instant::now();
-    let full = QueryEngine::build(dataset.graphs.clone(), engine_config);
-    let build_seconds = t0.elapsed().as_secs_f64();
-    let stats = full.pmi().stats();
-
-    // Save + load.
-    let path = std::env::temp_dir().join(format!("pgs-bench-index-{}.pmi", std::process::id()));
-    let t1 = Instant::now();
-    full.pmi().save(&path).expect("saving the index");
-    let save_seconds = t1.elapsed().as_secs_f64();
-    let snapshot_bytes = std::fs::metadata(&path).expect("snapshot metadata").len() as usize;
-    let t2 = Instant::now();
-    let loaded = QueryEngine::with_index(dataset.graphs.clone(), &path, engine_config)
-        .expect("loading the index");
-    let load_seconds = t2.elapsed().as_secs_f64();
-    std::fs::remove_file(&path).ok();
-
-    // Loaded answers must be byte-identical to the built engine's.
-    let params = QueryParams {
-        epsilon: 0.5,
-        delta: 1,
-        variant: PruningVariant::OptSspBound,
-    };
-    let identical = queries.iter().all(|q| {
-        full.query(q, &params).unwrap().answers == loaded.query(q, &params).unwrap().answers
-    });
-    assert!(identical, "loaded index must answer identically");
-
-    // Incremental: index the first n - k graphs, then append the last k.
-    let appended = (graph_count / 6).max(4);
-    let split = graph_count - appended;
-    let mut incremental = QueryEngine::build(dataset.graphs[..split].to_vec(), engine_config);
-    let t3 = Instant::now();
-    for pg in &dataset.graphs[split..] {
-        incremental.insert_graph(pg.clone());
-    }
-    let append_seconds = t3.elapsed().as_secs_f64();
-    let staleness = incremental.pmi().staleness();
-
-    println!(
-        "{}",
-        format_row(
-            &format!("|D| = {graph_count}"),
-            &[
-                format!("build {build_seconds:.3}s"),
-                format!("load {load_seconds:.3}s"),
-                format!("{appended} appends {append_seconds:.3}s"),
-                format!("{:.1} KiB", snapshot_bytes as f64 / 1024.0),
-            ]
-        )
-    );
-    let json = format!(
-        "{{\n  \"benchmark\": \"index_lifecycle\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"database_graphs\": {graph_count},\n  \"features\": {features},\n  \
-         \"occupied_cells\": {cells},\n  \"size_bytes\": {size_bytes},\n  \
-         \"snapshot_bytes\": {snapshot_bytes},\n  \"answers_identical\": {identical},\n  \
-         \"build_seconds\": {build_seconds:.6},\n  \"save_seconds\": {save_seconds:.6},\n  \
-         \"load_seconds\": {load_seconds:.6},\n  \
-         \"load_speedup_vs_build\": {speedup:.1},\n  \
-         \"incremental\": {{ \"appended_graphs\": {appended}, \"seconds\": {append_seconds:.6}, \
-         \"seconds_per_graph\": {per_graph:.6}, \"staleness\": {staleness:.4} }}\n}}\n",
-        features = stats.feature_count,
-        cells = stats.occupied_cells,
-        size_bytes = stats.size_bytes,
-        speedup = build_seconds / load_seconds.max(1e-9),
-        per_graph = append_seconds / appended.max(1) as f64,
-    );
-    std::fs::write("BENCH_index.json", json).expect("writing BENCH_index.json");
-    println!("wrote BENCH_index.json\n");
-}
-
-/// Structural-phase benchmark (ISSUE 4's acceptance bar): brute-force
-/// full-database scan vs S-Index posting-list candidate generation, at 1k and
-/// 10k skeletons, recorded in `BENCH_structural.json`.  The candidate sets of
-/// the two paths are asserted byte-identical before anything is timed.
-fn bench_structural() {
-    println!("## bench-structural — phase 1: brute-force scan vs S-Index");
-    println!(
-        "{}",
-        format_row(
-            "|D|",
-            &[
-                "scan (ms/q)".into(),
-                "S-Index (ms/q)".into(),
-                "speedup".into(),
-                "build (ms)".into(),
-            ]
-        )
-    );
-    let mut entries: Vec<String> = Vec::new();
-    for &graph_count in &[1_000usize, 10_000] {
-        let dataset = generate_ppi_dataset(&PpiDatasetConfig {
-            graph_count,
-            vertices_per_graph: 10,
-            edges_per_graph: 14,
-            vertex_label_count: 18,
-            organism_count: 8,
-            perturbation: 0.5,
-            seed: 0x57A7,
-            ..PpiDatasetConfig::default()
-        });
-        let skeletons: Vec<pgs_graph::model::Graph> = dataset
-            .graphs
-            .iter()
-            .map(|g| g.skeleton().clone())
-            .collect();
-        let queries: Vec<pgs_graph::model::Graph> = generate_query_workload(
-            &dataset,
-            &QueryWorkloadConfig {
-                query_size: 7,
-                count: 6,
-                seed: 0x5CA9,
-            },
-        )
-        .into_iter()
-        .map(|wq| wq.graph)
-        .collect();
-        let delta = 1usize;
-
-        let t0 = Instant::now();
-        let index = StructuralIndex::build(&skeletons);
-        let build_seconds = t0.elapsed().as_secs_f64();
-
-        // Correctness first: the two paths must produce identical candidates.
-        for q in &queries {
-            let brute = structural_candidates_threaded(&skeletons, q, delta, 1);
-            let (indexed, _) = structural_candidates_indexed(&index, &skeletons, q, delta, 1);
-            assert_eq!(indexed, brute, "S-Index diverged from the brute scan");
-        }
-
-        // Best-of-3 wall time over the whole workload, single-threaded so the
-        // comparison measures the algorithms and not the thread pool.
-        let mut scan_secs = f64::INFINITY;
-        let mut sindex_secs = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            for q in &queries {
-                std::hint::black_box(structural_candidates_threaded(&skeletons, q, delta, 1));
-            }
-            scan_secs = scan_secs.min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            for q in &queries {
-                std::hint::black_box(structural_candidates_indexed(
-                    &index, &skeletons, q, delta, 1,
-                ));
-            }
-            sindex_secs = sindex_secs.min(t.elapsed().as_secs_f64());
-        }
-        let n = queries.len() as f64;
-        let speedup = scan_secs / sindex_secs.max(1e-12);
-        println!(
-            "{}",
-            format_row(
-                &format!("{graph_count}"),
-                &[
-                    format!("{:.3}", scan_secs * 1e3 / n),
-                    format!("{:.3}", sindex_secs * 1e3 / n),
-                    format!("{speedup:.1}x"),
-                    format!("{:.1}", build_seconds * 1e3),
-                ]
-            )
-        );
-        entries.push(format!(
-            "    {{ \"skeletons\": {graph_count}, \"queries\": {q}, \"delta\": {delta}, \
-             \"index_build_seconds\": {build_seconds:.6}, \
-             \"scan_seconds\": {scan_secs:.6}, \"sindex_seconds\": {sindex_secs:.6}, \
-             \"speedup\": {speedup:.3}, \"candidates_identical\": true }}",
-            q = queries.len(),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"structural_phase\",\n  \"series\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write("BENCH_structural.json", json).expect("writing BENCH_structural.json");
-    println!("wrote BENCH_structural.json\n");
-}
-
-/// Verification benchmark (ISSUE 5's acceptance bar): the pre-PR full-world
-/// sample loop vs the projected bitset `UnionSampler`, on a small candidate
-/// (every table relevant) and a large one (≥ 4× more tables than the
-/// embedding union touches), recorded in `BENCH_verify.json`.  Asserts that
-/// both samplers land inside the `(τ, ξ)` band of `verify_ssp_exact` and
-/// that query answers stay byte-identical across 1-thread and auto-thread
-/// runs before reporting any timing.
-fn bench_verify() {
-    use pgs_graph::relax::relax_query_clamped;
-    use pgs_query::verify::{verify_ssp_sampled_baseline, verify_ssp_with_stats};
-
-    println!("## bench-verify — phase 3: full-world loop vs UnionSampler");
-    println!(
-        "{}",
-        format_row(
-            "candidate",
-            &[
-                "old (ms/q)".into(),
-                "new (ms/q)".into(),
-                "old (samp/s)".into(),
-                "new (samp/s)".into(),
-                "speedup".into(),
-            ]
-        )
-    );
-    let delta = 1usize;
-    let options = VerifyOptions {
-        exact_cutoff: 0, // force the sampling path on both sides
-        mc: pgs_prob::montecarlo::MonteCarloConfig {
-            tau: 0.05,
-            xi: 0.01,
-            max_samples: 50_000,
-        },
-        ..VerifyOptions::default()
-    };
-    let n = options.mc.num_samples();
-    let mut entries: Vec<String> = Vec::new();
-    let mut large_speedup = 0.0f64;
-    for (name, extra) in [("small", 1usize), ("large", 24)] {
-        let (pg, q) = verification_candidate(extra);
-        let relaxed = relax_query_clamped(&q, delta);
-        let union_tables = {
-            let embeddings =
-                pgs_query::verify::collect_embeddings_of_relaxations(&pg, &relaxed, 256);
-            let relevant: Vec<pgs_graph::model::EdgeId> =
-                embeddings.iter().flatten().copied().collect();
-            pg.tables_touched(&relevant).len()
-        };
-        let exact = verify_ssp_exact(&pg, &q, delta, 22).expect("small relevant set");
-
-        // Accuracy first: both estimators must sit inside the (τ, ξ) band.
-        let band = options.mc.tau * exact + 1e-9;
-        let mut rng = StdRng::seed_from_u64(0x0BE7);
-        let old_ssp = verify_ssp_sampled_baseline(&pg, &q, delta, &relaxed, &options, &mut rng);
-        let mut rng = StdRng::seed_from_u64(0x0BE8);
-        let new_ssp = verify_ssp_with_stats(&pg, &q, delta, &relaxed, &options, 1, &mut rng).ssp;
-        let within_band = (old_ssp - exact).abs() <= band && (new_ssp - exact).abs() <= band;
-        assert!(
-            within_band,
-            "{name}: old {old_ssp} / new {new_ssp} outside the (τ, ξ) band of exact {exact}"
-        );
-
-        // Best-of-3 over `reps` full verification calls per measurement
-        // (embedding collection + sampling — the per-candidate cost the
-        // pipeline actually pays).
-        let reps = 5usize;
-        let mut old_secs = f64::INFINITY;
-        let mut new_secs = f64::INFINITY;
-        for _ in 0..3 {
-            let mut rng = StdRng::seed_from_u64(0x5EED);
-            let t = Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(verify_ssp_sampled_baseline(
-                    &pg, &q, delta, &relaxed, &options, &mut rng,
-                ));
-            }
-            old_secs = old_secs.min(t.elapsed().as_secs_f64());
-            let mut rng = StdRng::seed_from_u64(0x5EED);
-            let t = Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(verify_ssp_with_stats(
-                    &pg, &q, delta, &relaxed, &options, 1, &mut rng,
-                ));
-            }
-            new_secs = new_secs.min(t.elapsed().as_secs_f64());
-        }
-        let old_sps = (reps * n) as f64 / old_secs.max(1e-12);
-        let new_sps = (reps * n) as f64 / new_secs.max(1e-12);
-        let speedup = new_sps / old_sps.max(1e-12);
-        if name == "large" {
-            large_speedup = speedup;
-        }
-        println!(
-            "{}",
-            format_row(
-                &format!("{name} ({} tables)", pg.tables().len()),
-                &[
-                    format!("{:.3}", old_secs * 1e3 / reps as f64),
-                    format!("{:.3}", new_secs * 1e3 / reps as f64),
-                    format!("{:.0}", old_sps),
-                    format!("{:.0}", new_sps),
-                    format!("{speedup:.1}x"),
-                ]
-            )
-        );
-        entries.push(format!(
-            "    {{ \"candidate\": \"{name}\", \"graph_tables\": {gt}, \"union_tables\": {ut}, \
-             \"graph_edges\": {ge}, \"samples_per_call\": {n}, \"delta\": {delta}, \
-             \"exact_ssp\": {exact:.6}, \"old_ssp\": {old_ssp:.6}, \"new_ssp\": {new_ssp:.6}, \
-             \"within_band\": {within_band}, \
-             \"old\": {{ \"seconds_per_query\": {old_q:.6}, \"samples_per_second\": {old_sps:.1} }}, \
-             \"new\": {{ \"seconds_per_query\": {new_q:.6}, \"samples_per_second\": {new_sps:.1} }}, \
-             \"speedup\": {speedup:.3} }}",
-            gt = pg.tables().len(),
-            ut = union_tables,
-            ge = pg.edge_count(),
-            old_q = old_secs / reps as f64,
-            new_q = new_secs / reps as f64,
-        ));
-    }
-    assert!(
-        large_speedup >= 5.0,
-        "acceptance: UnionSampler must deliver ≥ 5× samples/sec on the large candidate \
-         (measured {large_speedup:.1}x)"
-    );
-
-    // Determinism: a real engine workload with the sampler forced on must
-    // answer byte-identically at 1 thread and auto threads.
-    let dataset = generate_ppi_dataset(&PpiDatasetConfig {
-        graph_count: 24,
-        vertices_per_graph: 10,
-        edges_per_graph: 14,
-        vertex_label_count: 6,
-        organism_count: 2,
-        seed: 0xD00D,
-        ..PpiDatasetConfig::default()
-    });
-    let queries: Vec<pgs_graph::model::Graph> = generate_query_workload(
-        &dataset,
-        &QueryWorkloadConfig {
-            query_size: 5,
-            count: 6,
-            seed: 0x11,
-        },
-    )
-    .into_iter()
-    .map(|wq| wq.graph)
-    .collect();
-    let base = EngineConfig {
-        verify: VerifyOptions {
-            exact_cutoff: 0,
-            ..bench_engine_config(0xFEED).verify
-        },
-        ..bench_engine_config(0xFEED)
-    };
-    let sequential =
-        QueryEngine::build(dataset.graphs.clone(), EngineConfig { threads: 1, ..base });
-    let auto = QueryEngine::build(dataset.graphs, EngineConfig { threads: 0, ..base });
-    let params = QueryParams {
-        epsilon: 0.4,
-        delta: 1,
-        variant: PruningVariant::OptSspBound,
-    };
-    let answers_identical = queries.iter().all(|q| {
-        sequential.query(q, &params).unwrap().answers == auto.query(q, &params).unwrap().answers
-    });
-    assert!(
-        answers_identical,
-        "1-thread and auto-thread answers must be byte-identical"
-    );
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"verification_sampler\",\n  \
-         \"answers_identical_across_threads\": {answers_identical},\n  \
-         \"series\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write("BENCH_verify.json", json).expect("writing BENCH_verify.json");
-    println!("wrote BENCH_verify.json\n");
-}
-
-/// Query-throughput benchmark: `threads = 1` vs automatic on a 64+ graph
-/// database, recorded in `BENCH_query.json`.  The two runs must return
-/// identical answers (the per-candidate seeding guarantee); the JSON records
-/// wall-clock seconds and queries/sec for both, plus the speedup.
-fn bench_query(scale: DatasetScale) {
-    println!("## bench-query — end-to-end throughput, threads = 1 vs auto");
-    let graph_count = paper_scale(scale).graph_count.max(64);
-    let config = PpiDatasetConfig {
-        graph_count,
-        ..paper_scale(scale)
-    };
-    let dataset = generate_ppi_dataset(&config);
-    let queries: Vec<pgs_graph::model::Graph> = generate_query_workload(
-        &dataset,
-        &QueryWorkloadConfig {
-            query_size: 6,
-            // Enough queries that one batch is a few hundred milliseconds:
-            // with ~30ms batches the run-to-run scheduler noise exceeded the
-            // 1-core threads-1-vs-auto delta being measured.
-            count: 48,
-            seed: 0xBE7C,
-        },
-    )
-    .into_iter()
-    .map(|wq| wq.graph)
-    .collect();
-    // Force the sampling path so verification carries real per-candidate work.
-    let base = EngineConfig {
-        verify: VerifyOptions {
-            exact_cutoff: 0,
-            ..bench_engine_config(0xFEED).verify
-        },
-        ..bench_engine_config(0xFEED)
-    };
-    let auto = QueryEngine::build(dataset.graphs.clone(), EngineConfig { threads: 0, ..base });
-    let sequential = QueryEngine::build(dataset.graphs, EngineConfig { threads: 1, ..base });
-    let auto_threads = pgs_graph::parallel::resolve_threads(0);
-    let params = QueryParams {
-        epsilon: 0.5,
-        delta: 2,
-        variant: PruningVariant::OptSspBound,
-    };
-
-    // Warm-up (this also spawns the persistent pool's workers so neither
-    // engine pays one-time setup inside the timed region), then best-of-20
-    // reps with the measurement order alternating per rep — on a 1-core box
-    // the two paths are near-identical after the fix, so the minimum over
-    // several order-balanced reps suppresses the scheduler noise and
-    // first-runner bias that a fixed-order best-of-2 could not.
-    let _ = sequential.query_batch(&queries, &params).unwrap();
-    let _ = auto.query_batch(&queries, &params).unwrap();
-    let mut seq_secs = f64::INFINITY;
-    let mut auto_secs = f64::INFINITY;
-    let mut identical = true;
-    for rep in 0..20 {
-        let (b1, bn) = if rep % 2 == 0 {
-            let b1 = sequential.query_batch(&queries, &params).unwrap();
-            let bn = auto.query_batch(&queries, &params).unwrap();
-            (b1, bn)
-        } else {
-            let bn = auto.query_batch(&queries, &params).unwrap();
-            let b1 = sequential.query_batch(&queries, &params).unwrap();
-            (b1, bn)
-        };
-        seq_secs = seq_secs.min(b1.wall_seconds);
-        auto_secs = auto_secs.min(bn.wall_seconds);
-        identical &= b1
-            .results
-            .iter()
-            .zip(&bn.results)
-            .all(|(x, y)| x.answers == y.answers);
-    }
-    assert!(
-        identical,
-        "threads = 1 and auto must return identical answers"
-    );
-    let n = queries.len() as f64;
-    let speedup = seq_secs / auto_secs.max(1e-12);
-    println!(
-        "{}",
-        format_row(
-            &format!("|D| = {graph_count}"),
-            &[
-                format!("t1 {:.3}s", seq_secs),
-                format!("auto({auto_threads}) {:.3}s", auto_secs),
-                format!("{speedup:.2}x"),
-            ]
-        )
-    );
-    let json = format!(
-        "{{\n  \"benchmark\": \"query_throughput\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"database_graphs\": {graph_count},\n  \"queries\": {q},\n  \
-         \"answers_identical\": {identical},\n  \
-         \"threads_1\": {{ \"wall_seconds\": {seq_secs:.6}, \"queries_per_second\": {qps1:.3} }},\n  \
-         \"threads_auto\": {{ \"threads\": {auto_threads}, \"wall_seconds\": {auto_secs:.6}, \
-         \"queries_per_second\": {qpsn:.3} }},\n  \"speedup\": {speedup:.3}\n}}\n",
-        q = queries.len(),
-        qps1 = n / seq_secs.max(1e-12),
-        qpsn = n / auto_secs.max(1e-12),
-    );
-    std::fs::write("BENCH_query.json", json).expect("writing BENCH_query.json");
-    println!("wrote BENCH_query.json\n");
-}
-
-/// Dispatch-overhead benchmark for the persistent worker pool, recorded in
-/// `BENCH_pool.json`.  Two measurements:
-///
-/// 1. **Dispatch latency** — the same chunked map over the same items, run
-///    through the retired spawn-per-call executor
-///    (`par_map_chunked_spawn_baseline`, kept exactly for this comparison)
-///    and through the pool (`par_map_chunked_costed`), interleaved so both
-///    see the same machine state.  The pool must win: parked workers are
-///    woken, not created.
-/// 2. **Answer identity** — a `threads = 1` engine and a `threads = 0`
-///    (auto) engine must return byte-identical answers, the DESIGN.md §12
-///    determinism contract at the end-to-end level.
-fn bench_pool() {
-    use pgs_graph::parallel::{
-        derive_seed, mix64, par_map_chunked_costed, par_map_chunked_spawn_baseline, CostHint,
-    };
-    println!("## bench-pool — spawn-per-call vs persistent pool dispatch");
-    const WORKERS: usize = 4;
-    const ITEMS: usize = 64;
-    const DISPATCHES: u32 = 200;
-    let items: Vec<u64> = (0..ITEMS as u64)
-        .map(|i| derive_seed(&[0x9001, i]))
-        .collect();
-    // ~2k mixes per item keeps each dispatch well above the cost-model floor
-    // (HEAVY dispatches from 2 items) while staying short enough that thread
-    // creation is a visible fraction of the spawn path's latency.
-    let work = |i: usize, x: &u64| {
-        let mut acc = *x ^ i as u64;
-        for _ in 0..2_000 {
-            acc = mix64(acc);
-        }
-        acc
-    };
-    let reference: Vec<u64> = items.iter().enumerate().map(|(i, x)| work(i, x)).collect();
-    // Warm-up: first pool dispatch spawns and parks the workers.
-    let mut identical = par_map_chunked_costed(&items, WORKERS, CostHint::HEAVY, work) == reference
-        && par_map_chunked_spawn_baseline(&items, WORKERS, work) == reference;
-    let mut spawn_nanos = 0u128;
-    let mut pool_nanos = 0u128;
-    for _ in 0..DISPATCHES {
-        let t = Instant::now();
-        let a = par_map_chunked_spawn_baseline(&items, WORKERS, work);
-        spawn_nanos += t.elapsed().as_nanos();
-        let t = Instant::now();
-        let b = par_map_chunked_costed(&items, WORKERS, CostHint::HEAVY, work);
-        pool_nanos += t.elapsed().as_nanos();
-        identical &= a == reference && b == reference;
-    }
-    assert!(identical, "pool and spawn dispatch must agree bit for bit");
-    let spawn_micros = spawn_nanos as f64 / DISPATCHES as f64 / 1_000.0;
-    let pool_micros = pool_nanos as f64 / DISPATCHES as f64 / 1_000.0;
-    let dispatch_speedup = spawn_micros / pool_micros.max(1e-9);
-    println!(
-        "{}",
-        format_row(
-            &format!("dispatch ({WORKERS} workers, {ITEMS} items)"),
-            &[
-                format!("spawn {spawn_micros:.1}us"),
-                format!("pool {pool_micros:.1}us"),
-                format!("{dispatch_speedup:.2}x"),
-            ]
-        )
-    );
-
-    // End-to-end answer identity, threads = 1 vs automatic.
-    let dataset = generate_ppi_dataset(&PpiDatasetConfig {
-        graph_count: 48,
-        ..paper_scale(DatasetScale::Tiny)
-    });
-    let queries: Vec<pgs_graph::model::Graph> = generate_query_workload(
-        &dataset,
-        &QueryWorkloadConfig {
-            query_size: 5,
-            count: 8,
-            seed: 0x9001,
-        },
-    )
-    .into_iter()
-    .map(|wq| wq.graph)
-    .collect();
-    let base = bench_engine_config(0xC0DE);
-    let one = QueryEngine::build(dataset.graphs.clone(), EngineConfig { threads: 1, ..base });
-    let auto = QueryEngine::build(dataset.graphs, EngineConfig { threads: 0, ..base });
-    let auto_threads = pgs_graph::parallel::resolve_threads(0);
-    let params = QueryParams {
-        epsilon: 0.4,
-        delta: 2,
-        variant: PruningVariant::OptSspBound,
-    };
-    let b1 = one.query_batch(&queries, &params).unwrap();
-    let bn = auto.query_batch(&queries, &params).unwrap();
-    let answers_identical = b1
-        .results
-        .iter()
-        .zip(&bn.results)
-        .all(|(x, y)| x.answers == y.answers);
-    assert!(
-        answers_identical,
-        "threads = 1 and auto must return identical answers"
-    );
-    println!(
-        "{}",
-        format_row(
-            "answers, 1 vs auto",
-            &[format!("auto = {auto_threads} threads"), "identical".into()]
-        )
-    );
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"pool_dispatch\",\n  \
-         \"workers\": {WORKERS},\n  \"items\": {ITEMS},\n  \"dispatches\": {DISPATCHES},\n  \
-         \"spawn_per_call_micros\": {spawn_micros:.3},\n  \
-         \"pool_micros\": {pool_micros:.3},\n  \
-         \"dispatch_speedup\": {dispatch_speedup:.3},\n  \
-         \"answers_identical_1_vs_auto\": {answers_identical},\n  \
-         \"auto_threads\": {auto_threads}\n}}\n"
-    );
-    std::fs::write("BENCH_pool.json", json).expect("writing BENCH_pool.json");
-    println!("wrote BENCH_pool.json\n");
-}
-
-/// Sharded-snapshot benchmark (this PR's acceptance bar): header-only
+/// Sharded-snapshot benchmark: header-only
 /// `Pmi::open` vs full `Pmi::load` at 10k and 100k bulk skeletons, plus
 /// end-to-end queries/sec at 1 vs 8 shards, recorded in `BENCH_shard.json`.
 /// Before anything is timed, the lazily-opened engine's answers are asserted
@@ -1082,427 +440,6 @@ fn bench_shard() {
     );
     std::fs::write("BENCH_shard.json", json).expect("writing BENCH_shard.json");
     println!("wrote BENCH_shard.json\n");
-}
-
-/// Bound-adaptive verification benchmark (this PR's acceptance bar): the
-/// fixed-budget Karp–Luby sampler vs the early-stopping adaptive sampler on a
-/// 10k-skeleton threshold workload, plus best-first `query_topk` vs the
-/// rank-everything-then-truncate baseline, recorded in `BENCH_topk.json`.
-/// Before any ratio is reported the adaptive answer sets are asserted
-/// identical to the fixed-budget ones, and the adaptive top-k lists are
-/// asserted byte-identical to the truncated full ranking.
-fn bench_topk() {
-    println!("## bench-topk — adaptive early stopping vs fixed budget, best-first top-k");
-    // Lean mining parameters (as in bench-shard): the corpus exercises the
-    // verification phase, not feature quality, and the twin engines share one
-    // PMI so only sampler behaviour differs.
-    let lean_pmi = PmiBuildParams {
-        features: FeatureSelectionParams {
-            max_l: 2,
-            max_features: 8,
-            max_embeddings: 8,
-            ..bench_feature_params()
-        },
-        bounds: BoundsConfig {
-            max_embeddings: 8,
-            max_cuts: 16,
-            ..BoundsConfig::default()
-        },
-        threads: 0,
-        seed: 0x5A4D,
-    };
-    let adaptive_verify = VerifyOptions {
-        exact_cutoff: 0, // force the sampling path on every candidate
-        mc: pgs_prob::montecarlo::MonteCarloConfig {
-            tau: 0.05,
-            xi: 0.01,
-            max_samples: 20_000,
-        },
-        adaptive: true,
-        ..VerifyOptions::default()
-    };
-    let adaptive_config = EngineConfig {
-        pmi: lean_pmi,
-        verify: adaptive_verify,
-        ..bench_engine_config(0x5A4D)
-    };
-    let fixed_config = EngineConfig {
-        verify: VerifyOptions {
-            adaptive: false,
-            ..adaptive_verify
-        },
-        ..adaptive_config
-    };
-    let graphs = bulk_skeletons(10_000, 0xB17);
-    let t = Instant::now();
-    let adaptive = QueryEngine::build(graphs.clone(), adaptive_config);
-    let build_seconds = t.elapsed().as_secs_f64();
-    // The fixed-budget twin shares the adaptive engine's index (identical
-    // mining fingerprint) so the second build costs nothing.
-    let fixed = QueryEngine::from_parts(graphs, adaptive.pmi().clone(), fixed_config)
-        .expect("the fixed twin shares the adaptive engine's index");
-
-    let queries = bulk_path_queries(16);
-    let params = QueryParams {
-        epsilon: 0.1,
-        delta: 1,
-        variant: PruningVariant::OptSspBound,
-    };
-
-    // --- Threshold workload: equal answers first, then the samples ratio.
-    let ab = adaptive.query_batch(&queries, &params).unwrap();
-    let fb = fixed.query_batch(&queries, &params).unwrap();
-    let answers_identical = ab
-        .results
-        .iter()
-        .zip(&fb.results)
-        .all(|(x, y)| x.answers == y.answers);
-    assert!(
-        answers_identical,
-        "adaptive and fixed-budget threshold answers must be identical"
-    );
-    // Every sampled candidate carries the same per-candidate budget on both
-    // engines, so drawn + saved on the adaptive side must reconstruct the
-    // fixed side's draw count exactly.
-    assert_eq!(
-        ab.stats.samples_drawn + ab.stats.samples_saved,
-        fb.stats.samples_drawn,
-        "adaptive drawn + saved must equal the fixed-budget draw count"
-    );
-    let reduction = fb.stats.samples_drawn as f64 / ab.stats.samples_drawn.max(1) as f64;
-    assert!(
-        reduction >= 1.5,
-        "acceptance: adaptive stopping must cut >= 1.5x samples on the threshold \
-         workload at equal answers (measured {reduction:.2}x)"
-    );
-    let mut adaptive_secs = f64::INFINITY;
-    let mut fixed_secs = f64::INFINITY;
-    for _ in 0..3 {
-        adaptive_secs = adaptive_secs.min(
-            adaptive
-                .query_batch(&queries, &params)
-                .unwrap()
-                .wall_seconds,
-        );
-        fixed_secs = fixed_secs.min(fixed.query_batch(&queries, &params).unwrap().wall_seconds);
-    }
-    println!(
-        "{}",
-        format_row(
-            "threshold, 10k graphs",
-            &[
-                format!("fixed {} samp", fb.stats.samples_drawn),
-                format!("adaptive {} samp", ab.stats.samples_drawn),
-                format!("{reduction:.1}x fewer"),
-                format!("{:.2}s vs {:.2}s", fixed_secs, adaptive_secs),
-            ]
-        )
-    );
-
-    // --- Top-k: best-first with a moving lower-bound threshold vs ranking the
-    // whole candidate set at full budget and truncating.
-    let k = 10usize;
-    let topk_params = TopkParams {
-        k,
-        delta: 1,
-        variant: PruningVariant::OptSspBound,
-    };
-    let baseline_params = TopkParams {
-        k: 10_000,
-        delta: 1,
-        variant: PruningVariant::OptSspBound,
-    };
-    let at = adaptive.query_topk_batch(&queries, &topk_params).unwrap();
-    let ft = fixed.query_topk_batch(&queries, &baseline_params).unwrap();
-    let topk_identical = at.results.iter().zip(&ft.results).all(|(x, y)| {
-        let lhs: Vec<(usize, u64)> = x
-            .ranked
-            .iter()
-            .map(|r| (r.graph, r.ssp.to_bits()))
-            .collect();
-        let rhs: Vec<(usize, u64)> = y
-            .ranked
-            .iter()
-            .take(k)
-            .map(|r| (r.graph, r.ssp.to_bits()))
-            .collect();
-        lhs == rhs
-    });
-    assert!(
-        topk_identical,
-        "best-first top-{k} must be byte-identical to the truncated full ranking"
-    );
-    let mut topk_secs = f64::INFINITY;
-    let mut baseline_secs = f64::INFINITY;
-    for _ in 0..3 {
-        topk_secs = topk_secs.min(
-            adaptive
-                .query_topk_batch(&queries, &topk_params)
-                .unwrap()
-                .wall_seconds,
-        );
-        baseline_secs = baseline_secs.min(
-            fixed
-                .query_topk_batch(&queries, &baseline_params)
-                .unwrap()
-                .wall_seconds,
-        );
-    }
-    let topk_speedup = baseline_secs / topk_secs.max(1e-12);
-    println!(
-        "{}",
-        format_row(
-            &format!("top-{k}, 10k graphs"),
-            &[
-                format!("rank-all {baseline_secs:.2}s"),
-                format!("best-first {topk_secs:.2}s"),
-                format!("{topk_speedup:.1}x"),
-                format!("{} pruned", at.stats.topk_pruned),
-            ]
-        )
-    );
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"adaptive_topk\",\n  \"database_graphs\": 10000,\n  \
-         \"build_seconds\": {build_seconds:.6},\n  \
-         \"threshold\": {{ \"queries\": {q}, \"epsilon\": 0.1, \"delta\": 1, \
-         \"answers_identical\": {answers_identical},\n    \
-         \"fixed\": {{ \"samples_drawn\": {fdrawn}, \"wall_seconds\": {fixed_secs:.6} }},\n    \
-         \"adaptive\": {{ \"samples_drawn\": {adrawn}, \"samples_saved\": {asaved}, \
-         \"early_accepts\": {eacc}, \"early_rejects\": {erej}, \"wall_seconds\": {adaptive_secs:.6} }},\n    \
-         \"samples_reduction\": {reduction:.3} }},\n  \
-         \"topk\": {{ \"queries\": {q}, \"k\": {k}, \"baseline_k\": 10000, \
-         \"top_k_identical\": {topk_identical},\n    \
-         \"baseline\": {{ \"samples_drawn\": {bdrawn}, \"wall_seconds\": {baseline_secs:.6} }},\n    \
-         \"best_first\": {{ \"samples_drawn\": {tdrawn}, \"samples_saved\": {tsaved}, \
-         \"early_rejects\": {terej}, \"topk_pruned\": {tpruned}, \"wall_seconds\": {topk_secs:.6} }},\n    \
-         \"speedup\": {topk_speedup:.3} }}\n}}\n",
-        q = queries.len(),
-        fdrawn = fb.stats.samples_drawn,
-        adrawn = ab.stats.samples_drawn,
-        asaved = ab.stats.samples_saved,
-        eacc = ab.stats.early_accepts,
-        erej = ab.stats.early_rejects,
-        bdrawn = ft.stats.samples_drawn,
-        tdrawn = at.stats.samples_drawn,
-        tsaved = at.stats.samples_saved,
-        terej = at.stats.early_rejects,
-        tpruned = at.stats.topk_pruned,
-    );
-    std::fs::write("BENCH_topk.json", json).expect("writing BENCH_topk.json");
-    println!("wrote BENCH_topk.json\n");
-}
-
-fn bench_arena() {
-    use pgs_graph::model::GraphBuilder;
-    use pgs_graph::summary::{EdgeSignature, StructuralSummary};
-    use pgs_index::sindex::FilterScratch;
-    use std::collections::BTreeMap;
-
-    println!("## bench-arena — flat arena layouts vs pre-refactor nested layouts");
-
-    // ---- S-Index posting scan: FlatVecVec postings + dense scratch vs the
-    // ---- pre-refactor BTreeMap postings + BTreeMap mass accumulator.
-    let graphs: Vec<pgs_graph::model::Graph> = bulk_skeletons(20_000, 0xA12E)
-        .iter()
-        .map(|pg| pg.skeleton().clone())
-        .collect();
-    let index = StructuralIndex::build(&graphs);
-
-    // Reference layout: one heap list per signature behind a tree, exactly the
-    // shape the index had before the arena refactor.
-    let mut ref_postings: BTreeMap<EdgeSignature, Vec<(u32, u32)>> = BTreeMap::new();
-    for (g, skeleton) in graphs.iter().enumerate() {
-        for &(sig, count) in StructuralSummary::of(skeleton).edge_signatures() {
-            ref_postings.entry(sig).or_default().push((g as u32, count));
-        }
-    }
-
-    // Path queries over the `bulk_skeletons` alphabet (vertex labels 0..5,
-    // edge labels 0..2), 3 edges each so the deficit filter is non-vacuous.
-    let queries: Vec<StructuralSummary> = (0..16u32)
-        .map(|i| {
-            let g = GraphBuilder::new()
-                .vertices(&[i % 5, (i + 1) % 5, (i + 2) % 5, (i + 3) % 5])
-                .edge(0, 1, i % 2)
-                .edge(1, 2, (i + 1) % 2)
-                .edge(2, 3, i % 2)
-                .build();
-            StructuralSummary::of(&g)
-        })
-        .collect();
-    let delta = 1usize;
-
-    let reference_filter = |query: &StructuralSummary| -> Vec<usize> {
-        let m = query.edge_count();
-        if m <= delta {
-            return (0..graphs.len()).collect();
-        }
-        let need = (m - delta) as u32;
-        let mut mass: BTreeMap<u32, u32> = BTreeMap::new();
-        for &(sig, qc) in query.edge_signatures() {
-            if let Some(list) = ref_postings.get(&sig) {
-                for &(g, count) in list {
-                    *mass.entry(g).or_insert(0) += qc.min(count);
-                }
-            }
-        }
-        mass.iter()
-            .filter(|&(_, &m)| m >= need)
-            .map(|(&g, _)| g as usize)
-            .collect()
-    };
-
-    // Answers must be byte-identical before any timing.
-    let mut scratch = FilterScratch::default();
-    for q in &queries {
-        index.filter_into(q.view(), delta, &mut scratch);
-        assert_eq!(
-            scratch.candidates(),
-            reference_filter(q).as_slice(),
-            "flat posting scan diverged from the nested reference"
-        );
-    }
-
-    let reps = 30usize;
-    let mut flat_secs = f64::INFINITY;
-    let mut nested_secs = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            for q in &queries {
-                index.filter_into(q.view(), delta, &mut scratch);
-                std::hint::black_box(scratch.candidates().len());
-            }
-        }
-        flat_secs = flat_secs.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        for _ in 0..reps {
-            for q in &queries {
-                std::hint::black_box(reference_filter(q).len());
-            }
-        }
-        nested_secs = nested_secs.min(t.elapsed().as_secs_f64());
-    }
-    let posting_speedup = nested_secs / flat_secs.max(1e-12);
-    println!(
-        "{}",
-        format_row(
-            "posting scan, 20k graphs",
-            &[
-                format!("flat {:.2}ms", flat_secs * 1e3 / reps as f64),
-                format!("nested {:.2}ms", nested_secs * 1e3 / reps as f64),
-                format!("{posting_speedup:.2}x"),
-            ]
-        )
-    );
-
-    // ---- JPT marginal projection (the UnionSampler construction kernel):
-    // ---- arena `marginal_rows_into` reuse vs per-call `marginal_rows` Vecs.
-    use pgs_prob::jpt::JointProbTable;
-    use pgs_prob::neighbor::partition_with_triangles;
-    use rand::Rng;
-    let mut rng = StdRng::seed_from_u64(0xA12E);
-    let skeleton = pgs_graph::generate::random_connected_graph(
-        &pgs_graph::generate::RandomGraphConfig {
-            vertices: 60,
-            edges: 110,
-            vertex_labels: 6,
-            edge_labels: 2,
-            preferential: true,
-        },
-        &mut rng,
-    );
-    let tables: Vec<JointProbTable> = partition_with_triangles(&skeleton, 3)
-        .iter()
-        .map(|grp| {
-            let ep: Vec<(pgs_graph::model::EdgeId, f64)> =
-                grp.iter().map(|&e| (e, rng.gen_range(0.2..0.8))).collect();
-            JointProbTable::from_max_rule(&ep).expect("jpt")
-        })
-        .collect();
-    let keeps: Vec<(usize, Vec<usize>)> = tables
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.edges().len() >= 2)
-        .map(|(i, _)| (i, vec![0usize, 1]))
-        .collect();
-    assert!(!keeps.is_empty(), "fixture must have multi-edge tables");
-
-    // Byte-identity of the projected rows before timing.
-    let mut arena: Vec<f64> = Vec::new();
-    for &(ti, ref keep) in &keeps {
-        arena.clear();
-        let start = tables[ti].marginal_rows_into(keep, &mut arena);
-        let reference = tables[ti].marginal_rows(keep);
-        assert_eq!(arena[start..].len(), reference.len());
-        assert!(
-            arena[start..]
-                .iter()
-                .zip(&reference)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "arena marginal rows diverged from the per-call reference"
-        );
-    }
-
-    let proj_reps = 20_000usize;
-    let mut proj_flat_secs = f64::INFINITY;
-    let mut proj_nested_secs = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..proj_reps {
-            arena.clear();
-            for &(ti, ref keep) in &keeps {
-                let start = tables[ti].marginal_rows_into(keep, &mut arena);
-                std::hint::black_box(start);
-            }
-            std::hint::black_box(arena.len());
-        }
-        proj_flat_secs = proj_flat_secs.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        for _ in 0..proj_reps {
-            for &(ti, ref keep) in &keeps {
-                std::hint::black_box(tables[ti].marginal_rows(keep).len());
-            }
-        }
-        proj_nested_secs = proj_nested_secs.min(t.elapsed().as_secs_f64());
-    }
-    let proj_speedup = proj_nested_secs / proj_flat_secs.max(1e-12);
-    println!(
-        "{}",
-        format_row(
-            "JPT marginal projection",
-            &[
-                format!("arena {:.1}us", proj_flat_secs * 1e6 / proj_reps as f64),
-                format!("alloc {:.1}us", proj_nested_secs * 1e6 / proj_reps as f64),
-                format!("{proj_speedup:.2}x"),
-            ]
-        )
-    );
-
-    assert!(
-        posting_speedup >= 1.3,
-        "arena posting scan must be >= 1.3x over the nested reference, got {posting_speedup:.2}x"
-    );
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"arena_layouts\",\n  \
-         \"posting_scan\": {{ \"graphs\": {graphs_n}, \"queries\": {queries_n}, \"answers_identical\": true,\n    \
-         \"flat_seconds_per_rep\": {flat:.9}, \"nested_seconds_per_rep\": {nested:.9},\n    \
-         \"speedup\": {posting_speedup:.3} }},\n  \
-         \"jpt_marginal_projection\": {{ \"tables\": {tables_n}, \"answers_identical\": true,\n    \
-         \"arena_seconds_per_rep\": {pflat:.9}, \"alloc_seconds_per_rep\": {pnested:.9},\n    \
-         \"speedup\": {proj_speedup:.3} }}\n}}\n",
-        graphs_n = graphs.len(),
-        queries_n = queries.len(),
-        flat = flat_secs / reps as f64,
-        nested = nested_secs / reps as f64,
-        tables_n = keeps.len(),
-        pflat = proj_flat_secs / proj_reps as f64,
-        pnested = proj_nested_secs / proj_reps as f64,
-    );
-    std::fs::write("BENCH_arena.json", json).expect("writing BENCH_arena.json");
-    println!("wrote BENCH_arena.json\n");
 }
 
 fn parse_scale(args: &[String]) -> DatasetScale {

@@ -69,28 +69,9 @@ pub fn bench_engine_config(seed: u64) -> EngineConfig {
     }
 }
 
-/// Dataset configuration for a scale, with an override for the graph count
-/// (used by the Figure 13 scalability sweep).
-pub fn dataset_config(scale: DatasetScale, graph_count: Option<usize>) -> PpiDatasetConfig {
-    let mut config = paper_scale(scale);
-    if let Some(n) = graph_count {
-        config.graph_count = n;
-    }
-    config
-}
-
-/// Builds a dataset, an indexed engine and a query workload.
-pub fn build_setup(scale: DatasetScale, query_size: usize, query_count: usize) -> BenchSetup {
-    build_setup_with(
-        scale,
-        None,
-        query_size,
-        query_count,
-        CorrelationModel::MaxRule,
-    )
-}
-
-/// Fully parameterised setup builder.
+/// Builds a dataset, an indexed engine and a query workload at `scale`;
+/// `graph_count` overrides the scale's database size (the Figure 13
+/// scalability sweep).
 pub fn build_setup_with(
     scale: DatasetScale,
     graph_count: Option<usize>,
@@ -98,9 +79,11 @@ pub fn build_setup_with(
     query_count: usize,
     correlation: CorrelationModel,
 ) -> BenchSetup {
+    let scaled = paper_scale(scale);
     let config = PpiDatasetConfig {
         correlation,
-        ..dataset_config(scale, graph_count)
+        graph_count: graph_count.unwrap_or(scaled.graph_count),
+        ..scaled
     };
     let dataset = generate_ppi_dataset(&config);
     let queries = generate_query_workload(
@@ -134,7 +117,7 @@ mod tests {
 
     #[test]
     fn tiny_setup_builds_quickly_and_consistently() {
-        let setup = build_setup(DatasetScale::Tiny, 4, 3);
+        let setup = build_setup_with(DatasetScale::Tiny, None, 4, 3, CorrelationModel::MaxRule);
         assert_eq!(setup.dataset.graphs.len(), 24);
         assert_eq!(setup.engine.pmi().graph_count(), 24);
         assert!(!setup.queries.is_empty());
@@ -145,8 +128,8 @@ mod tests {
 
     #[test]
     fn graph_count_override_applies() {
-        let cfg = dataset_config(DatasetScale::Tiny, Some(7));
-        assert_eq!(cfg.graph_count, 7);
+        let setup = build_setup_with(DatasetScale::Tiny, Some(7), 4, 1, CorrelationModel::MaxRule);
+        assert_eq!(setup.dataset.graphs.len(), 7);
     }
 
     #[test]

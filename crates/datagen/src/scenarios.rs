@@ -102,7 +102,7 @@ pub fn bulk_skeletons(count: usize, seed: u64) -> Vec<ProbabilisticGraph> {
 /// A fixed deterministic query workload over the [`bulk_skeletons`] label
 /// alphabet: `count` three-vertex paths cycling through the five vertex
 /// labels and two edge labels, so each query matches a different slice of a
-/// bulk corpus.  Shared by the `bench-topk` harness and the top-k
+/// bulk corpus.  Drives the adaptive-stopping gate of the top-k
 /// integration tests.
 pub fn bulk_path_queries(count: usize) -> Vec<pgs_graph::model::Graph> {
     use pgs_graph::model::GraphBuilder;
@@ -118,15 +118,14 @@ pub fn bulk_path_queries(count: usize) -> Vec<pgs_graph::model::Graph> {
         .collect()
 }
 
-/// A verification-phase candidate shared by the `bench-verify` harness and
-/// the verifier's test suite: a labelled triangle region (vertex labels 0/1/2,
+/// A verification-phase candidate for the verifier's test suite: a labelled triangle region (vertex labels 0/1/2,
 /// edge label 9, one correlated max-rule JPT) the returned query embeds into
 /// exactly, plus `extra` pendant edges (vertex label 7, edge label 4) each in
 /// its own single-edge JPT the embedding union never touches.
 ///
 /// With `extra ≥ 4` the graph has ≥ 4× more JPT tables than the union of the
 /// query's embeddings touches — the shape the `UnionSampler`'s table
-/// projection exploits and the full-world baseline loop pays for.
+/// projection exploits.
 pub fn verification_candidate(
     extra: usize,
 ) -> (pgs_prob::model::ProbabilisticGraph, pgs_graph::model::Graph) {

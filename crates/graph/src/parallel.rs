@@ -59,8 +59,8 @@ fn auto_threads() -> usize {
 /// Predicted total work below which a map runs inline on the caller: pool
 /// dispatch (queue push, worker wake-up, completion wait) costs on the order
 /// of 10 µs, so fanning out less than ~200 µs of work trades a guaranteed
-/// overhead for a negligible win — the exact pessimization `BENCH_query.json`
-/// recorded before the cost model existed.
+/// overhead for a negligible win — the exact pessimization the threads-1 vs
+/// threads-auto throughput benchmark recorded before the cost model existed.
 pub const DISPATCH_FLOOR_NANOS: u64 = 200_000;
 
 /// Rough per-item cost class of a mapping closure, used by the dispatch cost
@@ -168,47 +168,6 @@ where
         .collect()
 }
 
-/// The pre-pool spawn-per-call executor, kept verbatim as the `bench-pool`
-/// baseline so the dispatch-latency win of the persistent pool stays
-/// measurable (`BENCH_pool.json`).  Not used on any production path.
-pub fn par_map_chunked_spawn_baseline<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = resolve_threads(threads);
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk_size = items.len().div_ceil(threads).max(1);
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let offset = ci * chunk_size;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(j, t)| f(offset + j, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
-}
-
 /// SplitMix64 finalizer: scrambles a 64-bit value so that structurally related
 /// inputs (consecutive indices, XOR-combined hashes) yield decorrelated RNG
 /// seeds.
@@ -304,19 +263,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_chunked(&empty, 4, |_, &x| x).is_empty());
         assert_eq!(par_map_chunked(&[7u32], 4, |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn spawn_baseline_agrees_with_the_pool() {
-        let items: Vec<u64> = (0..41).collect();
-        let map = |i: usize, x: &u64| mix64(i as u64 ^ *x);
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                par_map_chunked_spawn_baseline(&items, threads, map),
-                par_map_chunked_costed(&items, threads, CostHint::HEAVY, map),
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]

@@ -300,23 +300,16 @@ impl JointProbTable {
         (fixed_mask, fixed_value)
     }
 
-    /// Marginal distribution over a subset of this table's bit positions.
+    /// Marginal distribution over a subset of this table's bit positions,
+    /// appended onto the end of `out` — the projection layer packs every
+    /// touched table's marginal into one contiguous per-candidate arena this
+    /// way.  Returns the offset of the appended block within `out`.
     ///
-    /// `keep[i]` is a bit position of this table; the result has `2^keep.len()`
+    /// `keep[i]` is a bit position of this table; the block has `2^keep.len()`
     /// entries where entry `m` is the total probability of all rows whose
     /// restriction to `keep` (bit `i` of `m` ⇔ bit `keep[i]` of the row) equals
     /// `m`.  Under the partitioned model this is exactly the distribution the
     /// union event sees when only the `keep` edges of the table are relevant.
-    pub fn marginal_rows(&self, keep: &[usize]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(1usize << keep.len());
-        self.marginal_rows_into(keep, &mut out);
-        out
-    }
-
-    /// [`Self::marginal_rows`], appended onto the end of `out` instead of
-    /// returning a fresh allocation — the projection layer packs every touched
-    /// table's marginal into one contiguous per-candidate arena this way.
-    /// Returns the offset of the appended block within `out`.
     pub fn marginal_rows_into(&self, keep: &[usize], out: &mut Vec<f64>) -> usize {
         let start = out.len();
         out.resize(start + (1usize << keep.len()), 0.0);
@@ -625,25 +618,33 @@ mod tests {
     #[test]
     fn marginal_rows_marginalise_dropped_bits() {
         let t = figure1_jpt();
+        let mut arena = vec![0.5];
+        let mut rows = |keep: &[usize]| {
+            let start = t.marginal_rows_into(keep, &mut arena);
+            arena[start..].to_vec()
+        };
         // Keep only bit 0 (edge e1): the two rows are Pr(e1=0) and Pr(e1=1).
-        let rows = t.marginal_rows(&[0]);
-        assert_eq!(rows.len(), 2);
-        assert!((rows[1] - t.edge_marginal(e(1))).abs() < 1e-12);
-        assert!((rows[0] + rows[1] - 1.0).abs() < 1e-12);
+        let r = rows(&[0]);
+        assert_eq!(r.len(), 2);
+        assert!((r[1] - t.edge_marginal(e(1))).abs() < 1e-12);
+        assert!((r[0] + r[1] - 1.0).abs() < 1e-12);
         // Keep bits (2, 0) in swapped order: entry 0b01 means e3=1, e1=0.
-        let rows = t.marginal_rows(&[2, 0]);
-        assert_eq!(rows.len(), 4);
+        let r = rows(&[2, 0]);
+        assert_eq!(r.len(), 4);
         let expect = t.marginal(&[(e(3), true), (e(1), false)]);
-        assert!((rows[0b01] - expect).abs() < 1e-12);
+        assert!((r[0b01] - expect).abs() < 1e-12);
         // Keeping every bit reproduces the table.
-        let rows = t.marginal_rows(&[0, 1, 2]);
+        let r = rows(&[0, 1, 2]);
         for (m, &p) in t.row_probabilities().iter().enumerate() {
-            assert!((rows[m] - p).abs() < 1e-12);
+            assert!((r[m] - p).abs() < 1e-12);
         }
         // Keeping nothing leaves the single empty assignment of mass 1.
-        let rows = t.marginal_rows(&[]);
-        assert_eq!(rows.len(), 1);
-        assert!((rows[0] - 1.0).abs() < 1e-12);
+        let r = rows(&[]);
+        assert_eq!(r.len(), 1);
+        assert!((r[0] - 1.0).abs() < 1e-12);
+        // Blocks append after whatever the arena already held.
+        assert_eq!(arena.len(), 1 + 2 + 4 + 8 + 1);
+        assert_eq!(arena[0], 0.5);
     }
 
     #[test]

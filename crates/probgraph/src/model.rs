@@ -195,24 +195,6 @@ impl ProbabilisticGraph {
         }
     }
 
-    /// Samples a possible world conditioned on a partial assignment (used by
-    /// the verification sampler of Algorithm 5, which samples worlds given that
-    /// a specific embedding is present).
-    pub fn sample_world_conditioned<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        constraint: &[(EdgeId, bool)],
-    ) -> Vec<bool> {
-        let mut present = vec![false; self.edge_count()];
-        for table in &self.tables {
-            let mask = table.sample_mask_conditioned(rng, constraint);
-            for (bit, &e) in table.edges().iter().enumerate() {
-                present[e.index()] = mask & (1 << bit) != 0;
-            }
-        }
-        present
-    }
-
     /// Index of the table owning `edge` (tables are returned by
     /// [`ProbabilisticGraph::tables`] in this order).
     pub fn table_index_of(&self, edge: EdgeId) -> usize {

@@ -38,7 +38,7 @@ pub use qp::{tightest_lsim, QpOptions};
 pub use setcover::{greedy_weighted_set_cover, SetCoverSolution};
 pub use structural::{
     passes_feature_count_filter, structural_candidates, structural_candidates_indexed,
-    structural_candidates_sharded, structural_candidates_threaded, StructuralFilterStats,
+    structural_candidates_sharded, StructuralFilterStats,
 };
 pub use verify::{
     collect_embeddings_of_relaxations, verify_ssp_exact, verify_ssp_sampled, VerifyOptions,

@@ -1268,60 +1268,35 @@ impl QueryEngine {
         let t0 = Instant::now();
         // Shared by every graph that falls back to sampling; computed once.
         let relaxed = relax_query_clamped(q, params.delta);
-        let scan_one = |gi: usize, pg: &ProbabilisticGraph| match verify_ssp_exact(
-            pg,
-            q,
-            params.delta,
-            self.config.exact.exact_edge_cap,
-        ) {
-            Ok(v) => (v >= params.epsilon, 0, true),
-            Err(_) => {
-                let precise = VerifyOptions {
-                    mc: self.config.exact.fallback_mc,
-                    ..self.config.verify
-                };
-                let mut rng = self.candidate_rng(query_hash, SEED_PHASE_EXACT_FALLBACK, gi);
-                let outcome =
-                    verify_ssp_with_stats(pg, q, params.delta, &relaxed, &precise, 1, &mut rng);
-                (
-                    outcome.ssp >= params.epsilon,
-                    outcome.samples_drawn,
-                    outcome.exact,
-                )
-            }
-        };
-        // Sharded, the scan fans out per shard (each pool task walks its own
-        // members) and the verdicts scatter back to global order; every
-        // graph's fallback RNG is content-seeded, so the answers match the
-        // flat scan bit for bit.
-        let shard_count = self.pmi.shard_count();
-        let verdicts: Vec<(bool, usize, bool)> = if shard_count > 1 {
-            let members: Vec<&[u32]> = (0..shard_count)
-                .map(|s| self.pmi.shard_members(s))
-                .collect();
-            let per_shard = par_map_chunked_costed(
-                &members,
-                self.config.threads,
-                CostHint::HEAVY,
-                |_, shard| {
-                    shard
-                        .iter()
-                        .map(|&g| scan_one(g as usize, &self.db[g as usize]))
-                        .collect::<Vec<_>>()
-                },
-            );
-            let mut out = vec![(false, 0usize, false); self.db.len()];
-            for (shard, results) in members.iter().zip(&per_shard) {
-                for (&g, &r) in shard.iter().zip(results) {
-                    out[g as usize] = r;
-                }
-            }
-            out
-        } else {
+        // One flat per-graph map at every shard count: each graph's fallback
+        // RNG is content-seeded, so the layout never moves an answer.
+        let verdicts =
             par_map_chunked_costed(&self.db, self.config.threads, CostHint::HEAVY, |gi, pg| {
-                scan_one(gi, pg)
-            })
-        };
+                match verify_ssp_exact(pg, q, params.delta, self.config.exact.exact_edge_cap) {
+                    Ok(v) => (v >= params.epsilon, 0, true),
+                    Err(_) => {
+                        let precise = VerifyOptions {
+                            mc: self.config.exact.fallback_mc,
+                            ..self.config.verify
+                        };
+                        let mut rng = self.candidate_rng(query_hash, SEED_PHASE_EXACT_FALLBACK, gi);
+                        let outcome = verify_ssp_with_stats(
+                            pg,
+                            q,
+                            params.delta,
+                            &relaxed,
+                            &precise,
+                            1,
+                            &mut rng,
+                        );
+                        (
+                            outcome.ssp >= params.epsilon,
+                            outcome.samples_drawn,
+                            outcome.exact,
+                        )
+                    }
+                }
+            });
         let mut answers: Vec<usize> = Vec::new();
         let mut samples_drawn = 0usize;
         let mut exact_verifications = 0usize;
@@ -1605,7 +1580,7 @@ mod tests {
                         a.stats.probabilistic_candidates,
                         b.stats.probabilistic_candidates
                     );
-                    // The index-free baseline fans out per shard too.
+                    // The index-free baseline ignores the shard layout.
                     let ea = one.exact_scan(&wq.graph, &params).unwrap();
                     let eb = engine.exact_scan(&wq.graph, &params).unwrap();
                     assert_eq!(ea.answers, eb.answers);

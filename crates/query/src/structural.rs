@@ -24,12 +24,11 @@
 //!   least one edge signature with the query, and the exact check reuses the
 //!   cached per-graph summaries.  Sublinear in the database size for
 //!   selective queries.
-//! * [`structural_candidates`] / [`structural_candidates_threaded`] — the
-//!   brute-force reference: a full scan with the per-graph filter.  The query
-//!   histogram is still computed once per query (it used to be rebuilt inside
-//!   the per-candidate closure — the bug this module's rewrite fixed), but
-//!   every skeleton is visited.  Kept for index-free callers, the
-//!   equivalence property tests and the `bench-structural` baseline.
+//! * [`structural_candidates`] — the brute-force reference: a sequential
+//!   full scan with the per-graph filter.  The query histogram is still
+//!   computed once per query (it used to be rebuilt inside the per-candidate
+//!   closure — the bug this module's rewrite fixed), but every skeleton is
+//!   visited.  Kept for index-free callers and the equivalence tests.
 //!
 //! Both return the same index set, bit for bit, for every input — the
 //! determinism suite and a randomized property test pin this.
@@ -53,32 +52,18 @@ pub struct StructuralFilterStats {
 
 /// Returns the indices of the skeleton graphs that are deterministically
 /// subgraph-similar to `q` under distance threshold `delta` (the set `SC_q`),
-/// by brute-force scan.
+/// by a sequential brute-force scan, in ascending order.
 pub fn structural_candidates(skeletons: &[Graph], q: &Graph, delta: usize) -> Vec<usize> {
-    structural_candidates_threaded(skeletons, q, delta, 1)
-}
-
-/// [`structural_candidates`] evaluated with up to `threads` pool workers
-/// (`0` = automatic).  Every skeleton is tested independently, so the returned
-/// index list is identical for every thread count (ascending order).
-pub fn structural_candidates_threaded(
-    skeletons: &[Graph],
-    q: &Graph,
-    delta: usize,
-    threads: usize,
-) -> Vec<usize> {
-    // Computed once per query and shared by every worker — not once per
-    // candidate skeleton.
+    // Computed once per query, not once per candidate skeleton.
     let q_summary = StructuralSummary::of(q);
-    // A filter probe is cheap but the exact subgraph-distance check behind it
-    // is tens of microseconds: moderate items, parallel from ~20 skeletons.
-    let keep = par_map_chunked_costed(skeletons, threads, CostHint::MODERATE, |_, g| {
-        passes_feature_count_filter_summarized(&q_summary, g, delta)
-            && subgraph_similar(q, g, delta)
-    });
-    keep.iter()
+    skeletons
+        .iter()
         .enumerate()
-        .filter_map(|(i, &k)| k.then_some(i))
+        .filter(|(_, g)| {
+            passes_feature_count_filter_summarized(&q_summary, g, delta)
+                && subgraph_similar(q, g, delta)
+        })
+        .map(|(i, _)| i)
         .collect()
 }
 
@@ -414,21 +399,5 @@ mod tests {
         assert!(structural_candidates_indexed(&index, &[], &query(), 1, 1)
             .0
             .is_empty());
-    }
-
-    #[test]
-    fn threaded_candidates_match_sequential_for_every_thread_count() {
-        let db = database();
-        let q = query();
-        for delta in 0..=3 {
-            let sequential = structural_candidates(&db, &q, delta);
-            for threads in [0, 2, 3, 7] {
-                assert_eq!(
-                    structural_candidates_threaded(&db, &q, delta, threads),
-                    sequential,
-                    "threads = {threads}, delta = {delta}"
-                );
-            }
-        }
     }
 }

@@ -20,9 +20,8 @@
 //! touches, worlds live in a compact reusable bitset, embedding choice and
 //! per-table row draws go through Walker alias tables, and the trials are
 //! chunked with per-chunk derived RNGs so the estimate is byte-identical for
-//! every thread count (see DESIGN.md §11).  The pre-projection loop survives
-//! as [`verify_ssp_sampled_baseline`] — the benchmark and property-test
-//! reference.
+//! every thread count (see DESIGN.md §11).  Tests check it against the exact
+//! inclusion–exclusion union ([`pgs_prob::exact::exact_union_probability`]).
 //!
 //! [`verify_ssp_exact`] wraps the exact evaluator of `pgs-prob` and doubles as
 //! the `Exact` baseline of Figures 9 and 13.
@@ -243,70 +242,6 @@ pub fn verify_ssp<R: Rng + ?Sized>(
     }
 }
 
-/// The pre-projection Algorithm 5 loop, kept verbatim as the baseline the
-/// benchmark harness (`experiments -- bench-verify`) and the property tests
-/// measure the [`UnionSampler`] against: per trial it allocates a fresh world
-/// over *all* edges, rebuilds the conditioning constraint, samples every JPT
-/// table and picks the conditioning embedding by a linear scan.
-pub fn verify_ssp_sampled_baseline<R: Rng + ?Sized>(
-    pg: &ProbabilisticGraph,
-    q: &Graph,
-    delta: usize,
-    relaxed: &[Graph],
-    options: &VerifyOptions,
-    rng: &mut R,
-) -> f64 {
-    if q.edge_count() <= delta {
-        return 1.0;
-    }
-    let embeddings = collect_embeddings_of_relaxations(pg, relaxed, options.max_embeddings);
-    if embeddings.is_empty() {
-        return 0.0;
-    }
-    let mut relevant: Vec<_> = embeddings.iter().flatten().copied().collect();
-    relevant.sort_unstable();
-    relevant.dedup();
-    if relevant.len() <= options.exact_cutoff {
-        if let Ok(value) =
-            pgs_prob::exact::exact_union_probability(pg, &embeddings, options.exact_cutoff)
-        {
-            return value;
-        }
-    }
-    let probs: Vec<f64> = embeddings.iter().map(|e| pg.prob_all_present(e)).collect();
-    let v: f64 = probs.iter().sum();
-    if v <= 0.0 {
-        return 0.0;
-    }
-    let n = options.mc.num_samples();
-    let mut count = 0usize;
-    for _ in 0..n {
-        // Choose embedding i with probability Pr(Bf_i) / V.
-        let mut pick = rng.gen::<f64>() * v;
-        let mut chosen = embeddings.len() - 1;
-        for (i, &p) in probs.iter().enumerate() {
-            if pick < p {
-                chosen = i;
-                break;
-            }
-            pick -= p;
-        }
-        // Sample a world conditioned on the chosen embedding being present.
-        let constraint: Vec<(pgs_graph::model::EdgeId, bool)> =
-            embeddings[chosen].iter().map(|&e| (e, true)).collect();
-        let world = pg.sample_world_conditioned(rng, &constraint);
-        // Count the trial iff no earlier embedding also holds (canonical-pair
-        // trick of the Karp–Luby estimator).
-        let earlier_hit = embeddings[..chosen]
-            .iter()
-            .any(|emb| emb.iter().all(|&e| world[e.index()]));
-        if !earlier_hit {
-            count += 1;
-        }
-    }
-    (v * count as f64 / n as f64).clamp(0.0, 1.0)
-}
-
 /// Exact verification (Definition 9 via Lemma 1) — the `Exact` baseline.
 pub fn verify_ssp_exact(
     pg: &ProbabilisticGraph,
@@ -465,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_and_union_sampler_agree() {
+    fn union_sampler_agrees_with_the_exact_union() {
         let (pg, q) = verification_candidate(6);
         let options = VerifyOptions {
             exact_cutoff: 0,
@@ -477,13 +412,13 @@ mod tests {
             ..VerifyOptions::default()
         };
         let relaxed = relax_query_clamped(&q, 1);
-        let mut rng = StdRng::seed_from_u64(7);
-        let baseline = verify_ssp_sampled_baseline(&pg, &q, 1, &relaxed, &options, &mut rng);
+        let embeddings = collect_embeddings_of_relaxations(&pg, &relaxed, options.max_embeddings);
+        let exact = pgs_prob::exact::exact_union_probability(&pg, &embeddings, 22).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let fast = verify_ssp_with_stats(&pg, &q, 1, &relaxed, &options, 1, &mut rng).ssp;
         assert!(
-            (baseline - fast).abs() < 0.03,
-            "baseline {baseline} vs union sampler {fast}"
+            (exact - fast).abs() < 0.03,
+            "exact {exact} vs union sampler {fast}"
         );
     }
 

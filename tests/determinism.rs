@@ -18,7 +18,7 @@ use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig, WorkloadQuery};
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
-use pgs::query::pipeline::QueryEngine;
+use pgs::query::pipeline::{ExactScanConfig, QueryEngine};
 use pgs::query::verify::VerifyOptions;
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::PmiBuildParams;
@@ -178,9 +178,9 @@ fn query_batch_equals_per_query_loop() {
 
 #[test]
 fn exact_scan_sampling_fallback_is_order_independent() {
-    // Graphs large enough that `verify_ssp_exact` overflows its enumeration
-    // budget take the sampling fallback inside `exact_scan`; with per-graph
-    // content seeding the verdicts must survive a database rotation too.
+    // An exact-enumeration cap of 4 relevant edges sends most graphs to the
+    // sampling fallback inside `exact_scan`; with per-graph content seeding
+    // the verdicts must survive a database rotation and any shard layout.
     let ds = generate_ppi_dataset(&PpiDatasetConfig {
         graph_count: 8,
         vertices_per_graph: 14,
@@ -191,16 +191,40 @@ fn exact_scan_sampling_fallback_is_order_independent() {
         seed: 91,
         ..PpiDatasetConfig::default()
     });
+    let config = |shards: usize| EngineConfig {
+        exact: ExactScanConfig {
+            exact_edge_cap: 4,
+            ..ExactScanConfig::default()
+        },
+        shards,
+        ..engine_config(0)
+    };
+    let default_shards = engine_config(0).shards;
     let n = ds.graphs.len();
     let perm: Vec<usize> = (0..n).map(|i| (i * 3 + 1) % n).collect();
     let shuffled: Vec<ProbabilisticGraph> = perm.iter().map(|&i| ds.graphs[i].clone()).collect();
-    let original = QueryEngine::build(ds.graphs.clone(), engine_config(0));
-    let reordered = QueryEngine::build(shuffled, engine_config(0));
+    let original = QueryEngine::build(ds.graphs.clone(), config(default_shards));
+    let reordered = QueryEngine::build(shuffled, config(default_shards));
     let wq = &workload(&ds)[0];
     let params = params();
     let a = original.exact_scan(&wq.graph, &params).unwrap();
+    assert!(
+        a.stats.samples_drawn > 0,
+        "no graph took the sampling fallback"
+    );
     let b = reordered.exact_scan(&wq.graph, &params).unwrap();
     let mut mapped: Vec<usize> = b.answers.iter().map(|&i| perm[i]).collect();
     mapped.sort_unstable();
     assert_eq!(a.answers, mapped, "exact-scan fallback drifted with order");
+    assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
+    // The scan is one flat per-graph map whatever the shard layout, so 1 and
+    // 8 shards agree on the answers and on every counter.
+    for shards in [1usize, 8] {
+        let s = QueryEngine::build(ds.graphs.clone(), config(shards))
+            .exact_scan(&wq.graph, &params)
+            .unwrap();
+        assert_eq!(s.answers, a.answers, "shards = {shards}");
+        assert_eq!(s.stats.samples_drawn, a.stats.samples_drawn);
+        assert_eq!(s.stats.exact_verifications, a.stats.exact_verifications);
+    }
 }

@@ -9,10 +9,14 @@
 //!   counts and repeated runs, with the adaptive sampler on the noisy path,
 //!   and the phase-1 counters must equal a threshold query's for the same
 //!   `(q, δ, variant)` — both query kinds share one front end.
+//! * Adaptive early stopping draws ≥ 1.5× fewer Karp–Luby trials than the
+//!   fixed budget at identical answers, and best-first top-k equals the head
+//!   of the full fixed-budget ranking.
 //! * Invalid `k` surfaces as the typed facade error, not a panic.
 
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
+use pgs::datagen::scenarios::{bulk_path_queries, bulk_skeletons};
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
 use pgs::query::pipeline::QueryEngine;
@@ -253,6 +257,103 @@ fn topk_is_byte_identical_across_threads_and_shards() {
         let b = reference.query_topk(q, &params).unwrap();
         assert_eq!(a.ranked, b.ranked);
     }
+}
+
+#[test]
+fn adaptive_stopping_cuts_trials_at_equal_answers() {
+    // Lean mining (the corpus exercises verification, not feature quality)
+    // and the sampler forced onto every candidate.  The fixed-budget twin
+    // shares the adaptive engine's index, so only the stopping rule differs.
+    let adaptive_config = EngineConfig {
+        pmi: PmiBuildParams {
+            features: FeatureSelectionParams {
+                max_l: 2,
+                alpha: 0.15,
+                beta: 0.15,
+                gamma: 0.15,
+                max_features: 8,
+                max_embeddings: 8,
+            },
+            bounds: BoundsConfig {
+                max_embeddings: 8,
+                max_cuts: 16,
+                ..BoundsConfig::default()
+            },
+            threads: 0,
+            seed: 0x5A4D,
+        },
+        verify: VerifyOptions {
+            exact_cutoff: 0,
+            mc: MonteCarloConfig {
+                tau: 0.05,
+                xi: 0.01,
+                max_samples: 20_000,
+            },
+            adaptive: true,
+            ..VerifyOptions::default()
+        },
+        seed: 0x5A4D,
+        ..EngineConfig::default()
+    };
+    let fixed_config = EngineConfig {
+        verify: VerifyOptions {
+            adaptive: false,
+            ..adaptive_config.verify
+        },
+        ..adaptive_config
+    };
+    let graphs = bulk_skeletons(200, 0xB17);
+    let adaptive = QueryEngine::build(graphs.clone(), adaptive_config);
+    let fixed = QueryEngine::from_parts(graphs, adaptive.pmi().clone(), fixed_config).unwrap();
+    let queries = bulk_path_queries(16);
+    let params = QueryParams {
+        epsilon: 0.1,
+        delta: 1,
+        variant: PruningVariant::OptSspBound,
+    };
+
+    let ab = adaptive.query_batch(&queries, &params).unwrap();
+    let fb = fixed.query_batch(&queries, &params).unwrap();
+    for (a, f) in ab.results.iter().zip(&fb.results) {
+        assert_eq!(a.answers, f.answers, "adaptive and fixed answers differ");
+    }
+    // Every sampled candidate has the same budget on both engines, so the
+    // adaptive side's drawn + saved trials reconstruct the fixed side's.
+    assert_eq!(
+        ab.stats.samples_drawn + ab.stats.samples_saved,
+        fb.stats.samples_drawn
+    );
+    let reduction = fb.stats.samples_drawn as f64 / ab.stats.samples_drawn.max(1) as f64;
+    assert!(
+        reduction >= 1.5,
+        "adaptive stopping must cut >= 1.5x trials at equal answers, got {reduction:.2}x \
+         ({} fixed vs {} adaptive)",
+        fb.stats.samples_drawn,
+        ab.stats.samples_drawn
+    );
+
+    // Best-first top-10 with a moving threshold must return exactly the
+    // first 10 of the full fixed-budget ranking (k = 200 = every graph).
+    let head = |engine: &QueryEngine, k: usize| -> Vec<Vec<(usize, u64)>> {
+        let params = TopkParams {
+            k,
+            delta: 1,
+            variant: PruningVariant::OptSspBound,
+        };
+        let batch = engine.query_topk_batch(&queries, &params).unwrap();
+        batch
+            .results
+            .iter()
+            .map(|r| {
+                r.ranked
+                    .iter()
+                    .take(10)
+                    .map(|x| (x.graph, x.ssp.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    assert_eq!(head(&adaptive, 10), head(&fixed, 200));
 }
 
 #[test]
