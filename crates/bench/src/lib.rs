@@ -64,8 +64,8 @@ pub fn bench_engine_config(seed: u64) -> EngineConfig {
         exact: pgs_query::pipeline::ExactScanConfig::default(),
         cross_term: pgs_query::prune::CrossTermRule::SafeMin,
         seed,
-        threads: pgs_query::pipeline::default_query_threads(),
-        shards: pgs_query::pipeline::default_shards(),
+        threads: 0,
+        shards: 1,
     }
 }
 

@@ -24,9 +24,7 @@ use std::sync::{Mutex, OnceLock};
 /// literally but clamped to [`MAX_THREADS`] (a literal `100_000` used to
 /// attempt one hundred thousand OS threads).
 ///
-/// Automatic resolution is memoized: the first call reads `PGS_QUERY_THREADS`
-/// (when set to a positive integer it pins the automatic worker count — CI
-/// uses it to run the whole suite at fixed counts) or falls back to
+/// Automatic resolution is memoized: the first call reads
 /// [`std::thread::available_parallelism`] clamped to 8, and every later call
 /// returns the cached value.  `available_parallelism` is a syscall, and it
 /// used to be re-issued on every `par_map_chunked` call in every phase of
@@ -43,16 +41,10 @@ pub fn resolve_threads(threads: usize) -> usize {
 fn auto_threads() -> usize {
     static AUTO: OnceLock<usize> = OnceLock::new();
     *AUTO.get_or_init(|| {
-        match std::env::var("PGS_QUERY_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => n.min(MAX_THREADS),
-            _ => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 8),
-        }
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, 8)
     })
 }
 

@@ -699,104 +699,52 @@ impl Pmi {
 
     /// Serializes the index to the versioned binary snapshot format (see
     /// [`crate::snapshot`]); materializes every lazy segment.  Writes format
-    /// v3 (segmented); an index decoded from a v1 snapshot whose S-Index was
-    /// never re-derived falls back to writing v1 again — it has no summaries
-    /// to persist.
+    /// v3 (segmented).  The one exception is an index decoded from a v1
+    /// snapshot whose S-Index was never re-derived: it has no summaries to
+    /// persist, so it is written back as v1.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let version = if self.has_sindex {
-            snapshot::FORMAT_VERSION
-        } else {
-            snapshot::FORMAT_V1
-        };
-        self.to_bytes_versioned(version)
-            // pgs-lint: allow(panic-in-library, encoding current/v1 formats cannot fail; only unknown versions error)
-            .expect("current/v1 versions are always encodable")
+        if !self.has_sindex {
+            return self.to_v1_bytes();
+        }
+        let segs: Vec<&ShardSegment> = (0..self.shard_count()).map(|s| self.segment(s)).collect();
+        let segments = segs
+            .iter()
+            .map(|seg| snapshot::SegmentRef {
+                matrix: &seg.matrix,
+                supports: &seg.supports,
+                sindex: seg
+                    .sindex
+                    .as_ref()
+                    // pgs-lint: allow(panic-in-library, has_sindex was checked above, and it implies every segment carries one)
+                    .expect("has_sindex implies every segment carries one"),
+            })
+            .collect();
+        snapshot::encode_v3(&snapshot::ShardedPartsRef {
+            params: &self.params,
+            build_seconds: self.build_seconds,
+            graph_salts: &self.graph_salts,
+            features: &self.features,
+            support_counts: &self.support_counts,
+            shard_churn: &self.shard_churn,
+            segments,
+        })
     }
 
-    /// Serializes the index at an explicit format version: the current
-    /// version 3, or versions 1/2 for readers that predate shards (the
-    /// downgrade path — the global matrix, support lists and summaries are
-    /// reconstructed from the shard segments).
-    pub fn to_bytes_versioned(&self, version: u32) -> Result<Vec<u8>, SnapshotError> {
-        if version == snapshot::FORMAT_VERSION {
-            if !self.has_sindex {
-                return Err(SnapshotError::Corrupt(
-                    "cannot encode a v3 snapshot without an S-Index \
-                     (pair the index with its database first)"
-                        .into(),
-                ));
-            }
-            let segs: Vec<&ShardSegment> =
-                (0..self.shard_count()).map(|s| self.segment(s)).collect();
-            let segments = segs
-                .iter()
-                .map(|seg| snapshot::SegmentRef {
-                    matrix: &seg.matrix,
-                    supports: &seg.supports,
-                    sindex: seg
-                        .sindex
-                        .as_ref()
-                        // pgs-lint: allow(panic-in-library, has_sindex was checked by the caller, and it implies every segment carries one)
-                        .expect("has_sindex implies every segment carries one"),
-                })
-                .collect();
-            Ok(snapshot::encode_v3(&snapshot::ShardedPartsRef {
-                params: &self.params,
-                build_seconds: self.build_seconds,
-                graph_salts: &self.graph_salts,
-                features: &self.features,
-                support_counts: &self.support_counts,
-                shard_churn: &self.shard_churn,
-                segments,
-            }))
-        } else {
-            let (matrix, features, sindex) = self.global_parts();
-            snapshot::encode(
-                &snapshot::PmiPartsRef {
-                    params: &self.params,
-                    build_seconds: self.build_seconds,
-                    churn: self.churn(),
-                    graph_salts: &self.graph_salts,
-                    features: &features,
-                    matrix: &matrix,
-                    sindex: sindex.as_ref(),
-                },
-                version,
-            )
-        }
-    }
-
-    /// Reconstructs the global single-segment view (columns in global order,
-    /// features with global support lists, merged S-Index) — the legacy
-    /// encoder's input.
-    fn global_parts(&self) -> (SparseMatrix, Vec<Feature>, Option<StructuralIndex>) {
-        let mut matrix = SparseMatrix::new();
-        for &(s, l) in &self.locator {
-            matrix.push_column(self.segment(s as usize).matrix.column(l as usize));
-        }
-        let mut features = self.features.clone();
-        for f in &mut features {
-            f.support = self.feature_support(f.id);
-        }
-        let sindex = if self.has_sindex {
-            let summaries = self
-                .locator
-                .iter()
-                .map(|&(s, l)| {
-                    self.segment(s as usize)
-                        .sindex
-                        .as_ref()
-                        // pgs-lint: allow(panic-in-library, has_sindex was checked by the caller, and it implies every segment carries one)
-                        .expect("has_sindex implies every segment carries one")
-                        .summary(l as usize)
-                        .to_owned_summary()
-                })
-                .collect();
-            Some(StructuralIndex::from_summaries(summaries))
-        } else {
-            None
-        };
-        (matrix, features, sindex)
+    /// The format-v1 encoding of a single-shard index, whose segment 0 (local
+    /// member `l` is global graph `l`) already is the global layout v1
+    /// stores.  Any S-Index is left out.
+    fn to_v1_bytes(&self) -> Vec<u8> {
+        debug_assert_eq!(self.shard_count(), 1, "v1 stores one global segment");
+        let seg = self.segment(0);
+        snapshot::encode_v1(&snapshot::V1PartsRef {
+            params: &self.params,
+            build_seconds: self.build_seconds,
+            churn: self.churn(),
+            graph_salts: &self.graph_salts,
+            features: &self.features,
+            supports: &seg.supports,
+            matrix: &seg.matrix,
+        })
     }
 
     /// Deserializes an index from snapshot bytes (format v1, v2 or v3; a v1
@@ -1366,32 +1314,6 @@ mod tests {
     }
 
     #[test]
-    fn downgrading_to_v2_yields_the_global_single_shard_view() {
-        let db = database();
-        let sharded = Pmi::build_sharded(&db, &params(), 3);
-        let one = Pmi::build(&db, &params());
-        let v2 = sharded.to_bytes_versioned(snapshot::FORMAT_V2).unwrap();
-        let back = Pmi::from_bytes(&v2).unwrap();
-        assert_eq!(back.shard_count(), 1);
-        for gi in 0..db.len() {
-            assert_eq!(back.graph_entries(gi), one.graph_entries(gi));
-        }
-        for f in one.features() {
-            assert_eq!(back.feature_support(f.id), one.feature_support(f.id));
-        }
-        assert_eq!(back.sindex(), one.sindex());
-        // The downgrade is byte-identical to what the 1-shard index writes,
-        // apart from the wall-clock `build_seconds` field right after the
-        // params block (the two builds cannot share a clock reading).
-        let mut a = v2.clone();
-        let mut b = one.to_bytes_versioned(snapshot::FORMAT_V2).unwrap();
-        let secs = 8 + 4 + 8 + snapshot::PARAMS_LEN;
-        a[secs..secs + 8].fill(0);
-        b[secs..secs + 8].fill(0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn save_and_load_via_file() {
         let db = database();
         let pmi = Pmi::build(&db, &params());
@@ -1402,8 +1324,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.stats(), pmi.stats());
         // The reported index size is the file size minus the fixed header.
-        assert!(file_len > pmi.stats().size_bytes);
-        assert!(file_len - pmi.stats().size_bytes < 256);
+        assert_eq!(file_len, snapshot::header_len_v3() + pmi.stats().size_bytes);
     }
 
     #[test]
@@ -1429,14 +1350,16 @@ mod tests {
         assert_eq!(opened.stats(), pmi.stats());
         assert_eq!(opened.to_bytes(), pmi.to_bytes());
         // A legacy snapshot opens through the eager fallback.
-        let v2 = pmi.to_bytes_versioned(snapshot::FORMAT_V2).unwrap();
-        std::fs::write(&path, &v2).unwrap();
+        let v2 = include_bytes!("../../../tests/fixtures/pmi_v2.bin");
+        std::fs::write(&path, v2).unwrap();
         let legacy = Pmi::open(&path).unwrap();
         assert_eq!(legacy.shard_count(), 1);
         assert_eq!(legacy.materialized_shards(), 1);
-        for gi in 0..db.len() {
-            assert_eq!(legacy.graph_entries(gi), pmi.graph_entries(gi));
+        let loaded = Pmi::from_bytes(v2).unwrap();
+        for gi in 0..loaded.graph_count() {
+            assert_eq!(legacy.graph_entries(gi), loaded.graph_entries(gi));
         }
+        assert_eq!(legacy.sindex(), loaded.sindex());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1534,7 +1457,7 @@ mod tests {
         assert_eq!(back.stats(), full.stats());
 
         // A v1 snapshot drops it; ensure_sindex re-derives an identical one.
-        let v1 = full.to_bytes_versioned(snapshot::FORMAT_V1).unwrap();
+        let v1 = full.to_v1_bytes();
         let mut old = Pmi::from_bytes(&v1).unwrap();
         assert!(old.sindex().is_none());
         // A v1-loaded index re-saves as v1 (nothing to persist).

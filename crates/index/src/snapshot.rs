@@ -13,7 +13,7 @@
 //! `Pmi::load` stays fully eager.  See the layout comment above the v3
 //! section below.
 //!
-//! The legacy single-segment layout (v1/v2) is still read and written:
+//! The legacy single-segment layout (v1/v2) is still read:
 //!
 //! ```text
 //! magic   8  b"PGS-PMI\0"
@@ -40,8 +40,9 @@
 //!
 //! Version 1 snapshots (pre-S-Index) still load: they decode to an index
 //! without summaries, and `QueryEngine::from_parts` rebuilds the S-Index from
-//! the database skeletons it pairs the index with.  `Pmi::to_bytes_versioned`
-//! can also *write* version 1 or 2 for old readers (the downgrade path).
+//! the database skeletons it pairs the index with.  Such an index, saved
+//! before it is paired, is the one thing still *written* as v1 (it has no
+//! summaries for v3 to store); v2 is never written.
 //!
 //! The salt list in the head ties a snapshot to the database contents it was
 //! built from: `QueryEngine::from_parts` recomputes the salts of the database
@@ -70,12 +71,11 @@ pub const MAGIC: [u8; 8] = *b"PGS-PMI\0";
 /// materialize shards lazily).
 pub const FORMAT_VERSION: u32 = 3;
 
-/// The single-segment format with an S-Index section; still readable, and
-/// writable via `Pmi::to_bytes_versioned` for downgrade scenarios.
+/// The single-segment format with an S-Index section; still readable.
 pub const FORMAT_V2: u32 = 2;
 
-/// The pre-S-Index format version; still readable, and writable via
-/// `Pmi::to_bytes_versioned` for downgrade scenarios.
+/// The pre-S-Index format version; still readable, and written for an index
+/// decoded from v1 that was never paired with its database.
 pub const FORMAT_V1: u32 = 1;
 
 /// Errors surfaced by [`crate::pmi::Pmi::save`] / [`crate::pmi::Pmi::load`].
@@ -122,16 +122,17 @@ pub(crate) struct PmiParts {
     pub sindex: Option<StructuralIndex>,
 }
 
-/// A borrowed view of the same parts, used by the encoder so serialization
-/// never clones the index.
-pub(crate) struct PmiPartsRef<'a> {
+/// A borrowed view of a single-segment index without an S-Index, consumed
+/// by [`encode_v1`].  The features' own support lists are ignored: row `i`
+/// of `supports` is feature `i`'s support.
+pub(crate) struct V1PartsRef<'a> {
     pub params: &'a PmiBuildParams,
     pub build_seconds: f64,
     pub churn: usize,
     pub graph_salts: &'a [u64],
     pub features: &'a [Feature],
+    pub supports: &'a FlatVecVec<u32>,
     pub matrix: &'a SparseMatrix,
-    pub sindex: Option<&'a StructuralIndex>,
 }
 
 /// A deterministic fingerprint of the build parameters (the query-relevant
@@ -186,23 +187,6 @@ fn disjointness_from_tag(tag: u8) -> Result<DisjointnessRule, SnapshotError> {
     }
 }
 
-/// Exact byte length of the payload sections (salts + features + matrix +
-/// the S-Index section when present) — the real index size reported by
-/// `PmiStats::size_bytes`.  Everything before the payload is a fixed-size
-/// header of [`header_len`] bytes.
-pub(crate) fn payload_len(
-    salts: &[u64],
-    features: &[Feature],
-    matrix: &SparseMatrix,
-    sindex: Option<&StructuralIndex>,
-) -> usize {
-    let salts_len = 8 + 8 * salts.len();
-    let features_len: usize = 8 + features.iter().map(feature_len).sum::<usize>();
-    let matrix_len = 8 + matrix.payload_bytes();
-    let sindex_len = sindex.map_or(0, |s| 8 + s.summary_views().map(summary_len).sum::<usize>());
-    salts_len + features_len + matrix_len + sindex_len
-}
-
 /// Encoded size of one structural summary.
 pub(crate) fn summary_len(s: SummaryView<'_>) -> usize {
     4 + 4
@@ -214,8 +198,9 @@ pub(crate) fn summary_len(s: SummaryView<'_>) -> usize {
         + 4 * s.degree_sequence().len()
 }
 
-/// Byte length of the fixed header (magic + version + fingerprint + params +
-/// build seconds + churn counter).
+/// Byte length of the fixed v1/v2 header (magic + version + fingerprint +
+/// params + build seconds + churn counter); everything after it counts as
+/// payload for `PmiStats::size_bytes`.
 pub(crate) fn header_len() -> usize {
     8 + 4 + 8 + PARAMS_LEN + 8 + 8
 }
@@ -225,10 +210,6 @@ pub(crate) const PARAMS_LEN: usize = 6 * 8 /* feature params */
     + 2 * 8 + 3 /* bounds caps + three flag bytes */
     + 2 * 8 + 8 /* monte-carlo */
     + 2 * 8 /* threads + seed */;
-
-fn feature_len(f: &Feature) -> usize {
-    feature_graph_len(f) + 4 + 4 * f.support.len() + 8 + 8
-}
 
 /// Encoded size of a v3 feature head record (the graph, a global support
 /// *count* instead of the per-graph support list, frequency and
@@ -248,31 +229,14 @@ pub(crate) fn feature_len_with(f: &Feature, support: usize) -> usize {
     feature_graph_len(f) + 4 + 4 * support + 8 + 8
 }
 
-pub(crate) fn encode(parts: &PmiPartsRef<'_>, version: u32) -> Result<Vec<u8>, SnapshotError> {
-    if version != FORMAT_V2 && version != FORMAT_V1 {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let sindex = if version >= FORMAT_V2 {
-        match parts.sindex {
-            Some(s) => Some(s),
-            None => {
-                return Err(SnapshotError::Corrupt(
-                    "cannot encode a v2 snapshot without an S-Index \
-                     (pair the index with its database first)"
-                        .into(),
-                ))
-            }
-        }
-    } else {
-        // v1 predates the S-Index section.
-        None
-    };
-    let mut w = Writer::with_capacity(
-        header_len() + payload_len(parts.graph_salts, parts.features, parts.matrix, sindex),
-    );
+/// Encodes the legacy single-segment layout at format v1 (no S-Index
+/// section).
+pub(crate) fn encode_v1(parts: &V1PartsRef<'_>) -> Vec<u8> {
+    debug_assert_eq!(parts.supports.len(), parts.features.len());
+    let mut w = Writer::with_capacity(header_len() + 256);
     w.bytes(&MAGIC);
-    w.u32(version);
-    w.u64(params_fingerprint_at(parts.params, version));
+    w.u32(FORMAT_V1);
+    w.u64(params_fingerprint_at(parts.params, FORMAT_V1));
     encode_params(&mut w, parts.params);
     w.f64(parts.build_seconds);
     w.u64(parts.churn as u64);
@@ -283,11 +247,11 @@ pub(crate) fn encode(parts: &PmiPartsRef<'_>, version: u32) -> Result<Vec<u8>, S
     }
 
     w.u64(parts.features.len() as u64);
-    for f in parts.features {
-        encode_feature(&mut w, f);
+    for (f, support) in parts.features.iter().zip(parts.supports.iter()) {
+        encode_feature(&mut w, f, support);
     }
 
-    let m = &parts.matrix;
+    let m = parts.matrix;
     w.u64(m.feature_ids().len() as u64);
     for &o in m.offsets() {
         w.u64(o as u64);
@@ -301,14 +265,7 @@ pub(crate) fn encode(parts: &PmiPartsRef<'_>, version: u32) -> Result<Vec<u8>, S
     for &u in m.uppers() {
         w.f64(u);
     }
-
-    if let Some(s) = sindex {
-        w.u64(s.graph_count() as u64);
-        for summary in s.summary_views() {
-            encode_summary(&mut w, summary);
-        }
-    }
-    Ok(w.out)
+    w.out
 }
 
 pub(crate) fn decode(bytes: &[u8]) -> Result<PmiParts, SnapshotError> {
@@ -993,11 +950,11 @@ fn encode_feature_graph(w: &mut Writer, g: &Graph) {
     }
 }
 
-fn encode_feature(w: &mut Writer, f: &Feature) {
+fn encode_feature(w: &mut Writer, f: &Feature, support: &[u32]) {
     encode_feature_graph(w, &f.graph);
-    w.u32(f.support.len() as u32);
-    for &gi in &f.support {
-        w.u32(gi as u32);
+    w.u32(support.len() as u32);
+    for &gi in support {
+        w.u32(gi);
     }
     w.f64(f.frequency);
     w.f64(f.discriminativity);
@@ -1173,23 +1130,30 @@ mod tests {
     use crate::sip_bounds::SipBounds;
     use pgs_graph::model::GraphBuilder;
 
-    fn encode_parts_at(parts: &PmiParts, version: u32) -> Result<Vec<u8>, SnapshotError> {
-        encode(
-            &PmiPartsRef {
-                params: &parts.params,
-                build_seconds: parts.build_seconds,
-                churn: parts.churn,
-                graph_salts: &parts.graph_salts,
-                features: &parts.features,
-                matrix: &parts.matrix,
-                sindex: parts.sindex.as_ref(),
-            },
-            version,
-        )
-    }
+    /// A format-v2 snapshot written by the retired v2 encoder (the golden
+    /// fixture of `tests/snapshot_compat.rs`).
+    const V2_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/pmi_v2.bin");
 
-    fn encode_parts(parts: &PmiParts) -> Vec<u8> {
-        encode_parts_at(parts, FORMAT_V2).unwrap()
+    /// A format-v1 snapshot of the same index.
+    const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/pmi_v1.bin");
+
+    /// Encodes legacy parts (support lists inside the features) as v1.
+    fn encode_parts_v1(parts: &PmiParts) -> Vec<u8> {
+        let supports = FlatVecVec::from_rows(
+            parts
+                .features
+                .iter()
+                .map(|f| f.support.iter().map(|&g| g as u32)),
+        );
+        encode_v1(&V1PartsRef {
+            params: &parts.params,
+            build_seconds: parts.build_seconds,
+            churn: parts.churn,
+            graph_salts: &parts.graph_salts,
+            features: &parts.features,
+            supports: &supports,
+            matrix: &parts.matrix,
+        })
     }
 
     fn sample_parts() -> PmiParts {
@@ -1198,13 +1162,6 @@ mod tests {
             .vertices(&[0, 1])
             .edge(0, 1, 9)
             .build();
-        let g0 = GraphBuilder::new()
-            .name("g0")
-            .vertices(&[0, 1, 2])
-            .edge(0, 1, 9)
-            .edge(1, 2, 9)
-            .build();
-        let g1 = GraphBuilder::new().name("g1").vertices(&[4, 4]).build();
         let mut matrix = SparseMatrix::new();
         matrix.push_column(vec![(
             0,
@@ -1227,25 +1184,16 @@ mod tests {
                 discriminativity: 1.0,
             }],
             matrix,
-            sindex: Some(StructuralIndex::build(&[g0, g1])),
+            sindex: None,
         }
     }
 
     #[test]
-    fn encode_decode_round_trips() {
+    fn v1_snapshots_encode_and_decode_without_an_sindex() {
         let parts = sample_parts();
-        let bytes = encode_parts(&parts);
-        assert_eq!(
-            bytes.len(),
-            header_len()
-                + payload_len(
-                    &parts.graph_salts,
-                    &parts.features,
-                    &parts.matrix,
-                    parts.sindex.as_ref()
-                )
-        );
-        let back = decode(&bytes).unwrap();
+        let v1 = encode_parts_v1(&parts);
+        let back = decode(&v1).unwrap();
+        assert!(back.sindex.is_none());
         assert_eq!(back.build_seconds, parts.build_seconds);
         assert_eq!(back.churn, parts.churn);
         assert_eq!(back.graph_salts, parts.graph_salts);
@@ -1255,22 +1203,6 @@ mod tests {
         assert_eq!(back.features[0].graph.name(), "f0");
         assert_eq!(back.features[0].support, vec![0]);
         assert_eq!(back.features[0].frequency, 0.5);
-        assert_eq!(back.sindex, parts.sindex);
-        assert_eq!(
-            params_fingerprint(&back.params),
-            params_fingerprint(&parts.params)
-        );
-    }
-
-    #[test]
-    fn v1_snapshots_encode_and_decode_without_an_sindex() {
-        let parts = sample_parts();
-        let v1 = encode_parts_at(&parts, FORMAT_V1).unwrap();
-        assert!(v1.len() < encode_parts(&parts).len());
-        let back = decode(&v1).unwrap();
-        assert!(back.sindex.is_none());
-        assert_eq!(back.graph_salts, parts.graph_salts);
-        assert_eq!(back.matrix, parts.matrix);
         // The v1 fingerprint is the v1 formula, not the current one.
         assert_eq!(
             u64::from_le_bytes(v1[12..20].try_into().unwrap()),
@@ -1279,29 +1211,28 @@ mod tests {
     }
 
     #[test]
-    fn encoding_rejects_unknown_versions_and_a_missing_sindex() {
-        let mut parts = sample_parts();
-        assert!(matches!(
-            encode_parts_at(&parts, 7),
-            Err(SnapshotError::UnsupportedVersion(7))
-        ));
-        parts.sindex = None;
-        match encode_parts_at(&parts, FORMAT_V2) {
-            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("S-Index")),
-            other => panic!("expected Corrupt, got {:?}", other.err()),
-        }
-        // ...but v1 encoding works without one.
-        assert!(encode_parts_at(&parts, FORMAT_V1).is_ok());
+    fn v2_fixture_decodes_with_one_summary_per_graph() {
+        let parts = decode(V2_FIXTURE).unwrap();
+        let sindex = parts.sindex.as_ref().expect("v2 carries an S-Index");
+        assert_eq!(sindex.graph_count(), parts.graph_salts.len());
+        assert_eq!(parts.matrix.column_count(), parts.graph_salts.len());
+        // v2 is v1 plus the S-Index section.
+        let v1 = decode(V1_FIXTURE).unwrap();
+        assert_eq!(parts.graph_salts, v1.graph_salts);
+        assert_eq!(parts.matrix, v1.matrix);
+        let sindex_len: usize = sindex.summary_views().map(summary_len).sum();
+        assert_eq!(V2_FIXTURE.len(), V1_FIXTURE.len() + 8 + sindex_len);
     }
 
     #[test]
     fn summary_count_mismatch_is_rejected() {
-        let mut parts = sample_parts();
-        let extra = GraphBuilder::new().vertices(&[0]).build();
-        if let Some(s) = &mut parts.sindex {
-            s.append(&extra);
-        }
-        let bytes = encode_parts(&parts);
+        let parts = decode(V2_FIXTURE).unwrap();
+        let sindex = parts.sindex.as_ref().unwrap();
+        let sindex_len: usize = sindex.summary_views().map(summary_len).sum();
+        // The summary count is the u64 right before the summaries.
+        let pos = V2_FIXTURE.len() - sindex_len - 8;
+        let mut bytes = V2_FIXTURE.to_vec();
+        bytes[pos..pos + 8].copy_from_slice(&(sindex.graph_count() as u64 - 1).to_le_bytes());
         match decode(&bytes) {
             Err(SnapshotError::Corrupt(why)) => assert!(why.contains("summaries")),
             other => panic!("expected Corrupt, got {:?}", other.err()),
@@ -1310,14 +1241,14 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = encode_parts(&sample_parts());
+        let mut bytes = V2_FIXTURE.to_vec();
         bytes[0] ^= 0xFF;
         assert!(matches!(decode(&bytes), Err(SnapshotError::BadMagic)));
     }
 
     #[test]
     fn unsupported_version_is_rejected() {
-        let mut bytes = encode_parts(&sample_parts());
+        let mut bytes = V2_FIXTURE.to_vec();
         bytes[8] = 0xEE;
         match decode(&bytes) {
             Err(SnapshotError::UnsupportedVersion(_)) => {}
@@ -1327,13 +1258,14 @@ mod tests {
 
     #[test]
     fn truncation_is_rejected_everywhere() {
-        let bytes = encode_parts(&sample_parts());
-        for cut in 0..bytes.len() {
-            let err = decode(&bytes[..cut]).err().expect("truncation must fail");
-            assert!(
-                matches!(err, SnapshotError::Corrupt(_) | SnapshotError::BadMagic),
-                "cut at {cut}: unexpected error {err:?}"
-            );
+        for bytes in [V1_FIXTURE, V2_FIXTURE] {
+            for cut in 0..bytes.len() {
+                let err = decode(&bytes[..cut]).err().expect("truncation must fail");
+                assert!(
+                    matches!(err, SnapshotError::Corrupt(_) | SnapshotError::BadMagic),
+                    "cut at {cut}: unexpected error {err:?}"
+                );
+            }
         }
     }
 
@@ -1374,7 +1306,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_rejected() {
-        let mut bytes = encode_parts(&sample_parts());
+        let mut bytes = V2_FIXTURE.to_vec();
         // Flip a bit inside the stored parameters (after magic+version+fprint).
         let off = 8 + 4 + 8 + 2;
         bytes[off] ^= 0x01;

@@ -28,8 +28,8 @@ pub mod structural;
 pub mod verify;
 
 pub use pipeline::{
-    default_query_threads, default_shards, BatchResult, EngineConfig, EngineLoadError,
-    ExactScanConfig, IndexMismatch, PhaseStats, QueryEngine, QueryError, QueryParams, QueryResult,
+    BatchResult, EngineConfig, EngineLoadError, ExactScanConfig, IndexMismatch, PhaseStats,
+    QueryEngine, QueryError, QueryParams, QueryResult,
 };
 pub use prune::{
     probabilistic_prune, prune_candidate, BoundInstance, CrossTermRule, PruneDecision, PruneOutcome,

@@ -182,31 +182,10 @@ impl Default for EngineConfig {
             exact: ExactScanConfig::default(),
             cross_term: CrossTermRule::SafeMin,
             seed: 0xC0FFEE,
-            threads: default_query_threads(),
-            shards: default_shards(),
+            threads: 0,
+            shards: 1,
         }
     }
-}
-
-/// Default for [`EngineConfig::threads`]: the `PGS_QUERY_THREADS` environment
-/// variable when set (CI uses it to run the whole test suite at a pinned
-/// thread count), otherwise `0` (automatic).
-pub fn default_query_threads() -> usize {
-    std::env::var("PGS_QUERY_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Default for [`EngineConfig::shards`]: the `PGS_SHARDS` environment
-/// variable when set to a valid count in `1..=MAX_SHARDS` (CI uses it to run
-/// the whole suite sharded), otherwise `1` (the classic unsharded index).
-pub fn default_shards() -> usize {
-    std::env::var("PGS_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| (1..=MAX_SHARDS).contains(&s))
-        .unwrap_or(1)
 }
 
 /// Per-query parameters (the user-facing knobs of a T-PS query).

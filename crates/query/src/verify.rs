@@ -55,9 +55,8 @@ pub struct VerifyOptions {
     /// its running confidence interval has separated from the decision
     /// threshold (DESIGN.md §16).  Off, every sampled candidate draws the
     /// full `mc.num_samples()` budget — the fixed-budget baseline path.
-    /// Defaults from [`default_adaptive`]; decisions stay within the
-    /// `(τ, ξ)` accuracy band and byte-identical across thread counts
-    /// either way.
+    /// On by default; decisions stay within the `(τ, ξ)` accuracy band and
+    /// byte-identical across thread counts either way.
     pub adaptive: bool,
 }
 
@@ -67,20 +66,9 @@ impl Default for VerifyOptions {
             mc: MonteCarloConfig::default(),
             max_embeddings: 256,
             exact_cutoff: 12,
-            adaptive: default_adaptive(),
+            adaptive: true,
         }
     }
-}
-
-/// Default for [`VerifyOptions::adaptive`]: disabled when the `PGS_ADAPTIVE`
-/// environment variable is set to `0`, `false` or `off` (CI uses it to pin
-/// the fixed-budget baseline path over the whole test suite), otherwise
-/// enabled.
-pub fn default_adaptive() -> bool {
-    !matches!(
-        std::env::var("PGS_ADAPTIVE").as_deref(),
-        Ok("0") | Ok("false") | Ok("off")
-    )
 }
 
 impl VerifyOptions {

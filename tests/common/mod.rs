@@ -1,0 +1,81 @@
+//! Helpers shared by the integration suites: the frozen database behind the
+//! golden legacy snapshots `tests/fixtures/pmi_v1.bin` and `pmi_v2.bin`, and
+//! a counters-only view of `PhaseStats`.  Each suite uses a subset.
+
+#![allow(dead_code)]
+
+use pgs::prelude::*;
+use pgs_index::pmi::PmiBuildParams;
+use pgs_index::sip_bounds::BoundsConfig;
+use pgs_query::pipeline::PhaseStats;
+
+/// Format-v1 (pre-S-Index) snapshot of the fixture database's index.
+pub const PMI_V1: &[u8] = include_bytes!("../fixtures/pmi_v1.bin");
+
+/// Format-v2 (single segment + S-Index) snapshot of the same index.
+pub const PMI_V2: &[u8] = include_bytes!("../fixtures/pmi_v2.bin");
+
+/// The frozen configuration the fixtures were generated with.  Everything is
+/// pinned explicitly so drifting library defaults cannot silently change what
+/// the fixtures mean.
+pub fn fixture_config() -> EngineConfig {
+    EngineConfig {
+        pmi: PmiBuildParams {
+            features: pgs_index::feature::FeatureSelectionParams {
+                max_l: 3,
+                alpha: 0.15,
+                beta: 0.15,
+                gamma: 0.15,
+                max_features: 12,
+                max_embeddings: 8,
+            },
+            bounds: BoundsConfig::default(),
+            threads: 1,
+            seed: 0xF1C5,
+        },
+        seed: 0xF1C5,
+        threads: 1,
+        shards: 1,
+        ..EngineConfig::default()
+    }
+}
+
+/// The frozen fixture database: eight small deterministic graphs.
+pub fn fixture_graphs() -> Vec<ProbabilisticGraph> {
+    (0..8u32)
+        .map(|i| {
+            let mut b = GraphBuilder::new()
+                .name(format!("fixture-{i}"))
+                .vertices(&[i % 3, (i + 1) % 3, (i + 2) % 3, i % 2])
+                .edge(0, 1, 0)
+                .edge(1, 2, 0)
+                .edge(2, 3, 1);
+            if i % 2 == 0 {
+                b = b.edge(0, 2, 1);
+            }
+            let skeleton = b.build();
+            let probs: Vec<f64> = (0..skeleton.edge_count())
+                .map(|e| 0.25 + 0.08 * ((i as usize + e) % 9) as f64)
+                .collect();
+            ProbabilisticGraph::independent(skeleton, &probs).unwrap()
+        })
+        .collect()
+}
+
+/// The query the fixture workload asks.
+pub fn fixture_query() -> Graph {
+    GraphBuilder::new()
+        .vertices(&[0, 1, 2])
+        .edge(0, 1, 0)
+        .edge(1, 2, 0)
+        .build()
+}
+
+/// Strips the wall-clock fields so two `PhaseStats` can be compared on work
+/// counters alone (timings legitimately differ run to run).
+pub fn counters_only(mut stats: PhaseStats) -> PhaseStats {
+    stats.structural_seconds = 0.0;
+    stats.probabilistic_seconds = 0.0;
+    stats.verification_seconds = 0.0;
+    stats
+}

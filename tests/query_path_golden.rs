@@ -16,10 +16,9 @@
 //!   with all 13 deterministic counters, across shards {1, 8} × adaptive
 //!   stopping {on, off} × a mostly-exact and a forced-sampling verifier.
 //!
-//! The shard count and the adaptive switch are pinned explicitly (the
-//! `PGS_SHARDS`/`PGS_ADAPTIVE` CI modes cannot change what the file means);
-//! the thread count is left at its environment default, because every line
-//! is thread-count invariant — so each CI thread mode re-checks the same
+//! The engine's thread count is not part of the file: every line is
+//! thread-count invariant, so the test renders the workload at query
+//! threads {1, 0 = automatic, 4} and checks each rendering against the same
 //! file.
 
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
@@ -176,7 +175,12 @@ fn ppi_workload() -> (Vec<ProbabilisticGraph>, Vec<Graph>) {
     (ds.graphs, queries)
 }
 
-fn engine_config(shards: usize, adaptive: bool, exact_cutoff: usize) -> EngineConfig {
+fn engine_config(
+    threads: usize,
+    shards: usize,
+    adaptive: bool,
+    exact_cutoff: usize,
+) -> EngineConfig {
     EngineConfig {
         pmi: PmiBuildParams {
             features: FeatureSelectionParams {
@@ -200,6 +204,7 @@ fn engine_config(shards: usize, adaptive: bool, exact_cutoff: usize) -> EngineCo
             adaptive,
         },
         seed: 0x601D,
+        threads,
         shards,
         ..EngineConfig::default()
     }
@@ -312,19 +317,20 @@ fn render_engine(out: &mut String, tag: &str, engine: &QueryEngine, queries: &[G
     .unwrap();
 }
 
-/// Renders the complete observable behaviour the fixture pins.
-fn render_workload() -> String {
+/// Renders the complete observable behaviour the fixture pins, running the
+/// engines at `threads` query threads.
+fn render_workload(threads: usize) -> String {
     let mut out = String::new();
     render_verification(&mut out);
     let (graphs, queries) = ppi_workload();
     for shards in [1usize, 8] {
-        let built = QueryEngine::build(graphs.clone(), engine_config(shards, true, 12));
+        let built = QueryEngine::build(graphs.clone(), engine_config(threads, shards, true, 12));
         for exact_cutoff in [12usize, 0] {
             for adaptive in [true, false] {
                 let engine = QueryEngine::from_parts(
                     graphs.clone(),
                     built.pmi().clone(),
-                    engine_config(shards, adaptive, exact_cutoff),
+                    engine_config(threads, shards, adaptive, exact_cutoff),
                 )
                 .unwrap();
                 let tag = format!("shards={shards} cutoff={exact_cutoff} adaptive={adaptive}");
@@ -339,15 +345,22 @@ fn render_workload() -> String {
 fn query_path_matches_the_golden_file() {
     let golden = std::fs::read_to_string(fixture_path(FIXTURE))
         .expect("golden fixture query_path_expected.txt");
-    let now = render_workload();
-    for (i, (a, b)) in now.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(a, b, "line {} diverged from the golden file", i + 1);
+    for threads in [1usize, 0, 4] {
+        let now = render_workload(threads);
+        for (i, (a, b)) in now.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(
+                a,
+                b,
+                "threads = {threads}: line {} diverged from the golden file",
+                i + 1
+            );
+        }
+        assert_eq!(now.lines().count(), golden.lines().count());
     }
-    assert_eq!(now.lines().count(), golden.lines().count());
 }
 
 #[test]
 #[ignore = "writes tests/fixtures/query_path_expected.txt; run only to re-pin the golden file"]
 fn generate_query_path_fixture() {
-    std::fs::write(fixture_path(FIXTURE), render_workload()).unwrap();
+    std::fs::write(fixture_path(FIXTURE), render_workload(0)).unwrap();
 }

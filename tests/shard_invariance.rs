@@ -2,11 +2,17 @@
 //! queries, a sharded engine must be *observationally identical* to the
 //! 1-shard engine — same answers, same per-phase statistics, and the same
 //! behaviour under incremental `append_graph` / `remove_graph` churn — at
-//! every `(shards, threads)` combination.
+//! every `(shards, threads)` combination, with adaptive early stopping on
+//! and off.  Sample counters legitimately differ between the two stopping
+//! modes, so each mode is compared with its own shards-1/threads-1 engine.
 
+mod common;
+
+use common::counters_only;
 use pgs::prelude::*;
+use pgs_index::pmi::Pmi;
 use pgs_prob::neighbor::partition_with_triangles;
-use pgs_query::pipeline::{PhaseStats, QueryEngine};
+use pgs_query::pipeline::QueryEngine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,26 +68,22 @@ fn arb_probabilistic_graph() -> impl Strategy<Value = ProbabilisticGraph> {
         })
 }
 
-fn engine_config(shards: usize, threads: usize) -> EngineConfig {
-    EngineConfig {
+fn engine_config(shards: usize, threads: usize, adaptive: bool) -> EngineConfig {
+    let mut config = EngineConfig {
         shards,
         threads,
         seed: 0x5EED,
         ..EngineConfig::default()
-    }
+    };
+    config.verify.adaptive = adaptive;
+    config
 }
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
-const THREAD_COUNTS: [usize; 2] = [1, 0];
-
-/// Strips the wall-clock fields so two `PhaseStats` can be compared on work
-/// counters alone (timings legitimately differ run to run).
-fn counters_only(mut stats: PhaseStats) -> PhaseStats {
-    stats.structural_seconds = 0.0;
-    stats.probabilistic_seconds = 0.0;
-    stats.verification_seconds = 0.0;
-    stats
-}
+/// Sequential, automatic, and four pool workers (so the pool really
+/// dispatches even on a small host).
+const THREAD_COUNTS: [usize; 3] = [1, 0, 4];
+const ADAPTIVE_MODES: [bool; 2] = [true, false];
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -91,8 +93,8 @@ proptest! {
     })]
 
     /// Answers *and* every per-phase counter are identical across every
-    /// `(shards, threads)` combination, for both the indexed pipeline and the
-    /// exact scan baseline.
+    /// `(shards, threads)` combination in each stopping mode, for both the
+    /// indexed pipeline and the exact scan baseline.
     #[test]
     fn sharded_engines_are_observationally_identical(
         graphs in proptest::collection::vec(arb_probabilistic_graph(), 4..9),
@@ -115,33 +117,39 @@ proptest! {
             variant: PruningVariant::OptSspBound,
         };
 
-        let reference = QueryEngine::build(graphs.clone(), engine_config(1, 1));
-        let want = reference.query(&q, &params).unwrap();
-        let want_scan = reference.exact_scan(&q, &params).unwrap();
-        for shards in SHARD_COUNTS {
-            for threads in THREAD_COUNTS {
-                let engine = QueryEngine::build(graphs.clone(), engine_config(shards, threads));
-                let got = engine.query(&q, &params).unwrap();
-                prop_assert_eq!(
-                    &got.answers, &want.answers,
-                    "answers diverged at shards = {}, threads = {}", shards, threads
-                );
-                prop_assert_eq!(
-                    counters_only(got.stats), counters_only(want.stats),
-                    "phase stats diverged at shards = {}, threads = {}", shards, threads
-                );
-                let scan = engine.exact_scan(&q, &params).unwrap();
-                prop_assert_eq!(
-                    &scan.answers, &want_scan.answers,
-                    "exact scan diverged at shards = {}, threads = {}", shards, threads
-                );
+        for adaptive in ADAPTIVE_MODES {
+            let reference = QueryEngine::build(graphs.clone(), engine_config(1, 1, adaptive));
+            let want = reference.query(&q, &params).unwrap();
+            let want_scan = reference.exact_scan(&q, &params).unwrap();
+            for shards in SHARD_COUNTS {
+                for threads in THREAD_COUNTS {
+                    let engine = QueryEngine::build(
+                        graphs.clone(),
+                        engine_config(shards, threads, adaptive),
+                    );
+                    let got = engine.query(&q, &params).unwrap();
+                    let at = format!(
+                        "shards = {shards}, threads = {threads}, adaptive = {adaptive}"
+                    );
+                    prop_assert_eq!(&got.answers, &want.answers, "answers diverged at {}", at);
+                    prop_assert_eq!(
+                        counters_only(got.stats), counters_only(want.stats),
+                        "phase stats diverged at {}", at
+                    );
+                    let scan = engine.exact_scan(&q, &params).unwrap();
+                    prop_assert_eq!(
+                        &scan.answers, &want_scan.answers,
+                        "exact scan diverged at {}", at
+                    );
+                }
             }
         }
     }
 
     /// Incremental churn (append one graph, remove one graph) leaves a
     /// sharded engine identical to the 1-shard engine that saw the same
-    /// mutation sequence.
+    /// mutation sequence, and its snapshot reloads to an engine that still
+    /// agrees.
     #[test]
     fn incremental_churn_is_shard_invariant(
         graphs in proptest::collection::vec(arb_probabilistic_graph(), 4..8),
@@ -165,30 +173,46 @@ proptest! {
             variant: PruningVariant::OptSspBound,
         };
 
-        let mut reference = QueryEngine::build(graphs.clone(), engine_config(1, 1));
-        reference.insert_graph(extra.clone());
-        reference.remove_graph(remove_at).unwrap();
-        let want = reference.query(&q, &params).unwrap();
-        for shards in SHARD_COUNTS {
-            for threads in THREAD_COUNTS {
-                let mut engine =
-                    QueryEngine::build(graphs.clone(), engine_config(shards, threads));
-                engine.insert_graph(extra.clone());
-                engine.remove_graph(remove_at).unwrap();
-                let got = engine.query(&q, &params).unwrap();
-                prop_assert_eq!(
-                    &got.answers, &want.answers,
-                    "post-churn answers diverged at shards = {}, threads = {}", shards, threads
-                );
-                prop_assert_eq!(
-                    counters_only(got.stats), counters_only(want.stats),
-                    "post-churn stats diverged at shards = {}, threads = {}", shards, threads
-                );
-                // The sharded snapshot of the mutated index round-trips and the
-                // reloaded engine still agrees.
-                let bytes = engine.pmi().to_bytes();
-                let reloaded = pgs_index::pmi::Pmi::from_bytes(&bytes).unwrap();
-                prop_assert_eq!(reloaded.graph_count(), engine.pmi().graph_count());
+        for adaptive in ADAPTIVE_MODES {
+            let mut reference =
+                QueryEngine::build(graphs.clone(), engine_config(1, 1, adaptive));
+            reference.insert_graph(extra.clone());
+            reference.remove_graph(remove_at).unwrap();
+            let want = reference.query(&q, &params).unwrap();
+            for shards in SHARD_COUNTS {
+                for threads in THREAD_COUNTS {
+                    let config = engine_config(shards, threads, adaptive);
+                    let mut engine = QueryEngine::build(graphs.clone(), config);
+                    engine.insert_graph(extra.clone());
+                    engine.remove_graph(remove_at).unwrap();
+                    let got = engine.query(&q, &params).unwrap();
+                    let at = format!(
+                        "shards = {shards}, threads = {threads}, adaptive = {adaptive}"
+                    );
+                    prop_assert_eq!(
+                        &got.answers, &want.answers,
+                        "post-churn answers diverged at {}", at
+                    );
+                    prop_assert_eq!(
+                        counters_only(got.stats), counters_only(want.stats),
+                        "post-churn stats diverged at {}", at
+                    );
+                    // The snapshot of the mutated index, paired with the
+                    // mutated database, answers like the mutated engine.
+                    let reloaded = Pmi::from_bytes(&engine.pmi().to_bytes()).unwrap();
+                    prop_assert_eq!(reloaded.shard_count(), shards);
+                    let paired =
+                        QueryEngine::from_parts(engine.db().to_vec(), reloaded, config).unwrap();
+                    let again = paired.query(&q, &params).unwrap();
+                    prop_assert_eq!(
+                        &again.answers, &want.answers,
+                        "reloaded answers diverged at {}", at
+                    );
+                    prop_assert_eq!(
+                        counters_only(again.stats), counters_only(want.stats),
+                        "reloaded stats diverged at {}", at
+                    );
+                }
             }
         }
     }

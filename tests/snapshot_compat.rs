@@ -3,101 +3,28 @@
 //! decoding — and answering queries identically to a fresh build — no matter
 //! how the current on-disk format (v3, sharded segments) evolves.
 //!
-//! The fixtures were produced by the `#[ignore]`d `generate_golden_fixtures`
-//! test below; rerun it with
-//! `cargo test --test snapshot_compat -- --ignored` only when the *legacy*
-//! encoders change deliberately (they should not).
+//! The fixtures are frozen: the v2 encoder that wrote `pmi_v2.bin` no longer
+//! exists, and v1 is only written back for an index decoded from v1 and never
+//! paired with its database.
 
+mod common;
+
+use common::{fixture_config, fixture_graphs, fixture_query, PMI_V1, PMI_V2};
 use pgs::prelude::*;
-use pgs_index::pmi::{Pmi, PmiBuildParams};
-use pgs_index::sip_bounds::BoundsConfig;
-use pgs_index::{FORMAT_V1, FORMAT_V2};
+use pgs_index::pmi::Pmi;
+use pgs_index::FORMAT_VERSION;
 use pgs_query::pipeline::QueryEngine;
-use std::path::PathBuf;
 
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
-
-/// The frozen configuration the fixtures were generated with.  Everything is
-/// pinned explicitly so drifting library defaults cannot silently change what
-/// the fixtures mean.
-fn fixture_config() -> EngineConfig {
-    EngineConfig {
-        pmi: PmiBuildParams {
-            features: pgs_index::feature::FeatureSelectionParams {
-                max_l: 3,
-                alpha: 0.15,
-                beta: 0.15,
-                gamma: 0.15,
-                max_features: 12,
-                max_embeddings: 8,
-            },
-            bounds: BoundsConfig::default(),
-            threads: 1,
-            seed: 0xF1C5,
-        },
-        seed: 0xF1C5,
-        threads: 1,
-        shards: 1,
-        ..EngineConfig::default()
-    }
-}
-
-/// The frozen fixture database: eight small deterministic graphs.
-fn fixture_graphs() -> Vec<ProbabilisticGraph> {
-    (0..8u32)
-        .map(|i| {
-            let mut b = GraphBuilder::new()
-                .name(format!("fixture-{i}"))
-                .vertices(&[i % 3, (i + 1) % 3, (i + 2) % 3, i % 2])
-                .edge(0, 1, 0)
-                .edge(1, 2, 0)
-                .edge(2, 3, 1);
-            if i % 2 == 0 {
-                b = b.edge(0, 2, 1);
-            }
-            let skeleton = b.build();
-            let probs: Vec<f64> = (0..skeleton.edge_count())
-                .map(|e| 0.25 + 0.08 * ((i as usize + e) % 9) as f64)
-                .collect();
-            ProbabilisticGraph::independent(skeleton, &probs).unwrap()
-        })
-        .collect()
-}
-
-fn fixture_query() -> Graph {
-    GraphBuilder::new()
-        .vertices(&[0, 1, 2])
-        .edge(0, 1, 0)
-        .edge(1, 2, 0)
-        .build()
-}
-
-/// Decodes a golden fixture, checks it answers identically to a fresh build,
-/// and checks the legacy re-encoding reproduces the fixture bytes exactly.
-fn check_fixture(name: &str, version: u32) {
-    let bytes = std::fs::read(fixture_path(name))
-        .unwrap_or_else(|e| panic!("missing golden fixture {name}: {e}"));
-    let pmi = Pmi::from_bytes(&bytes).expect("golden fixture must keep decoding");
+/// Decodes a golden fixture and checks it answers identically to a fresh
+/// build; returns the decoded (unpaired) index.
+fn check_fixture(name: &str, bytes: &[u8]) -> Pmi {
+    let pmi = Pmi::from_bytes(bytes).expect("golden fixture must keep decoding");
     assert_eq!(pmi.graph_count(), 8);
 
-    // Byte-exact round trip through the legacy encoder.
-    let reencoded = pmi
-        .to_bytes_versioned(version)
-        .expect("legacy re-encode of a legacy snapshot");
-    assert_eq!(
-        reencoded, bytes,
-        "{name}: legacy re-encode diverged from the golden bytes"
-    );
-
-    // The loaded index answers exactly like a fresh build.
     let graphs = fixture_graphs();
     let fresh = QueryEngine::build(graphs.clone(), fixture_config());
-    let loaded =
-        QueryEngine::from_parts(graphs, pmi, fixture_config()).expect("pairing the fixture index");
+    let loaded = QueryEngine::from_parts(graphs, pmi.clone(), fixture_config())
+        .expect("pairing the fixture index");
     let params = QueryParams {
         epsilon: 0.2,
         delta: 1,
@@ -111,16 +38,33 @@ fn check_fixture(name: &str, version: u32) {
         !want.answers.is_empty(),
         "fixture workload must be non-trivial"
     );
+    pmi
 }
 
 #[test]
 fn golden_v1_snapshot_still_round_trips() {
-    check_fixture("pmi_v1.bin", FORMAT_V1);
+    let pmi = check_fixture("pmi_v1.bin", PMI_V1);
+    // Unpaired, the v1 decode has no S-Index, so it re-saves as v1 — byte
+    // for byte the golden file.
+    assert!(pmi.sindex().is_none());
+    assert_eq!(
+        pmi.to_bytes(),
+        PMI_V1,
+        "v1 re-encode diverged from the golden bytes"
+    );
 }
 
 #[test]
 fn golden_v2_snapshot_still_round_trips() {
-    check_fixture("pmi_v2.bin", FORMAT_V2);
+    let pmi = check_fixture("pmi_v2.bin", PMI_V2);
+    // The v2 decode carries its S-Index, so it re-saves in the current
+    // format, which reloads to the same index.
+    let resaved = pmi.to_bytes();
+    assert_eq!(resaved[8..12], FORMAT_VERSION.to_le_bytes());
+    let back = Pmi::from_bytes(&resaved).unwrap();
+    assert_eq!(back.sindex(), pmi.sindex());
+    assert_eq!(back.stats(), pmi.stats());
+    assert_eq!(back.to_bytes(), resaved);
 }
 
 /// A v3 save of the same index loads back and still matches the fixtures'
@@ -142,17 +86,4 @@ fn v3_save_of_the_fixture_database_agrees_with_the_golden_formats() {
         loaded.query(&q, &params).unwrap().answers,
         engine.query(&q, &params).unwrap().answers
     );
-}
-
-/// Regenerates the golden fixtures.  Ignored: run manually only when the
-/// legacy v1/v2 encoders change on purpose, and commit the new files.
-#[test]
-#[ignore = "writes tests/fixtures/*.bin; run manually"]
-fn generate_golden_fixtures() {
-    let engine = QueryEngine::build(fixture_graphs(), fixture_config());
-    std::fs::create_dir_all(fixture_path("")).unwrap();
-    for (name, version) in [("pmi_v1.bin", FORMAT_V1), ("pmi_v2.bin", FORMAT_V2)] {
-        let bytes = engine.pmi().to_bytes_versioned(version).unwrap();
-        std::fs::write(fixture_path(name), bytes).unwrap();
-    }
 }
