@@ -5,16 +5,12 @@
 //!
 //! ```text
 //! cargo run --release -p pgs-bench --bin experiments -- [fig9|…|fig14|all] [--scale tiny|small|medium|paper]
-//! cargo run --release -p pgs-bench --bin experiments -- index-save|index-load|index-open <path>
-//! cargo run --release -p pgs-bench --bin experiments -- bench-shard
+//! cargo run --release -p pgs-bench --bin experiments -- index-save|index-load <path>
 //! ```
 //!
-//! With no command every figure runs.  `index-save`, `index-load` and
-//! `index-open` print the answers of a fixed workload after building and
-//! saving, eagerly loading, or lazily opening an index snapshot; the three
-//! outputs must be byte-identical across processes.  `bench-shard` times the
-//! header-only snapshot open against a full load at 10k/100k skeletons and
-//! 1 vs 8 shards, and writes `BENCH_shard.json`.
+//! With no command every figure runs.  `index-save` and `index-load` print
+//! the answers of a fixed workload after building and saving, or loading, an
+//! index snapshot; the two outputs must be byte-identical across processes.
 //!
 //! End-to-end latency, throughput and per-layer costs are measured by the
 //! benchmark in `perfbench/`, not here.  Absolute numbers differ from the
@@ -25,8 +21,7 @@
 use pgs_bench::{bench_engine_config, bench_feature_params, build_setup_with, format_row};
 use pgs_datagen::ppi::{generate_ppi_dataset, CorrelationModel, PpiDatasetConfig};
 use pgs_datagen::queries::{generate_query_workload, QueryWorkloadConfig};
-use pgs_datagen::scenarios::{bulk_skeletons, paper_scale, DatasetScale};
-use pgs_index::feature::FeatureSelectionParams;
+use pgs_datagen::scenarios::{paper_scale, DatasetScale};
 use pgs_index::pmi::{Pmi, PmiBuildParams};
 use pgs_index::sip_bounds::BoundsConfig;
 use pgs_prob::independent::to_independent_model;
@@ -44,7 +39,6 @@ fn main() {
         .filter(|a| a.starts_with("fig"))
         .map(|a| a.as_str())
         .collect();
-    let bench_shard_requested = args.iter().any(|a| a == "bench-shard");
     let arg_after = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -53,12 +47,7 @@ fn main() {
     };
     let index_save_path = arg_after("index-save");
     let index_load_path = arg_after("index-load");
-    let index_open_path = arg_after("index-open");
-    let run_all = (figures.is_empty()
-        && !bench_shard_requested
-        && index_save_path.is_none()
-        && index_load_path.is_none()
-        && index_open_path.is_none())
+    let run_all = (figures.is_empty() && index_save_path.is_none() && index_load_path.is_none())
         || figures.contains(&"all");
     let wants = |f: &str| run_all || figures.contains(&f);
 
@@ -83,17 +72,11 @@ fn main() {
     if wants("fig14") {
         figure_14(scale);
     }
-    if bench_shard_requested {
-        bench_shard();
-    }
     if let Some(path) = index_save_path {
         index_save(&path);
     }
     if let Some(path) = index_load_path {
         index_load(&path);
-    }
-    if let Some(path) = index_open_path {
-        index_open(&path);
     }
 }
 
@@ -126,13 +109,7 @@ fn index_roundtrip_setup() -> (
     .into_iter()
     .map(|wq| wq.graph)
     .collect();
-    // Three shards so the cross-process diff exercises the sharded v3
-    // snapshot layout, not just the single-shard degenerate case.
-    let config = EngineConfig {
-        shards: 3,
-        ..bench_engine_config(0xFEED)
-    };
-    (dataset.graphs, queries, config)
+    (dataset.graphs, queries, bench_engine_config(0xFEED))
 }
 
 /// Prints the answer set of every `(query, variant)` pair in a stable format.
@@ -174,272 +151,6 @@ fn index_load(path: &str) {
     let engine = QueryEngine::with_index(graphs, path, config)
         .expect("loading the index snapshot against the same database");
     print_answer_lines(&engine, &queries);
-}
-
-/// `index-open <path>`: like `index-load`, but through the lazy header-only
-/// [`QueryEngine::open_index`] path — shard segments materialize from disk on
-/// first touch while the queries run.  The output must be byte-identical to
-/// both the `index-save` and the `index-load` runs.
-fn index_open(path: &str) {
-    let (graphs, queries, config) = index_roundtrip_setup();
-    let engine = QueryEngine::open_index(graphs, path, config)
-        .expect("opening the index snapshot against the same database");
-    assert_eq!(
-        engine.pmi().materialized_shards(),
-        0,
-        "open must defer every segment until the first query touches it"
-    );
-    print_answer_lines(&engine, &queries);
-}
-
-/// Sharded-snapshot benchmark: header-only
-/// `Pmi::open` vs full `Pmi::load` at 10k and 100k bulk skeletons, plus
-/// end-to-end queries/sec at 1 vs 8 shards, recorded in `BENCH_shard.json`.
-/// Before anything is timed, the lazily-opened engine's answers are asserted
-/// byte-identical to the engine that built the index.
-fn bench_shard() {
-    use pgs_graph::model::GraphBuilder;
-    println!("## bench-shard — v3 header-only open vs full load, 1 vs 8 shards");
-    // Lean mining parameters: the corpus exercises snapshot *volume* (one PMI
-    // column and one structural summary per graph), not feature quality, so
-    // keep per-cell work minimal to make 100k graphs practical.
-    let lean_config = EngineConfig {
-        pmi: PmiBuildParams {
-            features: FeatureSelectionParams {
-                max_l: 2,
-                max_features: 8,
-                max_embeddings: 8,
-                ..bench_feature_params()
-            },
-            bounds: BoundsConfig {
-                max_embeddings: 8,
-                max_cuts: 16,
-                ..BoundsConfig::default()
-            },
-            threads: 0,
-            seed: 0x5A4D,
-        },
-        ..bench_engine_config(0x5A4D)
-    };
-    // Short label-alphabet path queries matching the `bulk_skeletons` alphabet
-    // (vertex labels 0..5, edge labels 0..2).
-    let queries: Vec<pgs_graph::model::Graph> = (0..16u32)
-        .map(|i| {
-            GraphBuilder::new()
-                .vertices(&[i % 5, (i + 1) % 5, (i + 2) % 5])
-                .edge(0, 1, i % 2)
-                .edge(1, 2, (i + 1) % 2)
-                .build()
-        })
-        .collect();
-    let params = QueryParams {
-        epsilon: 0.1,
-        delta: 1,
-        variant: PruningVariant::OptSspBound,
-    };
-
-    println!(
-        "{}",
-        format_row(
-            "|D|",
-            &[
-                "build (s)".into(),
-                "load (s)".into(),
-                "open (s)".into(),
-                "open speedup".into(),
-            ]
-        )
-    );
-    let mut entries: Vec<String> = Vec::new();
-    for &count in &[10_000usize, 100_000] {
-        let graphs = bulk_skeletons(count, 0xB17);
-        let t = Instant::now();
-        let engine = QueryEngine::build(
-            graphs.clone(),
-            EngineConfig {
-                shards: 8,
-                ..lean_config
-            },
-        );
-        let build_seconds = t.elapsed().as_secs_f64();
-        let path = std::env::temp_dir().join(format!(
-            "pgs-bench-shard-{count}-{}.pmi",
-            std::process::id()
-        ));
-        let t = Instant::now();
-        engine.pmi().save(&path).expect("saving the sharded index");
-        let save_seconds = t.elapsed().as_secs_f64();
-        let snapshot_bytes = std::fs::metadata(&path).expect("snapshot metadata").len() as usize;
-
-        // Correctness before timing: the lazily-opened engine must answer
-        // byte-identically to the engine that built the index.
-        let opened = QueryEngine::open_index(graphs.clone(), &path, lean_config)
-            .expect("opening the sharded snapshot");
-        assert_eq!(
-            opened.pmi().materialized_shards(),
-            0,
-            "open must not materialize any segment"
-        );
-        let identical = queries.iter().all(|q| {
-            opened.query(q, &params).unwrap().answers == engine.query(q, &params).unwrap().answers
-        });
-        assert!(identical, "lazily-opened answers diverged from the build");
-
-        // Full load (every segment decoded eagerly): best of 3.
-        let mut load_seconds = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            std::hint::black_box(Pmi::load(&path).expect("loading the snapshot"));
-            load_seconds = load_seconds.min(t.elapsed().as_secs_f64());
-        }
-        // Header-only open: best of 10 (it is microsecond-scale).
-        let mut open_seconds = f64::INFINITY;
-        for _ in 0..10 {
-            let t = Instant::now();
-            std::hint::black_box(Pmi::open(&path).expect("opening the snapshot head"));
-            open_seconds = open_seconds.min(t.elapsed().as_secs_f64());
-        }
-        std::fs::remove_file(&path).ok();
-        let speedup = load_seconds / open_seconds.max(1e-12);
-        println!(
-            "{}",
-            format_row(
-                &format!("|D| = {count}"),
-                &[
-                    format!("{build_seconds:.2}s"),
-                    format!("{load_seconds:.4}s"),
-                    format!("{open_seconds:.6}s"),
-                    format!("{speedup:.0}x"),
-                ]
-            )
-        );
-        entries.push(format!(
-            "    {{ \"graphs\": {count}, \"snapshot_bytes\": {snapshot_bytes}, \
-             \"build_seconds\": {build_seconds:.6}, \"save_seconds\": {save_seconds:.6}, \
-             \"load_seconds\": {load_seconds:.6}, \"open_seconds\": {open_seconds:.6}, \
-             \"open_speedup_vs_load\": {speedup:.1}, \"answers_identical\": {identical} }}"
-        ));
-    }
-
-    // End-to-end throughput, 1 vs 8 shards on the 10k corpus.  Answers are
-    // byte-identical at any shard count, so only the fan-out shape changes.
-    let graphs = bulk_skeletons(10_000, 0xB17);
-    let one = QueryEngine::build(
-        graphs.clone(),
-        EngineConfig {
-            shards: 1,
-            ..lean_config
-        },
-    );
-    let eight = QueryEngine::build(
-        graphs,
-        EngineConfig {
-            shards: 8,
-            ..lean_config
-        },
-    );
-    // Each engine is measured warm over consecutive batches (a production
-    // engine answers its workload resident, not interleaved with a second
-    // 10k-graph engine evicting its cache); answers are still cross-checked
-    // between the two.
-    let reference = one.query_batch(&queries, &params).unwrap();
-    // Warm alternating rounds: a production engine answers its workload
-    // resident, so each engine is measured over consecutive batches with its
-    // working set warm (two warm-up batches re-establish it after the other
-    // engine ran).  The container's background load drifts by several percent
-    // over a measurement loop, so a single warm loop per engine turns that
-    // drift into a fake shard-count effect — instead the engines alternate
-    // *rounds* of warm batches and keep their best across all rounds.  One
-    // pass feeds both the throughput line and the per-phase breakdown, so
-    // the two sections cannot disagree about the same workload.
-    struct Best {
-        wall: f64,
-        phases: [f64; 3],
-        identical: bool,
-    }
-    let mut best = [
-        Best {
-            wall: f64::INFINITY,
-            phases: [f64::INFINITY; 3],
-            identical: true,
-        },
-        Best {
-            wall: f64::INFINITY,
-            phases: [f64::INFINITY; 3],
-            identical: true,
-        },
-    ];
-    for _round in 0..3 {
-        for (engine, best) in [&eight, &one].into_iter().zip(&mut best) {
-            for _ in 0..2 {
-                let _ = engine.query_batch(&queries, &params).unwrap();
-            }
-            for _ in 0..6 {
-                let r = engine.query_batch(&queries, &params).unwrap();
-                best.wall = best.wall.min(r.wall_seconds);
-                best.phases[0] = best.phases[0].min(r.stats.structural_seconds);
-                best.phases[1] = best.phases[1].min(r.stats.probabilistic_seconds);
-                best.phases[2] = best.phases[2].min(r.stats.verification_seconds);
-                best.identical &= r
-                    .results
-                    .iter()
-                    .zip(&reference.results)
-                    .all(|(x, y)| x.answers == y.answers);
-            }
-        }
-    }
-    let [Best {
-        wall: eight_secs,
-        phases: eight_phases,
-        identical: eight_identical,
-    }, Best {
-        wall: one_secs,
-        phases: one_phases,
-        identical: one_identical,
-    }] = best;
-    let identical = one_identical && eight_identical;
-    assert!(identical, "1-shard and 8-shard answers must be identical");
-    let n = queries.len() as f64;
-    println!(
-        "{}",
-        format_row(
-            "queries/sec, 10k graphs",
-            &[
-                format!("1 shard {:.1}", n / one_secs.max(1e-12)),
-                format!("8 shards {:.1}", n / eight_secs.max(1e-12)),
-            ]
-        )
-    );
-    // Per-phase seconds breakdown (best over the measured batches).
-    for (label, [p1, p2, p3], wall) in [
-        ("phase seconds, 1 shard", one_phases, one_secs),
-        ("phase seconds, 8 shards", eight_phases, eight_secs),
-    ] {
-        println!(
-            "{}",
-            format_row(
-                label,
-                &[
-                    format!("p1 {p1:.4}"),
-                    format!("p2 {p2:.4}"),
-                    format!("p3 {p3:.4}"),
-                    format!("wall {wall:.4}"),
-                ]
-            )
-        );
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"sharded_snapshot\",\n  \"series\": [\n{}\n  ],\n  \
-         \"throughput_10k\": {{ \"queries\": {q}, \"answers_identical\": {identical},\n    \
-         \"shards_1\": {{ \"wall_seconds\": {one_secs:.6}, \"queries_per_second\": {qps1:.3} }},\n    \
-         \"shards_8\": {{ \"wall_seconds\": {eight_secs:.6}, \"queries_per_second\": {qps8:.3} }} }}\n}}\n",
-        entries.join(",\n"),
-        q = queries.len(),
-        qps1 = n / one_secs.max(1e-12),
-        qps8 = n / eight_secs.max(1e-12),
-    );
-    std::fs::write("BENCH_shard.json", json).expect("writing BENCH_shard.json");
-    println!("wrote BENCH_shard.json\n");
 }
 
 fn parse_scale(args: &[String]) -> DatasetScale {

@@ -65,7 +65,7 @@ pub fn bench_engine_config(seed: u64) -> EngineConfig {
         cross_term: pgs_query::prune::CrossTermRule::SafeMin,
         seed,
         threads: 0,
-        shards: 1,
+        ..EngineConfig::default()
     }
 }
 

@@ -87,8 +87,7 @@ pub enum DbError {
     /// (`pgs_graph::parallel::MAX_THREADS`); taken literally it would ask
     /// for an absurd number of OS threads.
     InvalidThreadConfig(String),
-    /// The engine's shard count is zero or exceeds the shard ceiling
-    /// (`pgs_index::shard::MAX_SHARDS`).
+    /// The engine's shard count is not `1` (the PMI is one global segment).
     InvalidShardConfig(String),
     /// The requested top-k answer count is zero or exceeds the supported
     /// ceiling (`pgs_query::pipeline::MAX_TOPK`).
@@ -417,18 +416,16 @@ impl DynamicDatabase {
     }
 
     /// Opens a database whose index was previously saved with
-    /// [`DynamicDatabase::save_index`]: reads the snapshot header and pairs
-    /// the index with `graphs` without rebuilding anything.  For format-v3
-    /// (sharded) snapshots only the fixed-width header and shard table are
-    /// read up front; each shard's columns are materialized from disk on
-    /// first touch, so opening a large index is O(shards), not O(bytes).
+    /// [`DynamicDatabase::save_index`]: loads the snapshot and pairs the
+    /// index with `graphs` without rebuilding anything.  The file is read
+    /// once; the database does not depend on it afterwards.
     pub fn open(
         graphs: Vec<ProbabilisticGraph>,
         index_path: impl AsRef<Path>,
         config: EngineConfig,
     ) -> Result<DynamicDatabase, DbError> {
         Ok(DynamicDatabase {
-            engine: QueryEngine::open_index(graphs, index_path, config)?,
+            engine: QueryEngine::with_index(graphs, index_path, config)?,
             remine_threshold: DEFAULT_REMINE_THRESHOLD,
         })
     }
@@ -474,9 +471,7 @@ impl DynamicDatabase {
     }
 
     /// Churn fraction since the features were last mined (see
-    /// `Pmi::staleness`).  On a sharded index this is the *maximum* per-shard
-    /// churn fraction, so one hot shard is enough to recommend a re-mine even
-    /// when the rest of the database is quiet.
+    /// `Pmi::staleness`).
     pub fn staleness(&self) -> f64 {
         self.engine.pmi().staleness()
     }
@@ -764,11 +759,9 @@ mod tests {
             DbError::GraphOutOfRange(99)
         );
 
-        // Two mutations over two graphs: the worst shard's churn fraction is
-        // at least 1.0 at any shard count (exactly 1.0 when unsharded, more
-        // when both mutations land in a smaller shard), so well past the
+        // Two mutations over two graphs: churn fraction 1.0, well past the
         // default re-mine threshold.
-        assert!(db.staleness() >= 1.0);
+        assert_eq!(db.staleness(), 1.0);
         assert!(db.should_remine());
         db.remine();
         assert_eq!(db.staleness(), 0.0);
@@ -790,6 +783,8 @@ mod tests {
             EngineConfig::default(),
         );
         let reopened = reopened.unwrap();
+        // The reopened database no longer needs the file.
+        std::fs::remove_file(&path).ok();
         let q = GraphBuilder::new()
             .vertices(&[0, 1, 2])
             .edge(0, 1, 0)
@@ -804,8 +799,6 @@ mod tests {
             reopened.query(&q, &params).unwrap().answers,
             db.query(&q, &params).unwrap().answers
         );
-        // The open is lazy: the file must outlive the first query above.
-        std::fs::remove_file(&path).ok();
         assert!(matches!(mismatched.unwrap_err(), DbError::IndexMismatch(_)));
         assert!(matches!(
             DynamicDatabase::open(graphs, "/nonexistent/idx.pmi", EngineConfig::default())
@@ -816,65 +809,35 @@ mod tests {
 
     #[test]
     fn invalid_shard_counts_surface_as_typed_facade_errors() {
-        let config = EngineConfig {
-            shards: 0,
-            ..EngineConfig::default()
-        };
-        let db = DynamicDatabase::build(vec![triangle("a", 0.5)], config);
         let q = GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 0).build();
         let params = QueryParams {
             epsilon: 0.5,
             delta: 0,
             variant: PruningVariant::OptSspBound,
         };
-        let err = db.query(&q, &params).unwrap_err();
-        assert!(matches!(err, DbError::InvalidShardConfig(_)));
-        assert!(err.to_string().contains("shard"));
-        let too_many = EngineConfig {
-            shards: pgs_index::shard::MAX_SHARDS + 1,
-            ..EngineConfig::default()
-        };
-        let db = DynamicDatabase::build(vec![triangle("a", 0.5)], too_many);
-        assert!(matches!(
-            db.exact_scan(&q, &params).unwrap_err(),
-            DbError::InvalidShardConfig(_)
-        ));
-    }
-
-    #[test]
-    fn sharded_open_is_lazy_and_answers_match() {
-        let config = EngineConfig {
-            shards: 3,
-            ..EngineConfig::default()
-        };
-        let graphs = vec![
-            triangle("a", 0.9),
-            triangle("b", 0.4),
-            triangle("c", 0.7),
-            triangle("d", 0.2),
-        ];
-        let built = DynamicDatabase::build(graphs.clone(), config);
-        let path =
-            std::env::temp_dir().join(format!("pgs-core-sharded-{}.pmi", std::process::id()));
-        built.save_index(&path).unwrap();
-        let opened = DynamicDatabase::open(graphs, &path, config).unwrap();
-        // The snapshot header pairing validates without touching any segment.
-        assert_eq!(opened.engine().pmi().materialized_shards(), 0);
-        let q = GraphBuilder::new()
-            .vertices(&[0, 1, 2])
-            .edge(0, 1, 0)
-            .edge(1, 2, 0)
-            .build();
-        let params = QueryParams {
-            epsilon: 0.3,
+        let topk = TopkParams {
+            k: 1,
             delta: 0,
             variant: PruningVariant::OptSspBound,
         };
-        assert_eq!(
-            opened.query(&q, &params).unwrap().answers,
-            built.query(&q, &params).unwrap().answers
-        );
-        std::fs::remove_file(&path).ok();
+        for shards in [0usize, 2] {
+            let config = EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            };
+            let db = DynamicDatabase::build(vec![triangle("a", 0.5)], config);
+            let err = db.query(&q, &params).unwrap_err();
+            assert!(matches!(err, DbError::InvalidShardConfig(_)));
+            assert!(err.to_string().contains("shard"));
+            assert!(matches!(
+                db.exact_scan(&q, &params).unwrap_err(),
+                DbError::InvalidShardConfig(_)
+            ));
+            assert!(matches!(
+                db.query_topk(&q, &topk).unwrap_err(),
+                DbError::InvalidShardConfig(_)
+            ));
+        }
     }
 
     #[test]

@@ -65,20 +65,6 @@ impl<T> FlatVecVec<T> {
         out
     }
 
-    /// Reassembles an arena from raw parts, validating the offsets table.
-    ///
-    /// Returns `None` unless `offsets` starts at 0, is non-decreasing, and
-    /// ends exactly at `values.len()`.
-    pub fn from_raw(offsets: Vec<u32>, values: Vec<T>) -> Option<Self> {
-        if offsets.first() != Some(&0) || offsets.last().copied()? as usize != values.len() {
-            return None;
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return None;
-        }
-        Some(Self { offsets, values })
-    }
-
     /// Appends one row built from `row`.
     pub fn push_row<I: IntoIterator<Item = T>>(&mut self, row: I) {
         self.values.extend(row);
@@ -123,13 +109,6 @@ impl<T> FlatVecVec<T> {
         &self.values
     }
 
-    /// Mutable access to the packed values arena.  Row boundaries are fixed;
-    /// this only lets callers rewrite elements in place (e.g. renumbering ids
-    /// after a removal).
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// The offsets table (`len() + 1` entries, starting at 0).
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
@@ -143,22 +122,6 @@ impl<T> FlatVecVec<T> {
         for o in &mut self.offsets[row + 1..] {
             *o += 1;
         }
-    }
-
-    /// Removes and returns the element at position `idx` of row `row`,
-    /// shifting every later row.  O(total) — a churn-path operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range for the row.
-    pub fn remove_from_row(&mut self, row: usize, idx: usize) -> T {
-        assert!(idx < self.row_len(row), "remove_from_row: index out of row");
-        let pos = self.offsets[row] as usize + idx;
-        let v = self.values.remove(pos);
-        for o in &mut self.offsets[row + 1..] {
-            *o -= 1;
-        }
-        v
     }
 
     /// Retains only the elements for which `f(row, &mut value)` returns true,
@@ -295,10 +258,6 @@ mod tests {
         flat.push_into_row(0, 7);
         assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
 
-        assert_eq!(flat.remove_from_row(2, 1), 4);
-        nested[2].remove(1);
-        assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
-
         // Drop every even value and decrement the survivors, per row.
         for row in &mut nested {
             row.retain(|v| v % 2 == 1);
@@ -314,19 +273,6 @@ mod tests {
             keep
         });
         assert_eq!(flat, FlatVecVec::from_rows(nested));
-    }
-
-    #[test]
-    fn from_raw_validates() {
-        assert!(FlatVecVec::from_raw(vec![0, 2, 3], vec![1u8, 2, 3]).is_some());
-        // Does not start at zero.
-        assert!(FlatVecVec::from_raw(vec![1, 3], vec![1u8, 2, 3]).is_none());
-        // Decreasing.
-        assert!(FlatVecVec::from_raw(vec![0, 2, 1, 3], vec![1u8, 2, 3]).is_none());
-        // Sentinel does not cover the values.
-        assert!(FlatVecVec::from_raw(vec![0, 2], vec![1u8, 2, 3]).is_none());
-        // Empty offsets table.
-        assert!(FlatVecVec::<u8>::from_raw(vec![], vec![]).is_none());
     }
 
     /// The CSR rows must reproduce the neighbor order incremental insertion

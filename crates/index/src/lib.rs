@@ -23,7 +23,6 @@
 
 pub mod feature;
 pub mod pmi;
-pub mod shard;
 pub mod sindex;
 pub mod sip_bounds;
 pub mod snapshot;
@@ -31,7 +30,6 @@ pub mod storage;
 
 pub use feature::{select_features, select_features_summarized, Feature, FeatureSelectionParams};
 pub use pmi::{graph_salt, Pmi, PmiBuildParams, PmiStats};
-pub use shard::{shard_of, MAX_SHARDS};
 pub use sindex::{FilterOutcome, PostingEntry, StructuralIndex};
 pub use sip_bounds::{sip_bounds, BoundsConfig, DisjointnessRule, SipBounds};
 pub use snapshot::{params_fingerprint, SnapshotError, FORMAT_V1, FORMAT_V2, FORMAT_VERSION};

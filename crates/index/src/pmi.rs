@@ -7,45 +7,30 @@
 //!
 //! Construction mines/selects features (Algorithm 4) globally, then fills the
 //! matrix with [`crate::sip_bounds::sip_bounds`], parallelised over database
-//! graphs on the persistent worker pool.
-//!
-//! # Shards
-//!
-//! The index is *sharded*: the database is partitioned into `S` shards by the
-//! stable content-salt assignment of [`crate::shard`], and each shard owns its
-//! own column storage ([`SparseMatrix`] over shard-local ids), per-feature
-//! support lists, S-Index postings/summaries and churn counter.  Features and
-//! every cell value are global — a graph's column depends only on the graph
-//! and the feature set, never on the shard layout — so a sharded index
-//! answers every lookup byte-identically to the 1-shard one; only the
-//! physical grouping changes.  [`Pmi::build`] builds the classic 1-shard
-//! index, [`Pmi::build_sharded`] picks the shard count.
+//! graphs on the persistent worker pool.  The index is held in memory as one
+//! global segment: the column storage ([`SparseMatrix`]), the per-feature
+//! support lists, the S-Index and one churn counter.
 //!
 //! # Persistence
 //!
 //! [`Pmi::save`] / [`Pmi::load`] snapshot the index through the versioned
-//! binary codec of [`crate::snapshot`] (format v3: an eagerly-readable head
-//! plus one segment per shard).  [`Pmi::open`] reads only the head and
-//! materializes each shard's segment lazily on first touch — open time is
-//! O(shards + graphs), not O(bytes) — while `load` stays fully eager.
-//! v1/v2 snapshots still load through the legacy path as a 1-shard index.
+//! binary codec of [`crate::snapshot`] (format v3).  Every snapshot ever
+//! written still loads: v1/v2 files, and v3 files holding several segments,
+//! which decode into the same global layout.
 //!
 //! # Incremental maintenance
 //!
 //! [`Pmi::append_graph`] computes the SIP bounds of a new graph against the
 //! existing feature set and pushes one column; [`Pmi::remove_graph`] drops
-//! one.  Both touch *only the owning shard's* segment — support lists are
-//! shard-local, so removal no longer rewrites every feature's global support
-//! list — and bump that shard's churn counter.  Once enough of a shard has
-//! turned over ([`Pmi::staleness`] reports the worst shard), the mined
-//! feature set no longer reflects the data and a full re-mine is recommended.
+//! one.  Both bump the churn counter.  Once enough of the database has turned
+//! over ([`Pmi::staleness`]), the mined feature set no longer reflects the
+//! data and a full re-mine is recommended.
 //!
 //! The index records the statistics the paper's Figure 12(c)/(d) report:
 //! build time and index size ([`PmiStats`]; `size_bytes` is the exact payload
 //! size of the snapshot, not an estimate).
 
 use crate::feature::{select_features_summarized, Feature, FeatureSelectionParams};
-use crate::shard::{members_of, shard_of, MAX_SHARDS};
 use crate::sindex::StructuralIndex;
 use crate::sip_bounds::{sip_bounds, BoundsConfig, SipBounds};
 use crate::snapshot::{self, SnapshotError};
@@ -59,8 +44,7 @@ use pgs_graph::vf2::{contains_subgraph_summarized, enumerate_embeddings_summariz
 use pgs_prob::model::ProbabilisticGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::path::Path;
 use std::time::Instant;
 
 /// Build parameters of the PMI.
@@ -99,8 +83,7 @@ pub struct PmiStats {
 /// the determinism guarantee wants.  The PMI stores one salt per column so
 /// that a loaded snapshot can be checked against the database it is paired
 /// with; the query engine derives its per-candidate RNG seeds from the salts,
-/// and the shard assignment hashes them too — both are therefore independent
-/// of where a graph sits in the database.
+/// so they are independent of where a graph sits in the database.
 pub fn graph_salt(pg: &ProbabilisticGraph) -> u64 {
     let mut salts = vec![pg.skeleton().structural_hash()];
     salts.push(pg.name().len() as u64);
@@ -112,64 +95,30 @@ pub fn graph_salt(pg: &ProbabilisticGraph) -> u64 {
     derive_seed(&salts)
 }
 
-/// One shard's physical state: its members' matrix columns (local ids),
-/// per-feature local support lists and S-Index.
-#[derive(Debug, Clone, PartialEq)]
-struct ShardSegment {
-    /// Occupied cells of this shard's members: `matrix.get(local, feature)`.
-    matrix: SparseMatrix,
-    /// Per feature (row) the local member ids (ascending) passing the α
-    /// filter, packed into one flat offsets+values table.
-    supports: FlatVecVec<u32>,
-    /// Per-member structural summaries + signature posting lists.  `None`
-    /// only inside a 1-shard index decoded from a format-v1 snapshot that has
-    /// not been [re-derived](Pmi::ensure_sindex) yet.
-    sindex: Option<StructuralIndex>,
-}
-
-/// Where a lazily-opened index finds its not-yet-materialized segments.
-#[derive(Debug, Clone)]
-struct LazySource {
-    path: PathBuf,
-    /// Per shard: absolute byte offset and length of its segment in the file
-    /// (validated against the file size at open time).
-    table: Vec<(u64, u64)>,
-}
-
 /// The probabilistic matrix index.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Pmi {
-    /// The mined features (row order).  Their `support` lists are empty: the
-    /// per-shard segments hold the supports as local ids, and
-    /// [`Pmi::feature_support`] reconstructs the global view on demand.
+    /// The mined features (row order).  Their `support` lists are empty:
+    /// `supports` holds them, see [`Pmi::feature_support`].
     features: Vec<Feature>,
     /// One content salt per database graph, in global (column) order.
     graph_salts: Vec<u64>,
-    /// Global support-list sizes per feature (Σ over shards), kept eager so
-    /// frequency refreshes never materialize foreign segments.
-    support_counts: Vec<usize>,
     /// The parameters the index was built with; incremental column appends
     /// reuse the bounds configuration and seed so an appended column is
     /// byte-identical to the column a fresh build would produce.
     params: PmiBuildParams,
     build_seconds: f64,
-    /// Per shard (row) the global graph ids it owns, ascending, packed into
-    /// one flat offsets+values table.  Derived from the salts (never
-    /// persisted) and kept eager.
-    shard_members: FlatVecVec<u32>,
-    /// Global graph id → (shard, local id).
-    locator: Vec<(u32, u32)>,
-    /// Per shard: columns appended/removed since the features were last
-    /// mined.
-    shard_churn: Vec<usize>,
-    /// One segment per shard.  A lazily-opened index leaves these empty and
-    /// fills each from `lazy` on first touch.
-    segments: Vec<OnceLock<ShardSegment>>,
-    /// `Some` only for an index created by [`Pmi::open`] on a v3 snapshot.
-    lazy: Option<LazySource>,
-    /// Whether the segments carry S-Indexes.  `false` only for an index
-    /// decoded from a format-v1 snapshot (see [`Pmi::ensure_sindex`]).
-    has_sindex: bool,
+    /// Occupied cells: `matrix.get(graph, feature)`.
+    matrix: SparseMatrix,
+    /// Per feature (row) the graph ids (ascending) passing the α filter,
+    /// packed into one flat offsets+values table.
+    supports: FlatVecVec<u32>,
+    /// Per-graph structural summaries + signature posting lists.  `None`
+    /// only for an index decoded from a format-v1 snapshot that has not been
+    /// [re-derived](Pmi::ensure_sindex) yet.
+    sindex: Option<StructuralIndex>,
+    /// Columns appended/removed since the features were last mined.
+    churn: usize,
     /// One cached [`StructuralSummary`] per feature, row-aligned with
     /// `features`.  Derived (never persisted): features only change at
     /// build/decode time, so caching here keeps [`Pmi::append_graph`] from
@@ -177,70 +126,12 @@ pub struct Pmi {
     feature_summaries: Vec<StructuralSummary>,
 }
 
-impl Clone for Pmi {
-    fn clone(&self) -> Pmi {
-        Pmi {
-            features: self.features.clone(),
-            graph_salts: self.graph_salts.clone(),
-            support_counts: self.support_counts.clone(),
-            params: self.params,
-            build_seconds: self.build_seconds,
-            shard_members: self.shard_members.clone(),
-            locator: self.locator.clone(),
-            shard_churn: self.shard_churn.clone(),
-            segments: self
-                .segments
-                .iter()
-                .map(|s| {
-                    let lock = OnceLock::new();
-                    if let Some(seg) = s.get() {
-                        let _ = lock.set(seg.clone());
-                    }
-                    lock
-                })
-                .collect(),
-            lazy: self.lazy.clone(),
-            has_sindex: self.has_sindex,
-            feature_summaries: self.feature_summaries.clone(),
-        }
-    }
-}
-
-/// Wraps an already-materialized segment in its lock.
-fn seg_lock(seg: ShardSegment) -> OnceLock<ShardSegment> {
-    let lock = OnceLock::new();
-    let _ = lock.set(seg);
-    lock
-}
-
-/// Global graph id → (shard, local id), derived from the member lists.
-fn locator_of(members: &FlatVecVec<u32>, n: usize) -> Vec<(u32, u32)> {
-    let mut locator = vec![(0u32, 0u32); n];
-    for (s, m) in members.iter().enumerate() {
-        for (l, &g) in m.iter().enumerate() {
-            locator[g as usize] = (s as u32, l as u32);
-        }
-    }
-    locator
-}
-
 impl Pmi {
-    /// Builds the classic single-shard PMI for a database of probabilistic
-    /// graphs (including the S-Index: every per-graph structural summary is
-    /// computed exactly once here and then shared by feature mining, the
-    /// matrix fill and the structural query phase).  Equivalent to
-    /// [`Pmi::build_sharded`] with one shard.
+    /// Builds the PMI for a database of probabilistic graphs, including the
+    /// S-Index: every per-graph structural summary is computed exactly once
+    /// here and then shared by feature mining, the matrix fill and the
+    /// structural query phase.
     pub fn build(db: &[ProbabilisticGraph], params: &PmiBuildParams) -> Pmi {
-        Pmi::build_sharded(db, params, 1)
-    }
-
-    /// Builds the PMI partitioned into `shards` shards (clamped to
-    /// `1..=`[`MAX_SHARDS`]).  Features are mined and every cell is computed
-    /// *globally* — per-column RNGs are seeded from graph content, never from
-    /// position — and only then scattered into per-shard segments, so every
-    /// lookup returns exactly what the 1-shard build returns.
-    pub fn build_sharded(db: &[ProbabilisticGraph], params: &PmiBuildParams, shards: usize) -> Pmi {
-        let shards = shards.clamp(1, MAX_SHARDS);
         // pgs-lint: allow(wall-clock-in-query-path, build_seconds is snapshot-head metadata for reporting, never control flow)
         let start = Instant::now();
         let skeletons: Vec<Graph> = db.iter().map(|g| g.skeleton().clone()).collect();
@@ -252,52 +143,28 @@ impl Pmi {
             .map(|f| StructuralSummary::of(&f.graph))
             .collect();
         let rows = fill_matrix(db, &features, &feature_summaries, &sindex_views, params);
-        let graph_salts: Vec<u64> = db.iter().map(graph_salt).collect();
-        let support_counts: Vec<usize> = features.iter().map(|f| f.support.len()).collect();
-        let shard_members = members_of(&graph_salts, shards);
-        let locator = locator_of(&shard_members, graph_salts.len());
-        let segments = if shards == 1 {
-            // Fast path: the global layout IS shard 0 (local ids == global
-            // ids) — move everything in without a scatter pass.
-            let mut supports = FlatVecVec::with_capacity(
-                features.len(),
-                features.iter().map(|f| f.support.len()).sum(),
-            );
-            for f in features.iter_mut() {
-                supports.push_row(std::mem::take(&mut f.support).into_iter().map(|g| g as u32));
-            }
-            vec![seg_lock(ShardSegment {
-                matrix: SparseMatrix::from_dense(&rows),
-                supports,
-                sindex: Some(sindex),
-            })]
-        } else {
-            scatter_segments(
-                &rows,
-                &mut features,
-                &sindex_views,
-                &shard_members,
-                &locator,
-            )
-        };
+        let mut supports = FlatVecVec::with_capacity(
+            features.len(),
+            features.iter().map(|f| f.support.len()).sum(),
+        );
+        for f in features.iter_mut() {
+            supports.push_row(std::mem::take(&mut f.support).into_iter().map(|g| g as u32));
+        }
         Pmi {
             features,
-            graph_salts,
-            support_counts,
+            graph_salts: db.iter().map(graph_salt).collect(),
             params: *params,
-            build_seconds: start.elapsed().as_secs_f64(),
-            shard_members,
-            locator,
-            shard_churn: vec![0; shards],
-            segments,
-            lazy: None,
-            has_sindex: true,
+            matrix: SparseMatrix::from_dense(&rows),
+            supports,
+            sindex: Some(sindex),
+            churn: 0,
             feature_summaries,
+            build_seconds: start.elapsed().as_secs_f64(),
         }
     }
 
-    /// The indexed features (row order).  Support lists live in the shard
-    /// segments — use [`Pmi::feature_support`] for the global view.
+    /// The indexed features (row order).  Support lists live in the index —
+    /// use [`Pmi::feature_support`].
     pub fn features(&self) -> &[Feature] {
         &self.features
     }
@@ -317,58 +184,15 @@ impl Pmi {
         &self.graph_salts
     }
 
-    /// Number of shards the index is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shard_members.len()
-    }
-
-    /// The global graph ids owned by shard `s`, ascending.
-    pub fn shard_members(&self, s: usize) -> &[u32] {
-        self.shard_members.row(s)
-    }
-
-    /// The shard owning graph `g`.
-    pub fn shard_of_graph(&self, g: usize) -> usize {
-        self.locator[g].0 as usize
-    }
-
-    /// Number of shard segments currently materialized in memory (equals
-    /// [`Pmi::shard_count`] except for a lazily-[`open`](Pmi::open)ed index
-    /// whose shards have not all been touched yet).
-    pub fn materialized_shards(&self) -> usize {
-        self.segments.iter().filter(|s| s.get().is_some()).count()
-    }
-
-    /// The S-Index of shard `s` (per-member summaries + posting lists).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index was decoded from a v1 snapshot and
-    /// [`Pmi::ensure_sindex`] has not run yet — the query engine always pairs
-    /// an index with its database before querying it.
-    pub fn shard_sindex(&self, s: usize) -> &StructuralIndex {
-        self.segment(s)
-            .sindex
-            .as_ref()
-            // pgs-lint: allow(panic-in-library, engine invariant: ensure_sindex runs before any shard S-Index access)
-            .expect("engine invariant: ensure_sindex runs before any shard S-Index access")
-    }
-
-    /// The S-Index of a single-shard index, or `None` when the index is
-    /// multi-shard (use [`Pmi::shard_sindex`] per shard) or was decoded from
-    /// a pre-S-Index (format v1) snapshot and has not been
-    /// [re-derived](Pmi::ensure_sindex) yet.
+    /// The S-Index (per-graph summaries + posting lists), or `None` when the
+    /// index was decoded from a pre-S-Index (format v1) snapshot and has not
+    /// been [re-derived](Pmi::ensure_sindex) yet.
     pub fn sindex(&self) -> Option<&StructuralIndex> {
-        if self.shard_count() == 1 {
-            self.segment(0).sindex.as_ref()
-        } else {
-            None
-        }
+        self.sindex.as_ref()
     }
 
-    /// Rebuilds the S-Indexes from the database skeletons when they are
-    /// missing (the v1-snapshot migration path).  A no-op when they are
-    /// already present — in particular it never materializes a lazy segment.
+    /// Rebuilds the S-Index from the database skeletons when it is missing
+    /// (the v1-snapshot migration path).  A no-op when it is already present.
     ///
     /// # Panics
     ///
@@ -383,177 +207,55 @@ impl Pmi {
             skeletons.len(),
             self.graph_count()
         );
-        if self.has_sindex {
-            return;
+        if self.sindex.is_none() {
+            self.sindex = Some(StructuralIndex::build(skeletons));
         }
-        for s in 0..self.shard_count() {
-            let member_graphs: Vec<Graph> = self
-                .shard_members
-                .row(s)
-                .iter()
-                .map(|&g| skeletons[g as usize].clone())
-                .collect();
-            let seg = self.segment_mut(s);
-            if seg.sindex.is_none() {
-                seg.sindex = Some(StructuralIndex::build(&member_graphs));
-            }
-        }
-        self.has_sindex = true;
     }
 
     /// The SIP bounds of `feature` in `graph`, or `None` when the feature does
     /// not occur in the graph skeleton.
     pub fn bounds(&self, graph: usize, feature: usize) -> Option<SipBounds> {
-        let &(s, l) = self.locator.get(graph)?;
-        self.segment(s as usize).matrix.get(l as usize, feature)
+        self.matrix.get(graph, feature)
     }
 
     /// All non-empty `(feature index, bounds)` entries of one graph column —
     /// the paper's `D_g`.
     pub fn graph_entries(&self, graph: usize) -> Vec<(usize, SipBounds)> {
-        match self.locator.get(graph) {
-            Some(&(s, l)) => self.segment(s as usize).matrix.column(l as usize).collect(),
-            None => Vec::new(),
-        }
+        self.matrix.column(graph).collect()
     }
 
-    /// The global support list of one feature (ascending graph ids),
-    /// reconstructed from the shard-local lists.  Materializes every shard.
+    /// The support list of one feature (ascending graph ids).
     pub fn feature_support(&self, feature: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.support_counts.get(feature).copied().unwrap_or(0));
-        for (s, members) in self.shard_members.iter().enumerate() {
-            out.extend(
-                self.segment(s)
-                    .supports
-                    .row(feature)
-                    .iter()
-                    .map(|&l| members[l as usize] as usize),
-            );
-        }
-        out.sort_unstable();
-        out
+        self.supports
+            .row(feature)
+            .iter()
+            .map(|&g| g as usize)
+            .collect()
     }
 
     /// Build statistics.  `size_bytes` is the exact snapshot payload size;
     /// `build_seconds` is the wall-clock time of the original [`Pmi::build`]
     /// (preserved across save/load, not counting incremental appends).
-    /// Materializes every shard of a lazily-opened index.
     pub fn stats(&self) -> PmiStats {
-        let occupied_cells = (0..self.shard_count())
-            .map(|s| self.segment(s).matrix.entry_count())
-            .sum();
         PmiStats {
             feature_count: self.features.len(),
             graph_count: self.graph_count(),
-            occupied_cells,
+            occupied_cells: self.matrix.entry_count(),
             build_seconds: self.build_seconds,
-            size_bytes: self.snapshot_payload_len(),
+            size_bytes: snapshot::payload_len(&self.parts()),
         }
-    }
-
-    /// Exact payload size of the snapshot [`Pmi::to_bytes`] would write.
-    fn snapshot_payload_len(&self) -> usize {
-        if self.has_sindex {
-            // v3: shard count + table + salts + feature heads + segments.
-            let mut len = 8
-                + 24 * self.shard_count()
-                + 8
-                + 8 * self.graph_salts.len()
-                + 8
-                + self
-                    .features
-                    .iter()
-                    .map(snapshot::feature_head_len)
-                    .sum::<usize>();
-            for s in 0..self.shard_count() {
-                let seg = self.segment(s);
-                len += 8 + seg.matrix.payload_bytes();
-                len += seg
-                    .supports
-                    .iter()
-                    .map(|sup| 4 + 4 * sup.len())
-                    .sum::<usize>();
-                len += 8 + seg
-                    .sindex
-                    .as_ref()
-                    // pgs-lint: allow(panic-in-library, has_sindex was checked by the caller, and it implies every segment carries one)
-                    .expect("has_sindex implies every segment carries one")
-                    .summary_views()
-                    .map(snapshot::summary_len)
-                    .sum::<usize>();
-            }
-            len
-        } else {
-            // v1 fallback: one global segment, no S-Index section.
-            8 + 8 * self.graph_salts.len()
-                + 8
-                + self
-                    .features
-                    .iter()
-                    .zip(&self.support_counts)
-                    .map(|(f, &c)| snapshot::feature_len_with(f, c))
-                    .sum::<usize>()
-                + 8
-                + self.segment(0).matrix.payload_bytes()
-        }
-    }
-
-    /// Shard `s`'s segment, materializing it from the snapshot on first touch.
-    ///
-    /// # Panics
-    ///
-    /// A lazily-opened index panics here if the snapshot file disappeared or
-    /// was corrupted *after* [`Pmi::open`] validated its head — the segment
-    /// table was checked against the file at open time, so this only fires on
-    /// external interference with the file.
-    fn segment(&self, s: usize) -> &ShardSegment {
-        self.segments[s].get_or_init(|| {
-            let src = self
-                .lazy
-                .as_ref()
-                // pgs-lint: allow(panic-in-library, documented panic (see section above): only external interference with the snapshot file after open)
-                .expect("segment neither materialized nor backed by a snapshot file");
-            let (offset, len) = src.table[s];
-            match snapshot::load_segment_from_file(
-                &src.path,
-                offset,
-                len,
-                s,
-                self.shard_members.row_len(s),
-                self.features.len(),
-            ) {
-                Ok(seg) => ShardSegment {
-                    matrix: seg.matrix,
-                    supports: seg.supports,
-                    sindex: Some(seg.sindex),
-                },
-                Err(e) => panic!(
-                    "failed to materialize shard {s} of the PMI snapshot {}: {e}",
-                    src.path.display()
-                ),
-            }
-        })
-    }
-
-    fn segment_mut(&mut self, s: usize) -> &mut ShardSegment {
-        self.segment(s);
-        self.segments[s]
-            .get_mut()
-            // pgs-lint: allow(panic-in-library, the segment(s) call on the previous line materialized this slot)
-            .expect("segment was just materialized")
     }
 
     // -- incremental maintenance -------------------------------------------
 
     /// Appends one graph column: computes the SIP bounds of every existing
     /// feature in `pg` (no feature re-mining) and pushes the column, its
-    /// content salt and the α-filtered support-list updates into the owning
-    /// shard.  Only that shard's segment is touched (or materialized).
+    /// content salt and the α-filtered support-list updates.
     ///
     /// The column is byte-identical to the one a fresh [`Pmi::build`] over the
     /// extended database would produce *for the same feature set*: the
     /// per-column RNG is seeded from the build seed and the graph's content
-    /// hash, never from the column position or the shard layout.
+    /// hash, never from the column position.
     pub fn append_graph(&mut self, pg: &ProbabilisticGraph) {
         let skeleton_summary = StructuralSummary::of(pg.skeleton());
         let column = compute_column(
@@ -563,60 +265,37 @@ impl Pmi {
             skeleton_summary.view(),
             &self.params,
         );
-        let salt = graph_salt(pg);
-        let s = shard_of(salt, self.shard_count());
         let global = self.graph_salts.len() as u32;
-        let local = self.shard_members.row_len(s) as u32;
         let fp = self.params.features;
-        let supported: Vec<bool> = self
-            .features
-            .iter()
-            .zip(&self.feature_summaries)
-            .map(|(f, fs)| {
-                column[f.id].is_some()
-                    && alpha_supports(
-                        &f.graph,
-                        fs.view(),
-                        pg.skeleton(),
-                        skeleton_summary.view(),
-                        &fp,
-                    )
-            })
-            .collect();
-        let seg = self.segment_mut(s);
-        seg.matrix.push_column(
+        for (f, fs) in self.features.iter().zip(&self.feature_summaries) {
+            if column[f.id].is_some()
+                && alpha_supports(
+                    &f.graph,
+                    fs.view(),
+                    pg.skeleton(),
+                    skeleton_summary.view(),
+                    &fp,
+                )
+            {
+                self.supports.push_into_row(f.id, global);
+            }
+        }
+        self.matrix.push_column(
             column
                 .iter()
                 .enumerate()
                 .filter_map(|(fi, c)| c.map(|b| (fi, b))),
         );
-        for (fi, &sup) in supported.iter().enumerate() {
-            if sup {
-                seg.supports.push_into_row(fi, local);
-            }
-        }
-        if let Some(sindex) = &mut seg.sindex {
+        if let Some(sindex) = &mut self.sindex {
             sindex.append_summary(skeleton_summary);
         }
-        for (count, &sup) in self.support_counts.iter_mut().zip(&supported) {
-            if sup {
-                *count += 1;
-            }
-        }
-        self.graph_salts.push(salt);
-        self.shard_members.push_into_row(s, global);
-        self.locator.push((s as u32, local));
-        self.shard_churn[s] += 1;
+        self.graph_salts.push(graph_salt(pg));
+        self.churn += 1;
         self.refresh_frequencies();
     }
 
-    /// Removes graph column `index`, shifting every later global id down by
+    /// Removes graph column `index`, shifting every later graph id down by
     /// one (mirroring `Vec::remove` on the database side).
-    ///
-    /// The splice is *shard-local*: only the owning shard's matrix, support
-    /// lists and S-Index are rewritten (other shards' local ids are untouched
-    /// by global renumbering — that is the point of storing supports as local
-    /// ids).  The remaining work is one cheap pass over the member lists.
     ///
     /// # Panics
     ///
@@ -627,138 +306,71 @@ impl Pmi {
             "remove_graph: column {index} out of range ({} columns)",
             self.graph_count()
         );
-        let (s, local) = self.locator[index];
-        let (s, local) = (s as usize, local as usize);
-        let seg = self.segment_mut(s);
-        seg.matrix.remove_column(local);
-        let local32 = local as u32;
-        let mut lost = Vec::new();
-        seg.supports.retain_mut(|fi, l| {
-            if *l == local32 {
-                lost.push(fi);
-                false
-            } else {
-                if *l > local32 {
-                    *l -= 1;
-                }
-                true
-            }
-        });
-        if let Some(sindex) = &mut seg.sindex {
-            sindex.remove(local);
-        }
-        for fi in lost {
-            self.support_counts[fi] -= 1;
-        }
-        self.graph_salts.remove(index);
-        self.shard_members.remove_from_row(s, local);
+        self.matrix.remove_column(index);
         let cut = index as u32;
-        for g in self.shard_members.values_mut() {
+        self.supports.retain_mut(|_, g| {
+            if *g == cut {
+                return false;
+            }
             if *g > cut {
                 *g -= 1;
             }
+            true
+        });
+        if let Some(sindex) = &mut self.sindex {
+            sindex.remove(index);
         }
-        self.locator = locator_of(&self.shard_members, self.graph_salts.len());
-        self.shard_churn[s] += 1;
+        self.graph_salts.remove(index);
+        self.churn += 1;
         self.refresh_frequencies();
     }
 
-    /// Total incremental column mutations since the features were last mined
-    /// (reset by [`Pmi::build`] and by loading a freshly-built snapshot) —
-    /// the sum of the per-shard counters.
+    /// Incremental column mutations since the features were last mined
+    /// (reset by [`Pmi::build`] and by loading a freshly-built snapshot).
     pub fn churn(&self) -> usize {
-        self.shard_churn.iter().sum()
+        self.churn
     }
 
-    /// Per-shard churn counters (mutations since the last full mining).
-    pub fn shard_churns(&self) -> &[usize] {
-        &self.shard_churn
-    }
-
-    /// Staleness of the mined feature set: the *worst shard's* mutation count
-    /// as a fraction of that shard's current size.  `0.0` right after a
-    /// build; beyond ~`0.5` the features were mined from a database that
-    /// shares little with the current one and a re-mine (full rebuild) is
-    /// recommended — the bounds stay *correct* regardless (they are computed
-    /// per column), only their pruning power degrades.  Identical to the
-    /// classic `churn / graph_count` on a 1-shard index.
+    /// Staleness of the mined feature set: the mutation count as a fraction
+    /// of the current database size.  `0.0` right after a build; beyond
+    /// ~`0.5` the features were mined from a database that shares little
+    /// with the current one and a re-mine (full rebuild) is recommended — the
+    /// bounds stay *correct* regardless (they are computed per column), only
+    /// their pruning power degrades.
     pub fn staleness(&self) -> f64 {
-        self.shard_staleness().into_iter().fold(0.0f64, f64::max)
-    }
-
-    /// Per-shard staleness: each shard's churn over its current member count.
-    pub fn shard_staleness(&self) -> Vec<f64> {
-        self.shard_churn
-            .iter()
-            .zip(self.shard_members.iter())
-            .map(|(&c, m)| c as f64 / m.len().max(1) as f64)
-            .collect()
+        self.churn as f64 / self.graph_count().max(1) as f64
     }
 
     // -- persistence --------------------------------------------------------
 
     /// Serializes the index to the versioned binary snapshot format (see
-    /// [`crate::snapshot`]); materializes every lazy segment.  Writes format
-    /// v3 (segmented).  The one exception is an index decoded from a v1
-    /// snapshot whose S-Index was never re-derived: it has no summaries to
-    /// persist, so it is written back as v1.
+    /// [`crate::snapshot`]): format v3 with one segment.  The one exception
+    /// is an index decoded from a v1 snapshot whose S-Index was never
+    /// re-derived: it has no summaries to persist, so it is written back as
+    /// v1.
     pub fn to_bytes(&self) -> Vec<u8> {
-        if !self.has_sindex {
-            return self.to_v1_bytes();
-        }
-        let segs: Vec<&ShardSegment> = (0..self.shard_count()).map(|s| self.segment(s)).collect();
-        let segments = segs
-            .iter()
-            .map(|seg| snapshot::SegmentRef {
-                matrix: &seg.matrix,
-                supports: &seg.supports,
-                sindex: seg
-                    .sindex
-                    .as_ref()
-                    // pgs-lint: allow(panic-in-library, has_sindex was checked above, and it implies every segment carries one)
-                    .expect("has_sindex implies every segment carries one"),
-            })
-            .collect();
-        snapshot::encode_v3(&snapshot::ShardedPartsRef {
-            params: &self.params,
-            build_seconds: self.build_seconds,
-            graph_salts: &self.graph_salts,
-            features: &self.features,
-            support_counts: &self.support_counts,
-            shard_churn: &self.shard_churn,
-            segments,
-        })
+        snapshot::encode(&self.parts())
     }
 
-    /// The format-v1 encoding of a single-shard index, whose segment 0 (local
-    /// member `l` is global graph `l`) already is the global layout v1
-    /// stores.  Any S-Index is left out.
-    fn to_v1_bytes(&self) -> Vec<u8> {
-        debug_assert_eq!(self.shard_count(), 1, "v1 stores one global segment");
-        let seg = self.segment(0);
-        snapshot::encode_v1(&snapshot::V1PartsRef {
+    /// The borrowed view of the index the snapshot codec encodes.
+    fn parts(&self) -> snapshot::PartsRef<'_> {
+        snapshot::PartsRef {
             params: &self.params,
             build_seconds: self.build_seconds,
-            churn: self.churn(),
+            churn: self.churn,
             graph_salts: &self.graph_salts,
             features: &self.features,
-            supports: &seg.supports,
-            matrix: &seg.matrix,
-        })
+            supports: &self.supports,
+            matrix: &self.matrix,
+            sindex: self.sindex.as_ref(),
+        }
     }
 
     /// Deserializes an index from snapshot bytes (format v1, v2 or v3; a v1
     /// index carries no S-Index — pair it with its database via
-    /// `QueryEngine::from_parts`, which re-derives the summaries).  Always
-    /// eager; use [`Pmi::open`] for the lazy path.
+    /// `QueryEngine::from_parts`, which re-derives the summaries).
     pub fn from_bytes(bytes: &[u8]) -> Result<Pmi, SnapshotError> {
-        match snapshot::decode_any(bytes)? {
-            snapshot::AnyParts::Legacy(parts) => Pmi::from_legacy_parts(*parts),
-            snapshot::AnyParts::V3(parts) => Ok(Pmi::from_sharded_parts(*parts)),
-        }
-    }
-
-    fn from_legacy_parts(mut parts: snapshot::PmiParts) -> Result<Pmi, SnapshotError> {
+        let parts = snapshot::decode(bytes)?;
         if parts.matrix.column_count() != parts.graph_salts.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} matrix columns but {} graph salts",
@@ -766,72 +378,22 @@ impl Pmi {
                 parts.graph_salts.len()
             )));
         }
-        // (`decode` already guarantees a v2 S-Index section has exactly one
-        // summary per graph salt.)
         let feature_summaries = parts
             .features
             .iter()
             .map(|f| StructuralSummary::of(&f.graph))
             .collect();
-        let support_counts = parts.features.iter().map(|f| f.support.len()).collect();
-        let mut supports = FlatVecVec::new();
-        for f in parts.features.iter_mut() {
-            supports.push_row(std::mem::take(&mut f.support).into_iter().map(|g| g as u32));
-        }
-        let n = parts.graph_salts.len();
-        let has_sindex = parts.sindex.is_some();
         Ok(Pmi {
             features: parts.features,
             graph_salts: parts.graph_salts,
-            support_counts,
             params: parts.params,
             build_seconds: parts.build_seconds,
-            shard_members: FlatVecVec::from_rows(std::iter::once(0..n as u32)),
-            locator: (0..n).map(|g| (0u32, g as u32)).collect(),
-            shard_churn: vec![parts.churn],
-            segments: vec![seg_lock(ShardSegment {
-                matrix: parts.matrix,
-                supports,
-                sindex: parts.sindex,
-            })],
-            lazy: None,
-            has_sindex,
+            matrix: parts.matrix,
+            supports: parts.supports,
+            sindex: parts.sindex,
+            churn: parts.churn,
             feature_summaries,
         })
-    }
-
-    fn from_sharded_parts(parts: snapshot::ShardedParts) -> Pmi {
-        let feature_summaries = parts
-            .features
-            .iter()
-            .map(|f| StructuralSummary::of(&f.graph))
-            .collect();
-        let shard_members = members_of(&parts.graph_salts, parts.segments.len());
-        let locator = locator_of(&shard_members, parts.graph_salts.len());
-        Pmi {
-            features: parts.features,
-            graph_salts: parts.graph_salts,
-            support_counts: parts.support_counts,
-            params: parts.params,
-            build_seconds: parts.build_seconds,
-            shard_members,
-            locator,
-            shard_churn: parts.shard_churn,
-            segments: parts
-                .segments
-                .into_iter()
-                .map(|seg| {
-                    seg_lock(ShardSegment {
-                        matrix: seg.matrix,
-                        supports: seg.supports,
-                        sindex: Some(seg.sindex),
-                    })
-                })
-                .collect(),
-            lazy: None,
-            has_sindex: true,
-            feature_summaries,
-        }
     }
 
     /// Saves the index to `path`.  The file round-trips bit-exactly:
@@ -841,51 +403,9 @@ impl Pmi {
         snapshot::write_file(path.as_ref(), &self.to_bytes())
     }
 
-    /// Loads an index previously written by [`Pmi::save`], fully eagerly
-    /// (every shard segment is decoded before this returns).
+    /// Loads an index previously written by [`Pmi::save`].
     pub fn load(path: impl AsRef<Path>) -> Result<Pmi, SnapshotError> {
         Pmi::from_bytes(&snapshot::read_file(path.as_ref())?)
-    }
-
-    /// Opens a snapshot *lazily*: only the head (parameters, salts, feature
-    /// definitions, shard table) is read and validated — O(shards + graphs),
-    /// not O(bytes) — and each shard's segment is materialized from the file
-    /// on first touch.  The segment table is checked against the file size
-    /// here, so a truncated snapshot fails at open time, not mid-query.
-    ///
-    /// v1/v2 snapshots have no segment table and fall back to the eager
-    /// [`Pmi::load`] path.
-    pub fn open(path: impl AsRef<Path>) -> Result<Pmi, SnapshotError> {
-        let path = path.as_ref();
-        match snapshot::open_head(path)? {
-            snapshot::OpenedSnapshot::Legacy => Pmi::load(path),
-            snapshot::OpenedSnapshot::V3(head) => {
-                let feature_summaries = head
-                    .features
-                    .iter()
-                    .map(|f| StructuralSummary::of(&f.graph))
-                    .collect();
-                let shard_members = members_of(&head.graph_salts, head.table.len());
-                let locator = locator_of(&shard_members, head.graph_salts.len());
-                Ok(Pmi {
-                    features: head.features,
-                    graph_salts: head.graph_salts,
-                    support_counts: head.support_counts,
-                    params: head.params,
-                    build_seconds: head.build_seconds,
-                    shard_members,
-                    locator,
-                    shard_churn: head.shard_churn,
-                    segments: (0..head.table.len()).map(|_| OnceLock::new()).collect(),
-                    lazy: Some(LazySource {
-                        path: path.to_path_buf(),
-                        table: head.table,
-                    }),
-                    has_sindex: true,
-                    feature_summaries,
-                })
-            }
-        }
     }
 
     /// Serializes the index to a plain-text form (one line per occupied cell).
@@ -923,56 +443,10 @@ impl Pmi {
 
     fn refresh_frequencies(&mut self) {
         let n = self.graph_count().max(1) as f64;
-        for (f, &c) in self.features.iter_mut().zip(&self.support_counts) {
-            f.frequency = c as f64 / n;
+        for (f, support) in self.features.iter_mut().zip(self.supports.iter()) {
+            f.frequency = support.len() as f64 / n;
         }
     }
-}
-
-/// Scatters the globally computed rows/supports/summaries into per-shard
-/// segments (the multi-shard build path).  Local orders inherit the global
-/// ascending order, so every per-shard list is ascending too.
-fn scatter_segments(
-    rows: &[Vec<Option<SipBounds>>],
-    features: &mut [Feature],
-    summaries: &[SummaryView<'_>],
-    members: &FlatVecVec<u32>,
-    locator: &[(u32, u32)],
-) -> Vec<OnceLock<ShardSegment>> {
-    let feature_count = features.len();
-    let mut scratch = vec![vec![Vec::new(); feature_count]; members.len()];
-    for f in features.iter_mut() {
-        for g in std::mem::take(&mut f.support) {
-            let (s, l) = locator[g];
-            scratch[s as usize][f.id].push(l);
-        }
-    }
-    let supports: Vec<FlatVecVec<u32>> = scratch.into_iter().map(FlatVecVec::from_rows).collect();
-    members
-        .iter()
-        .zip(supports)
-        .map(|(m, sup)| {
-            let mut matrix = SparseMatrix::new();
-            for &g in m {
-                matrix.push_column(
-                    rows[g as usize]
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(fi, c)| c.map(|b| (fi, b))),
-                );
-            }
-            let sindex = StructuralIndex::from_summaries(
-                m.iter()
-                    .map(|&g| summaries[g as usize].to_owned_summary())
-                    .collect(),
-            );
-            seg_lock(ShardSegment {
-                matrix,
-                supports: sup,
-                sindex: Some(sindex),
-            })
-        })
-        .collect()
 }
 
 /// Fills the feature × graph matrix, parallelised over graphs with the shared
@@ -1127,7 +601,6 @@ mod tests {
         let pmi = Pmi::build(&db, &params());
         assert!(pmi.features().len() >= 2);
         assert_eq!(pmi.graph_count(), 3);
-        assert_eq!(pmi.shard_count(), 1);
         let stats = pmi.stats();
         assert_eq!(stats.graph_count, 3);
         assert_eq!(stats.feature_count, pmi.features().len());
@@ -1217,40 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_builds_match_the_single_shard_build() {
-        let db = database();
-        let one = Pmi::build(&db, &params());
-        for shards in [3usize, 8] {
-            let pmi = Pmi::build_sharded(&db, &params(), shards);
-            assert_eq!(pmi.shard_count(), shards);
-            assert_eq!(pmi.graph_salts(), one.graph_salts());
-            assert_eq!(pmi.features().len(), one.features().len());
-            // Membership partitions the database and the locator inverts it.
-            let mut all: Vec<u32> = (0..shards)
-                .flat_map(|s| pmi.shard_members(s).to_vec())
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..db.len() as u32).collect::<Vec<_>>());
-            for g in 0..db.len() {
-                assert!(pmi
-                    .shard_members(pmi.shard_of_graph(g))
-                    .contains(&(g as u32)));
-            }
-            // Every lookup is byte-identical to the unsharded index.
-            for gi in 0..db.len() {
-                assert_eq!(pmi.graph_entries(gi), one.graph_entries(gi));
-            }
-            for (a, b) in pmi.features().iter().zip(one.features()) {
-                assert_eq!(pmi.feature_support(a.id), one.feature_support(b.id));
-                assert_eq!(a.frequency, b.frequency);
-                assert_eq!(a.discriminativity, b.discriminativity);
-            }
-            assert_eq!(pmi.stats().occupied_cells, one.stats().occupied_cells);
-            assert_eq!(pmi.to_text(), one.to_text());
-        }
-    }
-
-    #[test]
     fn text_serialization_mentions_every_occupied_cell() {
         let db = database();
         let pmi = Pmi::build(&db, &params());
@@ -1292,28 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_snapshot_round_trips_bit_exactly() {
-        let db = database();
-        let pmi = Pmi::build_sharded(&db, &params(), 3);
-        let bytes = pmi.to_bytes();
-        let back = Pmi::from_bytes(&bytes).unwrap();
-        assert_eq!(back.shard_count(), 3);
-        assert_eq!(back.graph_salts(), pmi.graph_salts());
-        assert_eq!(back.shard_churns(), pmi.shard_churns());
-        for gi in 0..db.len() {
-            assert_eq!(back.graph_entries(gi), pmi.graph_entries(gi));
-        }
-        for f in pmi.features() {
-            assert_eq!(back.feature_support(f.id), pmi.feature_support(f.id));
-        }
-        for s in 0..3 {
-            assert_eq!(back.shard_sindex(s), pmi.shard_sindex(s));
-        }
-        assert_eq!(back.stats(), pmi.stats());
-        assert_eq!(back.to_bytes(), bytes);
-    }
-
-    #[test]
     fn save_and_load_via_file() {
         let db = database();
         let pmi = Pmi::build(&db, &params());
@@ -1328,46 +745,8 @@ mod tests {
     }
 
     #[test]
-    fn open_is_lazy_and_answers_match_load() {
-        let db = database();
-        let pmi = Pmi::build_sharded(&db, &params(), 3);
-        let path = std::env::temp_dir().join(format!("pgs-pmi-lazy-{}.pmi", std::process::id()));
-        pmi.save(&path).unwrap();
-        let opened = Pmi::open(&path).unwrap();
-        // Only the head was read: nothing is materialized yet.
-        assert_eq!(opened.materialized_shards(), 0);
-        assert_eq!(opened.graph_salts(), pmi.graph_salts());
-        assert_eq!(opened.shard_count(), 3);
-        assert_eq!(opened.features().len(), pmi.features().len());
-        // Touching one graph materializes exactly its owning shard.
-        let g = 0usize;
-        assert_eq!(opened.graph_entries(g), pmi.graph_entries(g));
-        assert_eq!(opened.materialized_shards(), 1);
-        // Full comparison materializes the rest lazily and agrees everywhere.
-        for gi in 0..db.len() {
-            assert_eq!(opened.graph_entries(gi), pmi.graph_entries(gi));
-        }
-        assert_eq!(opened.stats(), pmi.stats());
-        assert_eq!(opened.to_bytes(), pmi.to_bytes());
-        // A legacy snapshot opens through the eager fallback.
-        let v2 = include_bytes!("../../../tests/fixtures/pmi_v2.bin");
-        std::fs::write(&path, v2).unwrap();
-        let legacy = Pmi::open(&path).unwrap();
-        assert_eq!(legacy.shard_count(), 1);
-        assert_eq!(legacy.materialized_shards(), 1);
-        let loaded = Pmi::from_bytes(v2).unwrap();
-        for gi in 0..loaded.graph_count() {
-            assert_eq!(legacy.graph_entries(gi), loaded.graph_entries(gi));
-        }
-        assert_eq!(legacy.sindex(), loaded.sindex());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn load_of_missing_file_is_an_io_error() {
         let err = Pmi::load("/nonexistent/definitely/missing.pmi").unwrap_err();
-        assert!(matches!(err, SnapshotError::Io(_)));
-        let err = Pmi::open("/nonexistent/definitely/missing.pmi").unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)));
     }
 
@@ -1404,38 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_incremental_maintenance_matches_the_single_shard_index() {
-        let db = database();
-        let mut sharded = Pmi::build_sharded(&db, &params(), 3);
-        let mut one = Pmi::build(&db, &params());
-        for pmi in [&mut sharded, &mut one] {
-            pmi.remove_graph(1);
-            pmi.append_graph(&db[1]);
-        }
-        assert_eq!(sharded.graph_salts(), one.graph_salts());
-        assert_eq!(sharded.churn(), one.churn());
-        for gi in 0..db.len() {
-            assert_eq!(sharded.graph_entries(gi), one.graph_entries(gi));
-        }
-        for f in one.features() {
-            assert_eq!(sharded.feature_support(f.id), one.feature_support(f.id));
-            let s = sharded
-                .features()
-                .iter()
-                .find(|sf| sf.id == f.id)
-                .expect("same feature set");
-            assert!((s.frequency - f.frequency).abs() < 1e-12);
-        }
-        // Churn is attributed to the shard that owns the mutated graph (its
-        // salt decides that, not its — now shifted — global id), and
-        // staleness reports the worst shard.
-        let owner = shard_of(graph_salt(&db[1]), sharded.shard_count());
-        assert_eq!(sharded.shard_churns()[owner], 2);
-        assert!(sharded.staleness() >= one.staleness());
-        assert!(sharded.shard_staleness().iter().all(|&s| s >= 0.0));
-    }
-
-    #[test]
     fn sindex_tracks_mutations_and_survives_snapshots() {
         let db = database();
         let full = Pmi::build(&db, &params());
@@ -1457,7 +804,9 @@ mod tests {
         assert_eq!(back.stats(), full.stats());
 
         // A v1 snapshot drops it; ensure_sindex re-derives an identical one.
-        let v1 = full.to_v1_bytes();
+        let mut unpaired = full.clone();
+        unpaired.sindex = None;
+        let v1 = unpaired.to_bytes();
         let mut old = Pmi::from_bytes(&v1).unwrap();
         assert!(old.sindex().is_none());
         // A v1-loaded index re-saves as v1 (nothing to persist).

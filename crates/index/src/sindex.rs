@@ -297,43 +297,6 @@ impl StructuralIndex {
         scratch.touched.clear();
         scanned
     }
-
-    /// Accumulates this index's posting masses into a *global* (database-wide)
-    /// accumulator, mapping shard-local graph ids through `members` — the
-    /// fused phase-1 scan of the sequential sharded path
-    /// (`pgs_query::structural`).  A graph's postings live entirely in its
-    /// owning shard, so across a whole shard fan-in each graph is
-    /// first-touched at most once; its `(global id, shard, local id)` triple
-    /// is recorded in `touched` at that moment.  Thresholding and the
-    /// `mass` reset are the caller's job (it sees all shards); the
-    /// accumulated values equal what per-shard [`StructuralIndex::filter_into`]
-    /// calls would produce.  Returns the posting entries scanned.
-    pub fn accumulate_mass_into(
-        &self,
-        query: SummaryView<'_>,
-        shard: u32,
-        members: &[u32],
-        mass: &mut [u32],
-        touched: &mut Vec<(u32, u32, u32)>,
-    ) -> usize {
-        debug_assert_eq!(members.len(), self.metas.len());
-        let mut scanned = 0usize;
-        for &(sig, qc) in query.edge_signatures() {
-            if let Ok(i) = self.sig_keys.binary_search(&sig) {
-                let row = self.postings.row(i);
-                scanned += row.len();
-                for e in row {
-                    let g = members[e.graph as usize];
-                    let slot = &mut mass[g as usize];
-                    if *slot == 0 {
-                        touched.push((g, shard, e.graph));
-                    }
-                    *slot += qc.min(e.count);
-                }
-            }
-        }
-        scanned
-    }
 }
 
 #[cfg(test)]

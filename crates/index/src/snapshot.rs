@@ -4,14 +4,13 @@
 //! feature-mining + SIP-bound cost; a process that rebuilds the index on every
 //! start pays it anyway.  The snapshot makes the index build-once/load-many.
 //!
-//! The current format (**v3**) is segmented: a fixed-width prefix and an
-//! eagerly-readable head (per-shard churn/offset/length table, graph salts,
-//! feature definitions) followed by one self-contained segment per shard
-//! (that shard's sparse matrix columns, local support lists and member
-//! summaries).  `Pmi::open` reads only the head — O(shards + graphs), not
-//! O(bytes) — and materializes a segment the first time its shard is touched;
-//! `Pmi::load` stays fully eager.  See the layout comment above the v3
-//! section below.
+//! The current format (**v3**) is a fixed-width prefix and a head (segment
+//! table, graph salts, feature definitions) followed by the segments (sparse
+//! matrix columns, per-feature support lists and per-graph summaries).  The
+//! writer emits exactly one segment covering the whole database.  Files with
+//! several segments, written by earlier versions of the engine, still load:
+//! decoding merges their segments into the same global layout.  See the
+//! layout comment above the v3 section below.
 //!
 //! The legacy single-segment layout (v1/v2) is still read:
 //!
@@ -46,9 +45,7 @@
 //!
 //! The salt list in the head ties a snapshot to the database contents it was
 //! built from: `QueryEngine::from_parts` recomputes the salts of the database
-//! it is given and refuses an index whose columns would not line up.  In v3
-//! the salts also carry the shard layout — membership is re-derived via
-//! [`crate::shard::members_of`], never stored.
+//! it is given and refuses an index whose columns would not line up.
 
 use crate::feature::Feature;
 use crate::pmi::PmiBuildParams;
@@ -57,7 +54,7 @@ use crate::sip_bounds::DisjointnessRule;
 use crate::storage::SparseMatrix;
 use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::{Graph, Label, VertexId};
-use pgs_graph::parallel::derive_seed;
+use pgs_graph::parallel::{derive_seed, mix64};
 use pgs_graph::summary::{EdgeSignature, StructuralSummary, SummaryView};
 use pgs_prob::montecarlo::MonteCarloConfig;
 use std::fmt;
@@ -66,9 +63,8 @@ use std::path::Path;
 /// Magic bytes opening every PMI snapshot.
 pub const MAGIC: [u8; 8] = *b"PGS-PMI\0";
 
-/// Current snapshot format version (v3: sharded segments behind a
-/// fixed-width head + per-shard offset/length table, so `Pmi::open` can
-/// materialize shards lazily).
+/// Current snapshot format version (v3: segments behind a fixed-width head
+/// and a per-segment offset/length table).
 pub const FORMAT_VERSION: u32 = 3;
 
 /// The single-segment format with an S-Index section; still readable.
@@ -110,22 +106,26 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The decoded parts of a snapshot, consumed by `Pmi`'s constructor.
+/// The decoded parts of a snapshot of any version, consumed by
+/// `Pmi::from_bytes`.
 pub(crate) struct PmiParts {
     pub params: PmiBuildParams,
     pub build_seconds: f64,
     pub churn: usize,
     pub graph_salts: Vec<u64>,
+    /// Support lists are empty: `supports` holds them.
     pub features: Vec<Feature>,
+    /// Per feature (row) the graph ids (ascending) passing the α filter.
+    pub supports: FlatVecVec<u32>,
     pub matrix: SparseMatrix,
     /// `None` for format-v1 snapshots (pre-S-Index).
     pub sindex: Option<StructuralIndex>,
 }
 
-/// A borrowed view of a single-segment index without an S-Index, consumed
-/// by [`encode_v1`].  The features' own support lists are ignored: row `i`
-/// of `supports` is feature `i`'s support.
-pub(crate) struct V1PartsRef<'a> {
+/// A borrowed view of an index, consumed by [`encode`] and [`payload_len`].
+/// The features' own support lists are ignored: row `i` of `supports` is
+/// feature `i`'s support.
+pub(crate) struct PartsRef<'a> {
     pub params: &'a PmiBuildParams,
     pub build_seconds: f64,
     pub churn: usize,
@@ -133,6 +133,8 @@ pub(crate) struct V1PartsRef<'a> {
     pub features: &'a [Feature],
     pub supports: &'a FlatVecVec<u32>,
     pub matrix: &'a SparseMatrix,
+    /// `None` only for an index decoded from v1 and never paired.
+    pub sindex: Option<&'a StructuralIndex>,
 }
 
 /// A deterministic fingerprint of the build parameters (the query-relevant
@@ -188,7 +190,7 @@ fn disjointness_from_tag(tag: u8) -> Result<DisjointnessRule, SnapshotError> {
 }
 
 /// Encoded size of one structural summary.
-pub(crate) fn summary_len(s: SummaryView<'_>) -> usize {
+fn summary_len(s: SummaryView<'_>) -> usize {
     4 + 4
         + 4
         + 8 * s.vertex_labels().len()
@@ -205,34 +207,56 @@ pub(crate) fn header_len() -> usize {
     8 + 4 + 8 + PARAMS_LEN + 8 + 8
 }
 
+/// Byte length of the fixed v3 prefix (magic + version + fingerprint +
+/// head-length field + params + build seconds); everything after it counts
+/// as payload for `PmiStats::size_bytes`.
+pub(crate) fn header_len_v3() -> usize {
+    8 + 4 + 8 + 8 + PARAMS_LEN + 8
+}
+
 /// Fixed encoded size of `PmiBuildParams`.
-pub(crate) const PARAMS_LEN: usize = 6 * 8 /* feature params */
+const PARAMS_LEN: usize = 6 * 8 /* feature params */
     + 2 * 8 + 3 /* bounds caps + three flag bytes */
     + 2 * 8 + 8 /* monte-carlo */
     + 2 * 8 /* threads + seed */;
-
-/// Encoded size of a v3 feature head record (the graph, a global support
-/// *count* instead of the per-graph support list, frequency and
-/// discriminativity).
-pub(crate) fn feature_head_len(f: &Feature) -> usize {
-    feature_graph_len(f) + 4 + 8 + 8
-}
 
 fn feature_graph_len(f: &Feature) -> usize {
     4 + f.graph.name().len() + 4 + 4 * f.graph.vertex_count() + 4 + 12 * f.graph.edge_count()
 }
 
-/// Encoded size of one v1/v2 feature record when its support list would hold
-/// `support` entries — lets the v1 size estimate work on an index whose
-/// supports live in shard segments.
-pub(crate) fn feature_len_with(f: &Feature, support: usize) -> usize {
-    feature_graph_len(f) + 4 + 4 * support + 8 + 8
+/// Exact payload size of the snapshot [`encode`] writes for `parts`
+/// (everything after the fixed prefix).
+pub(crate) fn payload_len(parts: &PartsRef<'_>) -> usize {
+    let salts = 8 + 8 * parts.graph_salts.len();
+    let supports = 4 * parts.supports.len() + 4 * parts.supports.total_len();
+    let feature_graphs: usize = parts.features.iter().map(feature_graph_len).sum();
+    let features = 8 + feature_graphs + 16 * parts.features.len();
+    let matrix = 8 + parts.matrix.payload_bytes();
+    match parts.sindex {
+        // v3: segment count + one table entry, the head's salts and feature
+        // records (support counts in place of lists), then the segment.
+        Some(sindex) => {
+            let summaries: usize = sindex.summary_views().map(summary_len).sum();
+            8 + 24 + salts + features + 4 * parts.features.len() + matrix + supports + 8 + summaries
+        }
+        // v1: salts, feature records with their support lists, the matrix.
+        None => salts + features + supports + matrix,
+    }
+}
+
+/// Encodes an index: format v3 with one segment, or format v1 when it has no
+/// S-Index to store.
+pub(crate) fn encode(parts: &PartsRef<'_>) -> Vec<u8> {
+    debug_assert_eq!(parts.supports.len(), parts.features.len());
+    match parts.sindex {
+        Some(sindex) => encode_v3(parts, sindex),
+        None => encode_v1(parts),
+    }
 }
 
 /// Encodes the legacy single-segment layout at format v1 (no S-Index
 /// section).
-pub(crate) fn encode_v1(parts: &V1PartsRef<'_>) -> Vec<u8> {
-    debug_assert_eq!(parts.supports.len(), parts.features.len());
+fn encode_v1(parts: &PartsRef<'_>) -> Vec<u8> {
     let mut w = Writer::with_capacity(header_len() + 256);
     w.bytes(&MAGIC);
     w.u32(FORMAT_V1);
@@ -240,18 +264,396 @@ pub(crate) fn encode_v1(parts: &V1PartsRef<'_>) -> Vec<u8> {
     encode_params(&mut w, parts.params);
     w.f64(parts.build_seconds);
     w.u64(parts.churn as u64);
-
-    w.u64(parts.graph_salts.len() as u64);
-    for &s in parts.graph_salts {
-        w.u64(s);
-    }
-
+    encode_salts(&mut w, parts.graph_salts);
     w.u64(parts.features.len() as u64);
     for (f, support) in parts.features.iter().zip(parts.supports.iter()) {
-        encode_feature(&mut w, f, support);
+        encode_feature_graph(&mut w, &f.graph);
+        w.u32(support.len() as u32);
+        for &gi in support {
+            w.u32(gi);
+        }
+        w.f64(f.frequency);
+        w.f64(f.discriminativity);
     }
+    encode_matrix(&mut w, parts.matrix);
+    w.out
+}
 
-    let m = parts.matrix;
+/// Decodes a snapshot of any readable format version.
+pub(crate) fn decode(bytes: &[u8]) -> Result<PmiParts, SnapshotError> {
+    let mut r = Reader::new(bytes);
+    if r.bytes(8)? != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = r.u32()?;
+    if !matches!(version, FORMAT_V1 | FORMAT_V2 | FORMAT_VERSION) {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    let stored_fingerprint = r.u64()?;
+    // v3 records the head length between the fingerprint and the parameters.
+    let head_len = if version == FORMAT_VERSION {
+        Some(r.u64()? as usize)
+    } else {
+        None
+    };
+    let params = decode_params(&mut r)?;
+    if params_fingerprint_at(&params, version) != stored_fingerprint {
+        return Err(SnapshotError::Corrupt(
+            "build-parameter fingerprint does not match the stored parameters".into(),
+        ));
+    }
+    let build_seconds = r.f64()?;
+    match head_len {
+        Some(head_len) => decode_v3(&mut r, head_len, params, build_seconds),
+        None => decode_legacy(&mut r, version, params, build_seconds),
+    }
+}
+
+/// Decodes the v1/v2 payload (everything after the build seconds).
+fn decode_legacy(
+    r: &mut Reader,
+    version: u32,
+    params: PmiBuildParams,
+    build_seconds: f64,
+) -> Result<PmiParts, SnapshotError> {
+    let churn = r.u64()? as usize;
+    let graph_salts = decode_salts(r)?;
+    let graph_count = graph_salts.len();
+    // The smallest possible encoded feature (empty name/vertices/edges/support)
+    // is 32 bytes; using that as the per-element floor keeps a corrupt count
+    // from pre-allocating far beyond the file size.
+    let feature_count = r.len_prefixed(32)?;
+    let mut features = Vec::with_capacity(feature_count);
+    let mut supports = FlatVecVec::with_capacity(feature_count, 0);
+    for id in 0..feature_count {
+        let graph = decode_feature_graph(r, id)?;
+        let support_len = r.len_prefixed32(4)?;
+        let mut support = Vec::with_capacity(support_len);
+        for _ in 0..support_len {
+            let gi = r.u32()?;
+            if gi as usize >= graph_count {
+                return Err(SnapshotError::Corrupt(format!(
+                    "feature {id}: support references graph {gi} of {graph_count}"
+                )));
+            }
+            support.push(gi);
+        }
+        supports.push_row(support);
+        features.push(decode_feature_scores(r, id, graph)?);
+    }
+    let matrix = decode_matrix(r, graph_count, feature_count)?;
+    let sindex = if version >= FORMAT_V2 {
+        let summaries = decode_summaries(r, graph_count)?;
+        Some(StructuralIndex::from_summaries(summaries))
+    } else {
+        None
+    };
+    if !r.is_empty() {
+        return Err(SnapshotError::Corrupt(
+            "trailing bytes after the final section".into(),
+        ));
+    }
+    Ok(PmiParts {
+        params,
+        build_seconds,
+        churn,
+        graph_salts,
+        features,
+        supports,
+        matrix,
+        sindex,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Format v3: segments behind a head.
+//
+// ```text
+// magic 8 | version u32 = 3 | fingerprint u64 | head_len u64
+// params (fixed width) | build_seconds f64
+// ── head payload ──────────────────────────────────────────────────────────
+// segment_count u64
+// table: per segment { churn u64, offset u64, length u64 }   (absolute bytes)
+// salts:    u64 count + u64 content salt per graph
+// features: u64 count + per feature: graph, support COUNT u32,
+//           frequency f64, discriminativity f64
+// ── segments (contiguous, tiling [head_len, file_len)) ────────────────────
+// per segment: matrix (entry count, CSR offsets over LOCAL columns, ids,
+//              bounds), per-feature LOCAL support lists, member summaries
+// ```
+//
+// The writer emits one segment, whose local ids are the global graph ids.
+// A file with several segments was written by a sharded index: graph `g`
+// belongs to shard `shard_of(salt[g], segment_count)`, its local id is its
+// rank among that shard's members, and membership is not stored but
+// re-derived from the salts.  `decode_v3` merges such segments back into the
+// global layout.
+
+fn encode_v3(parts: &PartsRef<'_>, sindex: &StructuralIndex) -> Vec<u8> {
+    let mut w = Writer::with_capacity(header_len_v3() + 256);
+    w.bytes(&MAGIC);
+    w.u32(FORMAT_VERSION);
+    w.u64(params_fingerprint_at(parts.params, FORMAT_VERSION));
+    let head_len_pos = w.out.len();
+    w.u64(0); // head_len, patched once the head is complete
+    encode_params(&mut w, parts.params);
+    w.f64(parts.build_seconds);
+
+    w.u64(1); // segment count
+    let table_pos = w.out.len();
+    w.u64(parts.churn as u64);
+    w.u64(0); // offset, patched below
+    w.u64(0); // length, patched below
+    encode_salts(&mut w, parts.graph_salts);
+    w.u64(parts.features.len() as u64);
+    for (f, support) in parts.features.iter().zip(parts.supports.iter()) {
+        encode_feature_graph(&mut w, &f.graph);
+        w.u32(support.len() as u32);
+        w.f64(f.frequency);
+        w.f64(f.discriminativity);
+    }
+    let head_len = w.out.len();
+    w.out[head_len_pos..head_len_pos + 8].copy_from_slice(&(head_len as u64).to_le_bytes());
+
+    encode_matrix(&mut w, parts.matrix);
+    for support in parts.supports.iter() {
+        w.u32(support.len() as u32);
+        for &g in support {
+            w.u32(g);
+        }
+    }
+    w.u64(sindex.graph_count() as u64);
+    for summary in sindex.summary_views() {
+        encode_summary(&mut w, summary);
+    }
+    let len = (w.out.len() - head_len) as u64;
+    w.out[table_pos + 8..table_pos + 16].copy_from_slice(&(head_len as u64).to_le_bytes());
+    w.out[table_pos + 16..table_pos + 24].copy_from_slice(&len.to_le_bytes());
+    w.out
+}
+
+/// Upper limit on a v3 file's segment count: far above any shard count the
+/// engine ever wrote, but low enough that a corrupt or hostile count cannot
+/// make the decoder allocate absurd per-segment state.
+const MAX_SHARDS: usize = 64;
+
+/// Salt folded into the hash so the shard assignment of a multi-segment file
+/// is independent of every other consumer of the content salts.
+const SHARD_SALT: u64 = 0x7368_6172_6421_9e37; // "shard!"
+
+/// The shard (segment) a graph with content salt `salt` was written to in a
+/// file with `shard_count` segments.
+fn shard_of(salt: u64, shard_count: usize) -> usize {
+    (mix64(salt ^ SHARD_SALT) % shard_count as u64) as usize
+}
+
+/// Per shard the member graph ids, ascending: row `s` lists the graphs whose
+/// columns segment `s` stores, in local-id order.
+fn members_of(salts: &[u64], shard_count: usize) -> Vec<Vec<u32>> {
+    let mut members = vec![Vec::new(); shard_count];
+    for (g, &salt) in salts.iter().enumerate() {
+        members[shard_of(salt, shard_count)].push(g as u32);
+    }
+    members
+}
+
+/// One decoded segment of a v3 snapshot, over local member ids.
+struct Segment {
+    matrix: SparseMatrix,
+    supports: FlatVecVec<u32>,
+    summaries: Vec<StructuralSummary>,
+}
+
+/// Decodes the v3 payload (everything after the build seconds): the head,
+/// then every segment in table order, merged into the global layout.
+fn decode_v3(
+    r: &mut Reader,
+    head_len: usize,
+    params: PmiBuildParams,
+    build_seconds: f64,
+) -> Result<PmiParts, SnapshotError> {
+    let shard_count = r.len_prefixed(24)?;
+    if shard_count == 0 || shard_count > MAX_SHARDS {
+        return Err(SnapshotError::Corrupt(format!(
+            "shard count {shard_count} outside 1..={MAX_SHARDS}"
+        )));
+    }
+    let mut churn = 0usize;
+    let mut table = Vec::with_capacity(shard_count);
+    for _ in 0..shard_count {
+        churn = churn.saturating_add(r.u64()? as usize);
+        let offset = r.u64()?;
+        let len = r.u64()?;
+        table.push((offset, len));
+    }
+    let graph_salts = decode_salts(r)?;
+    let graph_count = graph_salts.len();
+    // The smallest v3 feature head record (empty name/vertices/edges) is
+    // 32 bytes.
+    let feature_count = r.len_prefixed(32)?;
+    let mut features = Vec::with_capacity(feature_count);
+    let mut support_counts = Vec::with_capacity(feature_count);
+    for id in 0..feature_count {
+        let graph = decode_feature_graph(r, id)?;
+        support_counts.push(r.u32()? as usize);
+        features.push(decode_feature_scores(r, id, graph)?);
+    }
+    if r.pos != head_len {
+        return Err(SnapshotError::Corrupt(format!(
+            "head ends at byte {} but the header claims {head_len}",
+            r.pos
+        )));
+    }
+    let members = members_of(&graph_salts, shard_count);
+    let mut segments = Vec::with_capacity(shard_count);
+    let mut expected = head_len as u64;
+    for (s, &(offset, len)) in table.iter().enumerate() {
+        if offset != expected {
+            return Err(SnapshotError::Corrupt(format!(
+                "segment {s} starts at byte {offset}, expected {expected} \
+                 (segments must tile the file contiguously)"
+            )));
+        }
+        let end = offset.checked_add(len).filter(|&e| e <= r.buf.len() as u64);
+        let Some(end) = end else {
+            return Err(SnapshotError::Corrupt(format!(
+                "segment {s} ({offset}+{len} bytes) overruns the {}-byte snapshot",
+                r.buf.len()
+            )));
+        };
+        let mut seg = Reader::new(&r.buf[offset as usize..end as usize]);
+        segments.push(
+            decode_segment(&mut seg, members[s].len(), feature_count)
+                .map_err(|e| in_segment(s, e))?,
+        );
+        expected = end;
+    }
+    if expected != r.buf.len() as u64 {
+        return Err(SnapshotError::Corrupt(
+            "trailing bytes after the final segment".into(),
+        ));
+    }
+    let (matrix, supports, summaries) =
+        merge_segments(&members, segments, graph_count, feature_count);
+    for (id, (support, &count)) in supports.iter().zip(&support_counts).enumerate() {
+        if support.len() != count {
+            return Err(SnapshotError::Corrupt(format!(
+                "feature {id}: head records {count} supporting graphs, segments hold {}",
+                support.len()
+            )));
+        }
+    }
+    Ok(PmiParts {
+        params,
+        build_seconds,
+        churn,
+        graph_salts,
+        features,
+        supports,
+        matrix,
+        sindex: Some(StructuralIndex::from_summaries(summaries)),
+    })
+}
+
+/// Prefixes a segment's decode error with the segment number.
+fn in_segment(s: usize, e: SnapshotError) -> SnapshotError {
+    match e {
+        SnapshotError::Corrupt(why) => SnapshotError::Corrupt(format!("segment {s}: {why}")),
+        other => other,
+    }
+}
+
+/// Decodes one segment over `member_count` local ids.
+fn decode_segment(
+    r: &mut Reader,
+    member_count: usize,
+    feature_count: usize,
+) -> Result<Segment, SnapshotError> {
+    let matrix = decode_matrix(r, member_count, feature_count)?;
+    let mut supports = FlatVecVec::with_capacity(feature_count, 0);
+    for fi in 0..feature_count {
+        let n = r.len_prefixed32(4)?;
+        let mut support = Vec::with_capacity(n);
+        for _ in 0..n {
+            let l = r.u32()?;
+            if l as usize >= member_count {
+                return Err(SnapshotError::Corrupt(format!(
+                    "feature {fi} support references member {l} of {member_count}"
+                )));
+            }
+            support.push(l);
+        }
+        supports.push_row(support);
+    }
+    let summaries = decode_summaries(r, member_count)?;
+    if !r.is_empty() {
+        return Err(SnapshotError::Corrupt(
+            "trailing bytes after the segment".into(),
+        ));
+    }
+    Ok(Segment {
+        matrix,
+        supports,
+        summaries,
+    })
+}
+
+/// Merges decoded segments into the global layout: local id `l` of shard
+/// `s` is graph `members[s][l]`.  The inverse of the shard partition the
+/// file was written with; one segment (`members[0] == 0..n`) merges to
+/// itself.
+fn merge_segments(
+    members: &[Vec<u32>],
+    segments: Vec<Segment>,
+    graph_count: usize,
+    feature_count: usize,
+) -> (SparseMatrix, FlatVecVec<u32>, Vec<StructuralSummary>) {
+    let mut locator = vec![(0usize, 0usize); graph_count];
+    for (s, m) in members.iter().enumerate() {
+        for (l, &g) in m.iter().enumerate() {
+            locator[g as usize] = (s, l);
+        }
+    }
+    let mut matrix = SparseMatrix::new();
+    for &(s, l) in &locator {
+        matrix.push_column(segments[s].matrix.column(l));
+    }
+    let mut supports = FlatVecVec::with_capacity(feature_count, 0);
+    for fi in 0..feature_count {
+        let mut support: Vec<u32> = segments
+            .iter()
+            .zip(members)
+            .flat_map(|(seg, m)| seg.supports.row(fi).iter().map(|&l| m[l as usize]))
+            .collect();
+        support.sort_unstable();
+        supports.push_row(support);
+    }
+    let mut slots: Vec<Option<StructuralSummary>> = (0..graph_count).map(|_| None).collect();
+    for (seg, m) in segments.into_iter().zip(members) {
+        for (summary, &g) in seg.summaries.into_iter().zip(m) {
+            slots[g as usize] = Some(summary);
+        }
+    }
+    (matrix, supports, slots.into_iter().flatten().collect())
+}
+
+fn encode_salts(w: &mut Writer, salts: &[u64]) {
+    w.u64(salts.len() as u64);
+    for &s in salts {
+        w.u64(s);
+    }
+}
+
+fn decode_salts(r: &mut Reader) -> Result<Vec<u64>, SnapshotError> {
+    let count = r.len_prefixed(8)?;
+    let mut salts = Vec::with_capacity(count);
+    for _ in 0..count {
+        salts.push(r.u64()?);
+    }
+    Ok(salts)
+}
+
+fn encode_matrix(w: &mut Writer, m: &SparseMatrix) {
     w.u64(m.feature_ids().len() as u64);
     for &o in m.offsets() {
         w.u64(o as u64);
@@ -265,46 +667,17 @@ pub(crate) fn encode_v1(parts: &V1PartsRef<'_>) -> Vec<u8> {
     for &u in m.uppers() {
         w.f64(u);
     }
-    w.out
 }
 
-pub(crate) fn decode(bytes: &[u8]) -> Result<PmiParts, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    if r.bytes(8)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_V2 && version != FORMAT_V1 {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let stored_fingerprint = r.u64()?;
-    let params = decode_params(&mut r)?;
-    if params_fingerprint_at(&params, version) != stored_fingerprint {
-        return Err(SnapshotError::Corrupt(
-            "build-parameter fingerprint does not match the stored parameters".into(),
-        ));
-    }
-    let build_seconds = r.f64()?;
-    let churn = r.u64()? as usize;
-
-    let salt_count = r.len_prefixed(8)?;
-    let mut graph_salts = Vec::with_capacity(salt_count);
-    for _ in 0..salt_count {
-        graph_salts.push(r.u64()?);
-    }
-
-    // The smallest possible encoded feature (empty name/vertices/edges/support)
-    // is 32 bytes; using that as the per-element floor keeps a corrupt count
-    // from pre-allocating far beyond the file size.
-    let feature_count = r.len_prefixed(32)?;
-    let mut features = Vec::with_capacity(feature_count);
-    for id in 0..feature_count {
-        features.push(decode_feature(&mut r, id, graph_salts.len())?);
-    }
-
+/// Decodes a matrix section over `columns` graph columns.
+fn decode_matrix(
+    r: &mut Reader,
+    columns: usize,
+    feature_count: usize,
+) -> Result<SparseMatrix, SnapshotError> {
     let entry_count = r.len_prefixed(20)?;
-    let mut offsets = Vec::with_capacity(graph_salts.len() + 1);
-    for _ in 0..graph_salts.len() + 1 {
+    let mut offsets = Vec::with_capacity(columns + 1);
+    for _ in 0..columns + 1 {
         offsets.push(r.u64()? as usize);
     }
     let mut feature_ids = Vec::with_capacity(entry_count);
@@ -325,213 +698,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<PmiParts, SnapshotError> {
     for _ in 0..entry_count {
         uppers.push(r.f64()?);
     }
-
-    let sindex = if version >= FORMAT_V2 {
-        // The smallest encoded summary (empty graph) is 20 bytes.
-        let summary_count = r.len_prefixed(20)?;
-        if summary_count != graph_salts.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{summary_count} S-Index summaries but {} graph salts",
-                graph_salts.len()
-            )));
-        }
-        let mut summaries = Vec::with_capacity(summary_count);
-        for gi in 0..summary_count {
-            summaries.push(decode_summary(&mut r, gi)?);
-        }
-        Some(StructuralIndex::from_summaries(summaries))
-    } else {
-        None
-    };
-
-    if !r.is_empty() {
-        return Err(SnapshotError::Corrupt(
-            "trailing bytes after the final section".into(),
-        ));
-    }
-    let matrix = SparseMatrix::from_raw(offsets, feature_ids, lowers, uppers)
-        .map_err(SnapshotError::Corrupt)?;
-    Ok(PmiParts {
-        params,
-        build_seconds,
-        churn,
-        graph_salts,
-        features,
-        matrix,
-        sindex,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Format v3: sharded segments behind an eagerly-readable head.
-//
-// ```text
-// magic 8 | version u32 = 3 | fingerprint u64 | head_len u64
-// params (fixed width) | build_seconds f64
-// ── head payload ──────────────────────────────────────────────────────────
-// shard_count u64
-// table: per shard { churn u64, offset u64, length u64 }   (absolute bytes)
-// salts:    u64 count + u64 content salt per graph
-// features: u64 count + per feature: graph, global support COUNT u32,
-//           frequency f64, discriminativity f64
-// ── segments (contiguous, tiling [head_len, file_len)) ────────────────────
-// per shard: matrix (entry count, CSR offsets over LOCAL columns, ids,
-//            bounds), per-feature LOCAL support lists, member summaries
-// ```
-//
-// Shard membership is not stored: it is re-derived from the salts via
-// `shard::members_of`, which is exactly how the index assigned it.  The head
-// is everything `Pmi::open` reads; a segment is only decoded when its shard
-// is first touched.
-
-/// One decoded shard segment of a v3 snapshot.
-pub(crate) struct SegmentParts {
-    pub matrix: SparseMatrix,
-    /// Per feature (row) the local member ids (ascending) passing the α
-    /// filter, packed flat.
-    pub supports: FlatVecVec<u32>,
-    pub sindex: StructuralIndex,
-}
-
-/// A borrowed view of one shard segment, used by the v3 encoder.
-pub(crate) struct SegmentRef<'a> {
-    pub matrix: &'a SparseMatrix,
-    pub supports: &'a FlatVecVec<u32>,
-    pub sindex: &'a StructuralIndex,
-}
-
-/// The fully decoded parts of a v3 snapshot (the eager `Pmi::load` path).
-pub(crate) struct ShardedParts {
-    pub params: PmiBuildParams,
-    pub build_seconds: f64,
-    pub graph_salts: Vec<u64>,
-    /// Support lists are empty: the per-shard segments hold them.
-    pub features: Vec<Feature>,
-    pub support_counts: Vec<usize>,
-    pub shard_churn: Vec<usize>,
-    pub segments: Vec<SegmentParts>,
-}
-
-/// A borrowed view of a sharded index, consumed by [`encode_v3`].
-pub(crate) struct ShardedPartsRef<'a> {
-    pub params: &'a PmiBuildParams,
-    pub build_seconds: f64,
-    pub graph_salts: &'a [u64],
-    pub features: &'a [Feature],
-    pub support_counts: &'a [usize],
-    pub shard_churn: &'a [usize],
-    pub segments: Vec<SegmentRef<'a>>,
-}
-
-/// The eagerly-read head of a v3 snapshot: everything except the segments,
-/// plus the table telling a lazy reader where each segment lives.
-pub(crate) struct V3Head {
-    pub params: PmiBuildParams,
-    pub build_seconds: f64,
-    pub graph_salts: Vec<u64>,
-    pub features: Vec<Feature>,
-    pub support_counts: Vec<usize>,
-    pub shard_churn: Vec<usize>,
-    /// Per shard: absolute byte offset and length of its segment.
-    pub table: Vec<(u64, u64)>,
-}
-
-/// Result of decoding a snapshot of any readable version.  Both variants are
-/// boxed: the parts structs are hundreds of bytes and the value is
-/// destructured exactly once per load.
-pub(crate) enum AnyParts {
-    /// Format v1/v2: one global segment.
-    Legacy(Box<PmiParts>),
-    /// Format v3: per-shard segments.
-    V3(Box<ShardedParts>),
-}
-
-/// Result of peeking a snapshot file's head without touching segment bytes.
-pub(crate) enum OpenedSnapshot {
-    /// A v1/v2 file — no segment table, the caller must load it eagerly.
-    Legacy,
-    /// A v3 file: the decoded head, ready for lazy segment materialization.
-    /// Boxed so the no-data `Legacy` variant stays pointer-sized.
-    V3(Box<V3Head>),
-}
-
-/// Byte length of the fixed v3 prefix (magic + version + fingerprint +
-/// head-length field + params + build seconds); everything after it counts
-/// as payload for `PmiStats::size_bytes`.
-pub(crate) fn header_len_v3() -> usize {
-    8 + 4 + 8 + 8 + PARAMS_LEN + 8
-}
-
-pub(crate) fn encode_v3(parts: &ShardedPartsRef<'_>) -> Vec<u8> {
-    let shard_count = parts.segments.len();
-    debug_assert_eq!(parts.shard_churn.len(), shard_count);
-    debug_assert_eq!(parts.support_counts.len(), parts.features.len());
-    let mut w = Writer::with_capacity(header_len_v3() + 256);
-    w.bytes(&MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u64(params_fingerprint_at(parts.params, FORMAT_VERSION));
-    let head_len_pos = w.out.len();
-    w.u64(0); // head_len, patched once the head is complete
-    encode_params(&mut w, parts.params);
-    w.f64(parts.build_seconds);
-
-    w.u64(shard_count as u64);
-    let table_pos = w.out.len();
-    for &churn in parts.shard_churn {
-        w.u64(churn as u64);
-        w.u64(0); // offset, patched per segment
-        w.u64(0); // length, patched per segment
-    }
-    w.u64(parts.graph_salts.len() as u64);
-    for &s in parts.graph_salts {
-        w.u64(s);
-    }
-    w.u64(parts.features.len() as u64);
-    for (f, &count) in parts.features.iter().zip(parts.support_counts) {
-        encode_feature_graph(&mut w, &f.graph);
-        w.u32(count as u32);
-        w.f64(f.frequency);
-        w.f64(f.discriminativity);
-    }
-    let head_len = w.out.len() as u64;
-    w.out[head_len_pos..head_len_pos + 8].copy_from_slice(&head_len.to_le_bytes());
-
-    for (s, seg) in parts.segments.iter().enumerate() {
-        let start = w.out.len();
-        encode_segment(&mut w, seg);
-        let len = (w.out.len() - start) as u64;
-        let entry = table_pos + s * 24;
-        w.out[entry + 8..entry + 16].copy_from_slice(&(start as u64).to_le_bytes());
-        w.out[entry + 16..entry + 24].copy_from_slice(&len.to_le_bytes());
-    }
-    w.out
-}
-
-fn encode_segment(w: &mut Writer, seg: &SegmentRef<'_>) {
-    let m = seg.matrix;
-    w.u64(m.feature_ids().len() as u64);
-    for &o in m.offsets() {
-        w.u64(o as u64);
-    }
-    for &fi in m.feature_ids() {
-        w.u32(fi);
-    }
-    for &l in m.lowers() {
-        w.f64(l);
-    }
-    for &u in m.uppers() {
-        w.f64(u);
-    }
-    for sup in seg.supports.iter() {
-        w.u32(sup.len() as u32);
-        for &l in sup {
-            w.u32(l);
-        }
-    }
-    w.u64(seg.sindex.graph_count() as u64);
-    for summary in seg.sindex.summary_views() {
-        encode_summary(w, summary);
-    }
+    SparseMatrix::from_raw(offsets, feature_ids, lowers, uppers).map_err(SnapshotError::Corrupt)
 }
 
 fn encode_summary(w: &mut Writer, s: SummaryView<'_>) {
@@ -553,6 +720,25 @@ fn encode_summary(w: &mut Writer, s: SummaryView<'_>) {
     for &d in s.degree_sequence() {
         w.u32(d);
     }
+}
+
+/// Decodes a summary section that must hold exactly `expected` summaries.
+fn decode_summaries(
+    r: &mut Reader,
+    expected: usize,
+) -> Result<Vec<StructuralSummary>, SnapshotError> {
+    // The smallest encoded summary (empty graph) is 20 bytes.
+    let count = r.len_prefixed(20)?;
+    if count != expected {
+        return Err(SnapshotError::Corrupt(format!(
+            "{count} S-Index summaries but {expected} graphs"
+        )));
+    }
+    let mut summaries = Vec::with_capacity(count);
+    for gi in 0..count {
+        summaries.push(decode_summary(r, gi)?);
+    }
+    Ok(summaries)
 }
 
 fn decode_summary(r: &mut Reader, gi: usize) -> Result<StructuralSummary, SnapshotError> {
@@ -586,297 +772,6 @@ fn decode_summary(r: &mut Reader, gi: usize) -> Result<StructuralSummary, Snapsh
         degree_sequence,
     )
     .map_err(corrupt)
-}
-
-/// Decodes a snapshot of any readable format version.
-pub(crate) fn decode_any(bytes: &[u8]) -> Result<AnyParts, SnapshotError> {
-    match peek_version(bytes)? {
-        FORMAT_VERSION => decode_v3(bytes).map(|parts| AnyParts::V3(Box::new(parts))),
-        _ => decode(bytes).map(|parts| AnyParts::Legacy(Box::new(parts))),
-    }
-}
-
-/// The format version of a snapshot byte string (after checking the magic).
-fn peek_version(bytes: &[u8]) -> Result<u32, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    if r.bytes(8)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION && version != FORMAT_V2 && version != FORMAT_V1 {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    Ok(version)
-}
-
-/// Decodes the v3 head from a reader positioned at byte 0.  On success the
-/// reader sits exactly at `head_len` (the start of the first segment).
-fn decode_v3_head(r: &mut Reader) -> Result<V3Head, SnapshotError> {
-    if r.bytes(8)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let stored_fingerprint = r.u64()?;
-    let head_len = r.u64()? as usize;
-    let params = decode_params(r)?;
-    if params_fingerprint_at(&params, FORMAT_VERSION) != stored_fingerprint {
-        return Err(SnapshotError::Corrupt(
-            "build-parameter fingerprint does not match the stored parameters".into(),
-        ));
-    }
-    let build_seconds = r.f64()?;
-    let shard_count = r.len_prefixed(24)?;
-    if shard_count == 0 || shard_count > crate::shard::MAX_SHARDS {
-        return Err(SnapshotError::Corrupt(format!(
-            "shard count {shard_count} outside 1..={}",
-            crate::shard::MAX_SHARDS
-        )));
-    }
-    let mut shard_churn = Vec::with_capacity(shard_count);
-    let mut table = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        shard_churn.push(r.u64()? as usize);
-        let offset = r.u64()?;
-        let len = r.u64()?;
-        table.push((offset, len));
-    }
-    let salt_count = r.len_prefixed(8)?;
-    let mut graph_salts = Vec::with_capacity(salt_count);
-    for _ in 0..salt_count {
-        graph_salts.push(r.u64()?);
-    }
-    // The smallest v3 feature head record (empty name/vertices/edges) is
-    // 32 bytes.
-    let feature_count = r.len_prefixed(32)?;
-    let mut features = Vec::with_capacity(feature_count);
-    let mut support_counts = Vec::with_capacity(feature_count);
-    for id in 0..feature_count {
-        let graph = decode_feature_graph(r, id)?;
-        let count = r.u32()? as usize;
-        if count > salt_count {
-            return Err(SnapshotError::Corrupt(format!(
-                "feature {id}: support count {count} exceeds {salt_count} graphs"
-            )));
-        }
-        let frequency = r.f64()?;
-        let discriminativity = r.f64()?;
-        features.push(Feature {
-            id,
-            graph,
-            support: Vec::new(),
-            frequency,
-            discriminativity,
-        });
-        support_counts.push(count);
-    }
-    if r.pos != head_len {
-        return Err(SnapshotError::Corrupt(format!(
-            "head ends at byte {} but the header claims {head_len}",
-            r.pos
-        )));
-    }
-    Ok(V3Head {
-        params,
-        build_seconds,
-        graph_salts,
-        features,
-        support_counts,
-        shard_churn,
-        table,
-    })
-}
-
-/// Eagerly decodes a complete v3 snapshot (the `Pmi::load`/`from_bytes`
-/// path): head first, then every segment in table order.
-pub(crate) fn decode_v3(bytes: &[u8]) -> Result<ShardedParts, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let head = decode_v3_head(&mut r)?;
-    let members = crate::shard::members_of(&head.graph_salts, head.table.len());
-    let mut expected = r.pos as u64;
-    let mut segments = Vec::with_capacity(head.table.len());
-    for (s, &(offset, len)) in head.table.iter().enumerate() {
-        if offset != expected {
-            return Err(SnapshotError::Corrupt(format!(
-                "segment {s} starts at byte {offset}, expected {expected} \
-                 (segments must tile the file contiguously)"
-            )));
-        }
-        let end = offset.checked_add(len).filter(|&e| e <= bytes.len() as u64);
-        let Some(end) = end else {
-            return Err(SnapshotError::Corrupt(format!(
-                "segment {s} ({offset}+{len} bytes) overruns the {}-byte snapshot",
-                bytes.len()
-            )));
-        };
-        segments.push(decode_segment(
-            &bytes[offset as usize..end as usize],
-            s,
-            members.row_len(s),
-            head.features.len(),
-        )?);
-        expected = end;
-    }
-    if expected != bytes.len() as u64 {
-        return Err(SnapshotError::Corrupt(
-            "trailing bytes after the final segment".into(),
-        ));
-    }
-    Ok(ShardedParts {
-        params: head.params,
-        build_seconds: head.build_seconds,
-        graph_salts: head.graph_salts,
-        features: head.features,
-        support_counts: head.support_counts,
-        shard_churn: head.shard_churn,
-        segments,
-    })
-}
-
-/// Decodes one shard segment from its byte slice.  `member_count` and
-/// `feature_count` come from the (already validated) head.
-pub(crate) fn decode_segment(
-    bytes: &[u8],
-    shard: usize,
-    member_count: usize,
-    feature_count: usize,
-) -> Result<SegmentParts, SnapshotError> {
-    let corrupt = |why: String| SnapshotError::Corrupt(format!("shard {shard}: {why}"));
-    let mut r = Reader::new(bytes);
-    let entry_count = r.len_prefixed(20)?;
-    let mut offsets = Vec::with_capacity(member_count + 1);
-    for _ in 0..member_count + 1 {
-        offsets.push(r.u64()? as usize);
-    }
-    let mut feature_ids = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        let fi = r.u32()?;
-        if fi as usize >= feature_count {
-            return Err(corrupt(format!(
-                "matrix entry references feature {fi} but only {feature_count} features exist"
-            )));
-        }
-        feature_ids.push(fi);
-    }
-    let mut lowers = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        lowers.push(r.f64()?);
-    }
-    let mut uppers = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        uppers.push(r.f64()?);
-    }
-    let mut supports = FlatVecVec::with_capacity(feature_count, 0);
-    for fi in 0..feature_count {
-        let n = r.len_prefixed32(4)?;
-        let mut sup = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = r.u32()?;
-            if l as usize >= member_count {
-                return Err(corrupt(format!(
-                    "feature {fi} support references member {l} of {member_count}"
-                )));
-            }
-            sup.push(l);
-        }
-        supports.push_row(sup);
-    }
-    let summary_count = r.len_prefixed(20)?;
-    if summary_count != member_count {
-        return Err(corrupt(format!(
-            "{summary_count} summaries but {member_count} members"
-        )));
-    }
-    let mut summaries = Vec::with_capacity(summary_count);
-    for gi in 0..summary_count {
-        summaries.push(decode_summary(&mut r, gi)?);
-    }
-    if !r.is_empty() {
-        return Err(corrupt("trailing bytes after the segment".into()));
-    }
-    let matrix = SparseMatrix::from_raw(offsets, feature_ids, lowers, uppers).map_err(corrupt)?;
-    Ok(SegmentParts {
-        matrix,
-        supports,
-        sindex: StructuralIndex::from_summaries(summaries),
-    })
-}
-
-/// Reads a snapshot file's head without touching any segment bytes: the
-/// O(head) part of `Pmi::open`.  Returns [`OpenedSnapshot::Legacy`] for v1/v2
-/// files (no segment table — the caller falls back to an eager load, which
-/// also produces the right error for garbage files too short to classify).
-pub(crate) fn open_head(path: &Path) -> Result<OpenedSnapshot, SnapshotError> {
-    use std::io::Read as _;
-    let io_err = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
-    let mut file = std::fs::File::open(path).map_err(io_err)?;
-    let file_len = file.metadata().map_err(io_err)?.len();
-    let mut prefix = vec![0u8; (file_len.min(28)) as usize];
-    file.read_exact(&mut prefix).map_err(io_err)?;
-    if prefix.len() < 12 || prefix[..8] != MAGIC {
-        return Ok(OpenedSnapshot::Legacy);
-    }
-    let version = u32::from_le_bytes(fixed::<4>(&prefix[8..12])?);
-    if version != FORMAT_VERSION {
-        return Ok(OpenedSnapshot::Legacy);
-    }
-    if prefix.len() < 28 {
-        return Err(SnapshotError::Corrupt(
-            "v3 snapshot truncated inside the fixed prefix".into(),
-        ));
-    }
-    let head_len = u64::from_le_bytes(fixed::<8>(&prefix[20..28])?);
-    if head_len < 28 || head_len > file_len {
-        return Err(SnapshotError::Corrupt(format!(
-            "head length {head_len} outside the {file_len}-byte file"
-        )));
-    }
-    let mut head_bytes = prefix;
-    head_bytes.resize(head_len as usize, 0);
-    file.read_exact(&mut head_bytes[28..]).map_err(io_err)?;
-    let mut r = Reader::new(&head_bytes);
-    let head = decode_v3_head(&mut r)?;
-    // Validate the table against the real file size now, so a truncated v3
-    // file fails at open time rather than panicking at first shard touch.
-    let mut expected = head_len;
-    for (s, &(offset, len)) in head.table.iter().enumerate() {
-        if offset != expected {
-            return Err(SnapshotError::Corrupt(format!(
-                "segment {s} starts at byte {offset}, expected {expected} \
-                 (segments must tile the file contiguously)"
-            )));
-        }
-        expected = offset
-            .checked_add(len)
-            .ok_or_else(|| SnapshotError::Corrupt(format!("segment {s} offset overflow")))?;
-    }
-    if expected != file_len {
-        return Err(SnapshotError::Corrupt(format!(
-            "segments end at byte {expected} but the file is {file_len} bytes"
-        )));
-    }
-    Ok(OpenedSnapshot::V3(Box::new(head)))
-}
-
-/// Reads and decodes one shard segment straight from the file — the lazy
-/// materialization path behind `Pmi::open`.
-pub(crate) fn load_segment_from_file(
-    path: &Path,
-    offset: u64,
-    len: u64,
-    shard: usize,
-    member_count: usize,
-    feature_count: usize,
-) -> Result<SegmentParts, SnapshotError> {
-    use std::io::{Read as _, Seek as _, SeekFrom};
-    let io_err = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
-    let mut file = std::fs::File::open(path).map_err(io_err)?;
-    file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-    let mut buf = vec![0u8; len as usize];
-    file.read_exact(&mut buf).map_err(io_err)?;
-    decode_segment(&buf, shard, member_count, feature_count)
 }
 
 /// Writes `bytes` to `path` atomically enough for our purposes (truncate +
@@ -950,16 +845,6 @@ fn encode_feature_graph(w: &mut Writer, g: &Graph) {
     }
 }
 
-fn encode_feature(w: &mut Writer, f: &Feature, support: &[u32]) {
-    encode_feature_graph(w, &f.graph);
-    w.u32(support.len() as u32);
-    for &gi in support {
-        w.u32(gi);
-    }
-    w.f64(f.frequency);
-    w.f64(f.discriminativity);
-}
-
 fn decode_feature_graph(r: &mut Reader, id: usize) -> Result<Graph, SnapshotError> {
     let name_len = r.len_prefixed32(1)?;
     let name = String::from_utf8(r.bytes(name_len)?.to_vec())
@@ -979,27 +864,18 @@ fn decode_feature_graph(r: &mut Reader, id: usize) -> Result<Graph, SnapshotErro
     Ok(graph)
 }
 
-fn decode_feature(r: &mut Reader, id: usize, graph_count: usize) -> Result<Feature, SnapshotError> {
-    let graph = decode_feature_graph(r, id)?;
-    let support_len = r.len_prefixed32(4)?;
-    let mut support = Vec::with_capacity(support_len);
-    for _ in 0..support_len {
-        let gi = r.u32()? as usize;
-        if gi >= graph_count {
-            return Err(SnapshotError::Corrupt(format!(
-                "feature {id}: support references graph {gi} of {graph_count}"
-            )));
-        }
-        support.push(gi);
-    }
-    let frequency = r.f64()?;
-    let discriminativity = r.f64()?;
+/// Reads the frequency and discriminativity that close a feature record.
+fn decode_feature_scores(
+    r: &mut Reader,
+    id: usize,
+    graph: Graph,
+) -> Result<Feature, SnapshotError> {
     Ok(Feature {
         id,
         graph,
-        support,
-        frequency,
-        discriminativity,
+        support: Vec::new(),
+        frequency: r.f64()?,
+        discriminativity: r.f64()?,
     })
 }
 
@@ -1137,23 +1013,25 @@ mod tests {
     /// A format-v1 snapshot of the same index.
     const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/pmi_v1.bin");
 
-    /// Encodes legacy parts (support lists inside the features) as v1.
-    fn encode_parts_v1(parts: &PmiParts) -> Vec<u8> {
-        let supports = FlatVecVec::from_rows(
-            parts
-                .features
-                .iter()
-                .map(|f| f.support.iter().map(|&g| g as u32)),
-        );
-        encode_v1(&V1PartsRef {
+    /// A format-v3 snapshot of the same index as the writer emits it: one
+    /// segment.
+    const V3_ONE_SEGMENT: &[u8] = include_bytes!("../../../tests/fixtures/pmi_v3_one_segment.bin");
+
+    /// A format-v3 snapshot with three segments (a 32-graph index written by
+    /// a 3-shard build, the golden fixture of `tests/arena_layout.rs`).
+    const V3_THREE_SEGMENTS: &[u8] = include_bytes!("../../../tests/fixtures/pmi_v3_prearena.bin");
+
+    fn parts_ref(parts: &PmiParts) -> PartsRef<'_> {
+        PartsRef {
             params: &parts.params,
             build_seconds: parts.build_seconds,
             churn: parts.churn,
             graph_salts: &parts.graph_salts,
             features: &parts.features,
-            supports: &supports,
+            supports: &parts.supports,
             matrix: &parts.matrix,
-        })
+            sindex: parts.sindex.as_ref(),
+        }
     }
 
     fn sample_parts() -> PmiParts {
@@ -1179,10 +1057,11 @@ mod tests {
             features: vec![Feature {
                 id: 0,
                 graph: fg,
-                support: vec![0],
+                support: Vec::new(),
                 frequency: 0.5,
                 discriminativity: 1.0,
             }],
+            supports: FlatVecVec::from_rows(vec![vec![0u32]]),
             matrix,
             sindex: None,
         }
@@ -1191,7 +1070,8 @@ mod tests {
     #[test]
     fn v1_snapshots_encode_and_decode_without_an_sindex() {
         let parts = sample_parts();
-        let v1 = encode_parts_v1(&parts);
+        let v1 = encode(&parts_ref(&parts));
+        assert_eq!(v1.len(), header_len() + payload_len(&parts_ref(&parts)));
         let back = decode(&v1).unwrap();
         assert!(back.sindex.is_none());
         assert_eq!(back.build_seconds, parts.build_seconds);
@@ -1201,7 +1081,7 @@ mod tests {
         assert_eq!(back.features.len(), 1);
         assert_eq!(back.features[0].graph, parts.features[0].graph);
         assert_eq!(back.features[0].graph.name(), "f0");
-        assert_eq!(back.features[0].support, vec![0]);
+        assert_eq!(back.supports.row(0), &[0]);
         assert_eq!(back.features[0].frequency, 0.5);
         // The v1 fingerprint is the v1 formula, not the current one.
         assert_eq!(
@@ -1258,7 +1138,7 @@ mod tests {
 
     #[test]
     fn truncation_is_rejected_everywhere() {
-        for bytes in [V1_FIXTURE, V2_FIXTURE] {
+        for bytes in [V1_FIXTURE, V2_FIXTURE, V3_ONE_SEGMENT, V3_THREE_SEGMENTS] {
             for cut in 0..bytes.len() {
                 let err = decode(&bytes[..cut]).err().expect("truncation must fail");
                 assert!(
@@ -1271,9 +1151,9 @@ mod tests {
 
     #[test]
     fn fixed_width_fields_error_instead_of_panicking() {
-        // Regression: the fixed-width LE field reads (`Reader::u32`/`u64`,
-        // the v3 prefix in `open_head`) used to be `try_into().expect(…)`
-        // panic paths; malformed input must surface as typed errors instead.
+        // Regression: the fixed-width LE field reads (`Reader::u32`/`u64`)
+        // used to be `try_into().expect(…)` panic paths; malformed input must
+        // surface as typed errors instead.
         match fixed::<4>(&[1, 2, 3]) {
             Err(SnapshotError::Corrupt(why)) => assert!(why.contains("4-byte")),
             other => panic!("expected Corrupt, got {:?}", other.err()),
@@ -1286,22 +1166,6 @@ mod tests {
             Reader::new(&[0; 7]).u64(),
             Err(SnapshotError::Corrupt(_))
         ));
-
-        // A v3 file cut anywhere inside its fixed prefix must come back from
-        // `open_head` as a typed error (or the legacy fallback for cuts too
-        // short to classify) — never a panic.
-        let bytes = sample_v3();
-        let dir = std::env::temp_dir().join("pgs-snapshot-fixed-width-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        for cut in [0, 5, 9, 12, 13, 20, 27] {
-            let path = dir.join(format!("cut{cut}.bin"));
-            std::fs::write(&path, &bytes[..cut]).expect("write truncated snapshot");
-            match open_head(&path) {
-                Ok(OpenedSnapshot::Legacy) | Err(SnapshotError::Corrupt(_)) => {}
-                Ok(OpenedSnapshot::V3(_)) => panic!("cut at {cut}: classified as v3"),
-                Err(e) => panic!("cut at {cut}: unexpected error {e:?}"),
-            }
-        }
     }
 
     #[test]
@@ -1331,148 +1195,84 @@ mod tests {
         assert_ne!(params_fingerprint(&a), params_fingerprint(&b));
     }
 
-    /// A hand-built 3-shard v3 snapshot over 4 graphs: membership is derived
-    /// from the salts exactly the way the codec re-derives it.
-    fn sample_v3() -> Vec<u8> {
-        let salts = vec![11u64, 22, 33, 44];
-        let shards = 3;
-        let members = crate::shard::members_of(&salts, shards);
-        let feature = Feature {
-            id: 0,
-            graph: GraphBuilder::new()
-                .name("f0")
-                .vertices(&[0, 1])
-                .edge(0, 1, 9)
-                .build(),
-            support: Vec::new(),
-            frequency: 0.5,
-            discriminativity: 1.0,
-        };
-        let mut matrices = Vec::new();
-        let mut supports = Vec::new();
-        let mut sindexes = Vec::new();
-        for m in members.iter() {
-            let mut matrix = SparseMatrix::new();
-            for l in 0..m.len() {
-                if l == 0 {
-                    matrix.push_column(vec![(
-                        0,
-                        SipBounds {
-                            lower: 0.25,
-                            upper: 0.75,
-                        },
-                    )]);
-                } else {
-                    matrix.push_column(vec![]);
+    #[test]
+    fn v3_segments_merge_into_the_global_layout() {
+        // One segment re-encodes byte for byte.
+        let one = decode(V3_ONE_SEGMENT).unwrap();
+        assert_eq!(encode(&parts_ref(&one)), V3_ONE_SEGMENT);
+        assert_eq!(
+            V3_ONE_SEGMENT.len(),
+            header_len_v3() + payload_len(&parts_ref(&one))
+        );
+
+        // Three segments merge into one global layout: one column, one
+        // summary and one churn counter for every graph, ascending supports.
+        let merged = decode(V3_THREE_SEGMENTS).unwrap();
+        let n = merged.graph_salts.len();
+        assert_eq!(n, 32);
+        assert_eq!(merged.matrix.column_count(), n);
+        assert_eq!(merged.sindex.as_ref().unwrap().graph_count(), n);
+        assert_eq!(merged.supports.len(), merged.features.len());
+        for support in merged.supports.iter() {
+            assert!(support.windows(2).all(|w| w[0] < w[1]));
+        }
+        // Re-encoding writes one segment, which decodes to the same parts
+        // and re-encodes to itself.
+        let bytes = encode(&parts_ref(&merged));
+        assert!(bytes.len() < V3_THREE_SEGMENTS.len());
+        let again = decode(&bytes).unwrap();
+        assert_eq!(again.graph_salts, merged.graph_salts);
+        assert_eq!(again.matrix, merged.matrix);
+        assert_eq!(again.supports, merged.supports);
+        assert_eq!(again.sindex, merged.sindex);
+        assert_eq!(again.churn, merged.churn);
+        assert_eq!(encode(&parts_ref(&again)), bytes);
+    }
+
+    /// Byte offset of the shard count (right after the fixed v3 prefix).
+    const SHARD_COUNT_AT: usize = 8 + 4 + 8 + 8 + PARAMS_LEN + 8;
+
+    #[test]
+    fn v3_rejects_zero_and_oversized_shard_counts() {
+        for bytes in [V3_ONE_SEGMENT, V3_THREE_SEGMENTS] {
+            for count in [0u64, MAX_SHARDS as u64 + 1] {
+                let mut bytes = bytes.to_vec();
+                bytes[SHARD_COUNT_AT..SHARD_COUNT_AT + 8].copy_from_slice(&count.to_le_bytes());
+                match decode(&bytes) {
+                    Err(SnapshotError::Corrupt(why)) => assert!(why.contains("shard count")),
+                    other => panic!("count {count}: expected Corrupt, got {:?}", other.err()),
                 }
             }
-            supports.push(FlatVecVec::from_rows(vec![if m.is_empty() {
-                vec![]
-            } else {
-                vec![0u32]
-            }]));
-            let graphs: Vec<_> = m
-                .iter()
-                .map(|_| GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 9).build())
-                .collect();
-            sindexes.push(StructuralIndex::build(&graphs));
-            matrices.push(matrix);
-        }
-        let support_counts = vec![members.iter().filter(|m| !m.is_empty()).count()];
-        encode_v3(&ShardedPartsRef {
-            params: &PmiBuildParams::default(),
-            build_seconds: 0.5,
-            graph_salts: &salts,
-            features: std::slice::from_ref(&feature),
-            support_counts: &support_counts,
-            shard_churn: &[0, 2, 0],
-            segments: (0..shards)
-                .map(|s| SegmentRef {
-                    matrix: &matrices[s],
-                    supports: &supports[s],
-                    sindex: &sindexes[s],
-                })
-                .collect(),
-        })
-    }
-
-    #[test]
-    fn v3_round_trips_through_decode_any() {
-        let bytes = sample_v3();
-        let parts = match decode_any(&bytes).unwrap() {
-            AnyParts::V3(p) => p,
-            AnyParts::Legacy(_) => panic!("expected a v3 decode"),
-        };
-        assert_eq!(parts.graph_salts, vec![11, 22, 33, 44]);
-        assert_eq!(parts.shard_churn, vec![0, 2, 0]);
-        assert_eq!(parts.build_seconds, 0.5);
-        assert_eq!(parts.features.len(), 1);
-        assert!(parts.features[0].support.is_empty());
-        let members = crate::shard::members_of(&parts.graph_salts, 3);
-        let mut total_members = 0;
-        for (seg, m) in parts.segments.iter().zip(members.iter()) {
-            assert_eq!(seg.matrix.column_count(), m.len());
-            assert_eq!(seg.sindex.graph_count(), m.len());
-            assert_eq!(seg.supports.len(), 1);
-            total_members += m.len();
-        }
-        assert_eq!(total_members, 4);
-        // Re-encoding the decoded parts is byte-identical.
-        let again = encode_v3(&ShardedPartsRef {
-            params: &parts.params,
-            build_seconds: parts.build_seconds,
-            graph_salts: &parts.graph_salts,
-            features: &parts.features,
-            support_counts: &parts.support_counts,
-            shard_churn: &parts.shard_churn,
-            segments: parts
-                .segments
-                .iter()
-                .map(|s| SegmentRef {
-                    matrix: &s.matrix,
-                    supports: &s.supports,
-                    sindex: &s.sindex,
-                })
-                .collect(),
-        });
-        assert_eq!(again, bytes);
-    }
-
-    #[test]
-    fn v3_truncation_is_rejected_everywhere() {
-        let bytes = sample_v3();
-        for cut in 0..bytes.len() {
-            let err = decode_any(&bytes[..cut])
-                .err()
-                .expect("truncation must fail");
-            assert!(
-                matches!(err, SnapshotError::Corrupt(_) | SnapshotError::BadMagic),
-                "cut at {cut}: unexpected error {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn v3_rejects_a_zero_shard_count() {
-        let mut bytes = sample_v3();
-        // shard_count sits right after the fixed prefix.
-        let off = header_len_v3();
-        bytes[off..off + 8].copy_from_slice(&0u64.to_le_bytes());
-        match decode_any(&bytes) {
-            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("shard count")),
-            other => panic!("expected Corrupt, got {:?}", other.err()),
         }
     }
 
     #[test]
     fn v3_rejects_a_non_contiguous_segment_table() {
-        let mut bytes = sample_v3();
-        // First segment offset sits 8 bytes into the first table entry.
-        let off = header_len_v3() + 8 + 8;
-        let stored = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-        bytes[off..off + 8].copy_from_slice(&(stored + 1).to_le_bytes());
-        match decode_any(&bytes) {
-            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("contiguous")),
+        for bytes in [V3_ONE_SEGMENT, V3_THREE_SEGMENTS] {
+            let mut bytes = bytes.to_vec();
+            // The first segment's offset sits 8 bytes into the first table
+            // entry, right after the shard count.
+            let off = SHARD_COUNT_AT + 8 + 8;
+            let stored = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+            bytes[off..off + 8].copy_from_slice(&(stored + 1).to_le_bytes());
+            match decode(&bytes) {
+                Err(SnapshotError::Corrupt(why)) => assert!(why.contains("contiguous")),
+                other => panic!("expected Corrupt, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn v3_rejects_a_support_count_the_segments_do_not_hold() {
+        let mut bytes = V3_ONE_SEGMENT.to_vec();
+        // The last feature's support count closes the head, followed only by
+        // its frequency and discriminativity.
+        let head_len = u64::from_le_bytes(bytes[20..28].try_into().unwrap()) as usize;
+        let off = head_len - 16 - 4;
+        let stored = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+        bytes[off..off + 4].copy_from_slice(&(stored + 1).to_le_bytes());
+        match decode(&bytes) {
+            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("supporting graphs")),
             other => panic!("expected Corrupt, got {:?}", other.err()),
         }
     }

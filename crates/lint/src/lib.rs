@@ -2,7 +2,7 @@
 //!
 //! Enforces the determinism & safety contract the engine's correctness rests
 //! on (DESIGN.md §8/§12/§14/§15): byte-identical answers across thread
-//! counts, shard counts, and database insertion order.  That contract is what
+//! counts and database insertion order.  That contract is what
 //! makes a server-side query-result cache *exact* rather than approximate —
 //! and it is exactly the kind of property a test matrix can miss one
 //! violation of.  `pgs-lint` turns the conventions into machine-checkable

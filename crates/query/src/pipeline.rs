@@ -17,7 +17,7 @@
 //! every database graph directly.
 
 use crate::prune::{bound_candidate, pruning_rules, CrossTermRule, PruneDecision, PruneOutcome};
-use crate::structural::{structural_candidates_indexed, structural_candidates_sharded};
+use crate::structural::structural_candidates_indexed;
 use crate::verify::{
     verify_ssp, verify_ssp_exact, verify_ssp_with_stats, VerifyOptions, VerifyOutcome,
 };
@@ -27,8 +27,6 @@ use pgs_graph::parallel::{
 };
 use pgs_graph::relax::relax_query_clamped;
 use pgs_index::pmi::{graph_salt, Pmi, PmiBuildParams};
-use pgs_index::shard::MAX_SHARDS;
-use pgs_index::sindex::StructuralIndex;
 use pgs_index::snapshot::SnapshotError;
 use pgs_prob::model::ProbabilisticGraph;
 use pgs_prob::montecarlo::MonteCarloConfig;
@@ -131,19 +129,10 @@ pub struct EngineConfig {
     /// values beyond `pgs_graph::parallel::MAX_THREADS` are rejected with
     /// [`QueryError::InvalidThreads`] (see [`EngineConfig::validate`]).
     pub threads: usize,
-    /// Number of PMI shards a fresh [`QueryEngine::build`] partitions the
-    /// database into (`1` = the classic unsharded index).
-    ///
-    /// Shard assignment hashes each graph's *content salt*, and every
-    /// per-candidate computation is already salt-seeded, so the answer sets,
-    /// SSP estimates and `PhaseStats` counters are byte-identical for every
-    /// `(shards, threads)` combination — sharding only changes the physical
-    /// grouping (per-shard segments fan out on the pool, mutations and
-    /// snapshot segments stay shard-local).  Values outside
-    /// `1..=`[`MAX_SHARDS`] are rejected with
-    /// [`QueryError::InvalidShards`].  Engines assembled around an existing
-    /// index (`from_parts` / `with_index` / `open_index`) keep the index's
-    /// own shard layout.
+    /// Number of PMI shards.  The PMI is one global feature × graph matrix,
+    /// so the only accepted value is `1`; any other is rejected with
+    /// [`QueryError::InvalidShards`] by [`EngineConfig::validate`], never
+    /// silently ignored.
     pub shards: usize,
 }
 
@@ -152,11 +141,12 @@ impl EngineConfig {
     /// per-subsystem validators ([`QueryParams::validate`],
     /// `VerifyOptions::validate`, [`ExactScanConfig::validate`]).
     ///
-    /// Today that is the thread count: `resolve_threads` clamps explicit
-    /// values to `MAX_THREADS` as a last line of defence, but an engine
-    /// configured with `threads = 100_000` is a caller bug (it used to
-    /// attempt one hundred thousand OS threads), so the query entry points
-    /// reject it with a typed error instead of silently clamping.
+    /// Today that is the thread count and the shard count: `resolve_threads`
+    /// clamps explicit values to `MAX_THREADS` as a last line of defence, but
+    /// an engine configured with `threads = 100_000` is a caller bug (it used
+    /// to attempt one hundred thousand OS threads), so the query entry points
+    /// reject it with a typed error instead of silently clamping; a shard
+    /// count other than `1` is rejected the same way.
     pub fn validate(&self) -> Result<(), QueryError> {
         if self.threads > MAX_THREADS {
             return Err(QueryError::InvalidThreads {
@@ -164,10 +154,10 @@ impl EngineConfig {
                 max: MAX_THREADS,
             });
         }
-        if self.shards == 0 || self.shards > MAX_SHARDS {
+        if self.shards != 1 {
             return Err(QueryError::InvalidShards {
                 shards: self.shards,
-                max: MAX_SHARDS,
+                max: 1,
             });
         }
         Ok(())
@@ -353,14 +343,13 @@ pub enum QueryError {
         /// The ceiling (`pgs_graph::parallel::MAX_THREADS`).
         max: usize,
     },
-    /// `EngineConfig::shards` is zero (no shard could own anything) or
-    /// exceeds the shard ceiling.  `Pmi::build_sharded` clamps as a last line
-    /// of defence, but a nonsensical shard count is a caller bug — silently
-    /// clamping it would hide that the engine ignored the configuration.
+    /// `EngineConfig::shards` is not `1`.  The PMI is one global segment, so
+    /// any other shard count would be ignored — a caller bug the engine
+    /// refuses instead of hiding.
     InvalidShards {
         /// The configured shard count.
         shards: usize,
-        /// The ceiling (`pgs_index::shard::MAX_SHARDS`).
+        /// The only accepted shard count (`1`).
         max: usize,
     },
     /// The requested top-k answer count is unusable: zero (an empty ranking
@@ -405,7 +394,7 @@ impl fmt::Display for QueryError {
             ),
             QueryError::InvalidShards { shards, max } => write!(
                 f,
-                "invalid shard count {shards}: must be between 1 and {max}"
+                "invalid shard count {shards}: the PMI is one segment, so it must be {max}"
             ),
             QueryError::InvalidK { k } => write!(
                 f,
@@ -669,12 +658,10 @@ struct CandidateStream {
 }
 
 impl QueryEngine {
-    /// Builds the engine (including the PMI, partitioned into
-    /// [`EngineConfig::shards`] shards) over a database.  An out-of-range
-    /// shard count is clamped here and rejected with a typed error at query
-    /// time (mirroring how `threads` is handled).
+    /// Builds the engine (including the PMI) over a database.  An invalid
+    /// configuration is rejected with a typed error at query time.
     pub fn build(db: Vec<ProbabilisticGraph>, config: EngineConfig) -> QueryEngine {
-        let pmi = Pmi::build_sharded(&db, &config.pmi, config.shards.clamp(1, MAX_SHARDS));
+        let pmi = Pmi::build(&db, &config.pmi);
         let skeletons = db.iter().map(|g| g.skeleton().clone()).collect();
         QueryEngine {
             db,
@@ -742,22 +729,6 @@ impl QueryEngine {
         config: EngineConfig,
     ) -> Result<QueryEngine, EngineLoadError> {
         let pmi = Pmi::load(index_path)?;
-        Ok(QueryEngine::from_parts(db, pmi, config)?)
-    }
-
-    /// Like [`Self::with_index`] but *lazy*: `Pmi::open` reads only the
-    /// snapshot head (O(shards + graphs), not O(bytes)), and each shard's
-    /// columns, support lists and S-Index materialize from the file on first
-    /// touch.  The salt/fingerprint pairing checks run eagerly against the
-    /// head, so a mismatched snapshot is still rejected up front; v1/v2
-    /// snapshots fall back to the eager load.  Answers are byte-identical to
-    /// the eager engine's.
-    pub fn open_index(
-        db: Vec<ProbabilisticGraph>,
-        index_path: impl AsRef<Path>,
-        config: EngineConfig,
-    ) -> Result<QueryEngine, EngineLoadError> {
-        let pmi = Pmi::open(index_path)?;
         Ok(QueryEngine::from_parts(db, pmi, config)?)
     }
 
@@ -851,8 +822,8 @@ impl QueryEngine {
     /// reach the current top `k`, and the same moving threshold drives the
     /// bound-adaptive sampler so clear losers stop after a few chunks while
     /// potential winners run their full budget (DESIGN.md §16).  The ranked
-    /// list is byte-identical for every thread count, shard count and
-    /// database insertion order.
+    /// list is byte-identical for every thread count and database insertion
+    /// order.
     pub fn query_topk(&self, q: &Graph, params: &TopkParams) -> Result<TopkResult, QueryError> {
         self.validate_queries(params.validate(), std::slice::from_ref(q))?;
         Ok(self.query_topk_with_threads(q, params, self.config.threads))
@@ -936,10 +907,8 @@ impl QueryEngine {
     /// Phase 1 is structural pruning via the S-Index — the query summary is
     /// computed once, posting-list deficit accumulation touches only graphs
     /// sharing a signature with the query, and the exact check reuses the
-    /// cached summaries.  Unsharded the exact checks fan out over filter
-    /// survivors; sharded each shard's index generates and checks its own
-    /// members in one pool task and the global-id lists merge ascending —
-    /// the outputs are byte-identical either way.  Phase 2 computes the
+    /// cached summaries; the exact checks fan out over filter survivors.
+    /// Phase 2 computes the
     /// relaxed query set once and the bound pair of every candidate in
     /// parallel, each from its own content-seeded RNG; `Structure` skips the
     /// PMI and pins every pair to the vacuous `(1, 0)`.
@@ -973,20 +942,13 @@ impl QueryEngine {
 
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
-        let shard_count = self.pmi.shard_count();
-        let (structural, filter_stats) = if shard_count == 1 {
-            let sindex = self
-                .pmi
-                .sindex()
-                // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
-                .expect("engine invariant: the PMI always carries an S-Index");
-            structural_candidates_indexed(sindex, &self.skeletons, q, delta, threads)
-        } else {
-            let shards: Vec<(&StructuralIndex, &[u32])> = (0..shard_count)
-                .map(|s| (self.pmi.shard_sindex(s), self.pmi.shard_members(s)))
-                .collect();
-            structural_candidates_sharded(&shards, &self.skeletons, q, delta, threads)
-        };
+        let sindex = self
+            .pmi
+            .sindex()
+            // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
+            .expect("engine invariant: the PMI always carries an S-Index");
+        let (structural, filter_stats) =
+            structural_candidates_indexed(sindex, &self.skeletons, q, delta, threads);
         stats.structural_seconds = t0.elapsed().as_secs_f64();
         stats.structural_candidates = structural.len();
         stats.posting_entries_scanned = filter_stats.posting_entries_scanned;
@@ -1109,7 +1071,7 @@ impl QueryEngine {
     /// `max(Lsim, ssp − τ)` — and skips the whole tail once the next upper
     /// bound falls below the k-th best (every per-candidate computation uses
     /// its own content-seeded RNG, so the walk order, cuts and estimates are
-    /// identical for every thread count, shard count and insertion order).
+    /// identical for every thread count and insertion order).
     /// The trivial relaxation ranks by that order alone, every SSP being 1.
     fn query_topk_with_threads(
         &self,
@@ -1247,8 +1209,8 @@ impl QueryEngine {
         let t0 = Instant::now();
         // Shared by every graph that falls back to sampling; computed once.
         let relaxed = relax_query_clamped(q, params.delta);
-        // One flat per-graph map at every shard count: each graph's fallback
-        // RNG is content-seeded, so the layout never moves an answer.
+        // One flat per-graph map: each graph's fallback RNG is content-seeded,
+        // so the database order never moves an answer.
         let verdicts =
             par_map_chunked_costed(&self.db, self.config.threads, CostHint::HEAVY, |gi, pg| {
                 match verify_ssp_exact(pg, q, params.delta, self.config.exact.exact_edge_cap) {
@@ -1521,60 +1483,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engines_answer_byte_identically() {
-        let (base, queries) = small_engine();
-        let params = QueryParams {
-            epsilon: 0.4,
-            delta: 1,
-            variant: PruningVariant::OptSspBound,
-        };
-        let mut reference = *base.config();
-        reference.shards = 1;
-        reference.threads = 1;
-        let one = QueryEngine::build(base.db().to_vec(), reference);
-        for shards in [3usize, 8] {
-            for threads in [1usize, 0] {
-                let mut config = *base.config();
-                config.shards = shards;
-                config.threads = threads;
-                let engine = QueryEngine::build(base.db().to_vec(), config);
-                assert_eq!(engine.pmi().shard_count(), shards);
-                for wq in &queries {
-                    let a = one.query(&wq.graph, &params).unwrap();
-                    let b = engine.query(&wq.graph, &params).unwrap();
-                    assert_eq!(a.answers, b.answers, "shards={shards} threads={threads}");
-                    // Every counter (not the timers) is shard-invariant.
-                    assert_eq!(a.stats.structural_candidates, b.stats.structural_candidates);
-                    assert_eq!(
-                        a.stats.posting_entries_scanned,
-                        b.stats.posting_entries_scanned
-                    );
-                    assert_eq!(a.stats.filter_survivors, b.stats.filter_survivors);
-                    assert_eq!(a.stats.pruned_by_upper, b.stats.pruned_by_upper);
-                    assert_eq!(a.stats.accepted_by_lower, b.stats.accepted_by_lower);
-                    assert_eq!(a.stats.verified, b.stats.verified);
-                    assert_eq!(a.stats.exact_verifications, b.stats.exact_verifications);
-                    assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
-                    assert_eq!(
-                        a.stats.probabilistic_candidates,
-                        b.stats.probabilistic_candidates
-                    );
-                    // The index-free baseline ignores the shard layout.
-                    let ea = one.exact_scan(&wq.graph, &params).unwrap();
-                    let eb = engine.exact_scan(&wq.graph, &params).unwrap();
-                    assert_eq!(ea.answers, eb.answers);
-                    assert_eq!(ea.stats.samples_drawn, eb.stats.samples_drawn);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn invalid_shard_counts_are_a_typed_error() {
         let (engine, queries) = small_engine();
         let q = &queries[0].graph;
         let params = QueryParams::default();
-        for shards in [0usize, MAX_SHARDS + 1, usize::MAX] {
+        let topk = TopkParams {
+            k: 3,
+            delta: 1,
+            variant: PruningVariant::OptSspBound,
+        };
+        for shards in [0usize, 2, 8, usize::MAX] {
             let mut config = *engine.config();
             config.shards = shards;
             let broken = QueryEngine::build(engine.db().to_vec(), config);
@@ -1584,69 +1502,23 @@ mod tests {
                 broken
                     .query_batch(std::slice::from_ref(q), &params)
                     .map(|b| b.results[0].answers.clone()),
+                broken
+                    .query_topk(q, &topk)
+                    .map(|r| r.ranked.iter().map(|a| a.graph).collect()),
             ] {
                 match result {
                     Err(QueryError::InvalidShards { shards: s, max }) => {
                         assert_eq!(s, shards);
-                        assert_eq!(max, MAX_SHARDS);
+                        assert_eq!(max, 1);
                     }
                     other => panic!("shards = {shards}: got {other:?}"),
                 }
             }
         }
-        // The full valid range is accepted.
-        for shards in [1usize, MAX_SHARDS] {
-            let mut config = *engine.config();
-            config.shards = shards;
-            let ok = QueryEngine::build(engine.db().to_vec(), config);
-            assert!(ok.query(q, &params).is_ok());
-        }
-        assert!(QueryError::InvalidShards {
-            shards: 0,
-            max: MAX_SHARDS
-        }
-        .to_string()
-        .contains("between 1 and"));
-    }
-
-    #[test]
-    fn open_index_answers_lazily_and_identically() {
-        let (base, queries) = small_engine();
-        let mut config = *base.config();
-        config.shards = 3;
-        let engine = QueryEngine::build(base.db().to_vec(), config);
-        let path = std::env::temp_dir().join(format!(
-            "pgs-pipeline-open-index-{}.pmi",
-            std::process::id()
-        ));
-        engine.pmi().save(&path).unwrap();
-        let lazy = QueryEngine::open_index(engine.db().to_vec(), &path, config).unwrap();
-        // The pairing checks ran against the head only — no segment is
-        // materialized until the first query touches it.
-        assert_eq!(lazy.pmi().materialized_shards(), 0);
-        let params = QueryParams {
-            epsilon: 0.4,
-            delta: 1,
-            variant: PruningVariant::OptSspBound,
-        };
-        for wq in &queries {
-            assert_eq!(
-                lazy.query(&wq.graph, &params).unwrap().answers,
-                engine.query(&wq.graph, &params).unwrap().answers
-            );
-        }
-        // A swapped database is rejected before any lazy work happens.
-        let mut swapped = engine.db().to_vec();
-        swapped.swap(0, 1);
-        let err = QueryEngine::open_index(swapped, &path, config).unwrap_err();
-        assert!(matches!(
-            err,
-            EngineLoadError::Mismatch(IndexMismatch::GraphSalt { .. })
-        ));
-        std::fs::remove_file(&path).ok();
-        // A missing file surfaces as a snapshot error.
-        let err = QueryEngine::open_index(engine.db().to_vec(), &path, config).unwrap_err();
-        assert!(matches!(err, EngineLoadError::Snapshot(_)));
+        assert!(engine.query(q, &params).is_ok());
+        assert!(QueryError::InvalidShards { shards: 0, max: 1 }
+            .to_string()
+            .contains("must be 1"));
     }
 
     #[test]
@@ -1796,6 +1668,14 @@ mod tests {
         engine.pmi().save(&path).unwrap();
         let loaded =
             QueryEngine::with_index(engine.db().to_vec(), &path, *engine.config()).unwrap();
+        // A swapped database is rejected by the salt check.
+        let mut swapped = engine.db().to_vec();
+        swapped.swap(0, 1);
+        let err = QueryEngine::with_index(swapped, &path, *engine.config()).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineLoadError::Mismatch(IndexMismatch::GraphSalt { .. })
+        ));
         std::fs::remove_file(&path).ok();
         let params = QueryParams {
             epsilon: 0.4,
@@ -2254,7 +2134,7 @@ mod tests {
     }
 
     #[test]
-    fn topk_is_thread_shard_and_batch_invariant() {
+    fn topk_is_thread_and_batch_invariant() {
         let (base, queries) = small_engine();
         let params = TopkParams {
             k: 5,
@@ -2263,7 +2143,6 @@ mod tests {
         };
         let mut reference = *base.config();
         reference.threads = 1;
-        reference.shards = 1;
         let one = QueryEngine::build(base.db().to_vec(), reference);
         let fingerprint = |r: &TopkResult| -> Vec<(usize, u64)> {
             r.ranked
@@ -2271,19 +2150,14 @@ mod tests {
                 .map(|a| (a.graph, a.ssp.to_bits()))
                 .collect()
         };
-        for (threads, shards) in [(2usize, 1usize), (0, 1), (1, 8), (0, 8), (4, 3)] {
+        for threads in [2usize, 0, 4] {
             let mut config = *base.config();
             config.threads = threads;
-            config.shards = shards;
             let engine = QueryEngine::build(base.db().to_vec(), config);
             for wq in &queries {
                 let a = one.query_topk(&wq.graph, &params).unwrap();
                 let b = engine.query_topk(&wq.graph, &params).unwrap();
-                assert_eq!(
-                    fingerprint(&a),
-                    fingerprint(&b),
-                    "threads={threads} shards={shards}"
-                );
+                assert_eq!(fingerprint(&a), fingerprint(&b), "threads={threads}");
                 assert_eq!(a.stats.verified, b.stats.verified);
                 assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
                 assert_eq!(a.stats.samples_saved, b.stats.samples_saved);

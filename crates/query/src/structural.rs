@@ -106,109 +106,6 @@ pub fn structural_candidates_indexed(
     (candidates, stats)
 }
 
-/// `SC_q` over a *sharded* S-Index: each shard's posting lists generate and
-/// exact-check its own members (through the one shared [`SimilarityTester`]),
-/// the shards fan out on the worker pool, and the per-shard global-id lists
-/// are merged ascending.  Postings partition exactly across shards, so the
-/// merged candidate list *and* both work counters are identical to running
-/// [`structural_candidates_indexed`] on the equivalent global index — the
-/// shard fan-out is invisible in every output.
-///
-/// `shards` pairs each shard's index with its member list (global graph ids,
-/// ascending); `skeletons` stays globally indexed.
-pub fn structural_candidates_sharded(
-    shards: &[(&StructuralIndex, &[u32])],
-    skeletons: &[Graph],
-    q: &Graph,
-    delta: usize,
-    threads: usize,
-) -> (Vec<usize>, StructuralFilterStats) {
-    let tester = SimilarityTester::new(q, delta);
-    if pgs_graph::parallel::resolve_threads(threads) <= 1 {
-        // Single worker: fuse the per-shard scans into ONE global deficit
-        // accumulation (`StructuralIndex::accumulate_mass_into`) — a graph's
-        // postings live entirely in its owning shard, so mapping local ids
-        // through the member lists on the fly accumulates exactly the
-        // per-shard masses into one database-wide array, with one touched
-        // list and one sort instead of one per shard plus a survivor
-        // re-sort.  Same entries scanned, same survivors, no fan-out to pay
-        // for.
-        let view = tester.query_summary().view();
-        let m = view.edge_count();
-        let mut stats = StructuralFilterStats::default();
-        let mut survivors: Vec<(u32, u32, u32)> = Vec::new();
-        if m <= delta {
-            // Vacuous filter (mirrors `filter_into`): every graph survives
-            // and no posting list is walked.
-            for (s, &(index, members)) in shards.iter().enumerate() {
-                debug_assert_eq!(index.graph_count(), members.len());
-                stats.filter_survivors += members.len();
-                survivors.extend(
-                    members
-                        .iter()
-                        .enumerate()
-                        .map(|(li, &g)| (g, s as u32, li as u32)),
-                );
-            }
-        } else {
-            let mut mass = vec![0u32; skeletons.len()];
-            let mut touched: Vec<(u32, u32, u32)> = Vec::new();
-            for (s, &(index, members)) in shards.iter().enumerate() {
-                debug_assert_eq!(index.graph_count(), members.len());
-                stats.posting_entries_scanned +=
-                    index.accumulate_mass_into(view, s as u32, members, &mut mass, &mut touched);
-            }
-            let need = (m - delta) as u32;
-            survivors.extend(
-                touched
-                    .into_iter()
-                    .filter(|&(g, ..)| mass[g as usize] >= need),
-            );
-            stats.filter_survivors = survivors.len();
-        }
-        // Global ids are unique across shards, so sorting the triples sorts
-        // by global id; the exact checks then scan the skeletons ascending.
-        survivors.sort_unstable();
-        let mut candidates = Vec::new();
-        for &(gi, s, li) in &survivors {
-            if tester.matches(
-                &skeletons[gi as usize],
-                shards[s as usize].0.summary(li as usize),
-            ) {
-                candidates.push(gi as usize);
-            }
-        }
-        return (candidates, stats);
-    }
-    // One worker per shard: the inner exact checks run sequentially inside
-    // it (threads = 1) so the pool is not oversubscribed.
-    let per_shard =
-        par_map_chunked_costed(shards, threads, CostHint::HEAVY, |_, &(index, members)| {
-            debug_assert_eq!(index.graph_count(), members.len());
-            let outcome = index.filter_candidates(tester.query_summary().view(), delta);
-            let survivors = outcome.candidates.len();
-            let kept: Vec<usize> = outcome
-                .candidates
-                .into_iter()
-                .filter(|&li| {
-                    let gi = members[li] as usize;
-                    tester.matches(&skeletons[gi], index.summary(li))
-                })
-                .map(|li| members[li] as usize)
-                .collect();
-            (kept, outcome.posting_entries_scanned, survivors)
-        });
-    let mut stats = StructuralFilterStats::default();
-    let mut candidates = Vec::new();
-    for (kept, scanned, survivors) in per_shard {
-        stats.posting_entries_scanned += scanned;
-        stats.filter_survivors += survivors;
-        candidates.extend(kept);
-    }
-    candidates.sort_unstable();
-    (candidates, stats)
-}
-
 /// Grafil-style edge-signature count filter: a necessary condition for
 /// `dis(q, g) ≤ delta`.
 pub fn passes_feature_count_filter(q: &Graph, g: &Graph, delta: usize) -> bool {
@@ -321,37 +218,6 @@ mod tests {
         let (_, stats) = structural_candidates_indexed(&index, &db, &q, 0, 1);
         assert_eq!(stats.filter_survivors, 1);
         assert!(stats.posting_entries_scanned > 0);
-    }
-
-    #[test]
-    fn sharded_candidates_and_stats_match_the_global_index() {
-        let db = database();
-        let q = query();
-        let global = StructuralIndex::build(&db);
-        // A hand-rolled 3-shard partition (membership does not matter for
-        // equivalence — any partition must give identical output).
-        let members: [&[u32]; 3] = [&[1, 3], &[0], &[2]];
-        let shard_dbs: Vec<Vec<Graph>> = members
-            .iter()
-            .map(|m| m.iter().map(|&g| db[g as usize].clone()).collect())
-            .collect();
-        let indexes: Vec<StructuralIndex> = shard_dbs
-            .iter()
-            .map(|d| StructuralIndex::build(d))
-            .collect();
-        let shards: Vec<(&StructuralIndex, &[u32])> = indexes.iter().zip(members).collect();
-        for delta in 0..=4 {
-            let (want, want_stats) = structural_candidates_indexed(&global, &db, &q, delta, 1);
-            for threads in [1usize, 0, 3] {
-                let (got, got_stats) =
-                    structural_candidates_sharded(&shards, &db, &q, delta, threads);
-                assert_eq!(got, want, "delta = {delta}, threads = {threads}");
-                assert_eq!(
-                    got_stats, want_stats,
-                    "delta = {delta}, threads = {threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,33 +3,32 @@
 //!
 //! The arena refactor moved every hot structure onto flat offsets+values
 //! layouts (`pgs_graph::arena::FlatVecVec`): CSR graph adjacency, columnar
-//! S-Index summaries and flat posting lists, flat PMI supports and shard
-//! members, the UnionSampler's contiguous conditional-table arena, and the
-//! pipeline's flat shard scratch.  None of that may change a single observable
-//! bit: answers, every deterministic `PhaseStats` counter, and the v3 snapshot
-//! bytes must be exactly what the pre-refactor engine produced.
+//! S-Index summaries and flat posting lists, flat PMI supports, and the
+//! UnionSampler's contiguous conditional-table arena.  None of that may
+//! change a single observable bit: answers and every deterministic
+//! `PhaseStats` counter must be exactly what the pre-refactor engine
+//! produced.
 //!
-//! Two golden fixtures pin this against the *actual* pre-refactor build (they
-//! were generated by the `#[ignore]`d test below running on the commit before
-//! the refactor, and committed):
+//! Two golden fixtures pin this against the *actual* pre-refactor build:
 //!
 //! * `tests/fixtures/arena_expected.txt` — answers + counters for a 32-graph
-//!   deterministic workload across shards {1, 8} × threads {1, auto}, under
-//!   both the default config and a forced-sampling config (`exact_cutoff = 0`
-//!   sends every verified candidate through the UnionSampler).
-//! * `tests/fixtures/pmi_v3_prearena.bin` — a 3-shard v3 snapshot written by
-//!   the pre-refactor encoder.  It must keep decoding, re-encode
-//!   byte-identically (same fingerprint, no format bump), and answer exactly
-//!   like a fresh post-refactor build.
+//!   deterministic workload across threads {1, auto}, under both the default
+//!   config and a forced-sampling config (`exact_cutoff = 0` sends every
+//!   verified candidate through the UnionSampler).
+//! * `tests/fixtures/pmi_v3_prearena.bin` — a v3 snapshot with three
+//!   segments, written by the pre-refactor encoder from an index partitioned
+//!   into three shards.  Nothing writes that layout any more, so the file is
+//!   frozen.  It must keep decoding into the one-segment layout, match a
+//!   fresh build cell for cell, and answer exactly like it.
 //!
-//! A proptest suite additionally checks shard × thread invariance on random
+//! A proptest suite additionally checks thread invariance on random
 //! databases, so the flat fan-out scratch cannot introduce order dependence
 //! anywhere the fixed workload misses.
 
 use pgs::prelude::*;
 use pgs_index::pmi::{Pmi, PmiBuildParams};
 use pgs_prob::neighbor::partition_with_triangles;
-use pgs_query::pipeline::{PhaseStats, QueryEngine};
+use pgs_query::pipeline::{PhaseStats, QueryEngine, QueryError};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -66,7 +65,6 @@ fn base_config() -> EngineConfig {
         },
         seed: 0xA12E_4A01,
         threads: 1,
-        shards: 1,
         ..EngineConfig::default()
     }
 }
@@ -207,75 +205,62 @@ fn render_stats(s: &PhaseStats) -> String {
 }
 
 /// Renders the complete observable behaviour of the workload: one line per
-/// (config, shards, threads, query) for `query`, `exact_scan` and the
-/// matching `query_batch` entry.
+/// (config, threads, query) for `query`, `exact_scan` and the matching
+/// `query_batch` entry.
 fn render_workload() -> String {
     let graphs = fixture_graphs();
     let queries = fixture_queries();
     let mut out = String::new();
     for (name, base) in config_variants() {
-        for shards in [1usize, 8] {
-            for threads in [1usize, 0] {
-                let mut config = base;
-                config.shards = shards;
-                config.threads = threads;
-                let engine = QueryEngine::build(graphs.clone(), config);
-                for epsilon in EPSILONS {
-                    let params = QueryParams {
-                        epsilon,
-                        ..fixture_params()
-                    };
-                    let batch = engine.query_batch(&queries, &params).unwrap();
-                    for (qi, q) in queries.iter().enumerate() {
-                        let solo = engine.query(q, &params).unwrap();
-                        let exact = engine.exact_scan(q, &params).unwrap();
-                        let from_batch = &batch.results[qi];
-                        assert_eq!(solo.answers, from_batch.answers, "batch diverged from solo");
-                        writeln!(
-                            out,
-                            "cfg={name} shards={shards} threads={threads} eps={epsilon} q={qi} \
-                             answers={:?} stats=[{}] exact={:?}",
-                            solo.answers,
-                            render_stats(&solo.stats),
-                            exact.answers,
-                        )
-                        .unwrap();
-                    }
+        for threads in [1usize, 0] {
+            let mut config = base;
+            config.threads = threads;
+            let engine = QueryEngine::build(graphs.clone(), config);
+            for epsilon in EPSILONS {
+                let params = QueryParams {
+                    epsilon,
+                    ..fixture_params()
+                };
+                let batch = engine.query_batch(&queries, &params).unwrap();
+                for (qi, q) in queries.iter().enumerate() {
+                    let solo = engine.query(q, &params).unwrap();
+                    let exact = engine.exact_scan(q, &params).unwrap();
+                    let from_batch = &batch.results[qi];
+                    assert_eq!(solo.answers, from_batch.answers, "batch diverged from solo");
                     writeln!(
                         out,
-                        "cfg={name} shards={shards} threads={threads} eps={epsilon} \
-                         batch stats=[{}]",
-                        render_stats(&batch.stats)
+                        "cfg={name} threads={threads} eps={epsilon} q={qi} \
+                         answers={:?} stats=[{}] exact={:?}",
+                        solo.answers,
+                        render_stats(&solo.stats),
+                        exact.answers,
                     )
                     .unwrap();
                 }
-                // δ ≥ |E(q)|: the trivial relaxation accepts the whole
-                // database by lower bound — pins the accept path.
-                let trivial = QueryParams {
-                    delta: queries[0].edge_count(),
-                    ..fixture_params()
-                };
-                let accept_all = engine.query(&queries[0], &trivial).unwrap();
                 writeln!(
                     out,
-                    "cfg={name} shards={shards} threads={threads} trivial \
-                     answers={:?} stats=[{}]",
-                    accept_all.answers,
-                    render_stats(&accept_all.stats)
+                    "cfg={name} threads={threads} eps={epsilon} batch stats=[{}]",
+                    render_stats(&batch.stats)
                 )
                 .unwrap();
             }
+            // δ ≥ |E(q)|: the trivial relaxation accepts the whole database
+            // by lower bound — pins the accept path.
+            let trivial = QueryParams {
+                delta: queries[0].edge_count(),
+                ..fixture_params()
+            };
+            let accept_all = engine.query(&queries[0], &trivial).unwrap();
+            writeln!(
+                out,
+                "cfg={name} threads={threads} trivial answers={:?} stats=[{}]",
+                accept_all.answers,
+                render_stats(&accept_all.stats)
+            )
+            .unwrap();
         }
     }
     out
-}
-
-/// The snapshot fixture is written from a 3-shard build so every v3 segment
-/// boundary is exercised.
-fn snapshot_fixture_engine() -> QueryEngine {
-    let mut config = base_config();
-    config.shards = 3;
-    QueryEngine::build(fixture_graphs(), config)
 }
 
 #[test]
@@ -294,22 +279,35 @@ fn prearena_v3_snapshot_loads_and_reencodes_byte_identically() {
     let bytes = std::fs::read(fixture_path("pmi_v3_prearena.bin"))
         .expect("golden fixture pmi_v3_prearena.bin (generated pre-refactor)");
     let pmi = Pmi::from_bytes(&bytes).expect("pre-refactor v3 snapshot must keep decoding");
-    assert_eq!(pmi.shard_count(), 3);
     assert_eq!(pmi.graph_count(), 32);
-    // Same logical encode order ⇒ the re-encode reproduces the pre-refactor
-    // bytes exactly (fingerprint included, no format bump).
-    assert_eq!(
-        pmi.to_bytes(),
-        bytes,
-        "v3 re-encode diverged from the pre-refactor bytes"
-    );
 
-    // The loaded index answers exactly like a fresh post-refactor build.
+    // The three segments merge into exactly the index a fresh build makes:
+    // every column, every support list and the S-Index.
     let graphs = fixture_graphs();
-    let mut config = base_config();
-    config.shards = 3;
-    let fresh = QueryEngine::build(graphs.clone(), config);
-    let loaded = QueryEngine::from_parts(graphs, pmi, config).expect("pairing the fixture index");
+    let fresh = QueryEngine::build(graphs.clone(), base_config());
+    let want = fresh.pmi();
+    assert_eq!(pmi.graph_salts(), want.graph_salts());
+    for g in 0..pmi.graph_count() {
+        assert_eq!(pmi.graph_entries(g), want.graph_entries(g), "graph {g}");
+    }
+    assert_eq!(pmi.features().len(), want.features().len());
+    for (a, b) in pmi.features().iter().zip(want.features()) {
+        assert_eq!(a.graph, b.graph);
+        assert_eq!(pmi.feature_support(a.id), want.feature_support(b.id));
+        assert_eq!(a.frequency.to_bits(), b.frequency.to_bits());
+    }
+    assert_eq!(pmi.sindex(), want.sindex());
+
+    // Re-encoding writes one segment and reaches a fixed point at once:
+    // decode → encode → decode → encode is byte-stable.
+    let once = pmi.to_bytes();
+    let twice = Pmi::from_bytes(&once).unwrap().to_bytes();
+    assert_eq!(once, twice, "one-segment re-encode is not a fixed point");
+
+    // The loaded index answers exactly like the fresh build, counter for
+    // counter.
+    let loaded =
+        QueryEngine::from_parts(graphs, pmi, base_config()).expect("pairing the fixture index");
     let params = fixture_params();
     for q in fixture_queries() {
         let want = fresh.query(&q, &params).unwrap();
@@ -319,27 +317,26 @@ fn prearena_v3_snapshot_loads_and_reencodes_byte_identically() {
     }
 }
 
+/// A database opened from a snapshot holds the whole index in memory: it
+/// answers like a fresh build even after the snapshot file is gone.
 #[test]
-fn prearena_v3_snapshot_opens_lazily_with_identical_answers() {
+fn prearena_v3_snapshot_answers_after_its_file_is_removed() {
     let bytes = std::fs::read(fixture_path("pmi_v3_prearena.bin"))
         .expect("golden fixture pmi_v3_prearena.bin (generated pre-refactor)");
     let path = std::env::temp_dir().join(format!("pgs-arena-golden-{}.pmi", std::process::id()));
     std::fs::write(&path, &bytes).unwrap();
-    let opened = Pmi::open(&path).expect("lazy open of the pre-refactor snapshot");
-    assert_eq!(opened.materialized_shards(), 0);
     let graphs = fixture_graphs();
-    let mut config = base_config();
-    config.shards = 3;
-    let fresh = QueryEngine::build(graphs.clone(), config);
-    let lazy = QueryEngine::from_parts(graphs, opened, config).expect("pairing the lazy index");
+    let opened = DynamicDatabase::open(graphs.clone(), &path, base_config())
+        .expect("opening the pre-refactor snapshot");
+    std::fs::remove_file(&path).unwrap();
+    let fresh = QueryEngine::build(graphs, base_config());
     let params = fixture_params();
     for q in fixture_queries() {
-        assert_eq!(
-            lazy.query(&q, &params).unwrap().answers,
-            fresh.query(&q, &params).unwrap().answers
-        );
+        let want = fresh.query(&q, &params).unwrap();
+        let got = opened.query(&q, &params).unwrap();
+        assert_eq!(got.answers, want.answers);
+        assert_eq!(render_stats(&got.stats), render_stats(&want.stats));
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// Strategy: a random connected labelled graph (spanning tree + extra edges).
@@ -401,9 +398,9 @@ proptest! {
     })]
 
     /// Answers, exact-scan answers and every deterministic counter are
-    /// invariant across shards {1, 8} × threads {1, auto} on random
-    /// databases — the flat fan-out scratch and arena layouts introduce no
-    /// order dependence.
+    /// invariant across threads {1, auto} on random databases — the flat
+    /// fan-out scratch and arena layouts introduce no order dependence — and
+    /// a shard count other than 1 is a typed error, never a silent answer.
     #[test]
     fn random_workloads_are_shard_and_thread_invariant(
         db in proptest::collection::vec(arb_probabilistic_graph(), 2..10),
@@ -412,38 +409,45 @@ proptest! {
     ) {
         let params = QueryParams { epsilon, delta: 1, variant: PruningVariant::OptSspBound };
         let mut reference: Option<(Vec<usize>, String, Vec<usize>)> = None;
-        for shards in [1usize, 8] {
-            for threads in [1usize, 0] {
-                let mut config = base_config();
-                config.shards = shards;
-                config.threads = threads;
-                let engine = QueryEngine::build(db.clone(), config);
-                let r = engine.query(&q, &params).unwrap();
-                let e = engine.exact_scan(&q, &params).unwrap();
-                let b = engine.query_batch(std::slice::from_ref(&q), &params).unwrap();
-                prop_assert_eq!(&b.results[0].answers, &r.answers);
-                let obs = (r.answers, render_stats(&r.stats), e.answers);
-                match &reference {
-                    None => reference = Some(obs),
-                    Some(want) => {
-                        prop_assert_eq!(&obs.0, &want.0, "answers at shards={} threads={}", shards, threads);
-                        prop_assert_eq!(&obs.1, &want.1, "stats at shards={} threads={}", shards, threads);
-                        prop_assert_eq!(&obs.2, &want.2, "exact answers at shards={} threads={}", shards, threads);
-                    }
+        for threads in [1usize, 0] {
+            let mut config = base_config();
+            config.threads = threads;
+            let engine = QueryEngine::build(db.clone(), config);
+            let r = engine.query(&q, &params).unwrap();
+            let e = engine.exact_scan(&q, &params).unwrap();
+            let b = engine.query_batch(std::slice::from_ref(&q), &params).unwrap();
+            prop_assert_eq!(&b.results[0].answers, &r.answers);
+            let obs = (r.answers, render_stats(&r.stats), e.answers);
+            match &reference {
+                None => reference = Some(obs),
+                Some(want) => {
+                    prop_assert_eq!(&obs.0, &want.0, "answers at threads={}", threads);
+                    prop_assert_eq!(&obs.1, &want.1, "stats at threads={}", threads);
+                    prop_assert_eq!(&obs.2, &want.2, "exact answers at threads={}", threads);
                 }
             }
         }
+        let mut sharded = base_config();
+        sharded.shards = 8;
+        let engine = QueryEngine::build(db, sharded);
+        prop_assert!(matches!(
+            engine.query(&q, &params),
+            Err(QueryError::InvalidShards { shards: 8, max: 1 })
+        ));
+        prop_assert!(matches!(
+            engine.exact_scan(&q, &params),
+            Err(QueryError::InvalidShards { shards: 8, max: 1 })
+        ));
     }
 }
 
-/// Regenerates the golden fixtures.  Ignored: this was run once on the commit
-/// *before* the arena refactor to freeze the pre-refactor behaviour; rerunning
-/// it later would defeat the point of the fixtures.
+/// Regenerates the golden answer file.  Ignored: this was run once on the
+/// commit *before* the arena refactor to freeze the pre-refactor behaviour;
+/// rerunning it later would defeat the point of the fixture.
+/// `pmi_v3_prearena.bin` cannot be regenerated at all: nothing writes a
+/// multi-segment snapshot any more.
 #[test]
-#[ignore = "writes tests/fixtures/{arena_expected.txt,pmi_v3_prearena.bin}; run only pre-refactor"]
+#[ignore = "writes tests/fixtures/arena_expected.txt; run only pre-refactor"]
 fn generate_prearena_fixtures() {
-    std::fs::create_dir_all(fixture_path("")).unwrap();
     std::fs::write(fixture_path("arena_expected.txt"), render_workload()).unwrap();
-    let engine = snapshot_fixture_engine();
-    std::fs::write(fixture_path("pmi_v3_prearena.bin"), engine.pmi().to_bytes()).unwrap();
 }

@@ -1,6 +1,7 @@
 //! Helpers shared by the integration suites: the frozen database behind the
-//! golden legacy snapshots `tests/fixtures/pmi_v1.bin` and `pmi_v2.bin`, and
-//! a counters-only view of `PhaseStats`.  Each suite uses a subset.
+//! golden snapshots `tests/fixtures/pmi_v1.bin`, `pmi_v2.bin` and
+//! `pmi_v3_one_segment.bin`, and a counters-only view of `PhaseStats`.  Each
+//! suite uses a subset.
 
 #![allow(dead_code)]
 
@@ -14,6 +15,9 @@ pub const PMI_V1: &[u8] = include_bytes!("../fixtures/pmi_v1.bin");
 
 /// Format-v2 (single segment + S-Index) snapshot of the same index.
 pub const PMI_V2: &[u8] = include_bytes!("../fixtures/pmi_v2.bin");
+
+/// Format-v3 snapshot of the same index as the one-segment writer emits it.
+pub const PMI_V3: &[u8] = include_bytes!("../fixtures/pmi_v3_one_segment.bin");
 
 /// The frozen configuration the fixtures were generated with.  Everything is
 /// pinned explicitly so drifting library defaults cannot silently change what
@@ -35,7 +39,6 @@ pub fn fixture_config() -> EngineConfig {
         },
         seed: 0xF1C5,
         threads: 1,
-        shards: 1,
         ..EngineConfig::default()
     }
 }

@@ -180,7 +180,7 @@ fn query_batch_equals_per_query_loop() {
 fn exact_scan_sampling_fallback_is_order_independent() {
     // An exact-enumeration cap of 4 relevant edges sends most graphs to the
     // sampling fallback inside `exact_scan`; with per-graph content seeding
-    // the verdicts must survive a database rotation and any shard layout.
+    // the verdicts must survive a database rotation.
     let ds = generate_ppi_dataset(&PpiDatasetConfig {
         graph_count: 8,
         vertices_per_graph: 14,
@@ -191,12 +191,11 @@ fn exact_scan_sampling_fallback_is_order_independent() {
         seed: 91,
         ..PpiDatasetConfig::default()
     });
-    let config = |shards: usize| EngineConfig {
+    let config = EngineConfig {
         exact: ExactScanConfig {
             exact_edge_cap: 4,
             ..ExactScanConfig::default()
         },
-        shards,
         ..engine_config(0)
     };
     let n = ds.graphs.len();
@@ -204,31 +203,19 @@ fn exact_scan_sampling_fallback_is_order_independent() {
     let shuffled: Vec<ProbabilisticGraph> = perm.iter().map(|&i| ds.graphs[i].clone()).collect();
     let wq = &workload(&ds)[0];
     let params = params();
-    let a = QueryEngine::build(ds.graphs.clone(), config(1))
+    let a = QueryEngine::build(ds.graphs.clone(), config)
         .exact_scan(&wq.graph, &params)
         .unwrap();
     assert!(
         a.stats.samples_drawn > 0,
         "no graph took the sampling fallback"
     );
-    // The scan is one flat per-graph map whatever the shard layout, so 1 and
-    // 8 shards agree on the answers and on every counter, in either order.
-    for shards in [1usize, 8] {
-        let s = QueryEngine::build(ds.graphs.clone(), config(shards))
-            .exact_scan(&wq.graph, &params)
-            .unwrap();
-        assert_eq!(s.answers, a.answers, "shards = {shards}");
-        assert_eq!(s.stats.samples_drawn, a.stats.samples_drawn);
-        assert_eq!(s.stats.exact_verifications, a.stats.exact_verifications);
-        let b = QueryEngine::build(shuffled.clone(), config(shards))
-            .exact_scan(&wq.graph, &params)
-            .unwrap();
-        let mut mapped: Vec<usize> = b.answers.iter().map(|&i| perm[i]).collect();
-        mapped.sort_unstable();
-        assert_eq!(
-            a.answers, mapped,
-            "exact-scan fallback drifted with order at shards = {shards}"
-        );
-        assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
-    }
+    let b = QueryEngine::build(shuffled, config)
+        .exact_scan(&wq.graph, &params)
+        .unwrap();
+    let mut mapped: Vec<usize> = b.answers.iter().map(|&i| perm[i]).collect();
+    mapped.sort_unstable();
+    assert_eq!(a.answers, mapped, "exact-scan fallback drifted with order");
+    assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
+    assert_eq!(a.stats.exact_verifications, b.stats.exact_verifications);
 }

@@ -1,10 +1,11 @@
-//! Property-based shard invariance: for random probabilistic databases and
-//! queries, a sharded engine must be *observationally identical* to the
-//! 1-shard engine — same answers, same per-phase statistics, and the same
-//! behaviour under incremental `append_graph` / `remove_graph` churn — at
-//! every `(shards, threads)` combination, with adaptive early stopping on
-//! and off.  Sample counters legitimately differ between the two stopping
-//! modes, so each mode is compared with its own shards-1/threads-1 engine.
+//! Property-based engine invariance: for random probabilistic databases and
+//! queries, an engine running on any number of query threads must be
+//! *observationally identical* to the sequential engine — same answers, same
+//! per-phase statistics, and the same behaviour under incremental
+//! `append_graph` / `remove_graph` churn and a snapshot reload — with
+//! adaptive early stopping on and off.  Sample counters legitimately differ
+//! between the two stopping modes, so each mode is compared with its own
+//! sequential engine.
 
 mod common;
 
@@ -68,9 +69,8 @@ fn arb_probabilistic_graph() -> impl Strategy<Value = ProbabilisticGraph> {
         })
 }
 
-fn engine_config(shards: usize, threads: usize, adaptive: bool) -> EngineConfig {
+fn engine_config(threads: usize, adaptive: bool) -> EngineConfig {
     let mut config = EngineConfig {
-        shards,
         threads,
         seed: 0x5EED,
         ..EngineConfig::default()
@@ -79,7 +79,6 @@ fn engine_config(shards: usize, threads: usize, adaptive: bool) -> EngineConfig 
     config
 }
 
-const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 /// Sequential, automatic, and four pool workers (so the pool really
 /// dispatches even on a small host).
 const THREAD_COUNTS: [usize; 3] = [1, 0, 4];
@@ -93,10 +92,10 @@ proptest! {
     })]
 
     /// Answers *and* every per-phase counter are identical across every
-    /// `(shards, threads)` combination in each stopping mode, for both the
-    /// indexed pipeline and the exact scan baseline.
+    /// thread count in each stopping mode, for both the indexed pipeline and
+    /// the exact scan baseline.
     #[test]
-    fn sharded_engines_are_observationally_identical(
+    fn threaded_engines_are_observationally_identical(
         graphs in proptest::collection::vec(arb_probabilistic_graph(), 4..9),
         qsize in 2usize..4,
         delta in 0usize..2,
@@ -118,40 +117,33 @@ proptest! {
         };
 
         for adaptive in ADAPTIVE_MODES {
-            let reference = QueryEngine::build(graphs.clone(), engine_config(1, 1, adaptive));
+            let reference = QueryEngine::build(graphs.clone(), engine_config(1, adaptive));
             let want = reference.query(&q, &params).unwrap();
             let want_scan = reference.exact_scan(&q, &params).unwrap();
-            for shards in SHARD_COUNTS {
-                for threads in THREAD_COUNTS {
-                    let engine = QueryEngine::build(
-                        graphs.clone(),
-                        engine_config(shards, threads, adaptive),
-                    );
-                    let got = engine.query(&q, &params).unwrap();
-                    let at = format!(
-                        "shards = {shards}, threads = {threads}, adaptive = {adaptive}"
-                    );
-                    prop_assert_eq!(&got.answers, &want.answers, "answers diverged at {}", at);
-                    prop_assert_eq!(
-                        counters_only(got.stats), counters_only(want.stats),
-                        "phase stats diverged at {}", at
-                    );
-                    let scan = engine.exact_scan(&q, &params).unwrap();
-                    prop_assert_eq!(
-                        &scan.answers, &want_scan.answers,
-                        "exact scan diverged at {}", at
-                    );
-                }
+            for threads in THREAD_COUNTS {
+                let engine = QueryEngine::build(graphs.clone(), engine_config(threads, adaptive));
+                let got = engine.query(&q, &params).unwrap();
+                let at = format!("threads = {threads}, adaptive = {adaptive}");
+                prop_assert_eq!(&got.answers, &want.answers, "answers diverged at {}", at);
+                prop_assert_eq!(
+                    counters_only(got.stats), counters_only(want.stats),
+                    "phase stats diverged at {}", at
+                );
+                let scan = engine.exact_scan(&q, &params).unwrap();
+                prop_assert_eq!(
+                    &scan.answers, &want_scan.answers,
+                    "exact scan diverged at {}", at
+                );
             }
         }
     }
 
-    /// Incremental churn (append one graph, remove one graph) leaves a
-    /// sharded engine identical to the 1-shard engine that saw the same
-    /// mutation sequence, and its snapshot reloads to an engine that still
-    /// agrees.
+    /// Incremental churn (append one graph, remove one graph) leaves an
+    /// engine at any thread count identical to the sequential engine that saw
+    /// the same mutation sequence, and its snapshot reloads to an engine that
+    /// still agrees.
     #[test]
-    fn incremental_churn_is_shard_invariant(
+    fn incremental_churn_is_thread_invariant(
         graphs in proptest::collection::vec(arb_probabilistic_graph(), 4..8),
         extra in arb_probabilistic_graph(),
         remove_at in 0usize..4,
@@ -174,45 +166,40 @@ proptest! {
         };
 
         for adaptive in ADAPTIVE_MODES {
-            let mut reference =
-                QueryEngine::build(graphs.clone(), engine_config(1, 1, adaptive));
+            let mut reference = QueryEngine::build(graphs.clone(), engine_config(1, adaptive));
             reference.insert_graph(extra.clone());
             reference.remove_graph(remove_at).unwrap();
             let want = reference.query(&q, &params).unwrap();
-            for shards in SHARD_COUNTS {
-                for threads in THREAD_COUNTS {
-                    let config = engine_config(shards, threads, adaptive);
-                    let mut engine = QueryEngine::build(graphs.clone(), config);
-                    engine.insert_graph(extra.clone());
-                    engine.remove_graph(remove_at).unwrap();
-                    let got = engine.query(&q, &params).unwrap();
-                    let at = format!(
-                        "shards = {shards}, threads = {threads}, adaptive = {adaptive}"
-                    );
-                    prop_assert_eq!(
-                        &got.answers, &want.answers,
-                        "post-churn answers diverged at {}", at
-                    );
-                    prop_assert_eq!(
-                        counters_only(got.stats), counters_only(want.stats),
-                        "post-churn stats diverged at {}", at
-                    );
-                    // The snapshot of the mutated index, paired with the
-                    // mutated database, answers like the mutated engine.
-                    let reloaded = Pmi::from_bytes(&engine.pmi().to_bytes()).unwrap();
-                    prop_assert_eq!(reloaded.shard_count(), shards);
-                    let paired =
-                        QueryEngine::from_parts(engine.db().to_vec(), reloaded, config).unwrap();
-                    let again = paired.query(&q, &params).unwrap();
-                    prop_assert_eq!(
-                        &again.answers, &want.answers,
-                        "reloaded answers diverged at {}", at
-                    );
-                    prop_assert_eq!(
-                        counters_only(again.stats), counters_only(want.stats),
-                        "reloaded stats diverged at {}", at
-                    );
-                }
+            for threads in THREAD_COUNTS {
+                let config = engine_config(threads, adaptive);
+                let mut engine = QueryEngine::build(graphs.clone(), config);
+                engine.insert_graph(extra.clone());
+                engine.remove_graph(remove_at).unwrap();
+                let got = engine.query(&q, &params).unwrap();
+                let at = format!("threads = {threads}, adaptive = {adaptive}");
+                prop_assert_eq!(
+                    &got.answers, &want.answers,
+                    "post-churn answers diverged at {}", at
+                );
+                prop_assert_eq!(
+                    counters_only(got.stats), counters_only(want.stats),
+                    "post-churn stats diverged at {}", at
+                );
+                // The snapshot of the mutated index, paired with the mutated
+                // database, answers like the mutated engine.
+                let reloaded = Pmi::from_bytes(&engine.pmi().to_bytes()).unwrap();
+                prop_assert_eq!(reloaded.churn(), engine.pmi().churn());
+                let paired =
+                    QueryEngine::from_parts(engine.db().to_vec(), reloaded, config).unwrap();
+                let again = paired.query(&q, &params).unwrap();
+                prop_assert_eq!(
+                    &again.answers, &want.answers,
+                    "reloaded answers diverged at {}", at
+                );
+                prop_assert_eq!(
+                    counters_only(again.stats), counters_only(want.stats),
+                    "reloaded stats diverged at {}", at
+                );
             }
         }
     }

@@ -222,25 +222,15 @@ fn reported_size_bytes_matches_the_file_on_disk() {
     // The snapshot is exactly the fixed header plus the payload
     // (= size_bytes).  The old dense accounting was off by the Option
     // discriminants, Vec overhead and every empty cell; this pins the number
-    // to the artifact on disk at every shard layout.
-    for shards in [1usize, 3, 8] {
-        let config = EngineConfig {
-            shards,
-            ..figure_1_config()
-        };
-        let engine = QueryEngine::build(figure_1_database(), config);
-        let stats = engine.pmi().stats();
-        let path = temp_path("size");
-        engine.pmi().save(&path).unwrap();
-        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
-        std::fs::remove_file(&path).ok();
-        assert_eq!(
-            file_len,
-            SNAPSHOT_HEADER_BYTES + stats.size_bytes,
-            "shards = {shards}"
-        );
-        assert_eq!(engine.pmi().to_bytes().len(), file_len);
-    }
+    // to the artifact on disk.
+    let engine = QueryEngine::build(figure_1_database(), figure_1_config());
+    let stats = engine.pmi().stats();
+    let path = temp_path("size");
+    engine.pmi().save(&path).unwrap();
+    let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+    std::fs::remove_file(&path).ok();
+    assert_eq!(file_len, SNAPSHOT_HEADER_BYTES + stats.size_bytes);
+    assert_eq!(engine.pmi().to_bytes().len(), file_len);
     // An unpaired v1 decode re-saves as v1; its size is exact too.
     let v1 = Pmi::from_bytes(PMI_V1).unwrap();
     assert_eq!(
@@ -276,16 +266,7 @@ fn exact_verify_config() -> EngineConfig {
 
 #[test]
 fn insert_remove_sequence_matches_a_fresh_rebuild() {
-    for shards in [1usize, 8] {
-        insert_remove_sequence_matches_a_fresh_rebuild_at(shards);
-    }
-}
-
-fn insert_remove_sequence_matches_a_fresh_rebuild_at(shards: usize) {
-    let config = EngineConfig {
-        shards,
-        ..exact_verify_config()
-    };
+    let config = exact_verify_config();
     let dataset = generate_ppi_dataset(&PpiDatasetConfig {
         graph_count: 16,
         vertices_per_graph: 10,
@@ -329,19 +310,12 @@ fn insert_remove_sequence_matches_a_fresh_rebuild_at(shards: usize) {
     let fresh = DynamicDatabase::build(expected, config);
     // The S-Index, unlike the mined features, is a pure function of the
     // database contents: the incrementally maintained one must equal the
-    // fresh build's exactly, shard by shard (both engines share the shard
-    // count and the salt-derived membership).
-    let (incremental, rebuilt) = (db.engine().pmi(), fresh.engine().pmi());
-    assert_eq!(incremental.shard_count(), shards);
-    assert_eq!(rebuilt.shard_count(), shards);
-    for s in 0..incremental.shard_count() {
-        assert_eq!(incremental.shard_members(s), rebuilt.shard_members(s));
-        assert_eq!(
-            incremental.shard_sindex(s),
-            rebuilt.shard_sindex(s),
-            "incremental S-Index diverged from a fresh rebuild in shard {s}"
-        );
-    }
+    // fresh build's exactly.
+    assert_eq!(
+        db.engine().pmi().sindex(),
+        fresh.engine().pmi().sindex(),
+        "incremental S-Index diverged from a fresh rebuild"
+    );
     let queries = pgs::datagen::queries::generate_query_workload(
         &dataset,
         &pgs::datagen::queries::QueryWorkloadConfig {
@@ -362,7 +336,7 @@ fn insert_remove_sequence_matches_a_fresh_rebuild_at(shards: usize) {
                 let rebuilt = fresh.query(&wq.graph, &params).unwrap();
                 assert_eq!(
                     incremental.answers, rebuilt.answers,
-                    "{variant:?} ε={epsilon} shards={shards}: incremental index diverged from rebuild"
+                    "{variant:?} ε={epsilon}: incremental index diverged from rebuild"
                 );
             }
         }
@@ -386,18 +360,9 @@ fn insert_remove_sequence_matches_a_fresh_rebuild_at(shards: usize) {
 
 #[test]
 fn incremental_snapshot_still_round_trips() {
-    for shards in [1usize, 8] {
-        incremental_snapshot_still_round_trips_at(shards);
-    }
-}
-
-fn incremental_snapshot_still_round_trips_at(shards: usize) {
     // Mutate, save, reload: the loaded index must carry the churn counter and
-    // the shard layout, and answer like the mutated engine.
-    let config = EngineConfig {
-        shards,
-        ..exact_verify_config()
-    };
+    // answer like the mutated engine.
+    let config = exact_verify_config();
     let dataset = generate_ppi_dataset(&PpiDatasetConfig {
         graph_count: 12,
         vertices_per_graph: 8,
@@ -416,10 +381,9 @@ fn incremental_snapshot_still_round_trips_at(shards: usize) {
 
     let path = temp_path("incremental");
     db.save_index(&path).unwrap();
-    // `open` is lazy since format v3: the snapshot file must outlive the
-    // queries below, which materialize shard segments on first touch.
     let reopened = DynamicDatabase::open(db.graphs().to_vec(), &path, config).unwrap();
-    assert_eq!(reopened.engine().pmi().shard_count(), shards);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(reopened.engine().pmi().churn(), db.engine().pmi().churn());
     assert_eq!(reopened.staleness(), staleness);
 
     let queries = pgs::datagen::queries::generate_query_workload(
@@ -438,11 +402,9 @@ fn incremental_snapshot_still_round_trips_at(shards: usize) {
         };
         assert_eq!(
             reopened.query(&wq.graph, &params).unwrap().answers,
-            db.query(&wq.graph, &params).unwrap().answers,
-            "shards = {shards}"
+            db.query(&wq.graph, &params).unwrap().answers
         );
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -456,9 +418,8 @@ fn v1_snapshot_still_loads_and_answers_identically() {
     let old = Pmi::from_bytes(PMI_V1).unwrap();
     assert!(old.sindex().is_none(), "v1 carries no S-Index");
     let migrated = QueryEngine::from_parts(fixture_graphs(), old, fixture_config()).unwrap();
-    // A v1-decoded index is single-shard, so the re-derived S-Index is the
-    // whole-database one: compare it against an S-Index built directly from
-    // the skeletons (a pure content function).
+    // The re-derived S-Index is the whole-database one: compare it against
+    // an S-Index built directly from the skeletons (a pure content function).
     let skeletons: Vec<Graph> = fixture_graphs()
         .iter()
         .map(|g| g.skeleton().clone())

@@ -13,8 +13,8 @@
 //!   caller seeds, threads {1, 2};
 //! * the answers of `query`/`query_batch` and the ranked lists (graph +
 //!   SSP bits) of `query_topk`/`query_topk_batch` on a small PPI engine,
-//!   with all 13 deterministic counters, across shards {1, 8} × adaptive
-//!   stopping {on, off} × a mostly-exact and a forced-sampling verifier.
+//!   with all 13 deterministic counters, across adaptive stopping
+//!   {on, off} × a mostly-exact and a forced-sampling verifier.
 //!
 //! The engine's thread count is not part of the file: every line is
 //! thread-count invariant, so the test renders the workload at query
@@ -175,12 +175,7 @@ fn ppi_workload() -> (Vec<ProbabilisticGraph>, Vec<Graph>) {
     (ds.graphs, queries)
 }
 
-fn engine_config(
-    threads: usize,
-    shards: usize,
-    adaptive: bool,
-    exact_cutoff: usize,
-) -> EngineConfig {
+fn engine_config(threads: usize, adaptive: bool, exact_cutoff: usize) -> EngineConfig {
     EngineConfig {
         pmi: PmiBuildParams {
             features: FeatureSelectionParams {
@@ -205,7 +200,6 @@ fn engine_config(
         },
         seed: 0x601D,
         threads,
-        shards,
         ..EngineConfig::default()
     }
 }
@@ -323,19 +317,17 @@ fn render_workload(threads: usize) -> String {
     let mut out = String::new();
     render_verification(&mut out);
     let (graphs, queries) = ppi_workload();
-    for shards in [1usize, 8] {
-        let built = QueryEngine::build(graphs.clone(), engine_config(threads, shards, true, 12));
-        for exact_cutoff in [12usize, 0] {
-            for adaptive in [true, false] {
-                let engine = QueryEngine::from_parts(
-                    graphs.clone(),
-                    built.pmi().clone(),
-                    engine_config(threads, shards, adaptive, exact_cutoff),
-                )
-                .unwrap();
-                let tag = format!("shards={shards} cutoff={exact_cutoff} adaptive={adaptive}");
-                render_engine(&mut out, &tag, &engine, &queries);
-            }
+    let built = QueryEngine::build(graphs.clone(), engine_config(threads, true, 12));
+    for exact_cutoff in [12usize, 0] {
+        for adaptive in [true, false] {
+            let engine = QueryEngine::from_parts(
+                graphs.clone(),
+                built.pmi().clone(),
+                engine_config(threads, adaptive, exact_cutoff),
+            )
+            .unwrap();
+            let tag = format!("cutoff={exact_cutoff} adaptive={adaptive}");
+            render_engine(&mut out, &tag, &engine, &queries);
         }
     }
     out

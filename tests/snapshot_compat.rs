@@ -1,7 +1,7 @@
 //! Backward compatibility of the snapshot codec: golden format-v1 and
 //! format-v2 snapshot files are checked into `tests/fixtures/` and must keep
 //! decoding — and answering queries identically to a fresh build — no matter
-//! how the current on-disk format (v3, sharded segments) evolves.
+//! how the current on-disk format (v3) evolves.
 //!
 //! The fixtures are frozen: the v2 encoder that wrote `pmi_v2.bin` no longer
 //! exists, and v1 is only written back for an index decoded from v1 and never
@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{fixture_config, fixture_graphs, fixture_query, PMI_V1, PMI_V2};
+use common::{fixture_config, fixture_graphs, fixture_query, PMI_V1, PMI_V2, PMI_V3};
 use pgs::prelude::*;
 use pgs_index::pmi::Pmi;
 use pgs_index::FORMAT_VERSION;
@@ -86,4 +86,26 @@ fn v3_save_of_the_fixture_database_agrees_with_the_golden_formats() {
         loaded.query(&q, &params).unwrap().answers,
         engine.query(&q, &params).unwrap().answers
     );
+}
+
+/// The v3 writer is pinned: decoding the frozen one-segment fixture and
+/// re-encoding it reproduces the file byte for byte, and a fresh build of
+/// the fixture database writes the same bytes everywhere except the
+/// wall-clock `build_seconds` field (the last 8 bytes of the fixed prefix).
+#[test]
+fn v3_one_segment_snapshot_is_reproduced_byte_for_byte() {
+    let pmi = check_fixture("pmi_v3_one_segment.bin", PMI_V3);
+    assert_eq!(
+        pmi.to_bytes(),
+        PMI_V3,
+        "v3 re-encode diverged from the golden bytes"
+    );
+
+    let fresh = QueryEngine::build(fixture_graphs(), fixture_config());
+    let bytes = fresh.pmi().to_bytes();
+    assert_eq!(bytes.len(), PMI_V3.len());
+    let prefix = bytes.len() - fresh.pmi().stats().size_bytes;
+    let build_seconds = prefix - 8..prefix;
+    assert_eq!(bytes[..build_seconds.start], PMI_V3[..build_seconds.start]);
+    assert_eq!(bytes[build_seconds.end..], PMI_V3[build_seconds.end..]);
 }

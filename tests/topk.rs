@@ -5,10 +5,11 @@
 //!   approximate but never change).
 //! * Ties at the k-th boundary are pinned by the graph content salt, so the
 //!   selected answers must survive a database shuffle byte-for-byte.
-//! * The ranked lists must be byte-identical across thread counts, shard
-//!   counts and repeated runs, with the adaptive sampler on the noisy path,
-//!   and the phase-1 counters must equal a threshold query's for the same
-//!   `(q, δ, variant)` — both query kinds share one front end.
+//! * The ranked lists must be byte-identical across thread counts and
+//!   repeated runs, with the adaptive sampler on the noisy path, and the
+//!   phase-1 counters must equal a threshold query's for the same
+//!   `(q, δ, variant)` — both query kinds share one front end.  A shard
+//!   count other than 1 is a typed error, never a different ranking.
 //! * Adaptive early stopping draws ≥ 1.5× fewer Karp–Luby trials than the
 //!   fixed budget at identical answers, and best-first top-k equals the head
 //!   of the full fixed-budget ranking.
@@ -161,7 +162,7 @@ fn topk_is_byte_identical_across_threads_and_shards() {
         seed: 4242,
         ..PpiDatasetConfig::default()
     });
-    let config = |threads: usize, shards: usize| EngineConfig {
+    let config = |threads: usize| EngineConfig {
         pmi: PmiBuildParams {
             features: FeatureSelectionParams {
                 max_l: 3,
@@ -184,7 +185,6 @@ fn topk_is_byte_identical_across_threads_and_shards() {
             ..VerifyOptions::default()
         },
         threads,
-        shards,
         ..EngineConfig::default()
     };
     let queries: Vec<Graph> = generate_query_workload(
@@ -204,9 +204,9 @@ fn topk_is_byte_identical_across_threads_and_shards() {
         variant: PruningVariant::OptSspBound,
     };
 
-    let reference = QueryEngine::build(ds.graphs.clone(), config(1, 1));
-    for (threads, shards) in [(4usize, 1usize), (0, 1), (1, 8), (0, 8)] {
-        let engine = QueryEngine::build(ds.graphs.clone(), config(threads, shards));
+    let reference = QueryEngine::build(ds.graphs.clone(), config(1));
+    for threads in [4usize, 0] {
+        let engine = QueryEngine::build(ds.graphs.clone(), config(threads));
         for q in &queries {
             let a = reference.query_topk(q, &params).unwrap();
             let b = engine.query_topk(q, &params).unwrap();
@@ -216,17 +216,13 @@ fn topk_is_byte_identical_across_threads_and_shards() {
                     .map(|x| (x.graph, x.ssp.to_bits()))
                     .collect()
             };
-            assert_eq!(
-                key(&a),
-                key(&b),
-                "top-k diverged at threads = {threads}, shards = {shards}"
-            );
+            assert_eq!(key(&a), key(&b), "top-k diverged at threads = {threads}");
             assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
             assert_eq!(a.stats.samples_saved, b.stats.samples_saved);
             assert_eq!(a.stats.topk_pruned, b.stats.topk_pruned);
             // Threshold and top-k queries share one phase-1/phase-2 front
             // end: for the same (q, δ, variant) they report the same
-            // structural work at every shard count.
+            // structural work.
             let t = engine
                 .query(
                     q,
@@ -247,7 +243,7 @@ fn topk_is_byte_identical_across_threads_and_shards() {
             assert_eq!(
                 front(&t.stats),
                 front(&b.stats),
-                "threshold and top-k front ends diverged at shards = {shards}"
+                "threshold and top-k front ends diverged at threads = {threads}"
             );
         }
     }
@@ -257,6 +253,18 @@ fn topk_is_byte_identical_across_threads_and_shards() {
         let b = reference.query_topk(q, &params).unwrap();
         assert_eq!(a.ranked, b.ranked);
     }
+    // The PMI is one segment: any other shard count is rejected.
+    let sharded = EngineConfig {
+        shards: 8,
+        ..config(1)
+    };
+    let err = QueryEngine::build(ds.graphs.clone(), sharded)
+        .query_topk(&queries[0], &params)
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        QueryError::InvalidShards { shards: 8, max: 1 }
+    ));
 }
 
 #[test]
