@@ -759,11 +759,12 @@ impl QueryEngine {
         &self.db
     }
 
-    /// Consumes the engine and returns the database it owned (without cloning
-    /// the graphs) — the rebuild path of `DynamicDatabase::remine` uses this
-    /// to avoid a transient second copy of a large database.
-    pub fn into_db(self) -> Vec<ProbabilisticGraph> {
-        self.db
+    /// Re-mines the feature set and rebuilds the PMI over the current
+    /// database, resetting the churn counter.  The graphs move into the new
+    /// index rather than being cloned — a re-mine tends to fire exactly when
+    /// the database is large.
+    pub fn remine(&mut self) {
+        *self = QueryEngine::build(std::mem::take(&mut self.db), self.config);
     }
 
     /// The probabilistic matrix index.

@@ -48,12 +48,11 @@ fn main() {
     );
 
     // Two databases: the correlated model and its independent counterpart.
-    let mut cor_db = ProbGraphDatabase::new();
-    cor_db.extend(dataset.graphs.iter().cloned());
-    cor_db.build_index();
-    let mut ind_db = ProbGraphDatabase::new();
-    ind_db.extend(dataset.graphs.iter().map(to_independent_model));
-    ind_db.build_index();
+    let cor_db = DynamicDatabase::build(dataset.graphs.clone(), EngineConfig::default());
+    let ind_db = DynamicDatabase::build(
+        dataset.graphs.iter().map(to_independent_model).collect(),
+        EngineConfig::default(),
+    );
 
     // ε is calibrated to the dataset: with a STRING-like mean edge probability
     // of 0.383, a 5-edge motif at δ = 1 needs 4 edges jointly present, so even
@@ -131,7 +130,7 @@ fn main() {
     // Show one query in detail.
     if let Some(wq) = workload.first() {
         let detailed = cor_db
-            .query_detailed(
+            .query(
                 &wq.graph,
                 &QueryParams {
                     epsilon,

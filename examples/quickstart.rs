@@ -48,14 +48,11 @@ fn main() {
         .expect("valid probabilistic graph");
 
     // ---------------------------------------------------------------- database
-    let mut db = ProbGraphDatabase::new();
-    db.insert(pg001);
-    db.insert(pg002);
-    db.build_index();
+    let db = DynamicDatabase::build(vec![pg001, pg002], EngineConfig::default());
     println!(
         "database: {} probabilistic graphs, PMI with {} features",
         db.len(),
-        db.engine().expect("index built").pmi().features().len()
+        db.engine().pmi().features().len()
     );
 
     // ---------------------------------------------------------------- query
@@ -70,7 +67,7 @@ fn main() {
 
     for (epsilon, delta) in [(0.4, 1usize), (0.4, 2), (0.7, 2)] {
         let result = db
-            .query_detailed(
+            .query(
                 &q,
                 &QueryParams {
                     epsilon,
@@ -82,7 +79,7 @@ fn main() {
         let names: Vec<&str> = result
             .answers
             .iter()
-            .map(|&i| db.graph(i).expect("valid index").name())
+            .map(|&i| db.graphs()[i].name())
             .collect();
         println!(
             "T-PS(ε = {epsilon}, δ = {delta}): {} answer(s) {:?} \
@@ -97,13 +94,10 @@ fn main() {
     }
 
     // The exact SSP values, for reference (small graphs, exact computation).
-    for (i, pg) in db.graphs().iter().enumerate() {
+    for pg in db.graphs() {
         for delta in [1usize, 2] {
             let ssp = pgs::prob::exact::exact_ssp(pg, &q, delta, 22).expect("small graph");
-            println!(
-                "exact Pr(q ⊆sim {}) at δ = {delta}: {ssp:.4}",
-                db.graph(i).unwrap().name()
-            );
+            println!("exact Pr(q ⊆sim {}) at δ = {delta}: {ssp:.4}", pg.name());
         }
     }
 }

@@ -79,17 +79,17 @@ fn snapshot(name: &str, orgs: usize, quality: f64, rng: &mut StdRng) -> Probabil
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(4242);
-    let mut db = ProbGraphDatabase::new();
     let sources = [
         ("curated-registry", 3, 0.95),
         ("news-extraction", 4, 0.55),
         ("web-crawl", 5, 0.30),
         ("partner-feed", 2, 0.85),
     ];
-    for (name, orgs, quality) in sources {
-        db.insert(snapshot(name, orgs, quality, &mut rng));
-    }
-    db.build_index();
+    let graphs = sources
+        .into_iter()
+        .map(|(name, orgs, quality)| snapshot(name, orgs, quality, &mut rng))
+        .collect();
+    let db = DynamicDatabase::build(graphs, EngineConfig::default());
     println!("indexed {} integrated snapshots", db.len());
 
     // Basic graph pattern (SPARQL-style):
@@ -104,7 +104,7 @@ fn main() {
 
     for (epsilon, delta) in [(0.5, 0usize), (0.5, 1), (0.2, 1)] {
         let result = db
-            .query_detailed(
+            .query(
                 &pattern,
                 &QueryParams {
                     epsilon,
@@ -116,7 +116,7 @@ fn main() {
         let names: Vec<&str> = result
             .answers
             .iter()
-            .map(|&i| db.graph(i).expect("valid index").name())
+            .map(|&i| db.graphs()[i].name())
             .collect();
         println!(
             "BGP supported with Pr ≥ {epsilon} (δ = {delta}): {names:?} \

@@ -79,7 +79,6 @@ fn district(name: &str, ring: usize, congestion: f64, rng: &mut StdRng) -> Proba
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(17);
-    let mut db = ProbGraphDatabase::new();
     let districts = [
         ("riverside (light traffic)", 6, 0.1),
         ("old-town (moderate)", 5, 0.4),
@@ -87,10 +86,11 @@ fn main() {
         ("hillside (light)", 4, 0.2),
         ("harbour (heavy)", 5, 0.9),
     ];
-    for (name, ring, congestion) in districts {
-        db.insert(district(name, ring, congestion, &mut rng));
-    }
-    db.build_index();
+    let graphs = districts
+        .into_iter()
+        .map(|(name, ring, congestion)| district(name, ring, congestion, &mut rng))
+        .collect();
+    let db = DynamicDatabase::build(graphs, EngineConfig::default());
     println!("indexed {} districts", db.len());
 
     // Delivery-loop pattern: a roundabout-to-roundabout ring segment with a
@@ -105,7 +105,7 @@ fn main() {
 
     for (epsilon, delta) in [(0.6, 0usize), (0.6, 1), (0.3, 1)] {
         let result = db
-            .query_detailed(
+            .query(
                 &pattern,
                 &QueryParams {
                     epsilon,
@@ -117,7 +117,7 @@ fn main() {
         let names: Vec<&str> = result
             .answers
             .iter()
-            .map(|&i| db.graph(i).expect("valid index").name())
+            .map(|&i| db.graphs()[i].name())
             .collect();
         println!(
             "pattern feasible with Pr ≥ {epsilon} tolerating {delta} closed segment(s): {names:?}"

@@ -11,6 +11,11 @@ pub use pgs_core::*;
 /// The workspace version (all member crates share it).
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
+/// Compiles (and runs) the README's Rust snippets as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -48,12 +48,19 @@ fn engine_config() -> EngineConfig {
     }
 }
 
+/// The threshold parameters of the full PMI algorithm (`OPT-SSPBound`).
+fn params(epsilon: f64, delta: usize) -> QueryParams {
+    QueryParams {
+        epsilon,
+        delta,
+        variant: PruningVariant::OptSspBound,
+    }
+}
+
 #[test]
 fn pipeline_answers_match_exact_scan_across_parameters() {
     let ds = dataset();
-    let mut db = ProbGraphDatabase::with_config(engine_config());
-    db.extend(ds.graphs.iter().cloned());
-    db.build_index();
+    let db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
     let queries = generate_query_workload(
         &ds,
         &QueryWorkloadConfig {
@@ -64,13 +71,8 @@ fn pipeline_answers_match_exact_scan_across_parameters() {
     );
     for wq in &queries {
         for (epsilon, delta) in [(0.3, 1usize), (0.6, 1), (0.5, 0)] {
-            let params = QueryParams {
-                epsilon,
-                delta,
-                variant: PruningVariant::OptSspBound,
-            };
-            let fast = db.query_detailed(&wq.graph, &params).unwrap();
-            let exact = db.exact_scan(&wq.graph, &params).unwrap();
+            let fast = db.query(&wq.graph, &params(epsilon, delta)).unwrap();
+            let exact = db.exact_scan(&wq.graph, &params(epsilon, delta)).unwrap();
             assert_eq!(
                 fast.answers, exact.answers,
                 "mismatch at ε={epsilon}, δ={delta} for query from graph {}",
@@ -88,9 +90,7 @@ fn pipeline_answers_match_exact_scan_across_parameters() {
 #[test]
 fn answer_sets_are_monotone_in_epsilon_and_delta() {
     let ds = dataset();
-    let mut db = ProbGraphDatabase::with_config(engine_config());
-    db.extend(ds.graphs.iter().cloned());
-    db.build_index();
+    let db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
     let q = generate_query_workload(
         &ds,
         &QueryWorkloadConfig {
@@ -104,11 +104,7 @@ fn answer_sets_are_monotone_in_epsilon_and_delta() {
     .graph;
 
     let answers = |epsilon: f64, delta: usize| -> Vec<usize> {
-        db.query(&q, epsilon, delta)
-            .unwrap()
-            .into_iter()
-            .map(|m| m.graph_index)
-            .collect()
+        db.query(&q, &params(epsilon, delta)).unwrap().answers
     };
     let a_03 = answers(0.3, 1);
     let a_06 = answers(0.6, 1);
@@ -138,12 +134,11 @@ fn correlated_model_beats_independent_model_on_organism_retrieval() {
         seed: 777,
         ..PpiDatasetConfig::default()
     });
-    let mut cor_db = ProbGraphDatabase::with_config(engine_config());
-    cor_db.extend(ds.graphs.iter().cloned());
-    cor_db.build_index();
-    let mut ind_db = ProbGraphDatabase::with_config(engine_config());
-    ind_db.extend(ds.graphs.iter().map(to_independent_model));
-    ind_db.build_index();
+    let cor_db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
+    let ind_db = DynamicDatabase::build(
+        ds.graphs.iter().map(to_independent_model).collect(),
+        engine_config(),
+    );
 
     let queries = generate_query_workload(
         &ds,
@@ -153,7 +148,7 @@ fn correlated_model_beats_independent_model_on_organism_retrieval() {
             seed: 21,
         },
     );
-    let f1_of = |db: &ProbGraphDatabase| -> f64 {
+    let f1_of = |db: &DynamicDatabase| -> f64 {
         let mut f1_sum = 0.0;
         for wq in &queries {
             let truth: Vec<usize> = ds
@@ -170,12 +165,7 @@ fn correlated_model_beats_independent_model_on_organism_retrieval() {
             // all.  The original threshold encoded a wrong expectation about
             // this miniature dataset, not a code bug — the property under
             // test (correlated F1 ≥ independent F1 > 0) is unchanged.
-            let answers: Vec<usize> = db
-                .query(&wq.graph, 0.15, 1)
-                .unwrap()
-                .into_iter()
-                .map(|m| m.graph_index)
-                .collect();
+            let answers = db.query(&wq.graph, &params(0.15, 1)).unwrap().answers;
             let hits = answers.iter().filter(|a| truth.contains(a)).count() as f64;
             let precision = if answers.is_empty() {
                 1.0
@@ -214,10 +204,8 @@ fn skeleton_serialization_round_trips_through_the_text_format() {
 #[test]
 fn pmi_statistics_reflect_the_database() {
     let ds = dataset();
-    let mut db = ProbGraphDatabase::with_config(engine_config());
-    db.extend(ds.graphs.iter().cloned());
-    db.build_index();
-    let pmi = db.engine().unwrap().pmi();
+    let db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
+    let pmi = db.engine().pmi();
     let stats = pmi.stats();
     assert_eq!(stats.graph_count, ds.graphs.len());
     assert!(stats.feature_count > 0);

@@ -127,20 +127,24 @@ fn pmi_bounds_bracket_exact_ssp_on_the_example_database() {
 
 #[test]
 fn example_1_query_semantics_through_the_facade() {
-    let mut db = ProbGraphDatabase::new();
-    db.insert(graph_001());
-    db.insert(graph_002());
-    db.build_index();
+    let db = DynamicDatabase::build(vec![graph_001(), graph_002()], EngineConfig::default());
     let q = query_q();
+    let answers = |epsilon: f64| -> Vec<usize> {
+        let params = QueryParams {
+            epsilon,
+            delta: 1,
+            variant: PruningVariant::OptSspBound,
+        };
+        db.query(&q, &params).unwrap().answers
+    };
 
     // Exact SSP values drive the expected answers.
-    let ssp_001 = exact_ssp(db.graph(0).unwrap(), &q, 1, 22).unwrap();
-    let ssp_002 = exact_ssp(db.graph(1).unwrap(), &q, 1, 22).unwrap();
+    let ssp_001 = exact_ssp(&db.graphs()[0], &q, 1, 22).unwrap();
+    let ssp_002 = exact_ssp(&db.graphs()[1], &q, 1, 22).unwrap();
 
     let threshold = (ssp_001 + ssp_002) / 2.0; // separates the two graphs
     let (lo, hi) = if ssp_001 < ssp_002 { (0, 1) } else { (1, 0) };
-    let matches = db.query(&q, threshold, 1).unwrap();
-    let indices: Vec<usize> = matches.iter().map(|m| m.graph_index).collect();
+    let indices = answers(threshold);
     assert!(indices.contains(&hi));
     assert!(!indices.contains(&lo));
 
@@ -152,11 +156,9 @@ fn example_1_query_semantics_through_the_facade() {
         .iter()
         .filter(|&&p| p >= low_threshold)
         .count();
-    let all = db.query(&q, low_threshold, 1).unwrap();
+    let all = answers(low_threshold);
     assert_eq!(all.len(), expected_low);
-    let none = db
-        .query(&q, (ssp_001.max(ssp_002) * 1.2).min(1.0), 1)
-        .unwrap();
+    let none = answers((ssp_001.max(ssp_002) * 1.2).min(1.0));
     assert!(none.len() <= 1); // at most the higher graph if its SSP ≥ capped threshold
 }
 

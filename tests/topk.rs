@@ -366,13 +366,16 @@ fn adaptive_stopping_cuts_trials_at_equal_answers() {
 
 #[test]
 fn invalid_k_is_a_typed_facade_error() {
-    let mut db = ProbGraphDatabase::new();
-    db.insert(triangle("only", 0.8));
-    db.build_index();
+    let db = DynamicDatabase::build(vec![triangle("only", 0.8)], EngineConfig::default());
     let q = triangle_query();
-    let err = db.query_topk(&q, 0, 0).unwrap_err();
-    assert!(matches!(err, DbError::InvalidK(_)));
+    let params = |k: usize| TopkParams {
+        k,
+        delta: 0,
+        variant: PruningVariant::OptSspBound,
+    };
+    let err = db.query_topk(&q, &params(0)).unwrap_err();
+    assert_eq!(err, DbError::Query(QueryError::InvalidK { k: 0 }));
     assert!(err.to_string().contains("top-k"));
     // A sane k on the same database works.
-    assert_eq!(db.query_topk(&q, 1, 0).unwrap().len(), 1);
+    assert_eq!(db.query_topk(&q, &params(1)).unwrap().ranked.len(), 1);
 }
