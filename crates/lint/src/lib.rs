@@ -13,7 +13,7 @@
 //! | `nondeterministic-iteration` | no hash-order iteration in query/index/probgraph code |
 //! | `unseeded-rng` | all randomness flows through `derive_seed` |
 //! | `unsafe-confinement` | `unsafe` only in the audited whitelist, each with `// SAFETY:` |
-//! | `wall-clock-in-query-path` | no `Instant::now`/`SystemTime` outside the bench harness |
+//! | `wall-clock-in-query-path` | no `Instant::now`/`SystemTime` outside `timers.rs` modules |
 //! | `panic-in-library` | no `unwrap()`/`expect()` in non-test library code |
 //! | `invalid-pragma` | every suppression carries a mandatory reason |
 //!

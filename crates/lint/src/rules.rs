@@ -58,9 +58,9 @@ const UNSAFE_WHITELIST: &[&str] = &[
     "crates/bench/tests/alloc_guard.rs",
 ];
 
-/// Crates exempt from the wall-clock and panic rules: the bench harness is
-/// *supposed* to read clocks, and panicking on a malformed experiment setup
-/// is its error model.
+/// Crates exempt from the panic rule: panicking on a malformed experiment
+/// setup is the figure harness's error model.  It reads no clock (the
+/// benchmark in `perfbench/` owns time), so the wall-clock rule covers it.
 const BENCH_CRATES: &[&str] = &["pgs-bench"];
 
 /// Methods that observe the internal ordering of a hash container.
@@ -490,14 +490,11 @@ fn newline_count(s: &str) -> u32 {
 // Rule 4: wall-clock-in-query-path
 // ---------------------------------------------------------------------------
 
-/// Flags `Instant::now` / `SystemTime` outside the bench harness and timer
-/// modules.  Wall-clock reads in the query path invite time-dependent
-/// control flow (adaptive cutoffs, time-boxed sampling) that would make
-/// answers depend on machine load.
+/// Flags `Instant::now` / `SystemTime` outside timer modules.  Wall-clock
+/// reads in the query path invite time-dependent control flow (adaptive
+/// cutoffs, time-boxed sampling) that would make answers depend on machine
+/// load.
 fn wall_clock(input: &FileInput, out: &mut Vec<Diagnostic>) {
-    if BENCH_CRATES.contains(&input.file.crate_name.as_str()) {
-        return;
-    }
     if input
         .file
         .rel_path
@@ -514,7 +511,7 @@ fn wall_clock(input: &FileInput, out: &mut Vec<Diagnostic>) {
                 input.diag(
                     t,
                     WALL_CLOCK,
-                    "`SystemTime` outside the bench harness; query-path code must not \
+                    "`SystemTime` outside a timers module; query-path code must not \
                  observe wall-clock time"
                         .to_string(),
                 ),
@@ -528,7 +525,7 @@ fn wall_clock(input: &FileInput, out: &mut Vec<Diagnostic>) {
                 input.diag(
                     t,
                     WALL_CLOCK,
-                    "`Instant::now()` outside the bench harness; if this only feeds \
+                    "`Instant::now()` outside a timers module; if this only feeds \
                  reporting (never control flow), allow with a reason saying so"
                         .to_string(),
                 ),
@@ -722,14 +719,15 @@ mod tests {
         let d = lib(src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, WALL_CLOCK);
-        // …but not in the bench harness.
+        // …and in the figure harness too: perfbench owns time.
         let d = run(
             src,
             "pgs-bench",
             FileKind::Library,
             "crates/bench/src/lib.rs",
         );
-        assert!(d.is_empty());
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].rule, WALL_CLOCK);
     }
 
     #[test]

@@ -31,9 +31,7 @@ pub use pipeline::{
     BatchResult, EngineConfig, EngineLoadError, ExactScanConfig, IndexMismatch, PhaseStats,
     QueryEngine, QueryError, QueryParams, QueryResult,
 };
-pub use prune::{
-    probabilistic_prune, prune_candidate, BoundInstance, CrossTermRule, PruneDecision, PruneOutcome,
-};
+pub use prune::{BoundInstance, CrossTermRule, PruneDecision, PruneOutcome};
 pub use qp::{tightest_lsim, QpOptions};
 pub use setcover::{greedy_weighted_set_cover, SetCoverSolution};
 pub use structural::{

@@ -263,26 +263,6 @@ impl PruneOutcome {
     }
 }
 
-/// Evaluates both pruning rules for a single candidate graph: builds the
-/// set-cover instance from the PMI column and computes `Usim`/`Lsim`.
-///
-/// This is the unit of work the parallel executor fans out — each candidate
-/// gets its own deterministically seeded RNG, so the decision depends only on
-/// `(pmi, graph_idx, relaxed, epsilon, rng seed)` and never on how many other
-/// candidates were evaluated before it.
-pub fn prune_candidate<R: Rng + ?Sized>(
-    pmi: &Pmi,
-    graph_idx: usize,
-    relaxed: &[Graph],
-    epsilon: f64,
-    optimal: bool,
-    cross: CrossTermRule,
-    rng: &mut R,
-) -> PruneDecision {
-    let (usim, lsim) = bound_candidate(pmi, graph_idx, relaxed, optimal, cross, rng);
-    pruning_rules(usim, lsim, epsilon)
-}
-
 /// Pruning rules 1 and 2 applied to a computed `(Usim, Lsim)` pair.
 pub(crate) fn pruning_rules(usim: f64, lsim: f64, epsilon: f64) -> PruneDecision {
     if usim < epsilon {
@@ -294,15 +274,15 @@ pub(crate) fn pruning_rules(usim: f64, lsim: f64, epsilon: f64) -> PruneDecision
     }
 }
 
-/// Computes the `(Usim, Lsim)` bound pair for a single candidate without
-/// applying either pruning rule — the ranked top-k path orders candidates by
-/// `Usim` and seeds its running k-th-best cut with `Lsim`, so it needs the
-/// raw bounds rather than an ε-decision.
+/// Computes the `(Usim, Lsim)` bound pair for a single candidate: builds the
+/// set-cover instance from the PMI column and evaluates both bounds, drawing
+/// from `rng` in a fixed order (`usim_random` before `lsim_*`).
 ///
-/// [`prune_candidate`] is this function plus the two rules; both draw from
-/// `rng` in the same order (`usim_random` before `lsim_*`), so for a fixed
-/// seeded RNG the bounds here are bit-identical to what the threshold path
-/// computes.
+/// Threshold queries apply `pruning_rules` to the pair; the ranked top-k
+/// path orders candidates by `Usim` and seeds its running k-th-best cut with
+/// `Lsim`, so it needs the raw bounds rather than an ε-decision.  The engine
+/// seeds a fresh RNG per candidate, so the pair depends only on
+/// `(pmi, graph_idx, relaxed, rng seed)`.
 pub fn bound_candidate<R: Rng + ?Sized>(
     pmi: &Pmi,
     graph_idx: usize,
@@ -323,34 +303,6 @@ pub fn bound_candidate<R: Rng + ?Sized>(
         instance.lsim_random(cross, rng)
     };
     (usim, lsim)
-}
-
-/// Applies probabilistic pruning to `candidate_graphs` (indices into the PMI
-/// columns / database) sequentially, threading one shared RNG through every
-/// candidate.
-///
-/// `optimal` selects between the tightest bounds (Algorithms 1 and 2,
-/// `OPT-SSPBound`) and the untightened single-feature bounds (`SSPBound`).
-/// Note the shared RNG makes the *randomised* bound variants depend on the
-/// candidate iteration order; the query pipeline instead seeds a fresh RNG per
-/// candidate (see `QueryEngine`), which is both order-independent and
-/// parallelisable.
-#[allow(clippy::too_many_arguments)]
-pub fn probabilistic_prune<R: Rng + ?Sized>(
-    pmi: &Pmi,
-    candidate_graphs: &[usize],
-    relaxed: &[Graph],
-    epsilon: f64,
-    optimal: bool,
-    cross: CrossTermRule,
-    rng: &mut R,
-) -> (PruneOutcome, Vec<PruneDecision>) {
-    let decisions: Vec<PruneDecision> = candidate_graphs
-        .iter()
-        .map(|&gi| prune_candidate(pmi, gi, relaxed, epsilon, optimal, cross, rng))
-        .collect();
-    let outcome = PruneOutcome::from_decisions(candidate_graphs, &decisions);
-    (outcome, decisions)
 }
 
 #[cfg(test)]
@@ -487,6 +439,29 @@ mod tests {
         }
     }
 
+    /// The engine's threshold path: bounds per candidate, the two rules,
+    /// then the partition.
+    fn prune(
+        pmi: &Pmi,
+        candidates: &[usize],
+        relaxed: &[Graph],
+        epsilon: f64,
+        rng: &mut StdRng,
+    ) -> (PruneOutcome, Vec<PruneDecision>) {
+        let decisions: Vec<PruneDecision> = candidates
+            .iter()
+            .map(|&gi| {
+                let (usim, lsim) =
+                    bound_candidate(pmi, gi, relaxed, true, CrossTermRule::SafeMin, rng);
+                pruning_rules(usim, lsim, epsilon)
+            })
+            .collect();
+        (
+            PruneOutcome::from_decisions(candidates, &decisions),
+            decisions,
+        )
+    }
+
     #[test]
     fn pruning_rules_partition_the_candidates() {
         let db = database();
@@ -495,15 +470,7 @@ mod tests {
         let relaxed = relax_query(&q, 1);
         let mut rng = StdRng::seed_from_u64(17);
         let all: Vec<usize> = (0..db.len()).collect();
-        let (outcome, decisions) = probabilistic_prune(
-            &pmi,
-            &all,
-            &relaxed,
-            0.5,
-            true,
-            CrossTermRule::SafeMin,
-            &mut rng,
-        );
+        let (outcome, decisions) = prune(&pmi, &all, &relaxed, 0.5, &mut rng);
         assert_eq!(decisions.len(), 3);
         assert_eq!(
             outcome.accepted.len() + outcome.candidates.len() + outcome.pruned.len(),
@@ -525,52 +492,12 @@ mod tests {
     }
 
     #[test]
-    fn high_threshold_prunes_low_probability_graphs() {
-        let db = database();
-        let pmi = build_pmi(&db);
-        let q = query();
-        let relaxed = relax_query(&q, 1);
-        let mut rng = StdRng::seed_from_u64(23);
-        let all: Vec<usize> = (0..db.len()).collect();
-        let (strict, _) = probabilistic_prune(
-            &pmi,
-            &all,
-            &relaxed,
-            0.95,
-            true,
-            CrossTermRule::SafeMin,
-            &mut rng,
-        );
-        let (lax, _) = probabilistic_prune(
-            &pmi,
-            &all,
-            &relaxed,
-            0.05,
-            true,
-            CrossTermRule::SafeMin,
-            &mut rng,
-        );
-        assert!(
-            strict.surviving() <= lax.surviving(),
-            "higher ε must not keep more graphs"
-        );
-    }
-
-    #[test]
     fn empty_candidate_list() {
         let db = database();
         let pmi = build_pmi(&db);
         let relaxed = relax_query(&query(), 1);
         let mut rng = StdRng::seed_from_u64(29);
-        let (outcome, decisions) = probabilistic_prune(
-            &pmi,
-            &[],
-            &relaxed,
-            0.5,
-            true,
-            CrossTermRule::SafeMin,
-            &mut rng,
-        );
+        let (outcome, decisions) = prune(&pmi, &[], &relaxed, 0.5, &mut rng);
         assert!(decisions.is_empty());
         assert_eq!(outcome.surviving(), 0);
         assert!(outcome.pruned.is_empty());
