@@ -17,9 +17,10 @@ use crate::model::{Edge, EdgeId, VertexId};
 /// A ragged `Vec<Vec<T>>` packed into two flat allocations.
 ///
 /// `offsets` has one entry per row plus a trailing sentinel; row `i` is
-/// `values[offsets[i]..offsets[i + 1]]`.  Rows are immutable once pushed;
-/// mutation is "rebuild the arena", which is a single O(total) pass and is
-/// how the index layers handle their (rare) churn operations.
+/// `values[offsets[i]..offsets[i + 1]]`.  Rows are appended with
+/// [`push_row`](Self::push_row) in O(row); growing a row, filtering values
+/// or removing a row is a single O(total) shift, which is how the index
+/// layers handle their (rare) churn operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatVecVec<T> {
     offsets: Vec<u32>,
@@ -121,6 +122,18 @@ impl<T> FlatVecVec<T> {
         self.values.insert(pos, value);
         for o in &mut self.offsets[row + 1..] {
             *o += 1;
+        }
+    }
+
+    /// Removes row `row`, shifting every later row down by one.  O(total) —
+    /// a churn-path operation, not an inner-loop one.
+    pub fn remove_row(&mut self, row: usize) {
+        let lo = self.offsets[row];
+        let hi = self.offsets[row + 1];
+        self.values.drain(lo as usize..hi as usize);
+        self.offsets.remove(row + 1);
+        for o in &mut self.offsets[row + 1..] {
+            *o -= hi - lo;
         }
     }
 
@@ -258,7 +271,7 @@ mod tests {
         flat.push_into_row(0, 7);
         assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
 
-        // Drop every even value and decrement the survivors, per row.
+        // Drop every even value and add 10 to the survivors, per row.
         for row in &mut nested {
             row.retain(|v| v % 2 == 1);
             for v in row.iter_mut() {
@@ -272,7 +285,20 @@ mod tests {
             }
             keep
         });
-        assert_eq!(flat, FlatVecVec::from_rows(nested));
+        assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
+
+        // Remove rows down to none: the first row, the empty middle row, the
+        // last row, then the remaining two.
+        nested.insert(2, vec![]);
+        nested.push(vec![20, 21]);
+        flat = FlatVecVec::from_rows(nested.clone());
+        for row in [0usize, 1, 2, 1, 0] {
+            nested.remove(row);
+            flat.remove_row(row);
+            assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
+        }
+        assert!(flat.is_empty());
+        assert_eq!(flat.total_len(), 0);
     }
 
     /// The CSR rows must reproduce the neighbor order incremental insertion

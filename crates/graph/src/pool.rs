@@ -10,7 +10,7 @@
 //!
 //! ## Dispatch model
 //!
-//! A call submits one [`Job`]: a chunk count plus a `Fn(usize)` task invoked
+//! A call submits one `Job`: a chunk count plus a `Fn(usize)` task invoked
 //! once per chunk index.  Jobs sit in a FIFO queue; workers (and the
 //! submitting thread itself) claim chunk indices with an atomic counter and
 //! run them.  The *submitter participates*, which gives two properties:

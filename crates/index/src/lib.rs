@@ -8,7 +8,7 @@
 //!   ratio `α`, discriminativity `γ`, size cap `maxL`) in [`feature`],
 //! * the SIP bounds of Section 4.1 — lower bound from disjoint embeddings,
 //!   upper bound from disjoint minimal embedding cuts, both tightened with a
-//!   maximum-weight-clique search — in [`sip_bounds`],
+//!   maximum-weight-clique search — in [`mod@sip_bounds`],
 //! * PMI construction, lookup, statistics and text serialization in [`pmi`],
 //! * the S-Index — per-graph structural summaries plus an inverted
 //!   edge-signature posting list, the sublinear candidate generator of the

@@ -191,24 +191,28 @@ impl Pmi {
         self.sindex.as_ref()
     }
 
-    /// Rebuilds the S-Index from the database skeletons when it is missing
+    /// Rebuilds the S-Index from the database's skeletons when it is missing
     /// (the v1-snapshot migration path).  A no-op when it is already present.
     ///
     /// # Panics
     ///
-    /// Panics if `skeletons` does not have exactly one entry per PMI column —
+    /// Panics if `db` does not have exactly one graph per PMI column —
     /// callers must pair the index with its own database first (the engine
     /// checks the content salts before calling this).
-    pub fn ensure_sindex(&mut self, skeletons: &[Graph]) {
+    pub fn ensure_sindex(&mut self, db: &[ProbabilisticGraph]) {
         assert_eq!(
-            skeletons.len(),
+            db.len(),
             self.graph_count(),
-            "ensure_sindex: {} skeletons for {} PMI columns",
-            skeletons.len(),
+            "ensure_sindex: {} graphs for {} PMI columns",
+            db.len(),
             self.graph_count()
         );
         if self.sindex.is_none() {
-            self.sindex = Some(StructuralIndex::build(skeletons));
+            self.sindex = Some(StructuralIndex::from_summaries(
+                db.iter()
+                    .map(|g| StructuralSummary::of(g.skeleton()))
+                    .collect(),
+            ));
         }
     }
 
@@ -811,8 +815,7 @@ mod tests {
         assert!(old.sindex().is_none());
         // A v1-loaded index re-saves as v1 (nothing to persist).
         assert_eq!(old.to_bytes(), v1);
-        let skeletons: Vec<Graph> = db.iter().map(|g| g.skeleton().clone()).collect();
-        old.ensure_sindex(&skeletons);
+        old.ensure_sindex(&db);
         assert_eq!(old.sindex(), full.sindex());
     }
 

@@ -8,9 +8,9 @@
 //! filter–verify systems precompute per-graph feature summaries plus an
 //! inverted index exactly to avoid this; the S-Index is that structure:
 //!
-//! * one immutable structural summary per database graph (edge-signature
-//!   histogram, vertex-label multiset, vertex/edge counts, degree sequence),
-//!   computed once at index build time, and
+//! * one structural summary per database graph (edge-signature histogram,
+//!   vertex-label multiset, vertex/edge counts, degree sequence), computed
+//!   once when the graph enters the index, and
 //! * an inverted **posting list** `edge signature → [(graph, count)]` over
 //!   those summaries.
 //!
@@ -32,9 +32,17 @@
 //! signature-key table plus an offsets+entries pair).  Per-graph summaries
 //! are handed out as borrowed [`SummaryView`]s — no per-graph `Vec`s exist
 //! anywhere — and the posting scan walks one contiguous entry slice per query
-//! signature.  Mutation (append/remove, the churn path) rebuilds the affected
-//! arenas in a single O(total) pass; queries dominate churn by orders of
-//! magnitude, so the flat read path wins.
+//! signature.
+//!
+//! # Churn
+//!
+//! Both mutations edit the summary arenas in place and then rebuild the
+//! posting arena from them ([`StructuralIndex::append_summary`] pushes one
+//! row per column; [`StructuralIndex::remove`] drops one row per column with
+//! [`FlatVecVec::remove_row`]).  Either is O(total log total), dominated by
+//! the posting rebuild; queries dominate churn by orders of magnitude, so
+//! the flat read path wins.  The result always equals a fresh
+//! [`StructuralIndex::build`] over the same graphs in the same order.
 //!
 //! The S-Index is persisted as a versioned section of the PMI snapshot
 //! (format v2, see [`crate::snapshot`]); only the summaries are written —
@@ -64,26 +72,6 @@ pub struct FilterOutcome {
     /// Posting entries walked while accumulating (the work the filter
     /// actually did; reported in `PhaseStats`).
     pub posting_entries_scanned: usize,
-}
-
-/// Reusable scratch for [`StructuralIndex::filter_into`]: a dense per-graph
-/// mass accumulator plus the list of graphs touched this query.  After the
-/// first few queries warm it up, a filter pass performs no allocations at
-/// all (`mass == 0` marks "untouched", which is sound because every posting
-/// accumulation adds at least 1).
-#[derive(Debug, Default)]
-pub struct FilterScratch {
-    mass: Vec<u32>,
-    touched: Vec<u32>,
-    candidates: Vec<usize>,
-}
-
-impl FilterScratch {
-    /// The candidates produced by the last [`StructuralIndex::filter_into`]
-    /// call, ascending.
-    pub fn candidates(&self) -> &[usize] {
-        &self.candidates
-    }
 }
 
 /// The structural candidate index (see the module docs).
@@ -151,8 +139,8 @@ impl StructuralIndex {
             }
         }
         triples.sort_by_key(|&(sig, _)| sig);
-        self.sig_keys.clear();
         let mut postings = FlatVecVec::with_capacity(self.sig_keys.len(), triples.len());
+        self.sig_keys.clear();
         let mut i = 0;
         while i < triples.len() {
             let sig = triples[i].0;
@@ -202,21 +190,16 @@ impl StructuralIndex {
         self.postings.total_len()
     }
 
-    /// Appends one graph at the next index.
-    pub fn append(&mut self, skeleton: &Graph) {
-        self.append_summary(StructuralSummary::of(skeleton));
-    }
-
-    /// Appends one precomputed summary at the next index (rebuilds the
-    /// posting arena — the churn path is O(total)).
+    /// Appends one precomputed summary at the next index, then rebuilds the
+    /// posting arena.
     pub fn append_summary(&mut self, summary: StructuralSummary) {
         self.push_columns(summary.view());
         self.rebuild_postings();
     }
 
     /// Removes graph `index`, shifting every later graph down by one
-    /// (mirroring `Vec::remove` on the database and PMI side).  Rebuilds the
-    /// arenas in one O(total) pass.
+    /// (mirroring `Vec::remove` on the database and PMI side): drops its row
+    /// from each summary arena in place, then rebuilds the posting arena.
     ///
     /// # Panics
     ///
@@ -227,13 +210,11 @@ impl StructuralIndex {
             "remove: graph {index} out of range ({} graphs)",
             self.metas.len()
         );
-        let kept: Vec<StructuralSummary> = self
-            .summary_views()
-            .enumerate()
-            .filter(|&(g, _)| g != index)
-            .map(|(_, v)| v.to_owned_summary())
-            .collect();
-        *self = StructuralIndex::from_summaries(kept);
+        self.metas.remove(index);
+        self.vertex_labels.remove_row(index);
+        self.edge_signatures.remove_row(index);
+        self.degrees.remove_row(index);
+        self.rebuild_postings();
     }
 
     /// Posting-list candidate generation: all graphs whose Grafil
@@ -243,59 +224,42 @@ impl StructuralIndex {
     /// cheap residual set); otherwise only graphs appearing in at least one
     /// of the query's posting lists are touched.
     pub fn filter_candidates(&self, query: SummaryView<'_>, delta: usize) -> FilterOutcome {
-        let mut scratch = FilterScratch::default();
-        let posting_entries_scanned = self.filter_into(query, delta, &mut scratch);
-        FilterOutcome {
-            candidates: scratch.candidates,
-            posting_entries_scanned,
-        }
-    }
-
-    /// [`StructuralIndex::filter_candidates`] into caller-owned scratch;
-    /// returns the posting entries scanned and leaves the candidate set in
-    /// [`FilterScratch::candidates`].  With warm scratch the whole pass is
-    /// allocation-free.
-    pub fn filter_into(
-        &self,
-        query: SummaryView<'_>,
-        delta: usize,
-        scratch: &mut FilterScratch,
-    ) -> usize {
         let m = query.edge_count();
-        scratch.candidates.clear();
         if m <= delta {
-            scratch.candidates.extend(0..self.metas.len());
-            return 0;
+            return FilterOutcome {
+                candidates: (0..self.metas.len()).collect(),
+                posting_entries_scanned: 0,
+            };
         }
         let need = (m - delta) as u32;
-        if scratch.mass.len() < self.metas.len() {
-            scratch.mass.resize(self.metas.len(), 0);
-        }
-        debug_assert!(scratch.touched.is_empty());
-        let mut scanned = 0usize;
+        // Dense per-graph mass; `0` marks "untouched", which is sound because
+        // every posting accumulation adds at least 1.
+        let mut mass = vec![0u32; self.metas.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut posting_entries_scanned = 0usize;
         for &(sig, qc) in query.edge_signatures() {
             if let Ok(i) = self.sig_keys.binary_search(&sig) {
                 let row = self.postings.row(i);
-                scanned += row.len();
+                posting_entries_scanned += row.len();
                 for e in row {
-                    let slot = &mut scratch.mass[e.graph as usize];
+                    let slot = &mut mass[e.graph as usize];
                     if *slot == 0 {
-                        scratch.touched.push(e.graph);
+                        touched.push(e.graph);
                     }
                     *slot += qc.min(e.count);
                 }
             }
         }
-        scratch.touched.sort_unstable();
-        for i in 0..scratch.touched.len() {
-            let g = scratch.touched[i] as usize;
-            if scratch.mass[g] >= need {
-                scratch.candidates.push(g);
-            }
-            scratch.mass[g] = 0;
+        touched.sort_unstable();
+        let candidates = touched
+            .into_iter()
+            .map(|g| g as usize)
+            .filter(|&g| mass[g] >= need)
+            .collect();
+        FilterOutcome {
+            candidates,
+            posting_entries_scanned,
         }
-        scratch.touched.clear();
-        scanned
     }
 }
 
@@ -384,24 +348,6 @@ mod tests {
         assert!(tight.posting_entries_scanned > 0);
     }
 
-    /// Reused scratch gives the same answers as fresh-scratch calls, across
-    /// interleaved queries and deltas.
-    #[test]
-    fn filter_scratch_reuse_is_sound() {
-        let db = skeletons();
-        let index = StructuralIndex::build(&db);
-        let mut scratch = FilterScratch::default();
-        let summaries: Vec<StructuralSummary> = db.iter().map(StructuralSummary::of).collect();
-        for delta in [0usize, 2, 1, 4, 0, 3] {
-            for qs in &summaries {
-                let scanned = index.filter_into(qs.view(), delta, &mut scratch);
-                let fresh = index.filter_candidates(qs.view(), delta);
-                assert_eq!(scratch.candidates(), fresh.candidates.as_slice());
-                assert_eq!(scanned, fresh.posting_entries_scanned);
-            }
-        }
-    }
-
     #[test]
     fn summaries_round_trip_through_views() {
         let db = skeletons();
@@ -420,23 +366,36 @@ mod tests {
         // Build incrementally.
         let mut incremental = StructuralIndex::default();
         for g in &db {
-            incremental.append(g);
+            incremental.append_summary(StructuralSummary::of(g));
         }
         assert_eq!(incremental, full);
-        // Remove a middle graph: equals a build without it.
-        let mut removed = full.clone();
-        removed.remove(1);
-        let without: Vec<Graph> = db
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != 1)
-            .map(|(_, g)| g.clone())
-            .collect();
-        assert_eq!(removed, StructuralIndex::build(&without));
+        // Removing any one graph equals a build without it.  Graph 3's
+        // signatures occur nowhere else, so removing it shrinks `sig_keys`.
+        for index in 0..db.len() {
+            let mut removed = full.clone();
+            removed.remove(index);
+            let mut without = db.clone();
+            without.remove(index);
+            assert_eq!(removed, StructuralIndex::build(&without), "remove({index})");
+            if index == 3 {
+                assert!(removed.signature_count() < full.signature_count());
+            }
+        }
+        // Remove down to an empty index, checking each step.
+        let mut remaining = db.clone();
+        let mut shrinking = full.clone();
+        for index in [1usize, 2, 0, 0] {
+            shrinking.remove(index);
+            remaining.remove(index);
+            assert_eq!(shrinking, StructuralIndex::build(&remaining));
+        }
+        assert_eq!(shrinking, StructuralIndex::default());
         // Re-append restores a permuted-equal index of the same summaries.
-        removed.append(&db[1]);
-        assert_eq!(removed.graph_count(), db.len());
-        assert_eq!(removed.posting_entry_count(), full.posting_entry_count());
+        let mut reappended = full.clone();
+        reappended.remove(1);
+        reappended.append_summary(StructuralSummary::of(&db[1]));
+        assert_eq!(reappended.graph_count(), db.len());
+        assert_eq!(reappended.posting_entry_count(), full.posting_entry_count());
     }
 
     #[test]

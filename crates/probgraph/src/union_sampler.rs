@@ -420,7 +420,7 @@ impl UnionSampler {
     /// trials under a sequential stopping rule.  The trials are split into
     /// fixed-size chunks, chunk `c` drawing from `derive_seed([seed, c])`,
     /// and the chunks run on up to `threads` workers (`0` = automatic) in
-    /// rounds of the fixed [`adaptive_rounds`] schedule.  After each round
+    /// rounds of the fixed `adaptive_rounds` schedule.  After each round
     /// the running Hoeffding interval of the union probability is compared
     /// against `rule.threshold` — once the interval lies entirely below (or,
     /// with `rule.accept_early`, entirely at or above) the threshold, the

@@ -632,7 +632,6 @@ impl BatchResult {
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     db: Vec<ProbabilisticGraph>,
-    skeletons: Vec<Graph>,
     pmi: Pmi,
     config: EngineConfig,
 }
@@ -662,13 +661,7 @@ impl QueryEngine {
     /// configuration is rejected with a typed error at query time.
     pub fn build(db: Vec<ProbabilisticGraph>, config: EngineConfig) -> QueryEngine {
         let pmi = Pmi::build(&db, &config.pmi);
-        let skeletons = db.iter().map(|g| g.skeleton().clone()).collect();
-        QueryEngine {
-            db,
-            skeletons,
-            pmi,
-            config,
-        }
+        QueryEngine { db, pmi, config }
     }
 
     /// Assembles an engine from a database and a pre-built PMI (typically one
@@ -707,18 +700,12 @@ impl QueryEngine {
         {
             return Err(IndexMismatch::GraphSalt { position });
         }
-        let skeletons: Vec<Graph> = db.iter().map(|g| g.skeleton().clone()).collect();
         // An index decoded from a pre-S-Index (v1) snapshot carries no
         // summaries; re-derive them from the (salt-verified) skeletons so the
         // engine invariant — the PMI always has an S-Index — holds.
         let mut pmi = pmi;
-        pmi.ensure_sindex(&skeletons);
-        Ok(QueryEngine {
-            db,
-            skeletons,
-            pmi,
-            config,
-        })
+        pmi.ensure_sindex(&db);
+        Ok(QueryEngine { db, pmi, config })
     }
 
     /// Assembles an engine from a database and an index snapshot on disk
@@ -737,7 +724,6 @@ impl QueryEngine {
     /// returns its index.
     pub fn insert_graph(&mut self, pg: ProbabilisticGraph) -> usize {
         self.pmi.append_graph(&pg);
-        self.skeletons.push(pg.skeleton().clone());
         self.db.push(pg);
         self.db.len() - 1
     }
@@ -750,7 +736,6 @@ impl QueryEngine {
             return None;
         }
         self.pmi.remove_graph(index);
-        self.skeletons.remove(index);
         Some(self.db.remove(index))
     }
 
@@ -949,7 +934,7 @@ impl QueryEngine {
             // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
             .expect("engine invariant: the PMI always carries an S-Index");
         let (structural, filter_stats) =
-            structural_candidates_indexed(sindex, &self.skeletons, q, delta, threads);
+            structural_candidates_indexed(sindex, &self.db, q, delta, threads);
         stats.structural_seconds = t0.elapsed().as_secs_f64();
         stats.structural_candidates = structural.len();
         stats.posting_entries_scanned = filter_stats.posting_entries_scanned;

@@ -14,8 +14,9 @@
 //! `cross` over-approximates the pairwise joint probability.  The paper uses
 //! `UpperB(f_i)·UpperB(f_j)`; that product is only an upper bound of the joint
 //! probability when the events are close to independent, so the default here is
-//! the always-sound `min(UpperB(f_i), UpperB(f_j))` ([`CrossTermRule::SafeMin`]
-//! in [`crate::prune`]) with the paper's product available behind an option.
+//! the always-sound `min(UpperB(f_i), UpperB(f_j))`
+//! ([`CrossTermRule::SafeMin`](crate::prune::CrossTermRule::SafeMin) in
+//! [`crate::prune`]) with the paper's product available behind an option.
 //!
 //! Finding the best cover is an integer quadratic program (Definition 11); we
 //! relax the indicators to `[0, 1]`, solve the relaxation with projected

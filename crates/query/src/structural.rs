@@ -21,9 +21,10 @@
 //! * [`structural_candidates_indexed`] — the production path.  The query's
 //!   summary is computed **once**, the deficit filter runs over the S-Index
 //!   posting lists (`pgs_index::sindex`), touching only graphs that share at
-//!   least one edge signature with the query, and the exact check reuses the
-//!   cached per-graph summaries.  Sublinear in the database size for
-//!   selective queries.
+//!   least one edge signature with the query, and the exact check reads each
+//!   survivor's skeleton from the database graph itself (the engine keeps no
+//!   second copy) next to its cached S-Index summary.  Sublinear in the
+//!   database size for selective queries.
 //! * [`structural_candidates`] — the brute-force reference: a sequential
 //!   full scan with the per-graph filter.  The query histogram is still
 //!   computed once per query (it used to be rebuilt inside the per-candidate
@@ -38,6 +39,7 @@ use pgs_graph::model::Graph;
 use pgs_graph::parallel::{par_map_chunked_costed, CostHint};
 use pgs_graph::summary::StructuralSummary;
 use pgs_index::sindex::StructuralIndex;
+use pgs_prob::model::ProbabilisticGraph;
 
 /// Work counters of one indexed structural phase run
 /// (surfaced as `PhaseStats` fields).
@@ -75,16 +77,16 @@ pub fn structural_candidates(skeletons: &[Graph], q: &Graph, delta: usize) -> Ve
 /// (ascending, identical to [`structural_candidates`]) plus the phase's work
 /// counters.
 ///
-/// `index` must summarise exactly `skeletons` (the engine keeps the two
-/// aligned through builds and incremental mutations).
+/// `index` must summarise exactly the skeletons of `db` (the engine keeps
+/// the two aligned through builds and incremental mutations).
 pub fn structural_candidates_indexed(
     index: &StructuralIndex,
-    skeletons: &[Graph],
+    db: &[ProbabilisticGraph],
     q: &Graph,
     delta: usize,
     threads: usize,
 ) -> (Vec<usize>, StructuralFilterStats) {
-    debug_assert_eq!(index.graph_count(), skeletons.len());
+    debug_assert_eq!(index.graph_count(), db.len());
     let tester = SimilarityTester::new(q, delta);
     let outcome = index.filter_candidates(tester.query_summary().view(), delta);
     let stats = StructuralFilterStats {
@@ -95,7 +97,7 @@ pub fn structural_candidates_indexed(
         &outcome.candidates,
         threads,
         CostHint::MODERATE,
-        |_, &gi| tester.matches(&skeletons[gi], index.summary(gi)),
+        |_, &gi| tester.matches(db[gi].skeleton(), index.summary(gi)),
     );
     let candidates = outcome
         .candidates
@@ -190,6 +192,17 @@ mod tests {
         ]
     }
 
+    /// The skeletons as independent-edge probabilistic graphs (phase 1 reads
+    /// only the skeleton).
+    fn probabilistic(db: &[Graph]) -> Vec<ProbabilisticGraph> {
+        db.iter()
+            .map(|g| {
+                ProbabilisticGraph::independent(g.clone(), &vec![0.5; g.edge_count()])
+                    .expect("valid edge probabilities")
+            })
+            .collect()
+    }
+
     #[test]
     fn candidates_match_the_exact_distance_semantics() {
         let db = database();
@@ -203,19 +216,20 @@ mod tests {
     #[test]
     fn indexed_candidates_match_the_bruteforce_scan() {
         let db = database();
+        let pdb = probabilistic(&db);
         let index = StructuralIndex::build(&db);
         let q = query();
         for delta in 0..=4 {
             let brute = structural_candidates(&db, &q, delta);
             for threads in [1usize, 0, 3] {
                 let (indexed, stats) =
-                    structural_candidates_indexed(&index, &db, &q, delta, threads);
+                    structural_candidates_indexed(&index, &pdb, &q, delta, threads);
                 assert_eq!(indexed, brute, "delta = {delta}, threads = {threads}");
                 assert!(stats.filter_survivors >= indexed.len());
             }
         }
         // The unrelated graph 3 is never even touched for a selective query.
-        let (_, stats) = structural_candidates_indexed(&index, &db, &q, 0, 1);
+        let (_, stats) = structural_candidates_indexed(&index, &pdb, &q, 0, 1);
         assert_eq!(stats.filter_survivors, 1);
         assert!(stats.posting_entries_scanned > 0);
     }
@@ -252,7 +266,7 @@ mod tests {
         let candidates = structural_candidates(&db, &q, 1);
         assert_eq!(candidates.len(), db.len());
         let index = StructuralIndex::build(&db);
-        let (indexed, stats) = structural_candidates_indexed(&index, &db, &q, 1, 1);
+        let (indexed, stats) = structural_candidates_indexed(&index, &probabilistic(&db), &q, 1, 1);
         assert_eq!(indexed.len(), db.len());
         // The vacuous filter never walks a posting list.
         assert_eq!(stats.posting_entries_scanned, 0);

@@ -22,6 +22,7 @@ use pgs::query::pipeline::QueryEngine;
 use pgs::query::structural::{structural_candidates, structural_candidates_indexed};
 use pgs::query::verify::VerifyOptions;
 use pgs_graph::model::EdgeId;
+use pgs_graph::summary::StructuralSummary;
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::{Pmi, PmiBuildParams};
 use pgs_index::sindex::StructuralIndex;
@@ -279,14 +280,16 @@ fn insert_remove_sequence_matches_a_fresh_rebuild() {
     let graphs = dataset.graphs.clone();
 
     // Start from the first 10 graphs, then: insert the remaining 6, remove
-    // two from the middle, and re-insert one of them at the end.
+    // two from the middle, the first and the last, and re-insert one of them
+    // at the end.
     let mut db = DynamicDatabase::build(graphs[..10].to_vec(), config);
     let mut expected: Vec<ProbabilisticGraph> = graphs[..10].to_vec();
     for pg in &graphs[10..] {
         db.insert_graph(pg.clone());
         expected.push(pg.clone());
     }
-    for idx in [3usize, 7] {
+    // 0 and 12 are the first and the last position at their turn.
+    for idx in [3usize, 7, 0, 12] {
         let removed = db.remove_graph(idx).unwrap();
         let mirrored = expected.remove(idx);
         assert_eq!(removed.name(), mirrored.name());
@@ -300,7 +303,7 @@ fn insert_remove_sequence_matches_a_fresh_rebuild() {
     for (a, b) in db.graphs().iter().zip(&expected) {
         assert_eq!(a.name(), b.name());
     }
-    // 6 inserts + 2 removes + 1 insert = 9 mutations over 15 graphs.
+    // 6 inserts + 4 removes + 1 insert = 11 mutations over 13 graphs.
     assert!(db.staleness() > 0.5);
     assert!(db.should_remine());
 
@@ -497,8 +500,13 @@ fn sindex_matches_bruteforce_on_a_generated_workload() {
         for delta in 0..=3 {
             let brute = structural_candidates(&skeletons, &wq.graph, delta);
             for threads in [1usize, 0] {
-                let (indexed, stats) =
-                    structural_candidates_indexed(&index, &skeletons, &wq.graph, delta, threads);
+                let (indexed, stats) = structural_candidates_indexed(
+                    &index,
+                    &dataset.graphs,
+                    &wq.graph,
+                    delta,
+                    threads,
+                );
                 assert_eq!(
                     indexed,
                     brute,
@@ -557,16 +565,20 @@ proptest! {
         delta in 0usize..4,
     ) {
         let index = StructuralIndex::build(&db);
+        let pdb: Vec<ProbabilisticGraph> = db
+            .iter()
+            .map(|g| ProbabilisticGraph::independent(g.clone(), &vec![0.5; g.edge_count()]).unwrap())
+            .collect();
         let brute = structural_candidates(&db, &q, delta);
-        let (indexed, stats) = structural_candidates_indexed(&index, &db, &q, delta, 1);
+        let (indexed, stats) = structural_candidates_indexed(&index, &pdb, &q, delta, 1);
         prop_assert_eq!(&indexed, &brute);
         prop_assert!(stats.filter_survivors >= indexed.len());
         // Incremental construction yields the same index, hence the same set.
         let mut grown = StructuralIndex::default();
         for g in &db {
-            grown.append(g);
+            grown.append_summary(StructuralSummary::of(g));
         }
-        let (grown_set, _) = structural_candidates_indexed(&grown, &db, &q, delta, 1);
+        let (grown_set, _) = structural_candidates_indexed(&grown, &pdb, &q, delta, 1);
         prop_assert_eq!(&grown_set, &brute);
     }
 }
