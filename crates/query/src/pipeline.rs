@@ -16,7 +16,9 @@
 //! The `Exact` baseline ([`QueryEngine::exact_scan`]) evaluates the SSP of
 //! every database graph directly.
 
-use crate::prune::{bound_candidate, pruning_rules, CrossTermRule, PruneDecision, PruneOutcome};
+use crate::prune::{
+    bound_candidate, pruning_rules, CrossTermRule, FeatureRelation, PruneDecision, PruneOutcome,
+};
 use crate::structural::structural_candidates_indexed;
 use crate::verify::{
     verify_ssp, verify_ssp_exact, verify_ssp_with_stats, VerifyOptions, VerifyOutcome,
@@ -895,9 +897,12 @@ impl QueryEngine {
     /// sharing a signature with the query, and the exact check reuses the
     /// cached summaries; the exact checks fan out over filter survivors.
     /// Phase 2 computes the
-    /// relaxed query set once and the bound pair of every candidate in
-    /// parallel, each from its own content-seeded RNG; `Structure` skips the
-    /// PMI and pins every pair to the vacuous `(1, 0)`.
+    /// relaxed query set and its feature relation (which PMI features contain
+    /// or are contained in which relaxed query) once per query, then the
+    /// bound pair of every candidate in parallel: each candidate gates the
+    /// shared relation by its PMI column and draws from its own
+    /// content-seeded RNG.  `Structure` skips the PMI and pins every pair to
+    /// the vacuous `(1, 0)`.
     ///
     /// Trivial relaxation: when `δ ≥ |E(q)|` the relaxed query set collapses
     /// to the empty pattern, which every possible world contains, so every
@@ -947,12 +952,13 @@ impl QueryEngine {
             PruningVariant::Structure => vec![(1.0, 0.0); structural.len()],
             PruningVariant::SspBound | PruningVariant::OptSspBound => {
                 let optimal = variant == PruningVariant::OptSspBound;
+                let relation = FeatureRelation::new(&self.pmi, &relaxed);
                 par_map_chunked_costed(&structural, threads, CostHint::MODERATE, |_, &gi| {
                     let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, gi);
                     bound_candidate(
                         &self.pmi,
                         gi,
-                        &relaxed,
+                        &relation,
                         optimal,
                         self.config.cross_term,
                         &mut rng,

@@ -16,6 +16,11 @@
 //! QP/rounding of Algorithm 2 (the paper's `OPT-SSPBound`); the untightened
 //! variant picks one arbitrary qualifying feature per relaxed query (the
 //! paper's `SSPBound`), which is what Section 6 benchmarks against.
+//!
+//! Both relations (`f ⊆iso rq` and `rq ⊆iso f`) depend only on the query and
+//! the feature set, so they are computed once per query as a
+//! [`FeatureRelation`]; per candidate, [`BoundInstance::from_relation`] only
+//! gates them by the presence of each feature's PMI cell.
 
 use crate::qp::{tightest_lsim, LsimSet, QpOptions};
 use crate::setcover::greedy_weighted_set_cover;
@@ -50,47 +55,91 @@ pub struct BoundInstance {
     pub supergraph_sets: Vec<(usize, Vec<usize>, f64, f64)>,
 }
 
-impl BoundInstance {
-    /// Builds the instance for PMI column `graph_idx` and relaxed query set `relaxed`.
-    pub fn build(pmi: &Pmi, graph_idx: usize, relaxed: &[Graph]) -> BoundInstance {
-        let mut instance = BoundInstance {
+/// The feature ↔ relaxed-query containment of one query: for every PMI
+/// feature (row order), the relaxed queries it is a subgraph of and the
+/// relaxed queries that are subgraphs of it.
+///
+/// Neither relation depends on the candidate graph, so the engine computes
+/// it once per query and every candidate's [`BoundInstance`] only gates it
+/// by the presence of the feature's PMI cell.
+#[derive(Debug, Clone)]
+pub struct FeatureRelation {
+    /// Number of relaxed queries (`a = |U|`).
+    universe: usize,
+    /// Per feature position: `(f ⊆iso rq, rq ⊆iso f)`, each a list of
+    /// relaxed-query indices in ascending order.
+    rows: Vec<(Vec<usize>, Vec<usize>)>,
+}
+
+impl FeatureRelation {
+    /// Runs both containment tests for every feature of `pmi` against every
+    /// relaxed query in `relaxed` (edge counts screen out the impossible
+    /// pairs before VF2).
+    pub fn new(pmi: &Pmi, relaxed: &[Graph]) -> FeatureRelation {
+        let within = |small: &Graph, big: &Graph| {
+            small.edge_count() <= big.edge_count() && contains_subgraph(small, big)
+        };
+        let rows = pmi
+            .features()
+            .iter()
+            .map(|feature| {
+                let f = &feature.graph;
+                let contained_in = (0..relaxed.len())
+                    .filter(|&ri| within(f, &relaxed[ri]))
+                    .collect();
+                let contains = (0..relaxed.len())
+                    .filter(|&ri| within(&relaxed[ri], f))
+                    .collect();
+                (contained_in, contains)
+            })
+            .collect();
+        FeatureRelation {
             universe: relaxed.len(),
+            rows,
+        }
+    }
+}
+
+impl BoundInstance {
+    /// Builds the instance for PMI column `graph_idx` and relaxed query set
+    /// `relaxed`.  Computes the query's [`FeatureRelation`] on the spot; a
+    /// caller bounding several candidates of one query should build the
+    /// relation once and use [`Self::from_relation`].
+    pub fn build(pmi: &Pmi, graph_idx: usize, relaxed: &[Graph]) -> BoundInstance {
+        BoundInstance::from_relation(pmi, graph_idx, &FeatureRelation::new(pmi, relaxed))
+    }
+
+    /// Builds the instance for PMI column `graph_idx` from the query's
+    /// feature relation (computed over the same `pmi`'s features).
+    pub fn from_relation(pmi: &Pmi, graph_idx: usize, relation: &FeatureRelation) -> BoundInstance {
+        debug_assert_eq!(relation.rows.len(), pmi.features().len());
+        let mut instance = BoundInstance {
+            universe: relation.universe,
             ..BoundInstance::default()
         };
-        for feature in pmi.features() {
+        for (feature, (contained_in, contains)) in pmi.features().iter().zip(&relation.rows) {
+            if contained_in.is_empty() && contains.is_empty() {
+                continue;
+            }
             // Figure 4's convention: a feature that is not a subgraph of the
             // skeleton has the entry ⟨0⟩, i.e. `UpperB = LowerB = 0`.  Such
             // zero-weight sets make the upper-bound cover maximally tight
             // (any relaxed query containing an absent feature has probability
             // zero), while they are useless for the lower bound and skipped.
-            let bounds = pmi
-                .bounds(graph_idx, feature.id)
-                .unwrap_or(pgs_index::sip_bounds::SipBounds::ABSENT);
-            let present = pmi.bounds(graph_idx, feature.id).is_some();
-            let mut contained_in: Vec<usize> = Vec::new(); // f ⊆iso rq
-            let mut contains: Vec<usize> = Vec::new(); // rq ⊆iso f
-            for (ri, rq) in relaxed.iter().enumerate() {
-                if feature.graph.edge_count() <= rq.edge_count()
-                    && contains_subgraph(&feature.graph, rq)
-                {
-                    contained_in.push(ri);
-                }
-                if present
-                    && rq.edge_count() <= feature.graph.edge_count()
-                    && contains_subgraph(rq, &feature.graph)
-                {
-                    contains.push(ri);
-                }
-            }
+            let cell = pmi.bounds(graph_idx, feature.id);
+            let bounds = cell.unwrap_or(pgs_index::sip_bounds::SipBounds::ABSENT);
             if !contained_in.is_empty() {
                 instance
                     .subgraph_sets
-                    .push((feature.id, contained_in, bounds.upper));
+                    .push((feature.id, contained_in.clone(), bounds.upper));
             }
-            if !contains.is_empty() {
-                instance
-                    .supergraph_sets
-                    .push((feature.id, contains, bounds.lower, bounds.upper));
+            if cell.is_some() && !contains.is_empty() {
+                instance.supergraph_sets.push((
+                    feature.id,
+                    contains.clone(),
+                    bounds.lower,
+                    bounds.upper,
+                ));
             }
         }
         instance
@@ -274,24 +323,26 @@ pub(crate) fn pruning_rules(usim: f64, lsim: f64, epsilon: f64) -> PruneDecision
     }
 }
 
-/// Computes the `(Usim, Lsim)` bound pair for a single candidate: builds the
-/// set-cover instance from the PMI column and evaluates both bounds, drawing
-/// from `rng` in a fixed order (`usim_random` before `lsim_*`).
+/// Computes the `(Usim, Lsim)` bound pair for a single candidate: gates the
+/// query's feature relation by the candidate's PMI column to get its
+/// set-cover instance ([`BoundInstance::from_relation`]) and evaluates both
+/// bounds, drawing from `rng` in a fixed order (`usim_random` before
+/// `lsim_*`).
 ///
 /// Threshold queries apply `pruning_rules` to the pair; the ranked top-k
 /// path orders candidates by `Usim` and seeds its running k-th-best cut with
 /// `Lsim`, so it needs the raw bounds rather than an ε-decision.  The engine
 /// seeds a fresh RNG per candidate, so the pair depends only on
-/// `(pmi, graph_idx, relaxed, rng seed)`.
+/// `(pmi, graph_idx, relation, rng seed)`.
 pub fn bound_candidate<R: Rng + ?Sized>(
     pmi: &Pmi,
     graph_idx: usize,
-    relaxed: &[Graph],
+    relation: &FeatureRelation,
     optimal: bool,
     cross: CrossTermRule,
     rng: &mut R,
 ) -> (f64, f64) {
-    let instance = BoundInstance::build(pmi, graph_idx, relaxed);
+    let instance = BoundInstance::from_relation(pmi, graph_idx, relation);
     let usim = if optimal {
         instance.usim_optimal()
     } else {
@@ -439,8 +490,8 @@ mod tests {
         }
     }
 
-    /// The engine's threshold path: bounds per candidate, the two rules,
-    /// then the partition.
+    /// The engine's threshold path: the feature relation once, bounds per
+    /// candidate, the two rules, then the partition.
     fn prune(
         pmi: &Pmi,
         candidates: &[usize],
@@ -448,11 +499,12 @@ mod tests {
         epsilon: f64,
         rng: &mut StdRng,
     ) -> (PruneOutcome, Vec<PruneDecision>) {
+        let relation = FeatureRelation::new(pmi, relaxed);
         let decisions: Vec<PruneDecision> = candidates
             .iter()
             .map(|&gi| {
                 let (usim, lsim) =
-                    bound_candidate(pmi, gi, relaxed, true, CrossTermRule::SafeMin, rng);
+                    bound_candidate(pmi, gi, &relation, true, CrossTermRule::SafeMin, rng);
                 pruning_rules(usim, lsim, epsilon)
             })
             .collect();
@@ -526,5 +578,132 @@ mod tests {
                 assert!(contains_subgraph(&relaxed[e], &pmi.features()[*fid].graph));
             }
         }
+    }
+
+    /// The per-candidate double loop the engine ran before the relation was
+    /// hoisted: both containment tests for every feature × relaxed query,
+    /// `rq ⊆iso f` only for present features.
+    fn reference_instance(pmi: &Pmi, graph_idx: usize, relaxed: &[Graph]) -> BoundInstance {
+        let mut instance = BoundInstance {
+            universe: relaxed.len(),
+            ..BoundInstance::default()
+        };
+        for feature in pmi.features() {
+            let bounds = pmi
+                .bounds(graph_idx, feature.id)
+                .unwrap_or(pgs_index::sip_bounds::SipBounds::ABSENT);
+            let present = pmi.bounds(graph_idx, feature.id).is_some();
+            let mut contained_in: Vec<usize> = Vec::new();
+            let mut contains: Vec<usize> = Vec::new();
+            for (ri, rq) in relaxed.iter().enumerate() {
+                if feature.graph.edge_count() <= rq.edge_count()
+                    && contains_subgraph(&feature.graph, rq)
+                {
+                    contained_in.push(ri);
+                }
+                if present
+                    && rq.edge_count() <= feature.graph.edge_count()
+                    && contains_subgraph(rq, &feature.graph)
+                {
+                    contains.push(ri);
+                }
+            }
+            if !contained_in.is_empty() {
+                instance
+                    .subgraph_sets
+                    .push((feature.id, contained_in, bounds.upper));
+            }
+            if !contains.is_empty() {
+                instance
+                    .supergraph_sets
+                    .push((feature.id, contains, bounds.lower, bounds.upper));
+            }
+        }
+        instance
+    }
+
+    /// The reference's bound pair, drawing from `rng` in `bound_candidate`'s
+    /// order.
+    fn reference_bounds(
+        instance: &BoundInstance,
+        optimal: bool,
+        cross: CrossTermRule,
+        rng: &mut StdRng,
+    ) -> (f64, f64) {
+        if optimal {
+            let usim = instance.usim_optimal();
+            (usim, instance.lsim_optimal(cross, rng))
+        } else {
+            let usim = instance.usim_random(rng);
+            (usim, instance.lsim_random(cross, rng))
+        }
+    }
+
+    #[test]
+    fn shared_relation_matches_the_per_candidate_reference() {
+        // The fixture database, plus an appended graph sharing no label with
+        // any feature, so its PMI column is empty and every feature is absent.
+        let db = database();
+        let mut pmi = build_pmi(&db);
+        let foreign = GraphBuilder::new()
+            .name("foreign")
+            .vertices(&[7, 8])
+            .edge(0, 1, 5)
+            .build();
+        let jpt = JointProbTable::from_max_rule(&[(EdgeId(0), 0.5)]).unwrap();
+        pmi.append_graph(&ProbabilisticGraph::new(foreign, vec![jpt], true).unwrap());
+        let empty = db.len();
+        assert!(pmi.graph_entries(empty).is_empty());
+        assert!(!pmi.features().is_empty());
+
+        let q = query();
+        let mut checked_supergraph_sets = false;
+        for delta in 0..=2usize {
+            let relaxed = relax_query(&q, delta);
+            let relation = FeatureRelation::new(&pmi, &relaxed);
+            for gi in 0..=empty {
+                let hoisted = BoundInstance::from_relation(&pmi, gi, &relation);
+                let reference = reference_instance(&pmi, gi, &relaxed);
+                assert_eq!(hoisted.universe, reference.universe, "δ={delta} g{gi}");
+                assert_eq!(
+                    hoisted.subgraph_sets, reference.subgraph_sets,
+                    "δ={delta} g{gi}: subgraph sets"
+                );
+                assert_eq!(
+                    hoisted.supergraph_sets, reference.supergraph_sets,
+                    "δ={delta} g{gi}: supergraph sets"
+                );
+                checked_supergraph_sets |= !reference.supergraph_sets.is_empty();
+                if gi == empty {
+                    assert!(hoisted.supergraph_sets.is_empty());
+                    assert!(hoisted.subgraph_sets.iter().all(|(_, _, u)| *u == 0.0));
+                }
+                for optimal in [false, true] {
+                    for cross in [CrossTermRule::SafeMin, CrossTermRule::PaperProduct] {
+                        let seed = 1000 * delta as u64 + gi as u64;
+                        let got = bound_candidate(
+                            &pmi,
+                            gi,
+                            &relation,
+                            optimal,
+                            cross,
+                            &mut StdRng::seed_from_u64(seed),
+                        );
+                        let want = reference_bounds(
+                            &reference,
+                            optimal,
+                            cross,
+                            &mut StdRng::seed_from_u64(seed),
+                        );
+                        assert_eq!(
+                            (got.0.to_bits(), got.1.to_bits()),
+                            (want.0.to_bits(), want.1.to_bits()),
+                            "δ={delta} g{gi} optimal={optimal} {cross:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(checked_supergraph_sets, "no lower-bound sets exercised");
     }
 }

@@ -9,9 +9,10 @@
 //! re-derived from the database skeletons; an insert/remove sequence through
 //! `DynamicDatabase` must match a fresh rebuild on the same final database —
 //! S-Index included; the S-Index candidate generator must return exactly the
-//! brute-force scan's index set on randomized graphs/queries/δ; and ε = NaN /
-//! ε ≤ 0 / ε > 1 must be a typed error instead of a silently empty or full
-//! answer set.
+//! brute-force scan's index set on randomized graphs/queries/δ; phase 2's
+//! per-query feature relation must follow every insert, remove and re-mine;
+//! and ε = NaN / ε ≤ 0 / ε > 1 must be a typed error instead of a silently
+//! empty or full answer set.
 
 mod common;
 
@@ -19,9 +20,11 @@ use common::{counters_only, fixture_config, fixture_graphs, fixture_query, PMI_V
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
 use pgs::query::pipeline::QueryEngine;
+use pgs::query::prune::{bound_candidate, BoundInstance, FeatureRelation};
 use pgs::query::structural::{structural_candidates, structural_candidates_indexed};
 use pgs::query::verify::VerifyOptions;
 use pgs_graph::model::EdgeId;
+use pgs_graph::relax::relax_query_clamped;
 use pgs_graph::summary::StructuralSummary;
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::{Pmi, PmiBuildParams};
@@ -29,6 +32,8 @@ use pgs_index::sindex::StructuralIndex;
 use pgs_index::sip_bounds::BoundsConfig;
 use pgs_index::snapshot::SnapshotError;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::PathBuf;
 
 /// Graph 001 of Figure 1 (triangle a-b-d).
@@ -359,6 +364,164 @@ fn insert_remove_sequence_matches_a_fresh_rebuild() {
             fresh.query(&wq.graph, &params).unwrap().answers
         );
     }
+}
+
+/// Threshold answers, top-k lists, counters and every graph's phase-2
+/// bound pair must agree between two engines over the same graphs and the
+/// same index, and `got`'s rule-1 prunes must match a recount from its
+/// current feature set.  Returns how many threshold answers and rule-1
+/// prunes the comparison covered.
+fn assert_same_phase2(
+    got: &QueryEngine,
+    want: &QueryEngine,
+    queries: &[Graph],
+    state: &str,
+) -> (usize, usize) {
+    assert_eq!(got.db().len(), want.db().len());
+    let (mut answers, mut pruned) = (0, 0);
+    for (qi, q) in queries.iter().enumerate() {
+        for variant in [PruningVariant::SspBound, PruningVariant::OptSspBound] {
+            for delta in 0..=2usize {
+                let at = format!("{state}: query {qi} {variant:?} δ={delta}");
+                let params = QueryParams {
+                    epsilon: 0.3,
+                    delta,
+                    variant,
+                };
+                let (a, b) = (
+                    got.query(q, &params).unwrap(),
+                    want.query(q, &params).unwrap(),
+                );
+                assert_eq!(a.answers, b.answers, "{at}: threshold answers");
+                assert_eq!(counters_only(a.stats), counters_only(b.stats), "{at}");
+                answers += a.answers.len();
+                pruned += a.stats.pruned_by_upper;
+
+                // Rule 1 under OPT-SSPBound draws no randomness, so its prunes
+                // can be recounted outside the query path, from a relation
+                // built over the engine's current features.
+                let relaxed = relax_query_clamped(q, delta);
+                let relations = (
+                    FeatureRelation::new(got.pmi(), &relaxed),
+                    FeatureRelation::new(want.pmi(), &relaxed),
+                );
+                let optimal = variant == PruningVariant::OptSspBound;
+                if optimal {
+                    let sindex = got.pmi().sindex().unwrap();
+                    let (structural, _) =
+                        structural_candidates_indexed(sindex, got.db(), q, delta, 1);
+                    let recount = structural
+                        .iter()
+                        .filter(|&&gi| {
+                            let instance =
+                                BoundInstance::from_relation(got.pmi(), gi, &relations.0);
+                            instance.usim_optimal() < params.epsilon
+                        })
+                        .count();
+                    assert_eq!(a.stats.pruned_by_upper, recount, "{at}: rule-1 prunes");
+                }
+
+                let params = TopkParams {
+                    k: 3,
+                    delta,
+                    variant,
+                };
+                let (a, b) = (
+                    got.query_topk(q, &params).unwrap(),
+                    want.query_topk(q, &params).unwrap(),
+                );
+                let ranked = |r: &TopkResult| -> Vec<(usize, u64)> {
+                    r.ranked
+                        .iter()
+                        .map(|x| (x.graph, x.ssp.to_bits()))
+                        .collect()
+                };
+                assert_eq!(ranked(&a), ranked(&b), "{at}: top-k list");
+                assert_eq!(counters_only(a.stats), counters_only(b.stats), "{at}");
+
+                let bounds = |engine: &QueryEngine, relation: &FeatureRelation, gi: usize| {
+                    let mut rng = StdRng::seed_from_u64(gi as u64);
+                    let (usim, lsim) = bound_candidate(
+                        engine.pmi(),
+                        gi,
+                        relation,
+                        optimal,
+                        engine.config().cross_term,
+                        &mut rng,
+                    );
+                    (usim.to_bits(), lsim.to_bits())
+                };
+                for gi in 0..got.db().len() {
+                    assert_eq!(
+                        bounds(got, &relations.0, gi),
+                        bounds(want, &relations.1, gi),
+                        "{at}: g{gi} bounds"
+                    );
+                }
+            }
+        }
+    }
+    (answers, pruned)
+}
+
+/// The phase-2 feature relation is rebuilt per query from the engine's
+/// current feature set, never cached on the engine: after inserts, removes
+/// and a re-mine, a database that has already answered the same queries
+/// answers and bounds them exactly like an engine freshly built over its
+/// graphs.  Its rule-1 prunes are also recounted outside the query path, so
+/// a relation cached anywhere in the process (and so shared with the fresh
+/// engine) would fail too: the re-mine changes the feature set.
+#[test]
+fn mutated_and_remined_database_matches_a_fresh_engine_in_phase_2() {
+    let config = exact_verify_config();
+    let dataset = generate_ppi_dataset(&PpiDatasetConfig {
+        graph_count: 12,
+        vertices_per_graph: 9,
+        edges_per_graph: 12,
+        vertex_label_count: 5,
+        organism_count: 2,
+        seed: 41,
+        ..PpiDatasetConfig::default()
+    });
+    let graphs = dataset.graphs.clone();
+    let queries: Vec<Graph> = pgs::datagen::queries::generate_query_workload(
+        &dataset,
+        &pgs::datagen::queries::QueryWorkloadConfig {
+            query_size: 4,
+            count: 3,
+            seed: 9,
+        },
+    )
+    .into_iter()
+    .map(|wq| wq.graph)
+    .collect();
+
+    let mut db = DynamicDatabase::build(graphs[..8].to_vec(), config);
+    // Answer every query first, so anything kept across queries would be
+    // stale after the mutations below.
+    let initial = QueryEngine::build(graphs[..8].to_vec(), config);
+    assert_same_phase2(db.engine(), &initial, &queries, "before mutation");
+
+    for pg in &graphs[8..] {
+        db.insert_graph(pg.clone());
+    }
+    db.remove_graph(5).unwrap();
+    db.remove_graph(0).unwrap();
+    let same_index =
+        QueryEngine::from_parts(db.graphs().to_vec(), db.engine().pmi().clone(), config).unwrap();
+    assert_same_phase2(db.engine(), &same_index, &queries, "after insert/remove");
+
+    db.remine();
+    let fresh = QueryEngine::build(db.graphs().to_vec(), config);
+    assert_eq!(
+        db.engine().pmi().features().len(),
+        fresh.pmi().features().len()
+    );
+    let (answers, decided) = assert_same_phase2(db.engine(), &fresh, &queries, "after remine");
+    assert!(
+        answers > 0 && decided > 0,
+        "{answers} answers, {decided} decided"
+    );
 }
 
 #[test]
