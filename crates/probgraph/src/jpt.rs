@@ -7,13 +7,14 @@
 //! [`JointProbTable::edges`] is present).
 //!
 //! Besides exact probability lookups the table supports marginalisation over
-//! arbitrary partial assignments, single-edge marginals, sampling, and two
-//! constructors matching the paper's experimental setup: independent products
-//! and the STRING "max rule" (`Pr(x_ne) = max_i Pr(x_i)`, normalised).
+//! arbitrary partial assignments, single-edge marginals, the marginal rows
+//! over a subset of its variables that both the sampler's projection and the
+//! exact enumerator read, and two constructors matching the paper's
+//! experimental setup: independent products and the STRING "max rule"
+//! (`Pr(x_ne) = max_i Pr(x_i)`, normalised).
 
 use crate::error::ProbError;
 use pgs_graph::model::EdgeId;
-use rand::Rng;
 
 /// Tolerance used when checking that a table is normalised.
 const NORMALIZATION_TOLERANCE: f64 = 1e-6;
@@ -208,11 +209,6 @@ impl JointProbTable {
         self.position_of(edge).is_some()
     }
 
-    /// Probability of one full assignment given as a bitmask.
-    pub fn prob_of_mask(&self, mask: u32) -> f64 {
-        self.probs[mask as usize & (self.probs.len() - 1)]
-    }
-
     /// Probability of the partial assignment `constraint` (edges not mentioned
     /// are summed over).  Edges in the constraint that do not belong to this
     /// table are ignored — the caller is responsible for routing constraints to
@@ -257,53 +253,11 @@ impl JointProbTable {
         self.marginal(&[(edge, true)])
     }
 
-    /// Samples one assignment (as a bitmask over this table's bit positions).
-    pub fn sample_mask<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let mut x: f64 = rng.gen();
-        for (mask, &p) in self.probs.iter().enumerate() {
-            if x < p {
-                return mask as u32;
-            }
-            x -= p;
-        }
-        (self.probs.len() - 1) as u32
-    }
-
-    /// Bitmask (over this table's bit positions) of the given edges; edges
-    /// outside the table are ignored.  Precomputing this once per
-    /// `(embedding, table)` pair is what lets the verification sampler avoid
-    /// re-scanning an `(EdgeId, bool)` constraint slice on every draw.
-    pub fn presence_mask(&self, edges: &[EdgeId]) -> u32 {
-        let mut mask = 0u32;
-        for &e in edges {
-            if let Some(bit) = self.position_of(e) {
-                mask |= 1 << bit;
-            }
-        }
-        mask
-    }
-
-    /// Resolves a partial-assignment constraint into `(fixed_mask,
-    /// fixed_value)` bit pairs over this table's positions (entries referring
-    /// to foreign edges are ignored).
-    pub fn resolve_constraint(&self, constraint: &[(EdgeId, bool)]) -> (u32, u32) {
-        let mut fixed_mask = 0u32;
-        let mut fixed_value = 0u32;
-        for &(e, present) in constraint {
-            if let Some(bit) = self.position_of(e) {
-                fixed_mask |= 1 << bit;
-                if present {
-                    fixed_value |= 1 << bit;
-                }
-            }
-        }
-        (fixed_mask, fixed_value)
-    }
-
     /// Marginal distribution over a subset of this table's bit positions,
-    /// appended onto the end of `out` — the projection layer packs every
-    /// touched table's marginal into one contiguous per-candidate arena this
-    /// way.  Returns the offset of the appended block within `out`.
+    /// appended onto the end of `out` — the projection layer and the exact
+    /// world enumerator pack every touched table's marginal into one
+    /// contiguous arena this way.  Returns the offset of the appended block
+    /// within `out`.
     ///
     /// `keep[i]` is a bit position of this table; the block has `2^keep.len()`
     /// entries where entry `m` is the total probability of all rows whose
@@ -326,84 +280,6 @@ impl JointProbTable {
         start
     }
 
-    /// Samples one assignment conditioned on a partial assignment (rows
-    /// inconsistent with `constraint` are excluded and the rest renormalised).
-    /// Constraint entries referring to edges outside this table are ignored.
-    /// If the constraint has probability zero the constraint is still honoured
-    /// and the remaining variables are sampled uniformly.
-    pub fn sample_mask_conditioned<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        constraint: &[(EdgeId, bool)],
-    ) -> u32 {
-        let (fixed_mask, fixed_value) = self.resolve_constraint(constraint);
-        self.sample_mask_fixed(rng, fixed_mask, fixed_value)
-    }
-
-    /// Samples one assignment with the constraint already resolved into
-    /// `(fixed_mask, fixed_value)` bits (see [`Self::resolve_constraint`]);
-    /// the repeated-sampling path of the verification engine resolves the
-    /// constraint once and calls this in the loop.
-    pub fn sample_mask_fixed<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        fixed_mask: u32,
-        fixed_value: u32,
-    ) -> u32 {
-        if fixed_mask == 0 {
-            return self.sample_mask(rng);
-        }
-        let total: f64 = self
-            .probs
-            .iter()
-            .enumerate()
-            .filter(|(mask, _)| (*mask as u32) & fixed_mask == fixed_value)
-            .map(|(_, &p)| p)
-            .sum();
-        if total <= 0.0 {
-            // Degenerate conditioning: honour the fixed bits, leave the free
-            // bits at their unconditioned most-likely row.
-            let best = self
-                .probs
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(mask, _)| mask as u32)
-                .unwrap_or(0);
-            return (best & !fixed_mask) | fixed_value;
-        }
-        let mut x: f64 = rng.gen::<f64>() * total;
-        for (mask, &p) in self.probs.iter().enumerate() {
-            if (mask as u32) & fixed_mask != fixed_value {
-                continue;
-            }
-            if x < p {
-                return mask as u32;
-            }
-            x -= p;
-        }
-        fixed_value
-    }
-
-    /// Samples one assignment as `(edge, present)` pairs.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<(EdgeId, bool)> {
-        let mask = self.sample_mask(rng);
-        self.edges
-            .iter()
-            .enumerate()
-            .map(|(bit, &e)| (e, mask & (1 << bit) != 0))
-            .collect()
-    }
-
-    /// Shannon entropy of the table in bits (used by dataset diagnostics).
-    pub fn entropy_bits(&self) -> f64 {
-        self.probs
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.log2())
-            .sum()
-    }
-
     /// Replaces this correlated table by the product of its single-edge
     /// marginals (used to build the IND baseline model).
     pub fn to_independent(&self) -> JointProbTable {
@@ -420,8 +296,6 @@ impl JointProbTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn e(i: u32) -> EdgeId {
         EdgeId(i)
@@ -549,73 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_frequencies_match_distribution() {
-        let t = figure1_jpt();
-        let mut rng = StdRng::seed_from_u64(99);
-        let n = 40_000;
-        let mut count_e1 = 0usize;
-        let mut count_all = 0usize;
-        for _ in 0..n {
-            let assignment = t.sample(&mut rng);
-            let lookup = |edge: EdgeId| assignment.iter().find(|(x, _)| *x == edge).unwrap().1;
-            if lookup(e(1)) {
-                count_e1 += 1;
-            }
-            if lookup(e(1)) && lookup(e(2)) && lookup(e(3)) {
-                count_all += 1;
-            }
-        }
-        let f1 = count_e1 as f64 / n as f64;
-        let fall = count_all as f64 / n as f64;
-        assert!((f1 - 0.6).abs() < 0.02, "Pr(e1) estimate {f1}");
-        assert!((fall - 0.2).abs() < 0.02, "Pr(all) estimate {fall}");
-    }
-
-    #[test]
-    fn conditioned_sampling_respects_constraint_and_distribution() {
-        let t = figure1_jpt();
-        let mut rng = StdRng::seed_from_u64(7);
-        let constraint = vec![(e(1), true)];
-        let n = 20_000;
-        let mut count_e2 = 0usize;
-        for _ in 0..n {
-            let mask = t.sample_mask_conditioned(&mut rng, &constraint);
-            let bit_e1 = t.position_of(e(1)).unwrap();
-            assert!(mask & (1 << bit_e1) != 0, "constraint e1=1 must hold");
-            let bit_e2 = t.position_of(e(2)).unwrap();
-            if mask & (1 << bit_e2) != 0 {
-                count_e2 += 1;
-            }
-        }
-        // Pr(e2=1 | e1=1) = (0.2+0.2)/0.6 = 2/3.
-        let freq = count_e2 as f64 / n as f64;
-        assert!(
-            (freq - 2.0 / 3.0).abs() < 0.02,
-            "conditional frequency {freq}"
-        );
-        // Constraint on an edge outside the table falls back to plain sampling.
-        let mask = t.sample_mask_conditioned(&mut rng, &[(e(42), true)]);
-        assert!(mask < 8);
-        // Zero-probability conditioning still honours the fixed bits.
-        let det = JointProbTable::new(vec![e(0), e(1)], vec![0.0, 0.0, 0.0, 1.0]).unwrap();
-        let mask = det.sample_mask_conditioned(&mut rng, &[(e(0), false)]);
-        assert_eq!(mask & 1, 0);
-    }
-
-    #[test]
-    fn presence_mask_and_resolve_constraint() {
-        let t = figure1_jpt();
-        // Edges e1,e2,e3 occupy bits 0,1,2 after canonicalisation.
-        assert_eq!(t.presence_mask(&[e(1), e(3)]), 0b101);
-        // Foreign edges are ignored.
-        assert_eq!(t.presence_mask(&[e(9)]), 0);
-        assert_eq!(t.presence_mask(&[]), 0);
-        let (m, v) = t.resolve_constraint(&[(e(1), true), (e(2), false), (e(9), true)]);
-        assert_eq!(m, 0b011);
-        assert_eq!(v, 0b001);
-    }
-
-    #[test]
     fn marginal_rows_marginalise_dropped_bits() {
         let t = figure1_jpt();
         let mut arena = vec![0.5];
@@ -645,28 +452,5 @@ mod tests {
         // Blocks append after whatever the arena already held.
         assert_eq!(arena.len(), 1 + 2 + 4 + 8 + 1);
         assert_eq!(arena[0], 0.5);
-    }
-
-    #[test]
-    fn sample_mask_fixed_matches_conditioned_sampling() {
-        let t = figure1_jpt();
-        let constraint = vec![(e(1), true), (e(3), false)];
-        let (m, v) = t.resolve_constraint(&constraint);
-        let mut a = StdRng::seed_from_u64(31);
-        let mut b = StdRng::seed_from_u64(31);
-        for _ in 0..256 {
-            assert_eq!(
-                t.sample_mask_conditioned(&mut a, &constraint),
-                t.sample_mask_fixed(&mut b, m, v)
-            );
-        }
-    }
-
-    #[test]
-    fn entropy_of_uniform_table() {
-        let t = JointProbTable::new(vec![e(0), e(1)], vec![0.25; 4]).unwrap();
-        assert!((t.entropy_bits() - 2.0).abs() < 1e-12);
-        let det = JointProbTable::new(vec![e(0)], vec![0.0, 1.0]).unwrap();
-        assert!(det.entropy_bits().abs() < 1e-12);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Implements the probabilistic graph model of the paper (Definitions 2–4):
 //! a deterministic skeleton graph plus **joint probability tables (JPTs)** over
-//! *neighbor edge sets*, possible-world semantics, world sampling, the
-//! Monte-Carlo conditional estimator of Algorithm 3, exact subgraph-isomorphism
-//! / similarity probabilities used as test oracles and experimental baselines,
-//! and the independent-edge model (the `IND` baseline of Figure 14).
+//! *neighbor edge sets*, possible-world semantics, the projected bitset worlds
+//! the samplers of Algorithms 3 and 5 draw, exact subgraph-isomorphism /
+//! similarity probabilities (one `u64`-mask world enumerator) used as exact
+//! short-circuits, test oracles and experimental baselines, and the
+//! independent-edge model (the `IND` baseline of Figure 14).
 //!
 //! ## Correlation model
 //!
@@ -33,14 +34,13 @@ pub mod jpt;
 pub mod model;
 pub mod montecarlo;
 pub mod neighbor;
-pub mod sample;
 pub mod union_sampler;
 pub mod world;
 
 pub use alias::AliasTable;
 pub use conditional::{conditional_event_probability, EventKind};
 pub use error::ProbError;
-pub use exact::{exact_sip, exact_ssp, prob_of_partial_assignment};
+pub use exact::{exact_sip, exact_ssp};
 pub use independent::to_independent_model;
 pub use jpt::JointProbTable;
 pub use model::ProbabilisticGraph;

@@ -4,14 +4,13 @@
 //! joint density is assigned to every neighbor-edge set.  Here the
 //! neighbor-edge sets must partition the edge set (see the crate-level docs for
 //! the rationale), so a possible world's probability is the product of one row
-//! per table (Equation 1) and worlds are sampled by sampling each table
-//! independently — exactly what Algorithm 3 does.
+//! per table (Equation 1) and the samplers draw each table independently —
+//! exactly what Algorithm 3 does.
 
 use crate::error::ProbError;
 use crate::jpt::JointProbTable;
 use crate::neighbor::is_neighbor_edge_set;
 use pgs_graph::model::{EdgeId, Graph};
-use rand::Rng;
 
 /// A probabilistic graph: a deterministic skeleton plus one JPT per
 /// neighbor-edge group, the groups forming a partition of the edge set.
@@ -173,28 +172,6 @@ impl ProbabilisticGraph {
         self.prob_of_assignment(&assignment)
     }
 
-    /// Samples a possible world as a presence bitmap over all edges.
-    pub fn sample_world<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<bool> {
-        let mut present = Vec::new();
-        self.sample_world_into(rng, &mut present);
-        present
-    }
-
-    /// Samples a possible world into a caller-owned presence bitmap, resizing
-    /// it to the edge count.  Repeated-sampling loops (Algorithms 3 and 5, the
-    /// empirical event estimators) reuse one buffer instead of allocating a
-    /// fresh `Vec<bool>` per trial.
-    pub fn sample_world_into<R: Rng + ?Sized>(&self, rng: &mut R, present: &mut Vec<bool>) {
-        present.clear();
-        present.resize(self.edge_count(), false);
-        for table in &self.tables {
-            let mask = table.sample_mask(rng);
-            for (bit, &e) in table.edges().iter().enumerate() {
-                present[e.index()] = mask & (1 << bit) != 0;
-            }
-        }
-    }
-
     /// Index of the table owning `edge` (tables are returned by
     /// [`ProbabilisticGraph::tables`] in this order).
     pub fn table_index_of(&self, edge: EdgeId) -> usize {
@@ -237,8 +214,6 @@ impl ProbabilisticGraph {
 mod tests {
     use super::*;
     use pgs_graph::model::{GraphBuilder, Label, VertexId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Graph 002 of Figure 1 with its two JPTs.
     ///
@@ -358,29 +333,6 @@ mod tests {
         assert!((joint_same - product_same).abs() > 1e-6);
         // Out-of-range edge yields probability zero.
         assert_eq!(pg.prob_of_assignment(&[(EdgeId(99), true)]), 0.0);
-    }
-
-    #[test]
-    fn sampled_world_frequencies_match_model() {
-        let pg = fixture_002();
-        let mut rng = StdRng::seed_from_u64(2024);
-        let n = 30_000;
-        let mut count_e0 = 0usize;
-        let mut count_both = 0usize;
-        for _ in 0..n {
-            let w = pg.sample_world(&mut rng);
-            if w[0] {
-                count_e0 += 1;
-            }
-            if w[0] && w[3] {
-                count_both += 1;
-            }
-        }
-        let f0 = count_e0 as f64 / n as f64;
-        let fboth = count_both as f64 / n as f64;
-        assert!((f0 - pg.edge_presence_prob(EdgeId(0))).abs() < 0.02);
-        let expected_both = pg.edge_presence_prob(EdgeId(0)) * pg.edge_presence_prob(EdgeId(3));
-        assert!((fboth - expected_both).abs() < 0.02);
     }
 
     #[test]

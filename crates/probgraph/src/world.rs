@@ -1,17 +1,13 @@
 //! Possible-world enumeration (Definition 3).
 //!
-//! Only used for small graphs: the number of worlds is `2^|E|`.  The exact
-//! baselines and several test oracles enumerate either all worlds or all
-//! assignments of a *restricted* edge set (everything outside the restriction
-//! is marginalised away, which is sound because the queried events only depend
-//! on the restricted edges).
+//! Every possible world of a (tiny) graph as a presence bitmap over all of its
+//! edges, weighted by Equation 1: the brute-force reference the property
+//! tests check Lemma 1 and the exact evaluators against.  The number of worlds
+//! is `2^|E|`; the engine's exact paths enumerate only the relevant edges, as
+//! `u64` masks ([`crate::exact`]).
 
 use crate::error::ProbError;
 use crate::model::ProbabilisticGraph;
-use pgs_graph::model::EdgeId;
-
-/// Default limit on the number of binary variables enumerated exactly.
-pub const DEFAULT_ENUMERATION_LIMIT: usize = 22;
 
 /// A fully specified possible world.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +21,7 @@ pub struct PossibleWorld {
 /// Enumerates every possible world of `pg`.
 ///
 /// Fails with [`ProbError::TooManyWorlds`] when the skeleton has more than
-/// `limit` edges (use [`enumerate_assignments_over`] with a restricted edge set
-/// instead).
+/// `limit` edges.
 pub fn enumerate_worlds(
     pg: &ProbabilisticGraph,
     limit: usize,
@@ -50,67 +45,11 @@ pub fn enumerate_worlds(
     Ok(worlds)
 }
 
-/// One partial world: an assignment of the restricted edges plus its marginal
-/// probability (all other edges summed out).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialWorld {
-    /// The restricted edges, in the order supplied to the enumeration call.
-    pub edges: Vec<EdgeId>,
-    /// `present[i]` is the assignment of `edges[i]`.
-    pub present: Vec<bool>,
-    /// Marginal probability of this assignment.
-    pub probability: f64,
-}
-
-impl PartialWorld {
-    /// True if the given edge is present in this partial world (false if the
-    /// edge is not part of the restriction).
-    pub fn is_present(&self, e: EdgeId) -> bool {
-        self.edges
-            .iter()
-            .position(|&x| x == e)
-            .map(|i| self.present[i])
-            .unwrap_or(false)
-    }
-}
-
-/// Enumerates all assignments of the given restricted edge set with their
-/// marginal probabilities.  The probabilities sum to 1.
-pub fn enumerate_assignments_over(
-    pg: &ProbabilisticGraph,
-    edges: &[EdgeId],
-    limit: usize,
-) -> Result<Vec<PartialWorld>, ProbError> {
-    let k = edges.len();
-    if k > limit {
-        return Err(ProbError::TooManyWorlds {
-            variables: k,
-            limit,
-        });
-    }
-    let mut out = Vec::with_capacity(1 << k);
-    for mask in 0u64..(1u64 << k) {
-        let present: Vec<bool> = (0..k).map(|i| mask & (1 << i) != 0).collect();
-        let assignment: Vec<(EdgeId, bool)> = edges
-            .iter()
-            .zip(present.iter())
-            .map(|(&e, &p)| (e, p))
-            .collect();
-        let probability = pg.prob_of_assignment(&assignment);
-        out.push(PartialWorld {
-            edges: edges.to_vec(),
-            present,
-            probability,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::jpt::JointProbTable;
-    use pgs_graph::model::GraphBuilder;
+    use pgs_graph::model::{EdgeId, GraphBuilder};
 
     fn small_pg() -> ProbabilisticGraph {
         let g = GraphBuilder::new()
@@ -129,7 +68,7 @@ mod tests {
     #[test]
     fn enumeration_matches_table() {
         let pg = small_pg();
-        let worlds = enumerate_worlds(&pg, DEFAULT_ENUMERATION_LIMIT).unwrap();
+        let worlds = enumerate_worlds(&pg, 8).unwrap();
         assert_eq!(worlds.len(), 4);
         let total: f64 = worlds.iter().map(|w| w.probability).sum();
         assert!((total - 1.0).abs() < 1e-12);
@@ -155,27 +94,5 @@ mod tests {
                 limit: 1
             }
         ));
-    }
-
-    #[test]
-    fn restricted_enumeration_marginalises_the_rest() {
-        let pg = small_pg();
-        let partials = enumerate_assignments_over(&pg, &[EdgeId(0)], 8).unwrap();
-        assert_eq!(partials.len(), 2);
-        let total: f64 = partials.iter().map(|w| w.probability).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        let present = partials.iter().find(|w| w.present[0]).unwrap();
-        // P(e0=1) = P(10)+P(11) = 0.2+0.4
-        assert!((present.probability - 0.6).abs() < 1e-12);
-        assert!(present.is_present(EdgeId(0)));
-        assert!(!present.is_present(EdgeId(1)));
-    }
-
-    #[test]
-    fn empty_restriction_is_single_world_of_probability_one() {
-        let pg = small_pg();
-        let partials = enumerate_assignments_over(&pg, &[], 8).unwrap();
-        assert_eq!(partials.len(), 1);
-        assert!((partials[0].probability - 1.0).abs() < 1e-12);
     }
 }

@@ -20,8 +20,11 @@
 //! touches, worlds live in a compact reusable bitset, embedding choice and
 //! per-table row draws go through Walker alias tables, and the trials are
 //! chunked with per-chunk derived RNGs so the estimate is byte-identical for
-//! every thread count (see DESIGN.md §11).  Tests check it against the exact
-//! inclusion–exclusion union ([`pgs_prob::exact::exact_union_probability`]).
+//! every thread count (see DESIGN.md §11).  Unions of at most `exact_cutoff`
+//! relevant edges skip the sampler: the exact union probability
+//! ([`pgs_prob::exact::exact_union_probability`]) enumerates `u64`-mask worlds
+//! over the same per-table marginal rows, and tests check the sampler against
+//! it.
 //!
 //! [`verify_ssp_exact`] wraps the exact evaluator of `pgs-prob` and doubles as
 //! the `Exact` baseline of Figures 9 and 13.
@@ -49,7 +52,8 @@ pub struct VerifyOptions {
     pub max_embeddings: usize,
     /// Cap on relevant edges for the exact short-circuit: when the union of
     /// embedding edges is at most this many edges the SSP is computed exactly
-    /// instead of sampled.
+    /// instead of sampled.  The exact enumerator refuses unions of more than
+    /// 63 edges, so larger caps act as 63.
     pub exact_cutoff: usize,
     /// Whether the query pipeline may stop a candidate's sampler early once
     /// its running confidence interval has separated from the decision
