@@ -81,8 +81,8 @@ pub fn are_isomorphic(g1: &Graph, g2: &Graph) -> bool {
 /// The encoding of a vertex order `π` is
 /// `[n, m, label(π(0)).., for each (i,j) i<j with edge: (i, j, edge label)...]`
 /// and the canonical code is the lexicographically smallest encoding over all
-/// permutations consistent with a simple label/degree pre-partition (which
-/// prunes most of the `n!` permutations).
+/// `n!` permutations: nothing is pruned, so callers keep `n` at most
+/// [`EXACT_LIMIT`].
 fn exact_code(g: &Graph) -> Vec<u64> {
     let n = g.vertex_count();
     let mut best: Option<Vec<u64>> = None;
@@ -116,8 +116,6 @@ fn permute(perm: &mut Vec<usize>, k: usize, g: &Graph, best: &mut Option<Vec<u64
     }
     for i in k..n {
         perm.swap(k, i);
-        // Prefix pruning: if the partial encoding is already worse than the
-        // best, skip. (Cheap check: compare vertex-label prefix.)
         permute(perm, k + 1, g, best);
         perm.swap(k, i);
     }

@@ -58,15 +58,13 @@ pub use cuts::{minimal_cuts, CutEnumOptions};
 pub use dfs_code::{canonical_code, CanonicalCode};
 pub use embeddings::{EdgeSet, Embedding};
 pub use error::GraphError;
-pub use mcs::{
-    mcs_size, subgraph_distance, subgraph_similar, subgraph_similar_summarized, SimilarityTester,
-};
+pub use mcs::{mcs_size, subgraph_distance, subgraph_similar, SimilarityTester};
 pub use model::{EdgeId, Graph, GraphBuilder, Label, VertexId};
 pub use parallel::{
     derive_seed, mix64, par_map_chunked, par_map_chunked_costed, resolve_threads, CostHint,
     MAX_THREADS,
 };
-pub use relax::{relax_query, relax_query_clamped, RelaxOptions};
+pub use relax::{relax_query, relax_query_clamped};
 pub use summary::{EdgeSignature, StructuralSummary, SummaryView};
 pub use vf2::{
     contains_subgraph, contains_subgraph_summarized, enumerate_embeddings, MatchOptions, Matcher,

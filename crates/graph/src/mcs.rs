@@ -8,18 +8,24 @@
 //!
 //! Two entry points are provided:
 //!
-//! * [`mcs_size`] — exact maximum common edge subgraph via branch-and-bound on
-//!   partial injective vertex mappings (queries are small, so this is cheap);
-//! * [`subgraph_similar`] — the threshold test used by the pipeline.  For small
-//!   `δ` it is answered by testing whether some `(|q| − δ')`-edge sub-pattern of
-//!   `q` (0 ≤ δ' ≤ δ) embeds in `g`, which is usually much cheaper than a full
-//!   MCS computation and matches how the paper's structural filter consumes the
-//!   relaxed query set.
+//! * [`mcs_size`] / [`subgraph_distance`] — exact maximum common edge
+//!   subgraph via branch-and-bound on partial injective vertex mappings
+//!   (Definition 8 verbatim; queries are small, so this is affordable);
+//! * [`SimilarityTester`] — the threshold test phase 1 runs.  It tests
+//!   whether some relaxed query `rq ∈ U` embeds in `g`, where `U` is the
+//!   Lemma 1 set of `q` with exactly `δ` edges deleted
+//!   ([`relax_query_clamped`], deduplicated, isolated vertices dropped) —
+//!   the same set phases 2 and 3 read.  For `|E(q)| > δ` this equals
+//!   `dis(q, g) ≤ δ`: if `q` minus `d ≤ δ` edges embeds in `g`, deleting
+//!   `δ − d` more edges still embeds.  Past 4 096 deletion subsets
+//!   (`C(|E(q)|, δ)`) the tester uses the exact distance instead.
+//!   [`subgraph_similar`] is a tester used once.
 
 use crate::model::{Graph, VertexId};
-use crate::relax::{delete_edge_subsets, RelaxOptions};
+use crate::relax::relax_query_clamped;
 use crate::summary::{StructuralSummary, SummaryView};
-use crate::vf2::{contains_subgraph, contains_subgraph_summarized};
+use crate::vf2::contains_subgraph_summarized;
+use std::borrow::Cow;
 
 /// Size (in edges) of the maximum common subgraph of `g1` and `g2`
 /// (largest subgraph of `g2` subgraph-isomorphic to a subgraph of `g1`).
@@ -52,127 +58,67 @@ pub fn subgraph_distance(g1: &Graph, g2: &Graph) -> usize {
     g1.edge_count() - mcs_size(g1, g2)
 }
 
-/// True if `dis(q, g) ≤ delta` (deterministic subgraph similarity, Def. 8).
+/// True if `dis(q, g) ≤ delta` (deterministic subgraph similarity, Def. 8):
+/// a [`SimilarityTester`] built for this one `g`.  Callers testing many
+/// graphs against one query build the tester once instead.
 pub fn subgraph_similar(q: &Graph, g: &Graph, delta: usize) -> bool {
-    if q.edge_count() <= delta {
-        return true;
-    }
-    if contains_subgraph(q, g) {
-        return true;
-    }
-    similar_after_deletions(q, g, delta)
+    SimilarityTester::new(q, delta).matches(g, StructuralSummary::of(g).view())
 }
 
-/// [`subgraph_similar`] with cached [`StructuralSummary`] values for the query
-/// and the data graph, so the exact-containment fast path reuses them instead
-/// of recomputing both histograms.  Returns exactly what [`subgraph_similar`]
-/// returns — the structural query phase relies on the two agreeing
-/// bit-for-bit.
-pub fn subgraph_similar_summarized(
-    q: &Graph,
-    g: &Graph,
-    delta: usize,
-    q_summary: SummaryView<'_>,
-    g_summary: SummaryView<'_>,
-) -> bool {
-    if q.edge_count() <= delta {
-        return true;
-    }
-    if contains_subgraph_summarized(q, q_summary, g, g_summary) {
-        return true;
-    }
-    similar_after_deletions(q, g, delta)
-}
-
-/// The shared tail of the similarity test once exact containment has failed:
-/// for small δ, testing relaxed sub-patterns is cheaper than full MCS (the
-/// distance is ≤ δ iff q with some δ edges removed embeds in g); large
-/// deletion budgets fall back to the exact distance.
-fn similar_after_deletions(q: &Graph, g: &Graph, delta: usize) -> bool {
-    if deletion_budget(q, delta) <= DELETION_BUDGET_CAP {
-        for d in 1..=delta {
-            let opts = RelaxOptions {
-                deletions: d,
-                ..RelaxOptions::default()
-            };
-            for sub in delete_edge_subsets(q, &opts) {
-                if contains_subgraph(&sub, g) {
-                    return true;
-                }
-            }
-        }
-        false
-    } else {
-        subgraph_distance(q, g) <= delta
-    }
-}
-
-/// Edge subsets the deletion fast path would enumerate.
-fn deletion_budget(q: &Graph, delta: usize) -> usize {
-    (1..=delta).map(|d| binomial(q.edge_count(), d)).sum()
-}
-
-/// Beyond this many deletion subsets the similarity test switches to the
-/// exact MCS distance.
+/// Most `δ`-edge deletion subsets (`C(|E(q)|, δ)`) the tester enumerates;
+/// beyond it the tester computes the exact MCS distance per graph instead.
 const DELETION_BUDGET_CAP: usize = 4_096;
 
 /// A reusable `dis(q, ·) ≤ δ` tester that precomputes everything derivable
-/// from the query alone: its [`StructuralSummary`] and — on the small-budget
-/// fast path — the edge-deleted sub-patterns with *their* summaries
-/// (isomorphic duplicates included; see the constructor for why dedup is
-/// skipped).
-///
-/// [`subgraph_similar`] re-derives that work for every candidate (the
-/// sub-pattern dedup runs a canonical-code computation per subset, which
-/// dwarfs the VF2 calls on small graphs); the S-Index query path tests many
-/// candidates per query and builds one tester instead.
-/// [`SimilarityTester::matches`] returns exactly what [`subgraph_similar`]
-/// returns for every `(g, δ)` — the structural phase's brute-force/indexed
-/// equivalence rests on it.
+/// from the query alone: its [`StructuralSummary`] and, while
+/// `C(|E(q)|, δ)` is within the deletion budget cap (4 096), the relaxed
+/// query set `U = relax_query_clamped(q, δ)` with each pattern's summary.
+/// [`SimilarityTester::matches`] then answers `any(rq ⊆ g)` over `U` (or the
+/// exact MCS distance past the cap); both equal `dis(q, g) ≤ δ`.
 pub struct SimilarityTester<'a> {
     q: &'a Graph,
     delta: usize,
     q_summary: StructuralSummary,
-    /// Sub-patterns in the exact order `subgraph_similar` enumerates them
-    /// (deletion count ascending); `None` when the deletion budget exceeds
-    /// the cap and candidates fall back to the exact MCS distance.
-    relaxations: Option<Vec<(Graph, StructuralSummary)>>,
+    /// `U` with its summaries; `None` when the deletion budget exceeds the
+    /// cap and candidates fall back to the exact MCS distance.
+    relaxed: Option<(Cow<'a, [Graph]>, Vec<StructuralSummary>)>,
 }
 
 impl<'a> SimilarityTester<'a> {
-    /// Precomputes the tester for `(q, delta)`.
+    /// Precomputes the tester for `(q, delta)`, enumerating `U` itself.
     pub fn new(q: &'a Graph, delta: usize) -> SimilarityTester<'a> {
-        let q_summary = StructuralSummary::of(q);
-        let relaxations = if q.edge_count() <= delta {
-            // Trivially similar to everything; nothing to precompute.
-            Some(Vec::new())
-        } else if deletion_budget(q, delta) <= DELETION_BUDGET_CAP {
-            let mut out = Vec::new();
-            for d in 1..=delta {
-                // No isomorphism dedup: a duplicate sub-pattern cannot change
-                // the boolean `any(contains)` below, and the canonical-code
-                // computation the dedup runs per subset costs far more than
-                // the redundant VF2 existence checks it saves.
-                let opts = RelaxOptions {
-                    deletions: d,
-                    dedup: false,
-                    ..RelaxOptions::default()
-                };
-                for sub in delete_edge_subsets(q, &opts) {
-                    let summary = StructuralSummary::of(&sub);
-                    out.push((sub, summary));
-                }
-            }
-            Some(out)
-        } else {
-            None
-        };
+        let relaxed = within_budget(q, delta).then(|| Cow::Owned(relax_query_clamped(q, delta)));
+        SimilarityTester::from_set(q, delta, relaxed)
+    }
+
+    /// The tester over a relaxed set the caller already holds: `relaxed`
+    /// must be `relax_query_clamped(q, delta)`.  The query pipeline computes
+    /// that set once per query and hands the same slice to all three phases;
+    /// nothing is enumerated here.
+    pub fn with_relaxed(q: &'a Graph, delta: usize, relaxed: &'a [Graph]) -> SimilarityTester<'a> {
+        let relaxed = within_budget(q, delta).then_some(Cow::Borrowed(relaxed));
+        SimilarityTester::from_set(q, delta, relaxed)
+    }
+
+    fn from_set(
+        q: &'a Graph,
+        delta: usize,
+        relaxed: Option<Cow<'a, [Graph]>>,
+    ) -> SimilarityTester<'a> {
         SimilarityTester {
             q,
             delta,
-            q_summary,
-            relaxations,
+            q_summary: StructuralSummary::of(q),
+            relaxed: relaxed.map(|set| {
+                let summaries = set.iter().map(StructuralSummary::of).collect();
+                (set, summaries)
+            }),
         }
+    }
+
+    /// The distance threshold `δ` the tester answers for.
+    pub fn delta(&self) -> usize {
+        self.delta
     }
 
     /// The query's summary (callers feed it to the S-Index filter).
@@ -180,22 +126,24 @@ impl<'a> SimilarityTester<'a> {
         &self.q_summary
     }
 
-    /// Exactly [`subgraph_similar`]`(q, g, delta)`, using the precomputed
-    /// query-side state and `g`'s cached summary.
+    /// `dis(q, g) ≤ delta`, using the precomputed query-side state and `g`'s
+    /// cached summary.
     pub fn matches(&self, g: &Graph, g_summary: SummaryView<'_>) -> bool {
         if self.q.edge_count() <= self.delta {
             return true;
         }
-        if contains_subgraph_summarized(self.q, self.q_summary.view(), g, g_summary) {
-            return true;
-        }
-        match &self.relaxations {
-            Some(subs) => subs.iter().any(|(sub, summary)| {
-                contains_subgraph_summarized(sub, summary.view(), g, g_summary)
+        match &self.relaxed {
+            Some((set, summaries)) => set.iter().zip(summaries).any(|(rq, summary)| {
+                contains_subgraph_summarized(rq, summary.view(), g, g_summary)
             }),
             None => subgraph_distance(self.q, g) <= self.delta,
         }
     }
+}
+
+/// Whether the tester may enumerate `U` for `(q, delta)`.
+fn within_budget(q: &Graph, delta: usize) -> bool {
+    binomial(q.edge_count(), delta) <= DELETION_BUDGET_CAP
 }
 
 fn binomial(n: usize, k: usize) -> usize {
@@ -413,38 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn summarized_similarity_agrees_with_the_plain_test() {
-        use crate::summary::StructuralSummary;
-        let graphs = [
-            triangle_q(),
-            graph_001(),
-            GraphBuilder::new()
-                .vertices(&[0, 0, 1, 1, 2])
-                .edge(0, 1, 9)
-                .edge(0, 2, 9)
-                .edge(1, 2, 9)
-                .edge(2, 3, 9)
-                .edge(2, 4, 9)
-                .build(),
-            GraphBuilder::new().vertices(&[7, 8]).edge(0, 1, 1).build(),
-        ];
-        let q = triangle_q();
-        let qs = StructuralSummary::of(&q);
-        for g in &graphs {
-            let gs = StructuralSummary::of(g);
-            for delta in 0..=3 {
-                assert_eq!(
-                    subgraph_similar_summarized(&q, g, delta, qs.view(), gs.view()),
-                    subgraph_similar(&q, g, delta),
-                    "delta = {delta}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn similarity_tester_agrees_with_subgraph_similar() {
-        use crate::summary::StructuralSummary;
+    fn similarity_tester_agrees_with_subgraph_distance() {
+        use crate::relax::relax_query_clamped;
         let graphs = [
             triangle_q(),
             graph_001(),
@@ -459,6 +377,10 @@ mod tests {
             GraphBuilder::new().vertices(&[7, 8]).edge(0, 1, 1).build(),
             Graph::new(),
         ];
+        // Definition 8 counts edges only: an isolated query vertex never
+        // moves the distance, even at δ = 0.
+        let mut triangle_plus_isolated = triangle_q();
+        triangle_plus_isolated.add_vertex(crate::model::Label(7));
         let queries = [
             triangle_q(),
             GraphBuilder::new()
@@ -468,20 +390,63 @@ mod tests {
                 .edge(2, 3, 0)
                 .edge(0, 3, 0)
                 .build(),
+            triangle_plus_isolated,
         ];
         for q in &queries {
             for delta in 0..=4 {
+                let relaxed = relax_query_clamped(q, delta);
                 let tester = SimilarityTester::new(q, delta);
+                let shared = SimilarityTester::with_relaxed(q, delta, &relaxed);
                 for g in &graphs {
                     let gs = StructuralSummary::of(g);
+                    let expected = subgraph_distance(q, g) <= delta;
                     assert_eq!(
                         tester.matches(g, gs.view()),
-                        subgraph_similar(q, g, delta),
-                        "query {:?} delta {delta}",
-                        q.name()
+                        expected,
+                        "query {} delta {delta}",
+                        q.vertex_count()
                     );
+                    assert_eq!(shared.matches(g, gs.view()), expected);
+                    assert_eq!(subgraph_similar(q, g, delta), expected);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn both_sides_of_the_deletion_budget_cap_agree_with_subgraph_distance() {
+        // A 15-edge path with distinct vertex labels: C(15, 5) = 3003 deletion
+        // subsets fit the cap, C(15, 6) = 5005 take the exact-MCS fallback.
+        let labels: Vec<u32> = (0..16).collect();
+        let path_without = |gaps: &[usize]| {
+            let mut b = GraphBuilder::new().vertices(&labels);
+            for i in (0..15).filter(|i| !gaps.contains(i)) {
+                b = b.edge(i as u32, i as u32 + 1, 0);
+            }
+            b.build()
+        };
+        let q = path_without(&[]);
+        assert!(binomial(15, 5) <= DELETION_BUDGET_CAP);
+        assert!(binomial(15, 6) > DELETION_BUDGET_CAP);
+        let graphs = [
+            q.clone(),
+            path_without(&[0, 3, 6, 9, 12]),
+            path_without(&[0, 2, 4, 6, 8, 10]),
+            path_without(&[1, 3, 5, 7, 9, 11, 13]),
+        ];
+        for (delta, enumerates) in [(5, true), (6, false)] {
+            let tester = SimilarityTester::new(&q, delta);
+            assert_eq!(tester.relaxed.is_some(), enumerates, "delta {delta}");
+            let verdicts: Vec<bool> = graphs
+                .iter()
+                .map(|g| tester.matches(g, StructuralSummary::of(g).view()))
+                .collect();
+            let reference: Vec<bool> = graphs
+                .iter()
+                .map(|g| subgraph_distance(&q, g) <= delta)
+                .collect();
+            assert_eq!(verdicts, reference, "delta {delta}");
+            assert_eq!(verdicts, [true, true, delta >= 6, false], "delta {delta}");
         }
     }
 

@@ -12,95 +12,45 @@
 //! Relaxed graphs are deduplicated up to isomorphism (deleting symmetric edges
 //! yields identical patterns) and isolated vertices are dropped because the
 //! subgraph distance of Definition 8 counts edges only.
+//!
+//! [`relax_query`] is the crate's only relaxation enumerator.  A query runs it
+//! once, through [`relax_query_clamped`], and all three phases read that one
+//! set: phase 1's exact check (`pgs_graph::mcs::SimilarityTester` tests
+//! `any(rq ⊆ g)`, which equals `dis(q, g) ≤ δ` whenever `|E(q)| > δ`), phase
+//! 2's feature relation and phase 3's sampler.
 
 use crate::dfs_code::{are_isomorphic, canonical_code, CanonicalCode};
 use crate::model::{EdgeId, Graph};
 
-/// Options controlling relaxation.
-#[derive(Debug, Clone, Copy)]
-pub struct RelaxOptions {
-    /// Number of edges to delete (the paper's `δ`).
-    pub deletions: usize,
-    /// Keep only relaxations whose edges form a connected subgraph.
-    /// The paper keeps disconnected relaxations (a possible world just has to
-    /// contain *all* components), so the default is `false`.
-    pub require_connected: bool,
-    /// Drop vertices left with no incident edge.
-    pub drop_isolated_vertices: bool,
-    /// Deduplicate relaxations up to isomorphism.
-    pub dedup: bool,
-    /// Hard cap on the number of generated relaxations (0 = unlimited).
-    pub max_results: usize,
-}
-
-impl Default for RelaxOptions {
-    fn default() -> Self {
-        RelaxOptions {
-            deletions: 1,
-            require_connected: false,
-            drop_isolated_vertices: true,
-            dedup: true,
-            max_results: 0,
-        }
-    }
-}
-
-/// Generates every graph obtained from `q` by deleting exactly
-/// `options.deletions` edges, subject to the options.
-pub fn delete_edge_subsets(q: &Graph, options: &RelaxOptions) -> Vec<Graph> {
-    let m = q.edge_count();
-    let k = options.deletions;
-    if k > m {
+/// The paper's relaxed query set `U`: all pairwise non-isomorphic graphs
+/// obtained from `q` by deleting exactly `delta` edges (isolated vertices
+/// dropped).  `delta = 0` returns the query itself (minus any isolated
+/// vertex); `delta > |E(q)|` returns nothing.
+pub fn relax_query(q: &Graph, delta: usize) -> Vec<Graph> {
+    if delta > q.edge_count() {
         return Vec::new();
     }
     let all_edges: Vec<EdgeId> = q.edges().collect();
     let mut results: Vec<Graph> = Vec::new();
     let mut seen: Vec<(CanonicalCode, usize)> = Vec::new(); // (code, index into results)
-    let mut subset = Vec::with_capacity(k);
-    enumerate_subsets(
-        &all_edges,
-        k,
-        0,
-        &mut subset,
-        &mut |deleted: &[EdgeId]| -> bool {
-            let keep: Vec<EdgeId> = all_edges
-                .iter()
-                .copied()
-                .filter(|e| !deleted.contains(e))
-                .collect();
-            let mut g = q.edge_subgraph(&keep);
-            if options.drop_isolated_vertices {
-                g = drop_isolated(&g);
-            }
-            if options.require_connected && !g.is_connected() {
-                return true;
-            }
-            if options.dedup {
-                let code = canonical_code(&g);
-                let duplicate = seen.iter().any(|(c, idx)| {
-                    c == &code && (code.exact || are_isomorphic(&results[*idx], &g))
-                });
-                if duplicate {
-                    return true;
-                }
-                seen.push((code, results.len()));
-            }
+    let mut keep_unique = |deleted: &[EdgeId]| {
+        let keep: Vec<EdgeId> = all_edges
+            .iter()
+            .copied()
+            .filter(|e| !deleted.contains(e))
+            .collect();
+        let g = drop_isolated(&q.edge_subgraph(&keep));
+        let code = canonical_code(&g);
+        let duplicate = seen
+            .iter()
+            .any(|(c, idx)| c == &code && (code.exact || are_isomorphic(&results[*idx], &g)));
+        if !duplicate {
+            seen.push((code, results.len()));
             results.push(g);
-            options.max_results == 0 || results.len() < options.max_results
-        },
-    );
-    results
-}
-
-/// The paper's relaxed query set `U`: all pairwise non-isomorphic graphs
-/// obtained from `q` by deleting exactly `delta` edges (isolated vertices
-/// dropped).  `delta = 0` returns the query itself.
-pub fn relax_query(q: &Graph, delta: usize) -> Vec<Graph> {
-    let options = RelaxOptions {
-        deletions: delta,
-        ..RelaxOptions::default()
+        }
     };
-    delete_edge_subsets(q, &options)
+    enumerate_subsets(&all_edges, delta, 0, &mut Vec::new(), &mut keep_unique);
+    results
 }
 
 /// [`relax_query`] with `delta` clamped to the query's edge count.
@@ -109,8 +59,9 @@ pub fn relax_query(q: &Graph, delta: usize) -> Vec<Graph> {
 /// (there is no way to delete more edges than exist), but Definition 8's
 /// subgraph distance saturates at `|E(q)|`, so the query pipeline wants the
 /// full relaxation instead.  This helper is the single place where that clamp
-/// lives — both the pruning phase and the verification sampler go through it,
-/// so the two can never disagree about the relaxed set again.
+/// lives: the query pipeline calls it once per query and hands the one set to
+/// phase 1's exact check, the pruning bounds and the verification sampler, so
+/// the phases can never disagree about the relaxed set.
 pub fn relax_query_clamped(q: &Graph, delta: usize) -> Vec<Graph> {
     relax_query(q, delta.min(q.edge_count()))
 }
@@ -124,31 +75,23 @@ pub fn drop_isolated(g: &Graph) -> Graph {
     g.induced_subgraph(&keep).0
 }
 
-/// Enumerates all `k`-subsets of `items`, invoking `f` on each; `f` returns
-/// `false` to stop the enumeration early.
+/// Enumerates all `k`-subsets of `items`, invoking `f` on each.
 fn enumerate_subsets<T: Copy>(
     items: &[T],
     k: usize,
     start: usize,
     current: &mut Vec<T>,
-    f: &mut impl FnMut(&[T]) -> bool,
-) -> bool {
+    f: &mut impl FnMut(&[T]),
+) {
     if current.len() == k {
-        return f(current);
+        f(current);
+        return;
     }
-    let needed = k - current.len();
-    if items.len() - start < needed {
-        return true;
-    }
-    for i in start..items.len() {
+    for i in start..=items.len() - (k - current.len()) {
         current.push(items[i]);
-        let keep_going = enumerate_subsets(items, k, i + 1, current, f);
+        enumerate_subsets(items, k, i + 1, current, f);
         current.pop();
-        if !keep_going {
-            return false;
-        }
     }
-    true
 }
 
 #[cfg(test)]
@@ -186,6 +129,13 @@ mod tests {
         let u = relax_query(&q, 0);
         assert_eq!(u.len(), 1);
         assert!(crate::dfs_code::are_isomorphic(&u[0], &q));
+
+        // An isolated query vertex carries no edge, so it is not part of `U`.
+        let mut with_isolated = q.clone();
+        with_isolated.add_vertex(crate::model::Label(7));
+        let u = relax_query(&with_isolated, 0);
+        assert_eq!(u.len(), 1);
+        assert!(crate::dfs_code::are_isomorphic(&u[0], &q));
     }
 
     #[test]
@@ -215,18 +165,10 @@ mod tests {
             .build();
         let u = relax_query(&tri, 1);
         assert_eq!(u.len(), 1);
-
-        // Without dedup we get all three.
-        let opts = RelaxOptions {
-            deletions: 1,
-            dedup: false,
-            ..RelaxOptions::default()
-        };
-        assert_eq!(delete_edge_subsets(&tri, &opts).len(), 3);
     }
 
     #[test]
-    fn disconnected_relaxations_are_kept_by_default() {
+    fn disconnected_relaxations_are_kept() {
         // Path of 3 edges: deleting the middle edge leaves two disjoint edges.
         let p = GraphBuilder::new()
             .vertices(&[0, 1, 2, 3])
@@ -237,32 +179,6 @@ mod tests {
         let u = relax_query(&p, 1);
         assert_eq!(u.len(), 3);
         assert!(u.iter().any(|g| !g.is_connected()));
-
-        let opts = RelaxOptions {
-            deletions: 1,
-            require_connected: true,
-            ..RelaxOptions::default()
-        };
-        let connected_only = delete_edge_subsets(&p, &opts);
-        assert_eq!(connected_only.len(), 2);
-        assert!(connected_only.iter().all(|g| g.is_connected()));
-    }
-
-    #[test]
-    fn max_results_cap() {
-        let p = GraphBuilder::new()
-            .vertices(&[0, 1, 2, 3, 4])
-            .edge(0, 1, 0)
-            .edge(1, 2, 1)
-            .edge(2, 3, 2)
-            .edge(3, 4, 3)
-            .build();
-        let opts = RelaxOptions {
-            deletions: 2,
-            max_results: 3,
-            ..RelaxOptions::default()
-        };
-        assert_eq!(delete_edge_subsets(&p, &opts).len(), 3);
     }
 
     #[test]
@@ -281,19 +197,7 @@ mod tests {
         let items: Vec<u32> = (0..5).collect();
         let mut count = 0;
         let mut cur = Vec::new();
-        enumerate_subsets(&items, 3, 0, &mut cur, &mut |_s| {
-            count += 1;
-            true
-        });
+        enumerate_subsets(&items, 3, 0, &mut cur, &mut |_s| count += 1);
         assert_eq!(count, 10);
-
-        // Early stop after 4 subsets.
-        let mut count = 0;
-        let mut cur = Vec::new();
-        enumerate_subsets(&items, 2, 0, &mut cur, &mut |_s| {
-            count += 1;
-            count < 4
-        });
-        assert_eq!(count, 4);
     }
 }

@@ -18,7 +18,7 @@ use crate::error::ProbError;
 use crate::model::ProbabilisticGraph;
 use crate::world::enumerate_worlds;
 use pgs_graph::embeddings::EdgeSet;
-use pgs_graph::mcs::subgraph_similar;
+use pgs_graph::mcs::subgraph_distance;
 use pgs_graph::model::{EdgeId, Graph};
 use pgs_graph::relax::relax_query;
 use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};
@@ -143,8 +143,9 @@ pub fn exact_union_probability(
 /// query `q` and distance threshold `delta`, computed through Lemma 1: the
 /// probability that at least one relaxed query `rq ∈ U` embeds in the world.
 ///
-/// `limit` bounds the number of relevant edges enumerated; `max_embeddings`
-/// bounds the embeddings enumerated per relaxed query (`0` = default).
+/// `limit` bounds the number of relevant edges enumerated; every embedding of
+/// every relaxed query is collected (`MatchOptions::default()` sets no
+/// embedding cap).
 pub fn exact_ssp(
     pg: &ProbabilisticGraph,
     q: &Graph,
@@ -170,7 +171,8 @@ pub fn exact_ssp(
 
 /// Brute-force oracle: enumerates **every** possible world of `pg` and sums the
 /// weights of the worlds whose subgraph distance to `q` is at most `delta`
-/// (Definition 9 verbatim).  Only usable for tiny graphs; exists to validate
+/// (Definition 9 verbatim, the distance computed by exact MCS, so the relaxed
+/// query set plays no part).  Only usable for tiny graphs; exists to validate
 /// [`exact_ssp`] (and thereby Lemma 1) in tests.
 pub fn exact_ssp_bruteforce(
     pg: &ProbabilisticGraph,
@@ -182,7 +184,7 @@ pub fn exact_ssp_bruteforce(
     let mut p = 0.0;
     for w in &worlds {
         let wg = pg.world_graph(&w.present);
-        if subgraph_similar(q, &wg, delta) {
+        if subgraph_distance(q, &wg) <= delta {
             p += w.probability;
         }
     }

@@ -19,10 +19,11 @@
 use crate::prune::{
     bound_candidate, pruning_rules, CrossTermRule, FeatureRelation, PruneDecision, PruneOutcome,
 };
-use crate::structural::structural_candidates_indexed;
+use crate::structural::structural_candidates_tested;
 use crate::verify::{
     verify_ssp, verify_ssp_exact, verify_ssp_with_stats, VerifyOptions, VerifyOutcome,
 };
+use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{
     derive_seed, par_map_chunked_costed, resolve_threads, CostHint, MAX_THREADS,
@@ -544,9 +545,12 @@ pub struct PhaseStats {
     /// Graphs surviving probabilistic pruning (accepted + to-verify); the
     /// paper's "candidate size" for Figures 10–12.
     pub probabilistic_candidates: usize,
-    /// Seconds spent in structural pruning.
+    /// Seconds spent in structural pruning, including the one enumeration
+    /// of the relaxed query set that all three phases share.
     pub structural_seconds: f64,
-    /// Seconds spent in probabilistic pruning.
+    /// Seconds spent in probabilistic pruning: the feature relation and the
+    /// bound pairs (the relaxed query set is counted in
+    /// `structural_seconds`).
     pub probabilistic_seconds: f64,
     /// Seconds spent in verification.
     pub verification_seconds: f64,
@@ -647,8 +651,8 @@ struct CandidateStream {
     /// Phase-2 `(Usim, Lsim)` per structural candidate (parallel to
     /// `structural`).
     bounds: Vec<(f64, f64)>,
-    /// `relax_query_clamped(q, delta)`, computed once and shared with
-    /// phase 3.
+    /// `relax_query_clamped(q, delta)`, computed once before phase 1 and
+    /// shared with phases 2 and 3.
     relaxed: Vec<Graph>,
     query_hash: u64,
     delta: usize,
@@ -892,15 +896,16 @@ impl QueryEngine {
     /// auto): the structural candidates with their `(Usim, Lsim)` bound
     /// pairs.
     ///
-    /// Phase 1 is structural pruning via the S-Index — the query summary is
-    /// computed once, posting-list deficit accumulation touches only graphs
-    /// sharing a signature with the query, and the exact check reuses the
-    /// cached summaries; the exact checks fan out over filter survivors.
-    /// Phase 2 computes the
-    /// relaxed query set and its feature relation (which PMI features contain
-    /// or are contained in which relaxed query) once per query, then the
-    /// bound pair of every candidate in parallel: each candidate gates the
-    /// shared relation by its PMI column and draws from its own
+    /// The relaxed query set `U = relax_query_clamped(q, δ)` is computed
+    /// first, once per query, and every phase reads that one set.  Phase 1
+    /// is structural pruning via the S-Index — the query summary is computed
+    /// once, posting-list deficit accumulation touches only graphs sharing a
+    /// signature with the query, and the exact check (`any(rq ⊆ g)` over `U`)
+    /// reuses the cached summaries; the exact checks fan out over filter
+    /// survivors.  Phase 2 computes the feature relation (which PMI features
+    /// contain or are contained in which relaxed query) once per query, then
+    /// the bound pair of every candidate in parallel: each candidate gates
+    /// the shared relation by its PMI column and draws from its own
     /// content-seeded RNG.  `Structure` skips the PMI and pins every pair to
     /// the vacuous `(1, 0)`.
     ///
@@ -933,13 +938,17 @@ impl QueryEngine {
 
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
+        // The query's one relaxed set: phase 1's tester, phase 2's feature
+        // relation and phase 3's sampler all read it.
+        let relaxed = relax_query_clamped(q, delta);
         let sindex = self
             .pmi
             .sindex()
             // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
             .expect("engine invariant: the PMI always carries an S-Index");
+        let tester = SimilarityTester::with_relaxed(q, delta, &relaxed);
         let (structural, filter_stats) =
-            structural_candidates_indexed(sindex, &self.db, q, delta, threads);
+            structural_candidates_tested(sindex, &self.db, &tester, threads);
         stats.structural_seconds = t0.elapsed().as_secs_f64();
         stats.structural_candidates = structural.len();
         stats.posting_entries_scanned = filter_stats.posting_entries_scanned;
@@ -947,7 +956,6 @@ impl QueryEngine {
 
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t1 = Instant::now();
-        let relaxed = relax_query_clamped(q, delta);
         let bounds: Vec<(f64, f64)> = match variant {
             PruningVariant::Structure => vec![(1.0, 0.0); structural.len()],
             PruningVariant::SspBound | PruningVariant::OptSspBound => {
@@ -1335,6 +1343,43 @@ mod tests {
                 wq.graph.name()
             );
         }
+
+        // Definition 8 counts edges only, so an isolated query vertex moves
+        // no answer, even at δ = 0: a triangle plus a lone label-7 vertex
+        // over two triangles whose SSP is 0.52³ ≈ 0.14.
+        let triangle = pgs_graph::model::GraphBuilder::new()
+            .vertices(&[0, 1, 2])
+            .edge(0, 1, 9)
+            .edge(1, 2, 9)
+            .edge(0, 2, 9)
+            .build();
+        let db = (0..2)
+            .map(|_| ProbabilisticGraph::independent(triangle.clone(), &[0.52; 3]).unwrap())
+            .collect();
+        let engine = QueryEngine::build(db, EngineConfig::default());
+        let mut q = triangle;
+        q.add_vertex(pgs_graph::model::Label(7));
+        let params = QueryParams {
+            epsilon: 0.1,
+            delta: 0,
+            variant: PruningVariant::OptSspBound,
+        };
+        let exact = engine.exact_scan(&q, &params).unwrap();
+        assert_eq!(exact.answers, vec![0, 1]);
+        assert_eq!(engine.query(&q, &params).unwrap().answers, exact.answers);
+        let topk = engine
+            .query_topk(
+                &q,
+                &TopkParams {
+                    k: 2,
+                    delta: 0,
+                    variant: PruningVariant::OptSspBound,
+                },
+            )
+            .unwrap();
+        let mut ranked: Vec<usize> = topk.ranked.iter().map(|a| a.graph).collect();
+        ranked.sort_unstable();
+        assert_eq!(ranked, exact.answers);
     }
 
     #[test]

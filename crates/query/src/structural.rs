@@ -12,29 +12,31 @@
 //!    exceeds `δ` cannot be within subgraph distance `δ` (each deleted edge
 //!    removes at most one occurrence).  This is Grafil's edge-feature filter.
 //! 2. **Exact check** — surviving graphs are confirmed with the subgraph
-//!    distance of Definition 8 (`pgs_graph::mcs::subgraph_similar`), so the
-//!    phase returns exactly `SC_q = {g | dis(q, gc) ≤ δ}` as assumed by
-//!    Section 1.2.
+//!    distance of Definition 8 through one `pgs_graph::mcs::SimilarityTester`
+//!    per query: some relaxed query `rq ∈ U` (the Lemma 1 set phases 2 and 3
+//!    read) must embed in the skeleton, so the phase returns exactly
+//!    `SC_q = {g | dis(q, gc) ≤ δ}` as assumed by Section 1.2.
 //!
 //! Two implementations of stage 1 exist:
 //!
-//! * [`structural_candidates_indexed`] — the production path.  The query's
+//! * [`structural_candidates_tested`] — the production path.  The query's
 //!   summary is computed **once**, the deficit filter runs over the S-Index
 //!   posting lists (`pgs_index::sindex`), touching only graphs that share at
 //!   least one edge signature with the query, and the exact check reads each
 //!   survivor's skeleton from the database graph itself (the engine keeps no
 //!   second copy) next to its cached S-Index summary.  Sublinear in the
-//!   database size for selective queries.
+//!   database size for selective queries.  The engine builds the tester over
+//!   the relaxed set it computed for the query;
+//!   [`structural_candidates_indexed`] builds one itself.
 //! * [`structural_candidates`] — the brute-force reference: a sequential
-//!   full scan with the per-graph filter.  The query histogram is still
-//!   computed once per query (it used to be rebuilt inside the per-candidate
-//!   closure — the bug this module's rewrite fixed), but every skeleton is
+//!   full scan with the per-graph filter.  The tester (and with it the query
+//!   histogram) is still built once per query, but every skeleton is
 //!   visited.  Kept for index-free callers and the equivalence tests.
 //!
 //! Both return the same index set, bit for bit, for every input — the
 //! determinism suite and a randomized property test pin this.
 
-use pgs_graph::mcs::{subgraph_similar, SimilarityTester};
+use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{par_map_chunked_costed, CostHint};
 use pgs_graph::summary::StructuralSummary;
@@ -56,29 +58,21 @@ pub struct StructuralFilterStats {
 /// subgraph-similar to `q` under distance threshold `delta` (the set `SC_q`),
 /// by a sequential brute-force scan, in ascending order.
 pub fn structural_candidates(skeletons: &[Graph], q: &Graph, delta: usize) -> Vec<usize> {
-    // Computed once per query, not once per candidate skeleton.
-    let q_summary = StructuralSummary::of(q);
+    // Built once per query, not once per candidate skeleton.
+    let tester = SimilarityTester::new(q, delta);
     skeletons
         .iter()
         .enumerate()
         .filter(|(_, g)| {
-            passes_feature_count_filter_summarized(&q_summary, g, delta)
-                && subgraph_similar(q, g, delta)
+            passes_feature_count_filter_summarized(tester.query_summary(), g, delta)
+                && tester.matches(g, StructuralSummary::of(g).view())
         })
         .map(|(i, _)| i)
         .collect()
 }
 
-/// `SC_q` via the S-Index: posting-list deficit accumulation generates the
-/// filter survivors without touching unrelated graphs, then the exact check
-/// confirms them — through one [`SimilarityTester`], so the query summary
-/// *and* the edge-deleted sub-patterns are derived once per query instead of
-/// once per candidate.  Returns the candidate list
-/// (ascending, identical to [`structural_candidates`]) plus the phase's work
-/// counters.
-///
-/// `index` must summarise exactly the skeletons of `db` (the engine keeps
-/// the two aligned through builds and incremental mutations).
+/// [`structural_candidates_tested`] with a tester that enumerates the
+/// relaxed query set itself.
 pub fn structural_candidates_indexed(
     index: &StructuralIndex,
     db: &[ProbabilisticGraph],
@@ -86,9 +80,26 @@ pub fn structural_candidates_indexed(
     delta: usize,
     threads: usize,
 ) -> (Vec<usize>, StructuralFilterStats) {
+    structural_candidates_tested(index, db, &SimilarityTester::new(q, delta), threads)
+}
+
+/// `SC_q` via the S-Index: posting-list deficit accumulation generates the
+/// filter survivors without touching unrelated graphs, then `tester`
+/// confirms them, so the query summary and the relaxed patterns' summaries
+/// are derived once per query instead of once per candidate.  Returns the
+/// candidate list (ascending, identical to [`structural_candidates`]) plus
+/// the phase's work counters.
+///
+/// `index` must summarise exactly the skeletons of `db` (the engine keeps
+/// the two aligned through builds and incremental mutations).
+pub fn structural_candidates_tested(
+    index: &StructuralIndex,
+    db: &[ProbabilisticGraph],
+    tester: &SimilarityTester<'_>,
+    threads: usize,
+) -> (Vec<usize>, StructuralFilterStats) {
     debug_assert_eq!(index.graph_count(), db.len());
-    let tester = SimilarityTester::new(q, delta);
-    let outcome = index.filter_candidates(tester.query_summary().view(), delta);
+    let outcome = index.filter_candidates(tester.query_summary().view(), tester.delta());
     let stats = StructuralFilterStats {
         posting_entries_scanned: outcome.posting_entries_scanned,
         filter_survivors: outcome.candidates.len(),
@@ -145,6 +156,7 @@ pub fn passes_feature_count_filter_summarized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgs_graph::mcs::subgraph_similar;
     use pgs_graph::model::GraphBuilder;
 
     fn query() -> Graph {

@@ -167,8 +167,8 @@ pub fn verify_ssp_with_stats<R: Rng + ?Sized>(
 /// stopping rule (DESIGN.md §16), reusing a precomputed relaxed query set.
 ///
 /// `relaxed` must be `relax_query_clamped(q, delta)` — the pipeline computes
-/// it once per query and shares it between the pruning and verification
-/// phases, so the `δ`-clamp lives in exactly one place.  Small instances
+/// it once per query and shares it with phase 1's exact check and the
+/// pruning bounds, so the `δ`-clamp lives in exactly one place.  Small instances
 /// (trivial `δ`, no embeddings, relevant-edge set within `exact_cutoff`,
 /// zero-weight union) are answered exactly.  Otherwise one chunk seed is
 /// drawn from `rng` and [`UnionSampler::estimate_adaptive`] runs the
