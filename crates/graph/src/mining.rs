@@ -11,16 +11,26 @@
 //! * a pattern is extended by attaching one data-graph edge adjacent to one of
 //!   its embeddings (either closing a cycle between mapped vertices or adding a
 //!   new vertex),
-//! * duplicates are removed with the exact canonical code of
-//!   [`crate::dfs_code`],
 //! * support is the number of *database graphs* containing the pattern
-//!   (standard transaction-style support), recomputed with VF2 per candidate.
+//!   (standard transaction-style support), recounted with VF2 per candidate
+//!   within its parent's support list,
+//! * a candidate whose isomorphism class was already kept is a duplicate:
+//!   one `dfs_code::IsomorphismClasses` set, keyed by canonical code, holds
+//!   every kept pattern, so the first pattern of each class in enumeration
+//!   order wins,
+//! * a candidate whose class already failed `min_support` on this level is
+//!   skipped without a recount.  Support is anti-monotone: a parent's
+//!   support list is its true support (level 1 counts it exactly, and by
+//!   induction a recount within it misses no graph that contains the
+//!   candidate, since such a graph contains the parent too), so the recount
+//!   returns the candidate's true support from any parent.  Every pattern of
+//!   a level has the same edge count, so the memo is cleared per level.
 //!
 //! The miner is deliberately bounded (`max_patterns_per_level`,
 //! `max_embeddings_per_graph`) because PMI wants a *small* set of discriminative
 //! features, not the complete frequent-pattern lattice.
 
-use crate::dfs_code::{are_isomorphic, canonical_code, CanonicalCode};
+use crate::dfs_code::{canonical_code, IsomorphismClasses};
 use crate::model::{Graph, VertexId};
 use crate::summary::{StructuralSummary, SummaryView};
 use crate::vf2::{contains_subgraph_summarized, enumerate_embeddings, MatchOptions};
@@ -94,17 +104,20 @@ pub fn mine_frequent_patterns_summarized(
         return Vec::new();
     }
     let mut all: Vec<MinedPattern> = Vec::new();
-    let mut seen: Vec<(CanonicalCode, Graph)> = Vec::new();
+    let mut seen = IsomorphismClasses::default();
 
     // Level 1: single-edge patterns grouped by signature.
     let mut level: Vec<MinedPattern> = single_edge_patterns(db, options);
     for p in &level {
-        seen.push((canonical_code(&p.graph), p.graph.clone()));
+        seen.insert(canonical_code(&p.graph), &p.graph);
     }
     all.extend(level.iter().cloned());
 
     while !level.is_empty() {
         let mut next: Vec<MinedPattern> = Vec::new();
+        // Candidates of this level that failed `min_support`.  Their support
+        // is the same from any parent (module doc), so none is recounted.
+        let mut rejected = IsomorphismClasses::default();
         for pattern in &level {
             if pattern.graph.edge_count() >= options.max_edges {
                 continue;
@@ -116,14 +129,7 @@ pub fn mine_frequent_patterns_summarized(
                     continue;
                 }
                 let code = canonical_code(&candidate);
-                let duplicate = seen
-                    .iter()
-                    .any(|(c, g)| c == &code && (code.exact || are_isomorphic(g, &candidate)))
-                    || next.iter().any(|p| {
-                        canonical_code(&p.graph) == code
-                            && (code.exact || are_isomorphic(&p.graph, &candidate))
-                    });
-                if duplicate {
+                if seen.contains(&code, &candidate) || rejected.contains(&code, &candidate) {
                     continue;
                 }
                 let candidate_summary = StructuralSummary::of(&candidate);
@@ -141,11 +147,13 @@ pub fn mine_frequent_patterns_summarized(
                     })
                     .collect();
                 if support.len() >= options.min_support {
-                    seen.push((code, candidate.clone()));
+                    seen.insert(code, &candidate);
                     next.push(MinedPattern {
                         graph: candidate,
                         support,
                     });
+                } else {
+                    rejected.insert(code, &candidate);
                 }
             }
         }
@@ -235,6 +243,7 @@ fn extensions(pattern: &MinedPattern, db: &[Graph], options: &MiningOptions) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs_code::are_isomorphic;
     use crate::model::GraphBuilder;
     use crate::vf2::contains_subgraph;
 

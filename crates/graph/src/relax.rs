@@ -10,8 +10,10 @@
 //! apply to similarity search (footnote 4 of the paper).
 //!
 //! Relaxed graphs are deduplicated up to isomorphism (deleting symmetric edges
-//! yields identical patterns) and isolated vertices are dropped because the
-//! subgraph distance of Definition 8 counts edges only.
+//! yields identical patterns) by canonical code (`dfs_code::IsomorphismClasses`),
+//! keeping the first graph of each class in deletion-subset order, and
+//! isolated vertices are dropped because the subgraph distance of
+//! Definition 8 counts edges only.
 //!
 //! [`relax_query`] is the crate's only relaxation enumerator.  A query runs it
 //! once, through [`relax_query_clamped`], and all three phases read that one
@@ -19,7 +21,7 @@
 //! `any(rq ⊆ g)`, which equals `dis(q, g) ≤ δ` whenever `|E(q)| > δ`), phase
 //! 2's feature relation and phase 3's sampler.
 
-use crate::dfs_code::{are_isomorphic, canonical_code, CanonicalCode};
+use crate::dfs_code::{canonical_code, IsomorphismClasses};
 use crate::model::{EdgeId, Graph};
 
 /// The paper's relaxed query set `U`: all pairwise non-isomorphic graphs
@@ -32,7 +34,7 @@ pub fn relax_query(q: &Graph, delta: usize) -> Vec<Graph> {
     }
     let all_edges: Vec<EdgeId> = q.edges().collect();
     let mut results: Vec<Graph> = Vec::new();
-    let mut seen: Vec<(CanonicalCode, usize)> = Vec::new(); // (code, index into results)
+    let mut seen = IsomorphismClasses::default();
     let mut keep_unique = |deleted: &[EdgeId]| {
         let keep: Vec<EdgeId> = all_edges
             .iter()
@@ -40,12 +42,7 @@ pub fn relax_query(q: &Graph, delta: usize) -> Vec<Graph> {
             .filter(|e| !deleted.contains(e))
             .collect();
         let g = drop_isolated(&q.edge_subgraph(&keep));
-        let code = canonical_code(&g);
-        let duplicate = seen
-            .iter()
-            .any(|(c, idx)| c == &code && (code.exact || are_isomorphic(&results[*idx], &g)));
-        if !duplicate {
-            seen.push((code, results.len()));
+        if seen.insert(canonical_code(&g), &g) {
             results.push(g);
         }
     };

@@ -20,7 +20,16 @@ use rand::SeedableRng;
 /// Strategy: a random connected labelled graph described by (vertex labels,
 /// extra edges).  The spanning tree `i -> parent(i)` keeps it connected.
 fn arb_graph(max_vertices: usize, labels: u32) -> impl Strategy<Value = Graph> {
-    (2..=max_vertices)
+    arb_graph_between(2, max_vertices, labels)
+}
+
+/// [`arb_graph`] with at least `min_vertices` vertices.
+fn arb_graph_between(
+    min_vertices: usize,
+    max_vertices: usize,
+    labels: u32,
+) -> impl Strategy<Value = Graph> {
+    (min_vertices..=max_vertices)
         .prop_flat_map(move |n| {
             (
                 proptest::collection::vec(0..labels, n),
@@ -44,6 +53,64 @@ fn arb_graph(max_vertices: usize, labels: u32) -> impl Strategy<Value = Graph> {
             }
             g
         })
+}
+
+/// `g` with its vertices renamed by a random permutation.
+fn shuffled(g: &Graph, rng: &mut StdRng) -> Graph {
+    use rand::seq::SliceRandom;
+    let mut perm: Vec<u32> = (0..g.vertex_count() as u32).collect();
+    perm.shuffle(rng);
+    let mut slots = vec![Label(0); g.vertex_count()];
+    for v in g.vertices() {
+        slots[perm[v.index()] as usize] = g.vertex_label(v);
+    }
+    let mut h = Graph::new();
+    for l in &slots {
+        h.add_vertex(*l);
+    }
+    for (_, e) in g.edge_entries() {
+        h.add_edge(
+            VertexId(perm[e.u.index()]),
+            VertexId(perm[e.v.index()]),
+            e.label,
+        )
+        .unwrap();
+    }
+    h
+}
+
+/// `g` after up to three random degree-preserving switches: edges `a–b` and
+/// `c–d` become `a–d` and `c–b` where that keeps the graph simple.  Vertex
+/// labels and degrees, so the (label, degree) histogram, are unchanged.
+fn edge_switched(g: &Graph, rng: &mut StdRng) -> Graph {
+    use rand::Rng;
+    let mut edges: Vec<(u32, u32)> = g.edge_entries().map(|(_, e)| (e.u.0, e.v.0)).collect();
+    for _ in 0..3 {
+        if edges.len() < 2 {
+            break;
+        }
+        let i = rng.gen_range(0..edges.len());
+        let j = rng.gen_range(0..edges.len());
+        let ((a, b), (c, d)) = (edges[i], edges[j]);
+        let present = |x: u32, y: u32| {
+            edges
+                .iter()
+                .any(|&(u, v)| (u, v) == (x, y) || (u, v) == (y, x))
+        };
+        if a == c || a == d || b == c || b == d || present(a, d) || present(c, b) {
+            continue;
+        }
+        edges[i] = (a, d);
+        edges[j] = (c, b);
+    }
+    let mut h = Graph::new();
+    for &l in g.vertex_labels() {
+        h.add_vertex(l);
+    }
+    for (u, v) in edges {
+        h.add_edge(VertexId(u), VertexId(v), Label(0)).unwrap();
+    }
+    h
 }
 
 /// Strategy: a probabilistic graph over a random skeleton with max-rule JPTs.
@@ -79,31 +146,40 @@ proptest! {
     // ---------------------------------------------------------------- graphs
 
     #[test]
-    fn canonical_code_is_isomorphism_invariant(g in arb_graph(6, 3), seed in 0u64..1000) {
-        // Relabel the vertices with a random permutation; the canonical code
-        // must not change and the graphs must be reported isomorphic.
-        use rand::seq::SliceRandom;
+    fn canonical_code_is_isomorphism_invariant(
+        g in (1u32..=2).prop_flat_map(|labels| arb_graph(8, labels)),
+        seed in 0u64..1000,
+    ) {
+        // Rename the vertices with a random permutation; the canonical code
+        // must not change and the graphs must be reported isomorphic.  Eight
+        // vertices over one or two labels is where (label, degree) cells are
+        // largest.
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut perm: Vec<u32> = (0..g.vertex_count() as u32).collect();
-        perm.shuffle(&mut rng);
-        let mut h = Graph::new();
-        let mut slots = vec![Label(0); g.vertex_count()];
-        for v in g.vertices() {
-            slots[perm[v.index()] as usize] = g.vertex_label(v);
-        }
-        for l in &slots {
-            h.add_vertex(*l);
-        }
-        for (_, e) in g.edge_entries() {
-            h.add_edge(
-                VertexId(perm[e.u.index()]),
-                VertexId(perm[e.v.index()]),
-                e.label,
-            )
-            .unwrap();
-        }
+        let h = shuffled(&g, &mut rng);
         prop_assert!(are_isomorphic(&g, &h));
         prop_assert_eq!(canonical_code(&g), canonical_code(&h));
+    }
+
+    #[test]
+    fn equal_exact_codes_iff_vf2_isomorphic(
+        g in (1u32..=2).prop_flat_map(|labels| arb_graph_between(5, 8, labels)),
+        seed in 0u64..1000,
+    ) {
+        // A degree-preserving edge switch keeps the (label, degree) histogram,
+        // so the cells cannot separate `g` from `h`; whether the switch made a
+        // non-isomorphic graph is VF2's call (equal vertex and edge counts make
+        // a monomorphism an isomorphism).
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cg = canonical_code(&g);
+        prop_assert!(cg.exact);
+        for _ in 0..8 {
+            let h = shuffled(&edge_switched(&g, &mut rng), &mut rng);
+            let vf2 = contains_subgraph(&g, &h);
+            let ch = canonical_code(&h);
+            prop_assert!(ch.exact);
+            prop_assert_eq!(cg == ch, vf2);
+            prop_assert_eq!(are_isomorphic(&g, &h), vf2);
+        }
     }
 
     #[test]

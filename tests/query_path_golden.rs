@@ -20,14 +20,21 @@
 //! thread-count invariant, so the test renders the workload at query
 //! threads {1, 0 = automatic, 4} and checks each rendering against the same
 //! file.
+//!
+//! Two more pins sit upstream of the file, as FNV digests written into the
+//! tests themselves: the relaxed query sets (`relax_query_clamped`, which
+//! every phase reads, in order) and the miner's patterns with their support
+//! lists.  Both digests were computed with the brute-force `n!` canonical
+//! code, so the cheaper code must reproduce them; never regenerate them.
 
-use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
+use pgs::datagen::ppi::{generate_ppi_dataset, PpiDataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
 use pgs::query::pipeline::{PhaseStats, QueryEngine, TopkResult};
 use pgs::query::verify::{verify_ssp_with_stats, VerifyOptions};
 use pgs_datagen::scenarios::verification_candidate;
+use pgs_graph::mining::{mine_frequent_patterns, MiningOptions};
 use pgs_graph::relax::relax_query_clamped;
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::PmiBuildParams;
@@ -148,10 +155,9 @@ fn render_verification(out: &mut String) {
     }
 }
 
-/// The frozen PPI database the engine half of the workload runs on, plus its
-/// 4-edge query workload.
-fn ppi_workload() -> (Vec<ProbabilisticGraph>, Vec<Graph>) {
-    let ds = generate_ppi_dataset(&PpiDatasetConfig {
+/// The frozen PPI database the engine half of the workload runs on.
+fn ppi_dataset() -> PpiDataset {
+    generate_ppi_dataset(&PpiDatasetConfig {
         graph_count: 24,
         vertices_per_graph: 10,
         edges_per_graph: 14,
@@ -160,18 +166,28 @@ fn ppi_workload() -> (Vec<ProbabilisticGraph>, Vec<Graph>) {
         perturbation: 0.3,
         seed: 4242,
         ..PpiDatasetConfig::default()
-    });
-    let queries = generate_query_workload(
-        &ds,
+    })
+}
+
+/// Four `query_size`-edge queries drawn from `ds`.
+fn ppi_queries(ds: &PpiDataset, query_size: usize) -> Vec<Graph> {
+    generate_query_workload(
+        ds,
         &QueryWorkloadConfig {
-            query_size: 4,
+            query_size,
             count: 4,
             seed: 99,
         },
     )
     .into_iter()
     .map(|wq| wq.graph)
-    .collect();
+    .collect()
+}
+
+/// The frozen PPI database plus its 4-edge query workload.
+fn ppi_workload() -> (Vec<ProbabilisticGraph>, Vec<Graph>) {
+    let ds = ppi_dataset();
+    let queries = ppi_queries(&ds, 4);
     (ds.graphs, queries)
 }
 
@@ -355,4 +371,106 @@ fn query_path_matches_the_golden_file() {
 #[ignore = "writes tests/fixtures/query_path_expected.txt; run only to re-pin the golden file"]
 fn generate_query_path_fixture() {
     std::fs::write(fixture_path(FIXTURE), render_workload(0)).unwrap();
+}
+
+/// FNV-1a over a stream of words: the digest the two pins below compare.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// A graph as the caller sees it: vertex labels in vertex order, then
+    /// every edge `(u, v, label)` in edge-id order.
+    fn graph(&mut self, g: &Graph) {
+        self.word(g.vertex_count() as u64);
+        for l in g.vertex_labels() {
+            self.word(l.value() as u64);
+        }
+        self.word(g.edge_count() as u64);
+        for (_, e) in g.edge_entries() {
+            self.word(e.u.index() as u64);
+            self.word(e.v.index() as u64);
+            self.word(e.label.value() as u64);
+        }
+    }
+}
+
+/// Pins the miner's output (which patterns, in which order, with which
+/// support lists) on two frozen PPI databases: the engine workload's and a
+/// 3-label denser one whose patterns share (label, degree) cells.  The
+/// expected values were computed once and must never be regenerated: a
+/// change to pattern deduplication may change how fast the miner runs, not
+/// what it returns.
+#[test]
+fn mined_patterns_match_the_pinned_digest() {
+    let dense = generate_ppi_dataset(&PpiDatasetConfig {
+        graph_count: 12,
+        vertices_per_graph: 10,
+        edges_per_graph: 18,
+        vertex_label_count: 3,
+        organism_count: 2,
+        perturbation: 0.3,
+        seed: 77,
+        ..PpiDatasetConfig::default()
+    });
+    let mut digests = Vec::new();
+    for ds in [ppi_dataset(), dense] {
+        let patterns = mine_frequent_patterns(
+            &ds.skeletons(),
+            &MiningOptions {
+                min_support: 4,
+                max_vertices: 5,
+                max_edges: 6,
+                max_patterns_per_level: 48,
+                max_embeddings_per_graph: 12,
+            },
+        );
+        let mut h = Fnv::new();
+        h.word(patterns.len() as u64);
+        for p in &patterns {
+            h.graph(&p.graph);
+            h.word(p.support.len() as u64);
+            for &gi in &p.support {
+                h.word(gi as u64);
+            }
+        }
+        digests.push(format!("{}:{:016x}", patterns.len(), h.0));
+    }
+    assert_eq!(digests, ["89:ae6d351bd4b419af", "137:1c40e7d52b0aefa4"]);
+}
+
+/// Pins `relax_query_clamped`'s output graphs, in order, for the golden
+/// workload's queries (plus the labelled triangle and 10-edge queries drawn
+/// from the same database) at every δ up to |E(q)|.  The verification
+/// sampler's bits depend on the relaxation order, so "same set" is not
+/// enough.  The expected value was computed once and must never be
+/// regenerated.
+#[test]
+fn relaxed_query_sets_match_the_pinned_digest() {
+    let ds = ppi_dataset();
+    let mut queries = ppi_queries(&ds, 4);
+    queries.push(triangle_query());
+    queries.extend(ppi_queries(&ds, 10));
+    let mut h = Fnv::new();
+    let mut total = 0usize;
+    for q in &queries {
+        for delta in 0..=q.edge_count().min(4) {
+            let relaxed = relax_query_clamped(q, delta);
+            total += relaxed.len();
+            h.word(relaxed.len() as u64);
+            for rq in &relaxed {
+                h.graph(rq);
+            }
+        }
+    }
+    assert_eq!(format!("{total}:{:016x}", h.0), "1464:9f7dc094004ae486");
 }
