@@ -14,21 +14,9 @@
 //! independent of the labelled [`crate::model::Graph`] type (the clique instance
 //! is not a labelled data graph).
 
-/// Options for the clique search.
-#[derive(Debug, Clone, Copy)]
-pub struct CliqueOptions {
-    /// Abort after this many search nodes and return the best clique found so
-    /// far (the result is then a valid clique but possibly not maximum).
-    pub max_steps: u64,
-}
-
-impl Default for CliqueOptions {
-    fn default() -> Self {
-        CliqueOptions {
-            max_steps: 2_000_000,
-        }
-    }
-}
+/// Search nodes after which the clique search stops and returns the best
+/// clique found so far (a valid clique, but possibly not maximum).
+const MAX_STEPS: u64 = 2_000_000;
 
 /// Result of a maximum weight clique search.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,11 +86,12 @@ impl BitMatrix {
 ///   weight are never selected: they cannot improve a clique).
 /// * `adjacent.get(i, j)` — true if nodes `i` and `j` are compatible (may
 ///   appear in the same clique). The diagonal is ignored.
-pub fn max_weight_clique(
-    weights: &[f64],
-    adjacent: &BitMatrix,
-    options: CliqueOptions,
-) -> CliqueResult {
+pub fn max_weight_clique(weights: &[f64], adjacent: &BitMatrix) -> CliqueResult {
+    budgeted_clique(weights, adjacent, MAX_STEPS)
+}
+
+/// [`max_weight_clique`] stopping after `max_steps` search nodes.
+fn budgeted_clique(weights: &[f64], adjacent: &BitMatrix, max_steps: u64) -> CliqueResult {
     let n = weights.len();
     assert_eq!(adjacent.len(), n, "adjacency matrix must be n x n");
     let mut search = CliqueSearch {
@@ -111,7 +100,7 @@ pub fn max_weight_clique(
         best: Vec::new(),
         best_weight: 0.0,
         steps: 0,
-        max_steps: options.max_steps,
+        max_steps,
         aborted: false,
     };
     // Candidate order: descending weight, so good cliques are found early and
@@ -183,23 +172,6 @@ impl CliqueSearch<'_> {
     }
 }
 
-/// Builds the disjointness adjacency matrix for a family of sorted edge sets:
-/// nodes are the sets, two nodes are adjacent iff their sets are disjoint.
-/// This is the `fG` construction of Section 4.1 applied to either embeddings or
-/// cuts.
-pub fn disjointness_matrix(sets: &[Vec<crate::model::EdgeId>]) -> BitMatrix {
-    let n = sets.len();
-    let mut adj = BitMatrix::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if crate::embeddings::edge_sets_disjoint(&sets[i], &sets[j]) {
-                adj.set_pair(i, j);
-            }
-        }
-    }
-    adj
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +187,7 @@ mod tests {
 
     #[test]
     fn single_node_graph() {
-        let r = max_weight_clique(&[2.5], &BitMatrix::new(1), CliqueOptions::default());
+        let r = max_weight_clique(&[2.5], &BitMatrix::new(1));
         assert_eq!(r.members, vec![0]);
         assert!((r.weight - 2.5).abs() < 1e-12);
         assert!(r.optimal);
@@ -223,7 +195,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let r = max_weight_clique(&[], &BitMatrix::new(0), CliqueOptions::default());
+        let r = max_weight_clique(&[], &BitMatrix::new(0));
         assert!(r.members.is_empty());
         assert_eq!(r.weight, 0.0);
     }
@@ -234,13 +206,13 @@ mod tests {
         // with weight 2.5. The triangle (weight 3) wins.
         let weights = vec![1.0, 1.0, 1.0, 2.5];
         let adj = matrix_of_pairs(4, &[(0, 1), (1, 2), (0, 2)]);
-        let r = max_weight_clique(&weights, &adj, CliqueOptions::default());
+        let r = max_weight_clique(&weights, &adj);
         assert_eq!(r.members, vec![0, 1, 2]);
         assert!((r.weight - 3.0).abs() < 1e-12);
 
         // Make the isolated node heavier than the triangle: it wins.
         let weights = vec![1.0, 1.0, 1.0, 3.5];
-        let r = max_weight_clique(&weights, &adj, CliqueOptions::default());
+        let r = max_weight_clique(&weights, &adj);
         assert_eq!(r.members, vec![3]);
     }
 
@@ -248,7 +220,7 @@ mod tests {
     fn zero_weight_nodes_are_ignored() {
         let weights = vec![0.0, 1.0, 0.0];
         let adj = matrix_of_pairs(3, &[(0, 1), (0, 2), (1, 2)]);
-        let r = max_weight_clique(&weights, &adj, CliqueOptions::default());
+        let r = max_weight_clique(&weights, &adj);
         assert_eq!(r.members, vec![1]);
     }
 
@@ -256,17 +228,10 @@ mod tests {
     fn figure_7_embedding_clique() {
         // Example 6: embeddings EM1={e1,e2}, EM2={e2,e3}, EM3={e3,e4}. The two
         // maximal cliques of fG are {EM1,EM3} and {EM2}. With equal weights the
-        // pair wins.
-        let sets = vec![
-            vec![EdgeId(1), EdgeId(2)],
-            vec![EdgeId(2), EdgeId(3)],
-            vec![EdgeId(3), EdgeId(4)],
-        ];
-        let adj = disjointness_matrix(&sets);
-        assert!(adj.get(0, 2) && adj.get(2, 0));
-        assert!(!adj.get(0, 1) && !adj.get(1, 2));
+        // pair wins.  EM1/EM3 is the only edge-disjoint pair.
+        let adj = matrix_of_pairs(3, &[(0, 2)]);
         let w = vec![0.5, 0.6, 0.5];
-        let r = max_weight_clique(&w, &adj, CliqueOptions::default());
+        let r = max_weight_clique(&w, &adj);
         assert_eq!(r.members, vec![0, 2]);
         assert!((r.weight - 1.0).abs() < 1e-12);
     }
@@ -284,7 +249,7 @@ mod tests {
                 }
             }
         }
-        let r = max_weight_clique(&weights, &adj, CliqueOptions { max_steps: 5 });
+        let r = budgeted_clique(&weights, &adj, 5);
         // Whatever was found must be a clique.
         for (x, &a) in r.members.iter().enumerate() {
             for &b in &r.members[x + 1..] {
@@ -298,7 +263,7 @@ mod tests {
         // Two disjoint pairs {0,1} (weight 1+1) vs single node 2 (weight 5).
         let weights = vec![1.0, 1.0, 5.0];
         let adj = matrix_of_pairs(3, &[(0, 1)]);
-        let r = max_weight_clique(&weights, &adj, CliqueOptions::default());
+        let r = max_weight_clique(&weights, &adj);
         assert_eq!(r.members, vec![2]);
         assert!((r.weight - 5.0).abs() < 1e-12);
     }
@@ -331,15 +296,18 @@ mod tests {
                 .collect();
 
             let mut reference = vec![vec![false; n]; n];
+            let mut packed = BitMatrix::new(n);
             for i in 0..n {
                 for j in (i + 1)..n {
                     let d = crate::embeddings::edge_sets_disjoint(&sets[i], &sets[j]);
                     reference[i][j] = d;
                     reference[j][i] = d;
+                    if d {
+                        packed.set_pair(i, j);
+                    }
                 }
             }
 
-            let packed = disjointness_matrix(&sets);
             assert_eq!(packed.len(), n);
             for (i, row) in reference.iter().enumerate() {
                 for (j, &want) in row.iter().enumerate() {

@@ -7,45 +7,29 @@
 //! and enumerating its minimal s–t cuts with the Karzanov–Timofeev algorithm
 //! \[22\]; Theorem 6 states the two edge-set families coincide.
 //!
-//! A set of edges disconnects `s` from `t` in `cG` exactly when it contains at
-//! least one edge of every embedding's line, i.e. when it is a **transversal
-//! (hitting set) of the embeddings' edge sets**; the minimal cuts are the
-//! minimal transversals.  We therefore enumerate minimal hitting sets directly
-//! — same output, no auxiliary graph — with a configurable cap because the
-//! number of minimal transversals can grow exponentially.
-//!
-//! This module also provides [`parallel_graph`], a faithful construction of the
-//! paper's `cG` (used by tests to validate Theorem 6 on the paper's Example 7
-//! and by anyone who wants to inspect the reduction).
+//! Every s–t path of `cG` runs along exactly one embedding's line, so a set of
+//! edges disconnects `s` from `t` exactly when it contains at least one edge of
+//! every embedding, i.e. when it is a **transversal (hitting set) of the
+//! embeddings' edge sets**; the minimal cuts are the minimal transversals.  We
+//! therefore enumerate minimal hitting sets directly — same output, no
+//! auxiliary graph — with a cap on the number of cuts because the number of
+//! minimal transversals can grow exponentially.
 
 use crate::embeddings::EdgeSet;
-use crate::model::{EdgeId, Graph, Label, VertexId};
+use crate::model::EdgeId;
 use std::collections::BTreeSet;
 
-/// Options for minimal-cut enumeration.
-#[derive(Debug, Clone, Copy)]
-pub struct CutEnumOptions {
-    /// Maximum number of minimal cuts to return (0 = unlimited).
-    pub max_cuts: usize,
-    /// Maximum number of branch nodes explored (safety valve).
-    pub max_steps: u64,
-}
-
-impl Default for CutEnumOptions {
-    fn default() -> Self {
-        CutEnumOptions {
-            max_cuts: 256,
-            max_steps: 1_000_000,
-        }
-    }
-}
+/// Branch nodes after which the enumeration stops and reports itself
+/// incomplete (a safety valve for pathological inputs).
+const MAX_STEPS: u64 = 1_000_000;
 
 /// Enumerates the minimal edge sets that hit (intersect) every given embedding
-/// edge set — i.e. the minimal embedding cuts of Section 4.1.2.
+/// edge set — i.e. the minimal embedding cuts of Section 4.1.2 — returning at
+/// most `max_cuts` of them (0 = unlimited).
 ///
-/// Returns sorted, deduplicated cuts; the result is complete iff neither cap
-/// was hit (second tuple element).
-pub fn minimal_cuts(embeddings: &[EdgeSet], options: CutEnumOptions) -> (Vec<EdgeSet>, bool) {
+/// Returns sorted, deduplicated cuts; the result is complete iff neither the
+/// cut cap nor the step budget was hit (second tuple element).
+pub fn minimal_cuts(embeddings: &[EdgeSet], max_cuts: usize) -> (Vec<EdgeSet>, bool) {
     // No embeddings: the feature does not occur, there is nothing to cut.
     if embeddings.is_empty() {
         return (Vec::new(), true);
@@ -59,7 +43,7 @@ pub fn minimal_cuts(embeddings: &[EdgeSet], options: CutEnumOptions) -> (Vec<Edg
         found: BTreeSet::new(),
         steps: 0,
         complete: true,
-        options,
+        max_cuts,
     };
     let mut partial = Vec::new();
     state.branch(&mut partial);
@@ -83,15 +67,13 @@ struct HittingSetSearch<'a> {
     found: BTreeSet<EdgeSet>,
     steps: u64,
     complete: bool,
-    options: CutEnumOptions,
+    max_cuts: usize,
 }
 
 impl HittingSetSearch<'_> {
     fn branch(&mut self, partial: &mut Vec<EdgeId>) {
         self.steps += 1;
-        if self.steps > self.options.max_steps
-            || (self.options.max_cuts > 0 && self.found.len() >= self.options.max_cuts)
-        {
+        if self.steps > MAX_STEPS || (self.max_cuts > 0 && self.found.len() >= self.max_cuts) {
             self.complete = false;
             return;
         }
@@ -114,10 +96,7 @@ impl HittingSetSearch<'_> {
                     partial.push(e);
                     self.branch(partial);
                     partial.pop();
-                    if !self.complete
-                        && self.options.max_cuts > 0
-                        && self.found.len() >= self.options.max_cuts
-                    {
+                    if !self.complete && self.max_cuts > 0 && self.found.len() >= self.max_cuts {
                         return;
                     }
                 }
@@ -148,67 +127,6 @@ fn minimise(sets: &[EdgeSet], transversal: &[EdgeId]) -> EdgeSet {
     kept
 }
 
-/// The paper's parallel graph `cG` (Figure 8): one line per embedding, wired
-/// between fresh terminals `s` and `t`.
-///
-/// Vertices: `s`, `t`, and `k+1` fresh nodes per embedding of `k` edges.
-/// Edges: the `k` line edges of each embedding are labelled with the *original
-/// data-graph edge id* (so cuts can be read back), plus one unlabelled stub at
-/// each end connecting the line to `s` / `t`.
-///
-/// Returns the graph, the terminal ids `(s, t)`, and for each cG edge the
-/// original [`EdgeId`] it represents (`None` for the stubs).
-pub fn parallel_graph(
-    embeddings: &[EdgeSet],
-) -> (Graph, (VertexId, VertexId), Vec<Option<EdgeId>>) {
-    let mut g = Graph::with_name("cG");
-    let s = g.add_vertex(Label(u32::MAX));
-    let t = g.add_vertex(Label(u32::MAX - 1));
-    let mut origin: Vec<Option<EdgeId>> = Vec::new();
-    for emb in embeddings {
-        let mut prev = g.add_vertex(Label(0));
-        // stub s -- first node
-        g.add_edge(s, prev, Label(u32::MAX))
-            // pgs-lint: allow(panic-in-library, cG vertices are freshly numbered, so the edge cannot be a duplicate)
-            .expect("cG construction is simple");
-        origin.push(None);
-        for &orig in emb {
-            let next = g.add_vertex(Label(0));
-            g.add_edge(prev, next, Label(orig.0))
-                // pgs-lint: allow(panic-in-library, cG vertices are freshly numbered, so the edge cannot be a duplicate)
-                .expect("cG construction is simple");
-            origin.push(Some(orig));
-            prev = next;
-        }
-        // stub last node -- t
-        g.add_edge(prev, t, Label(u32::MAX))
-            // pgs-lint: allow(panic-in-library, cG vertices are freshly numbered, so the edge cannot be a duplicate)
-            .expect("cG construction is simple");
-        origin.push(None);
-    }
-    (g, (s, t), origin)
-}
-
-/// Enumerates the minimal s–t cuts of `cG` that avoid the terminal stubs and
-/// maps them back to original data-graph edges.  Provided to validate
-/// Theorem 6; [`minimal_cuts`] is the production path.
-pub fn minimal_cuts_via_parallel_graph(
-    embeddings: &[EdgeSet],
-    options: CutEnumOptions,
-) -> (Vec<EdgeSet>, bool) {
-    // In cG every s-t path goes through exactly one embedding line; a cut must
-    // sever every line using non-stub edges, i.e. pick ≥1 original edge per
-    // embedding. That is the hitting-set formulation; reuse it but go through
-    // the explicit construction so the reduction is exercised.
-    let (_g, _st, origin) = parallel_graph(embeddings);
-    // Sanity: every original edge of every embedding appears in cG.
-    debug_assert!(embeddings
-        .iter()
-        .flat_map(|e| e.iter())
-        .all(|e| origin.contains(&Some(*e))));
-    minimal_cuts(embeddings, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +143,7 @@ mod tests {
         // lists the minimal embedding cuts {e2,e4}, {e1,e3,e4}... wait, and
         // {e2,e3}. Verify exactly that set.
         let embeddings = vec![set(&[1, 2]), set(&[2, 3]), set(&[3, 4])];
-        let (cuts, complete) = minimal_cuts(&embeddings, CutEnumOptions::default());
+        let (cuts, complete) = minimal_cuts(&embeddings, 256);
         assert!(complete);
         let expected: BTreeSet<EdgeSet> = [set(&[2, 4]), set(&[2, 3]), set(&[1, 3])]
             .into_iter()
@@ -261,7 +179,7 @@ mod tests {
     #[test]
     fn single_embedding_cuts_are_single_edges() {
         let embeddings = vec![set(&[5, 7, 9])];
-        let (cuts, complete) = minimal_cuts(&embeddings, CutEnumOptions::default());
+        let (cuts, complete) = minimal_cuts(&embeddings, 256);
         assert!(complete);
         let got: BTreeSet<EdgeSet> = cuts.into_iter().collect();
         assert_eq!(got, [set(&[5]), set(&[7]), set(&[9])].into_iter().collect());
@@ -270,7 +188,7 @@ mod tests {
     #[test]
     fn disjoint_embeddings_need_one_edge_each() {
         let embeddings = vec![set(&[0, 1]), set(&[2, 3])];
-        let (cuts, complete) = minimal_cuts(&embeddings, CutEnumOptions::default());
+        let (cuts, complete) = minimal_cuts(&embeddings, 256);
         assert!(complete);
         assert_eq!(cuts.len(), 4); // 2 × 2 combinations, all minimal
         for c in &cuts {
@@ -281,7 +199,7 @@ mod tests {
     #[test]
     fn shared_edge_yields_singleton_cut() {
         let embeddings = vec![set(&[0, 1]), set(&[1, 2])];
-        let (cuts, _) = minimal_cuts(&embeddings, CutEnumOptions::default());
+        let (cuts, _) = minimal_cuts(&embeddings, 256);
         let got: BTreeSet<EdgeSet> = cuts.into_iter().collect();
         assert!(got.contains(&set(&[1])));
         assert!(got.contains(&set(&[0, 2])));
@@ -290,10 +208,10 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let (cuts, complete) = minimal_cuts(&[], CutEnumOptions::default());
+        let (cuts, complete) = minimal_cuts(&[], 256);
         assert!(cuts.is_empty());
         assert!(complete);
-        let (cuts, complete) = minimal_cuts(&[vec![]], CutEnumOptions::default());
+        let (cuts, complete) = minimal_cuts(&[vec![]], 256);
         assert!(cuts.is_empty());
         assert!(complete);
     }
@@ -302,11 +220,7 @@ mod tests {
     fn cap_limits_output() {
         // Many disjoint embeddings → exponentially many cuts; the cap kicks in.
         let embeddings: Vec<EdgeSet> = (0..10).map(|i| set(&[2 * i, 2 * i + 1])).collect();
-        let opts = CutEnumOptions {
-            max_cuts: 16,
-            max_steps: 1_000_000,
-        };
-        let (cuts, complete) = minimal_cuts(&embeddings, opts);
+        let (cuts, complete) = minimal_cuts(&embeddings, 16);
         assert!(!complete);
         assert!(cuts.len() <= 16);
         for c in &cuts {
@@ -314,30 +228,5 @@ mod tests {
                 assert!(e.iter().any(|x| c.contains(x)));
             }
         }
-    }
-
-    #[test]
-    fn parallel_graph_matches_figure_8_shape() {
-        // Figure 8: 3 embeddings of 2 edges each → cG has 2 terminals + 3*(2+1)
-        // line nodes = 11 vertices, and 3*(2+2) = 12 edges.
-        let embeddings = vec![set(&[1, 2]), set(&[2, 3]), set(&[3, 4])];
-        let (g, (s, t), origin) = parallel_graph(&embeddings);
-        assert_eq!(g.vertex_count(), 11);
-        assert_eq!(g.edge_count(), 12);
-        assert_eq!(origin.len(), 12);
-        assert_eq!(origin.iter().filter(|o| o.is_none()).count(), 6); // 2 stubs per line
-        assert_eq!(g.degree(s), 3);
-        assert_eq!(g.degree(t), 3);
-        assert!(g.is_connected());
-    }
-
-    #[test]
-    fn theorem_6_equivalence_of_cut_families() {
-        let embeddings = vec![set(&[1, 2]), set(&[2, 3]), set(&[3, 4])];
-        let (direct, _) = minimal_cuts(&embeddings, CutEnumOptions::default());
-        let (via_cg, _) = minimal_cuts_via_parallel_graph(&embeddings, CutEnumOptions::default());
-        let a: BTreeSet<EdgeSet> = direct.into_iter().collect();
-        let b: BTreeSet<EdgeSet> = via_cg.into_iter().collect();
-        assert_eq!(a, b);
     }
 }

@@ -40,16 +40,6 @@ impl Embedding {
     pub fn is_edge_disjoint(&self, other: &Embedding) -> bool {
         edge_sets_disjoint(&self.edges, &other.edges)
     }
-
-    /// True if the two embeddings share at least one data edge.
-    pub fn overlaps(&self, other: &Embedding) -> bool {
-        !self.is_edge_disjoint(other)
-    }
-
-    /// True if this embedding uses the given data edge.
-    pub fn uses_edge(&self, e: EdgeId) -> bool {
-        self.edges.binary_search(&e).is_ok()
-    }
 }
 
 /// True if two sorted edge sets are disjoint (linear merge scan).
@@ -63,47 +53,6 @@ pub fn edge_sets_disjoint(a: &[EdgeId], b: &[EdgeId]) -> bool {
         }
     }
     true
-}
-
-/// Intersection of two sorted edge sets.
-pub fn edge_set_intersection(a: &[EdgeId], b: &[EdgeId]) -> EdgeSet {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut out = Vec::new();
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Union of two sorted edge sets.
-pub fn edge_set_union(a: &[EdgeId], b: &[EdgeId]) -> EdgeSet {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    out.extend_from_slice(a);
-    out.extend_from_slice(b);
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Greedily selects a maximal set of pairwise edge-disjoint embeddings
-/// (first-fit by index order). This is the *untightened* `IN` set of
-/// Equation 11; the clique-based search in `pgs-index` finds a better one.
-pub fn greedy_disjoint_subset(embeddings: &[Embedding]) -> Vec<usize> {
-    let mut chosen: Vec<usize> = Vec::new();
-    for (i, emb) in embeddings.iter().enumerate() {
-        if chosen.iter().all(|&j| embeddings[j].is_edge_disjoint(emb)) {
-            chosen.push(i);
-        }
-    }
-    chosen
 }
 
 /// The maximum number of pairwise edge-disjoint embeddings, computed greedily
@@ -142,8 +91,6 @@ mod tests {
         let e = Embedding::new(vec![VertexId(0)], vec![EdgeId(3), EdgeId(1), EdgeId(3)]);
         assert_eq!(e.edges, vec![EdgeId(1), EdgeId(3)]);
         assert_eq!(e.edge_count(), 2);
-        assert!(e.uses_edge(EdgeId(3)));
-        assert!(!e.uses_edge(EdgeId(2)));
     }
 
     #[test]
@@ -153,19 +100,12 @@ mod tests {
         let c = emb(&[1, 2]);
         assert!(a.is_edge_disjoint(&b));
         assert!(!a.is_edge_disjoint(&c));
-        assert!(a.overlaps(&c));
-        assert!(!a.overlaps(&b));
     }
 
     #[test]
     fn set_operations() {
         let a = vec![EdgeId(0), EdgeId(1), EdgeId(4)];
         let b = vec![EdgeId(1), EdgeId(2), EdgeId(4)];
-        assert_eq!(edge_set_intersection(&a, &b), vec![EdgeId(1), EdgeId(4)]);
-        assert_eq!(
-            edge_set_union(&a, &b),
-            vec![EdgeId(0), EdgeId(1), EdgeId(2), EdgeId(4)]
-        );
         assert!(!edge_sets_disjoint(&a, &b));
         assert!(edge_sets_disjoint(&a, &[EdgeId(7)]));
         assert!(edge_sets_disjoint(&[], &b));
@@ -175,8 +115,6 @@ mod tests {
     fn greedy_disjoint_family() {
         // Figure 7: EM1={e1,e2}, EM2={e2,e3}, EM3={e3,e4}. EM1 and EM3 are disjoint.
         let embs = vec![emb(&[1, 2]), emb(&[2, 3]), emb(&[3, 4])];
-        let chosen = greedy_disjoint_subset(&embs);
-        assert_eq!(chosen, vec![0, 2]);
         assert_eq!(disjoint_embedding_count(&embs), 2);
     }
 

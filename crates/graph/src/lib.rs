@@ -53,8 +53,8 @@ pub mod traversal;
 pub mod vf2;
 
 pub use arena::{CsrAdjacency, FlatVecVec};
-pub use clique::{max_weight_clique, BitMatrix, CliqueOptions};
-pub use cuts::{minimal_cuts, CutEnumOptions};
+pub use clique::{max_weight_clique, BitMatrix};
+pub use cuts::minimal_cuts;
 pub use dfs_code::{canonical_code, CanonicalCode};
 pub use embeddings::{EdgeSet, Embedding};
 pub use error::GraphError;

@@ -203,22 +203,20 @@ impl McsSearch<'_> {
                 continue;
             }
             // Count newly matched edges: edges of `a` between v and already
-            // mapped vertices whose images are adjacent in `b` with the same label.
-            let mut gained = 0usize;
-            let mut consistent = true;
-            for &(n, ea) in self.a.neighbors(v) {
-                if let Some(img) = self.mapping[n.index()] {
-                    match self.b.find_edge(w, img) {
-                        Some(eb) if self.b.edge_label(eb) == self.a.edge_label(ea) => gained += 1,
-                        _ => {
-                            // Missing edges are allowed (they just do not count),
-                            // so nothing to do; `consistent` only matters for
-                            // induced variants which MCS does not need.
-                            let _ = &mut consistent;
-                        }
-                    }
-                }
-            }
+            // mapped vertices whose images are adjacent in `b` with the same
+            // label.  Missing edges are allowed; they just do not count.
+            let gained = self
+                .a
+                .neighbors(v)
+                .iter()
+                .filter(|&&(n, ea)| {
+                    self.mapping[n.index()].is_some_and(|img| {
+                        self.b
+                            .find_edge(w, img)
+                            .is_some_and(|eb| self.b.edge_label(eb) == self.a.edge_label(ea))
+                    })
+                })
+                .count();
             self.mapping[v.index()] = Some(w);
             self.used[w.index()] = true;
             self.recurse(depth + 1, matched_edges + gained);

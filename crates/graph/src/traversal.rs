@@ -1,4 +1,4 @@
-//! Basic traversals: BFS/DFS, connectivity, connected components and triangle
+//! Basic traversals: BFS, connectivity, connected components and triangle
 //! listing.
 //!
 //! Triangle listing is needed by the probabilistic layer: the paper defines
@@ -25,31 +25,6 @@ pub fn bfs_order(g: &Graph, start: VertexId) -> Vec<VertexId> {
             if !visited[w.index()] {
                 visited[w.index()] = true;
                 queue.push_back(w);
-            }
-        }
-    }
-    order
-}
-
-/// Depth-first preorder of all vertices reachable from `start`.
-pub fn dfs_order(g: &Graph, start: VertexId) -> Vec<VertexId> {
-    let n = g.vertex_count();
-    if start.index() >= n {
-        return Vec::new();
-    }
-    let mut visited = vec![false; n];
-    let mut stack = vec![start];
-    let mut order = Vec::new();
-    while let Some(v) = stack.pop() {
-        if visited[v.index()] {
-            continue;
-        }
-        visited[v.index()] = true;
-        order.push(v);
-        // Push in reverse so lower-numbered neighbours are visited first.
-        for &(w, _) in g.neighbors(v).iter().rev() {
-            if !visited[w.index()] {
-                stack.push(w);
             }
         }
     }
@@ -84,28 +59,6 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<VertexId>> {
     comps
 }
 
-/// Returns whether the *edge-induced* structure of the graph is connected,
-/// i.e. the subgraph formed by the endpoints of its edges has one component.
-/// Isolated vertices are ignored. A graph with no edges is edge-connected only
-/// if it has at most one vertex.
-pub fn edges_form_connected_subgraph(g: &Graph) -> bool {
-    if g.edge_count() == 0 {
-        return g.vertex_count() <= 1;
-    }
-    let first = g.edge(EdgeId(0)).u;
-    let reach = bfs_order(g, first);
-    let mut touched = vec![false; g.vertex_count()];
-    for &v in &reach {
-        touched[v.index()] = true;
-    }
-    for (_, e) in g.edge_entries() {
-        if !touched[e.u.index()] || !touched[e.v.index()] {
-            return false;
-        }
-    }
-    true
-}
-
 /// Lists every triangle as a sorted triple of edge ids.
 ///
 /// Runs in `O(Σ_v deg(v)^2)`, which is fine for the paper's sparse PPI-style
@@ -131,11 +84,6 @@ pub fn triangles(g: &Graph) -> Vec<[EdgeId; 3]> {
     }
     out.sort_unstable();
     out
-}
-
-/// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
-    connected_components(g).len()
 }
 
 #[cfg(test)]
@@ -164,14 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn dfs_visits_everything() {
-        let g = path4();
-        let order = dfs_order(&g, VertexId(0));
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], VertexId(0));
-    }
-
-    #[test]
     fn components_are_partition() {
         let mut g = path4();
         g.add_vertex(Label(0));
@@ -179,7 +119,6 @@ mod tests {
         g.add_edge(VertexId(4), VertexId(5), Label(0)).unwrap();
         let comps = connected_components(&g);
         assert_eq!(comps.len(), 2);
-        assert_eq!(component_count(&g), 2);
         let total: usize = comps.iter().map(|c| c.len()).sum();
         assert_eq!(total, 6);
         assert!(!is_connected(&g));
@@ -210,29 +149,15 @@ mod tests {
     }
 
     #[test]
-    fn edge_connectivity_ignores_isolated_vertices() {
-        let mut g = path4();
-        g.add_vertex(Label(7)); // isolated vertex
-        assert!(edges_form_connected_subgraph(&g));
-        assert!(!is_connected(&g));
-
-        // Two disjoint edges are not edge-connected.
-        let h = GraphBuilder::new()
-            .vertices(&[0, 0, 0, 0])
-            .edge(0, 1, 0)
-            .edge(2, 3, 0)
-            .build();
-        assert!(!edges_form_connected_subgraph(&h));
-    }
-
-    #[test]
     fn empty_and_single_vertex_graphs() {
         let empty = Graph::new();
         assert!(is_connected(&empty));
-        assert!(edges_form_connected_subgraph(&empty));
         let mut single = Graph::new();
         single.add_vertex(Label(0));
         assert!(is_connected(&single));
-        assert!(edges_form_connected_subgraph(&single));
+        // An isolated vertex disconnects an otherwise connected graph.
+        let mut path = path4();
+        path.add_vertex(Label(7));
+        assert!(!is_connected(&path));
     }
 }

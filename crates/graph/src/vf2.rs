@@ -19,29 +19,23 @@
 use crate::embeddings::Embedding;
 use crate::model::{EdgeId, Graph, VertexId};
 use crate::summary::SummaryView;
-use std::collections::BTreeSet;
+
+/// Search-tree node expansions after which a matching run gives up and
+/// reports an incomplete outcome (a safety valve for pathological inputs;
+/// the paper's graphs are sparse and labelled, so it is generous).
+const MAX_STEPS: u64 = 50_000_000;
 
 /// Options controlling a matching run.
 #[derive(Debug, Clone, Copy)]
 pub struct MatchOptions {
     /// Stop after this many distinct embeddings (0 means "just test existence").
     pub max_embeddings: usize,
-    /// Abort after this many search-tree node expansions (safety valve for
-    /// pathological inputs). The paper's graphs are sparse and labelled, so the
-    /// default is generous.
-    pub max_steps: u64,
-    /// Require induced subgraph isomorphism instead of a monomorphism.
-    /// The paper always uses the non-induced variant; induced matching is
-    /// provided for completeness and tests.
-    pub induced: bool,
 }
 
 impl Default for MatchOptions {
     fn default() -> Self {
         MatchOptions {
             max_embeddings: usize::MAX,
-            max_steps: 50_000_000,
-            induced: false,
         }
     }
 }
@@ -49,18 +43,12 @@ impl Default for MatchOptions {
 impl MatchOptions {
     /// Options for a plain existence test.
     pub fn existence() -> Self {
-        MatchOptions {
-            max_embeddings: 1,
-            ..Self::default()
-        }
+        MatchOptions { max_embeddings: 1 }
     }
 
     /// Options that cap the number of enumerated embeddings.
     pub fn capped(max_embeddings: usize) -> Self {
-        MatchOptions {
-            max_embeddings,
-            ..Self::default()
-        }
+        MatchOptions { max_embeddings }
     }
 }
 
@@ -145,17 +133,15 @@ impl<'a> Matcher<'a> {
 
     /// True if at least one embedding of the pattern exists in the target.
     pub fn exists(&self) -> bool {
-        let mut opts = self.options;
-        opts.max_embeddings = 1;
-        !self.run(opts).embeddings.is_empty()
+        !self.run(1).embeddings.is_empty()
     }
 
     /// Enumerates all distinct embeddings subject to the configured caps.
     pub fn embeddings(&self) -> MatchOutcome {
-        self.run(self.options)
+        self.run(self.options.max_embeddings)
     }
 
-    fn run(&self, options: MatchOptions) -> MatchOutcome {
+    fn run(&self, max_embeddings: usize) -> MatchOutcome {
         let np = self.pattern.vertex_count();
         let nt = self.target.vertex_count();
         let mut outcome = MatchOutcome {
@@ -184,10 +170,9 @@ impl<'a> Matcher<'a> {
         let mut state = State {
             mapping: vec![None; np],
             used: vec![false; nt],
-            seen_edge_sets: BTreeSet::new(),
         };
         let mut cap_hit = false;
-        self.recurse(0, &mut state, &options, &mut outcome, &mut cap_hit);
+        self.recurse(0, &mut state, max_embeddings, &mut outcome, &mut cap_hit);
         if cap_hit {
             outcome.complete = false;
         }
@@ -198,7 +183,7 @@ impl<'a> Matcher<'a> {
         &self,
         depth: usize,
         state: &mut State,
-        options: &MatchOptions,
+        max_embeddings: usize,
         outcome: &mut MatchOutcome,
         cap_hit: &mut bool,
     ) {
@@ -206,12 +191,12 @@ impl<'a> Matcher<'a> {
             return;
         }
         outcome.steps += 1;
-        if outcome.steps > options.max_steps {
+        if outcome.steps > MAX_STEPS {
             *cap_hit = true;
             return;
         }
         if depth == self.order.len() {
-            self.record_embedding(state, options, outcome, cap_hit);
+            self.record_embedding(state, max_embeddings, outcome, cap_hit);
             return;
         }
         let p = self.order[depth];
@@ -240,12 +225,12 @@ impl<'a> Matcher<'a> {
             if self.target.vertex_label(cand) != p_label {
                 continue;
             }
-            if !self.feasible(p, cand, anchored, state, options.induced) {
+            if !self.feasible(p, cand, anchored, state) {
                 continue;
             }
             state.mapping[p.index()] = Some(cand);
             state.used[cand.index()] = true;
-            self.recurse(depth + 1, state, options, outcome, cap_hit);
+            self.recurse(depth + 1, state, max_embeddings, outcome, cap_hit);
             state.mapping[p.index()] = None;
             state.used[cand.index()] = false;
             if *cap_hit {
@@ -260,7 +245,6 @@ impl<'a> Matcher<'a> {
         cand: VertexId,
         anchored: &[(VertexId, crate::model::Label)],
         state: &State,
-        induced: bool,
     ) -> bool {
         // Degree pruning: the candidate must have at least the pattern degree.
         if self.target.degree(cand) < self.pattern.degree(p) {
@@ -276,28 +260,13 @@ impl<'a> Matcher<'a> {
                 _ => return false,
             }
         }
-        if induced {
-            // Mapped pattern non-neighbours must not be adjacent in the target.
-            for v in self.pattern.vertices() {
-                if v == p {
-                    continue;
-                }
-                if let Some(image) = state.mapping[v.index()] {
-                    let p_adj = self.pattern.has_edge(p, v);
-                    let t_adj = self.target.has_edge(cand, image);
-                    if !p_adj && t_adj {
-                        return false;
-                    }
-                }
-            }
-        }
         true
     }
 
     fn record_embedding(
         &self,
         state: &State,
-        options: &MatchOptions,
+        max_embeddings: usize,
         outcome: &mut MatchOutcome,
         cap_hit: &mut bool,
     ) {
@@ -326,7 +295,7 @@ impl<'a> Matcher<'a> {
             return;
         }
         outcome.embeddings.push(Embedding { vertex_map, edges });
-        if outcome.embeddings.len() >= options.max_embeddings {
+        if outcome.embeddings.len() >= max_embeddings {
             *cap_hit = true;
         }
     }
@@ -336,8 +305,6 @@ impl<'a> Matcher<'a> {
 struct State {
     mapping: Vec<Option<VertexId>>,
     used: Vec<bool>,
-    #[allow(dead_code)]
-    seen_edge_sets: BTreeSet<Vec<EdgeId>>,
 }
 
 fn state_contains(found: &mut [Embedding], edges: &[EdgeId]) -> bool {
@@ -582,26 +549,6 @@ mod tests {
             .edge(0, 1, 9)
             .build();
         assert!(contains_subgraph(&pat2, &g));
-    }
-
-    #[test]
-    fn induced_vs_non_induced() {
-        // Pattern: path a-a-b. In graph 002 the non-induced match maps onto the
-        // triangle {v0,v1,v2}; the induced variant must reject mappings where the
-        // missing pattern edge is present in the target.
-        let g = graph_002();
-        let path = GraphBuilder::new()
-            .vertices(&[0, 0, 1])
-            .edge(0, 1, 9)
-            .edge(1, 2, 9)
-            .build();
-        assert!(contains_subgraph(&path, &g));
-        let induced = MatchOptions {
-            induced: true,
-            ..MatchOptions::default()
-        };
-        let out = enumerate_embeddings(&path, &g, induced);
-        assert!(out.embeddings.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the deterministic graph substrate.
 
-use pgs_graph::clique::{max_weight_clique, CliqueOptions};
-use pgs_graph::cuts::{minimal_cuts, CutEnumOptions};
+use pgs_graph::clique::max_weight_clique;
+use pgs_graph::cuts::minimal_cuts;
 use pgs_graph::dfs_code::{are_isomorphic, canonical_code};
 use pgs_graph::embeddings::{disjoint_embedding_count, edge_sets_disjoint};
 use pgs_graph::mcs::{mcs_size, subgraph_distance};
@@ -133,7 +133,7 @@ proptest! {
                 }
             }
         }
-        let result = max_weight_clique(&weights, &adj, CliqueOptions::default());
+        let result = max_weight_clique(&weights, &adj);
         for (x, &a) in result.members.iter().enumerate() {
             for &b in &result.members[x + 1..] {
                 prop_assert!(adj.get(a, b));
@@ -160,7 +160,7 @@ proptest! {
                 v
             })
             .collect();
-        let (cuts, complete) = minimal_cuts(&embeddings, CutEnumOptions::default());
+        let (cuts, complete) = minimal_cuts(&embeddings, 256);
         if complete {
             prop_assert!(!cuts.is_empty());
         }

@@ -412,39 +412,6 @@ impl Pmi {
         Pmi::from_bytes(&snapshot::read_file(path.as_ref())?)
     }
 
-    /// Serializes the index to a plain-text form (one line per occupied cell).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        writeln!(
-            out,
-            "pmi features={} graphs={}",
-            self.features.len(),
-            self.graph_count()
-        )
-        // pgs-lint: allow(panic-in-library, fmt::Write into a String is infallible)
-        .expect("writing to String cannot fail");
-        for f in &self.features {
-            writeln!(
-                out,
-                "feature {} edges={} frequency={:.4}",
-                f.id,
-                f.graph.edge_count(),
-                f.frequency
-            )
-            // pgs-lint: allow(panic-in-library, fmt::Write into a String is infallible)
-            .expect("writing to String cannot fail");
-        }
-        for gi in 0..self.graph_count() {
-            for (fi, b) in self.graph_entries(gi) {
-                writeln!(out, "cell {gi} {fi} {:.6} {:.6}", b.lower, b.upper)
-                    // pgs-lint: allow(panic-in-library, fmt::Write into a String is infallible)
-                    .expect("writing to String cannot fail");
-            }
-        }
-        out
-    }
-
     fn refresh_frequencies(&mut self) {
         let n = self.graph_count().max(1) as f64;
         for (f, support) in self.features.iter_mut().zip(self.supports.iter()) {
@@ -694,16 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn text_serialization_mentions_every_occupied_cell() {
-        let db = database();
-        let pmi = Pmi::build(&db, &params());
-        let text = pmi.to_text();
-        assert!(text.starts_with("pmi features="));
-        let cell_lines = text.lines().filter(|l| l.starts_with("cell ")).count();
-        assert_eq!(cell_lines, pmi.stats().occupied_cells);
-    }
-
-    #[test]
     fn empty_database_builds_an_empty_index() {
         let pmi = Pmi::build(&[], &PmiBuildParams::default());
         assert_eq!(pmi.graph_count(), 0);
@@ -729,7 +686,6 @@ mod tests {
             assert_eq!(a.frequency, b.frequency);
             assert_eq!(a.discriminativity, b.discriminativity);
         }
-        assert_eq!(back.to_text(), pmi.to_text());
         // Re-encoding is byte-identical.
         assert_eq!(back.to_bytes(), bytes);
     }

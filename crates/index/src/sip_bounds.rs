@@ -26,8 +26,8 @@
 //! the published formulas.  DESIGN.md §3 records this as a documented
 //! substitution; the ablation bench compares the two.
 
-use pgs_graph::clique::{max_weight_clique, BitMatrix, CliqueOptions};
-use pgs_graph::cuts::{minimal_cuts, CutEnumOptions};
+use pgs_graph::clique::{max_weight_clique, BitMatrix};
+use pgs_graph::cuts::minimal_cuts;
 use pgs_graph::embeddings::{edge_sets_disjoint, EdgeSet};
 use pgs_graph::model::Graph;
 use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};
@@ -181,13 +181,7 @@ fn upper_bound<R: Rng + ?Sized>(
     if !embeddings_complete {
         return 1.0;
     }
-    let (cuts, _complete) = minimal_cuts(
-        embeddings,
-        CutEnumOptions {
-            max_cuts: config.max_cuts,
-            ..CutEnumOptions::default()
-        },
-    );
+    let (cuts, _complete) = minimal_cuts(embeddings, config.max_cuts);
     if cuts.is_empty() {
         return 1.0;
     }
@@ -239,8 +233,7 @@ fn best_disjoint_weight(
         .collect();
     let adjacent = compatibility_matrix(pg, sets, config.disjointness);
     if config.tighten_with_clique {
-        let result = max_weight_clique(&weights, &adjacent, CliqueOptions::default());
-        result.weight
+        max_weight_clique(&weights, &adjacent).weight
     } else {
         // Greedy first-fit in index order (the untightened SIPBound variant).
         let mut chosen: Vec<usize> = Vec::new();

@@ -22,6 +22,7 @@ use pgs_graph::mcs::subgraph_distance;
 use pgs_graph::model::{EdgeId, Graph};
 use pgs_graph::relax::relax_query;
 use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};
+use std::collections::HashSet;
 
 /// Default cap on the number of relevant edges enumerated exactly.
 pub const DEFAULT_EXACT_LIMIT: usize = 22;
@@ -144,8 +145,7 @@ pub fn exact_union_probability(
 /// probability that at least one relaxed query `rq ∈ U` embeds in the world.
 ///
 /// `limit` bounds the number of relevant edges enumerated; every embedding of
-/// every relaxed query is collected (`MatchOptions::default()` sets no
-/// embedding cap).
+/// every relaxed query is collected (no embedding cap).
 pub fn exact_ssp(
     pg: &ProbabilisticGraph,
     q: &Graph,
@@ -156,17 +156,44 @@ pub fn exact_ssp(
         // Relaxing q by delta edges leaves the empty pattern: every world matches.
         return Ok(1.0);
     }
-    let relaxed = relax_query(q, delta);
-    let mut all_embeddings: Vec<EdgeSet> = Vec::new();
-    for rq in &relaxed {
-        let outcome = enumerate_embeddings(rq, pg.skeleton(), MatchOptions::default());
+    let embeddings = collect_embeddings_of_relaxations(pg, &relax_query(q, delta), usize::MAX);
+    exact_union_probability(pg, &embeddings, limit)
+}
+
+/// Collects the distinct embeddings (edge sets) of every graph in `relaxed`
+/// within the skeleton of `pg`, capped at `max_embeddings` in total.
+///
+/// Deduplication is a hash-set membership test on the (already sorted)
+/// edge set, O(1) amortised per embedding; the output keeps first-seen
+/// order.  Relaxed queries without edges contribute nothing: callers answer
+/// `δ ≥ |E(q)|` (where the empty pattern is in every world) before
+/// collecting.
+pub fn collect_embeddings_of_relaxations(
+    pg: &ProbabilisticGraph,
+    relaxed: &[Graph],
+    max_embeddings: usize,
+) -> Vec<EdgeSet> {
+    let mut seen: HashSet<EdgeSet> = HashSet::new();
+    let mut out: Vec<EdgeSet> = Vec::new();
+    for rq in relaxed {
+        if rq.edge_count() == 0 {
+            continue;
+        }
+        let outcome = enumerate_embeddings(
+            rq,
+            pg.skeleton(),
+            MatchOptions::capped(max_embeddings.saturating_sub(out.len()).max(1)),
+        );
         for emb in outcome.embeddings {
-            if !all_embeddings.contains(&emb.edges) {
-                all_embeddings.push(emb.edges);
+            if seen.insert(emb.edges.clone()) {
+                out.push(emb.edges);
             }
         }
+        if out.len() >= max_embeddings {
+            break;
+        }
     }
-    exact_union_probability(pg, &all_embeddings, limit)
+    out
 }
 
 /// Brute-force oracle: enumerates **every** possible world of `pg` and sums the

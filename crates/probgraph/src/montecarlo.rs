@@ -27,15 +27,6 @@ impl Default for MonteCarloConfig {
 }
 
 impl MonteCarloConfig {
-    /// Creates a configuration with the given accuracy parameters.
-    pub fn new(tau: f64, xi: f64) -> Self {
-        MonteCarloConfig {
-            tau,
-            xi,
-            ..Self::default()
-        }
-    }
-
     /// A fast, low-accuracy configuration for index construction, where the
     /// bounds only need to be roughly right to prune well.
     pub fn coarse() -> Self {

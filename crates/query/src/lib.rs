@@ -32,12 +32,7 @@ pub use pipeline::{
     QueryEngine, QueryError, QueryParams, QueryResult,
 };
 pub use prune::{BoundInstance, CrossTermRule, PruneDecision, PruneOutcome};
-pub use qp::{tightest_lsim, QpOptions};
+pub use qp::tightest_lsim;
 pub use setcover::{greedy_weighted_set_cover, SetCoverSolution};
-pub use structural::{
-    passes_feature_count_filter, structural_candidates, structural_candidates_indexed,
-    StructuralFilterStats,
-};
-pub use verify::{
-    collect_embeddings_of_relaxations, verify_ssp_exact, verify_ssp_sampled, VerifyOptions,
-};
+pub use structural::{passes_feature_count_filter, structural_candidates, StructuralFilterStats};
+pub use verify::{collect_embeddings_of_relaxations, verify_ssp_exact, VerifyOptions};

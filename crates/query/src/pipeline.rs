@@ -21,7 +21,8 @@ use crate::prune::{
 };
 use crate::structural::structural_candidates_tested;
 use crate::verify::{
-    verify_ssp, verify_ssp_exact, verify_ssp_with_stats, VerifyOptions, VerifyOutcome,
+    collect_embeddings_of_relaxations, verify_ssp, verify_ssp_with_stats, VerifyOptions,
+    VerifyOutcome,
 };
 use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::Graph;
@@ -31,6 +32,7 @@ use pgs_graph::parallel::{
 use pgs_graph::relax::relax_query_clamped;
 use pgs_index::pmi::{graph_salt, Pmi, PmiBuildParams};
 use pgs_index::snapshot::SnapshotError;
+use pgs_prob::exact::exact_union_probability;
 use pgs_prob::model::ProbabilisticGraph;
 use pgs_prob::montecarlo::MonteCarloConfig;
 use rand::rngs::StdRng;
@@ -1207,13 +1209,22 @@ impl QueryEngine {
         let query_hash = hash_query(q);
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
-        // Shared by every graph that falls back to sampling; computed once.
+        // Computed once and read by every graph, exact or sampled.
         let relaxed = relax_query_clamped(q, params.delta);
+        let trivial = q.edge_count() <= params.delta;
         // One flat per-graph map: each graph's fallback RNG is content-seeded,
         // so the database order never moves an answer.
         let verdicts =
             par_map_chunked_costed(&self.db, self.config.threads, CostHint::HEAVY, |gi, pg| {
-                match verify_ssp_exact(pg, q, params.delta, self.config.exact.exact_edge_cap) {
+                // `exact_ssp` over the shared relaxed set: δ ≥ |E(q)| leaves
+                // the empty pattern, which every world contains.
+                let exact = if trivial {
+                    Ok(1.0)
+                } else {
+                    let embeddings = collect_embeddings_of_relaxations(pg, &relaxed, usize::MAX);
+                    exact_union_probability(pg, &embeddings, self.config.exact.exact_edge_cap)
+                };
+                match exact {
                     Ok(v) => (v >= params.epsilon, 0, true),
                     Err(_) => {
                         let precise = VerifyOptions {
@@ -1276,6 +1287,7 @@ fn hash_query(q: &Graph) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_ssp_exact;
     use pgs_datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
     use pgs_datagen::queries::{generate_query_workload, QueryWorkloadConfig};
     use pgs_index::feature::FeatureSelectionParams;

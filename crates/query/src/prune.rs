@@ -22,7 +22,7 @@
 //! [`FeatureRelation`]; per candidate, [`BoundInstance::from_relation`] only
 //! gates them by the presence of each feature's PMI cell.
 
-use crate::qp::{tightest_lsim, LsimSet, QpOptions};
+use crate::qp::{lsim_value, tightest_lsim, LsimSet};
 use crate::setcover::greedy_weighted_set_cover;
 use pgs_graph::model::Graph;
 use pgs_graph::vf2::contains_subgraph;
@@ -186,20 +186,7 @@ impl BoundInstance {
 
     /// The tightest `Lsim(q)` (Algorithm 2).
     pub fn lsim_optimal<R: Rng + ?Sized>(&self, cross: CrossTermRule, rng: &mut R) -> f64 {
-        let sets: Vec<LsimSet> = self
-            .supergraph_sets
-            .iter()
-            .map(|(_, elems, lower, upper)| LsimSet {
-                elements: elems.clone(),
-                lower: *lower,
-                upper: *upper,
-            })
-            .collect();
-        let options = QpOptions {
-            paper_product_cross_term: cross == CrossTermRule::PaperProduct,
-            ..QpOptions::default()
-        };
-        tightest_lsim(self.universe, &sets, &options, rng).value
+        tightest_lsim(self.universe, &self.lsim_sets(), cross, rng).value
     }
 
     /// The untightened `Lsim(q)`: one arbitrary qualifying feature per relaxed
@@ -222,20 +209,19 @@ impl BoundInstance {
                 chosen.push(pick);
             }
         }
-        let options = QpOptions {
-            paper_product_cross_term: cross == CrossTermRule::PaperProduct,
-            ..QpOptions::default()
-        };
-        let sets: Vec<LsimSet> = self
-            .supergraph_sets
+        lsim_value(&self.lsim_sets(), &chosen, cross)
+    }
+
+    /// The supergraph sets as the `Lsim` instance of [`crate::qp`].
+    fn lsim_sets(&self) -> Vec<LsimSet> {
+        self.supergraph_sets
             .iter()
             .map(|(_, elems, lower, upper)| LsimSet {
                 elements: elems.clone(),
                 lower: *lower,
                 upper: *upper,
             })
-            .collect();
-        crate::qp::lsim_value(&sets, &chosen, &options)
+            .collect()
     }
 }
 

@@ -15,8 +15,9 @@
 //! `UpperB(f_i)·UpperB(f_j)`; that product is only an upper bound of the joint
 //! probability when the events are close to independent, so the default here is
 //! the always-sound `min(UpperB(f_i), UpperB(f_j))`
-//! ([`CrossTermRule::SafeMin`](crate::prune::CrossTermRule::SafeMin) in
-//! [`crate::prune`]) with the paper's product available behind an option.
+//! ([`CrossTermRule::SafeMin`]); the paper's product is
+//! [`CrossTermRule::PaperProduct`], and the engine picks one through
+//! `EngineConfig::cross_term`.
 //!
 //! Finding the best cover is an integer quadratic program (Definition 11); we
 //! relax the indicators to `[0, 1]`, solve the relaxation with projected
@@ -26,7 +27,15 @@
 //! probability ≥ 1 − 1/|U|).  The final bound is the best of the rounded cover,
 //! a greedy cover, and 0 — all of which are valid lower bounds.
 
+use crate::prune::CrossTermRule;
 use rand::Rng;
+
+/// Gradient-ascent iterations for the relaxed QP.
+const ITERATIONS: usize = 200;
+/// Gradient step size.
+const STEP: f64 = 0.08;
+/// Coverage-constraint penalty coefficient.
+const PENALTY: f64 = 2.0;
 
 /// One candidate set of the `Lsim` instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,30 +46,6 @@ pub struct LsimSet {
     pub lower: f64,
     /// `UpperB(f_j)`.
     pub upper: f64,
-}
-
-/// Options of the Lsim optimisation.
-#[derive(Debug, Clone, Copy)]
-pub struct QpOptions {
-    /// Gradient-ascent iterations for the relaxed QP.
-    pub iterations: usize,
-    /// Gradient step size.
-    pub step: f64,
-    /// Coverage-constraint penalty coefficient.
-    pub penalty: f64,
-    /// Use the paper's product cross term instead of the safe minimum.
-    pub paper_product_cross_term: bool,
-}
-
-impl Default for QpOptions {
-    fn default() -> Self {
-        QpOptions {
-            iterations: 200,
-            step: 0.08,
-            penalty: 2.0,
-            paper_product_cross_term: false,
-        }
-    }
 }
 
 /// Result of the Lsim computation.
@@ -79,7 +64,7 @@ pub struct LsimSolution {
 pub fn tightest_lsim<R: Rng + ?Sized>(
     universe_size: usize,
     sets: &[LsimSet],
-    options: &QpOptions,
+    cross: CrossTermRule,
     rng: &mut R,
 ) -> LsimSolution {
     if universe_size == 0 {
@@ -99,13 +84,13 @@ pub fn tightest_lsim<R: Rng + ?Sized>(
     // --- continuous relaxation, solved by projected gradient ascent ---------
     let n = sets.len();
     let mut x = vec![0.5f64; n];
-    let mut relaxed_value = objective(sets, &x, options);
-    for _ in 0..options.iterations {
-        let grad = gradient(universe_size, sets, &x, options);
+    let mut relaxed_value = objective(sets, &x, cross);
+    for _ in 0..ITERATIONS {
+        let grad = gradient(universe_size, sets, &x, cross);
         for i in 0..n {
-            x[i] = (x[i] + options.step * grad[i]).clamp(0.0, 1.0);
+            x[i] = (x[i] + STEP * grad[i]).clamp(0.0, 1.0);
         }
-        relaxed_value = relaxed_value.max(objective(sets, &x, options));
+        relaxed_value = relaxed_value.max(objective(sets, &x, cross));
     }
 
     // --- randomized rounding (Algorithm 2) -----------------------------------
@@ -113,8 +98,7 @@ pub fn tightest_lsim<R: Rng + ?Sized>(
     let mut best_cover: Option<Vec<usize>> = None;
     let mut picked: Vec<bool> = vec![false; n];
     for _ in 0..rounds {
-        for (i, set) in sets.iter().enumerate() {
-            let _ = set;
+        for i in 0..n {
             if !picked[i] && rng.gen::<f64>() < x[i] {
                 picked[i] = true;
             }
@@ -131,7 +115,7 @@ pub fn tightest_lsim<R: Rng + ?Sized>(
     let mut best_value = 0.0;
     let mut best_chosen = Vec::new();
     for cover in [best_cover, greedy].into_iter().flatten() {
-        let value = lsim_value(sets, &cover, options);
+        let value = lsim_value(sets, &cover, cross);
         if value > best_value {
             best_value = value;
             best_chosen = cover;
@@ -145,35 +129,34 @@ pub fn tightest_lsim<R: Rng + ?Sized>(
 }
 
 /// The Lsim value of a specific cover: `Σ lower − Σ_{i<j} cross` clamped at 0.
-pub fn lsim_value(sets: &[LsimSet], chosen: &[usize], options: &QpOptions) -> f64 {
+pub fn lsim_value(sets: &[LsimSet], chosen: &[usize], cross: CrossTermRule) -> f64 {
     let mut total = 0.0;
     for &i in chosen {
         total += sets[i].lower;
     }
     for (a, &i) in chosen.iter().enumerate() {
         for &j in chosen.iter().skip(a + 1) {
-            total -= cross_term(&sets[i], &sets[j], options);
+            total -= cross_term(&sets[i], &sets[j], cross);
         }
     }
     total.max(0.0)
 }
 
-fn cross_term(a: &LsimSet, b: &LsimSet, options: &QpOptions) -> f64 {
-    if options.paper_product_cross_term {
-        a.upper * b.upper
-    } else {
-        a.upper.min(b.upper)
+fn cross_term(a: &LsimSet, b: &LsimSet, cross: CrossTermRule) -> f64 {
+    match cross {
+        CrossTermRule::SafeMin => a.upper.min(b.upper),
+        CrossTermRule::PaperProduct => a.upper * b.upper,
     }
 }
 
-fn objective(sets: &[LsimSet], x: &[f64], options: &QpOptions) -> f64 {
+fn objective(sets: &[LsimSet], x: &[f64], cross: CrossTermRule) -> f64 {
     let mut total = 0.0;
     for (i, s) in sets.iter().enumerate() {
         total += x[i] * s.lower;
     }
     for i in 0..sets.len() {
         for j in (i + 1)..sets.len() {
-            total -= x[i] * x[j] * cross_term(&sets[i], &sets[j], options);
+            total -= x[i] * x[j] * cross_term(&sets[i], &sets[j], cross);
         }
     }
     total
@@ -181,14 +164,14 @@ fn objective(sets: &[LsimSet], x: &[f64], options: &QpOptions) -> f64 {
 
 /// Gradient of the penalised objective
 /// `Σ x_i lower_i − Σ_{i<j} x_i x_j cross_ij − penalty · Σ_e max(0, 1 − Σ_{s∋e} x_s)`.
-fn gradient(universe_size: usize, sets: &[LsimSet], x: &[f64], options: &QpOptions) -> Vec<f64> {
+fn gradient(universe_size: usize, sets: &[LsimSet], x: &[f64], cross: CrossTermRule) -> Vec<f64> {
     let n = sets.len();
     let mut grad = vec![0.0; n];
     for i in 0..n {
         grad[i] += sets[i].lower;
         for j in 0..n {
             if j != i {
-                grad[i] -= x[j] * cross_term(&sets[i], &sets[j], options);
+                grad[i] -= x[j] * cross_term(&sets[i], &sets[j], cross);
             }
         }
     }
@@ -203,7 +186,7 @@ fn gradient(universe_size: usize, sets: &[LsimSet], x: &[f64], options: &QpOptio
         if coverage < 1.0 {
             for (i, s) in sets.iter().enumerate() {
                 if s.elements.contains(&e) {
-                    grad[i] += options.penalty * (1.0 - coverage);
+                    grad[i] += PENALTY * (1.0 - coverage);
                 }
             }
         }
@@ -282,18 +265,14 @@ mod tests {
         // valid cover with the best of those values.
         let sets = vec![set(&[0], 0.28, 0.36), set(&[0, 1, 2], 0.08, 0.15)];
         let mut rng = StdRng::seed_from_u64(1);
-        let sol = tightest_lsim(3, &sets, &QpOptions::default(), &mut rng);
+        let sol = tightest_lsim(3, &sets, CrossTermRule::SafeMin, &mut rng);
         assert!(covers(3, &sets, &sol.chosen), "must return a cover");
         assert!(sol.value >= 0.08 - 1e-12);
         assert!(sol.value <= 0.28 + 0.08);
 
         // With the paper's product cross term the combined cover scores
         // 0.28 + 0.08 − 0.36·0.15 = 0.306 ≈ the paper's 0.31.
-        let paper_opts = QpOptions {
-            paper_product_cross_term: true,
-            ..QpOptions::default()
-        };
-        let sol_paper = tightest_lsim(3, &sets, &paper_opts, &mut rng);
+        let sol_paper = tightest_lsim(3, &sets, CrossTermRule::PaperProduct, &mut rng);
         assert!(
             (sol_paper.value - 0.306).abs() < 0.02,
             "paper cross term should reproduce Example 4's 0.31, got {}",
@@ -305,7 +284,7 @@ mod tests {
     fn uncoverable_instance_gives_zero() {
         let sets = vec![set(&[0], 0.5, 0.6)];
         let mut rng = StdRng::seed_from_u64(2);
-        let sol = tightest_lsim(2, &sets, &QpOptions::default(), &mut rng);
+        let sol = tightest_lsim(2, &sets, CrossTermRule::SafeMin, &mut rng);
         assert_eq!(sol.value, 0.0);
         assert!(sol.chosen.is_empty());
     }
@@ -313,9 +292,9 @@ mod tests {
     #[test]
     fn empty_universe_and_empty_sets() {
         let mut rng = StdRng::seed_from_u64(3);
-        let sol = tightest_lsim(0, &[], &QpOptions::default(), &mut rng);
+        let sol = tightest_lsim(0, &[], CrossTermRule::SafeMin, &mut rng);
         assert_eq!(sol.value, 0.0);
-        let sol = tightest_lsim(2, &[], &QpOptions::default(), &mut rng);
+        let sol = tightest_lsim(2, &[], CrossTermRule::SafeMin, &mut rng);
         assert_eq!(sol.value, 0.0);
     }
 
@@ -327,7 +306,7 @@ mod tests {
             set(&[1], 0.1, 0.2),
         ];
         let mut rng = StdRng::seed_from_u64(4);
-        let sol = tightest_lsim(2, &sets, &QpOptions::default(), &mut rng);
+        let sol = tightest_lsim(2, &sets, CrossTermRule::SafeMin, &mut rng);
         assert!(sol.value >= 0.9 - 1e-9, "value {}", sol.value);
         assert!(covers(2, &sets, &sol.chosen));
     }
@@ -339,7 +318,7 @@ mod tests {
             set(&[1], 0.1, 0.9),
             set(&[2], 0.1, 0.9),
         ];
-        let value = lsim_value(&sets, &[0, 1, 2], &QpOptions::default());
+        let value = lsim_value(&sets, &[0, 1, 2], CrossTermRule::SafeMin);
         assert!(value >= 0.0);
         // Raw sum would be 0.3 − 3·0.9 < 0; the clamp keeps the bound trivial
         // but valid.
@@ -350,15 +329,8 @@ mod tests {
     fn cross_term_rules_differ() {
         let a = set(&[0], 0.3, 0.5);
         let b = set(&[1], 0.3, 0.5);
-        let safe = lsim_value(&[a.clone(), b.clone()], &[0, 1], &QpOptions::default());
-        let paper = lsim_value(
-            &[a, b],
-            &[0, 1],
-            &QpOptions {
-                paper_product_cross_term: true,
-                ..QpOptions::default()
-            },
-        );
+        let safe = lsim_value(&[a.clone(), b.clone()], &[0, 1], CrossTermRule::SafeMin);
+        let paper = lsim_value(&[a, b], &[0, 1], CrossTermRule::PaperProduct);
         assert!((safe - (0.6 - 0.5)).abs() < 1e-12);
         assert!((paper - (0.6 - 0.25)).abs() < 1e-12);
         assert!(paper > safe);
@@ -373,7 +345,7 @@ mod tests {
             set(&[0, 3], 0.25, 0.35),
         ];
         let mut rng = StdRng::seed_from_u64(5);
-        let sol = tightest_lsim(4, &sets, &QpOptions::default(), &mut rng);
+        let sol = tightest_lsim(4, &sets, CrossTermRule::SafeMin, &mut rng);
         assert!(covers(4, &sets, &sol.chosen));
         assert!(sol.value > 0.0);
         assert!(sol.relaxed_value.is_finite());

@@ -26,12 +26,12 @@
 //!   survivor's skeleton from the database graph itself (the engine keeps no
 //!   second copy) next to its cached S-Index summary.  Sublinear in the
 //!   database size for selective queries.  The engine builds the tester over
-//!   the relaxed set it computed for the query;
-//!   [`structural_candidates_indexed`] builds one itself.
+//!   the relaxed set it computed for the query.
 //! * [`structural_candidates`] — the brute-force reference: a sequential
 //!   full scan with the per-graph filter.  The tester (and with it the query
 //!   histogram) is still built once per query, but every skeleton is
-//!   visited.  Kept for index-free callers and the equivalence tests.
+//!   visited and summarised once.  Kept for index-free callers and the
+//!   equivalence tests.
 //!
 //! Both return the same index set, bit for bit, for every input — the
 //! determinism suite and a randomized property test pin this.
@@ -60,27 +60,16 @@ pub struct StructuralFilterStats {
 pub fn structural_candidates(skeletons: &[Graph], q: &Graph, delta: usize) -> Vec<usize> {
     // Built once per query, not once per candidate skeleton.
     let tester = SimilarityTester::new(q, delta);
+    let qs = tester.query_summary();
     skeletons
         .iter()
         .enumerate()
         .filter(|(_, g)| {
-            passes_feature_count_filter_summarized(tester.query_summary(), g, delta)
-                && tester.matches(g, StructuralSummary::of(g).view())
+            let gs = StructuralSummary::of(g);
+            qs.signature_deficit(&gs, delta) <= delta && tester.matches(g, gs.view())
         })
         .map(|(i, _)| i)
         .collect()
-}
-
-/// [`structural_candidates_tested`] with a tester that enumerates the
-/// relaxed query set itself.
-pub fn structural_candidates_indexed(
-    index: &StructuralIndex,
-    db: &[ProbabilisticGraph],
-    q: &Graph,
-    delta: usize,
-    threads: usize,
-) -> (Vec<usize>, StructuralFilterStats) {
-    structural_candidates_tested(index, db, &SimilarityTester::new(q, delta), threads)
 }
 
 /// `SC_q` via the S-Index: posting-list deficit accumulation generates the
@@ -120,37 +109,12 @@ pub fn structural_candidates_tested(
 }
 
 /// Grafil-style edge-signature count filter: a necessary condition for
-/// `dis(q, g) ≤ delta`.
+/// `dis(q, g) ≤ delta`.  Every edge deletion removes exactly one
+/// edge-signature occurrence from the query, so if `q` minus at most `delta`
+/// edges embeds in `g`, the total per-signature deficit
+/// `Σ max(0, count_q(sig) − count_g(sig))` cannot exceed `delta`.
 pub fn passes_feature_count_filter(q: &Graph, g: &Graph, delta: usize) -> bool {
-    passes_feature_count_filter_summarized(&StructuralSummary::of(q), g, delta)
-}
-
-/// [`passes_feature_count_filter`] against a precomputed query summary, so a
-/// scan over many graphs builds the query histogram exactly once.  Only the
-/// data graph's edge-signature histogram is needed — building its full
-/// summary (vertex labels, degree sort) here would make the scan pay for
-/// state it never reads.
-pub fn passes_feature_count_filter_summarized(
-    q_summary: &StructuralSummary,
-    g: &Graph,
-    delta: usize,
-) -> bool {
-    if q_summary.edge_count() <= delta {
-        return true;
-    }
-    // Every edge deletion removes exactly one edge-signature occurrence from
-    // the query, so if `q` minus at most `delta` edges embeds in `g`, the total
-    // per-signature deficit `Σ max(0, count_q(sig) − count_g(sig))` cannot
-    // exceed `delta`.
-    let gh = g.edge_signature_histogram();
-    let mut deficit = 0usize;
-    for &(sig, qc) in q_summary.edge_signatures() {
-        deficit += (qc as usize).saturating_sub(gh.get(&sig).copied().unwrap_or(0));
-        if deficit > delta {
-            return false;
-        }
-    }
-    true
+    StructuralSummary::of(q).signature_deficit(&StructuralSummary::of(g), delta) <= delta
 }
 
 #[cfg(test)]
@@ -233,15 +197,16 @@ mod tests {
         let q = query();
         for delta in 0..=4 {
             let brute = structural_candidates(&db, &q, delta);
+            let tester = SimilarityTester::new(&q, delta);
             for threads in [1usize, 0, 3] {
-                let (indexed, stats) =
-                    structural_candidates_indexed(&index, &pdb, &q, delta, threads);
+                let (indexed, stats) = structural_candidates_tested(&index, &pdb, &tester, threads);
                 assert_eq!(indexed, brute, "delta = {delta}, threads = {threads}");
                 assert!(stats.filter_survivors >= indexed.len());
             }
         }
         // The unrelated graph 3 is never even touched for a selective query.
-        let (_, stats) = structural_candidates_indexed(&index, &pdb, &q, 0, 1);
+        let (_, stats) =
+            structural_candidates_tested(&index, &pdb, &SimilarityTester::new(&q, 0), 1);
         assert_eq!(stats.filter_survivors, 1);
         assert!(stats.posting_entries_scanned > 0);
     }
@@ -278,7 +243,9 @@ mod tests {
         let candidates = structural_candidates(&db, &q, 1);
         assert_eq!(candidates.len(), db.len());
         let index = StructuralIndex::build(&db);
-        let (indexed, stats) = structural_candidates_indexed(&index, &probabilistic(&db), &q, 1, 1);
+        let tester = SimilarityTester::new(&q, 1);
+        let (indexed, stats) =
+            structural_candidates_tested(&index, &probabilistic(&db), &tester, 1);
         assert_eq!(indexed.len(), db.len());
         // The vacuous filter never walks a posting list.
         assert_eq!(stats.posting_entries_scanned, 0);
@@ -288,7 +255,9 @@ mod tests {
     fn empty_database_gives_no_candidates() {
         assert!(structural_candidates(&[], &query(), 1).is_empty());
         let index = StructuralIndex::build(&[]);
-        assert!(structural_candidates_indexed(&index, &[], &query(), 1, 1)
+        let q = query();
+        let tester = SimilarityTester::new(&q, 1);
+        assert!(structural_candidates_tested(&index, &[], &tester, 1)
             .0
             .is_empty());
     }

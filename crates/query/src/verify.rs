@@ -30,17 +30,15 @@
 //! the `Exact` baseline of Figures 9 and 13.
 
 use crate::pipeline::QueryError;
-use pgs_graph::embeddings::EdgeSet;
 use pgs_graph::model::Graph;
-use pgs_graph::relax::relax_query_clamped;
-use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};
 use pgs_prob::error::ProbError;
 use pgs_prob::exact::exact_ssp;
 use pgs_prob::model::ProbabilisticGraph;
 use pgs_prob::montecarlo::MonteCarloConfig;
 use pgs_prob::union_sampler::{StoppingRule, UnionSampler};
 use rand::Rng;
-use std::collections::HashSet;
+
+pub use pgs_prob::exact::collect_embeddings_of_relaxations;
 
 /// Options of the verification sampler.
 #[derive(Debug, Clone, Copy)]
@@ -130,22 +128,6 @@ impl VerifyOutcome {
             early: None,
         }
     }
-}
-
-/// Estimates `Pr(q ⊆sim g)` with the fixed-budget Algorithm 5 sampler,
-/// deriving the relaxed query set internally.
-pub fn verify_ssp_sampled<R: Rng + ?Sized>(
-    pg: &ProbabilisticGraph,
-    q: &Graph,
-    delta: usize,
-    options: &VerifyOptions,
-    rng: &mut R,
-) -> f64 {
-    if q.edge_count() <= delta {
-        return 1.0;
-    }
-    let relaxed = relax_query_clamped(q, delta);
-    verify_ssp_with_stats(pg, q, delta, &relaxed, options, 1, rng).ssp
 }
 
 /// Fixed-budget verification with work counters: [`verify_ssp`] under a
@@ -244,47 +226,14 @@ pub fn verify_ssp_exact(
     exact_ssp(pg, q, delta, limit)
 }
 
-/// Collects the distinct embeddings (edge sets) of every graph in `relaxed`
-/// within the skeleton of `pg`, capped at `max_embeddings` in total.
-///
-/// Deduplication is a hash-set membership test on the (already sorted)
-/// edge set — O(1) amortised per embedding instead of the former
-/// `Vec::contains` linear scan, which made collection quadratic in the
-/// embedding cap.  The output keeps first-seen order, so the collected list
-/// is identical to what the linear scan produced.
-pub fn collect_embeddings_of_relaxations(
-    pg: &ProbabilisticGraph,
-    relaxed: &[Graph],
-    max_embeddings: usize,
-) -> Vec<EdgeSet> {
-    let mut seen: HashSet<EdgeSet> = HashSet::new();
-    let mut out: Vec<EdgeSet> = Vec::new();
-    for rq in relaxed {
-        if rq.edge_count() == 0 {
-            continue;
-        }
-        let outcome = enumerate_embeddings(
-            rq,
-            pg.skeleton(),
-            MatchOptions::capped(max_embeddings.saturating_sub(out.len()).max(1)),
-        );
-        for emb in outcome.embeddings {
-            if seen.insert(emb.edges.clone()) {
-                out.push(emb.edges);
-            }
-        }
-        if out.len() >= max_embeddings {
-            break;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pgs_datagen::scenarios::verification_candidate;
+    use pgs_graph::embeddings::EdgeSet;
     use pgs_graph::model::{EdgeId, GraphBuilder};
+    use pgs_graph::relax::relax_query_clamped;
+    use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};
     use pgs_prob::jpt::JointProbTable;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -318,6 +267,18 @@ mod tests {
             .build()
     }
 
+    /// The fixed-budget SSP estimate of `q` at `delta`.
+    fn sampled_ssp(
+        pg: &ProbabilisticGraph,
+        q: &Graph,
+        delta: usize,
+        options: &VerifyOptions,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let relaxed = relax_query_clamped(q, delta);
+        verify_ssp_with_stats(pg, q, delta, &relaxed, options, 1, rng).ssp
+    }
+
     #[test]
     fn sampled_ssp_matches_exact_on_the_fixture() {
         let pg = fixture_002();
@@ -335,7 +296,7 @@ mod tests {
                 },
                 ..VerifyOptions::default()
             };
-            let sampled = verify_ssp_sampled(&pg, &q, delta, &options, &mut rng);
+            let sampled = sampled_ssp(&pg, &q, delta, &options, &mut rng);
             assert!(
                 (sampled - exact).abs() < 0.03,
                 "delta={delta}: sampled {sampled} vs exact {exact}"
@@ -420,13 +381,12 @@ mod tests {
         let q = query();
         let mut rng = StdRng::seed_from_u64(7);
         let exact = verify_ssp_exact(&pg, &q, 1, 22).unwrap();
-        let via_default = verify_ssp_sampled(&pg, &q, 1, &VerifyOptions::default(), &mut rng);
-        // With the default cutoff (12 ≥ 5 relevant edges) the result is exact.
-        assert!((via_default - exact).abs() < 1e-9);
-        // The stats variant reports the shortcut.
         let relaxed = relax_query_clamped(&q, 1);
         let outcome =
             verify_ssp_with_stats(&pg, &q, 1, &relaxed, &VerifyOptions::default(), 1, &mut rng);
+        // With the default cutoff (12 ≥ 5 relevant edges) the result is exact,
+        // and the outcome reports the shortcut.
+        assert!((outcome.ssp - exact).abs() < 1e-9);
         assert!(outcome.exact);
         assert_eq!(outcome.samples_drawn, 0);
     }
@@ -438,13 +398,13 @@ mod tests {
         // Query smaller than delta: probability 1.
         let tiny = GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 9).build();
         assert_eq!(
-            verify_ssp_sampled(&pg, &tiny, 1, &VerifyOptions::default(), &mut rng),
+            sampled_ssp(&pg, &tiny, 1, &VerifyOptions::default(), &mut rng),
             1.0
         );
         // Query with labels absent from the graph: probability 0.
         let foreign = GraphBuilder::new().vertices(&[8, 9]).edge(0, 1, 9).build();
         assert_eq!(
-            verify_ssp_sampled(&pg, &foreign, 0, &VerifyOptions::default(), &mut rng),
+            sampled_ssp(&pg, &foreign, 0, &VerifyOptions::default(), &mut rng),
             0.0
         );
     }
@@ -680,9 +640,9 @@ mod tests {
         let q = query();
         let mut rng = StdRng::seed_from_u64(21);
         let opts = VerifyOptions::default();
-        let p0 = verify_ssp_sampled(&pg, &q, 0, &opts, &mut rng);
-        let p1 = verify_ssp_sampled(&pg, &q, 1, &opts, &mut rng);
-        let p2 = verify_ssp_sampled(&pg, &q, 2, &opts, &mut rng);
+        let p0 = sampled_ssp(&pg, &q, 0, &opts, &mut rng);
+        let p1 = sampled_ssp(&pg, &q, 1, &opts, &mut rng);
+        let p2 = sampled_ssp(&pg, &q, 2, &opts, &mut rng);
         assert!(p0 <= p1 + 0.05);
         assert!(p1 <= p2 + 0.05);
     }

@@ -21,8 +21,9 @@ use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
 use pgs::query::pipeline::QueryEngine;
 use pgs::query::prune::{bound_candidate, BoundInstance, FeatureRelation};
-use pgs::query::structural::{structural_candidates, structural_candidates_indexed};
+use pgs::query::structural::{structural_candidates, structural_candidates_tested};
 use pgs::query::verify::VerifyOptions;
+use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::EdgeId;
 use pgs_graph::relax::relax_query_clamped;
 use pgs_graph::summary::StructuralSummary;
@@ -408,8 +409,9 @@ fn assert_same_phase2(
                 let optimal = variant == PruningVariant::OptSspBound;
                 if optimal {
                     let sindex = got.pmi().sindex().unwrap();
+                    let tester = SimilarityTester::new(q, delta);
                     let (structural, _) =
-                        structural_candidates_indexed(sindex, got.db(), q, delta, 1);
+                        structural_candidates_tested(sindex, got.db(), &tester, 1);
                     let recount = structural
                         .iter()
                         .filter(|&&gi| {
@@ -662,14 +664,10 @@ fn sindex_matches_bruteforce_on_a_generated_workload() {
     for wq in &queries {
         for delta in 0..=3 {
             let brute = structural_candidates(&skeletons, &wq.graph, delta);
+            let tester = SimilarityTester::new(&wq.graph, delta);
             for threads in [1usize, 0] {
-                let (indexed, stats) = structural_candidates_indexed(
-                    &index,
-                    &dataset.graphs,
-                    &wq.graph,
-                    delta,
-                    threads,
-                );
+                let (indexed, stats) =
+                    structural_candidates_tested(&index, &dataset.graphs, &tester, threads);
                 assert_eq!(
                     indexed,
                     brute,
@@ -733,7 +731,8 @@ proptest! {
             .map(|g| ProbabilisticGraph::independent(g.clone(), &vec![0.5; g.edge_count()]).unwrap())
             .collect();
         let brute = structural_candidates(&db, &q, delta);
-        let (indexed, stats) = structural_candidates_indexed(&index, &pdb, &q, delta, 1);
+        let tester = SimilarityTester::new(&q, delta);
+        let (indexed, stats) = structural_candidates_tested(&index, &pdb, &tester, 1);
         prop_assert_eq!(&indexed, &brute);
         prop_assert!(stats.filter_survivors >= indexed.len());
         // Incremental construction yields the same index, hence the same set.
@@ -741,7 +740,7 @@ proptest! {
         for g in &db {
             grown.append_summary(StructuralSummary::of(g));
         }
-        let (grown_set, _) = structural_candidates_indexed(&grown, &pdb, &q, delta, 1);
+        let (grown_set, _) = structural_candidates_tested(&grown, &pdb, &tester, 1);
         prop_assert_eq!(&grown_set, &brute);
     }
 }

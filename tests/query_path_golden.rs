@@ -26,12 +26,20 @@
 //! every phase reads, in order) and the miner's patterns with their support
 //! lists.  Both digests were computed with the brute-force `n!` canonical
 //! code, so the cheaper code must reproduce them; never regenerate them.
+//! Three more digests pin paths the file does not reach, on the same PPI
+//! workload: the bit patterns of `exact_ssp`, the answers and counters of
+//! the `Exact` baseline scan, and phase 2's `(Usim, Lsim)` pairs under both
+//! cross-term rules.  Their expected values were computed once, before the
+//! search primitives lost their single-valued options; never regenerate
+//! them either.
 
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
+use pgs::prob::exact::exact_ssp;
 use pgs::prob::montecarlo::MonteCarloConfig;
-use pgs::query::pipeline::{PhaseStats, QueryEngine, TopkResult};
+use pgs::query::pipeline::{ExactScanConfig, PhaseStats, QueryEngine, TopkResult};
+use pgs::query::prune::{bound_candidate, CrossTermRule, FeatureRelation};
 use pgs::query::verify::{verify_ssp_with_stats, VerifyOptions};
 use pgs_datagen::scenarios::verification_candidate;
 use pgs_graph::mining::{mine_frequent_patterns, MiningOptions};
@@ -473,4 +481,113 @@ fn relaxed_query_sets_match_the_pinned_digest() {
         }
     }
     assert_eq!(format!("{total}:{:016x}", h.0), "1464:9f7dc094004ae486");
+}
+
+/// Pins the bit pattern of `exact_ssp` (Lemma 1: the union of the relaxed
+/// queries' embeddings, evaluated by world enumeration) for every golden
+/// query against every golden graph at δ ∈ {0, 1, 2}.  A graph whose union
+/// spans more relevant edges than the limit contributes its error marker.
+/// The expected value was computed once and must never be regenerated.
+#[test]
+fn exact_ssp_bits_match_the_pinned_digest() {
+    let (graphs, queries) = ppi_workload();
+    let mut h = Fnv::new();
+    let mut errors = 0usize;
+    for q in &queries {
+        for delta in 0..=2usize {
+            for pg in &graphs {
+                match exact_ssp(pg, q, delta, 22) {
+                    Ok(ssp) => h.word(ssp.to_bits()),
+                    Err(_) => {
+                        errors += 1;
+                        h.word(u64::MAX);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(format!("{errors}:{:016x}", h.0), "0:ed5f40a78a14bb80");
+}
+
+/// Pins the `Exact` baseline scan: answers and deterministic counters for
+/// every golden query at δ ∈ {0, 1, 2, |E(q)|} and ε ∈ {0.1, 0.4}, once with the
+/// default exact-enumeration cap and once with a cap of 4 relevant edges
+/// and a verifier without an exact cutoff, which sends most graphs down the
+/// sampling fallback.  The expected value was computed once and must never
+/// be regenerated.
+#[test]
+fn exact_scan_matches_the_pinned_digest() {
+    let (graphs, queries) = ppi_workload();
+    let built = QueryEngine::build(graphs.clone(), engine_config(1, true, 12));
+    let mut h = Fnv::new();
+    let mut answers = 0usize;
+    for (exact_edge_cap, exact_cutoff) in [(22usize, 12usize), (4, 0)] {
+        let config = EngineConfig {
+            exact: ExactScanConfig {
+                exact_edge_cap,
+                ..ExactScanConfig::default()
+            },
+            ..engine_config(0, true, exact_cutoff)
+        };
+        let engine = QueryEngine::from_parts(graphs.clone(), built.pmi().clone(), config).unwrap();
+        for q in &queries {
+            for delta in [0, 1, 2, q.edge_count()] {
+                for epsilon in [0.1, 0.4] {
+                    let params = QueryParams {
+                        epsilon,
+                        delta,
+                        variant: PruningVariant::OptSspBound,
+                    };
+                    let r = engine.exact_scan(q, &params).unwrap();
+                    answers += r.answers.len();
+                    h.word(r.answers.len() as u64);
+                    for &gi in &r.answers {
+                        h.word(gi as u64);
+                    }
+                    for byte in render_stats(&r.stats).bytes() {
+                        h.word(byte as u64);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(format!("{answers}:{:016x}", h.0), "526:2d1da9ffa49f2bc5");
+}
+
+/// Pins phase 2's raw bound pairs: `bound_candidate`'s `(Usim, Lsim)` bits
+/// for every golden query and graph at δ ∈ {1, 2, 3}, for the tightest and the
+/// untightened bounds under both cross-term rules (the golden file only
+/// runs `SafeMin`).  Each call gets an RNG seeded from its position, so the
+/// pairs do not depend on call order.  The expected value was computed once
+/// and must never be regenerated.
+#[test]
+fn bound_pairs_match_the_pinned_digest() {
+    let (graphs, queries) = ppi_workload();
+    let engine = QueryEngine::build(graphs, engine_config(1, true, 12));
+    let pmi = engine.pmi();
+    let mut h = Fnv::new();
+    let mut positive_lsim = 0usize;
+    for (qi, q) in queries.iter().enumerate() {
+        for delta in 1..=3usize {
+            let relaxed = relax_query_clamped(q, delta);
+            let relation = FeatureRelation::new(pmi, &relaxed);
+            for gi in 0..pmi.graph_count() {
+                for optimal in [true, false] {
+                    for cross in [CrossTermRule::SafeMin, CrossTermRule::PaperProduct] {
+                        let seed = (qi * 1000 + delta * 100 + gi) as u64;
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let (usim, lsim) =
+                            bound_candidate(pmi, gi, &relation, optimal, cross, &mut rng);
+                        positive_lsim += usize::from(lsim > 0.0);
+                        h.word(usim.to_bits());
+                        h.word(lsim.to_bits());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        format!("{positive_lsim}:{:016x}", h.0),
+        "14:9d9fdd527432bf01"
+    );
 }
