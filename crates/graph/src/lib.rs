@@ -61,8 +61,7 @@ pub use error::GraphError;
 pub use mcs::{mcs_size, subgraph_distance, subgraph_similar, SimilarityTester};
 pub use model::{EdgeId, Graph, GraphBuilder, Label, VertexId};
 pub use parallel::{
-    derive_seed, mix64, par_map_chunked, par_map_chunked_costed, resolve_threads, CostHint,
-    MAX_THREADS,
+    derive_seed, mix64, par_map_chunked_costed, resolve_threads, CostHint, MAX_THREADS,
 };
 pub use relax::{relax_query, relax_query_clamped};
 pub use summary::{EdgeSignature, StructuralSummary, SummaryView};

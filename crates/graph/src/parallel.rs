@@ -27,7 +27,7 @@ use std::sync::{Mutex, OnceLock};
 /// Automatic resolution is memoized: the first call reads
 /// [`std::thread::available_parallelism`] clamped to 8, and every later call
 /// returns the cached value.  `available_parallelism` is a syscall, and it
-/// used to be re-issued on every `par_map_chunked` call in every phase of
+/// used to be re-issued on every chunked-map call in every phase of
 /// every query — pure hot-path overhead for an answer that never changes.
 pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -89,9 +89,8 @@ impl CostHint {
 }
 
 /// Maps `f` over `items` with up to `threads` pool workers (`0` = automatic),
-/// preserving input order in the output.  Assumes [`CostHint::MODERATE`]
-/// items; use [`par_map_chunked_costed`] when the closure's cost class is
-/// known to differ.
+/// preserving input order in the output; `cost` is the closure's per-item
+/// cost class.
 ///
 /// The closure receives the *global* index of the item so per-item seeds can
 /// be derived identically no matter how the items are chunked; consequently
@@ -99,16 +98,6 @@ impl CostHint {
 /// is a pure function of `(index, item)`.  With one worker, zero/one items,
 /// or a predicted workload under the dispatch floor, the map runs inline on
 /// the caller and the pool is not touched at all.
-pub fn par_map_chunked<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_chunked_costed(items, threads, CostHint::MODERATE, f)
-}
-
-/// [`par_map_chunked`] with an explicit per-item cost class.
 ///
 /// The cost model only decides *whether* to dispatch — never how the items
 /// are chunked — so inline and pooled runs of the same input are
@@ -229,7 +218,7 @@ mod tests {
         let items: Vec<usize> = (0..37).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * 2).collect();
         for threads in [1, 2, 3, 4, 8, 16] {
-            let got = par_map_chunked(&items, threads, |i, &x| {
+            let got = par_map_chunked_costed(&items, threads, CostHint::MODERATE, |i, &x| {
                 assert_eq!(i, x, "global index must match the item position");
                 x * 2
             });
@@ -253,8 +242,11 @@ mod tests {
     #[test]
     fn par_map_handles_empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map_chunked(&empty, 4, |_, &x| x).is_empty());
-        assert_eq!(par_map_chunked(&[7u32], 4, |_, &x| x + 1), vec![8]);
+        assert!(par_map_chunked_costed(&empty, 4, CostHint::MODERATE, |_, &x| x).is_empty());
+        assert_eq!(
+            par_map_chunked_costed(&[7u32], 4, CostHint::MODERATE, |_, &x| x + 1),
+            vec![8]
+        );
     }
 
     #[test]

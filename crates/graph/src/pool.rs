@@ -1,4 +1,4 @@
-//! Persistent worker pool behind [`crate::parallel::par_map_chunked`].
+//! Persistent worker pool behind [`crate::parallel::par_map_chunked_costed`].
 //!
 //! The original executor spawned fresh `std::thread::scope` workers on every
 //! call — several spawns per query phase, several phases per query.  On a
@@ -115,7 +115,7 @@ struct Shared {
 
 /// A persistent pool of parked worker threads.
 ///
-/// Most code should go through [`crate::parallel::par_map_chunked`], which
+/// Most code should go through [`crate::parallel::par_map_chunked_costed`], which
 /// dispatches on the process-wide [`global`] pool; constructing a private
 /// pool is useful in tests that need to observe worker counts in isolation.
 pub struct WorkerPool {
@@ -263,7 +263,7 @@ fn worker_loop(shared: &Shared) {
 
 static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
-/// The process-wide pool used by [`crate::parallel::par_map_chunked`].
+/// The process-wide pool used by [`crate::parallel::par_map_chunked_costed`].
 pub fn global() -> &'static WorkerPool {
     GLOBAL.get_or_init(WorkerPool::new)
 }

@@ -47,6 +47,10 @@ const SEED_PHASE_PRUNE: u64 = 0x7072_756e_6500_0001; // "prune"
 const SEED_PHASE_VERIFY: u64 = 0x7665_7269_6679_0002; // "verify"
 const SEED_PHASE_EXACT_FALLBACK: u64 = 0x6578_6163_7400_9e37; // "exact"
 
+/// Churn fraction at which [`QueryEngine::should_remine`] recommends a
+/// re-mine.
+const REMINE_THRESHOLD: f64 = 0.5;
+
 /// Which pruning stack a query run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruningVariant {
@@ -285,20 +289,6 @@ pub struct TopkResult {
     /// Per-phase statistics (including the top-k telemetry counters
     /// `samples_saved`, `early_rejects` and `topk_pruned`).
     pub stats: PhaseStats,
-}
-
-/// The result of a [`QueryEngine::query_topk_batch`] run.
-#[derive(Debug, Clone, Default)]
-pub struct TopkBatchResult {
-    /// One [`TopkResult`] per input query, in input order; each is
-    /// byte-identical to what [`QueryEngine::query_topk`] would have
-    /// returned for that query alone.
-    pub results: Vec<TopkResult>,
-    /// Field-wise sum of the per-query statistics (CPU seconds, not
-    /// wall-clock — see [`BatchResult::stats`]).
-    pub stats: PhaseStats,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_seconds: f64,
 }
 
 /// A query was rejected before any work was done.
@@ -609,13 +599,13 @@ pub struct QueryResult {
     pub stats: PhaseStats,
 }
 
-/// The result of a [`QueryEngine::query_batch`] run.
+/// The result of a batch run: [`QueryEngine::query_batch`], or with
+/// `T = `[`TopkResult`], [`QueryEngine::query_topk_batch`].
 #[derive(Debug, Clone, Default)]
-pub struct BatchResult {
-    /// One [`QueryResult`] per input query, in input order; each is
-    /// byte-identical to what [`QueryEngine::query`] would have returned for
-    /// that query alone.
-    pub results: Vec<QueryResult>,
+pub struct BatchResult<T = QueryResult> {
+    /// One result per input query, in input order; each is byte-identical
+    /// to what the standalone call would have returned for that query alone.
+    pub results: Vec<T>,
     /// Field-wise sum of the per-query statistics.  The seconds fields are
     /// *CPU* seconds accumulated across workers, not wall-clock time — divide
     /// `queries` by [`BatchResult::wall_seconds`] for throughput.
@@ -624,7 +614,7 @@ pub struct BatchResult {
     pub wall_seconds: f64,
 }
 
-impl BatchResult {
+impl<T> BatchResult<T> {
     /// Queries answered per wall-clock second.
     pub fn queries_per_second(&self) -> f64 {
         self.results.len() as f64 / self.wall_seconds.max(1e-12)
@@ -760,6 +750,15 @@ impl QueryEngine {
         *self = QueryEngine::build(std::mem::take(&mut self.db), self.config);
     }
 
+    /// True once the churn since the features were last mined
+    /// (`Pmi::staleness`) reaches one half: incremental mutations keep the
+    /// bounds correct but never re-mine, so past that point the features
+    /// describe a database that no longer exists and [`Self::remine`] is
+    /// recommended.
+    pub fn should_remine(&self) -> bool {
+        self.pmi.staleness() >= REMINE_THRESHOLD
+    }
+
     /// The probabilistic matrix index.
     pub fn pmi(&self) -> &Pmi {
         &self.pmi
@@ -795,16 +794,11 @@ impl QueryEngine {
         params: &QueryParams,
     ) -> Result<BatchResult, QueryError> {
         self.validate_queries(params.validate(), queries)?;
-        let (results, stats, wall_seconds) = self.run_batch(
+        Ok(self.run_batch(
             queries,
             |q, threads| self.query_with_threads(q, params, threads),
             |r| &r.stats,
-        );
-        Ok(BatchResult {
-            results,
-            stats,
-            wall_seconds,
-        })
+        ))
     }
 
     /// Answers a ranked query: the `k` database graphs with the highest
@@ -831,18 +825,13 @@ impl QueryEngine {
         &self,
         queries: &[Graph],
         params: &TopkParams,
-    ) -> Result<TopkBatchResult, QueryError> {
+    ) -> Result<BatchResult<TopkResult>, QueryError> {
         self.validate_queries(params.validate(), queries)?;
-        let (results, stats, wall_seconds) = self.run_batch(
+        Ok(self.run_batch(
             queries,
             |q, threads| self.query_topk_with_threads(q, params, threads),
             |r| &r.stats,
-        );
-        Ok(TopkBatchResult {
-            results,
-            stats,
-            wall_seconds,
-        })
+        ))
     }
 
     /// The checks every query entry point runs before touching the index:
@@ -868,14 +857,13 @@ impl QueryEngine {
     /// sequentially, which avoids nested dispatch); with fewer queries each
     /// query runs its phases in parallel as a standalone call does.  Either
     /// way the per-candidate seeding makes every result identical to a
-    /// standalone call.  Returns the results in input order, their
-    /// field-wise summed statistics and the wall-clock seconds.
+    /// standalone call.
     fn run_batch<T: Send>(
         &self,
         queries: &[Graph],
         one: impl Fn(&Graph, usize) -> T + Sync,
         stats_of: impl Fn(&T) -> &PhaseStats,
-    ) -> (Vec<T>, PhaseStats, f64) {
+    ) -> BatchResult<T> {
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
         let threads = resolve_threads(self.config.threads);
@@ -891,7 +879,11 @@ impl QueryEngine {
         for r in &results {
             stats.accumulate(stats_of(r));
         }
-        (results, stats, t0.elapsed().as_secs_f64())
+        BatchResult {
+            results,
+            stats,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+        }
     }
 
     /// Phases 1 and 2, shared by threshold and top-k queries (`0` threads =
@@ -1290,6 +1282,7 @@ mod tests {
     use crate::verify::verify_ssp_exact;
     use pgs_datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
     use pgs_datagen::queries::{generate_query_workload, QueryWorkloadConfig};
+    use pgs_graph::model::GraphBuilder;
     use pgs_index::feature::FeatureSelectionParams;
     use pgs_index::sip_bounds::BoundsConfig;
 
@@ -1359,7 +1352,7 @@ mod tests {
         // Definition 8 counts edges only, so an isolated query vertex moves
         // no answer, even at δ = 0: a triangle plus a lone label-7 vertex
         // over two triangles whose SSP is 0.52³ ≈ 0.14.
-        let triangle = pgs_graph::model::GraphBuilder::new()
+        let triangle = GraphBuilder::new()
             .vertices(&[0, 1, 2])
             .edge(0, 1, 9)
             .edge(1, 2, 9)
@@ -1531,43 +1524,170 @@ mod tests {
         }
     }
 
+    /// Every rejected input is a typed [`QueryError`] with the rejected
+    /// values in its fields, returned by exactly the entry points that read
+    /// the input before any work is done (so no thread row reaches a pool
+    /// dispatch); every other entry point still answers.
     #[test]
-    fn invalid_shard_counts_are_a_typed_error() {
-        let (engine, queries) = small_engine();
-        let q = &queries[0].graph;
-        let params = QueryParams::default();
-        let topk = TopkParams {
-            k: 3,
-            delta: 1,
+    fn invalid_inputs_are_typed_errors_at_every_entry_point() {
+        const ALL: &[&str] = &[
+            "query",
+            "query_batch",
+            "exact_scan",
+            "query_topk",
+            "query_topk_batch",
+        ];
+        const THRESHOLD: &[&str] = &["query", "query_batch", "exact_scan"];
+        const TOPK: &[&str] = &["query_topk", "query_topk_batch"];
+
+        /// The inputs of one engine call; `ok` below is accepted everywhere.
+        #[derive(Clone)]
+        struct Input {
+            config: EngineConfig,
+            query: Graph,
+            epsilon: f64,
+            k: usize,
+        }
+        let base = EngineConfig::default();
+        let ok = Input {
+            config: base,
+            query: GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 0).build(),
+            epsilon: 0.5,
+            k: 1,
+        };
+        let with_config = |config: EngineConfig| Input {
+            config,
+            ..ok.clone()
+        };
+
+        // (inputs, the error, a phrase of its message, the entry points that
+        // must return it).
+        let mut cases: Vec<(Input, QueryError, &str, &[&str])> = vec![(
+            Input {
+                query: Graph::new(),
+                ..ok.clone()
+            },
+            QueryError::EmptyQuery,
+            "no edges",
+            ALL,
+        )];
+        for epsilon in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY] {
+            let input = Input {
+                epsilon,
+                ..ok.clone()
+            };
+            let err = QueryError::InvalidEpsilon { epsilon };
+            cases.push((input, err, "(0, 1]", THRESHOLD));
+        }
+        for k in [0, MAX_TOPK + 1, usize::MAX] {
+            let input = Input { k, ..ok.clone() };
+            cases.push((input, QueryError::InvalidK { k }, "between 1 and", TOPK));
+        }
+        for (tau, xi, max_samples) in [
+            (f64::NAN, 0.01, 1000),
+            (0.0, 0.01, 1000),
+            (-0.5, 0.01, 1000),
+            (0.05, f64::NAN, 1000),
+            (0.05, 0.0, 1000),
+            (0.05, 0.01, 0),
+        ] {
+            let mut config = base;
+            config.exact.fallback_mc = MonteCarloConfig {
+                tau,
+                xi,
+                max_samples,
+            };
+            let err = QueryError::InvalidExactScanConfig {
+                tau,
+                xi,
+                max_samples,
+            };
+            // The pipeline itself never reads the exact-scan settings.
+            cases.push((with_config(config), err, "sample cap", &["exact_scan"]));
+        }
+        for (max_embeddings, tau, xi) in [
+            (0, 0.1, 0.05),
+            (256, f64::NAN, 0.05),
+            (256, 0.0, 0.05),
+            (256, 0.1, -0.5),
+        ] {
+            let mut config = base;
+            config.verify.max_embeddings = max_embeddings;
+            config.verify.mc.tau = tau;
+            config.verify.mc.xi = xi;
+            let err = QueryError::InvalidVerifyOptions {
+                max_embeddings,
+                tau,
+                xi,
+            };
+            cases.push((with_config(config), err, "embedding cap", ALL));
+        }
+        for threads in [MAX_THREADS + 1, 100_000, usize::MAX] {
+            let input = with_config(EngineConfig { threads, ..base });
+            let err = QueryError::InvalidThreads {
+                threads,
+                max: MAX_THREADS,
+            };
+            cases.push((input, err, "at most", ALL));
+        }
+        for shards in [0, 2, 8, usize::MAX] {
+            let input = with_config(EngineConfig { shards, ..base });
+            let err = QueryError::InvalidShards { shards, max: 1 };
+            cases.push((input, err, "must be 1", ALL));
+        }
+
+        let triangle = GraphBuilder::new()
+            .vertices(&[0, 1, 2])
+            .edge(0, 1, 0)
+            .edge(1, 2, 0)
+            .edge(0, 2, 0)
+            .build();
+        let db = vec![ProbabilisticGraph::independent(triangle, &[0.5; 3]).unwrap()];
+        let threshold_params = |epsilon| QueryParams {
+            epsilon,
+            delta: 0,
             variant: PruningVariant::OptSspBound,
         };
-        for shards in [0usize, 2, 8, usize::MAX] {
-            let mut config = *engine.config();
-            config.shards = shards;
-            let broken = QueryEngine::build(engine.db().to_vec(), config);
-            for result in [
-                broken.query(q, &params).map(|r| r.answers),
-                broken.exact_scan(q, &params).map(|r| r.answers),
-                broken
-                    .query_batch(std::slice::from_ref(q), &params)
-                    .map(|b| b.results[0].answers.clone()),
-                broken
-                    .query_topk(q, &topk)
-                    .map(|r| r.ranked.iter().map(|a| a.graph).collect()),
-            ] {
-                match result {
-                    Err(QueryError::InvalidShards { shards: s, max }) => {
-                        assert_eq!(s, shards);
-                        assert_eq!(max, 1);
-                    }
-                    other => panic!("shards = {shards}: got {other:?}"),
+        let topk_params = |k| TopkParams {
+            k,
+            delta: 0,
+            variant: PruningVariant::OptSspBound,
+        };
+        for (input, expected, shows, failing) in cases {
+            let engine = QueryEngine::build(db.clone(), input.config);
+            let q = &input.query;
+            let qs = std::slice::from_ref(q);
+            let (params, topk) = (threshold_params(input.epsilon), topk_params(input.k));
+            let outcomes = [
+                ("query", engine.query(q, &params).err()),
+                ("query_batch", engine.query_batch(qs, &params).err()),
+                ("exact_scan", engine.exact_scan(q, &params).err()),
+                ("query_topk", engine.query_topk(q, &topk).err()),
+                ("query_topk_batch", engine.query_topk_batch(qs, &topk).err()),
+            ];
+            for (call, err) in outcomes {
+                if !failing.contains(&call) {
+                    assert_eq!(err, None, "{call} must accept the {expected:?} case");
+                    continue;
                 }
+                let err = err.unwrap_or_else(|| panic!("{call} must reject: {expected:?}"));
+                // Debug, not `==`: a NaN field never compares equal.
+                assert_eq!(format!("{err:?}"), format!("{expected:?}"), "{call}");
+                assert!(err.to_string().contains(shows), "{call}: {err}");
             }
         }
-        assert!(engine.query(q, &params).is_ok());
-        assert!(QueryError::InvalidShards { shards: 0, max: 1 }
-            .to_string()
-            .contains("must be 1"));
+
+        // The edges of the accepted ranges.
+        let capped = EngineConfig {
+            threads: MAX_THREADS,
+            ..base
+        };
+        assert!(QueryEngine::build(db.clone(), capped)
+            .query(&ok.query, &threshold_params(1.0))
+            .is_ok());
+        let engine = QueryEngine::build(db, base);
+        assert!(engine.query_topk(&ok.query, &topk_params(MAX_TOPK)).is_ok());
+        assert!(ExactScanConfig::default().validate().is_ok());
     }
 
     #[test]
@@ -1602,37 +1722,6 @@ mod tests {
         let batch = engine.query_batch(&[], &QueryParams::default()).unwrap();
         assert!(batch.results.is_empty());
         assert_eq!(batch.stats, PhaseStats::default());
-    }
-
-    #[test]
-    fn invalid_epsilon_is_a_typed_error_not_a_silent_answer_set() {
-        let (engine, queries) = small_engine();
-        let q = &queries[0].graph;
-        for epsilon in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY] {
-            let params = QueryParams {
-                epsilon,
-                delta: 1,
-                variant: PruningVariant::OptSspBound,
-            };
-            for result in [
-                engine.query(q, &params).map(|r| r.answers),
-                engine.exact_scan(q, &params).map(|r| r.answers),
-                engine
-                    .query_batch(std::slice::from_ref(q), &params)
-                    .map(|b| b.results[0].answers.clone()),
-            ] {
-                match result {
-                    Err(QueryError::InvalidEpsilon { epsilon: e }) => {
-                        assert!(e.is_nan() == epsilon.is_nan() && (e.is_nan() || e == epsilon));
-                    }
-                    Err(other) => panic!("ε = {epsilon}: unexpected error {other:?}"),
-                    Ok(answers) => panic!("ε = {epsilon} silently answered {answers:?}"),
-                }
-            }
-        }
-        assert!(QueryError::InvalidEpsilon { epsilon: f64::NAN }
-            .to_string()
-            .contains("(0, 1]"));
     }
 
     #[test]
@@ -1689,25 +1778,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_query_is_a_typed_error_at_engine_level() {
-        let (engine, _) = small_engine();
-        let empty = Graph::new();
-        let params = QueryParams::default();
-        assert_eq!(
-            engine.query(&empty, &params).unwrap_err(),
-            QueryError::EmptyQuery
-        );
-        assert_eq!(
-            engine.exact_scan(&empty, &params).unwrap_err(),
-            QueryError::EmptyQuery
-        );
-        assert_eq!(
-            engine.query_batch(&[empty], &params).unwrap_err(),
-            QueryError::EmptyQuery
-        );
-    }
-
-    #[test]
     fn with_index_loads_a_snapshot_from_disk() {
         let (engine, queries) = small_engine();
         let path = std::env::temp_dir().join(format!(
@@ -1746,6 +1816,7 @@ mod tests {
     #[test]
     fn insert_and_remove_keep_engine_and_index_aligned() {
         let (engine, queries) = small_engine();
+        assert!(!engine.should_remine());
         let mut mutated = engine.clone();
         let extra = engine.db()[3].clone();
         let idx = mutated.insert_graph(extra);
@@ -1768,6 +1839,26 @@ mod tests {
             );
         }
         assert_eq!(mutated.pmi().churn(), 2);
+
+        // Churn 2 over 16 graphs stays below the re-mine threshold (one
+        // half); three more insert/remove pairs reach it exactly, and a
+        // re-mine resets it without moving an answer.
+        assert!(!mutated.should_remine());
+        for _ in 0..3 {
+            let idx = mutated.insert_graph(engine.db()[3].clone());
+            assert!(mutated.remove_graph(idx).is_some());
+        }
+        assert_eq!(mutated.pmi().staleness(), 0.5);
+        assert!(mutated.should_remine());
+        mutated.remine();
+        assert_eq!(mutated.pmi().staleness(), 0.0);
+        assert!(!mutated.should_remine());
+        for wq in &queries {
+            assert_eq!(
+                mutated.query(&wq.graph, &params).unwrap().answers,
+                engine.query(&wq.graph, &params).unwrap().answers
+            );
+        }
     }
 
     #[test]
@@ -1814,141 +1905,6 @@ mod tests {
             result.stats.structural_candidates,
             result.stats.pruned_by_upper + result.stats.accepted_by_lower + result.stats.verified
         );
-    }
-
-    #[test]
-    fn invalid_exact_scan_config_is_a_typed_error() {
-        let (engine, queries) = small_engine();
-        let q = &queries[0].graph;
-        let params = QueryParams {
-            epsilon: 0.5,
-            delta: 1,
-            variant: PruningVariant::OptSspBound,
-        };
-        let bad_configs = [
-            (f64::NAN, 0.01, 1000),
-            (0.0, 0.01, 1000),
-            (-0.5, 0.01, 1000),
-            (0.05, f64::NAN, 1000),
-            (0.05, 0.0, 1000),
-            (0.05, 0.01, 0),
-        ];
-        for (tau, xi, max_samples) in bad_configs {
-            let mut config = *engine.config();
-            config.exact.fallback_mc = MonteCarloConfig {
-                tau,
-                xi,
-                max_samples,
-            };
-            let broken = QueryEngine::build(engine.db().to_vec(), config);
-            match broken.exact_scan(q, &params) {
-                Err(QueryError::InvalidExactScanConfig {
-                    tau: t,
-                    xi: x,
-                    max_samples: m,
-                }) => {
-                    assert!(t.is_nan() == tau.is_nan() && (t.is_nan() || t == tau));
-                    assert!(x.is_nan() == xi.is_nan() && (x.is_nan() || x == xi));
-                    assert_eq!(m, max_samples);
-                }
-                other => panic!("τ={tau} ξ={xi} cap={max_samples}: got {other:?}"),
-            }
-            // The pipeline itself never consults the exact-scan knobs.
-            assert!(broken.query(q, &params).is_ok());
-        }
-        assert!(ExactScanConfig::default().validate().is_ok());
-        assert!(QueryError::InvalidExactScanConfig {
-            tau: f64::NAN,
-            xi: 0.0,
-            max_samples: 0
-        }
-        .to_string()
-        .contains("sample cap"));
-    }
-
-    #[test]
-    fn invalid_verify_options_are_a_typed_error() {
-        let (engine, queries) = small_engine();
-        let q = &queries[0].graph;
-        let params = QueryParams::default();
-        let bad = [
-            (0usize, 0.1, 0.05),
-            (256, f64::NAN, 0.05),
-            (256, 0.0, 0.05),
-            (256, 0.1, -0.5),
-        ];
-        for (max_embeddings, tau, xi) in bad {
-            let mut config = *engine.config();
-            config.verify.max_embeddings = max_embeddings;
-            config.verify.mc.tau = tau;
-            config.verify.mc.xi = xi;
-            let broken = QueryEngine::build(engine.db().to_vec(), config);
-            for result in [
-                broken.query(q, &params).map(|r| r.answers),
-                broken.exact_scan(q, &params).map(|r| r.answers),
-                broken
-                    .query_batch(std::slice::from_ref(q), &params)
-                    .map(|b| b.results[0].answers.clone()),
-            ] {
-                match result {
-                    Err(QueryError::InvalidVerifyOptions {
-                        max_embeddings: m,
-                        tau: t,
-                        xi: x,
-                    }) => {
-                        assert_eq!(m, max_embeddings);
-                        assert!(t.is_nan() == tau.is_nan() && (t.is_nan() || t == tau));
-                        assert!(x.is_nan() == xi.is_nan() && (x.is_nan() || x == xi));
-                    }
-                    other => panic!("cap={max_embeddings} τ={tau} ξ={xi}: got {other:?}"),
-                }
-            }
-        }
-        assert!(QueryError::InvalidVerifyOptions {
-            max_embeddings: 0,
-            tau: 0.1,
-            xi: 0.05
-        }
-        .to_string()
-        .contains("embedding cap"));
-    }
-
-    #[test]
-    fn absurd_thread_counts_are_a_typed_error_not_an_os_thread_bomb() {
-        let (engine, queries) = small_engine();
-        let q = &queries[0].graph;
-        let params = QueryParams::default();
-        for threads in [MAX_THREADS + 1, 100_000, usize::MAX] {
-            let mut config = *engine.config();
-            config.threads = threads;
-            let broken = QueryEngine::build(engine.db().to_vec(), config);
-            for result in [
-                broken.query(q, &params).map(|r| r.answers),
-                broken.exact_scan(q, &params).map(|r| r.answers),
-                broken
-                    .query_batch(std::slice::from_ref(q), &params)
-                    .map(|b| b.results[0].answers.clone()),
-            ] {
-                match result {
-                    Err(QueryError::InvalidThreads { threads: t, max }) => {
-                        assert_eq!(t, threads);
-                        assert_eq!(max, MAX_THREADS);
-                    }
-                    other => panic!("threads = {threads}: got {other:?}"),
-                }
-            }
-        }
-        // The ceiling itself (and everything below) is accepted.
-        let mut config = *engine.config();
-        config.threads = MAX_THREADS;
-        let capped = QueryEngine::build(engine.db().to_vec(), config);
-        assert!(capped.query(q, &params).is_ok());
-        assert!(QueryError::InvalidThreads {
-            threads: 100_000,
-            max: MAX_THREADS
-        }
-        .to_string()
-        .contains("at most"));
     }
 
     #[test]
@@ -2070,43 +2026,6 @@ mod tests {
             .stats;
         assert!(s.samples_drawn > 0, "fallback trials must be counted");
         assert!(s.exact_verifications < engine.db().len());
-    }
-
-    #[test]
-    fn invalid_k_is_a_typed_error() {
-        let (engine, queries) = small_engine();
-        let q = &queries[0].graph;
-        for k in [0usize, MAX_TOPK + 1, usize::MAX] {
-            let params = TopkParams {
-                k,
-                delta: 1,
-                variant: PruningVariant::OptSspBound,
-            };
-            for result in [
-                engine.query_topk(q, &params).map(|r| r.ranked.len()),
-                engine
-                    .query_topk_batch(std::slice::from_ref(q), &params)
-                    .map(|b| b.results.len()),
-            ] {
-                match result {
-                    Err(QueryError::InvalidK { k: got }) => assert_eq!(got, k),
-                    other => panic!("k = {k}: got {other:?}"),
-                }
-            }
-        }
-        // The full valid range is accepted (MAX_TOPK just truncates to the
-        // database size).
-        for k in [1usize, MAX_TOPK] {
-            let params = TopkParams {
-                k,
-                delta: 1,
-                variant: PruningVariant::OptSspBound,
-            };
-            assert!(engine.query_topk(q, &params).is_ok());
-        }
-        assert!(QueryError::InvalidK { k: 0 }
-            .to_string()
-            .contains("between 1 and"));
     }
 
     #[test]

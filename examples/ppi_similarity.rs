@@ -48,8 +48,8 @@ fn main() {
     );
 
     // Two databases: the correlated model and its independent counterpart.
-    let cor_db = DynamicDatabase::build(dataset.graphs.clone(), EngineConfig::default());
-    let ind_db = DynamicDatabase::build(
+    let cor_db = QueryEngine::build(dataset.graphs.clone(), EngineConfig::default());
+    let ind_db = QueryEngine::build(
         dataset.graphs.iter().map(to_independent_model).collect(),
         EngineConfig::default(),
     );

@@ -8,7 +8,6 @@
 //! Run with: `cargo run --example quickstart`
 
 use pgs::prelude::*;
-use pgs_graph::model::EdgeId;
 
 fn main() {
     // ---------------------------------------------------------------- graph 001
@@ -48,11 +47,11 @@ fn main() {
         .expect("valid probabilistic graph");
 
     // ---------------------------------------------------------------- database
-    let db = DynamicDatabase::build(vec![pg001, pg002], EngineConfig::default());
+    let engine = QueryEngine::build(vec![pg001, pg002], EngineConfig::default());
     println!(
         "database: {} probabilistic graphs, PMI with {} features",
-        db.len(),
-        db.engine().pmi().features().len()
+        engine.db().len(),
+        engine.pmi().features().len()
     );
 
     // ---------------------------------------------------------------- query
@@ -66,7 +65,7 @@ fn main() {
         .build();
 
     for (epsilon, delta) in [(0.4, 1usize), (0.4, 2), (0.7, 2)] {
-        let result = db
+        let result = engine
             .query(
                 &q,
                 &QueryParams {
@@ -79,7 +78,7 @@ fn main() {
         let names: Vec<&str> = result
             .answers
             .iter()
-            .map(|&i| db.graphs()[i].name())
+            .map(|&i| engine.db()[i].name())
             .collect();
         println!(
             "T-PS(ε = {epsilon}, δ = {delta}): {} answer(s) {:?} \
@@ -94,7 +93,7 @@ fn main() {
     }
 
     // The exact SSP values, for reference (small graphs, exact computation).
-    for pg in db.graphs() {
+    for pg in engine.db() {
         for delta in [1usize, 2] {
             let ssp = pgs::prob::exact::exact_ssp(pg, &q, delta, 22).expect("small graph");
             println!("exact Pr(q ⊆sim {}) at δ = {delta}: {ssp:.4}", pg.name());

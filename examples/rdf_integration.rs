@@ -16,7 +16,6 @@
 
 use pgs::prelude::*;
 use pgs::prob::neighbor::partition_neighbor_edges;
-use pgs_graph::model::EdgeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,8 +88,8 @@ fn main() {
         .into_iter()
         .map(|(name, orgs, quality)| snapshot(name, orgs, quality, &mut rng))
         .collect();
-    let db = DynamicDatabase::build(graphs, EngineConfig::default());
-    println!("indexed {} integrated snapshots", db.len());
+    let engine = QueryEngine::build(graphs, EngineConfig::default());
+    println!("indexed {} integrated snapshots", engine.db().len());
 
     // Basic graph pattern (SPARQL-style):
     //   ?p works_for ?o .  ?o located_in ?c .  ?o produces ?prod .
@@ -103,7 +102,7 @@ fn main() {
         .build();
 
     for (epsilon, delta) in [(0.5, 0usize), (0.5, 1), (0.2, 1)] {
-        let result = db
+        let result = engine
             .query(
                 &pattern,
                 &QueryParams {
@@ -116,7 +115,7 @@ fn main() {
         let names: Vec<&str> = result
             .answers
             .iter()
-            .map(|&i| db.graphs()[i].name())
+            .map(|&i| engine.db()[i].name())
             .collect();
         println!(
             "BGP supported with Pr ≥ {epsilon} (δ = {delta}): {names:?} \
@@ -127,7 +126,7 @@ fn main() {
 
     // Confidence report per source for the strict pattern (δ = 0).
     println!("\nper-source pattern confidence (δ = 0):");
-    for pg in db.graphs() {
+    for pg in engine.db() {
         let ssp = pgs::prob::exact::exact_ssp(pg, &pattern, 0, 22).unwrap_or(f64::NAN);
         println!("  {:<20} {ssp:.3}", pg.name());
     }

@@ -16,7 +16,6 @@
 
 use pgs::prelude::*;
 use pgs::prob::neighbor::partition_with_triangles;
-use pgs_graph::model::EdgeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,8 +89,8 @@ fn main() {
         .into_iter()
         .map(|(name, ring, congestion)| district(name, ring, congestion, &mut rng))
         .collect();
-    let db = DynamicDatabase::build(graphs, EngineConfig::default());
-    println!("indexed {} districts", db.len());
+    let engine = QueryEngine::build(graphs, EngineConfig::default());
+    println!("indexed {} districts", engine.db().len());
 
     // Delivery-loop pattern: a roundabout-to-roundabout ring segment with a
     // junction spur and a highway ramp reachable from it.
@@ -104,7 +103,7 @@ fn main() {
         .build();
 
     for (epsilon, delta) in [(0.6, 0usize), (0.6, 1), (0.3, 1)] {
-        let result = db
+        let result = engine
             .query(
                 &pattern,
                 &QueryParams {
@@ -117,7 +116,7 @@ fn main() {
         let names: Vec<&str> = result
             .answers
             .iter()
-            .map(|&i| db.graphs()[i].name())
+            .map(|&i| engine.db()[i].name())
             .collect();
         println!(
             "pattern feasible with Pr ≥ {epsilon} tolerating {delta} closed segment(s): {names:?}"
@@ -127,8 +126,8 @@ fn main() {
     // Reliability ranking: exact SSP of the pattern per district (small models,
     // exact evaluation is cheap).
     println!("\nper-district pattern reliability (δ = 1):");
-    let mut ranked: Vec<(String, f64)> = db
-        .graphs()
+    let mut ranked: Vec<(String, f64)> = engine
+        .db()
         .iter()
         .map(|pg| {
             let ssp = pgs::prob::exact::exact_ssp(pg, &pattern, 1, 22).unwrap_or(f64::NAN);

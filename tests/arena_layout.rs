@@ -326,7 +326,7 @@ fn prearena_v3_snapshot_answers_after_its_file_is_removed() {
     let path = std::env::temp_dir().join(format!("pgs-arena-golden-{}.pmi", std::process::id()));
     std::fs::write(&path, &bytes).unwrap();
     let graphs = fixture_graphs();
-    let opened = DynamicDatabase::open(graphs.clone(), &path, base_config())
+    let opened = QueryEngine::with_index(graphs.clone(), &path, base_config())
         .expect("opening the pre-refactor snapshot");
     std::fs::remove_file(&path).unwrap();
     let fresh = QueryEngine::build(graphs, base_config());

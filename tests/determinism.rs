@@ -18,7 +18,6 @@ use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig, WorkloadQuery};
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
-use pgs::query::pipeline::{ExactScanConfig, QueryEngine};
 use pgs::query::verify::VerifyOptions;
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::PmiBuildParams;

@@ -60,7 +60,7 @@ fn params(epsilon: f64, delta: usize) -> QueryParams {
 #[test]
 fn pipeline_answers_match_exact_scan_across_parameters() {
     let ds = dataset();
-    let db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
+    let db = QueryEngine::build(ds.graphs.clone(), engine_config());
     let queries = generate_query_workload(
         &ds,
         &QueryWorkloadConfig {
@@ -90,7 +90,7 @@ fn pipeline_answers_match_exact_scan_across_parameters() {
 #[test]
 fn answer_sets_are_monotone_in_epsilon_and_delta() {
     let ds = dataset();
-    let db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
+    let db = QueryEngine::build(ds.graphs.clone(), engine_config());
     let q = generate_query_workload(
         &ds,
         &QueryWorkloadConfig {
@@ -134,8 +134,8 @@ fn correlated_model_beats_independent_model_on_organism_retrieval() {
         seed: 777,
         ..PpiDatasetConfig::default()
     });
-    let cor_db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
-    let ind_db = DynamicDatabase::build(
+    let cor_db = QueryEngine::build(ds.graphs.clone(), engine_config());
+    let ind_db = QueryEngine::build(
         ds.graphs.iter().map(to_independent_model).collect(),
         engine_config(),
     );
@@ -148,7 +148,7 @@ fn correlated_model_beats_independent_model_on_organism_retrieval() {
             seed: 21,
         },
     );
-    let f1_of = |db: &DynamicDatabase| -> f64 {
+    let f1_of = |db: &QueryEngine| -> f64 {
         let mut f1_sum = 0.0;
         for wq in &queries {
             let truth: Vec<usize> = ds
@@ -204,8 +204,8 @@ fn skeleton_serialization_round_trips_through_the_text_format() {
 #[test]
 fn pmi_statistics_reflect_the_database() {
     let ds = dataset();
-    let db = DynamicDatabase::build(ds.graphs.clone(), engine_config());
-    let pmi = db.engine().pmi();
+    let db = QueryEngine::build(ds.graphs.clone(), engine_config());
+    let pmi = db.pmi();
     let stats = pmi.stats();
     assert_eq!(stats.graph_count, ds.graphs.len());
     assert!(stats.feature_count > 0);

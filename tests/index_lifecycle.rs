@@ -7,7 +7,7 @@
 //! *byte-identically* to the engine that built the index, for every pruning
 //! variant; a v1 (pre-S-Index) snapshot must still load, with the summaries
 //! re-derived from the database skeletons; an insert/remove sequence through
-//! `DynamicDatabase` must match a fresh rebuild on the same final database —
+//! `QueryEngine` must match a fresh rebuild on the same final database —
 //! S-Index included; the S-Index candidate generator must return exactly the
 //! brute-force scan's index set on randomized graphs/queries/δ; phase 2's
 //! per-query feature relation must follow every insert, remove and re-mine;
@@ -19,7 +19,6 @@ mod common;
 use common::{counters_only, fixture_config, fixture_graphs, fixture_query, PMI_V1};
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
-use pgs::query::pipeline::QueryEngine;
 use pgs::query::prune::{bound_candidate, BoundInstance, FeatureRelation};
 use pgs::query::structural::{structural_candidates, structural_candidates_tested};
 use pgs::query::verify::VerifyOptions;
@@ -288,41 +287,41 @@ fn insert_remove_sequence_matches_a_fresh_rebuild() {
     // Start from the first 10 graphs, then: insert the remaining 6, remove
     // two from the middle, the first and the last, and re-insert one of them
     // at the end.
-    let mut db = DynamicDatabase::build(graphs[..10].to_vec(), config);
+    let mut engine = QueryEngine::build(graphs[..10].to_vec(), config);
     let mut expected: Vec<ProbabilisticGraph> = graphs[..10].to_vec();
     for pg in &graphs[10..] {
-        db.insert_graph(pg.clone());
+        engine.insert_graph(pg.clone());
         expected.push(pg.clone());
     }
     // 0 and 12 are the first and the last position at their turn.
     for idx in [3usize, 7, 0, 12] {
-        let removed = db.remove_graph(idx).unwrap();
+        let removed = engine.remove_graph(idx).unwrap();
         let mirrored = expected.remove(idx);
         assert_eq!(removed.name(), mirrored.name());
     }
     let back = graphs[3].clone();
-    db.insert_graph(back.clone());
+    engine.insert_graph(back.clone());
     expected.push(back);
 
     // The dynamic database's contents mirror the expected final state.
-    assert_eq!(db.len(), expected.len());
-    for (a, b) in db.graphs().iter().zip(&expected) {
+    assert_eq!(engine.db().len(), expected.len());
+    for (a, b) in engine.db().iter().zip(&expected) {
         assert_eq!(a.name(), b.name());
     }
     // 6 inserts + 4 removes + 1 insert = 11 mutations over 13 graphs.
-    assert!(db.staleness() > 0.5);
-    assert!(db.should_remine());
+    assert!(engine.pmi().staleness() > 0.5);
+    assert!(engine.should_remine());
 
     // A fresh rebuild over the same final database must answer identically:
     // the mined feature sets differ (and candidate counts may differ), but
     // pruning is sound and verification is exact, so the *answers* agree.
-    let fresh = DynamicDatabase::build(expected, config);
+    let fresh = QueryEngine::build(expected, config);
     // The S-Index, unlike the mined features, is a pure function of the
     // database contents: the incrementally maintained one must equal the
     // fresh build's exactly.
     assert_eq!(
-        db.engine().pmi().sindex(),
-        fresh.engine().pmi().sindex(),
+        engine.pmi().sindex(),
+        fresh.pmi().sindex(),
         "incremental S-Index diverged from a fresh rebuild"
     );
     let queries = pgs::datagen::queries::generate_query_workload(
@@ -341,7 +340,7 @@ fn insert_remove_sequence_matches_a_fresh_rebuild() {
                     delta: 1,
                     variant,
                 };
-                let incremental = db.query(&wq.graph, &params).unwrap();
+                let incremental = engine.query(&wq.graph, &params).unwrap();
                 let rebuilt = fresh.query(&wq.graph, &params).unwrap();
                 assert_eq!(
                     incremental.answers, rebuilt.answers,
@@ -352,8 +351,8 @@ fn insert_remove_sequence_matches_a_fresh_rebuild() {
     }
 
     // After re-mining, the staleness is gone and answers still agree.
-    db.remine();
-    assert_eq!(db.staleness(), 0.0);
+    engine.remine();
+    assert_eq!(engine.pmi().staleness(), 0.0);
     for wq in &queries {
         let params = QueryParams {
             epsilon: 0.5,
@@ -361,7 +360,7 @@ fn insert_remove_sequence_matches_a_fresh_rebuild() {
             variant: PruningVariant::OptSspBound,
         };
         assert_eq!(
-            db.query(&wq.graph, &params).unwrap().answers,
+            engine.query(&wq.graph, &params).unwrap().answers,
             fresh.query(&wq.graph, &params).unwrap().answers
         );
     }
@@ -498,28 +497,25 @@ fn mutated_and_remined_database_matches_a_fresh_engine_in_phase_2() {
     .map(|wq| wq.graph)
     .collect();
 
-    let mut db = DynamicDatabase::build(graphs[..8].to_vec(), config);
+    let mut engine = QueryEngine::build(graphs[..8].to_vec(), config);
     // Answer every query first, so anything kept across queries would be
     // stale after the mutations below.
     let initial = QueryEngine::build(graphs[..8].to_vec(), config);
-    assert_same_phase2(db.engine(), &initial, &queries, "before mutation");
+    assert_same_phase2(&engine, &initial, &queries, "before mutation");
 
     for pg in &graphs[8..] {
-        db.insert_graph(pg.clone());
+        engine.insert_graph(pg.clone());
     }
-    db.remove_graph(5).unwrap();
-    db.remove_graph(0).unwrap();
+    engine.remove_graph(5).unwrap();
+    engine.remove_graph(0).unwrap();
     let same_index =
-        QueryEngine::from_parts(db.graphs().to_vec(), db.engine().pmi().clone(), config).unwrap();
-    assert_same_phase2(db.engine(), &same_index, &queries, "after insert/remove");
+        QueryEngine::from_parts(engine.db().to_vec(), engine.pmi().clone(), config).unwrap();
+    assert_same_phase2(&engine, &same_index, &queries, "after insert/remove");
 
-    db.remine();
-    let fresh = QueryEngine::build(db.graphs().to_vec(), config);
-    assert_eq!(
-        db.engine().pmi().features().len(),
-        fresh.pmi().features().len()
-    );
-    let (answers, decided) = assert_same_phase2(db.engine(), &fresh, &queries, "after remine");
+    engine.remine();
+    let fresh = QueryEngine::build(engine.db().to_vec(), config);
+    assert_eq!(engine.pmi().features().len(), fresh.pmi().features().len());
+    let (answers, decided) = assert_same_phase2(&engine, &fresh, &queries, "after remine");
     assert!(
         answers > 0 && decided > 0,
         "{answers} answers, {decided} decided"
@@ -540,19 +536,19 @@ fn incremental_snapshot_still_round_trips() {
         seed: 31,
         ..PpiDatasetConfig::default()
     });
-    let mut db = DynamicDatabase::build(dataset.graphs[..10].to_vec(), config);
-    db.insert_graph(dataset.graphs[10].clone());
-    db.insert_graph(dataset.graphs[11].clone());
-    db.remove_graph(0).unwrap();
-    let staleness = db.staleness();
+    let mut engine = QueryEngine::build(dataset.graphs[..10].to_vec(), config);
+    engine.insert_graph(dataset.graphs[10].clone());
+    engine.insert_graph(dataset.graphs[11].clone());
+    engine.remove_graph(0).unwrap();
+    let staleness = engine.pmi().staleness();
     assert!(staleness > 0.0);
 
     let path = temp_path("incremental");
-    db.save_index(&path).unwrap();
-    let reopened = DynamicDatabase::open(db.graphs().to_vec(), &path, config).unwrap();
+    engine.pmi().save(&path).unwrap();
+    let reopened = QueryEngine::with_index(engine.db().to_vec(), &path, config).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(reopened.engine().pmi().churn(), db.engine().pmi().churn());
-    assert_eq!(reopened.staleness(), staleness);
+    assert_eq!(reopened.pmi().churn(), engine.pmi().churn());
+    assert_eq!(reopened.pmi().staleness(), staleness);
 
     let queries = pgs::datagen::queries::generate_query_workload(
         &dataset,
@@ -570,7 +566,7 @@ fn incremental_snapshot_still_round_trips() {
         };
         assert_eq!(
             reopened.query(&wq.graph, &params).unwrap().answers,
-            db.query(&wq.graph, &params).unwrap().answers
+            engine.query(&wq.graph, &params).unwrap().answers
         );
     }
 }

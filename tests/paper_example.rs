@@ -126,8 +126,8 @@ fn pmi_bounds_bracket_exact_ssp_on_the_example_database() {
 }
 
 #[test]
-fn example_1_query_semantics_through_the_facade() {
-    let db = DynamicDatabase::build(vec![graph_001(), graph_002()], EngineConfig::default());
+fn example_1_query_semantics_through_the_engine() {
+    let engine = QueryEngine::build(vec![graph_001(), graph_002()], EngineConfig::default());
     let q = query_q();
     let answers = |epsilon: f64| -> Vec<usize> {
         let params = QueryParams {
@@ -135,12 +135,12 @@ fn example_1_query_semantics_through_the_facade() {
             delta: 1,
             variant: PruningVariant::OptSspBound,
         };
-        db.query(&q, &params).unwrap().answers
+        engine.query(&q, &params).unwrap().answers
     };
 
     // Exact SSP values drive the expected answers.
-    let ssp_001 = exact_ssp(&db.graphs()[0], &q, 1, 22).unwrap();
-    let ssp_002 = exact_ssp(&db.graphs()[1], &q, 1, 22).unwrap();
+    let ssp_001 = exact_ssp(&engine.db()[0], &q, 1, 22).unwrap();
+    let ssp_002 = exact_ssp(&engine.db()[1], &q, 1, 22).unwrap();
 
     let threshold = (ssp_001 + ssp_002) / 2.0; // separates the two graphs
     let (lo, hi) = if ssp_001 < ssp_002 { (0, 1) } else { (1, 0) };

@@ -1,7 +1,7 @@
 //! The persistent worker pool's two load-bearing guarantees, pinned at the
 //! integration level:
 //!
-//! 1. **Determinism** — pool-backed `par_map_chunked` is byte-identical to
+//! 1. **Determinism** — pool-backed `par_map_chunked_costed` is byte-identical to
 //!    the sequential path for every thread count (the DESIGN.md §8/§12
 //!    contract, here as a property over random inputs and random closures
 //!    parameterised by `derive_seed`), and the full query pipeline inherits
@@ -14,10 +14,7 @@
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
-use pgs::query::pipeline::QueryEngine;
-use pgs_graph::parallel::{
-    derive_seed, par_map_chunked, par_map_chunked_costed, CostHint, MAX_THREADS,
-};
+use pgs_graph::parallel::{derive_seed, par_map_chunked_costed, CostHint, MAX_THREADS};
 use pgs_graph::pool::{global_worker_count, WorkerPool};
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::PmiBuildParams;
@@ -44,7 +41,9 @@ proptest! {
             // MODERATE exercises the cost-model gate (small inputs stay
             // inline), HEAVY forces real pool dispatch from 2 items up;
             // both must agree with the sequential reference bit for bit.
-            prop_assert_eq!(&par_map_chunked(&items, threads, map), &sequential,
+            prop_assert_eq!(
+                &par_map_chunked_costed(&items, threads, CostHint::MODERATE, map),
+                &sequential,
                 "moderate, threads = {}", threads);
             prop_assert_eq!(
                 &par_map_chunked_costed(&items, threads, CostHint::HEAVY, map),

@@ -38,7 +38,7 @@ use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
 use pgs::prob::exact::exact_ssp;
 use pgs::prob::montecarlo::MonteCarloConfig;
-use pgs::query::pipeline::{ExactScanConfig, PhaseStats, QueryEngine, TopkResult};
+use pgs::query::pipeline::PhaseStats;
 use pgs::query::prune::{bound_candidate, CrossTermRule, FeatureRelation};
 use pgs::query::verify::{verify_ssp_with_stats, VerifyOptions};
 use pgs_datagen::scenarios::verification_candidate;

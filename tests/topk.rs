@@ -13,14 +13,13 @@
 //! * Adaptive early stopping draws ≥ 1.5× fewer Karp–Luby trials than the
 //!   fixed budget at identical answers, and best-first top-k equals the head
 //!   of the full fixed-budget ranking.
-//! * Invalid `k` surfaces as the typed facade error, not a panic.
+//! * Invalid `k` surfaces as the engine's typed error, not a panic.
 
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::datagen::scenarios::{bulk_path_queries, bulk_skeletons};
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
-use pgs::query::pipeline::QueryEngine;
 use pgs::query::verify::{verify_ssp_exact, VerifyOptions};
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::PmiBuildParams;
@@ -67,7 +66,7 @@ fn topk_agrees_with_the_exact_ssp_ranking() {
         .enumerate()
         .map(|(i, &p)| triangle(&format!("g{i}"), p))
         .collect();
-    let db = DynamicDatabase::build(graphs.clone(), exact_config());
+    let db = QueryEngine::build(graphs.clone(), exact_config());
     let q = triangle_query();
     let delta = 0usize;
 
@@ -119,7 +118,7 @@ fn kth_boundary_ties_survive_a_database_shuffle() {
     };
 
     let pick_names = |graphs: Vec<ProbabilisticGraph>| -> Vec<String> {
-        let db = DynamicDatabase::build(graphs.clone(), exact_config());
+        let db = QueryEngine::build(graphs.clone(), exact_config());
         db.query_topk(&q, &params)
             .unwrap()
             .ranked
@@ -365,8 +364,8 @@ fn adaptive_stopping_cuts_trials_at_equal_answers() {
 }
 
 #[test]
-fn invalid_k_is_a_typed_facade_error() {
-    let db = DynamicDatabase::build(vec![triangle("only", 0.8)], EngineConfig::default());
+fn invalid_k_is_a_typed_engine_error() {
+    let db = QueryEngine::build(vec![triangle("only", 0.8)], EngineConfig::default());
     let q = triangle_query();
     let params = |k: usize| TopkParams {
         k,
@@ -374,7 +373,7 @@ fn invalid_k_is_a_typed_facade_error() {
         variant: PruningVariant::OptSspBound,
     };
     let err = db.query_topk(&q, &params(0)).unwrap_err();
-    assert_eq!(err, DbError::Query(QueryError::InvalidK { k: 0 }));
+    assert_eq!(err, QueryError::InvalidK { k: 0 });
     assert!(err.to_string().contains("top-k"));
     // A sane k on the same database works.
     assert_eq!(db.query_topk(&q, &params(1)).unwrap().ranked.len(), 1);
