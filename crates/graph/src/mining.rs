@@ -33,7 +33,7 @@
 use crate::dfs_code::{canonical_code, IsomorphismClasses};
 use crate::model::{Graph, VertexId};
 use crate::summary::{StructuralSummary, SummaryView};
-use crate::vf2::{contains_subgraph_summarized, enumerate_embeddings, MatchOptions};
+use crate::vf2::{contains_subgraph_summarized, enumerate_embeddings_summarized, MatchOptions};
 use std::collections::BTreeMap;
 
 /// A mined pattern together with its support information.
@@ -122,7 +122,7 @@ pub fn mine_frequent_patterns_summarized(
             if pattern.graph.edge_count() >= options.max_edges {
                 continue;
             }
-            for candidate in extensions(pattern, db, options) {
+            for candidate in extensions(pattern, db, summaries, options) {
                 if candidate.vertex_count() > options.max_vertices
                     || candidate.edge_count() > options.max_edges
                 {
@@ -198,14 +198,26 @@ fn single_edge_patterns(db: &[Graph], options: &MiningOptions) -> Vec<MinedPatte
 }
 
 /// Generates candidate one-edge extensions of `pattern` observed in the data.
-fn extensions(pattern: &MinedPattern, db: &[Graph], options: &MiningOptions) -> Vec<Graph> {
+fn extensions(
+    pattern: &MinedPattern,
+    db: &[Graph],
+    summaries: &[SummaryView<'_>],
+    options: &MiningOptions,
+) -> Vec<Graph> {
     let mut out: Vec<Graph> = Vec::new();
     let match_opts = MatchOptions::capped(options.max_embeddings_per_graph);
+    let pattern_summary = StructuralSummary::of(&pattern.graph);
     // Look at a bounded number of supporting graphs; structural variety
     // saturates quickly.
     for &gi in pattern.support.iter().take(8) {
         let data = &db[gi];
-        let outcome = enumerate_embeddings(&pattern.graph, data, match_opts);
+        let outcome = enumerate_embeddings_summarized(
+            &pattern.graph,
+            pattern_summary.view(),
+            data,
+            summaries[gi],
+            match_opts,
+        );
         for emb in &outcome.embeddings {
             // Reverse map: data vertex -> pattern vertex.
             let mut rev: BTreeMap<VertexId, usize> = BTreeMap::new();

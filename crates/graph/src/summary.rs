@@ -1,21 +1,18 @@
 //! Immutable per-graph structural summaries.
 //!
-//! The structural phase of the query pipeline used to recompute
-//! `edge_signature_histogram()` — a fresh `BTreeMap` allocation — for the
-//! query and for *every* candidate skeleton on *every* query, and the VF2
-//! label prefilter recomputed both histograms again per `(pattern, target)`
-//! pair.  A [`StructuralSummary`] is that work done **once per graph**: the
-//! edge-signature histogram, the vertex-label multiset, the vertex/edge
-//! counts and the (descending) degree sequence, all in sorted contiguous
-//! vectors so comparisons are allocation-free merge walks.
+//! A [`StructuralSummary`] digests one graph once: the edge-signature
+//! histogram, the vertex-label multiset, the vertex/edge counts and the
+//! (descending) degree sequence, all in sorted contiguous vectors so
+//! comparisons are allocation-free merge walks.  Every comparison lives on
+//! the borrowed [`SummaryView`]; the owned type only builds, validates and
+//! lends views ([`StructuralSummary::view`]).
 //!
 //! Summaries are consumed by
 //!
 //! * the S-Index (`pgs_index::sindex`), which inverts the edge-signature
 //!   histograms into posting lists for sublinear candidate generation,
-//! * the VF2 matcher ([`crate::vf2::Matcher::new_with_summaries`]), whose
-//!   label-availability prefilter becomes [`StructuralSummary::subsumes`]
-//!   over cached summaries instead of two fresh histograms, and
+//! * the VF2 matcher ([`crate::vf2::Matcher::new`]), whose only prefilter
+//!   is [`SummaryView::subsumes`], and
 //! * the Grafil-style feature-count filter (`pgs_query::structural`).
 
 use crate::model::{Graph, Label};
@@ -45,7 +42,7 @@ pub struct StructuralSummary {
 /// but with every column a slice, so a whole database of summaries can live
 /// in shared arenas (the columnar S-Index) and be read without materialising
 /// per-graph vectors.  All comparison logic lives here; the owned type
-/// delegates through [`StructuralSummary::view`].
+/// lends one through [`StructuralSummary::view`].
 #[derive(Debug, Clone, Copy)]
 pub struct SummaryView<'a> {
     vertex_count: u32,
@@ -124,8 +121,9 @@ impl<'a> SummaryView<'a> {
         }
     }
 
-    /// A necessary condition for `pattern ⊆iso self` — see
-    /// [`StructuralSummary::subsumes`].
+    /// A necessary condition for `pattern ⊆iso self` (non-induced, label
+    /// preserving): the counts, both label multisets and the degree sequence
+    /// of the pattern must all be dominated by this graph's.  Allocation-free.
     pub fn subsumes(self, pattern: SummaryView<'_>) -> bool {
         if pattern.vertex_count > self.vertex_count || pattern.edge_count > self.edge_count {
             return false;
@@ -147,8 +145,11 @@ impl<'a> SummaryView<'a> {
             .all(|(p, t)| p <= t)
     }
 
-    /// The Grafil edge-feature deficit — see
-    /// [`StructuralSummary::signature_deficit`].
+    /// The Grafil edge-feature deficit of this summary (as the query) against
+    /// `g` (as the data graph): `Σ_sig max(0, count_q(sig) − count_g(sig))`,
+    /// capped at `cap + 1` (early exit).  A deficit exceeding `δ` proves
+    /// `dis(q, g) > δ` because each deleted edge removes exactly one
+    /// signature occurrence.
     pub fn signature_deficit(self, g: SummaryView<'_>, cap: usize) -> usize {
         let mut deficit = 0usize;
         for &(sig, qc) in self.edge_signatures {
@@ -265,62 +266,6 @@ impl StructuralSummary {
             degree_sequence: &self.degree_sequence,
         }
     }
-
-    /// Number of vertices of the summarised graph.
-    #[inline]
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_count as usize
-    }
-
-    /// Number of edges of the summarised graph.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.edge_count as usize
-    }
-
-    /// The vertex-label multiset as sorted `(label, multiplicity)` pairs.
-    pub fn vertex_labels(&self) -> &[(Label, u32)] {
-        &self.vertex_labels
-    }
-
-    /// The edge-signature histogram as sorted `(signature, multiplicity)`
-    /// pairs.
-    pub fn edge_signatures(&self) -> &[(EdgeSignature, u32)] {
-        &self.edge_signatures
-    }
-
-    /// The degree sequence, descending.
-    pub fn degree_sequence(&self) -> &[u32] {
-        &self.degree_sequence
-    }
-
-    /// Multiplicity of `sig` (0 when absent).
-    pub fn signature_count(&self, sig: EdgeSignature) -> usize {
-        self.view().signature_count(sig)
-    }
-
-    /// Multiplicity of vertex label `l` (0 when absent).
-    pub fn label_count(&self, l: Label) -> usize {
-        self.view().label_count(l)
-    }
-
-    /// A necessary condition for `pattern ⊆iso self` (non-induced, label
-    /// preserving): the counts, both label multisets and the degree sequence
-    /// of the pattern must all be dominated by this graph's.  Strictly
-    /// stronger than the histogram-only prefilter VF2 used to recompute per
-    /// call, and allocation-free.
-    pub fn subsumes(&self, pattern: &StructuralSummary) -> bool {
-        self.view().subsumes(pattern.view())
-    }
-
-    /// The Grafil edge-feature deficit of this summary (as the query) against
-    /// `g` (as the data graph): `Σ_sig max(0, count_q(sig) − count_g(sig))`,
-    /// capped at `cap + 1` (early exit).  A deficit exceeding `δ` proves
-    /// `dis(q, g) > δ` because each deleted edge removes exactly one
-    /// signature occurrence.
-    pub fn signature_deficit(&self, g: &StructuralSummary, cap: usize) -> usize {
-        self.view().signature_deficit(g.view(), cap)
-    }
 }
 
 /// True if every key of `b` appears in `a` with at least `b`'s multiplicity
@@ -341,7 +286,7 @@ fn multiset_dominates<K: Ord + Copy>(a: &[(K, u32)], b: &[(K, u32)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::GraphBuilder;
+    use crate::model::{EdgeId, GraphBuilder, VertexId};
     use crate::vf2::contains_subgraph;
 
     fn graph_002() -> Graph {
@@ -359,24 +304,50 @@ mod tests {
     fn summary_matches_the_graph_histograms() {
         let g = graph_002();
         let s = StructuralSummary::of(&g);
-        assert_eq!(s.vertex_count(), 5);
-        assert_eq!(s.edge_count(), 5);
+        assert_eq!(s.view().vertex_count(), 5);
+        assert_eq!(s.view().edge_count(), 5);
         for (l, c) in g.vertex_label_histogram() {
-            assert_eq!(s.label_count(l), c);
+            assert_eq!(s.view().label_count(l), c);
         }
         for (sig, c) in g.edge_signature_histogram() {
-            assert_eq!(s.signature_count(sig), c);
+            assert_eq!(s.view().signature_count(sig), c);
         }
-        assert_eq!(s.signature_count((Label(7), Label(7), Label(7))), 0);
-        assert_eq!(s.label_count(Label(42)), 0);
-        assert_eq!(s.degree_sequence(), &[4, 2, 2, 1, 1]);
+        assert_eq!(s.view().signature_count((Label(7), Label(7), Label(7))), 0);
+        assert_eq!(s.view().label_count(Label(42)), 0);
+        assert_eq!(s.view().degree_sequence(), &[4, 2, 2, 1, 1]);
+    }
+
+    /// `p ⊆iso g` by trying every injective, label-preserving vertex map.
+    /// It runs no prefilter, so it can check one: VF2 itself is screened by
+    /// [`SummaryView::subsumes`].
+    fn contains_by_brute_force(p: &Graph, g: &Graph) -> bool {
+        fn extend(p: &Graph, g: &Graph, map: &mut Vec<VertexId>) -> bool {
+            if map.len() == p.vertex_count() {
+                return p.edge_entries().all(|(_, e)| {
+                    g.find_edge(map[e.u.index()], map[e.v.index()])
+                        .is_some_and(|te| g.edge_label(te) == e.label)
+                });
+            }
+            let label = p.vertex_label(VertexId(map.len() as u32));
+            for v in g.vertices() {
+                if !map.contains(&v) && g.vertex_label(v) == label {
+                    map.push(v);
+                    if extend(p, g, map) {
+                        return true;
+                    }
+                    map.pop();
+                }
+            }
+            false
+        }
+        extend(p, g, &mut Vec::new())
     }
 
     #[test]
     fn subsumes_is_necessary_for_containment() {
         let g = graph_002();
         let gs = StructuralSummary::of(&g);
-        let patterns = [
+        let mut patterns = vec![
             GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 9).build(),
             GraphBuilder::new()
                 .vertices(&[0, 0, 1])
@@ -393,18 +364,38 @@ mod tests {
                 .edge(0, 3, 9)
                 .build(),
         ];
+        // Every edge subset of the target, isolated vertices kept and
+        // dropped: all of them are contained.
+        let edges: Vec<EdgeId> = g.edges().collect();
+        for mask in 0u32..1 << edges.len() {
+            let keep: Vec<EdgeId> = (0..edges.len())
+                .filter(|&i| mask >> i & 1 == 1)
+                .map(|i| edges[i])
+                .collect();
+            let sub = g.edge_subgraph(&keep);
+            patterns.push(crate::relax::drop_isolated(&sub));
+            patterns.push(sub);
+        }
+        let mut contained = 0;
         for p in &patterns {
             let ps = StructuralSummary::of(p);
-            if contains_subgraph(p, &g) {
-                assert!(gs.subsumes(&ps), "subsumes dropped a true containment");
+            let truth = contains_by_brute_force(p, &g);
+            if truth {
+                contained += 1;
+                assert!(
+                    gs.view().subsumes(ps.view()),
+                    "subsumes dropped a true containment"
+                );
             }
+            assert_eq!(contains_subgraph(p, &g), truth);
         }
+        assert_eq!(contained, 2 + 2 * (1 << edges.len()));
         // Labels absent from the target are rejected.
         let foreign = StructuralSummary::of(&patterns[2]);
-        assert!(!gs.subsumes(&foreign));
+        assert!(!gs.view().subsumes(foreign.view()));
         // A larger pattern is never subsumed.
         let star = StructuralSummary::of(&patterns[4]);
-        assert!(!star.subsumes(&gs));
+        assert!(!star.view().subsumes(gs.view()));
     }
 
     #[test]
@@ -426,7 +417,7 @@ mod tests {
         let ts = StructuralSummary::of(&target);
         let ps = StructuralSummary::of(&pattern);
         assert!(!contains_subgraph(&pattern, &target));
-        assert!(!ts.subsumes(&ps));
+        assert!(!ts.view().subsumes(ps.view()));
     }
 
     #[test]
@@ -446,10 +437,13 @@ mod tests {
             .iter()
             .map(|(sig, qc)| qc.saturating_sub(gh.get(sig).copied().unwrap_or(0)))
             .sum();
-        assert_eq!(qs.signature_deficit(&gs, usize::MAX - 1), expected);
+        assert_eq!(
+            qs.view().signature_deficit(gs.view(), usize::MAX - 1),
+            expected
+        );
         // The cap produces an early exit strictly above the cap.
         if expected > 0 {
-            assert!(qs.signature_deficit(&gs, 0) > 0);
+            assert!(qs.view().signature_deficit(gs.view(), 0) > 0);
         }
     }
 
@@ -457,11 +451,11 @@ mod tests {
     fn from_parts_round_trips_and_rejects_corruption() {
         let s = StructuralSummary::of(&graph_002());
         let rebuilt = StructuralSummary::from_parts(
-            s.vertex_count() as u32,
-            s.edge_count() as u32,
-            s.vertex_labels().to_vec(),
-            s.edge_signatures().to_vec(),
-            s.degree_sequence().to_vec(),
+            s.view().vertex_count() as u32,
+            s.view().edge_count() as u32,
+            s.view().vertex_labels().to_vec(),
+            s.view().edge_signatures().to_vec(),
+            s.view().degree_sequence().to_vec(),
         )
         .unwrap();
         assert_eq!(rebuilt, s);
@@ -512,9 +506,9 @@ mod tests {
     #[test]
     fn empty_graph_summary() {
         let s = StructuralSummary::of(&Graph::new());
-        assert_eq!(s.vertex_count(), 0);
-        assert_eq!(s.edge_count(), 0);
-        assert!(s.edge_signatures().is_empty());
-        assert!(s.subsumes(&s));
+        assert_eq!(s.view().vertex_count(), 0);
+        assert_eq!(s.view().edge_count(), 0);
+        assert!(s.view().edge_signatures().is_empty());
+        assert!(s.view().subsumes(s.view()));
     }
 }

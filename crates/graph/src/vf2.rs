@@ -15,10 +15,17 @@
 //! label-preserving for both vertices and edges.  Patterns may be disconnected
 //! (relaxed queries can fall apart after edge deletions) and may contain
 //! isolated vertices.
+//!
+//! Every run is screened by one prefilter, [`SummaryView::subsumes`] over the
+//! two graphs' [`StructuralSummary`] views (counts, label multisets, degree
+//! sequence); only a pair it passes is searched.  Callers that match one
+//! graph against many hold the summaries and call the `_summarized` forms;
+//! [`contains_subgraph`] and [`enumerate_embeddings`] summarise both graphs
+//! for a one-off call.
 
 use crate::embeddings::Embedding;
 use crate::model::{EdgeId, Graph, VertexId};
-use crate::summary::SummaryView;
+use crate::summary::{StructuralSummary, SummaryView};
 
 /// Search-tree node expansions after which a matching run gives up and
 /// reports an incomplete outcome (a safety valve for pathological inputs;
@@ -41,11 +48,6 @@ impl Default for MatchOptions {
 }
 
 impl MatchOptions {
-    /// Options for a plain existence test.
-    pub fn existence() -> Self {
-        MatchOptions { max_embeddings: 1 }
-    }
-
     /// Options that cap the number of enumerated embeddings.
     pub fn capped(max_embeddings: usize) -> Self {
         MatchOptions { max_embeddings }
@@ -59,38 +61,45 @@ pub struct MatchOutcome {
     pub embeddings: Vec<Embedding>,
     /// True if the search space was fully explored (no cap/step budget hit).
     pub complete: bool,
-    /// Number of search-tree nodes expanded.
-    pub steps: u64,
 }
 
 /// A reusable subgraph matcher binding a pattern to a target graph.
 pub struct Matcher<'a> {
     pattern: &'a Graph,
     target: &'a Graph,
-    options: MatchOptions,
+    /// The prefilter's verdict: false proves that no embedding exists, and
+    /// the search is skipped.
+    subsumed: bool,
     /// Pattern vertices in matching order (connected-first, high degree first).
     order: Vec<VertexId>,
     /// For each position in `order`, the pattern neighbours already matched
     /// (pairs of (earlier pattern vertex, pattern edge label)).
     matched_neighbors: Vec<Vec<(VertexId, crate::model::Label)>>,
-    /// Precomputed result of the label-availability prefilter, when the caller
-    /// already holds [`StructuralSummary`] values for both graphs
-    /// ([`Matcher::new_with_summaries`]); `None` falls back to computing the
-    /// histograms per run.
-    label_prefilter: Option<bool>,
 }
 
 impl<'a> Matcher<'a> {
-    /// Creates a matcher for `pattern` against `target`.
-    pub fn new(pattern: &'a Graph, target: &'a Graph, options: MatchOptions) -> Self {
-        let order = matching_order(pattern);
-        let pos_of: Vec<usize> = {
-            let mut pos = vec![usize::MAX; pattern.vertex_count()];
-            for (i, &v) in order.iter().enumerate() {
-                pos[v.index()] = i;
-            }
-            pos
+    /// Creates a matcher for `pattern` against `target`, given both graphs'
+    /// summary views.  The summaries must describe `pattern` and `target`
+    /// exactly; a stale summary makes the prefilter — and therefore the
+    /// match outcome — wrong.
+    pub fn new(
+        pattern: &'a Graph,
+        pattern_summary: SummaryView<'_>,
+        target: &'a Graph,
+        target_summary: SummaryView<'_>,
+    ) -> Self {
+        let subsumed = target_summary.subsumes(pattern_summary);
+        // A rejected pair is never searched, so it needs no matching order.
+        let order = if subsumed {
+            matching_order(pattern)
+        } else {
+            Vec::new()
         };
+        // `order` lists every pattern vertex, or none for a rejected pair.
+        let mut pos_of = vec![usize::MAX; order.len()];
+        for (i, &v) in order.iter().enumerate() {
+            pos_of[v.index()] = i;
+        }
         let matched_neighbors = order
             .iter()
             .enumerate()
@@ -106,97 +115,61 @@ impl<'a> Matcher<'a> {
         Matcher {
             pattern,
             target,
-            options,
+            subsumed,
             order,
             matched_neighbors,
-            label_prefilter: None,
         }
-    }
-
-    /// Like [`Matcher::new`], but takes precomputed summary views for both
-    /// graphs so the label-availability prefilter is an allocation-free
-    /// [`SummaryView::subsumes`] check instead of two fresh histogram builds
-    /// per matching run.  The summaries must describe `pattern` and `target`
-    /// exactly; a stale summary makes the prefilter — and therefore the match
-    /// outcome — wrong.
-    pub fn new_with_summaries(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        options: MatchOptions,
-        pattern_summary: SummaryView<'_>,
-        target_summary: SummaryView<'_>,
-    ) -> Self {
-        let mut matcher = Matcher::new(pattern, target, options);
-        matcher.label_prefilter = Some(target_summary.subsumes(pattern_summary));
-        matcher
     }
 
     /// True if at least one embedding of the pattern exists in the target.
     pub fn exists(&self) -> bool {
-        !self.run(1).embeddings.is_empty()
+        !self
+            .embeddings(MatchOptions::capped(1))
+            .embeddings
+            .is_empty()
     }
 
-    /// Enumerates all distinct embeddings subject to the configured caps.
-    pub fn embeddings(&self) -> MatchOutcome {
-        self.run(self.options.max_embeddings)
-    }
-
-    fn run(&self, max_embeddings: usize) -> MatchOutcome {
-        let np = self.pattern.vertex_count();
-        let nt = self.target.vertex_count();
-        let mut outcome = MatchOutcome {
-            embeddings: Vec::new(),
-            complete: true,
-            steps: 0,
-        };
-        if np == 0 {
+    /// Enumerates the distinct embeddings, up to `options.max_embeddings`.
+    pub fn embeddings(&self, options: MatchOptions) -> MatchOutcome {
+        if !self.subsumed {
+            return MatchOutcome {
+                embeddings: Vec::new(),
+                complete: true,
+            };
+        }
+        if self.pattern.vertex_count() == 0 {
             // The empty pattern is a subgraph of everything, with a single empty embedding.
-            outcome
-                .embeddings
-                .push(Embedding::new(Vec::new(), Vec::new()));
-            return outcome;
-        }
-        if np > nt || self.pattern.edge_count() > self.target.edge_count() {
-            return outcome;
-        }
-        // Quick label-availability filter: the cached-summary verdict when the
-        // caller supplied one, the histogram comparison otherwise.
-        let compatible = self
-            .label_prefilter
-            .unwrap_or_else(|| labels_compatible(self.pattern, self.target));
-        if !compatible {
-            return outcome;
+            return MatchOutcome {
+                embeddings: vec![Embedding::new(Vec::new(), Vec::new())],
+                complete: true,
+            };
         }
         let mut state = State {
-            mapping: vec![None; np],
-            used: vec![false; nt],
+            mapping: vec![None; self.pattern.vertex_count()],
+            used: vec![false; self.target.vertex_count()],
+            found: Vec::new(),
+            max_embeddings: options.max_embeddings,
+            steps: 0,
+            stopped: false,
         };
-        let mut cap_hit = false;
-        self.recurse(0, &mut state, max_embeddings, &mut outcome, &mut cap_hit);
-        if cap_hit {
-            outcome.complete = false;
+        self.recurse(0, &mut state);
+        MatchOutcome {
+            embeddings: state.found,
+            complete: !state.stopped,
         }
-        outcome
     }
 
-    fn recurse(
-        &self,
-        depth: usize,
-        state: &mut State,
-        max_embeddings: usize,
-        outcome: &mut MatchOutcome,
-        cap_hit: &mut bool,
-    ) {
-        if *cap_hit {
+    fn recurse(&self, depth: usize, state: &mut State) {
+        if state.stopped {
             return;
         }
-        outcome.steps += 1;
-        if outcome.steps > MAX_STEPS {
-            *cap_hit = true;
+        state.steps += 1;
+        if state.steps > MAX_STEPS {
+            state.stopped = true;
             return;
         }
         if depth == self.order.len() {
-            self.record_embedding(state, max_embeddings, outcome, cap_hit);
+            self.record_embedding(state);
             return;
         }
         let p = self.order[depth];
@@ -230,10 +203,10 @@ impl<'a> Matcher<'a> {
             }
             state.mapping[p.index()] = Some(cand);
             state.used[cand.index()] = true;
-            self.recurse(depth + 1, state, max_embeddings, outcome, cap_hit);
+            self.recurse(depth + 1, state);
             state.mapping[p.index()] = None;
             state.used[cand.index()] = false;
-            if *cap_hit {
+            if state.stopped {
                 return;
             }
         }
@@ -263,13 +236,7 @@ impl<'a> Matcher<'a> {
         true
     }
 
-    fn record_embedding(
-        &self,
-        state: &State,
-        max_embeddings: usize,
-        outcome: &mut MatchOutcome,
-        cap_hit: &mut bool,
-    ) {
+    fn record_embedding(&self, state: &mut State) {
         let vertex_map: Vec<VertexId> = state
             .mapping
             .iter()
@@ -291,12 +258,12 @@ impl<'a> Matcher<'a> {
         edges.dedup();
         // Deduplicate by covered edge set: automorphic re-matchings of the same
         // data subgraph count as one embedding (Figure 7 semantics).
-        if state_contains(&mut outcome.embeddings, &edges) {
+        if state.found.iter().any(|e| e.edges == edges) {
             return;
         }
-        outcome.embeddings.push(Embedding { vertex_map, edges });
-        if outcome.embeddings.len() >= max_embeddings {
-            *cap_hit = true;
+        state.found.push(Embedding { vertex_map, edges });
+        if state.found.len() >= state.max_embeddings {
+            state.stopped = true;
         }
     }
 }
@@ -305,10 +272,14 @@ impl<'a> Matcher<'a> {
 struct State {
     mapping: Vec<Option<VertexId>>,
     used: Vec<bool>,
-}
-
-fn state_contains(found: &mut [Embedding], edges: &[EdgeId]) -> bool {
-    found.iter().any(|e| e.edges == edges)
+    /// The distinct embeddings found so far.
+    found: Vec<Embedding>,
+    /// Stop once this many embeddings are found.
+    max_embeddings: usize,
+    /// Search-tree nodes expanded so far, checked against [`MAX_STEPS`].
+    steps: u64,
+    /// Set when the embedding cap or the step limit ends the search early.
+    stopped: bool,
 }
 
 /// Computes a matching order for the pattern: starts from the highest-degree
@@ -355,61 +326,45 @@ fn matching_order(pattern: &Graph) -> Vec<VertexId> {
     order
 }
 
-/// Cheap necessary condition: every pattern vertex/edge label combination must
-/// exist in the target with at least the pattern's multiplicity.
-fn labels_compatible(pattern: &Graph, target: &Graph) -> bool {
-    let pv = pattern.vertex_label_histogram();
-    let tv = target.vertex_label_histogram();
-    for (l, c) in pv {
-        if tv.get(&l).copied().unwrap_or(0) < c {
-            return false;
-        }
-    }
-    let pe = pattern.edge_signature_histogram();
-    let te = target.edge_signature_histogram();
-    for (sig, c) in pe {
-        if te.get(&sig).copied().unwrap_or(0) < c {
-            return false;
-        }
-    }
-    true
-}
-
-/// True if `pattern ⊆iso target` (non-induced, label-preserving).
+/// True if `pattern ⊆iso target` (non-induced, label-preserving), for a
+/// one-off call: both graphs are summarised here.
 pub fn contains_subgraph(pattern: &Graph, target: &Graph) -> bool {
-    Matcher::new(pattern, target, MatchOptions::existence()).exists()
+    contains_subgraph_summarized(
+        pattern,
+        StructuralSummary::of(pattern).view(),
+        target,
+        StructuralSummary::of(target).view(),
+    )
 }
 
-/// [`contains_subgraph`] with cached summary views, so the label prefilter
-/// does not reallocate histograms per call (index builds and the structural
-/// query phase call this in tight loops).
+/// [`contains_subgraph`] over cached summary views (see [`Matcher::new`]).
 pub fn contains_subgraph_summarized(
     pattern: &Graph,
     pattern_summary: SummaryView<'_>,
     target: &Graph,
     target_summary: SummaryView<'_>,
 ) -> bool {
-    Matcher::new_with_summaries(
-        pattern,
-        target,
-        MatchOptions::existence(),
-        pattern_summary,
-        target_summary,
-    )
-    .exists()
+    Matcher::new(pattern, pattern_summary, target, target_summary).exists()
 }
 
-/// Enumerates all distinct embeddings of `pattern` in `target`.
+/// Enumerates all distinct embeddings of `pattern` in `target`, for a
+/// one-off call: both graphs are summarised here.
 pub fn enumerate_embeddings(
     pattern: &Graph,
     target: &Graph,
     options: MatchOptions,
 ) -> MatchOutcome {
-    Matcher::new(pattern, target, options).embeddings()
+    enumerate_embeddings_summarized(
+        pattern,
+        StructuralSummary::of(pattern).view(),
+        target,
+        StructuralSummary::of(target).view(),
+        options,
+    )
 }
 
-/// [`enumerate_embeddings`] with cached summary views (see
-/// [`Matcher::new_with_summaries`]).
+/// [`enumerate_embeddings`] over cached summary views (see
+/// [`Matcher::new`]).
 pub fn enumerate_embeddings_summarized(
     pattern: &Graph,
     pattern_summary: SummaryView<'_>,
@@ -417,8 +372,7 @@ pub fn enumerate_embeddings_summarized(
     target_summary: SummaryView<'_>,
     options: MatchOptions,
 ) -> MatchOutcome {
-    Matcher::new_with_summaries(pattern, target, options, pattern_summary, target_summary)
-        .embeddings()
+    Matcher::new(pattern, pattern_summary, target, target_summary).embeddings(options)
 }
 
 #[cfg(test)]
@@ -570,37 +524,6 @@ mod tests {
         assert_eq!(emb.vertex_map.len(), 2);
         assert_eq!(g.vertex_label(emb.vertex_map[0]), Label(1));
         assert_eq!(g.vertex_label(emb.vertex_map[1]), Label(2));
-    }
-
-    #[test]
-    fn summarized_matching_agrees_with_the_plain_matcher() {
-        use crate::summary::StructuralSummary;
-        let g = graph_002();
-        let gs = StructuralSummary::of(&g);
-        let patterns = [
-            single_edge(0, 1),
-            single_edge(2, 2),
-            GraphBuilder::new()
-                .vertices(&[0, 0, 1])
-                .edge(0, 1, 9)
-                .edge(1, 2, 9)
-                .edge(0, 2, 9)
-                .build(),
-            GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 7).build(),
-            Graph::new(),
-        ];
-        for p in &patterns {
-            let ps = StructuralSummary::of(p);
-            assert_eq!(
-                contains_subgraph_summarized(p, ps.view(), &g, gs.view()),
-                contains_subgraph(p, &g),
-            );
-            let plain = enumerate_embeddings(p, &g, MatchOptions::default());
-            let summarized =
-                Matcher::new_with_summaries(p, &g, MatchOptions::default(), ps.view(), gs.view())
-                    .embeddings();
-            assert_eq!(plain.embeddings, summarized.embeddings);
-        }
     }
 
     #[test]

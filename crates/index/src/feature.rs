@@ -130,24 +130,20 @@ pub fn select_features_summarized(
         // Rule 1: α-filtered support — only count graphs where the ratio of
         // disjoint embeddings is at least α.
         let pattern_summary = StructuralSummary::of(&pattern.graph);
-        let mut alpha_support: Vec<usize> = Vec::new();
-        for &gi in &pattern.support {
-            let outcome = enumerate_embeddings_summarized(
-                &pattern.graph,
-                pattern_summary.view(),
-                &db[gi],
-                summaries[gi],
-                MatchOptions::capped(params.max_embeddings),
-            );
-            if outcome.embeddings.is_empty() {
-                continue;
-            }
-            let disjoint = disjoint_embedding_count(&outcome.embeddings);
-            let ratio = disjoint as f64 / outcome.embeddings.len() as f64;
-            if ratio >= params.alpha {
-                alpha_support.push(gi);
-            }
-        }
+        let alpha_support: Vec<usize> = pattern
+            .support
+            .iter()
+            .copied()
+            .filter(|&gi| {
+                alpha_supports(
+                    &pattern.graph,
+                    pattern_summary.view(),
+                    &db[gi],
+                    summaries[gi],
+                    params,
+                )
+            })
+            .collect();
         let frequency = alpha_support.len() as f64 / db.len() as f64;
         if frequency < params.beta {
             continue;
@@ -166,6 +162,31 @@ pub fn select_features_summarized(
         });
     }
     features
+}
+
+/// The α filter of Algorithm 4 (Rule 1) for one `(feature, skeleton)` pair:
+/// true when the ratio of disjoint embeddings among all (capped) embeddings
+/// reaches `α`.  Feature selection and [`crate::pmi::Pmi::append_graph`]
+/// both call it, so an appended column's support matches a fresh selection.
+pub(crate) fn alpha_supports(
+    feature: &Graph,
+    feature_summary: SummaryView<'_>,
+    skeleton: &Graph,
+    skeleton_summary: SummaryView<'_>,
+    params: &FeatureSelectionParams,
+) -> bool {
+    let outcome = enumerate_embeddings_summarized(
+        feature,
+        feature_summary,
+        skeleton,
+        skeleton_summary,
+        MatchOptions::capped(params.max_embeddings),
+    );
+    if outcome.embeddings.is_empty() {
+        return false;
+    }
+    let disjoint = disjoint_embedding_count(&outcome.embeddings);
+    disjoint as f64 / outcome.embeddings.len() as f64 >= params.alpha
 }
 
 /// Shrinkage discriminativity: `1 − |D_f| / |∩ {D_{f'} : f' ⊆iso f}|` over the

@@ -30,17 +30,15 @@
 //! build time and index size ([`PmiStats`]; `size_bytes` is the exact payload
 //! size of the snapshot, not an estimate).
 
-use crate::feature::{select_features_summarized, Feature, FeatureSelectionParams};
+use crate::feature::{alpha_supports, select_features_summarized, Feature, FeatureSelectionParams};
 use crate::sindex::StructuralIndex;
 use crate::sip_bounds::{sip_bounds, BoundsConfig, SipBounds};
 use crate::snapshot::{self, SnapshotError};
 use crate::storage::SparseMatrix;
 use pgs_graph::arena::FlatVecVec;
-use pgs_graph::embeddings::disjoint_embedding_count;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{derive_seed, par_map_chunked_costed, CostHint};
 use pgs_graph::summary::{StructuralSummary, SummaryView};
-use pgs_graph::vf2::{contains_subgraph_summarized, enumerate_embeddings_summarized, MatchOptions};
 use pgs_prob::model::ProbabilisticGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,8 +119,8 @@ pub struct Pmi {
     churn: usize,
     /// One cached [`StructuralSummary`] per feature, row-aligned with
     /// `features`.  Derived (never persisted): features only change at
-    /// build/decode time, so caching here keeps [`Pmi::append_graph`] from
-    /// re-summarising every feature on every append.
+    /// build/decode time, so caching here keeps [`Pmi::append_graph`] and
+    /// every query's feature relation from re-summarising the features.
     feature_summaries: Vec<StructuralSummary>,
 }
 
@@ -167,6 +165,12 @@ impl Pmi {
     /// use [`Pmi::feature_support`].
     pub fn features(&self) -> &[Feature] {
         &self.features
+    }
+
+    /// One structural summary per feature, row-aligned with
+    /// [`Pmi::features`].
+    pub fn feature_summaries(&self) -> &[StructuralSummary] {
+        &self.feature_summaries
     }
 
     /// Number of database graphs the index covers.
@@ -449,9 +453,9 @@ fn fill_matrix(
 }
 
 /// One graph column of the matrix; shared by the parallel build and the
-/// incremental [`Pmi::append_graph`] so both produce identical cells.  The
-/// cached summaries (one per feature, one for the skeleton) keep the
-/// per-feature containment prefilter allocation-free.
+/// incremental [`Pmi::append_graph`] so both produce identical cells.  Each
+/// cell is one VF2 enumeration over the cached summaries (one per feature,
+/// one for the skeleton); an empty enumeration is the absent cell.
 fn compute_column(
     pg: &ProbabilisticGraph,
     features: &[Feature],
@@ -465,38 +469,16 @@ fn compute_column(
         .iter()
         .zip(feature_summaries)
         .map(|(f, fs)| {
-            if contains_subgraph_summarized(&f.graph, fs.view(), pg.skeleton(), skeleton_summary) {
-                Some(sip_bounds(pg, &f.graph, &params.bounds, &mut rng))
-            } else {
-                None
-            }
+            sip_bounds(
+                pg,
+                &f.graph,
+                fs.view(),
+                skeleton_summary,
+                &params.bounds,
+                &mut rng,
+            )
         })
         .collect()
-}
-
-/// The α filter of Algorithm 4 for one `(feature, skeleton)` pair: true when
-/// the ratio of disjoint embeddings among all (capped) embeddings reaches
-/// `α`.  Used by [`Pmi::append_graph`] to keep the support lists consistent
-/// with what a fresh selection run would record.
-fn alpha_supports(
-    feature: &Graph,
-    feature_summary: SummaryView<'_>,
-    skeleton: &Graph,
-    skeleton_summary: SummaryView<'_>,
-    fp: &FeatureSelectionParams,
-) -> bool {
-    let outcome = enumerate_embeddings_summarized(
-        feature,
-        feature_summary,
-        skeleton,
-        skeleton_summary,
-        MatchOptions::capped(fp.max_embeddings),
-    );
-    if outcome.embeddings.is_empty() {
-        return false;
-    }
-    let disjoint = disjoint_embedding_count(&outcome.embeddings);
-    disjoint as f64 / outcome.embeddings.len() as f64 >= fp.alpha
 }
 
 #[cfg(test)]

@@ -2,11 +2,9 @@
 //!
 //! Phase 1 of the query pipeline (structural pruning, Theorem 1) is a
 //! Grafil-style feature-count filter followed by an exact subgraph-distance
-//! check.  The original implementation scanned the whole database per query
-//! and rebuilt `edge_signature_histogram()` for every candidate skeleton on
-//! every query — O(queries × graphs) histogram allocations.  Grafil and later
-//! filter–verify systems precompute per-graph feature summaries plus an
-//! inverted index exactly to avoid this; the S-Index is that structure:
+//! check.  Like Grafil and later filter–verify systems, it reads per-graph
+//! feature summaries plus an inverted index instead of touching every graph
+//! per query; the S-Index is that structure:
 //!
 //! * one structural summary per database graph (edge-signature histogram,
 //!   vertex-label multiset, vertex/edge counts, degree sequence), computed
@@ -322,7 +320,10 @@ mod tests {
             .enumerate()
             .filter(|(_, g)| {
                 q.edge_count() <= delta
-                    || qs.signature_deficit(&StructuralSummary::of(g), delta) <= delta
+                    || qs
+                        .view()
+                        .signature_deficit(StructuralSummary::of(g).view(), delta)
+                        <= delta
             })
             .map(|(i, _)| i)
             .collect()

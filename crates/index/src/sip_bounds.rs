@@ -30,7 +30,8 @@ use pgs_graph::clique::{max_weight_clique, BitMatrix};
 use pgs_graph::cuts::minimal_cuts;
 use pgs_graph::embeddings::{edge_sets_disjoint, EdgeSet};
 use pgs_graph::model::Graph;
-use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};
+use pgs_graph::summary::SummaryView;
+use pgs_graph::vf2::{enumerate_embeddings_summarized, MatchOptions};
 use pgs_prob::conditional::{conditional_event_probability, EventKind};
 use pgs_prob::model::ProbabilisticGraph;
 use pgs_prob::montecarlo::MonteCarloConfig;
@@ -125,34 +126,40 @@ impl BoundsConfig {
     }
 }
 
-/// Computes the SIP bounds of feature `f` in probabilistic graph `g`.
+/// Computes the SIP bounds of `feature` in `pg` from one VF2 enumeration
+/// over both graphs' cached summaries.  `None` when the feature has no
+/// embedding in the skeleton: the PMI leaves that cell absent.
 pub fn sip_bounds<R: Rng + ?Sized>(
     pg: &ProbabilisticGraph,
     feature: &Graph,
+    feature_summary: SummaryView<'_>,
+    skeleton_summary: SummaryView<'_>,
     config: &BoundsConfig,
     rng: &mut R,
-) -> SipBounds {
+) -> Option<SipBounds> {
     if feature.edge_count() == 0 {
         // The empty feature is contained in every possible world.
-        return SipBounds {
+        return Some(SipBounds {
             lower: 1.0,
             upper: 1.0,
-        };
+        });
     }
-    let outcome = enumerate_embeddings(
+    let outcome = enumerate_embeddings_summarized(
         feature,
+        feature_summary,
         pg.skeleton(),
+        skeleton_summary,
         MatchOptions::capped(config.max_embeddings),
     );
-    let embeddings: Vec<EdgeSet> = outcome.embeddings.iter().map(|e| e.edges.clone()).collect();
-    if embeddings.is_empty() {
-        return SipBounds::ABSENT;
+    if outcome.embeddings.is_empty() {
+        return None;
     }
+    let embeddings: Vec<EdgeSet> = outcome.embeddings.into_iter().map(|e| e.edges).collect();
     let lower = lower_bound(pg, &embeddings, config, rng);
     let upper = upper_bound(pg, &embeddings, outcome.complete, config, rng);
     let upper = upper.clamp(0.0, 1.0);
     let lower = lower.clamp(0.0, upper);
-    SipBounds { lower, upper }
+    Some(SipBounds { lower, upper })
 }
 
 /// Lower bound from disjoint embeddings (Equation 17 / Example 6).
@@ -296,6 +303,8 @@ mod tests {
         random_connected_graph, random_connected_subgraph, RandomGraphConfig,
     };
     use pgs_graph::model::{EdgeId, GraphBuilder};
+    use pgs_graph::summary::StructuralSummary;
+    use pgs_graph::vf2::enumerate_embeddings;
     use pgs_prob::exact::exact_sip;
     use pgs_prob::jpt::JointProbTable;
     use pgs_prob::neighbor::partition_with_triangles;
@@ -318,6 +327,18 @@ mod tests {
                 .unwrap();
         let t2 = JointProbTable::from_max_rule(&[(EdgeId(3), 0.5), (EdgeId(4), 0.4)]).unwrap();
         ProbabilisticGraph::new(skeleton, vec![t1, t2], true).unwrap()
+    }
+
+    /// [`sip_bounds`] for a one-off pair: summarises both graphs.
+    fn bounds_of(
+        pg: &ProbabilisticGraph,
+        feature: &Graph,
+        config: &BoundsConfig,
+        rng: &mut StdRng,
+    ) -> Option<SipBounds> {
+        let fs = StructuralSummary::of(feature);
+        let gs = StructuralSummary::of(pg.skeleton());
+        sip_bounds(pg, feature, fs.view(), gs.view(), config, rng)
     }
 
     fn exact_sip_of(pg: &ProbabilisticGraph, feature: &pgs_graph::model::Graph) -> f64 {
@@ -346,7 +367,7 @@ mod tests {
                 .build(), // path a-b-b
         ];
         for f in &features {
-            let bounds = sip_bounds(&pg, f, &BoundsConfig::default(), &mut rng);
+            let bounds = bounds_of(&pg, f, &BoundsConfig::default(), &mut rng).unwrap();
             let exact = exact_sip_of(&pg, f);
             assert!(bounds.is_valid(), "bounds {bounds:?} invalid");
             assert!(
@@ -363,12 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn absent_feature_has_zero_bounds() {
+    fn absent_feature_has_no_bounds() {
         let pg = fixture_002();
         let mut rng = StdRng::seed_from_u64(2);
         let missing = GraphBuilder::new().vertices(&[5, 6]).edge(0, 1, 9).build();
-        let bounds = sip_bounds(&pg, &missing, &BoundsConfig::default(), &mut rng);
-        assert_eq!(bounds, SipBounds::ABSENT);
+        let bounds = bounds_of(&pg, &missing, &BoundsConfig::default(), &mut rng);
+        assert_eq!(bounds, None);
     }
 
     #[test]
@@ -376,7 +397,7 @@ mod tests {
         let pg = fixture_002();
         let mut rng = StdRng::seed_from_u64(3);
         let empty = pgs_graph::model::Graph::new();
-        let bounds = sip_bounds(&pg, &empty, &BoundsConfig::default(), &mut rng);
+        let bounds = bounds_of(&pg, &empty, &BoundsConfig::default(), &mut rng).unwrap();
         assert_eq!(bounds.lower, 1.0);
         assert_eq!(bounds.upper, 1.0);
     }
@@ -390,8 +411,8 @@ mod tests {
             .edge(0, 1, 9)
             .edge(1, 2, 9)
             .build();
-        let tight = sip_bounds(&pg, &feature, &BoundsConfig::default(), &mut rng);
-        let greedy = sip_bounds(&pg, &feature, &BoundsConfig::greedy(), &mut rng);
+        let tight = bounds_of(&pg, &feature, &BoundsConfig::default(), &mut rng).unwrap();
+        let greedy = bounds_of(&pg, &feature, &BoundsConfig::greedy(), &mut rng).unwrap();
         assert!(tight.lower + 1e-9 >= greedy.lower);
         assert!(tight.upper <= greedy.upper + 1e-9);
     }
@@ -401,7 +422,7 @@ mod tests {
         let pg = fixture_002();
         let mut rng = StdRng::seed_from_u64(5);
         let feature = GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 9).build();
-        let bounds = sip_bounds(&pg, &feature, &BoundsConfig::paper_faithful(), &mut rng);
+        let bounds = bounds_of(&pg, &feature, &BoundsConfig::paper_faithful(), &mut rng).unwrap();
         assert!(bounds.is_valid());
         assert!(bounds.upper > 0.0);
     }
@@ -434,7 +455,7 @@ mod tests {
             let pg = ProbabilisticGraph::new(skeleton.clone(), tables, true).unwrap();
             let feature = random_connected_subgraph(&skeleton, 2, &mut rng)
                 .expect("feature extraction succeeds");
-            let bounds = sip_bounds(&pg, &feature, &BoundsConfig::default(), &mut rng);
+            let bounds = bounds_of(&pg, &feature, &BoundsConfig::default(), &mut rng).unwrap();
             let exact = exact_sip_of(&pg, &feature);
             assert!(
                 bounds.lower <= exact + 1e-9 && exact <= bounds.upper + 1e-9,

@@ -47,7 +47,7 @@ pub const ALL_RULES: &[&str] = &[
 /// Crates whose query-path code must never observe hash-map iteration order:
 /// they compute candidate sets, bounds, and SSP estimates that the engine
 /// promises are byte-identical across runs (DESIGN.md §8/§12/§14).
-const DETERMINISM_CRATES: &[&str] = &["pgs-query", "pgs-index", "pgs-probgraph"];
+const DETERMINISM_CRATES: &[&str] = &["pgs-query", "pgs-index", "pgs-prob"];
 
 /// The only files allowed to contain `unsafe`, all individually audited: the
 /// worker pool's task-lifetime erasure, the arena substrate, and the
@@ -622,6 +622,20 @@ mod tests {
         let src =
             "fn f() { let mut s: HashSet<u64> = HashSet::new(); s.insert(3); s.contains(&3); }";
         assert!(lib(src).is_empty());
+    }
+
+    #[test]
+    fn scoped_crate_lists_name_workspace_members() {
+        // A misspelt package name silently exempts its crate from a rule.
+        let root = workspace::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("workspace root");
+        let ws = workspace::resolve(&root);
+        for name in DETERMINISM_CRATES.iter().chain(BENCH_CRATES) {
+            assert!(
+                ws.files.iter().any(|f| f.crate_name == *name),
+                "`{name}` is not a workspace member"
+            );
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@ use pgs_graph::embeddings::EdgeSet;
 use pgs_graph::mcs::subgraph_distance;
 use pgs_graph::model::{EdgeId, Graph};
 use pgs_graph::relax::relax_query;
-use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};
-use std::collections::HashSet;
+use pgs_graph::summary::StructuralSummary;
+use pgs_graph::vf2::{enumerate_embeddings_summarized, MatchOptions};
 
 /// Default cap on the number of relevant edges enumerated exactly.
 pub const DEFAULT_EXACT_LIMIT: usize = 22;
@@ -163,36 +163,48 @@ pub fn exact_ssp(
 /// Collects the distinct embeddings (edge sets) of every graph in `relaxed`
 /// within the skeleton of `pg`, capped at `max_embeddings` in total.
 ///
-/// Deduplication is a hash-set membership test on the (already sorted)
-/// edge set, O(1) amortised per embedding; the output keeps first-seen
-/// order.  Relaxed queries without edges contribute nothing: callers answer
-/// `δ ≥ |E(q)|` (where the empty pattern is in every world) before
-/// collecting.
+/// The output is the concatenation of each relaxed query's VF2 list, in
+/// order, cut at the cap.  It needs no deduplication: VF2 lists each edge
+/// set once per pattern, and two relaxed queries never share one, because
+/// an embedding's edge set (with its endpoints) is isomorphic to its
+/// pattern, and [`relax_query`] keeps its graphs pairwise non-isomorphic
+/// with isolated vertices dropped.  `relaxed` must honour that contract
+/// (`debug_assert!`ed).  Each capped list is a prefix of the uncapped one,
+/// so a capped collection is a prefix of the uncapped collection.  The
+/// skeleton is summarised once per call, each relaxed query once.  Relaxed
+/// queries without edges contribute nothing: callers answer `δ ≥ |E(q)|`
+/// (where the empty pattern is in every world) before collecting.
 pub fn collect_embeddings_of_relaxations(
     pg: &ProbabilisticGraph,
     relaxed: &[Graph],
     max_embeddings: usize,
 ) -> Vec<EdgeSet> {
-    let mut seen: HashSet<EdgeSet> = HashSet::new();
+    let skeleton_summary = StructuralSummary::of(pg.skeleton());
     let mut out: Vec<EdgeSet> = Vec::new();
     for rq in relaxed {
         if rq.edge_count() == 0 {
             continue;
         }
-        let outcome = enumerate_embeddings(
+        let outcome = enumerate_embeddings_summarized(
             rq,
+            StructuralSummary::of(rq).view(),
             pg.skeleton(),
-            MatchOptions::capped(max_embeddings.saturating_sub(out.len()).max(1)),
+            skeleton_summary.view(),
+            MatchOptions::capped(max_embeddings - out.len()),
         );
-        for emb in outcome.embeddings {
-            if seen.insert(emb.edges.clone()) {
-                out.push(emb.edges);
-            }
-        }
+        out.extend(outcome.embeddings.into_iter().map(|e| e.edges));
         if out.len() >= max_embeddings {
             break;
         }
     }
+    debug_assert!(
+        {
+            let mut sorted: Vec<&EdgeSet> = out.iter().collect();
+            sorted.sort_unstable();
+            sorted.windows(2).all(|w| w[0] != w[1])
+        },
+        "two relaxed queries share an embedding: they are not pairwise non-isomorphic"
+    );
     out
 }
 

@@ -21,8 +21,7 @@ use crate::prune::{
 };
 use crate::structural::structural_candidates_tested;
 use crate::verify::{
-    collect_embeddings_of_relaxations, verify_ssp, verify_ssp_with_stats, VerifyOptions,
-    VerifyOutcome,
+    collect_embeddings_of_relaxations, verify_embeddings, verify_ssp, VerifyOptions, VerifyOutcome,
 };
 use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::Graph;
@@ -1210,13 +1209,11 @@ impl QueryEngine {
             par_map_chunked_costed(&self.db, self.config.threads, CostHint::HEAVY, |gi, pg| {
                 // `exact_ssp` over the shared relaxed set: δ ≥ |E(q)| leaves
                 // the empty pattern, which every world contains.
-                let exact = if trivial {
-                    Ok(1.0)
-                } else {
-                    let embeddings = collect_embeddings_of_relaxations(pg, &relaxed, usize::MAX);
-                    exact_union_probability(pg, &embeddings, self.config.exact.exact_edge_cap)
-                };
-                match exact {
+                if trivial {
+                    return (true, 0, true);
+                }
+                let embeddings = collect_embeddings_of_relaxations(pg, &relaxed, usize::MAX);
+                match exact_union_probability(pg, &embeddings, self.config.exact.exact_edge_cap) {
                     Ok(v) => (v >= params.epsilon, 0, true),
                     Err(_) => {
                         let precise = VerifyOptions {
@@ -1224,15 +1221,11 @@ impl QueryEngine {
                             ..self.config.verify
                         };
                         let mut rng = self.candidate_rng(query_hash, SEED_PHASE_EXACT_FALLBACK, gi);
-                        let outcome = verify_ssp_with_stats(
-                            pg,
-                            q,
-                            params.delta,
-                            &relaxed,
-                            &precise,
-                            1,
-                            &mut rng,
-                        );
+                        // The capped collection the fixed-budget verifier
+                        // would make is this prefix of the uncapped one.
+                        let capped = &embeddings[..embeddings.len().min(precise.max_embeddings)];
+                        let outcome =
+                            verify_embeddings(pg, capped, &precise, 0.0, false, 1, &mut rng);
                         (
                             outcome.ssp >= params.epsilon,
                             outcome.samples_drawn,

@@ -25,7 +25,8 @@
 use crate::qp::{lsim_value, tightest_lsim, LsimSet};
 use crate::setcover::greedy_weighted_set_cover;
 use pgs_graph::model::Graph;
-use pgs_graph::vf2::contains_subgraph;
+use pgs_graph::summary::StructuralSummary;
+use pgs_graph::vf2::contains_subgraph_summarized;
 use pgs_index::pmi::Pmi;
 use rand::Rng;
 
@@ -73,23 +74,26 @@ pub struct FeatureRelation {
 
 impl FeatureRelation {
     /// Runs both containment tests for every feature of `pmi` against every
-    /// relaxed query in `relaxed` (edge counts screen out the impossible
-    /// pairs before VF2).
+    /// relaxed query in `relaxed`.  The features' summaries come from the
+    /// PMI's cache and each relaxed query is summarised once here, so each
+    /// containment test is one VF2 call screened by the two summaries.
     pub fn new(pmi: &Pmi, relaxed: &[Graph]) -> FeatureRelation {
-        let within = |small: &Graph, big: &Graph| {
-            small.edge_count() <= big.edge_count() && contains_subgraph(small, big)
-        };
+        let summaries: Vec<StructuralSummary> = relaxed.iter().map(StructuralSummary::of).collect();
         let rows = pmi
             .features()
             .iter()
-            .map(|feature| {
-                let f = &feature.graph;
-                let contained_in = (0..relaxed.len())
-                    .filter(|&ri| within(f, &relaxed[ri]))
-                    .collect();
-                let contains = (0..relaxed.len())
-                    .filter(|&ri| within(&relaxed[ri], f))
-                    .collect();
+            .zip(pmi.feature_summaries())
+            .map(|(feature, fs)| {
+                let (f, fs) = (&feature.graph, fs.view());
+                let (mut contained_in, mut contains) = (Vec::new(), Vec::new());
+                for (ri, (rq, rs)) in relaxed.iter().zip(&summaries).enumerate() {
+                    if contains_subgraph_summarized(f, fs, rq, rs.view()) {
+                        contained_in.push(ri);
+                    }
+                    if contains_subgraph_summarized(rq, rs.view(), f, fs) {
+                        contains.push(ri);
+                    }
+                }
                 (contained_in, contains)
             })
             .collect();
@@ -347,6 +351,7 @@ mod tests {
     use super::*;
     use pgs_graph::model::{EdgeId, GraphBuilder};
     use pgs_graph::relax::relax_query;
+    use pgs_graph::vf2::contains_subgraph;
     use pgs_index::feature::FeatureSelectionParams;
     use pgs_index::pmi::PmiBuildParams;
     use pgs_index::sip_bounds::BoundsConfig;

@@ -60,13 +60,13 @@ pub struct StructuralFilterStats {
 pub fn structural_candidates(skeletons: &[Graph], q: &Graph, delta: usize) -> Vec<usize> {
     // Built once per query, not once per candidate skeleton.
     let tester = SimilarityTester::new(q, delta);
-    let qs = tester.query_summary();
+    let qs = tester.query_summary().view();
     skeletons
         .iter()
         .enumerate()
         .filter(|(_, g)| {
             let gs = StructuralSummary::of(g);
-            qs.signature_deficit(&gs, delta) <= delta && tester.matches(g, gs.view())
+            qs.signature_deficit(gs.view(), delta) <= delta && tester.matches(g, gs.view())
         })
         .map(|(i, _)| i)
         .collect()
@@ -114,7 +114,10 @@ pub fn structural_candidates_tested(
 /// edges embeds in `g`, the total per-signature deficit
 /// `Σ max(0, count_q(sig) − count_g(sig))` cannot exceed `delta`.
 pub fn passes_feature_count_filter(q: &Graph, g: &Graph, delta: usize) -> bool {
-    StructuralSummary::of(q).signature_deficit(&StructuralSummary::of(g), delta) <= delta
+    StructuralSummary::of(q)
+        .view()
+        .signature_deficit(StructuralSummary::of(g).view(), delta)
+        <= delta
 }
 
 #[cfg(test)]

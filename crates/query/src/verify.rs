@@ -30,6 +30,7 @@
 //! the `Exact` baseline of Figures 9 and 13.
 
 use crate::pipeline::QueryError;
+use pgs_graph::embeddings::EdgeSet;
 use pgs_graph::model::Graph;
 use pgs_prob::error::ProbError;
 use pgs_prob::exact::exact_ssp;
@@ -179,6 +180,31 @@ pub fn verify_ssp<R: Rng + ?Sized>(
         return VerifyOutcome::exactly(1.0);
     }
     let embeddings = collect_embeddings_of_relaxations(pg, relaxed, options.max_embeddings);
+    verify_embeddings(
+        pg,
+        &embeddings,
+        options,
+        threshold,
+        accept_early,
+        threads,
+        rng,
+    )
+}
+
+/// [`verify_ssp`] after the embeddings are collected: the exact
+/// short-circuit, then the sampler over `embeddings`.  The `Exact` scan's
+/// sampling fallback calls it directly with the first `max_embeddings`
+/// entries of the uncapped list it already holds, which is exactly what
+/// [`collect_embeddings_of_relaxations`] would return at that cap.
+pub(crate) fn verify_embeddings<R: Rng + ?Sized>(
+    pg: &ProbabilisticGraph,
+    embeddings: &[EdgeSet],
+    options: &VerifyOptions,
+    threshold: f64,
+    accept_early: bool,
+    threads: usize,
+    rng: &mut R,
+) -> VerifyOutcome {
     if embeddings.is_empty() {
         return VerifyOutcome::exactly(0.0);
     }
@@ -188,12 +214,12 @@ pub fn verify_ssp<R: Rng + ?Sized>(
     relevant.dedup();
     if relevant.len() <= options.exact_cutoff {
         if let Ok(value) =
-            pgs_prob::exact::exact_union_probability(pg, &embeddings, options.exact_cutoff)
+            pgs_prob::exact::exact_union_probability(pg, embeddings, options.exact_cutoff)
         {
             return VerifyOutcome::exactly(value);
         }
     }
-    let Some(sampler) = UnionSampler::with_relevant(pg, &embeddings, &relevant) else {
+    let Some(sampler) = UnionSampler::with_relevant(pg, embeddings, &relevant) else {
         // The union event has probability zero (every Pr(Bf_i) = 0).
         return VerifyOutcome::exactly(0.0);
     };
@@ -230,7 +256,6 @@ pub fn verify_ssp_exact(
 mod tests {
     use super::*;
     use pgs_datagen::scenarios::verification_candidate;
-    use pgs_graph::embeddings::EdgeSet;
     use pgs_graph::model::{EdgeId, GraphBuilder};
     use pgs_graph::relax::relax_query_clamped;
     use pgs_graph::vf2::{enumerate_embeddings, MatchOptions};

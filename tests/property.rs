@@ -8,6 +8,7 @@ use pgs_graph::dfs_code::{are_isomorphic, canonical_code};
 use pgs_graph::embeddings::EdgeSet;
 use pgs_graph::mcs::{subgraph_distance, subgraph_similar};
 use pgs_graph::relax::relax_query;
+use pgs_graph::summary::StructuralSummary;
 use pgs_graph::vf2::{contains_subgraph, enumerate_embeddings, MatchOptions};
 use pgs_index::sip_bounds::{sip_bounds, BoundsConfig};
 use pgs_prob::neighbor::{is_neighbor_edge_set, partition_with_triangles};
@@ -307,39 +308,34 @@ proptest! {
     }
 
     #[test]
-    fn embedding_collection_dedup_matches_linear_scan(pg in arb_probabilistic_graph(), qsize in 1usize..4, delta in 0usize..2) {
-        // The hash-set dedup of collect_embeddings_of_relaxations must
-        // produce exactly the list the old Vec::contains scan produced, for
-        // every cap.
-        prop_assume!(pg.edge_count() >= 2 && pg.edge_count() <= 12);
-        let mut rng = StdRng::seed_from_u64(41);
-        let q = pgs_graph::generate::random_connected_subgraph(pg.skeleton(), qsize.min(pg.edge_count()), &mut rng);
+    fn relaxation_embeddings_are_distinct_and_collected_in_order(
+        pg in arb_probabilistic_graph(),
+        delta in 0usize..3,
+        extra in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        // Two relaxed queries never share an embedding edge set, so the
+        // collector keeps no dedup set: it returns the concatenation of the
+        // per-relaxation VF2 lists, in order, cut at the cap.
+        let qsize = delta + 1 + extra;
+        prop_assume!(pg.edge_count() >= qsize && pg.edge_count() <= 12);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let q = pgs_graph::generate::random_connected_subgraph(pg.skeleton(), qsize, &mut rng);
         prop_assume!(q.is_some());
-        let q = q.unwrap();
-        let relaxed = pgs_graph::relax::relax_query_clamped(&q, delta.min(q.edge_count().saturating_sub(1)));
-        for cap in [1usize, 3, 64] {
-            let fast = collect_embeddings_of_relaxations(&pg, &relaxed, cap);
-            // Reference: the pre-PR quadratic dedup.
-            let mut reference: Vec<EdgeSet> = Vec::new();
-            for rq in &relaxed {
-                if rq.edge_count() == 0 {
-                    continue;
-                }
-                let outcome = enumerate_embeddings(
-                    rq,
-                    pg.skeleton(),
-                    MatchOptions::capped(cap.saturating_sub(reference.len()).max(1)),
-                );
-                for emb in outcome.embeddings {
-                    if !reference.contains(&emb.edges) {
-                        reference.push(emb.edges);
-                    }
-                }
-                if reference.len() >= cap {
-                    break;
-                }
-            }
-            prop_assert_eq!(&fast, &reference, "cap = {}", cap);
+        let relaxed = relax_query(&q.unwrap(), delta);
+        let concatenation: Vec<EdgeSet> = relaxed
+            .iter()
+            .flat_map(|rq| enumerate_embeddings(rq, pg.skeleton(), MatchOptions::default()).embeddings)
+            .map(|emb| emb.edges)
+            .collect();
+        let mut distinct = concatenation.clone();
+        distinct.sort();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), concatenation.len(), "two relaxations share an edge set");
+        for cap in [usize::MAX, 1, 3] {
+            let collected = collect_embeddings_of_relaxations(&pg, &relaxed, cap);
+            let prefix = &concatenation[..concatenation.len().min(cap)];
+            prop_assert_eq!(&collected[..], prefix, "cap = {}", cap);
         }
     }
 
@@ -350,7 +346,9 @@ proptest! {
         let feature = pgs_graph::generate::random_connected_subgraph(pg.skeleton(), 2, &mut rng);
         prop_assume!(feature.is_some());
         let feature = feature.unwrap();
-        let bounds = sip_bounds(&pg, &feature, &BoundsConfig::default(), &mut rng);
+        let (fs, gs) = (StructuralSummary::of(&feature), StructuralSummary::of(pg.skeleton()));
+        let bounds = sip_bounds(&pg, &feature, fs.view(), gs.view(), &BoundsConfig::default(), &mut rng)
+            .expect("a subgraph of the skeleton has an embedding");
         let outcome = enumerate_embeddings(&feature, pg.skeleton(), MatchOptions::default());
         let sets: Vec<EdgeSet> = outcome.embeddings.iter().map(|e| e.edges.clone()).collect();
         let exact = exact_sip(&pg, &sets).unwrap();
