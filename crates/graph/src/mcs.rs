@@ -81,38 +81,51 @@ pub struct SimilarityTester<'a> {
     q_summary: StructuralSummary,
     /// `U` with its summaries; `None` when the deletion budget exceeds the
     /// cap and candidates fall back to the exact MCS distance.
-    relaxed: Option<(Cow<'a, [Graph]>, Vec<StructuralSummary>)>,
+    relaxed: Option<RelaxedSet<'a>>,
 }
 
+/// The relaxed query set `U` and the summary of each of its patterns.
+type RelaxedSet<'a> = (Cow<'a, [Graph]>, Cow<'a, [StructuralSummary]>);
+
 impl<'a> SimilarityTester<'a> {
-    /// Precomputes the tester for `(q, delta)`, enumerating `U` itself.
+    /// Precomputes the tester for `(q, delta)`, enumerating and summarising
+    /// `U` itself.
     pub fn new(q: &'a Graph, delta: usize) -> SimilarityTester<'a> {
-        let relaxed = within_budget(q, delta).then(|| Cow::Owned(relax_query_clamped(q, delta)));
+        let relaxed = within_budget(q, delta).then(|| {
+            let set = relax_query_clamped(q, delta);
+            let summaries = set.iter().map(StructuralSummary::of).collect();
+            (Cow::Owned(set), Cow::Owned(summaries))
+        });
         SimilarityTester::from_set(q, delta, relaxed)
     }
 
     /// The tester over a relaxed set the caller already holds: `relaxed`
-    /// must be `relax_query_clamped(q, delta)`.  The query pipeline computes
-    /// that set once per query and hands the same slice to all three phases;
-    /// nothing is enumerated here.
-    pub fn with_relaxed(q: &'a Graph, delta: usize, relaxed: &'a [Graph]) -> SimilarityTester<'a> {
-        let relaxed = within_budget(q, delta).then_some(Cow::Borrowed(relaxed));
+    /// must be `relax_query_clamped(q, delta)` and `summaries[i]` the
+    /// summary of `relaxed[i]`.  The query pipeline computes both once per
+    /// query and hands the same slices to all three phases; nothing is
+    /// enumerated or summarised here.
+    pub fn with_relaxed(
+        q: &'a Graph,
+        delta: usize,
+        relaxed: &'a [Graph],
+        summaries: &'a [StructuralSummary],
+    ) -> SimilarityTester<'a> {
+        debug_assert_eq!(relaxed.len(), summaries.len());
+        let relaxed =
+            within_budget(q, delta).then_some((Cow::Borrowed(relaxed), Cow::Borrowed(summaries)));
         SimilarityTester::from_set(q, delta, relaxed)
     }
 
     fn from_set(
         q: &'a Graph,
         delta: usize,
-        relaxed: Option<Cow<'a, [Graph]>>,
+        relaxed: Option<RelaxedSet<'a>>,
     ) -> SimilarityTester<'a> {
         SimilarityTester {
             q,
             delta,
             q_summary: StructuralSummary::of(q),
-            relaxed: relaxed.map(|set| {
-                let summaries = set.iter().map(StructuralSummary::of).collect();
-                (set, summaries)
-            }),
+            relaxed,
         }
     }
 
@@ -133,7 +146,7 @@ impl<'a> SimilarityTester<'a> {
             return true;
         }
         match &self.relaxed {
-            Some((set, summaries)) => set.iter().zip(summaries).any(|(rq, summary)| {
+            Some((set, summaries)) => set.iter().zip(summaries.iter()).any(|(rq, summary)| {
                 contains_subgraph_summarized(rq, summary.view(), g, g_summary)
             }),
             None => subgraph_distance(self.q, g) <= self.delta,
@@ -394,7 +407,9 @@ mod tests {
             for delta in 0..=4 {
                 let relaxed = relax_query_clamped(q, delta);
                 let tester = SimilarityTester::new(q, delta);
-                let shared = SimilarityTester::with_relaxed(q, delta, &relaxed);
+                let summaries: Vec<StructuralSummary> =
+                    relaxed.iter().map(StructuralSummary::of).collect();
+                let shared = SimilarityTester::with_relaxed(q, delta, &relaxed, &summaries);
                 for g in &graphs {
                     let gs = StructuralSummary::of(g);
                     let expected = subgraph_distance(q, g) <= delta;

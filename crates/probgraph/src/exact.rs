@@ -21,7 +21,7 @@ use pgs_graph::embeddings::EdgeSet;
 use pgs_graph::mcs::subgraph_distance;
 use pgs_graph::model::{EdgeId, Graph};
 use pgs_graph::relax::relax_query;
-use pgs_graph::summary::StructuralSummary;
+use pgs_graph::summary::{StructuralSummary, SummaryView};
 use pgs_graph::vf2::{enumerate_embeddings_summarized, MatchOptions};
 
 /// Default cap on the number of relevant edges enumerated exactly.
@@ -161,7 +161,28 @@ pub fn exact_ssp(
 }
 
 /// Collects the distinct embeddings (edge sets) of every graph in `relaxed`
-/// within the skeleton of `pg`, capped at `max_embeddings` in total.
+/// within the skeleton of `pg`, capped at `max_embeddings` in total: a
+/// one-off call onto [`collect_embeddings_summarized`] that summarises the
+/// skeleton and each relaxed query here.
+pub fn collect_embeddings_of_relaxations(
+    pg: &ProbabilisticGraph,
+    relaxed: &[Graph],
+    max_embeddings: usize,
+) -> Vec<EdgeSet> {
+    let summaries: Vec<StructuralSummary> = relaxed.iter().map(StructuralSummary::of).collect();
+    collect_embeddings_summarized(
+        pg,
+        StructuralSummary::of(pg.skeleton()).view(),
+        relaxed,
+        &summaries,
+        max_embeddings,
+    )
+}
+
+/// [`collect_embeddings_of_relaxations`] over cached summaries:
+/// `skeleton_summary` describes `pg`'s skeleton and `relaxed_summaries[i]`
+/// describes `relaxed[i]`.  The query pipeline summarises its relaxed set
+/// once per query and reads the skeletons' summaries from the S-Index.
 ///
 /// The output is the concatenation of each relaxed query's VF2 list, in
 /// order, cut at the cap.  It needs no deduplication: VF2 lists each edge
@@ -170,26 +191,27 @@ pub fn exact_ssp(
 /// pattern, and [`relax_query`] keeps its graphs pairwise non-isomorphic
 /// with isolated vertices dropped.  `relaxed` must honour that contract
 /// (`debug_assert!`ed).  Each capped list is a prefix of the uncapped one,
-/// so a capped collection is a prefix of the uncapped collection.  The
-/// skeleton is summarised once per call, each relaxed query once.  Relaxed
+/// so a capped collection is a prefix of the uncapped collection.  Relaxed
 /// queries without edges contribute nothing: callers answer `δ ≥ |E(q)|`
 /// (where the empty pattern is in every world) before collecting.
-pub fn collect_embeddings_of_relaxations(
+pub fn collect_embeddings_summarized(
     pg: &ProbabilisticGraph,
+    skeleton_summary: SummaryView<'_>,
     relaxed: &[Graph],
+    relaxed_summaries: &[StructuralSummary],
     max_embeddings: usize,
 ) -> Vec<EdgeSet> {
-    let skeleton_summary = StructuralSummary::of(pg.skeleton());
+    debug_assert_eq!(relaxed.len(), relaxed_summaries.len());
     let mut out: Vec<EdgeSet> = Vec::new();
-    for rq in relaxed {
+    for (rq, rq_summary) in relaxed.iter().zip(relaxed_summaries) {
         if rq.edge_count() == 0 {
             continue;
         }
         let outcome = enumerate_embeddings_summarized(
             rq,
-            StructuralSummary::of(rq).view(),
+            rq_summary.view(),
             pg.skeleton(),
-            skeleton_summary.view(),
+            skeleton_summary,
             MatchOptions::capped(max_embeddings - out.len()),
         );
         out.extend(outcome.embeddings.into_iter().map(|e| e.edges));

@@ -17,11 +17,12 @@
 //! every database graph directly.
 
 use crate::prune::{
-    bound_candidate, pruning_rules, CrossTermRule, FeatureRelation, PruneDecision, PruneOutcome,
+    bound_candidate, candidate_bounds, pruning_rules, CrossTermRule, FeatureRelation,
+    PruneDecision, PruneOutcome,
 };
 use crate::structural::structural_candidates_tested;
 use crate::verify::{
-    collect_embeddings_of_relaxations, verify_embeddings, verify_ssp, VerifyOptions, VerifyOutcome,
+    collect_embeddings_of_relaxations, verify_embeddings, VerifyOptions, VerifyOutcome,
 };
 use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::Graph;
@@ -29,13 +30,16 @@ use pgs_graph::parallel::{
     derive_seed, par_map_chunked_costed, resolve_threads, CostHint, MAX_THREADS,
 };
 use pgs_graph::relax::relax_query_clamped;
+use pgs_graph::summary::StructuralSummary;
 use pgs_index::pmi::{graph_salt, Pmi, PmiBuildParams};
+use pgs_index::sindex::StructuralIndex;
 use pgs_index::snapshot::SnapshotError;
-use pgs_prob::exact::exact_union_probability;
+use pgs_prob::exact::{collect_embeddings_summarized, exact_union_probability};
 use pgs_prob::model::ProbabilisticGraph;
 use pgs_prob::montecarlo::MonteCarloConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
@@ -510,6 +514,13 @@ pub struct PhaseStats {
     pub pruned_by_upper: usize,
     /// Graphs accepted by Pruning rule 2 without verification.
     pub accepted_by_lower: usize,
+    /// `Lsim` bounds solved (Algorithm 2's QP under `OptSspBound`, one
+    /// arbitrary cover under `SspBound`).  A threshold query solves one per
+    /// candidate that Pruning rule 1 keeps (`structural_candidates −
+    /// pruned_by_upper`); top-k solves one per walked candidate whose
+    /// sampled verdict reads it, none when every verdict is exact.  Always
+    /// zero under `Structure` and for the trivial relaxation.
+    pub lsim_evaluations: usize,
     /// Graphs sent to the verification sampler.
     pub verified: usize,
     /// Candidates answered by verification's exact short-circuit (trivial δ,
@@ -540,10 +551,11 @@ pub struct PhaseStats {
     /// of the relaxed query set that all three phases share.
     pub structural_seconds: f64,
     /// Seconds spent in probabilistic pruning: the feature relation and the
-    /// bound pairs (the relaxed query set is counted in
+    /// phase-2 bounds (the relaxed query set is counted in
     /// `structural_seconds`).
     pub probabilistic_seconds: f64,
-    /// Seconds spent in verification.
+    /// Seconds spent in verification, including the `Lsim` bounds top-k
+    /// solves on first read during its walk.
     pub verification_seconds: f64,
 }
 
@@ -562,6 +574,7 @@ impl PhaseStats {
         self.filter_survivors += other.filter_survivors;
         self.pruned_by_upper += other.pruned_by_upper;
         self.accepted_by_lower += other.accepted_by_lower;
+        self.lsim_evaluations += other.lsim_evaluations;
         self.verified += other.verified;
         self.exact_verifications += other.exact_verifications;
         self.samples_drawn += other.samples_drawn;
@@ -635,21 +648,39 @@ pub struct QueryEngine {
 
 /// The shared phase-1/phase-2 front end's output — the `Prefilter → Bound`
 /// half of the candidate stream that threshold and top-k queries consume.
+///
+/// Phase 2 computes every candidate's `Usim` but solves `Lsim` only where a
+/// consumer reads it: Pruning rule 2 reads it once rule 1 has kept the
+/// candidate, and top-k reads it through [`QueryEngine::read_lsim`] for the
+/// few walked candidates whose sampled verdict needs a floor.
 #[derive(Debug)]
 struct CandidateStream {
     /// Phase-1 survivors, ascending graph ids.
     structural: Vec<usize>,
-    /// Phase-2 `(Usim, Lsim)` per structural candidate (parallel to
-    /// `structural`).
-    bounds: Vec<(f64, f64)>,
+    /// Phase-2 `Usim` per structural candidate (parallel to `structural`);
+    /// `1` under `Structure` and for the trivial relaxation.
+    uppers: Vec<f64>,
+    /// Phase-2 `Lsim` per structural candidate where its `Usim` reaches the
+    /// stream's `lsim_from` (a threshold query's ε), else `0`, the vacuous
+    /// lower bound; `1`, the exact SSP, for the trivial relaxation.  Empty
+    /// for a top-k stream (`lsim_from = ∞`), which reads `Lsim` through
+    /// [`QueryEngine::read_lsim`] instead.
+    lowers: Vec<f64>,
+    /// The query's feature relation, kept so that one candidate's instance
+    /// can be rebuilt for its `Lsim`; `None` under `Structure` and for the
+    /// trivial relaxation.
+    relation: Option<FeatureRelation>,
     /// `relax_query_clamped(q, delta)`, computed once before phase 1 and
     /// shared with phases 2 and 3.
     relaxed: Vec<Graph>,
+    /// The summary of each `relaxed` graph, computed once per query for
+    /// phase 1's tester and phase 3's embedding collection.
+    relaxed_summaries: Vec<StructuralSummary>,
     query_hash: u64,
-    delta: usize,
     /// `δ ≥ |E(q)|`: every graph streams out with SSP exactly 1.
     trivial: bool,
-    /// The phase-1 counters and the phase-1/phase-2 timers.
+    /// The phase-1 counters, `lsim_evaluations` and the phase-1/phase-2
+    /// timers.
     stats: PhaseStats,
 }
 
@@ -886,21 +917,25 @@ impl QueryEngine {
     }
 
     /// Phases 1 and 2, shared by threshold and top-k queries (`0` threads =
-    /// auto): the structural candidates with their `(Usim, Lsim)` bound
-    /// pairs.
+    /// auto): the structural candidates with their `Usim` bounds, and their
+    /// `Lsim` bounds where `Usim ≥ lsim_from`.
     ///
-    /// The relaxed query set `U = relax_query_clamped(q, δ)` is computed
-    /// first, once per query, and every phase reads that one set.  Phase 1
-    /// is structural pruning via the S-Index — the query summary is computed
-    /// once, posting-list deficit accumulation touches only graphs sharing a
-    /// signature with the query, and the exact check (`any(rq ⊆ g)` over `U`)
-    /// reuses the cached summaries; the exact checks fan out over filter
-    /// survivors.  Phase 2 computes the feature relation (which PMI features
-    /// contain or are contained in which relaxed query) once per query, then
-    /// the bound pair of every candidate in parallel: each candidate gates
-    /// the shared relation by its PMI column and draws from its own
-    /// content-seeded RNG.  `Structure` skips the PMI and pins every pair to
-    /// the vacuous `(1, 0)`.
+    /// The relaxed query set `U = relax_query_clamped(q, δ)` and its
+    /// summaries are computed first, once per query, and every phase reads
+    /// that one set.  Phase 1 is structural pruning via the S-Index — the
+    /// query summary is computed once, posting-list deficit accumulation
+    /// touches only graphs sharing a signature with the query, and the exact
+    /// check (`any(rq ⊆ g)` over `U`) reuses the cached summaries; the exact
+    /// checks fan out over filter survivors.  Phase 2 computes the feature
+    /// relation (which PMI features contain or are contained in which
+    /// relaxed query) once per query, then the bounds of every candidate in
+    /// parallel: each candidate gates the shared relation by its PMI column
+    /// into one [`BoundInstance`] and draws from its own content-seeded RNG,
+    /// `Usim` first, then `Lsim` only when `Usim ≥ lsim_from` — the two
+    /// halves of `bound_candidate`, bit for bit.  A threshold query passes ε,
+    /// so Pruning rule 1 decides before the costlier `Lsim` is solved; top-k
+    /// passes `∞` and solves `Lsim` on first read.  `Structure` skips the PMI
+    /// and pins every pair to the vacuous `(1, 0)`.
     ///
     /// Trivial relaxation: when `δ ≥ |E(q)|` the relaxed query set collapses
     /// to the empty pattern, which every possible world contains, so every
@@ -911,19 +946,30 @@ impl QueryEngine {
         q: &Graph,
         delta: usize,
         variant: PruningVariant,
+        lsim_from: f64,
         threads: usize,
     ) -> CandidateStream {
         let query_hash = hash_query(q);
         let mut stats = PhaseStats::default();
+        // A top-k stream keeps no lowers: it solves `Lsim` on first read.
+        let lowers_of = |n: usize, value: f64| {
+            if lsim_from.is_finite() {
+                vec![value; n]
+            } else {
+                Vec::new()
+            }
+        };
         if delta >= q.edge_count() {
             let n = self.db.len();
             stats.structural_candidates = n;
             return CandidateStream {
                 structural: (0..n).collect(),
-                bounds: vec![(1.0, 1.0); n],
+                uppers: vec![1.0; n],
+                lowers: lowers_of(n, 1.0),
+                relation: None,
                 relaxed: Vec::new(),
+                relaxed_summaries: Vec::new(),
                 query_hash,
-                delta,
                 trivial: true,
                 stats,
             };
@@ -932,16 +978,13 @@ impl QueryEngine {
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
         // The query's one relaxed set: phase 1's tester, phase 2's feature
-        // relation and phase 3's sampler all read it.
+        // relation and phase 3's embedding collection all read it.
         let relaxed = relax_query_clamped(q, delta);
-        let sindex = self
-            .pmi
-            .sindex()
-            // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
-            .expect("engine invariant: the PMI always carries an S-Index");
-        let tester = SimilarityTester::with_relaxed(q, delta, &relaxed);
+        let relaxed_summaries: Vec<StructuralSummary> =
+            relaxed.iter().map(StructuralSummary::of).collect();
+        let tester = SimilarityTester::with_relaxed(q, delta, &relaxed, &relaxed_summaries);
         let (structural, filter_stats) =
-            structural_candidates_tested(sindex, &self.db, &tester, threads);
+            structural_candidates_tested(self.sindex(), &self.db, &tester, threads);
         stats.structural_seconds = t0.elapsed().as_secs_f64();
         stats.structural_candidates = structural.len();
         stats.posting_entries_scanned = filter_stats.posting_entries_scanned;
@@ -949,59 +992,111 @@ impl QueryEngine {
 
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t1 = Instant::now();
-        let bounds: Vec<(f64, f64)> = match variant {
-            PruningVariant::Structure => vec![(1.0, 0.0); structural.len()],
+        let n = structural.len();
+        let (uppers, lowers, relation) = match variant {
+            PruningVariant::Structure => (vec![1.0; n], lowers_of(n, 0.0), None),
             PruningVariant::SspBound | PruningVariant::OptSspBound => {
-                let optimal = variant == PruningVariant::OptSspBound;
                 let relation = FeatureRelation::new(&self.pmi, &relaxed);
-                par_map_chunked_costed(&structural, threads, CostHint::MODERATE, |_, &gi| {
-                    let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, gi);
-                    bound_candidate(
-                        &self.pmi,
-                        gi,
-                        &relation,
-                        optimal,
-                        self.config.cross_term,
-                        &mut rng,
-                    )
-                })
+                let optimal = variant == PruningVariant::OptSspBound;
+                let cross = self.config.cross_term;
+                let bounds: Vec<(f64, f64)> =
+                    par_map_chunked_costed(&structural, threads, CostHint::MODERATE, |_, &gi| {
+                        let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, gi);
+                        let (pmi, rng) = (&self.pmi, &mut rng);
+                        candidate_bounds(pmi, gi, &relation, optimal, cross, lsim_from, rng)
+                    });
+                stats.lsim_evaluations = bounds.iter().filter(|b| b.0 >= lsim_from).count();
+                let uppers = bounds.iter().map(|b| b.0).collect();
+                let lowers = if lsim_from.is_finite() {
+                    bounds.iter().map(|b| b.1).collect()
+                } else {
+                    Vec::new()
+                };
+                (uppers, lowers, Some(relation))
             }
         };
         stats.probabilistic_seconds = t1.elapsed().as_secs_f64();
         CandidateStream {
             structural,
-            bounds,
+            uppers,
+            lowers,
+            relation,
             relaxed,
+            relaxed_summaries,
             query_hash,
-            delta,
             trivial: false,
             stats,
         }
     }
 
-    /// Phase 3 for one candidate: the verifier against `threshold` under the
-    /// candidate's content-seeded RNG, its trials on up to `threads` workers.
+    /// Phase 3 for one candidate: its embeddings, collected over the
+    /// stream's relaxed set with both sides' cached summaries, then the
+    /// verifier against `threshold` under the candidate's content-seeded
+    /// RNG, its trials on up to `threads` workers.
     fn verify_candidate(
         &self,
-        q: &Graph,
         stream: &CandidateStream,
         gi: usize,
         threshold: f64,
         accept_early: bool,
         threads: usize,
     ) -> VerifyOutcome {
-        let mut rng = self.candidate_rng(stream.query_hash, SEED_PHASE_VERIFY, gi);
-        verify_ssp(
-            &self.db[gi],
-            q,
-            stream.delta,
+        let pg = &self.db[gi];
+        let options = &self.config.verify;
+        let embeddings = collect_embeddings_summarized(
+            pg,
+            self.sindex().summary(gi),
             &stream.relaxed,
-            &self.config.verify,
+            &stream.relaxed_summaries,
+            options.max_embeddings,
+        );
+        let mut rng = self.candidate_rng(stream.query_hash, SEED_PHASE_VERIFY, gi);
+        verify_embeddings(
+            pg,
+            &embeddings,
+            options,
             threshold,
             accept_early,
             threads,
             &mut rng,
         )
+    }
+
+    /// One candidate's `Lsim`, solved on first read: the stream's feature
+    /// relation rebuilds its instance under its reseeded `SEED_PHASE_PRUNE`
+    /// RNG, so the value is the one phase 2 would have solved
+    /// ([`bound_candidate`]).  Counted in `lsim_evaluations`.  `Structure`
+    /// keeps no relation and reads the vacuous `0`.
+    fn read_lsim(
+        &self,
+        stream: &CandidateStream,
+        gi: usize,
+        variant: PruningVariant,
+        stats: &mut PhaseStats,
+    ) -> f64 {
+        let Some(relation) = &stream.relation else {
+            return 0.0;
+        };
+        stats.lsim_evaluations += 1;
+        let mut rng = self.candidate_rng(stream.query_hash, SEED_PHASE_PRUNE, gi);
+        let optimal = variant == PruningVariant::OptSspBound;
+        bound_candidate(
+            &self.pmi,
+            gi,
+            relation,
+            optimal,
+            self.config.cross_term,
+            &mut rng,
+        )
+        .1
+    }
+
+    /// The PMI's S-Index.
+    fn sindex(&self) -> &StructuralIndex {
+        self.pmi
+            .sindex()
+            // pgs-lint: allow(panic-in-library, engine invariant: build/from_parts always attach an S-Index to the PMI)
+            .expect("engine invariant: the PMI always carries an S-Index")
     }
 
     /// The threshold consumer of the candidate stream, with an explicit
@@ -1018,12 +1113,14 @@ impl QueryEngine {
     /// trials come from the same fixed chunk layout and derived seeds, so
     /// the split is purely a wall-clock decision.
     fn query_with_threads(&self, q: &Graph, params: &QueryParams, threads: usize) -> QueryResult {
-        let stream = self.candidate_stream(q, params.delta, params.variant, threads);
+        let stream =
+            self.candidate_stream(q, params.delta, params.variant, params.epsilon, threads);
         let mut stats = stream.stats;
         let decisions: Vec<PruneDecision> = stream
-            .bounds
+            .uppers
             .iter()
-            .map(|&(usim, lsim)| pruning_rules(usim, lsim, params.epsilon))
+            .zip(&stream.lowers)
+            .map(|(&usim, &lsim)| pruning_rules(usim, lsim, params.epsilon))
             .collect();
         let outcome = PruneOutcome::from_decisions(&stream.structural, &decisions);
         stats.pruned_by_upper = outcome.pruned.len();
@@ -1040,7 +1137,7 @@ impl QueryEngine {
         };
         let verdicts: Vec<VerifyOutcome> =
             par_map_chunked_costed(&outcome.candidates, across, CostHint::HEAVY, |_, &gi| {
-                self.verify_candidate(q, &stream, gi, params.epsilon, true, within)
+                self.verify_candidate(&stream, gi, params.epsilon, true, within)
             });
         let mut answers = outcome.accepted;
         for (&gi, v) in outcome.candidates.iter().zip(&verdicts) {
@@ -1057,15 +1154,16 @@ impl QueryEngine {
     /// The best-first top-k consumer of the candidate stream, with an
     /// explicit thread count.
     ///
-    /// Candidates are ordered by descending capped upper bound, ties broken
-    /// by content salt then index; phase 3 walks that order sequentially,
-    /// maintaining the k best verified lower bounds — exact verdicts
-    /// contribute their SSP, sampled full-budget verdicts
-    /// `max(Lsim, ssp − τ)` — and skips the whole tail once the next upper
-    /// bound falls below the k-th best (every per-candidate computation uses
-    /// its own content-seeded RNG, so the walk order, cuts and estimates are
-    /// identical for every thread count and insertion order).
-    /// The trivial relaxation ranks by that order alone, every SSP being 1.
+    /// Candidates are walked in rank-key order — descending capped upper
+    /// bound, ties broken by content salt then index, the final ranking's
+    /// order — sequentially, keeping the keys of the k best verified lower
+    /// bounds: exact verdicts contribute their SSP, sampled full-budget
+    /// verdicts `max(Lsim, ssp − τ)`, their `Lsim` solved only then.  The
+    /// walk stops once the next candidate's key ranks after the k-th best
+    /// key (every per-candidate computation uses its own content-seeded
+    /// RNG, so the walk order, cuts and estimates are identical for every
+    /// thread count and insertion order).  The trivial relaxation ranks by
+    /// that order alone, every SSP being 1.
     fn query_topk_with_threads(
         &self,
         q: &Graph,
@@ -1073,22 +1171,21 @@ impl QueryEngine {
         threads: usize,
     ) -> TopkResult {
         let salts = self.pmi.graph_salts();
-        let stream = self.candidate_stream(q, params.delta, params.variant, threads);
-        let (structural, bounds) = (&stream.structural, &stream.bounds);
+        let stream = self.candidate_stream(q, params.delta, params.variant, f64::INFINITY, threads);
+        let (structural, uppers) = (&stream.structural, &stream.uppers);
         let mut stats = stream.stats;
         stats.probabilistic_candidates = structural.len();
-        // Best-first order: descending capped upper bound, ties broken by
+        // A rank key sorts best first: value descending (the bits of a
+        // non-negative f64 are monotone; zero canonicalised to +0.0), then
         // content salt (then index, which only matters for byte-identical
         // duplicate graphs) — the salt tie-break keeps the walk, and with it
         // the k-th boundary, invariant under database shuffles.
+        let key = |value: f64, gi: usize| {
+            let bits = if value <= 0.0 { 0 } else { value.to_bits() };
+            (Reverse(bits), salts[gi], gi)
+        };
         let mut order: Vec<usize> = (0..structural.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let ua = bounds[a].0.min(1.0);
-            let ub = bounds[b].0.min(1.0);
-            ub.total_cmp(&ua)
-                .then_with(|| salts[structural[a]].cmp(&salts[structural[b]]))
-                .then_with(|| structural[a].cmp(&structural[b]))
-        });
+        order.sort_unstable_by_key(|&ci| key(uppers[ci].min(1.0), structural[ci]));
         if stream.trivial {
             stats.accepted_by_lower = structural.len();
             let ranked = order
@@ -1109,26 +1206,27 @@ impl QueryEngine {
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t2 = Instant::now();
         let tau = self.config.verify.mc.tau;
-        // The k best verified lower bounds so far, best first, stored as the
-        // bit patterns of non-negative f64s (monotone, so no float compares
-        // in the hot insert; zero canonicalised to +0.0 bits).  Only the
-        // k-th entry is ever read, so the list is cut back to k entries.
-        let mut lowers: Vec<u64> = Vec::new();
+        // The keys of the k best verified lower bounds so far, best first.
+        // Only the k-th entry is ever read, so the list is cut back to k.
+        let mut best: Vec<(Reverse<u64>, u64, usize)> = Vec::new();
         let mut evaluated: Vec<(usize, f64)> = Vec::new();
         for (pos, &ci) in order.iter().enumerate() {
             let gi = structural[ci];
-            let (upper, lsim) = bounds[ci];
-            let kth_lower = lowers.get(params.k - 1).map_or(0.0, |&b| f64::from_bits(b));
-            if evaluated.len() >= params.k && upper.min(1.0) < kth_lower {
-                // Order is descending in the upper bound: nothing after this
-                // candidate can reach the current top k either.
+            let kth = best.get(params.k - 1).copied();
+            if kth.is_some_and(|kth| key(uppers[ci].min(1.0), gi) > kth) {
+                // The candidate's SSP is at most its upper bound, and each of
+                // the k best has at least its lower bound: one that ties it
+                // wins on salt, as in the final ranking.  The walk is in key
+                // order, so nothing after this candidate can reach the top k
+                // either.
                 stats.topk_pruned += order.len() - pos;
                 break;
             }
             // The k-th-best lower bound is the sampler's rejection threshold;
             // accepts never stop early because a ranked winner needs its
             // full-budget estimate.
-            let v = self.verify_candidate(q, &stream, gi, kth_lower, false, threads);
+            let kth_lower = kth.map_or(0.0, |(Reverse(bits), _, _)| f64::from_bits(bits));
+            let v = self.verify_candidate(&stream, gi, kth_lower, false, threads);
             stats.record_verification(&v);
             if v.early == Some(false) {
                 // The interval fell below the k-th-best lower bound: the
@@ -1138,22 +1236,17 @@ impl QueryEngine {
             let lower = if v.exact {
                 v.ssp
             } else {
-                (v.ssp - tau).max(lsim)
+                (v.ssp - tau).max(self.read_lsim(&stream, gi, params.variant, &mut stats))
             };
-            let bits = if lower <= 0.0 { 0u64 } else { lower.to_bits() };
-            let at = lowers.partition_point(|&b| b > bits);
-            lowers.insert(at, bits);
-            lowers.truncate(params.k);
+            let entry = key(lower, gi);
+            best.insert(best.partition_point(|k| *k < entry), entry);
+            best.truncate(params.k);
             evaluated.push((gi, v.ssp));
         }
-        // Final ranking: descending SSP, ties broken by content salt then
-        // index (the satellite regression pins this against database
-        // shuffles); zero-probability graphs are not answers.
-        evaluated.sort_unstable_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then_with(|| salts[a.0].cmp(&salts[b.0]))
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        // Final ranking: the rank key over the SSP (`tests/topk.rs` pins the
+        // salt tie-break against database shuffles); zero-probability graphs
+        // are not answers.
+        evaluated.sort_unstable_by_key(|&(gi, ssp)| key(ssp, gi));
         let ranked: Vec<RankedAnswer> = evaluated
             .into_iter()
             .filter(|&(_, ssp)| ssp > 0.0)
@@ -1898,6 +1991,74 @@ mod tests {
             result.stats.structural_candidates,
             result.stats.pruned_by_upper + result.stats.accepted_by_lower + result.stats.verified
         );
+    }
+
+    #[test]
+    fn lsim_evaluations_count_only_the_bounds_read() {
+        let (engine, queries) = small_engine();
+        let q = &queries[0].graph;
+        let variants = [
+            PruningVariant::Structure,
+            PruningVariant::SspBound,
+            PruningVariant::OptSspBound,
+        ];
+        // Threshold: one `Lsim` per candidate Pruning rule 1 keeps.
+        for variant in variants {
+            for epsilon in [0.05, 0.4, 0.9] {
+                let params = QueryParams {
+                    epsilon,
+                    delta: 1,
+                    variant,
+                };
+                let s = engine.query(q, &params).unwrap().stats;
+                let want = match variant {
+                    PruningVariant::Structure => 0,
+                    _ => s.structural_candidates - s.pruned_by_upper,
+                };
+                assert_eq!(s.lsim_evaluations, want, "{variant:?} ε = {epsilon}");
+            }
+        }
+        let topk = |engine: &QueryEngine, variant, delta| {
+            let params = TopkParams {
+                k: 3,
+                delta,
+                variant,
+            };
+            engine.query_topk(q, &params).unwrap().stats
+        };
+        // The trivial relaxation reads no bound, threshold or top-k.
+        let trivial = q.edge_count();
+        for variant in variants {
+            let params = QueryParams {
+                epsilon: 0.5,
+                delta: trivial,
+                variant,
+            };
+            assert_eq!(engine.query(q, &params).unwrap().stats.lsim_evaluations, 0);
+            assert_eq!(topk(&engine, variant, trivial).lsim_evaluations, 0);
+        }
+        // small_engine verifies exactly: top-k never reads a lower bound.
+        for variant in variants {
+            let s = topk(&engine, variant, 1);
+            assert!(s.verified > 0);
+            assert_eq!(s.lsim_evaluations, 0, "{variant:?}");
+        }
+        // Full-budget sampled verdicts each read one, except under
+        // `Structure`, whose lower bound is the vacuous 0.
+        let mut config = *engine.config();
+        config.verify.exact_cutoff = 0;
+        config.verify.adaptive = false;
+        let sampling =
+            QueryEngine::from_parts(engine.db().to_vec(), engine.pmi().clone(), config).unwrap();
+        for variant in variants {
+            let s = topk(&sampling, variant, 1);
+            let want = match variant {
+                PruningVariant::Structure => 0,
+                _ => s.verified - s.exact_verifications,
+            };
+            assert_eq!(s.lsim_evaluations, want, "{variant:?}");
+        }
+        assert!(topk(&sampling, PruningVariant::OptSspBound, 1).lsim_evaluations > 0);
     }
 
     #[test]

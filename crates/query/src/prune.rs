@@ -21,6 +21,10 @@
 //! the feature set, so they are computed once per query as a
 //! [`FeatureRelation`]; per candidate, [`BoundInstance::from_relation`] only
 //! gates them by the presence of each feature's PMI cell.
+//!
+//! [`candidate_bounds`] computes a candidate's `Usim` and then, only where
+//! a decision can read it, its costlier `Lsim`; [`bound_candidate`] is the
+//! ungated pair.
 
 use crate::qp::{lsim_value, tightest_lsim, LsimSet};
 use crate::setcover::greedy_weighted_set_cover;
@@ -313,23 +317,25 @@ pub(crate) fn pruning_rules(usim: f64, lsim: f64, epsilon: f64) -> PruneDecision
     }
 }
 
-/// Computes the `(Usim, Lsim)` bound pair for a single candidate: gates the
-/// query's feature relation by the candidate's PMI column to get its
-/// set-cover instance ([`BoundInstance::from_relation`]) and evaluates both
-/// bounds, drawing from `rng` in a fixed order (`usim_random` before
-/// `lsim_*`).
-///
-/// Threshold queries apply `pruning_rules` to the pair; the ranked top-k
-/// path orders candidates by `Usim` and seeds its running k-th-best cut with
-/// `Lsim`, so it needs the raw bounds rather than an ε-decision.  The engine
+/// Computes a single candidate's bounds: gates the query's feature relation
+/// by the candidate's PMI column to get its set-cover instance
+/// ([`BoundInstance::from_relation`]), evaluates `Usim`, and evaluates `Lsim`
+/// only when `Usim ≥ lsim_from`, else returns the vacuous lower bound `0`.
+/// The bounds draw from `rng` in a fixed order (`usim_random` before
+/// `lsim_*`), so the gate changes no bit of what it lets through.  The engine
 /// seeds a fresh RNG per candidate, so the pair depends only on
 /// `(pmi, graph_idx, relation, rng seed)`.
-pub fn bound_candidate<R: Rng + ?Sized>(
+///
+/// A threshold query passes ε: a candidate that Pruning rule 1 prunes never
+/// has its `Lsim` solved.  Top-k reads `Lsim` only as the floor of a sampled
+/// verdict, through [`bound_candidate`], for the few candidates that need it.
+pub fn candidate_bounds<R: Rng + ?Sized>(
     pmi: &Pmi,
     graph_idx: usize,
     relation: &FeatureRelation,
     optimal: bool,
     cross: CrossTermRule,
+    lsim_from: f64,
     rng: &mut R,
 ) -> (f64, f64) {
     let instance = BoundInstance::from_relation(pmi, graph_idx, relation);
@@ -338,12 +344,35 @@ pub fn bound_candidate<R: Rng + ?Sized>(
     } else {
         instance.usim_random(rng)
     };
+    if usim < lsim_from {
+        return (usim, 0.0);
+    }
     let lsim = if optimal {
         instance.lsim_optimal(cross, rng)
     } else {
         instance.lsim_random(cross, rng)
     };
     (usim, lsim)
+}
+
+/// The ungated `(Usim, Lsim)` pair of [`candidate_bounds`].
+pub fn bound_candidate<R: Rng + ?Sized>(
+    pmi: &Pmi,
+    graph_idx: usize,
+    relation: &FeatureRelation,
+    optimal: bool,
+    cross: CrossTermRule,
+    rng: &mut R,
+) -> (f64, f64) {
+    candidate_bounds(
+        pmi,
+        graph_idx,
+        relation,
+        optimal,
+        cross,
+        f64::NEG_INFINITY,
+        rng,
+    )
 }
 
 #[cfg(test)]
@@ -696,5 +725,51 @@ mod tests {
             }
         }
         assert!(checked_supergraph_sets, "no lower-bound sets exercised");
+    }
+
+    #[test]
+    fn gated_bounds_keep_the_pair_bits_above_the_gate() {
+        let db = database();
+        let pmi = build_pmi(&db);
+        let q = query();
+        let (mut solved, mut skipped) = (0usize, 0usize);
+        for delta in 0..=2usize {
+            let relaxed = relax_query(&q, delta);
+            let relation = FeatureRelation::new(&pmi, &relaxed);
+            for gi in 0..db.len() {
+                for optimal in [false, true] {
+                    for cross in [CrossTermRule::SafeMin, CrossTermRule::PaperProduct] {
+                        let seed = 100 * delta as u64 + gi as u64;
+                        let rng = || StdRng::seed_from_u64(seed);
+                        let (usim, lsim) =
+                            bound_candidate(&pmi, gi, &relation, optimal, cross, &mut rng());
+                        for lsim_from in [0.3, 0.7] {
+                            let (u, l) = candidate_bounds(
+                                &pmi,
+                                gi,
+                                &relation,
+                                optimal,
+                                cross,
+                                lsim_from,
+                                &mut rng(),
+                            );
+                            let want = if usim >= lsim_from { lsim } else { 0.0 };
+                            let at = format!("δ={delta} g{gi} optimal={optimal} {cross:?}");
+                            assert_eq!(u.to_bits(), usim.to_bits(), "{at}");
+                            assert_eq!(l.to_bits(), want.to_bits(), "{at}");
+                            if usim >= lsim_from && lsim > 0.0 {
+                                solved += 1;
+                            } else if usim < lsim_from {
+                                skipped += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            solved > 0 && skipped > 0,
+            "solved {solved}, skipped {skipped}"
+        );
     }
 }

@@ -149,9 +149,8 @@ pub fn verify_ssp_with_stats<R: Rng + ?Sized>(
 /// The verifier: Algorithm 5 over the [`UnionSampler`] with a sequential
 /// stopping rule (DESIGN.md §16), reusing a precomputed relaxed query set.
 ///
-/// `relaxed` must be `relax_query_clamped(q, delta)` — the pipeline computes
-/// it once per query and shares it with phase 1's exact check and the
-/// pruning bounds, so the `δ`-clamp lives in exactly one place.  Small instances
+/// `relaxed` must be `relax_query_clamped(q, delta)`, so the `δ`-clamp
+/// lives in exactly one place.  Small instances
 /// (trivial `δ`, no embeddings, relevant-edge set within `exact_cutoff`,
 /// zero-weight union) are answered exactly.  Otherwise one chunk seed is
 /// drawn from `rng` and [`UnionSampler::estimate_adaptive`] runs the
@@ -192,10 +191,13 @@ pub fn verify_ssp<R: Rng + ?Sized>(
 }
 
 /// [`verify_ssp`] after the embeddings are collected: the exact
-/// short-circuit, then the sampler over `embeddings`.  The `Exact` scan's
-/// sampling fallback calls it directly with the first `max_embeddings`
-/// entries of the uncapped list it already holds, which is exactly what
-/// [`collect_embeddings_of_relaxations`] would return at that cap.
+/// short-circuit, then the sampler over `embeddings`.  The query pipeline
+/// calls it directly with the list `collect_embeddings_summarized` builds
+/// from the per-query relaxed summaries and the S-Index's skeleton
+/// summary.  The `Exact` scan's sampling fallback calls it with the first
+/// `max_embeddings` entries of the uncapped list it already holds, which is
+/// exactly what [`collect_embeddings_of_relaxations`] would return at that
+/// cap.
 pub(crate) fn verify_embeddings<R: Rng + ?Sized>(
     pg: &ProbabilisticGraph,
     embeddings: &[EdgeSet],

@@ -119,6 +119,12 @@ proptest! {
         for adaptive in ADAPTIVE_MODES {
             let reference = QueryEngine::build(graphs.clone(), engine_config(1, adaptive));
             let want = reference.query(&q, &params).unwrap();
+            // Phase 2 solves `Lsim` only where Pruning rule 1 keeps the
+            // candidate; `counters_only` below holds the count thread-invariant.
+            prop_assert_eq!(
+                want.stats.lsim_evaluations,
+                want.stats.structural_candidates - want.stats.pruned_by_upper
+            );
             let want_scan = reference.exact_scan(&q, &params).unwrap();
             for threads in THREAD_COUNTS {
                 let engine = QueryEngine::build(graphs.clone(), engine_config(threads, adaptive));

@@ -4,7 +4,9 @@
 //!   (the ground truth the moving lower-bound threshold is allowed to
 //!   approximate but never change).
 //! * Ties at the k-th boundary are pinned by the graph content salt, so the
-//!   selected answers must survive a database shuffle byte-for-byte.
+//!   selected answers must survive a database shuffle byte-for-byte, and a
+//!   walk whose whole top k ties stops at the k-th key rather than verifying
+//!   every tied candidate.
 //! * The ranked lists must be byte-identical across thread counts and
 //!   repeated runs, with the adaptive sampler on the noisy path, and the
 //!   phase-1 counters must equal a threshold query's for the same
@@ -146,6 +148,66 @@ fn kth_boundary_ties_survive_a_database_shuffle() {
         reference,
         "k-th boundary tie-break moved under reversal"
     );
+}
+
+#[test]
+fn ties_at_the_kth_key_cut_the_walk() {
+    // Eight certain triangles (every edge present) tie at exact SSP 1.0 above
+    // four uncertain ones, so the whole top 3 ties at 1.0 and only the salt
+    // orders it.  Once three certain graphs hold the top keys, every
+    // candidate still to walk ranks after the k-th key (its upper bound is
+    // at most 1.0 and its salt is larger), so the walk stops there instead
+    // of verifying every tied candidate.
+    let mut graphs: Vec<ProbabilisticGraph> =
+        (0..8).map(|i| triangle(&format!("sure{i}"), 1.0)).collect();
+    graphs.extend((0..4).map(|i| triangle(&format!("maybe{i}"), 0.5)));
+    let engine = QueryEngine::build(graphs.clone(), exact_config());
+    let salts = engine.pmi().graph_salts().to_vec();
+    let q = triangle_query();
+    let delta = 0usize;
+
+    let mut truth: Vec<(usize, f64)> = graphs
+        .iter()
+        .enumerate()
+        .map(|(i, pg)| (i, verify_ssp_exact(pg, &q, delta, 22).unwrap()))
+        .collect();
+    truth.sort_by(|a, b| {
+        b.1.total_cmp(&a.1)
+            .then_with(|| salts[a.0].cmp(&salts[b.0]))
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    let k = 3;
+    let want: Vec<(usize, u64)> = truth
+        .iter()
+        .take(k)
+        .map(|&(gi, ssp)| (gi, ssp.to_bits()))
+        .collect();
+    assert!(truth[..k].iter().all(|&(_, ssp)| ssp == 1.0));
+
+    for variant in [
+        PruningVariant::Structure,
+        PruningVariant::SspBound,
+        PruningVariant::OptSspBound,
+    ] {
+        let result = engine
+            .query_topk(&q, &TopkParams { k, delta, variant })
+            .unwrap();
+        let got: Vec<(usize, u64)> = result
+            .ranked
+            .iter()
+            .map(|r| (r.graph, r.ssp.to_bits()))
+            .collect();
+        assert_eq!(got, want, "{variant:?}: ranking diverged from exact SSPs");
+        let s = result.stats;
+        assert!(
+            s.verified < s.structural_candidates,
+            "{variant:?}: the tied walk verified all {} candidates",
+            s.structural_candidates
+        );
+        assert_eq!(s.verified + s.topk_pruned, s.structural_candidates);
+        // Every verdict here is exact, so no lower bound is ever read.
+        assert_eq!(s.lsim_evaluations, 0, "{variant:?}");
+    }
 }
 
 #[test]
