@@ -31,7 +31,7 @@ pub use pipeline::{
     BatchResult, EngineConfig, EngineLoadError, ExactScanConfig, IndexMismatch, PhaseStats,
     QueryEngine, QueryError, QueryParams, QueryResult,
 };
-pub use prune::{BoundInstance, CrossTermRule, PruneDecision, PruneOutcome};
+pub use prune::{BoundInstance, CrossTermRule};
 pub use qp::tightest_lsim;
 pub use setcover::{greedy_weighted_set_cover, SetCoverSolution};
 pub use structural::{passes_feature_count_filter, structural_candidates, StructuralFilterStats};

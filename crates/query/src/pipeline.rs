@@ -16,14 +16,9 @@
 //! The `Exact` baseline ([`QueryEngine::exact_scan`]) evaluates the SSP of
 //! every database graph directly.
 
-use crate::prune::{
-    bound_candidate, candidate_bounds, pruning_rules, CrossTermRule, FeatureRelation,
-    PruneDecision, PruneOutcome,
-};
+use crate::prune::{bound_candidate, candidate_bounds, CrossTermRule, FeatureRelation};
 use crate::structural::structural_candidates_tested;
-use crate::verify::{
-    collect_embeddings_of_relaxations, verify_embeddings, VerifyOptions, VerifyOutcome,
-};
+use crate::verify::{verify_embeddings, VerifyOptions, VerifyOutcome};
 use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{
@@ -67,11 +62,8 @@ pub enum PruningVariant {
     OptSspBound,
 }
 
-/// Precision knobs of the `Exact` baseline ([`QueryEngine::exact_scan`]).
-///
-/// These used to be magic constants buried in the scan loop; they control how
-/// faithful the "exact" answer actually is and therefore belong in the
-/// configuration.  The defaults reproduce the historical behaviour.
+/// Precision knobs of the `Exact` baseline ([`QueryEngine::exact_scan`]):
+/// they control how faithful the "exact" answer actually is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactScanConfig {
     /// Cap on *relevant* edges (the union of embedding edges) up to which the
@@ -646,6 +638,19 @@ pub struct QueryEngine {
     config: EngineConfig,
 }
 
+/// One phase-1 survivor with its phase-2 bounds (Pruning rules 1 and 2,
+/// Theorems 3 and 4).
+#[derive(Debug)]
+struct Candidate {
+    /// Index into the database.
+    graph: usize,
+    /// `Usim`; `1` under `Structure` and for the trivial relaxation.
+    usim: f64,
+    /// `Lsim` where phase 2 solved it (`Usim ≥ ε` on a threshold query), `1`
+    /// for the trivial relaxation, else `0`, the vacuous lower bound.
+    lsim: f64,
+}
+
 /// The shared phase-1/phase-2 front end's output — the `Prefilter → Bound`
 /// half of the candidate stream that threshold and top-k queries consume.
 ///
@@ -655,17 +660,8 @@ pub struct QueryEngine {
 /// few walked candidates whose sampled verdict needs a floor.
 #[derive(Debug)]
 struct CandidateStream {
-    /// Phase-1 survivors, ascending graph ids.
-    structural: Vec<usize>,
-    /// Phase-2 `Usim` per structural candidate (parallel to `structural`);
-    /// `1` under `Structure` and for the trivial relaxation.
-    uppers: Vec<f64>,
-    /// Phase-2 `Lsim` per structural candidate where its `Usim` reaches the
-    /// stream's `lsim_from` (a threshold query's ε), else `0`, the vacuous
-    /// lower bound; `1`, the exact SSP, for the trivial relaxation.  Empty
-    /// for a top-k stream (`lsim_from = ∞`), which reads `Lsim` through
-    /// [`QueryEngine::read_lsim`] instead.
-    lowers: Vec<f64>,
+    /// One record per phase-1 survivor, ascending ids until top-k ranks them.
+    candidates: Vec<Candidate>,
     /// The query's feature relation, kept so that one candidate's instance
     /// can be rebuilt for its `Lsim`; `None` under `Structure` and for the
     /// trivial relaxation.
@@ -917,25 +913,26 @@ impl QueryEngine {
     }
 
     /// Phases 1 and 2, shared by threshold and top-k queries (`0` threads =
-    /// auto): the structural candidates with their `Usim` bounds, and their
-    /// `Lsim` bounds where `Usim ≥ lsim_from`.
+    /// auto): one [`Candidate`] per structural survivor, holding its `Usim`
+    /// and, where `Usim ≥ lsim_from`, its `Lsim`.
     ///
     /// The relaxed query set `U = relax_query_clamped(q, δ)` and its
-    /// summaries are computed first, once per query, and every phase reads
-    /// that one set.  Phase 1 is structural pruning via the S-Index — the
-    /// query summary is computed once, posting-list deficit accumulation
-    /// touches only graphs sharing a signature with the query, and the exact
-    /// check (`any(rq ⊆ g)` over `U`) reuses the cached summaries; the exact
-    /// checks fan out over filter survivors.  Phase 2 computes the feature
-    /// relation (which PMI features contain or are contained in which
-    /// relaxed query) once per query, then the bounds of every candidate in
-    /// parallel: each candidate gates the shared relation by its PMI column
-    /// into one [`BoundInstance`] and draws from its own content-seeded RNG,
-    /// `Usim` first, then `Lsim` only when `Usim ≥ lsim_from` — the two
-    /// halves of `bound_candidate`, bit for bit.  A threshold query passes ε,
-    /// so Pruning rule 1 decides before the costlier `Lsim` is solved; top-k
-    /// passes `∞` and solves `Lsim` on first read.  `Structure` skips the PMI
-    /// and pins every pair to the vacuous `(1, 0)`.
+    /// summaries are computed first, once per query ([`relaxed_set`]), and
+    /// every phase reads that one set.  Phase 1 is structural pruning via
+    /// the S-Index — the query summary is computed once, posting-list
+    /// deficit accumulation touches only graphs sharing a signature with the
+    /// query, and the exact check (`any(rq ⊆ g)` over `U`) reuses the cached
+    /// summaries; the exact checks fan out over filter survivors.  Phase 2
+    /// computes the feature relation (which PMI features contain or are
+    /// contained in which relaxed query) once per query, then every
+    /// candidate's record in parallel: each candidate gates the shared
+    /// relation by its PMI column into one [`BoundInstance`] and draws from
+    /// its own content-seeded RNG, `Usim` first, then `Lsim` only when
+    /// `Usim ≥ lsim_from` — the two halves of `bound_candidate`, bit for
+    /// bit.  A threshold query passes ε, so Pruning rule 1 decides before
+    /// the costlier `Lsim` is solved; top-k passes `∞` and solves `Lsim` on
+    /// first read.  `Structure` skips the PMI and pins every record to the
+    /// vacuous `(1, 0)`.
     ///
     /// Trivial relaxation: when `δ ≥ |E(q)|` the relaxed query set collapses
     /// to the empty pattern, which every possible world contains, so every
@@ -951,21 +948,15 @@ impl QueryEngine {
     ) -> CandidateStream {
         let query_hash = hash_query(q);
         let mut stats = PhaseStats::default();
-        // A top-k stream keeps no lowers: it solves `Lsim` on first read.
-        let lowers_of = |n: usize, value: f64| {
-            if lsim_from.is_finite() {
-                vec![value; n]
-            } else {
-                Vec::new()
-            }
+        let unbounded = |graph, lsim| Candidate {
+            graph,
+            usim: 1.0,
+            lsim,
         };
         if delta >= q.edge_count() {
-            let n = self.db.len();
-            stats.structural_candidates = n;
+            stats.structural_candidates = self.db.len();
             return CandidateStream {
-                structural: (0..n).collect(),
-                uppers: vec![1.0; n],
-                lowers: lowers_of(n, 1.0),
+                candidates: (0..self.db.len()).map(|gi| unbounded(gi, 1.0)).collect(),
                 relation: None,
                 relaxed: Vec::new(),
                 relaxed_summaries: Vec::new(),
@@ -979,9 +970,7 @@ impl QueryEngine {
         let t0 = Instant::now();
         // The query's one relaxed set: phase 1's tester, phase 2's feature
         // relation and phase 3's embedding collection all read it.
-        let relaxed = relax_query_clamped(q, delta);
-        let relaxed_summaries: Vec<StructuralSummary> =
-            relaxed.iter().map(StructuralSummary::of).collect();
+        let (relaxed, relaxed_summaries) = relaxed_set(q, delta);
         let tester = SimilarityTester::with_relaxed(q, delta, &relaxed, &relaxed_summaries);
         let (structural, filter_stats) =
             structural_candidates_tested(self.sindex(), &self.db, &tester, threads);
@@ -992,34 +981,31 @@ impl QueryEngine {
 
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t1 = Instant::now();
-        let n = structural.len();
-        let (uppers, lowers, relation) = match variant {
-            PruningVariant::Structure => (vec![1.0; n], lowers_of(n, 0.0), None),
+        let (candidates, relation) = match variant {
+            PruningVariant::Structure => (
+                structural.iter().map(|&gi| unbounded(gi, 0.0)).collect(),
+                None,
+            ),
             PruningVariant::SspBound | PruningVariant::OptSspBound => {
-                let relation = FeatureRelation::new(&self.pmi, &relaxed);
+                let relation = FeatureRelation::new(&self.pmi, &relaxed, &relaxed_summaries);
                 let optimal = variant == PruningVariant::OptSspBound;
                 let cross = self.config.cross_term;
-                let bounds: Vec<(f64, f64)> =
-                    par_map_chunked_costed(&structural, threads, CostHint::MODERATE, |_, &gi| {
-                        let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, gi);
-                        let (pmi, rng) = (&self.pmi, &mut rng);
-                        candidate_bounds(pmi, gi, &relation, optimal, cross, lsim_from, rng)
-                    });
-                stats.lsim_evaluations = bounds.iter().filter(|b| b.0 >= lsim_from).count();
-                let uppers = bounds.iter().map(|b| b.0).collect();
-                let lowers = if lsim_from.is_finite() {
-                    bounds.iter().map(|b| b.1).collect()
-                } else {
-                    Vec::new()
+                let bound = |_, &graph: &usize| {
+                    let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, graph);
+                    let (pmi, rng) = (&self.pmi, &mut rng);
+                    let (usim, lsim) =
+                        candidate_bounds(pmi, graph, &relation, optimal, cross, lsim_from, rng);
+                    Candidate { graph, usim, lsim }
                 };
-                (uppers, lowers, Some(relation))
+                let candidates: Vec<Candidate> =
+                    par_map_chunked_costed(&structural, threads, CostHint::MODERATE, bound);
+                stats.lsim_evaluations = candidates.iter().filter(|c| c.usim >= lsim_from).count();
+                (candidates, Some(relation))
             }
         };
         stats.probabilistic_seconds = t1.elapsed().as_secs_f64();
         CandidateStream {
-            structural,
-            uppers,
-            lowers,
+            candidates,
             relation,
             relaxed,
             relaxed_summaries,
@@ -1102,45 +1088,47 @@ impl QueryEngine {
     /// The threshold consumer of the candidate stream, with an explicit
     /// thread count (`0` = auto).
     ///
-    /// Pruning rules 1 and 2 (Theorems 3 and 4) split the stream against ε.
-    /// Because ε ∈ (0, 1], `Structure`'s `(1, 0)` pairs all go to
-    /// verification and the trivial relaxation's `(1, 1)` pairs are all
-    /// accepted.  Verification then runs the bound-adaptive sampler against
-    /// ε with early accepts on (DESIGN.md §16).  With more candidates than
-    /// workers the parallelism goes *across* candidates (each sampler runs
-    /// its chunks sequentially); with few candidates it goes *within* each
-    /// candidate's chunked Karp–Luby trials instead.  Every candidate's
+    /// Pruning rules 1 and 2 (Theorems 3 and 4) split the stream's records
+    /// against ε in one pass: `Usim < ε` is pruned, `Lsim ≥ ε` accepted,
+    /// everything else verified.  Because ε ∈ (0, 1], `Structure`'s `(1, 0)`
+    /// records all go to verification and the trivial relaxation's `(1, 1)`
+    /// records are all accepted.  Verification then runs the bound-adaptive
+    /// sampler against ε with early accepts on (DESIGN.md §16).  With more
+    /// candidates than workers the parallelism goes *across* candidates
+    /// (each sampler runs its chunks sequentially); with few candidates it
+    /// goes *within* each candidate's chunked Karp–Luby trials instead.  Every candidate's
     /// trials come from the same fixed chunk layout and derived seeds, so
     /// the split is purely a wall-clock decision.
     fn query_with_threads(&self, q: &Graph, params: &QueryParams, threads: usize) -> QueryResult {
         let stream =
             self.candidate_stream(q, params.delta, params.variant, params.epsilon, threads);
         let mut stats = stream.stats;
-        let decisions: Vec<PruneDecision> = stream
-            .uppers
-            .iter()
-            .zip(&stream.lowers)
-            .map(|(&usim, &lsim)| pruning_rules(usim, lsim, params.epsilon))
-            .collect();
-        let outcome = PruneOutcome::from_decisions(&stream.structural, &decisions);
-        stats.pruned_by_upper = outcome.pruned.len();
-        stats.accepted_by_lower = outcome.accepted.len();
-        stats.probabilistic_candidates = outcome.surviving();
+        let (mut answers, mut to_verify) = (Vec::new(), Vec::new());
+        for c in &stream.candidates {
+            if c.usim < params.epsilon {
+                stats.pruned_by_upper += 1;
+            } else if c.lsim >= params.epsilon {
+                answers.push(c.graph);
+            } else {
+                to_verify.push(c.graph);
+            }
+        }
+        stats.accepted_by_lower = answers.len();
+        stats.probabilistic_candidates = answers.len() + to_verify.len();
 
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t2 = Instant::now();
         let workers = resolve_threads(threads);
-        let (across, within) = if outcome.candidates.len() >= workers {
+        let (across, within) = if to_verify.len() >= workers {
             (workers, 1)
         } else {
             (1, workers)
         };
         let verdicts: Vec<VerifyOutcome> =
-            par_map_chunked_costed(&outcome.candidates, across, CostHint::HEAVY, |_, &gi| {
+            par_map_chunked_costed(&to_verify, across, CostHint::HEAVY, |_, &gi| {
                 self.verify_candidate(&stream, gi, params.epsilon, true, within)
             });
-        let mut answers = outcome.accepted;
-        for (&gi, v) in outcome.candidates.iter().zip(&verdicts) {
+        for (&gi, v) in to_verify.iter().zip(&verdicts) {
             stats.record_verification(v);
             if v.early.unwrap_or(v.ssp >= params.epsilon) {
                 answers.push(gi);
@@ -1171,10 +1159,10 @@ impl QueryEngine {
         threads: usize,
     ) -> TopkResult {
         let salts = self.pmi.graph_salts();
-        let stream = self.candidate_stream(q, params.delta, params.variant, f64::INFINITY, threads);
-        let (structural, uppers) = (&stream.structural, &stream.uppers);
+        let mut stream =
+            self.candidate_stream(q, params.delta, params.variant, f64::INFINITY, threads);
         let mut stats = stream.stats;
-        stats.probabilistic_candidates = structural.len();
+        stats.probabilistic_candidates = stream.candidates.len();
         // A rank key sorts best first: value descending (the bits of a
         // non-negative f64 are monotone; zero canonicalised to +0.0), then
         // content salt (then index, which only matters for byte-identical
@@ -1184,15 +1172,16 @@ impl QueryEngine {
             let bits = if value <= 0.0 { 0 } else { value.to_bits() };
             (Reverse(bits), salts[gi], gi)
         };
-        let mut order: Vec<usize> = (0..structural.len()).collect();
-        order.sort_unstable_by_key(|&ci| key(uppers[ci].min(1.0), structural[ci]));
+        let rank = |c: &Candidate| key(c.usim.min(1.0), c.graph);
+        stream.candidates.sort_unstable_by_key(rank);
         if stream.trivial {
-            stats.accepted_by_lower = structural.len();
-            let ranked = order
+            stats.accepted_by_lower = stream.candidates.len();
+            let ranked = stream
+                .candidates
                 .iter()
                 .take(params.k)
-                .map(|&ci| RankedAnswer {
-                    graph: structural[ci],
+                .map(|c| RankedAnswer {
+                    graph: c.graph,
                     ssp: 1.0,
                 })
                 .collect();
@@ -1210,16 +1199,16 @@ impl QueryEngine {
         // Only the k-th entry is ever read, so the list is cut back to k.
         let mut best: Vec<(Reverse<u64>, u64, usize)> = Vec::new();
         let mut evaluated: Vec<(usize, f64)> = Vec::new();
-        for (pos, &ci) in order.iter().enumerate() {
-            let gi = structural[ci];
+        for (pos, c) in stream.candidates.iter().enumerate() {
+            let gi = c.graph;
             let kth = best.get(params.k - 1).copied();
-            if kth.is_some_and(|kth| key(uppers[ci].min(1.0), gi) > kth) {
+            if kth.is_some_and(|kth| rank(c) > kth) {
                 // The candidate's SSP is at most its upper bound, and each of
                 // the k best has at least its lower bound: one that ties it
                 // wins on salt, as in the final ranking.  The walk is in key
                 // order, so nothing after this candidate can reach the top k
                 // either.
-                stats.topk_pruned += order.len() - pos;
+                stats.topk_pruned += stream.candidates.len() - pos;
                 break;
             }
             // The k-th-best lower bound is the sampler's rejection threshold;
@@ -1273,7 +1262,8 @@ impl QueryEngine {
 
     /// The `Exact` baseline: evaluates the SSP of every database graph with the
     /// exact evaluator (falling back to high-accuracy sampling when the exact
-    /// enumeration is too large), without any index.
+    /// enumeration is too large), without any pruning: of the index it
+    /// reads only the S-Index's cached skeleton summaries.
     ///
     /// Like [`Self::query`], the scan runs on up to [`EngineConfig::threads`]
     /// workers and each graph's sampling fallback gets its own content-seeded
@@ -1281,20 +1271,15 @@ impl QueryEngine {
     /// Precision (the exact-enumeration edge cap and the fallback sampler's
     /// accuracy) comes from [`EngineConfig::exact`].
     pub fn exact_scan(&self, q: &Graph, params: &QueryParams) -> Result<QueryResult, QueryError> {
-        params.validate()?;
-        self.config.validate()?;
-        self.config.exact.validate()?;
         // The sampling fallback inherits everything but the Monte-Carlo knobs
         // from the verification options, so those must be usable too.
-        self.config.verify.validate()?;
-        if q.edge_count() == 0 {
-            return Err(QueryError::EmptyQuery);
-        }
+        self.validate_queries(params.validate(), std::slice::from_ref(q))?;
+        self.config.exact.validate()?;
         let query_hash = hash_query(q);
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
         // Computed once and read by every graph, exact or sampled.
-        let relaxed = relax_query_clamped(q, params.delta);
+        let (relaxed, relaxed_summaries) = relaxed_set(q, params.delta);
         let trivial = q.edge_count() <= params.delta;
         // One flat per-graph map: each graph's fallback RNG is content-seeded,
         // so the database order never moves an answer.
@@ -1305,7 +1290,13 @@ impl QueryEngine {
                 if trivial {
                     return (true, 0, true);
                 }
-                let embeddings = collect_embeddings_of_relaxations(pg, &relaxed, usize::MAX);
+                let embeddings = collect_embeddings_summarized(
+                    pg,
+                    self.sindex().summary(gi),
+                    &relaxed,
+                    &relaxed_summaries,
+                    usize::MAX,
+                );
                 match exact_union_probability(pg, &embeddings, self.config.exact.exact_edge_cap) {
                     Ok(v) => (v >= params.epsilon, 0, true),
                     Err(_) => {
@@ -1355,6 +1346,14 @@ impl QueryEngine {
             },
         })
     }
+}
+
+/// The query's relaxed set `relax_query_clamped(q, delta)` with each graph's
+/// summary, computed once per query and read by every phase.
+fn relaxed_set(q: &Graph, delta: usize) -> (Vec<Graph>, Vec<StructuralSummary>) {
+    let relaxed = relax_query_clamped(q, delta);
+    let summaries = relaxed.iter().map(StructuralSummary::of).collect();
+    (relaxed, summaries)
 }
 
 /// A deterministic 64-bit hash of a query graph (seeding per-query RNGs).
@@ -1498,22 +1497,62 @@ mod tests {
         );
     }
 
+    /// The threshold partition over every query, variant, ε and δ: each
+    /// record is pruned, accepted or verified exactly once, and the answers
+    /// are the exact scan's.
     #[test]
     fn stats_are_internally_consistent() {
         let (engine, queries) = small_engine();
-        let result = engine
-            .query(&queries[0].graph, &QueryParams::default())
-            .unwrap();
-        let s = result.stats;
-        assert_eq!(
-            s.structural_candidates,
-            s.pruned_by_upper + s.accepted_by_lower + s.verified
-        );
-        assert_eq!(s.probabilistic_candidates, s.accepted_by_lower + s.verified);
-        assert!(s.total_seconds() >= s.verification_seconds);
-        assert!(result.answers.windows(2).all(|w| w[0] < w[1]));
-        // Answers accepted by the lower bound are included.
-        assert!(result.answers.len() >= s.accepted_by_lower);
+        let (mut rule_1, mut rule_2) = (0usize, 0usize);
+        for wq in &queries {
+            let q = &wq.graph;
+            for delta in [1usize, 2, 3] {
+                for epsilon in [0.05, 0.4, 0.9] {
+                    let exact = engine
+                        .exact_scan(
+                            q,
+                            &QueryParams {
+                                epsilon,
+                                delta,
+                                ..QueryParams::default()
+                            },
+                        )
+                        .unwrap();
+                    for variant in [
+                        PruningVariant::Structure,
+                        PruningVariant::SspBound,
+                        PruningVariant::OptSspBound,
+                    ] {
+                        let params = QueryParams {
+                            epsilon,
+                            delta,
+                            variant,
+                        };
+                        let result = engine.query(q, &params).unwrap();
+                        let s = result.stats;
+                        let at = format!("{} {params:?}", q.name());
+                        assert_eq!(
+                            s.structural_candidates,
+                            s.pruned_by_upper + s.accepted_by_lower + s.verified,
+                            "{at}"
+                        );
+                        assert_eq!(
+                            s.probabilistic_candidates,
+                            s.accepted_by_lower + s.verified,
+                            "{at}"
+                        );
+                        assert_eq!(result.answers, exact.answers, "{at}");
+                        assert!(s.total_seconds() >= s.verification_seconds);
+                        if delta < q.edge_count() {
+                            rule_1 += usize::from(s.pruned_by_upper > 0);
+                            rule_2 += usize::from(s.accepted_by_lower > 0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(rule_1 > 0, "Pruning rule 1 never fired on a non-trivial δ");
+        assert!(rule_2 > 0, "Pruning rule 2 never fired on a non-trivial δ");
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!
 //! [`candidate_bounds`] computes a candidate's `Usim` and then, only where
 //! a decision can read it, its costlier `Lsim`; [`bound_candidate`] is the
-//! ungated pair.
+//! ungated pair.  The engine keeps the pair in its one per-candidate record
+//! and applies the two rules to it there.
 
 use crate::qp::{lsim_value, tightest_lsim, LsimSet};
 use crate::setcover::greedy_weighted_set_cover;
@@ -78,11 +79,12 @@ pub struct FeatureRelation {
 
 impl FeatureRelation {
     /// Runs both containment tests for every feature of `pmi` against every
-    /// relaxed query in `relaxed`.  The features' summaries come from the
-    /// PMI's cache and each relaxed query is summarised once here, so each
-    /// containment test is one VF2 call screened by the two summaries.
-    pub fn new(pmi: &Pmi, relaxed: &[Graph]) -> FeatureRelation {
-        let summaries: Vec<StructuralSummary> = relaxed.iter().map(StructuralSummary::of).collect();
+    /// relaxed query in `relaxed`, whose summaries are `summaries` (one per
+    /// graph, in order; the engine computes them once per query).  The
+    /// features' summaries come from the PMI's cache, so each containment
+    /// test is one VF2 call screened by the two summaries.
+    pub fn new(pmi: &Pmi, relaxed: &[Graph], summaries: &[StructuralSummary]) -> FeatureRelation {
+        debug_assert_eq!(relaxed.len(), summaries.len());
         let rows = pmi
             .features()
             .iter()
@@ -90,7 +92,7 @@ impl FeatureRelation {
             .map(|(feature, fs)| {
                 let (f, fs) = (&feature.graph, fs.view());
                 let (mut contained_in, mut contains) = (Vec::new(), Vec::new());
-                for (ri, (rq, rs)) in relaxed.iter().zip(&summaries).enumerate() {
+                for (ri, (rq, rs)) in relaxed.iter().zip(summaries).enumerate() {
                     if contains_subgraph_summarized(f, fs, rq, rs.view()) {
                         contained_in.push(ri);
                     }
@@ -110,11 +112,14 @@ impl FeatureRelation {
 
 impl BoundInstance {
     /// Builds the instance for PMI column `graph_idx` and relaxed query set
-    /// `relaxed`.  Computes the query's [`FeatureRelation`] on the spot; a
-    /// caller bounding several candidates of one query should build the
-    /// relation once and use [`Self::from_relation`].
+    /// `relaxed`.  Summarises `relaxed` and computes the query's
+    /// [`FeatureRelation`] on the spot; a caller bounding several candidates
+    /// of one query should build the relation once and use
+    /// [`Self::from_relation`].
     pub fn build(pmi: &Pmi, graph_idx: usize, relaxed: &[Graph]) -> BoundInstance {
-        BoundInstance::from_relation(pmi, graph_idx, &FeatureRelation::new(pmi, relaxed))
+        let summaries: Vec<StructuralSummary> = relaxed.iter().map(StructuralSummary::of).collect();
+        let relation = FeatureRelation::new(pmi, relaxed, &summaries);
+        BoundInstance::from_relation(pmi, graph_idx, &relation)
     }
 
     /// Builds the instance for PMI column `graph_idx` from the query's
@@ -243,78 +248,6 @@ fn coverage<'a>(universe: usize, sets: impl Iterator<Item = &'a [usize]>) -> Vec
         }
     }
     covered
-}
-
-/// Decision taken for one candidate graph during probabilistic pruning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PruneDecision {
-    /// `Usim(q) < ε`: the graph cannot be an answer (Pruning rule 1).
-    Pruned {
-        /// The computed upper bound.
-        usim: f64,
-    },
-    /// `Lsim(q) ≥ ε`: the graph is an answer without verification (rule 2).
-    Accepted {
-        /// The computed lower bound.
-        lsim: f64,
-    },
-    /// Neither rule fired; the graph goes to verification.
-    Candidate {
-        /// The computed upper bound.
-        usim: f64,
-        /// The computed lower bound.
-        lsim: f64,
-    },
-}
-
-/// Outcome of probabilistic pruning over a whole candidate set.
-#[derive(Debug, Clone, Default)]
-pub struct PruneOutcome {
-    /// Graphs accepted by Pruning rule 2 (guaranteed answers).
-    pub accepted: Vec<usize>,
-    /// Graphs that still need verification.
-    pub candidates: Vec<usize>,
-    /// Graphs discarded by Pruning rule 1.
-    pub pruned: Vec<usize>,
-}
-
-impl PruneOutcome {
-    /// Number of graphs that survived rule 1 (the paper's "candidate size"
-    /// metric for the probabilistic pruning figures).
-    pub fn surviving(&self) -> usize {
-        self.accepted.len() + self.candidates.len()
-    }
-}
-
-impl PruneOutcome {
-    /// Partitions `candidate_graphs` according to per-candidate `decisions`
-    /// (parallel slices of equal length).  Because each decision is pushed in
-    /// candidate order, the three index lists stay sorted whenever the input
-    /// candidate list is sorted — the parallel executor relies on this to
-    /// produce thread-count-independent outcomes.
-    pub fn from_decisions(candidate_graphs: &[usize], decisions: &[PruneDecision]) -> PruneOutcome {
-        debug_assert_eq!(candidate_graphs.len(), decisions.len());
-        let mut outcome = PruneOutcome::default();
-        for (&gi, decision) in candidate_graphs.iter().zip(decisions) {
-            match decision {
-                PruneDecision::Pruned { .. } => outcome.pruned.push(gi),
-                PruneDecision::Accepted { .. } => outcome.accepted.push(gi),
-                PruneDecision::Candidate { .. } => outcome.candidates.push(gi),
-            }
-        }
-        outcome
-    }
-}
-
-/// Pruning rules 1 and 2 applied to a computed `(Usim, Lsim)` pair.
-pub(crate) fn pruning_rules(usim: f64, lsim: f64, epsilon: f64) -> PruneDecision {
-    if usim < epsilon {
-        PruneDecision::Pruned { usim }
-    } else if lsim >= epsilon {
-        PruneDecision::Accepted { lsim }
-    } else {
-        PruneDecision::Candidate { usim, lsim }
-    }
 }
 
 /// Computes a single candidate's bounds: gates the query's feature relation
@@ -510,69 +443,8 @@ mod tests {
         }
     }
 
-    /// The engine's threshold path: the feature relation once, bounds per
-    /// candidate, the two rules, then the partition.
-    fn prune(
-        pmi: &Pmi,
-        candidates: &[usize],
-        relaxed: &[Graph],
-        epsilon: f64,
-        rng: &mut StdRng,
-    ) -> (PruneOutcome, Vec<PruneDecision>) {
-        let relation = FeatureRelation::new(pmi, relaxed);
-        let decisions: Vec<PruneDecision> = candidates
-            .iter()
-            .map(|&gi| {
-                let (usim, lsim) =
-                    bound_candidate(pmi, gi, &relation, true, CrossTermRule::SafeMin, rng);
-                pruning_rules(usim, lsim, epsilon)
-            })
-            .collect();
-        (
-            PruneOutcome::from_decisions(candidates, &decisions),
-            decisions,
-        )
-    }
-
-    #[test]
-    fn pruning_rules_partition_the_candidates() {
-        let db = database();
-        let pmi = build_pmi(&db);
-        let q = query();
-        let relaxed = relax_query(&q, 1);
-        let mut rng = StdRng::seed_from_u64(17);
-        let all: Vec<usize> = (0..db.len()).collect();
-        let (outcome, decisions) = prune(&pmi, &all, &relaxed, 0.5, &mut rng);
-        assert_eq!(decisions.len(), 3);
-        assert_eq!(
-            outcome.accepted.len() + outcome.candidates.len() + outcome.pruned.len(),
-            3
-        );
-        // No graph may be both pruned and an actual answer: cross-check against
-        // the exact SSP.
-        for &gi in &outcome.pruned {
-            let exact = exact_ssp(&db[gi], &q, 1, 22).unwrap();
-            assert!(exact < 0.5, "graph {gi} wrongly pruned (exact SSP {exact})");
-        }
-        for &gi in &outcome.accepted {
-            let exact = exact_ssp(&db[gi], &q, 1, 22).unwrap();
-            assert!(
-                exact >= 0.5 - 1e-9,
-                "graph {gi} wrongly accepted (exact SSP {exact})"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_candidate_list() {
-        let db = database();
-        let pmi = build_pmi(&db);
-        let relaxed = relax_query(&query(), 1);
-        let mut rng = StdRng::seed_from_u64(29);
-        let (outcome, decisions) = prune(&pmi, &[], &relaxed, 0.5, &mut rng);
-        assert!(decisions.is_empty());
-        assert_eq!(outcome.surviving(), 0);
-        assert!(outcome.pruned.is_empty());
+    fn summaries_of(relaxed: &[Graph]) -> Vec<StructuralSummary> {
+        relaxed.iter().map(StructuralSummary::of).collect()
     }
 
     #[test]
@@ -680,7 +552,7 @@ mod tests {
         let mut checked_supergraph_sets = false;
         for delta in 0..=2usize {
             let relaxed = relax_query(&q, delta);
-            let relation = FeatureRelation::new(&pmi, &relaxed);
+            let relation = FeatureRelation::new(&pmi, &relaxed, &summaries_of(&relaxed));
             for gi in 0..=empty {
                 let hoisted = BoundInstance::from_relation(&pmi, gi, &relation);
                 let reference = reference_instance(&pmi, gi, &relaxed);
@@ -735,7 +607,7 @@ mod tests {
         let (mut solved, mut skipped) = (0usize, 0usize);
         for delta in 0..=2usize {
             let relaxed = relax_query(&q, delta);
-            let relation = FeatureRelation::new(&pmi, &relaxed);
+            let relation = FeatureRelation::new(&pmi, &relaxed, &summaries_of(&relaxed));
             for gi in 0..db.len() {
                 for optimal in [false, true] {
                     for cross in [CrossTermRule::SafeMin, CrossTermRule::PaperProduct] {
