@@ -95,24 +95,9 @@ impl<T> FlatVecVec<T> {
         &self.values[lo..hi]
     }
 
-    /// Length of row `i` without touching the values arena.
-    pub fn row_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
     /// Iterates the rows in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
         (0..self.len()).map(move |i| self.row(i))
-    }
-
-    /// The packed values arena (all rows back to back).
-    pub fn values(&self) -> &[T] {
-        &self.values
-    }
-
-    /// The offsets table (`len() + 1` entries, starting at 0).
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
     }
 
     /// Appends `value` at the end of row `row`, shifting every later row.
@@ -242,12 +227,9 @@ mod tests {
         assert_eq!(a.total_len(), 6);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(a.row(i), row.as_slice());
-            assert_eq!(a.row_len(i), row.len());
         }
         let collected: Vec<Vec<u32>> = a.iter().map(|r| r.to_vec()).collect();
         assert_eq!(collected, rows);
-        assert_eq!(a.values(), &[1, 2, 3, 4, 5, 6]);
-        assert_eq!(a.offsets(), &[0, 3, 3, 4, 6]);
     }
 
     #[test]

@@ -65,11 +65,6 @@ pub struct CostHint {
 }
 
 impl CostHint {
-    /// Sub-microsecond items: histogram probes, arithmetic filters.
-    /// Parallel only from ~400 items up.
-    pub const LIGHT: CostHint = CostHint {
-        per_item_nanos: 500,
-    };
     /// Items in the tens of microseconds: subgraph-distance checks, pruning
     /// bound evaluations.  Parallel from ~20 items up.
     pub const MODERATE: CostHint = CostHint {
@@ -204,11 +199,9 @@ mod tests {
 
     #[test]
     fn cost_model_keeps_tiny_inputs_sequential() {
-        assert!(!CostHint::LIGHT.worth_dispatching(10));
         assert!(!CostHint::MODERATE.worth_dispatching(10));
         assert!(CostHint::MODERATE.worth_dispatching(20));
         assert!(CostHint::HEAVY.worth_dispatching(2));
-        assert!(CostHint::LIGHT.worth_dispatching(400));
         // Saturating: absurd item counts must not overflow into "sequential".
         assert!(CostHint::HEAVY.worth_dispatching(usize::MAX));
     }

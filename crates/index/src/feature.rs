@@ -22,7 +22,7 @@
 //! discriminative features) and reproduces the figure's shape.  Recorded as a
 //! substitution in DESIGN.md §3.
 
-use pgs_graph::embeddings::disjoint_embedding_count;
+use pgs_graph::embeddings::{disjoint_embedding_count, Embedding};
 use pgs_graph::mining::{mine_frequent_patterns_summarized, MiningOptions};
 use pgs_graph::model::Graph;
 use pgs_graph::summary::{StructuralSummary, SummaryView};
@@ -166,8 +166,9 @@ pub fn select_features_summarized(
 
 /// The α filter of Algorithm 4 (Rule 1) for one `(feature, skeleton)` pair:
 /// true when the ratio of disjoint embeddings among all (capped) embeddings
-/// reaches `α`.  Feature selection and [`crate::pmi::Pmi::append_graph`]
-/// both call it, so an appended column's support matches a fresh selection.
+/// reaches `α`.  Feature selection calls it; [`crate::pmi::Pmi::append_graph`]
+/// runs its test ([`alpha_holds`]) on the same capped embedding list, so an
+/// appended column's support matches a fresh selection.
 pub(crate) fn alpha_supports(
     feature: &Graph,
     feature_summary: SummaryView<'_>,
@@ -182,11 +183,16 @@ pub(crate) fn alpha_supports(
         skeleton_summary,
         MatchOptions::capped(params.max_embeddings),
     );
-    if outcome.embeddings.is_empty() {
+    alpha_holds(&outcome.embeddings, params.alpha)
+}
+
+/// [`alpha_supports`] over an already enumerated embedding list: the first
+/// `params.max_embeddings` embeddings of the feature, in VF2 order.
+pub(crate) fn alpha_holds(embeddings: &[Embedding], alpha: f64) -> bool {
+    if embeddings.is_empty() {
         return false;
     }
-    let disjoint = disjoint_embedding_count(&outcome.embeddings);
-    disjoint as f64 / outcome.embeddings.len() as f64 >= params.alpha
+    disjoint_embedding_count(embeddings) as f64 / embeddings.len() as f64 >= alpha
 }
 
 /// Shrinkage discriminativity: `1 − |D_f| / |∩ {D_{f'} : f' ⊆iso f}|` over the

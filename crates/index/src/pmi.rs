@@ -30,15 +30,16 @@
 //! build time and index size ([`PmiStats`]; `size_bytes` is the exact payload
 //! size of the snapshot, not an estimate).
 
-use crate::feature::{alpha_supports, select_features_summarized, Feature, FeatureSelectionParams};
-use crate::sindex::StructuralIndex;
-use crate::sip_bounds::{sip_bounds, BoundsConfig, SipBounds};
+use crate::feature::{alpha_holds, select_features_summarized, Feature, FeatureSelectionParams};
+use crate::sindex::{keep_renumbered, StructuralIndex};
+use crate::sip_bounds::{embedded_sip_bounds, BoundsConfig, SipBounds};
 use crate::snapshot::{self, SnapshotError};
 use crate::storage::SparseMatrix;
 use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{derive_seed, par_map_chunked_costed, CostHint};
 use pgs_graph::summary::{StructuralSummary, SummaryView};
+use pgs_graph::vf2::{enumerate_embeddings_summarized, MatchOptions, MatchOutcome};
 use pgs_prob::model::ProbabilisticGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -272,27 +273,19 @@ impl Pmi {
             &self.feature_summaries,
             skeleton_summary.view(),
             &self.params,
+            true,
         );
         let global = self.graph_salts.len() as u32;
-        let fp = self.params.features;
-        for (f, fs) in self.features.iter().zip(&self.feature_summaries) {
-            if column[f.id].is_some()
-                && alpha_supports(
-                    &f.graph,
-                    fs.view(),
-                    pg.skeleton(),
-                    skeleton_summary.view(),
-                    &fp,
-                )
-            {
-                self.supports.push_into_row(f.id, global);
+        for (fi, cell) in column.iter().enumerate() {
+            if let Some((_, true)) = cell {
+                self.supports.push_into_row(fi, global);
             }
         }
         self.matrix.push_column(
             column
                 .iter()
                 .enumerate()
-                .filter_map(|(fi, c)| c.map(|b| (fi, b))),
+                .filter_map(|(fi, c)| c.map(|(b, _)| (fi, b))),
         );
         if let Some(sindex) = &mut self.sindex {
             sindex.append_summary(skeleton_summary);
@@ -315,16 +308,8 @@ impl Pmi {
             self.graph_count()
         );
         self.matrix.remove_column(index);
-        let cut = index as u32;
-        self.supports.retain_mut(|_, g| {
-            if *g == cut {
-                return false;
-            }
-            if *g > cut {
-                *g -= 1;
-            }
-            true
-        });
+        let removed = index as u32;
+        self.supports.retain_mut(|_, g| keep_renumbered(g, removed));
         if let Some(sindex) = &mut self.sindex {
             sindex.remove(index);
         }
@@ -442,13 +427,15 @@ fn fill_matrix(
     // feature — far beyond the dispatch floor, so two graphs already justify
     // fanning out to the pool.
     par_map_chunked_costed(db, params.threads, CostHint::HEAVY, |gi, pg| {
-        compute_column(
+        let column = compute_column(
             pg,
             features,
             feature_summaries,
             skeleton_summaries[gi],
             params,
-        )
+            false,
+        );
+        column.into_iter().map(|c| c.map(|(b, _)| b)).collect()
     })
 }
 
@@ -456,27 +443,54 @@ fn fill_matrix(
 /// incremental [`Pmi::append_graph`] so both produce identical cells.  Each
 /// cell is one VF2 enumeration over the cached summaries (one per feature,
 /// one for the skeleton); an empty enumeration is the absent cell.
+///
+/// With `with_support`, a present cell also carries whether the graph
+/// passes the feature's α filter ([`alpha_holds`]); the build leaves that
+/// to feature selection and reads `false`.  The enumeration then runs to
+/// the larger of the two embedding caps and each consumer reads its own
+/// prefix: VF2's order is fixed, so a capped list is a prefix of a longer
+/// one, and the bounds' list is complete only if it stops short of its
+/// cap.  (VF2 checks the cap after each push, so a cap of 0 acts as 1.)
 fn compute_column(
     pg: &ProbabilisticGraph,
     features: &[Feature],
     feature_summaries: &[StructuralSummary],
     skeleton_summary: SummaryView<'_>,
     params: &PmiBuildParams,
-) -> Vec<Option<SipBounds>> {
+    with_support: bool,
+) -> Vec<Option<(SipBounds, bool)>> {
     let mut rng =
         StdRng::seed_from_u64(derive_seed(&[params.seed, pg.skeleton().structural_hash()]));
+    let bounds_cap = params.bounds.max_embeddings.max(1);
+    let alpha_cap = if with_support {
+        params.features.max_embeddings.max(1)
+    } else {
+        0
+    };
     features
         .iter()
         .zip(feature_summaries)
         .map(|(f, fs)| {
-            sip_bounds(
-                pg,
+            let MatchOutcome {
+                mut embeddings,
+                complete,
+            } = enumerate_embeddings_summarized(
                 &f.graph,
                 fs.view(),
+                pg.skeleton(),
                 skeleton_summary,
-                &params.bounds,
-                &mut rng,
-            )
+                MatchOptions::capped(bounds_cap.max(alpha_cap)),
+            );
+            let supports = with_support
+                && alpha_holds(
+                    &embeddings[..embeddings.len().min(alpha_cap)],
+                    params.features.alpha,
+                );
+            let complete = complete && embeddings.len() < bounds_cap;
+            embeddings.truncate(bounds_cap);
+            let bounds =
+                embedded_sip_bounds(pg, &f.graph, embeddings, complete, &params.bounds, &mut rng);
+            bounds.map(|b| (b, supports))
         })
         .collect()
 }
@@ -695,32 +709,49 @@ mod tests {
     #[test]
     fn append_then_remove_restores_the_original_matrix() {
         let db = database();
-        let full = Pmi::build(&db, &params());
-        let mut pmi = Pmi::build(&db, &params());
-        pmi.remove_graph(2);
-        assert_eq!(pmi.graph_count(), 2);
-        assert_eq!(pmi.churn(), 1);
-        // Supports no longer mention the removed column.
-        for f in pmi.features() {
-            assert!(pmi.feature_support(f.id).iter().all(|&gi| gi < 2));
-        }
-        pmi.append_graph(&db[2]);
-        assert_eq!(pmi.graph_count(), 3);
-        assert_eq!(pmi.churn(), 2);
-        assert!(pmi.staleness() > 0.0);
-        // The re-appended column is byte-identical to the fresh build's.
-        for gi in 0..3 {
-            assert_eq!(pmi.graph_entries(gi), full.graph_entries(gi));
-        }
-        assert_eq!(pmi.graph_salts(), full.graph_salts());
-        for (a, b) in pmi.features().iter().zip(full.features()) {
-            assert_eq!(
-                pmi.feature_support(a.id),
-                full.feature_support(b.id),
-                "support of feature {}",
-                a.id
-            );
-            assert!((a.frequency - b.frequency).abs() < 1e-12);
+        // `(bounds cap, α-filter cap, α)`: an append enumerates each cell
+        // once, at the larger cap, so each consumer must read its own
+        // prefix of that list to match the fresh build.
+        for (bounds_cap, alpha_cap, alpha) in
+            [(24, 16, 0.0), (1, 16, 0.0), (24, 1, 0.6), (2, 3, 0.6)]
+        {
+            let mut params = params();
+            params.bounds.max_embeddings = bounds_cap;
+            params.features.max_embeddings = alpha_cap;
+            params.features.alpha = alpha;
+            let full = Pmi::build(&db, &params);
+            for (removed, graph) in db.iter().enumerate() {
+                let mut pmi = full.clone();
+                pmi.remove_graph(removed);
+                assert_eq!(pmi.graph_count(), 2);
+                assert_eq!(pmi.churn(), 1);
+                // Supports no longer mention the removed column.
+                for f in pmi.features() {
+                    assert!(pmi.feature_support(f.id).iter().all(|&gi| gi < 2));
+                }
+                pmi.append_graph(graph);
+                assert_eq!(pmi.graph_count(), 3);
+                assert_eq!(pmi.churn(), 2);
+                assert!(pmi.staleness() > 0.0);
+                // The re-appended column is byte-identical to the fresh
+                // build's; the others shifted down by one.
+                let case = format!("caps {bounds_cap}/{alpha_cap}, α {alpha}, graph {removed}");
+                let order: Vec<usize> = (0..3).filter(|&g| g != removed).chain([removed]).collect();
+                for (gi, &was) in order.iter().enumerate() {
+                    assert_eq!(pmi.graph_entries(gi), full.graph_entries(was), "{case}");
+                    assert_eq!(pmi.graph_salts()[gi], full.graph_salts()[was], "{case}");
+                }
+                for (a, b) in pmi.features().iter().zip(full.features()) {
+                    let want: Vec<usize> = order
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, was)| full.feature_support(b.id).contains(was))
+                        .map(|(gi, _)| gi)
+                        .collect();
+                    assert_eq!(pmi.feature_support(a.id), want, "{case}, feature {}", a.id);
+                    assert!((a.frequency - b.frequency).abs() < 1e-12);
+                }
+            }
         }
     }
 

@@ -22,30 +22,33 @@
 //! *identical* to brute-forcing `passes_feature_count_filter` over every
 //! graph (a property test pins this).
 //!
-//! # Columnar layout
+//! # Layout
 //!
-//! The whole index lives in flat arenas ([`FlatVecVec`]): one arena per
-//! database for each summary column (vertex-label histograms, edge-signature
-//! histograms, degree sequences) and one for the posting lists (a sorted
-//! signature-key table plus an offsets+entries pair).  Per-graph summaries
-//! are handed out as borrowed [`SummaryView`]s — no per-graph `Vec`s exist
-//! anywhere — and the posting scan walks one contiguous entry slice per query
-//! signature.
+//! The summaries live column-wise in flat arenas ([`FlatVecVec`]): one arena
+//! per database for each summary column (vertex-label histograms,
+//! edge-signature histograms, degree sequences), handed out as borrowed
+//! [`SummaryView`]s, so no per-graph `Vec`s exist.  The postings are one row
+//! per distinct signature, rows ascending by signature and entries ascending
+//! by graph id inside a row; the posting scan binary-searches each query
+//! signature's row and walks its contiguous entries.
 //!
 //! # Churn
 //!
-//! Both mutations edit the summary arenas in place and then rebuild the
-//! posting arena from them ([`StructuralIndex::append_summary`] pushes one
-//! row per column; [`StructuralIndex::remove`] drops one row per column with
-//! [`FlatVecVec::remove_row`]).  Either is O(total log total), dominated by
-//! the posting rebuild; queries dominate churn by orders of magnitude, so
-//! the flat read path wins.  The result always equals a fresh
-//! [`StructuralIndex::build`] over the same graphs in the same order.
+//! The index is edited, never rebuilt.  Every write goes through one push
+//! that appends a graph's summary as the next graph id: build, snapshot
+//! decode ([`StructuralIndex::from_summaries`]) and
+//! [`StructuralIndex::append_summary`] all run it.  The new graph has the
+//! largest id, so its entries go at the end of their rows and no row is ever
+//! sorted.  [`StructuralIndex::remove`] drops one row per summary column
+//! ([`FlatVecVec::remove_row`]) and, in one pass over the postings, drops the
+//! graph's entries, renumbers later graphs down by one and deletes rows left
+//! empty.  The result always equals a fresh [`StructuralIndex::build`] over
+//! the same graphs in the same order.
 //!
 //! The S-Index is persisted as a versioned section of the PMI snapshot
 //! (format v2, see [`crate::snapshot`]); only the summaries are written —
 //! posting lists are a deterministic function of the summaries and are
-//! rebuilt on load.
+//! pushed again on load.
 
 use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::{Graph, Label};
@@ -72,6 +75,20 @@ pub struct FilterOutcome {
     pub posting_entries_scanned: usize,
 }
 
+/// The graph-id rule of every removal from the index: returns false for the
+/// removed graph's id and true for every other id, shifting ids after it
+/// down by one (mirroring `Vec::remove` on the database).  The S-Index
+/// postings and the PMI support lists both renumber through it.
+pub(crate) fn keep_renumbered(graph: &mut u32, removed: u32) -> bool {
+    if *graph == removed {
+        return false;
+    }
+    if *graph > removed {
+        *graph -= 1;
+    }
+    true
+}
+
 /// The structural candidate index (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StructuralIndex {
@@ -83,11 +100,9 @@ pub struct StructuralIndex {
     edge_signatures: FlatVecVec<(EdgeSignature, u32)>,
     /// Per-graph degree sequences (descending), one arena for the database.
     degrees: FlatVecVec<u32>,
-    /// Distinct signatures, ascending; row `i` of `postings` belongs to
-    /// `sig_keys[i]`.
-    sig_keys: Vec<EdgeSignature>,
-    /// Posting entries per signature, graph indices ascending within a row.
-    postings: FlatVecVec<PostingEntry>,
+    /// One posting row per distinct signature, ascending by signature;
+    /// graph ids ascend within a row, and no row is empty.
+    postings: Vec<(EdgeSignature, Vec<PostingEntry>)>,
 }
 
 impl StructuralIndex {
@@ -96,19 +111,21 @@ impl StructuralIndex {
         StructuralIndex::from_summaries(skeletons.iter().map(StructuralSummary::of).collect())
     }
 
-    /// Rebuilds the index from per-graph summaries (the snapshot decode path);
-    /// posting lists are derived deterministically from the summaries.
+    /// Builds the index from per-graph summaries (the snapshot decode path),
+    /// pushing them in order.
     pub fn from_summaries(summaries: Vec<StructuralSummary>) -> StructuralIndex {
         let mut index = StructuralIndex::default();
         for summary in &summaries {
-            index.push_columns(summary.view());
+            index.push(summary.view());
         }
-        index.rebuild_postings();
         index
     }
 
-    /// Appends one summary's columns to the arenas (postings not updated).
-    fn push_columns(&mut self, s: SummaryView<'_>) {
+    /// Appends one summary as the next graph: its columns go to the end of
+    /// the summary arenas and each `(signature, count)` to the end of its
+    /// posting row, a new signature getting a new row in order.
+    fn push(&mut self, s: SummaryView<'_>) {
+        let graph = self.metas.len() as u32;
         self.metas
             .push((s.vertex_count() as u32, s.edge_count() as u32));
         self.vertex_labels
@@ -116,41 +133,13 @@ impl StructuralIndex {
         self.edge_signatures
             .push_row(s.edge_signatures().iter().copied());
         self.degrees.push_row(s.degree_sequence().iter().copied());
-    }
-
-    /// Rebuilds the inverted posting lists from the summary arenas in one
-    /// O(total log total) pass.  A stable sort by signature keeps graph
-    /// indices ascending within each row, matching what per-graph appends in
-    /// index order would have produced.
-    fn rebuild_postings(&mut self) {
-        let mut triples: Vec<(EdgeSignature, PostingEntry)> =
-            Vec::with_capacity(self.edge_signatures.total_len());
-        for g in 0..self.metas.len() {
-            for &(sig, count) in self.edge_signatures.row(g) {
-                triples.push((
-                    sig,
-                    PostingEntry {
-                        graph: g as u32,
-                        count,
-                    },
-                ));
+        for &(sig, count) in s.edge_signatures() {
+            let entry = PostingEntry { graph, count };
+            match self.postings.binary_search_by_key(&sig, |&(key, _)| key) {
+                Ok(i) => self.postings[i].1.push(entry),
+                Err(i) => self.postings.insert(i, (sig, vec![entry])),
             }
         }
-        triples.sort_by_key(|&(sig, _)| sig);
-        let mut postings = FlatVecVec::with_capacity(self.sig_keys.len(), triples.len());
-        self.sig_keys.clear();
-        let mut i = 0;
-        while i < triples.len() {
-            let sig = triples[i].0;
-            let mut j = i;
-            while j < triples.len() && triples[j].0 == sig {
-                j += 1;
-            }
-            self.sig_keys.push(sig);
-            postings.push_row(triples[i..j].iter().map(|&(_, e)| e));
-            i = j;
-        }
-        self.postings = postings;
     }
 
     /// Number of indexed graphs.
@@ -180,24 +169,23 @@ impl StructuralIndex {
 
     /// Number of distinct edge signatures across the index.
     pub fn signature_count(&self) -> usize {
-        self.sig_keys.len()
+        self.postings.len()
     }
 
     /// Total posting entries (Σ per-signature list lengths).
     pub fn posting_entry_count(&self) -> usize {
-        self.postings.total_len()
+        self.postings.iter().map(|(_, row)| row.len()).sum()
     }
 
-    /// Appends one precomputed summary at the next index, then rebuilds the
-    /// posting arena.
+    /// Appends one precomputed summary at the next index.
     pub fn append_summary(&mut self, summary: StructuralSummary) {
-        self.push_columns(summary.view());
-        self.rebuild_postings();
+        self.push(summary.view());
     }
 
     /// Removes graph `index`, shifting every later graph down by one
     /// (mirroring `Vec::remove` on the database and PMI side): drops its row
-    /// from each summary arena in place, then rebuilds the posting arena.
+    /// from each summary arena and its entries from the postings, renumbering
+    /// later entries and dropping rows left empty.
     ///
     /// # Panics
     ///
@@ -212,7 +200,11 @@ impl StructuralIndex {
         self.vertex_labels.remove_row(index);
         self.edge_signatures.remove_row(index);
         self.degrees.remove_row(index);
-        self.rebuild_postings();
+        let removed = index as u32;
+        self.postings.retain_mut(|(_, row)| {
+            row.retain_mut(|e| keep_renumbered(&mut e.graph, removed));
+            !row.is_empty()
+        });
     }
 
     /// Posting-list candidate generation: all graphs whose Grafil
@@ -236,8 +228,8 @@ impl StructuralIndex {
         let mut touched: Vec<u32> = Vec::new();
         let mut posting_entries_scanned = 0usize;
         for &(sig, qc) in query.edge_signatures() {
-            if let Ok(i) = self.sig_keys.binary_search(&sig) {
-                let row = self.postings.row(i);
+            if let Ok(i) = self.postings.binary_search_by_key(&sig, |&(key, _)| key) {
+                let row = &self.postings[i].1;
                 posting_entries_scanned += row.len();
                 for e in row {
                     let slot = &mut mass[e.graph as usize];
@@ -371,7 +363,7 @@ mod tests {
         }
         assert_eq!(incremental, full);
         // Removing any one graph equals a build without it.  Graph 3's
-        // signatures occur nowhere else, so removing it shrinks `sig_keys`.
+        // signatures occur nowhere else, so removing it drops their posting rows.
         for index in 0..db.len() {
             let mut removed = full.clone();
             removed.remove(index);

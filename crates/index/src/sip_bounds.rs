@@ -28,7 +28,7 @@
 
 use pgs_graph::clique::{max_weight_clique, BitMatrix};
 use pgs_graph::cuts::minimal_cuts;
-use pgs_graph::embeddings::{edge_sets_disjoint, EdgeSet};
+use pgs_graph::embeddings::{edge_sets_disjoint, EdgeSet, Embedding};
 use pgs_graph::model::Graph;
 use pgs_graph::summary::SummaryView;
 use pgs_graph::vf2::{enumerate_embeddings_summarized, MatchOptions};
@@ -137,13 +137,6 @@ pub fn sip_bounds<R: Rng + ?Sized>(
     config: &BoundsConfig,
     rng: &mut R,
 ) -> Option<SipBounds> {
-    if feature.edge_count() == 0 {
-        // The empty feature is contained in every possible world.
-        return Some(SipBounds {
-            lower: 1.0,
-            upper: 1.0,
-        });
-    }
     let outcome = enumerate_embeddings_summarized(
         feature,
         feature_summary,
@@ -151,12 +144,40 @@ pub fn sip_bounds<R: Rng + ?Sized>(
         skeleton_summary,
         MatchOptions::capped(config.max_embeddings),
     );
-    if outcome.embeddings.is_empty() {
+    embedded_sip_bounds(
+        pg,
+        feature,
+        outcome.embeddings,
+        outcome.complete,
+        config,
+        rng,
+    )
+}
+
+/// [`sip_bounds`] over an already enumerated embedding list: the first
+/// `config.max_embeddings` embeddings of the feature in `pg`'s skeleton, in
+/// VF2 order, `complete` when they are all of them.
+pub(crate) fn embedded_sip_bounds<R: Rng + ?Sized>(
+    pg: &ProbabilisticGraph,
+    feature: &Graph,
+    embeddings: Vec<Embedding>,
+    complete: bool,
+    config: &BoundsConfig,
+    rng: &mut R,
+) -> Option<SipBounds> {
+    if feature.edge_count() == 0 {
+        // The empty feature is contained in every possible world.
+        return Some(SipBounds {
+            lower: 1.0,
+            upper: 1.0,
+        });
+    }
+    if embeddings.is_empty() {
         return None;
     }
-    let embeddings: Vec<EdgeSet> = outcome.embeddings.into_iter().map(|e| e.edges).collect();
+    let embeddings: Vec<EdgeSet> = embeddings.into_iter().map(|e| e.edges).collect();
     let lower = lower_bound(pg, &embeddings, config, rng);
-    let upper = upper_bound(pg, &embeddings, outcome.complete, config, rng);
+    let upper = upper_bound(pg, &embeddings, complete, config, rng);
     let upper = upper.clamp(0.0, 1.0);
     let lower = lower.clamp(0.0, upper);
     Some(SipBounds { lower, upper })

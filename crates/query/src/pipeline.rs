@@ -16,7 +16,7 @@
 //! The `Exact` baseline ([`QueryEngine::exact_scan`]) evaluates the SSP of
 //! every database graph directly.
 
-use crate::prune::{bound_candidate, candidate_bounds, CrossTermRule, FeatureRelation};
+use crate::prune::{candidate_bounds, BoundInstance, CrossTermRule, FeatureRelation};
 use crate::structural::structural_candidates_tested;
 use crate::verify::{verify_embeddings, VerifyOptions, VerifyOutcome};
 use pgs_graph::mcs::SimilarityTester;
@@ -649,6 +649,11 @@ struct Candidate {
     /// `Lsim` where phase 2 solved it (`Usim ≥ ε` on a threshold query), `1`
     /// for the trivial relaxation, else `0`, the vacuous lower bound.
     lsim: f64,
+    /// The candidate's `SEED_PHASE_PRUNE` RNG where phase 2 left it; `None`
+    /// where no bound was drawn.  Top-k never solves `Lsim` in phase 2, so
+    /// there it sits right after the `Usim` draw, ready for
+    /// [`QueryEngine::read_lsim`].
+    rng: Option<StdRng>,
 }
 
 /// The shared phase-1/phase-2 front end's output — the `Prefilter → Bound`
@@ -930,9 +935,10 @@ impl QueryEngine {
     /// its own content-seeded RNG, `Usim` first, then `Lsim` only when
     /// `Usim ≥ lsim_from` — the two halves of `bound_candidate`, bit for
     /// bit.  A threshold query passes ε, so Pruning rule 1 decides before
-    /// the costlier `Lsim` is solved; top-k passes `∞` and solves `Lsim` on
-    /// first read.  `Structure` skips the PMI and pins every record to the
-    /// vacuous `(1, 0)`.
+    /// the costlier `Lsim` is solved; top-k passes `∞`, keeps each record's
+    /// RNG right after its `Usim` draw and solves `Lsim` on first read.
+    /// `Structure` skips the PMI and pins every record to the vacuous
+    /// `(1, 0)`.
     ///
     /// Trivial relaxation: when `δ ≥ |E(q)|` the relaxed query set collapses
     /// to the empty pattern, which every possible world contains, so every
@@ -952,6 +958,7 @@ impl QueryEngine {
             graph,
             usim: 1.0,
             lsim,
+            rng: None,
         };
         if delta >= q.edge_count() {
             stats.structural_candidates = self.db.len();
@@ -992,10 +999,15 @@ impl QueryEngine {
                 let cross = self.config.cross_term;
                 let bound = |_, &graph: &usize| {
                     let mut rng = self.candidate_rng(query_hash, SEED_PHASE_PRUNE, graph);
-                    let (pmi, rng) = (&self.pmi, &mut rng);
-                    let (usim, lsim) =
-                        candidate_bounds(pmi, graph, &relation, optimal, cross, lsim_from, rng);
-                    Candidate { graph, usim, lsim }
+                    let (usim, lsim) = candidate_bounds(
+                        &self.pmi, graph, &relation, optimal, cross, lsim_from, &mut rng,
+                    );
+                    Candidate {
+                        graph,
+                        usim,
+                        lsim,
+                        rng: Some(rng),
+                    }
                 };
                 let candidates: Vec<Candidate> =
                     par_map_chunked_costed(&structural, threads, CostHint::MODERATE, bound);
@@ -1049,32 +1061,28 @@ impl QueryEngine {
     }
 
     /// One candidate's `Lsim`, solved on first read: the stream's feature
-    /// relation rebuilds its instance under its reseeded `SEED_PHASE_PRUNE`
-    /// RNG, so the value is the one phase 2 would have solved
-    /// ([`bound_candidate`]).  Counted in `lsim_evaluations`.  `Structure`
-    /// keeps no relation and reads the vacuous `0`.
+    /// relation rebuilds its instance, and `Lsim` draws from a copy of the
+    /// record's RNG, which phase 2 left right after the `Usim` draw — so the
+    /// value is the one phase 2 would have solved.  Counted in
+    /// `lsim_evaluations`.  `Structure` keeps no relation and reads the
+    /// vacuous `0`.
     fn read_lsim(
         &self,
         stream: &CandidateStream,
-        gi: usize,
+        c: &Candidate,
         variant: PruningVariant,
         stats: &mut PhaseStats,
     ) -> f64 {
-        let Some(relation) = &stream.relation else {
+        let (Some(relation), Some(rng)) = (&stream.relation, &c.rng) else {
             return 0.0;
         };
         stats.lsim_evaluations += 1;
-        let mut rng = self.candidate_rng(stream.query_hash, SEED_PHASE_PRUNE, gi);
         let optimal = variant == PruningVariant::OptSspBound;
-        bound_candidate(
-            &self.pmi,
-            gi,
-            relation,
+        BoundInstance::from_relation(&self.pmi, c.graph, relation).lsim(
             optimal,
             self.config.cross_term,
-            &mut rng,
+            &mut rng.clone(),
         )
-        .1
     }
 
     /// The PMI's S-Index.
@@ -1225,7 +1233,7 @@ impl QueryEngine {
             let lower = if v.exact {
                 v.ssp
             } else {
-                (v.ssp - tau).max(self.read_lsim(&stream, gi, params.variant, &mut stats))
+                (v.ssp - tau).max(self.read_lsim(&stream, c, params.variant, &mut stats))
             };
             let entry = key(lower, gi);
             best.insert(best.partition_point(|k| *k < entry), entry);
@@ -1364,6 +1372,7 @@ fn hash_query(q: &Graph) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune::bound_candidate;
     use crate::verify::verify_ssp_exact;
     use pgs_datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
     use pgs_datagen::queries::{generate_query_workload, QueryWorkloadConfig};
@@ -2098,6 +2107,44 @@ mod tests {
             assert_eq!(s.lsim_evaluations, want, "{variant:?}");
         }
         assert!(topk(&sampling, PruningVariant::OptSspBound, 1).lsim_evaluations > 0);
+    }
+
+    /// Top-k's lazy `Lsim` read draws from the RNG its record kept after
+    /// the `Usim` draw, so it equals the `Lsim` of the ungated pair
+    /// (`bound_candidate`) bit for bit under both bound variants.
+    #[test]
+    fn read_lsim_equals_the_ungated_bound_pair() {
+        let (engine, queries) = small_engine();
+        let mut positive = 0;
+        for (wq, delta) in queries
+            .iter()
+            .flat_map(|wq| (1..wq.graph.edge_count()).map(move |d| (wq, d)))
+        {
+            for variant in [PruningVariant::SspBound, PruningVariant::OptSspBound] {
+                let optimal = variant == PruningVariant::OptSspBound;
+                let stream = engine.candidate_stream(&wq.graph, delta, variant, f64::INFINITY, 1);
+                let relation = stream.relation.as_ref().expect("a bound variant keeps it");
+                for c in &stream.candidates {
+                    let mut rng =
+                        engine.candidate_rng(stream.query_hash, SEED_PHASE_PRUNE, c.graph);
+                    let cross = engine.config.cross_term;
+                    let (usim, lsim) =
+                        bound_candidate(&engine.pmi, c.graph, relation, optimal, cross, &mut rng);
+                    let mut stats = PhaseStats::default();
+                    let read = engine.read_lsim(&stream, c, variant, &mut stats);
+                    assert_eq!(c.usim.to_bits(), usim.to_bits());
+                    assert_eq!(
+                        read.to_bits(),
+                        lsim.to_bits(),
+                        "{variant:?} graph {}",
+                        c.graph
+                    );
+                    assert_eq!(stats.lsim_evaluations, 1);
+                    positive += usize::from(lsim > 0.0);
+                }
+            }
+        }
+        assert!(positive > 0, "some candidate must have a non-vacuous Lsim");
     }
 
     #[test]

@@ -225,6 +225,20 @@ impl BoundInstance {
         lsim_value(&self.lsim_sets(), &chosen, cross)
     }
 
+    /// [`Self::lsim_optimal`] when `optimal`, else [`Self::lsim_random`].
+    pub(crate) fn lsim<R: Rng + ?Sized>(
+        &self,
+        optimal: bool,
+        cross: CrossTermRule,
+        rng: &mut R,
+    ) -> f64 {
+        if optimal {
+            self.lsim_optimal(cross, rng)
+        } else {
+            self.lsim_random(cross, rng)
+        }
+    }
+
     /// The supergraph sets as the `Lsim` instance of [`crate::qp`].
     fn lsim_sets(&self) -> Vec<LsimSet> {
         self.supergraph_sets
@@ -260,8 +274,9 @@ fn coverage<'a>(universe: usize, sets: impl Iterator<Item = &'a [usize]>) -> Vec
 /// `(pmi, graph_idx, relation, rng seed)`.
 ///
 /// A threshold query passes ε: a candidate that Pruning rule 1 prunes never
-/// has its `Lsim` solved.  Top-k reads `Lsim` only as the floor of a sampled
-/// verdict, through [`bound_candidate`], for the few candidates that need it.
+/// has its `Lsim` solved.  Top-k passes `∞`, keeps `rng` where the `Usim`
+/// draw left it, and solves `Lsim` from it only as the floor of a sampled
+/// verdict, for the few candidates that need it.
 pub fn candidate_bounds<R: Rng + ?Sized>(
     pmi: &Pmi,
     graph_idx: usize,
@@ -280,12 +295,7 @@ pub fn candidate_bounds<R: Rng + ?Sized>(
     if usim < lsim_from {
         return (usim, 0.0);
     }
-    let lsim = if optimal {
-        instance.lsim_optimal(cross, rng)
-    } else {
-        instance.lsim_random(cross, rng)
-    };
-    (usim, lsim)
+    (usim, instance.lsim(optimal, cross, rng))
 }
 
 /// The ungated `(Usim, Lsim)` pair of [`candidate_bounds`].

@@ -716,18 +716,26 @@ proptest! {
 
     /// Posting-list candidate generation returns exactly the same index set
     /// as the brute-force `structural_candidates` on randomized
-    /// graphs/queries/δ.
+    /// graphs/queries/δ, and keeps doing so through a random sequence of
+    /// writes (`(remove?, position, graph)`: a remove at `position` modulo
+    /// the live count, else an append of `graph`), after each of which the
+    /// edited index equals a fresh build over the surviving summaries.
     #[test]
     fn posting_list_candidates_equal_bruteforce(
         db in proptest::collection::vec(arb_graph(8, 4), 1..10),
         q in arb_graph(6, 4),
         delta in 0usize..4,
+        writes in proptest::collection::vec((0u8..2, 0usize..16, arb_graph(8, 4)), 0..12),
     ) {
+        let probabilistic = |db: &[Graph]| -> Vec<ProbabilisticGraph> {
+            db.iter()
+                .map(|g| {
+                    ProbabilisticGraph::independent(g.clone(), &vec![0.5; g.edge_count()]).unwrap()
+                })
+                .collect()
+        };
         let index = StructuralIndex::build(&db);
-        let pdb: Vec<ProbabilisticGraph> = db
-            .iter()
-            .map(|g| ProbabilisticGraph::independent(g.clone(), &vec![0.5; g.edge_count()]).unwrap())
-            .collect();
+        let pdb = probabilistic(&db);
         let brute = structural_candidates(&db, &q, delta);
         let tester = SimilarityTester::new(&q, delta);
         let (indexed, stats) = structural_candidates_tested(&index, &pdb, &tester, 1);
@@ -738,8 +746,25 @@ proptest! {
         for g in &db {
             grown.append_summary(StructuralSummary::of(g));
         }
-        let (grown_set, _) = structural_candidates_tested(&grown, &pdb, &tester, 1);
-        prop_assert_eq!(&grown_set, &brute);
+        prop_assert_eq!(&grown, &index);
+
+        let mut live = db.clone();
+        let mut edited = index;
+        for (remove, position, g) in writes {
+            if remove == 1 && !live.is_empty() {
+                let at = position % live.len();
+                live.remove(at);
+                edited.remove(at);
+            } else {
+                edited.append_summary(StructuralSummary::of(&g));
+                live.push(g);
+            }
+            let fresh =
+                StructuralIndex::from_summaries(live.iter().map(StructuralSummary::of).collect());
+            prop_assert_eq!(&edited, &fresh);
+            let (got, _) = structural_candidates_tested(&edited, &probabilistic(&live), &tester, 1);
+            prop_assert_eq!(got, structural_candidates(&live, &q, delta));
+        }
     }
 }
 
