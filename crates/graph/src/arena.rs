@@ -18,9 +18,10 @@ use crate::model::{Edge, EdgeId, VertexId};
 ///
 /// `offsets` has one entry per row plus a trailing sentinel; row `i` is
 /// `values[offsets[i]..offsets[i + 1]]`.  Rows are appended with
-/// [`push_row`](Self::push_row) in O(row); growing a row, filtering values
-/// or removing a row is a single O(total) shift, which is how the index
-/// layers handle their (rare) churn operations.
+/// [`push_row`](Self::push_row) in O(row); removing a row is a single
+/// O(total) shift, which is how the S-Index's summary arenas handle a
+/// (rare) graph removal.  Rows that grow after they are pushed belong in
+/// their own `Vec`s, not here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatVecVec<T> {
     offsets: Vec<u32>,
@@ -83,11 +84,6 @@ impl<T> FlatVecVec<T> {
         self.offsets.len() == 1
     }
 
-    /// Total number of elements across all rows.
-    pub fn total_len(&self) -> usize {
-        self.values.len()
-    }
-
     /// Row `i` as a slice.  O(1).
     pub fn row(&self, i: usize) -> &[T] {
         let lo = self.offsets[i] as usize;
@@ -100,16 +96,6 @@ impl<T> FlatVecVec<T> {
         (0..self.len()).map(move |i| self.row(i))
     }
 
-    /// Appends `value` at the end of row `row`, shifting every later row.
-    /// O(total) — a churn-path operation, not an inner-loop one.
-    pub fn push_into_row(&mut self, row: usize, value: T) {
-        let pos = self.offsets[row + 1] as usize;
-        self.values.insert(pos, value);
-        for o in &mut self.offsets[row + 1..] {
-            *o += 1;
-        }
-    }
-
     /// Removes row `row`, shifting every later row down by one.  O(total) —
     /// a churn-path operation, not an inner-loop one.
     pub fn remove_row(&mut self, row: usize) {
@@ -120,26 +106,6 @@ impl<T> FlatVecVec<T> {
         for o in &mut self.offsets[row + 1..] {
             *o -= hi - lo;
         }
-    }
-
-    /// Retains only the elements for which `f(row, &mut value)` returns true,
-    /// compacting the arena in one O(total) pass.  `f` may rewrite the kept
-    /// values in place (renumbering after a removal does exactly that).
-    pub fn retain_mut(&mut self, mut f: impl FnMut(usize, &mut T) -> bool) {
-        let mut write = 0usize;
-        let mut read = 0usize;
-        for row in 0..self.len() {
-            let end = self.offsets[row + 1] as usize;
-            while read < end {
-                if f(row, &mut self.values[read]) {
-                    self.values.swap(write, read);
-                    write += 1;
-                }
-                read += 1;
-            }
-            self.offsets[row + 1] = write as u32;
-        }
-        self.values.truncate(write);
     }
 }
 
@@ -215,7 +181,6 @@ mod tests {
         let a: FlatVecVec<u32> = FlatVecVec::new();
         assert_eq!(a.len(), 0);
         assert!(a.is_empty());
-        assert_eq!(a.total_len(), 0);
         assert_eq!(a.iter().count(), 0);
     }
 
@@ -224,7 +189,6 @@ mod tests {
         let rows: Vec<Vec<u32>> = vec![vec![1, 2, 3], vec![], vec![4], vec![5, 6]];
         let a = FlatVecVec::from_rows(rows.iter().map(|r| r.iter().copied()));
         assert_eq!(a.len(), 4);
-        assert_eq!(a.total_len(), 6);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(a.row(i), row.as_slice());
         }
@@ -244,43 +208,16 @@ mod tests {
 
     #[test]
     fn row_mutation_matches_nested_vec_reference() {
-        let mut nested: Vec<Vec<u32>> = vec![vec![1, 2], vec![], vec![3, 4, 5]];
-        let mut flat = FlatVecVec::from_rows(nested.iter().map(|r| r.iter().copied()));
-
-        nested[1].push(9);
-        flat.push_into_row(1, 9);
-        nested[0].push(7);
-        flat.push_into_row(0, 7);
-        assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
-
-        // Drop every even value and add 10 to the survivors, per row.
-        for row in &mut nested {
-            row.retain(|v| v % 2 == 1);
-            for v in row.iter_mut() {
-                *v += 10;
-            }
-        }
-        flat.retain_mut(|_, v| {
-            let keep = *v % 2 == 1;
-            if keep {
-                *v += 10;
-            }
-            keep
-        });
-        assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
-
         // Remove rows down to none: the first row, the empty middle row, the
         // last row, then the remaining two.
-        nested.insert(2, vec![]);
-        nested.push(vec![20, 21]);
-        flat = FlatVecVec::from_rows(nested.clone());
+        let mut nested: Vec<Vec<u32>> = vec![vec![1, 2], vec![], vec![], vec![3], vec![20, 21]];
+        let mut flat = FlatVecVec::from_rows(nested.clone());
         for row in [0usize, 1, 2, 1, 0] {
             nested.remove(row);
             flat.remove_row(row);
             assert_eq!(flat, FlatVecVec::from_rows(nested.clone()));
         }
         assert!(flat.is_empty());
-        assert_eq!(flat.total_len(), 0);
     }
 
     /// The CSR rows must reproduce the neighbor order incremental insertion

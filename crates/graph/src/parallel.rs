@@ -2,7 +2,7 @@
 //! dispatched on the persistent worker pool ([`crate::pool`]).
 //!
 //! The workspace deliberately avoids external thread-pool crates (the build
-//! environment is offline), so both the index fill and the query phases share
+//! environment is offline), so both the index build and the query phases share
 //! the same pattern: split the items into one contiguous chunk per worker,
 //! map each item with its *global* index, and reassemble the results in input
 //! order.  Determinism is therefore the caller's duty — the mapping closure
@@ -70,7 +70,7 @@ impl CostHint {
     pub const MODERATE: CostHint = CostHint {
         per_item_nanos: 10_000,
     };
-    /// Items in the hundreds of microseconds and beyond: PMI column fills,
+    /// Items in the hundreds of microseconds and beyond: PMI columns,
     /// verification samplers, whole queries.  Parallel from 2 items up.
     pub const HEAVY: CostHint = CostHint {
         per_item_nanos: 200_000,

@@ -5,11 +5,14 @@
 //! when the feature is not even a subgraph of the skeleton (the paper writes
 //! `⟨0⟩` for that case).  Figure 4 shows the layout for the Figure 1 database.
 //!
-//! Construction mines/selects features (Algorithm 4) globally, then fills the
-//! matrix with [`crate::sip_bounds::sip_bounds`], parallelised over database
-//! graphs on the persistent worker pool.  The index is held in memory as one
-//! global segment: the column storage ([`SparseMatrix`]), the per-feature
-//! support lists, the S-Index and one churn counter.
+//! Construction mines/selects features (Algorithm 4) globally, computes one
+//! column per database graph on the persistent worker pool (the SIP bounds
+//! of every feature and whether the graph passes its α filter), then
+//! appends the columns in database order through the same push an
+//! incremental insert uses: the matrix is appended, never filled.  The
+//! index is held in memory as one global segment: the column storage
+//! ([`SparseMatrix`]), the per-feature support lists, the S-Index and one
+//! churn counter.
 //!
 //! # Persistence
 //!
@@ -20,22 +23,21 @@
 //!
 //! # Incremental maintenance
 //!
-//! [`Pmi::append_graph`] computes the SIP bounds of a new graph against the
-//! existing feature set and pushes one column; [`Pmi::remove_graph`] drops
+//! [`Pmi::append_graph`] computes a new graph's column against the existing
+//! feature set and pushes it as the build does; [`Pmi::remove_graph`] drops
 //! one.  Both bump the churn counter.  Once enough of the database has turned
 //! over ([`Pmi::staleness`]), the mined feature set no longer reflects the
 //! data and a full re-mine is recommended.
 //!
 //! The index records the statistics the paper's Figure 12(c)/(d) report:
-//! build time and index size ([`PmiStats`]; `size_bytes` is the exact payload
-//! size of the snapshot, not an estimate).
+//! build time and index size ([`PmiStats`]; `size_bytes` is measured: the
+//! length of the encoded snapshot minus its fixed prefix).
 
 use crate::feature::{alpha_holds, select_features_summarized, Feature, FeatureSelectionParams};
 use crate::sindex::{keep_renumbered, StructuralIndex};
 use crate::sip_bounds::{embedded_sip_bounds, BoundsConfig, SipBounds};
 use crate::snapshot::{self, SnapshotError};
 use crate::storage::SparseMatrix;
-use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{derive_seed, par_map_chunked_costed, CostHint};
 use pgs_graph::summary::{StructuralSummary, SummaryView};
@@ -53,7 +55,7 @@ pub struct PmiBuildParams {
     pub features: FeatureSelectionParams,
     /// SIP bound computation parameters (Section 4.1).
     pub bounds: BoundsConfig,
-    /// Number of worker threads for the matrix fill (0 = automatic).
+    /// Number of worker threads for the column computation (0 = automatic).
     pub threads: usize,
     /// RNG seed for the Monte-Carlo estimators.
     pub seed: u64,
@@ -109,9 +111,10 @@ pub struct Pmi {
     build_seconds: f64,
     /// Occupied cells: `matrix.get(graph, feature)`.
     matrix: SparseMatrix,
-    /// Per feature (row) the graph ids (ascending) passing the α filter,
-    /// packed into one flat offsets+values table.
-    supports: FlatVecVec<u32>,
+    /// Per feature (row) the graph ids (ascending) passing the α filter.
+    /// One `Vec` per feature (a few dozen rows), so a pushed column appends
+    /// to the rows it supports in O(1) instead of shifting a flat table.
+    supports: Vec<Vec<u32>>,
     /// Per-graph structural summaries + signature posting lists.  `None`
     /// only for an index decoded from a format-v1 snapshot that has not been
     /// [re-derived](Pmi::ensure_sindex) yet.
@@ -128,7 +131,7 @@ pub struct Pmi {
 impl Pmi {
     /// Builds the PMI for a database of probabilistic graphs, including the
     /// S-Index: every per-graph structural summary is computed exactly once
-    /// here and then shared by feature mining, the matrix fill and the
+    /// here and then shared by feature mining, the column computation and the
     /// structural query phase.
     pub fn build(db: &[ProbabilisticGraph], params: &PmiBuildParams) -> Pmi {
         // pgs-lint: allow(wall-clock-in-query-path, build_seconds is snapshot-head metadata for reporting, never control flow)
@@ -137,29 +140,36 @@ impl Pmi {
         let sindex = StructuralIndex::build(&skeletons);
         let sindex_views: Vec<SummaryView<'_>> = sindex.summary_views().collect();
         let mut features = select_features_summarized(&skeletons, &sindex_views, &params.features);
+        // The supports are re-derived column by column below.
+        for f in &mut features {
+            f.support = Vec::new();
+        }
         let feature_summaries: Vec<StructuralSummary> = features
             .iter()
             .map(|f| StructuralSummary::of(&f.graph))
             .collect();
-        let rows = fill_matrix(db, &features, &feature_summaries, &sindex_views, params);
-        let mut supports = FlatVecVec::with_capacity(
-            features.len(),
-            features.iter().map(|f| f.support.len()).sum(),
-        );
-        for f in features.iter_mut() {
-            supports.push_row(std::mem::take(&mut f.support).into_iter().map(|g| g as u32));
-        }
-        Pmi {
+        // A column runs VF2 containment and bound computations over every
+        // feature — far beyond the dispatch floor, so two graphs already
+        // justify fanning out to the pool.
+        let columns = par_map_chunked_costed(db, params.threads, CostHint::HEAVY, |gi, pg| {
+            compute_column(pg, &features, &feature_summaries, sindex_views[gi], params)
+        });
+        let mut pmi = Pmi {
+            supports: vec![Vec::new(); features.len()],
             features,
-            graph_salts: db.iter().map(graph_salt).collect(),
+            graph_salts: Vec::with_capacity(db.len()),
             params: *params,
-            matrix: SparseMatrix::from_dense(&rows),
-            supports,
+            matrix: SparseMatrix::new(),
             sindex: Some(sindex),
             churn: 0,
             feature_summaries,
-            build_seconds: start.elapsed().as_secs_f64(),
+            build_seconds: 0.0,
+        };
+        for (pg, column) in db.iter().zip(&columns) {
+            pmi.push_column(column, graph_salt(pg));
         }
+        pmi.build_seconds = start.elapsed().as_secs_f64();
+        pmi
     }
 
     /// The indexed features (row order).  Support lists live in the index —
@@ -235,23 +245,25 @@ impl Pmi {
 
     /// The support list of one feature (ascending graph ids).
     pub fn feature_support(&self, feature: usize) -> Vec<usize> {
-        self.supports
-            .row(feature)
-            .iter()
-            .map(|&g| g as usize)
-            .collect()
+        self.supports[feature].iter().map(|&g| g as usize).collect()
     }
 
     /// Build statistics.  `size_bytes` is the exact snapshot payload size;
     /// `build_seconds` is the wall-clock time of the original [`Pmi::build`]
     /// (preserved across save/load, not counting incremental appends).
     pub fn stats(&self) -> PmiStats {
+        // The fixed prefix of the v3 file, or of the v1 file an index without
+        // an S-Index writes (see `Pmi::to_bytes`).
+        let prefix = match self.sindex {
+            Some(_) => snapshot::header_len_v3(),
+            None => snapshot::header_len(),
+        };
         PmiStats {
             feature_count: self.features.len(),
             graph_count: self.graph_count(),
             occupied_cells: self.matrix.entry_count(),
             build_seconds: self.build_seconds,
-            size_bytes: snapshot::payload_len(&self.parts()),
+            size_bytes: self.to_bytes().len() - prefix,
         }
     }
 
@@ -273,26 +285,29 @@ impl Pmi {
             &self.feature_summaries,
             skeleton_summary.view(),
             &self.params,
-            true,
         );
-        let global = self.graph_salts.len() as u32;
-        for (fi, cell) in column.iter().enumerate() {
-            if let Some((_, true)) = cell {
-                self.supports.push_into_row(fi, global);
-            }
-        }
-        self.matrix.push_column(
-            column
-                .iter()
-                .enumerate()
-                .filter_map(|(fi, c)| c.map(|(b, _)| (fi, b))),
-        );
+        self.push_column(&column, graph_salt(pg));
         if let Some(sindex) = &mut self.sindex {
             sindex.append_summary(skeleton_summary);
         }
-        self.graph_salts.push(graph_salt(pg));
         self.churn += 1;
         self.refresh_frequencies();
+    }
+
+    /// Pushes one computed column (see [`compute_column`]) as the last graph:
+    /// its present cells, its id onto the support row of every feature whose
+    /// α filter it passes, and its content salt.  The one way a column enters
+    /// the index, for the build and for [`Pmi::append_graph`] alike.
+    fn push_column(&mut self, column: &[(usize, SipBounds, bool)], salt: u64) {
+        let graph = self.graph_salts.len() as u32;
+        for &(fi, _, supports) in column {
+            if supports {
+                self.supports[fi].push(graph);
+            }
+        }
+        self.matrix
+            .push_column(column.iter().map(|&(fi, bounds, _)| (fi, bounds)));
+        self.graph_salts.push(salt);
     }
 
     /// Removes graph column `index`, shifting every later graph id down by
@@ -309,7 +324,9 @@ impl Pmi {
         );
         self.matrix.remove_column(index);
         let removed = index as u32;
-        self.supports.retain_mut(|_, g| keep_renumbered(g, removed));
+        for support in &mut self.supports {
+            support.retain_mut(|g| keep_renumbered(g, removed));
+        }
         if let Some(sindex) = &mut self.sindex {
             sindex.remove(index);
         }
@@ -409,68 +426,39 @@ impl Pmi {
     }
 }
 
-/// Fills the feature × graph matrix, parallelised over graphs with the shared
-/// [`pgs_graph::parallel`] chunking helper.
+/// One graph column of the matrix, as `(feature id, bounds, α holds)` per
+/// present cell in feature order; computed alike for the parallel build and
+/// [`Pmi::append_graph`], so both push identical cells.  Each cell is one
+/// VF2 enumeration over the cached summaries (one per feature, one for the
+/// skeleton); an empty enumeration is the absent cell.
 ///
-/// Each row gets its own RNG seeded from the build seed and the *content* hash
-/// of the graph skeleton (not the chunk offset), so any Monte-Carlo estimates
-/// inside the bound computation are byte-identical regardless of thread count
-/// and of where the graph sits in the database.
-fn fill_matrix(
-    db: &[ProbabilisticGraph],
-    features: &[Feature],
-    feature_summaries: &[StructuralSummary],
-    skeleton_summaries: &[SummaryView<'_>],
-    params: &PmiBuildParams,
-) -> Vec<Vec<Option<SipBounds>>> {
-    // A column runs VF2 containment and bound computations over every
-    // feature — far beyond the dispatch floor, so two graphs already justify
-    // fanning out to the pool.
-    par_map_chunked_costed(db, params.threads, CostHint::HEAVY, |gi, pg| {
-        let column = compute_column(
-            pg,
-            features,
-            feature_summaries,
-            skeleton_summaries[gi],
-            params,
-            false,
-        );
-        column.into_iter().map(|c| c.map(|(b, _)| b)).collect()
-    })
-}
-
-/// One graph column of the matrix; shared by the parallel build and the
-/// incremental [`Pmi::append_graph`] so both produce identical cells.  Each
-/// cell is one VF2 enumeration over the cached summaries (one per feature,
-/// one for the skeleton); an empty enumeration is the absent cell.
+/// The column's RNG is seeded from the build seed and the *content* hash of
+/// the skeleton (not its position), so any Monte-Carlo estimate inside the
+/// bounds is byte-identical for every thread count and database order.
 ///
-/// With `with_support`, a present cell also carries whether the graph
-/// passes the feature's α filter ([`alpha_holds`]); the build leaves that
-/// to feature selection and reads `false`.  The enumeration then runs to
-/// the larger of the two embedding caps and each consumer reads its own
-/// prefix: VF2's order is fixed, so a capped list is a prefix of a longer
-/// one, and the bounds' list is complete only if it stops short of its
-/// cap.  (VF2 checks the cap after each push, so a cap of 0 acts as 1.)
+/// The enumeration runs to the larger of the two embedding caps and each
+/// consumer reads its own prefix: VF2's order is fixed, so a capped list is
+/// a prefix of a longer one, and the bounds' list is complete only if it
+/// stops short of its cap.  The α filter ([`alpha_holds`]) reads the first
+/// `features.max_embeddings`, the very list feature selection tests, so a
+/// column's support entries equal Algorithm 4's.  (VF2 checks the cap after
+/// each push, so a cap of 0 acts as 1.)
 fn compute_column(
     pg: &ProbabilisticGraph,
     features: &[Feature],
     feature_summaries: &[StructuralSummary],
     skeleton_summary: SummaryView<'_>,
     params: &PmiBuildParams,
-    with_support: bool,
-) -> Vec<Option<(SipBounds, bool)>> {
+) -> Vec<(usize, SipBounds, bool)> {
     let mut rng =
         StdRng::seed_from_u64(derive_seed(&[params.seed, pg.skeleton().structural_hash()]));
     let bounds_cap = params.bounds.max_embeddings.max(1);
-    let alpha_cap = if with_support {
-        params.features.max_embeddings.max(1)
-    } else {
-        0
-    };
+    let alpha_cap = params.features.max_embeddings.max(1);
     features
         .iter()
         .zip(feature_summaries)
-        .map(|(f, fs)| {
+        .enumerate()
+        .filter_map(|(fi, (f, fs))| {
             let MatchOutcome {
                 mut embeddings,
                 complete,
@@ -481,16 +469,15 @@ fn compute_column(
                 skeleton_summary,
                 MatchOptions::capped(bounds_cap.max(alpha_cap)),
             );
-            let supports = with_support
-                && alpha_holds(
-                    &embeddings[..embeddings.len().min(alpha_cap)],
-                    params.features.alpha,
-                );
+            let supports = alpha_holds(
+                &embeddings[..embeddings.len().min(alpha_cap)],
+                params.features.alpha,
+            );
             let complete = complete && embeddings.len() < bounds_cap;
             embeddings.truncate(bounds_cap);
             let bounds =
                 embedded_sip_bounds(pg, &f.graph, embeddings, complete, &params.bounds, &mut rng);
-            bounds.map(|b| (b, supports))
+            bounds.map(|b| (fi, b, supports))
         })
         .collect()
 }
@@ -498,6 +485,7 @@ fn compute_column(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgs_datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
     use pgs_graph::model::{EdgeId, GraphBuilder};
     use pgs_graph::vf2::{contains_subgraph, enumerate_embeddings, MatchOptions};
     use pgs_prob::exact::exact_sip;
@@ -544,6 +532,19 @@ mod tests {
         let pg003 = ProbabilisticGraph::new(g003, vec![t003], true).unwrap();
 
         vec![pg001, pg002, pg003]
+    }
+
+    /// `(bounds cap, α-filter cap, α)`: a column enumerates each cell once,
+    /// at the larger cap, so each consumer must read its own prefix of that
+    /// list to match feature selection and a fresh build.
+    const CAPS: [(usize, usize, f64); 4] = [(24, 16, 0.0), (1, 16, 0.0), (24, 1, 0.6), (2, 3, 0.6)];
+
+    fn params_with(bounds_cap: usize, alpha_cap: usize, alpha: f64) -> PmiBuildParams {
+        let mut params = params();
+        params.bounds.max_embeddings = bounds_cap;
+        params.features.max_embeddings = alpha_cap;
+        params.features.alpha = alpha;
+        params
     }
 
     fn params() -> PmiBuildParams {
@@ -709,17 +710,8 @@ mod tests {
     #[test]
     fn append_then_remove_restores_the_original_matrix() {
         let db = database();
-        // `(bounds cap, α-filter cap, α)`: an append enumerates each cell
-        // once, at the larger cap, so each consumer must read its own
-        // prefix of that list to match the fresh build.
-        for (bounds_cap, alpha_cap, alpha) in
-            [(24, 16, 0.0), (1, 16, 0.0), (24, 1, 0.6), (2, 3, 0.6)]
-        {
-            let mut params = params();
-            params.bounds.max_embeddings = bounds_cap;
-            params.features.max_embeddings = alpha_cap;
-            params.features.alpha = alpha;
-            let full = Pmi::build(&db, &params);
+        for (bounds_cap, alpha_cap, alpha) in CAPS {
+            let full = Pmi::build(&db, &params_with(bounds_cap, alpha_cap, alpha));
             for (removed, graph) in db.iter().enumerate() {
                 let mut pmi = full.clone();
                 pmi.remove_graph(removed);
@@ -750,6 +742,39 @@ mod tests {
                         .collect();
                     assert_eq!(pmi.feature_support(a.id), want, "{case}, feature {}", a.id);
                     assert!((a.frequency - b.frequency).abs() < 1e-12);
+                }
+            }
+        }
+    }
+
+    /// The build pushes each column's α entries; together they must be
+    /// Algorithm 4's α-filtered supports, with the same frequencies.
+    #[test]
+    fn build_supports_equal_feature_selection() {
+        let ppi = generate_ppi_dataset(&PpiDatasetConfig {
+            graph_count: 24,
+            vertices_per_graph: 10,
+            edges_per_graph: 14,
+            vertex_label_count: 4,
+            organism_count: 3,
+            perturbation: 0.3,
+            seed: 29,
+            ..PpiDatasetConfig::default()
+        });
+        for (name, db) in [("figure 1", database()), ("ppi", ppi.graphs)] {
+            let skeletons: Vec<Graph> = db.iter().map(|g| g.skeleton().clone()).collect();
+            let summaries: Vec<StructuralSummary> =
+                skeletons.iter().map(StructuralSummary::of).collect();
+            let views: Vec<SummaryView<'_>> = summaries.iter().map(|s| s.view()).collect();
+            for (bounds_cap, alpha_cap, alpha) in CAPS {
+                let params = params_with(bounds_cap, alpha_cap, alpha);
+                let pmi = Pmi::build(&db, &params);
+                let selected = select_features_summarized(&skeletons, &views, &params.features);
+                let case = format!("{name}, caps {bounds_cap}/{alpha_cap}, α {alpha}");
+                assert_eq!(pmi.features().len(), selected.len(), "{case}");
+                for (f, want) in pmi.features().iter().zip(&selected) {
+                    assert_eq!(pmi.feature_support(f.id), want.support, "{case}, {}", f.id);
+                    assert_eq!(f.frequency.to_bits(), want.frequency.to_bits(), "{case}");
                 }
             }
         }

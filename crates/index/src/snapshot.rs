@@ -52,7 +52,6 @@ use crate::pmi::PmiBuildParams;
 use crate::sindex::StructuralIndex;
 use crate::sip_bounds::DisjointnessRule;
 use crate::storage::SparseMatrix;
-use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::{Graph, Label, VertexId};
 use pgs_graph::parallel::{derive_seed, mix64};
 use pgs_graph::summary::{EdgeSignature, StructuralSummary, SummaryView};
@@ -116,13 +115,13 @@ pub(crate) struct PmiParts {
     /// Support lists are empty: `supports` holds them.
     pub features: Vec<Feature>,
     /// Per feature (row) the graph ids (ascending) passing the α filter.
-    pub supports: FlatVecVec<u32>,
+    pub supports: Vec<Vec<u32>>,
     pub matrix: SparseMatrix,
     /// `None` for format-v1 snapshots (pre-S-Index).
     pub sindex: Option<StructuralIndex>,
 }
 
-/// A borrowed view of an index, consumed by [`encode`] and [`payload_len`].
+/// A borrowed view of an index, consumed by [`encode`].
 /// The features' own support lists are ignored: row `i` of `supports` is
 /// feature `i`'s support.
 pub(crate) struct PartsRef<'a> {
@@ -131,7 +130,7 @@ pub(crate) struct PartsRef<'a> {
     pub churn: usize,
     pub graph_salts: &'a [u64],
     pub features: &'a [Feature],
-    pub supports: &'a FlatVecVec<u32>,
+    pub supports: &'a [Vec<u32>],
     pub matrix: &'a SparseMatrix,
     /// `None` only for an index decoded from v1 and never paired.
     pub sindex: Option<&'a StructuralIndex>,
@@ -189,17 +188,6 @@ fn disjointness_from_tag(tag: u8) -> Result<DisjointnessRule, SnapshotError> {
     }
 }
 
-/// Encoded size of one structural summary.
-fn summary_len(s: SummaryView<'_>) -> usize {
-    4 + 4
-        + 4
-        + 8 * s.vertex_labels().len()
-        + 4
-        + 16 * s.edge_signatures().len()
-        + 4
-        + 4 * s.degree_sequence().len()
-}
-
 /// Byte length of the fixed v1/v2 header (magic + version + fingerprint +
 /// params + build seconds + churn counter); everything after it counts as
 /// payload for `PmiStats::size_bytes`.
@@ -219,30 +207,6 @@ const PARAMS_LEN: usize = 6 * 8 /* feature params */
     + 2 * 8 + 3 /* bounds caps + three flag bytes */
     + 2 * 8 + 8 /* monte-carlo */
     + 2 * 8 /* threads + seed */;
-
-fn feature_graph_len(f: &Feature) -> usize {
-    4 + f.graph.name().len() + 4 + 4 * f.graph.vertex_count() + 4 + 12 * f.graph.edge_count()
-}
-
-/// Exact payload size of the snapshot [`encode`] writes for `parts`
-/// (everything after the fixed prefix).
-pub(crate) fn payload_len(parts: &PartsRef<'_>) -> usize {
-    let salts = 8 + 8 * parts.graph_salts.len();
-    let supports = 4 * parts.supports.len() + 4 * parts.supports.total_len();
-    let feature_graphs: usize = parts.features.iter().map(feature_graph_len).sum();
-    let features = 8 + feature_graphs + 16 * parts.features.len();
-    let matrix = 8 + parts.matrix.payload_bytes();
-    match parts.sindex {
-        // v3: segment count + one table entry, the head's salts and feature
-        // records (support counts in place of lists), then the segment.
-        Some(sindex) => {
-            let summaries: usize = sindex.summary_views().map(summary_len).sum();
-            8 + 24 + salts + features + 4 * parts.features.len() + matrix + supports + 8 + summaries
-        }
-        // v1: salts, feature records with their support lists, the matrix.
-        None => salts + features + supports + matrix,
-    }
-}
 
 /// Encodes an index: format v3 with one segment, or format v1 when it has no
 /// S-Index to store.
@@ -324,7 +288,7 @@ fn decode_legacy(
     // from pre-allocating far beyond the file size.
     let feature_count = r.len_prefixed(32)?;
     let mut features = Vec::with_capacity(feature_count);
-    let mut supports = FlatVecVec::with_capacity(feature_count, 0);
+    let mut supports = Vec::with_capacity(feature_count);
     for id in 0..feature_count {
         let graph = decode_feature_graph(r, id)?;
         let support_len = r.len_prefixed32(4)?;
@@ -338,7 +302,7 @@ fn decode_legacy(
             }
             support.push(gi);
         }
-        supports.push_row(support);
+        supports.push(support);
         features.push(decode_feature_scores(r, id, graph)?);
     }
     let matrix = decode_matrix(r, graph_count, feature_count)?;
@@ -460,7 +424,7 @@ fn members_of(salts: &[u64], shard_count: usize) -> Vec<Vec<u32>> {
 /// One decoded segment of a v3 snapshot, over local member ids.
 struct Segment {
     matrix: SparseMatrix,
-    supports: FlatVecVec<u32>,
+    supports: Vec<Vec<u32>>,
     summaries: Vec<StructuralSummary>,
 }
 
@@ -570,7 +534,7 @@ fn decode_segment(
     feature_count: usize,
 ) -> Result<Segment, SnapshotError> {
     let matrix = decode_matrix(r, member_count, feature_count)?;
-    let mut supports = FlatVecVec::with_capacity(feature_count, 0);
+    let mut supports = Vec::with_capacity(feature_count);
     for fi in 0..feature_count {
         let n = r.len_prefixed32(4)?;
         let mut support = Vec::with_capacity(n);
@@ -583,7 +547,7 @@ fn decode_segment(
             }
             support.push(l);
         }
-        supports.push_row(support);
+        supports.push(support);
     }
     let summaries = decode_summaries(r, member_count)?;
     if !r.is_empty() {
@@ -607,7 +571,7 @@ fn merge_segments(
     segments: Vec<Segment>,
     graph_count: usize,
     feature_count: usize,
-) -> (SparseMatrix, FlatVecVec<u32>, Vec<StructuralSummary>) {
+) -> (SparseMatrix, Vec<Vec<u32>>, Vec<StructuralSummary>) {
     let mut locator = vec![(0usize, 0usize); graph_count];
     for (s, m) in members.iter().enumerate() {
         for (l, &g) in m.iter().enumerate() {
@@ -618,15 +582,15 @@ fn merge_segments(
     for &(s, l) in &locator {
         matrix.push_column(segments[s].matrix.column(l));
     }
-    let mut supports = FlatVecVec::with_capacity(feature_count, 0);
+    let mut supports = Vec::with_capacity(feature_count);
     for fi in 0..feature_count {
         let mut support: Vec<u32> = segments
             .iter()
             .zip(members)
-            .flat_map(|(seg, m)| seg.supports.row(fi).iter().map(|&l| m[l as usize]))
+            .flat_map(|(seg, m)| seg.supports[fi].iter().map(|&l| m[l as usize]))
             .collect();
         support.sort_unstable();
-        supports.push_row(support);
+        supports.push(support);
     }
     let mut slots: Vec<Option<StructuralSummary>> = (0..graph_count).map(|_| None).collect();
     for (seg, m) in segments.into_iter().zip(members) {
@@ -1034,6 +998,16 @@ mod tests {
         }
     }
 
+    /// Encoded length of an S-Index's summaries (the v2 section after its
+    /// summary count).
+    fn summaries_len(sindex: &StructuralIndex) -> usize {
+        let mut w = Writer::with_capacity(0);
+        for summary in sindex.summary_views() {
+            encode_summary(&mut w, summary);
+        }
+        w.out.len()
+    }
+
     fn sample_parts() -> PmiParts {
         let fg = GraphBuilder::new()
             .name("f0")
@@ -1061,7 +1035,7 @@ mod tests {
                 frequency: 0.5,
                 discriminativity: 1.0,
             }],
-            supports: FlatVecVec::from_rows(vec![vec![0u32]]),
+            supports: vec![vec![0u32]],
             matrix,
             sindex: None,
         }
@@ -1071,7 +1045,6 @@ mod tests {
     fn v1_snapshots_encode_and_decode_without_an_sindex() {
         let parts = sample_parts();
         let v1 = encode(&parts_ref(&parts));
-        assert_eq!(v1.len(), header_len() + payload_len(&parts_ref(&parts)));
         let back = decode(&v1).unwrap();
         assert!(back.sindex.is_none());
         assert_eq!(back.build_seconds, parts.build_seconds);
@@ -1081,7 +1054,7 @@ mod tests {
         assert_eq!(back.features.len(), 1);
         assert_eq!(back.features[0].graph, parts.features[0].graph);
         assert_eq!(back.features[0].graph.name(), "f0");
-        assert_eq!(back.supports.row(0), &[0]);
+        assert_eq!(back.supports, vec![vec![0]]);
         assert_eq!(back.features[0].frequency, 0.5);
         // The v1 fingerprint is the v1 formula, not the current one.
         assert_eq!(
@@ -1100,7 +1073,7 @@ mod tests {
         let v1 = decode(V1_FIXTURE).unwrap();
         assert_eq!(parts.graph_salts, v1.graph_salts);
         assert_eq!(parts.matrix, v1.matrix);
-        let sindex_len: usize = sindex.summary_views().map(summary_len).sum();
+        let sindex_len = summaries_len(sindex);
         assert_eq!(V2_FIXTURE.len(), V1_FIXTURE.len() + 8 + sindex_len);
     }
 
@@ -1108,7 +1081,7 @@ mod tests {
     fn summary_count_mismatch_is_rejected() {
         let parts = decode(V2_FIXTURE).unwrap();
         let sindex = parts.sindex.as_ref().unwrap();
-        let sindex_len: usize = sindex.summary_views().map(summary_len).sum();
+        let sindex_len = summaries_len(sindex);
         // The summary count is the u64 right before the summaries.
         let pos = V2_FIXTURE.len() - sindex_len - 8;
         let mut bytes = V2_FIXTURE.to_vec();
@@ -1200,10 +1173,6 @@ mod tests {
         // One segment re-encodes byte for byte.
         let one = decode(V3_ONE_SEGMENT).unwrap();
         assert_eq!(encode(&parts_ref(&one)), V3_ONE_SEGMENT);
-        assert_eq!(
-            V3_ONE_SEGMENT.len(),
-            header_len_v3() + payload_len(&parts_ref(&one))
-        );
 
         // Three segments merge into one global layout: one column, one
         // summary and one churn counter for every graph, ascending supports.

@@ -17,12 +17,13 @@
 //!
 //! The layout is shared by the in-memory index and the on-disk snapshot
 //! (`snapshot.rs` writes the three arrays verbatim), so loading an index never
-//! re-shapes the matrix, and [`SparseMatrix::payload_bytes`] *is* the real
-//! storage cost — the number the paper's Figure 12(d) calls "index size".
+//! re-shapes the matrix, and the encoded arrays are the real storage cost —
+//! part of what `PmiStats::size_bytes` measures, the number the paper's
+//! Figure 12(d) calls "index size".
 //!
-//! Columns can be appended and removed in place, which is what the incremental
-//! [`crate::pmi::Pmi::append_graph`] / [`crate::pmi::Pmi::remove_graph`] path
-//! builds on: an insert touches only the new column; a remove splices one
+//! Columns are only ever appended or removed in place: [`crate::pmi::Pmi`]
+//! pushes every column, at build and on [`crate::pmi::Pmi::append_graph`]
+//! alike, so an insert touches only the new column; a remove splices one
 //! entry range out and shifts the offsets after it.
 
 use crate::sip_bounds::SipBounds;
@@ -48,20 +49,6 @@ impl SparseMatrix {
             offsets: vec![0],
             ..SparseMatrix::default()
         }
-    }
-
-    /// Builds the matrix from per-graph dense rows (`rows[g][f]`), the shape
-    /// the parallel matrix fill produces.
-    pub fn from_dense(rows: &[Vec<Option<SipBounds>>]) -> SparseMatrix {
-        let mut m = SparseMatrix::new();
-        for row in rows {
-            m.push_column(
-                row.iter()
-                    .enumerate()
-                    .filter_map(|(fi, cell)| cell.map(|b| (fi, b))),
-            );
-        }
-        m
     }
 
     /// Number of graph columns.
@@ -143,13 +130,6 @@ impl SparseMatrix {
                 },
             )
         })
-    }
-
-    /// The real storage cost of the matrix in bytes: the offset array plus the
-    /// three entry arrays, exactly what the on-disk snapshot writes for the
-    /// matrix section (offsets as `u64`, ids as `u32`, bounds as two `f64`).
-    pub fn payload_bytes(&self) -> usize {
-        self.offsets.len() * 8 + self.entry_count() * (4 + 8 + 8)
     }
 
     /// The raw offsets array (snapshot encoding).
@@ -264,30 +244,6 @@ mod tests {
         assert_eq!(m.column_count(), 0);
         assert_eq!(m.entry_count(), 0);
         assert_eq!(m, SparseMatrix::new());
-    }
-
-    #[test]
-    fn from_dense_round_trip() {
-        let rows = vec![
-            vec![Some(b(0.1, 0.2)), None, Some(b(0.3, 0.4))],
-            vec![None, None, None],
-            vec![None, Some(b(0.5, 0.6)), None],
-        ];
-        let m = SparseMatrix::from_dense(&rows);
-        for (g, row) in rows.iter().enumerate() {
-            for (f, cell) in row.iter().enumerate() {
-                assert_eq!(m.get(g, f), *cell, "cell ({g}, {f})");
-            }
-        }
-        assert_eq!(m, sample());
-    }
-
-    #[test]
-    fn payload_bytes_counts_the_arrays() {
-        let m = sample();
-        // 4 offsets × 8 + 3 entries × (4 + 8 + 8).
-        assert_eq!(m.payload_bytes(), 4 * 8 + 3 * 20);
-        assert_eq!(SparseMatrix::new().payload_bytes(), 8);
     }
 
     #[test]

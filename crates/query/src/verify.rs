@@ -131,9 +131,18 @@ impl VerifyOutcome {
     }
 }
 
-/// Fixed-budget verification with work counters: [`verify_ssp`] under a
-/// stopping rule that never fires (zero threshold, no early accepts), so
-/// every sampled candidate draws the full `mc.num_samples()` budget.
+/// Fixed-budget verification with work counters: Algorithm 5 over the
+/// [`UnionSampler`], reusing a precomputed relaxed query set.
+///
+/// `relaxed` must be `relax_query_clamped(q, delta)`, so the `δ`-clamp
+/// lives in exactly one place.  Small instances (trivial `δ`, no
+/// embeddings, relevant-edge set within `exact_cutoff`, zero-weight union)
+/// are answered exactly.  Otherwise one chunk seed is drawn from `rng` and
+/// the deterministic trial chunks run on up to `threads` workers (`0` =
+/// automatic) under a stopping rule that never fires (zero threshold, no
+/// early accepts), so every sampled candidate draws the full
+/// `mc.num_samples()` budget.  For a fixed caller RNG state the outcome is
+/// byte-identical for every thread count.
 pub fn verify_ssp_with_stats<R: Rng + ?Sized>(
     pg: &ProbabilisticGraph,
     q: &Graph,
@@ -143,58 +152,25 @@ pub fn verify_ssp_with_stats<R: Rng + ?Sized>(
     threads: usize,
     rng: &mut R,
 ) -> VerifyOutcome {
-    verify_ssp(pg, q, delta, relaxed, options, 0.0, false, threads, rng)
-}
-
-/// The verifier: Algorithm 5 over the [`UnionSampler`] with a sequential
-/// stopping rule (DESIGN.md §16), reusing a precomputed relaxed query set.
-///
-/// `relaxed` must be `relax_query_clamped(q, delta)`, so the `δ`-clamp
-/// lives in exactly one place.  Small instances
-/// (trivial `δ`, no embeddings, relevant-edge set within `exact_cutoff`,
-/// zero-weight union) are answered exactly.  Otherwise one chunk seed is
-/// drawn from `rng` and [`UnionSampler::estimate_adaptive`] runs the
-/// deterministic trial chunks on up to `threads` workers (`0` = automatic),
-/// checking the running Hoeffding interval against `threshold` at the chunk
-/// boundaries; `accept_early = false` restricts stopping to rejections (the
-/// top-k path needs full-budget estimates for its ranked winners).  With
-/// `options.adaptive` off the rule never fires — the fixed-budget path.
-///
-/// For a fixed caller RNG state the outcome is byte-identical for every
-/// thread count, and early decisions stay within the `(τ, ξ)` accuracy band
-/// of the fixed-budget estimate.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_ssp<R: Rng + ?Sized>(
-    pg: &ProbabilisticGraph,
-    q: &Graph,
-    delta: usize,
-    relaxed: &[Graph],
-    options: &VerifyOptions,
-    threshold: f64,
-    accept_early: bool,
-    threads: usize,
-    rng: &mut R,
-) -> VerifyOutcome {
     if q.edge_count() <= delta {
         return VerifyOutcome::exactly(1.0);
     }
     let embeddings = collect_embeddings_of_relaxations(pg, relaxed, options.max_embeddings);
-    verify_embeddings(
-        pg,
-        &embeddings,
-        options,
-        threshold,
-        accept_early,
-        threads,
-        rng,
-    )
+    verify_embeddings(pg, &embeddings, options, 0.0, false, threads, rng)
 }
 
-/// [`verify_ssp`] after the embeddings are collected: the exact
-/// short-circuit, then the sampler over `embeddings`.  The query pipeline
-/// calls it directly with the list `collect_embeddings_summarized` builds
-/// from the per-query relaxed summaries and the S-Index's skeleton
-/// summary.  The `Exact` scan's sampling fallback calls it with the first
+/// The verifier after the embeddings are collected: the exact
+/// short-circuit, then [`UnionSampler::estimate_adaptive`] over `embeddings`
+/// with a sequential stopping rule (DESIGN.md §16) that checks the running
+/// Hoeffding interval against `threshold` at the chunk boundaries;
+/// `accept_early = false` restricts stopping to rejections (the top-k path
+/// needs full-budget estimates for its ranked winners), and with
+/// `options.adaptive` off the rule never fires.  Early decisions stay
+/// within the `(τ, ξ)` accuracy band of the fixed-budget estimate.
+///
+/// The query pipeline calls it directly with the list
+/// `collect_embeddings_summarized` builds from the per-query relaxed
+/// summaries and the S-Index's skeleton summary.  The `Exact` scan's sampling fallback calls it with the first
 /// `max_embeddings` entries of the uncapped list it already holds, which is
 /// exactly what [`collect_embeddings_of_relaxations`] would return at that
 /// cap.
@@ -532,6 +508,19 @@ mod tests {
         }
     }
 
+    /// [`verify_ssp_with_stats`]'s collection under a stopping `threshold`.
+    fn verify_adaptive(
+        pg: &ProbabilisticGraph,
+        relaxed: &[Graph],
+        options: &VerifyOptions,
+        threshold: f64,
+        accept_early: bool,
+        rng: &mut StdRng,
+    ) -> VerifyOutcome {
+        let embeddings = collect_embeddings_of_relaxations(pg, relaxed, options.max_embeddings);
+        verify_embeddings(pg, &embeddings, options, threshold, accept_early, 1, rng)
+    }
+
     #[test]
     fn adaptive_without_a_stop_matches_with_stats_bitwise() {
         // With a threshold the interval can never separate from (and early
@@ -548,17 +537,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let fixed = verify_ssp_with_stats(&pg, &q, 1, &relaxed, &options, 1, &mut rng);
         let mut rng = StdRng::seed_from_u64(99);
-        let adaptive = verify_ssp(
-            &pg,
-            &q,
-            1,
-            &relaxed,
-            &options,
-            f64::MIN_POSITIVE,
-            false,
-            1,
-            &mut rng,
-        );
+        let adaptive = verify_adaptive(&pg, &relaxed, &options, f64::MIN_POSITIVE, false, &mut rng);
         assert_eq!(adaptive, fixed);
         assert_eq!(fixed.budget, options.mc.num_samples());
         assert_eq!(fixed.samples_drawn, fixed.budget);
@@ -588,7 +567,7 @@ mod tests {
         let mut saved_total = 0usize;
         for threshold in [0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0] {
             let mut rng = StdRng::seed_from_u64(5);
-            let verdict = verify_ssp(&pg, &q, 1, &relaxed, &options, threshold, true, 1, &mut rng);
+            let verdict = verify_adaptive(&pg, &relaxed, &options, threshold, true, &mut rng);
             assert!(verdict.samples_drawn <= verdict.budget);
             saved_total += verdict.budget - verdict.samples_drawn;
             if (fixed.ssp - threshold).abs() > options.mc.tau {
@@ -616,46 +595,27 @@ mod tests {
             verify_ssp_with_stats(&pg, &q, 1, &relaxed, &VerifyOptions::default(), 1, &mut rng);
         assert!(fixed.exact);
         let mut rng = StdRng::seed_from_u64(7);
-        let verdict = verify_ssp(
+        let verdict = verify_adaptive(
             &pg,
-            &q,
-            1,
             &relaxed,
             &VerifyOptions::default(),
             0.5,
             true,
-            1,
             &mut rng,
         );
         assert_eq!(verdict, fixed);
         assert_eq!(verdict.samples_drawn, 0);
         assert_eq!(verdict.budget, 0);
         assert_eq!(verdict.early, None);
-        // Trivial δ and no-embedding shortcuts.
-        let tiny = GraphBuilder::new().vertices(&[0, 1]).edge(0, 1, 9).build();
-        let verdict = verify_ssp(
-            &pg,
-            &tiny,
-            1,
-            &[],
-            &VerifyOptions::default(),
-            0.5,
-            true,
-            1,
-            &mut rng,
-        );
-        assert!(verdict.exact && verdict.ssp == 1.0);
+        // The no-embedding shortcut (`degenerate_cases` covers trivial δ).
         let foreign = GraphBuilder::new().vertices(&[8, 9]).edge(0, 1, 9).build();
         let relaxed = relax_query_clamped(&foreign, 0);
-        let verdict = verify_ssp(
+        let verdict = verify_adaptive(
             &pg,
-            &foreign,
-            0,
             &relaxed,
             &VerifyOptions::default(),
             0.5,
             true,
-            1,
             &mut rng,
         );
         assert!(verdict.exact && verdict.ssp == 0.0);

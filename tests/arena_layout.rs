@@ -3,8 +3,9 @@
 //!
 //! The arena refactor moved every hot structure onto flat offsets+values
 //! layouts (`pgs_graph::arena::FlatVecVec`): CSR graph adjacency, columnar
-//! S-Index summaries and flat posting lists, flat PMI supports, and the
-//! UnionSampler's contiguous conditional-table arena.  None of that may
+//! S-Index summaries and flat posting lists, flat PMI supports (since
+//! un-flattened: one `Vec` per feature, appended to as each column is
+//! pushed), and the UnionSampler's contiguous conditional-table arena.  None of that may
 //! change a single observable bit: answers and every deterministic
 //! `PhaseStats` counter must be exactly what the pre-refactor engine
 //! produced.
