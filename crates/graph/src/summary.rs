@@ -10,7 +10,7 @@
 //! Summaries are consumed by
 //!
 //! * the S-Index (`pgs_index::sindex`), which inverts the edge-signature
-//!   histograms into posting lists for sublinear candidate generation,
+//!   histograms into posting lists for candidate generation,
 //! * the VF2 matcher ([`crate::vf2::Matcher::new`]), whose only prefilter
 //!   is [`SummaryView::subsumes`], and
 //! * the Grafil-style feature-count filter (`pgs_query::structural`).
@@ -123,7 +123,9 @@ impl<'a> SummaryView<'a> {
 
     /// A necessary condition for `pattern ⊆iso self` (non-induced, label
     /// preserving): the counts, both label multisets and the degree sequence
-    /// of the pattern must all be dominated by this graph's.  Allocation-free.
+    /// of the pattern must all be dominated by this graph's.  For a pattern
+    /// with at most one edge it is also sufficient (see
+    /// [`crate::vf2::contains_subgraph_summarized`]).  Allocation-free.
     pub fn subsumes(self, pattern: SummaryView<'_>) -> bool {
         if pattern.vertex_count > self.vertex_count || pattern.edge_count > self.edge_count {
             return false;

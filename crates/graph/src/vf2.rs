@@ -18,10 +18,11 @@
 //!
 //! Every run is screened by one prefilter, [`SummaryView::subsumes`] over the
 //! two graphs' [`StructuralSummary`] views (counts, label multisets, degree
-//! sequence); only a pair it passes is searched.  Callers that match one
-//! graph against many hold the summaries and call the `_summarized` forms;
-//! [`contains_subgraph`] and [`enumerate_embeddings`] summarise both graphs
-//! for a one-off call.
+//! sequence); only a pair it passes is searched.  For a pattern with at most
+//! one edge the prefilter is exact, so a containment test of such a pattern
+//! is not searched at all.  Callers that match one graph against many hold
+//! the summaries and call the `_summarized` forms; [`contains_subgraph`] and
+//! [`enumerate_embeddings`] summarise both graphs for a one-off call.
 
 use crate::embeddings::Embedding;
 use crate::model::{EdgeId, Graph, VertexId};
@@ -338,12 +339,23 @@ pub fn contains_subgraph(pattern: &Graph, target: &Graph) -> bool {
 }
 
 /// [`contains_subgraph`] over cached summary views (see [`Matcher::new`]).
+///
+/// A pattern with at most one edge is answered by
+/// [`SummaryView::subsumes`] alone, without a search: that test is exact
+/// there.  The edge's signature (edge label, sorted endpoint labels) fixes
+/// the edge up to isomorphism, so any target edge of that signature can
+/// host it, and the vertex-label dominance leaves a distinct target vertex
+/// of the right label for every isolated pattern vertex, because matching
+/// is injective but not induced.
 pub fn contains_subgraph_summarized(
     pattern: &Graph,
     pattern_summary: SummaryView<'_>,
     target: &Graph,
     target_summary: SummaryView<'_>,
 ) -> bool {
+    if pattern.edge_count() <= 1 {
+        return target_summary.subsumes(pattern_summary);
+    }
     Matcher::new(pattern, pattern_summary, target, target_summary).exists()
 }
 

@@ -11,7 +11,7 @@
 //!   maximum-weight-clique search — in [`mod@sip_bounds`],
 //! * PMI construction, lookup, statistics and text serialization in [`pmi`],
 //! * the S-Index — per-graph structural summaries plus an inverted
-//!   edge-signature posting list, the sublinear candidate generator of the
+//!   edge-signature posting list, the candidate generator of the
 //!   structural query phase — in [`sindex`],
 //! * the column-sparse cell storage shared by the in-memory index and the
 //!   on-disk snapshot in [`storage`],

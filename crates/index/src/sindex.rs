@@ -13,12 +13,14 @@
 //!   those summaries.
 //!
 //! Candidate generation walks only the posting lists of the *query's*
-//! signatures and accumulates, per touched graph, the matched occurrence mass
+//! signatures and accumulates, per graph, the matched occurrence mass
 //! `Σ_sig min(count_q(sig), count_g(sig))`.  The Grafil deficit
 //! `Σ_sig max(0, count_q − count_g)` equals `|E(q)| −` that mass, so a graph
-//! passes the filter iff its mass reaches `|E(q)| − δ` — graphs sharing no
-//! signature with the query are never touched at all, which makes phase 1
-//! sublinear in the database size for selective queries.  The returned set is
+//! passes the filter iff its mass reaches `|E(q)| − δ`.  Graphs sharing no
+//! signature with the query get no posting work, but the scan is still
+//! linear in the database size: it zero-fills one mass slot per graph and
+//! reads every slot once to collect the survivors in graph order.  The
+//! returned set is
 //! *identical* to brute-forcing `passes_feature_count_filter` over every
 //! graph (a property test pins this).
 //!
@@ -211,8 +213,11 @@ impl StructuralIndex {
     /// edge-signature deficit against `query` is at most `delta`, ascending.
     ///
     /// When `|E(q)| ≤ δ` the filter is vacuous (every graph passes — the
-    /// cheap residual set); otherwise only graphs appearing in at least one
-    /// of the query's posting lists are touched.
+    /// cheap residual set).  Otherwise the query's posting rows add each
+    /// entry's matched mass into a dense per-graph vector, and one pass over
+    /// that vector in graph order keeps the graphs that reach
+    /// `|E(q)| − δ`: both the zero-fill and the final pass are linear in the
+    /// database size, the accumulation in the query's posting entries.
     pub fn filter_candidates(&self, query: SummaryView<'_>, delta: usize) -> FilterOutcome {
         let m = query.edge_count();
         if m <= delta {
@@ -222,30 +227,18 @@ impl StructuralIndex {
             };
         }
         let need = (m - delta) as u32;
-        // Dense per-graph mass; `0` marks "untouched", which is sound because
-        // every posting accumulation adds at least 1.
         let mut mass = vec![0u32; self.metas.len()];
-        let mut touched: Vec<u32> = Vec::new();
         let mut posting_entries_scanned = 0usize;
         for &(sig, qc) in query.edge_signatures() {
             if let Ok(i) = self.postings.binary_search_by_key(&sig, |&(key, _)| key) {
                 let row = &self.postings[i].1;
                 posting_entries_scanned += row.len();
                 for e in row {
-                    let slot = &mut mass[e.graph as usize];
-                    if *slot == 0 {
-                        touched.push(e.graph);
-                    }
-                    *slot += qc.min(e.count);
+                    mass[e.graph as usize] += qc.min(e.count);
                 }
             }
         }
-        touched.sort_unstable();
-        let candidates = touched
-            .into_iter()
-            .map(|g| g as usize)
-            .filter(|&g| mass[g] >= need)
-            .collect();
+        let candidates = (0..mass.len()).filter(|&g| mass[g] >= need).collect();
         FilterOutcome {
             candidates,
             posting_entries_scanned,
@@ -335,10 +328,34 @@ mod tests {
         let all = index.filter_candidates(qs.view(), 3);
         assert_eq!(all.candidates, vec![0, 1, 2, 3]);
         assert_eq!(all.posting_entries_scanned, 0);
-        // Selective δ: the unrelated graph 3 is never touched.
+        // Selective δ: the unrelated graph 3 gets no posting work.
         let tight = index.filter_candidates(qs.view(), 0);
         assert_eq!(tight.candidates, vec![2]);
         assert!(tight.posting_entries_scanned > 0);
+    }
+
+    #[test]
+    fn filter_edges_absent_signatures_short_counts_and_exact_mass() {
+        let db = skeletons();
+        let index = StructuralIndex::build(&db);
+        // Two a-b edges (graphs 0 and 2 hold one, graph 1 two) and an a-g
+        // edge whose signature no graph has: the masses are 1, 2, 1, 0.
+        let q = GraphBuilder::new()
+            .vertices(&[0, 1, 1, 6])
+            .edge(0, 1, 9)
+            .edge(0, 2, 9)
+            .edge(0, 3, 9)
+            .build();
+        let qs = StructuralSummary::of(&q);
+        let expected: [&[usize]; 4] = [&[], &[1], &[0, 1, 2], &[0, 1, 2, 3]];
+        for (delta, want) in expected.into_iter().enumerate() {
+            let outcome = index.filter_candidates(qs.view(), delta);
+            assert_eq!(outcome.candidates, want, "delta = {delta}");
+            assert_eq!(outcome.candidates, brute(&db, &q, delta), "delta = {delta}");
+            // Only the a-b row (graphs 0, 1, 2) exists to be read.
+            let scanned = if delta < 3 { 3 } else { 0 };
+            assert_eq!(outcome.posting_entries_scanned, scanned, "delta = {delta}");
+        }
     }
 
     #[test]

@@ -707,6 +707,43 @@ fn arb_graph(max_vertices: usize, labels: u32) -> impl Strategy<Value = Graph> {
         })
 }
 
+/// Checks the S-Index filter on its own, without the exact check: its
+/// candidates are exactly the graphs of `live` whose signature deficit
+/// against `q` is at most δ, ascending, and it reports the summed lengths of
+/// the query's posting rows (none are read when `|E(q)| ≤ δ`).
+fn assert_filter_matches_deficits(
+    index: &StructuralIndex,
+    live: &[Graph],
+    q: &Graph,
+    delta: usize,
+) {
+    let qs = StructuralSummary::of(q);
+    let summaries: Vec<StructuralSummary> = live.iter().map(StructuralSummary::of).collect();
+    let outcome = index.filter_candidates(qs.view(), delta);
+    let deficit_passes: Vec<usize> = summaries
+        .iter()
+        .enumerate()
+        .filter(|(_, gs)| qs.view().signature_deficit(gs.view(), delta) <= delta)
+        .map(|(g, _)| g)
+        .collect();
+    assert_eq!(outcome.candidates, deficit_passes);
+    let row_lengths: usize = if q.edge_count() <= delta {
+        0
+    } else {
+        qs.view()
+            .edge_signatures()
+            .iter()
+            .map(|&(sig, _)| {
+                summaries
+                    .iter()
+                    .filter(|gs| gs.view().signature_count(sig) > 0)
+                    .count()
+            })
+            .sum()
+    };
+    assert_eq!(outcome.posting_entries_scanned, row_lengths);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
@@ -719,7 +756,10 @@ proptest! {
     /// graphs/queries/δ, and keeps doing so through a random sequence of
     /// writes (`(remove?, position, graph)`: a remove at `position` modulo
     /// the live count, else an append of `graph`), after each of which the
-    /// edited index equals a fresh build over the surviving summaries.
+    /// edited index equals a fresh build over the surviving summaries.  The
+    /// filter alone is checked against the per-graph signature deficit too,
+    /// since `structural_candidates` shares the exact check with the indexed
+    /// path.
     #[test]
     fn posting_list_candidates_equal_bruteforce(
         db in proptest::collection::vec(arb_graph(8, 4), 1..10),
@@ -741,6 +781,7 @@ proptest! {
         let (indexed, stats) = structural_candidates_tested(&index, &pdb, &tester, 1);
         prop_assert_eq!(&indexed, &brute);
         prop_assert!(stats.filter_survivors >= indexed.len());
+        assert_filter_matches_deficits(&index, &db, &q, delta);
         // Incremental construction yields the same index, hence the same set.
         let mut grown = StructuralIndex::default();
         for g in &db {
@@ -762,6 +803,7 @@ proptest! {
             let fresh =
                 StructuralIndex::from_summaries(live.iter().map(StructuralSummary::of).collect());
             prop_assert_eq!(&edited, &fresh);
+            assert_filter_matches_deficits(&edited, &live, &q, delta);
             let (got, _) = structural_candidates_tested(&edited, &probabilistic(&live), &tester, 1);
             prop_assert_eq!(got, structural_candidates(&live, &q, delta));
         }

@@ -9,7 +9,9 @@ use pgs_graph::embeddings::EdgeSet;
 use pgs_graph::mcs::{subgraph_distance, subgraph_similar};
 use pgs_graph::relax::relax_query;
 use pgs_graph::summary::StructuralSummary;
-use pgs_graph::vf2::{contains_subgraph, enumerate_embeddings, MatchOptions};
+use pgs_graph::vf2::{
+    contains_subgraph, contains_subgraph_summarized, enumerate_embeddings, MatchOptions, Matcher,
+};
 use pgs_index::sip_bounds::{sip_bounds, BoundsConfig};
 use pgs_prob::neighbor::{is_neighbor_edge_set, partition_with_triangles};
 use pgs_prob::union_sampler::{StoppingRule, UnionSampler};
@@ -51,6 +53,51 @@ fn arb_graph_between(
                 if u != v {
                     let _ = g.add_edge(VertexId(u as u32), VertexId(v as u32), Label(0));
                 }
+            }
+            g
+        })
+}
+
+/// Strategy: a graph on 2–8 vertices over 2 vertex labels with up to 16
+/// random edges over 2 edge labels (self-loops and repeated pairs dropped),
+/// so that it may be disconnected and hold isolated vertices.
+fn arb_small_target() -> impl Strategy<Value = Graph> {
+    (2usize..=8)
+        .prop_flat_map(|n| {
+            (
+                proptest::collection::vec(0u32..2, n),
+                proptest::collection::vec((0..n, 0..n, 0u32..2), 0..=16),
+            )
+        })
+        .prop_map(|(vlabels, edges)| {
+            let mut g = Graph::new();
+            for &l in &vlabels {
+                g.add_vertex(Label(l));
+            }
+            for (u, v, e) in edges {
+                let _ = g.add_edge(VertexId(u as u32), VertexId(v as u32), Label(e));
+            }
+            g
+        })
+}
+
+/// Strategy: a pattern of at most one edge plus 0–3 isolated vertices, over
+/// the label alphabets of [`arb_small_target`].  With two vertex labels an
+/// isolated vertex often repeats an endpoint label.
+fn arb_single_edge_pattern() -> impl Strategy<Value = Graph> {
+    (
+        proptest::collection::vec((0u32..2, 0u32..2, 0u32..2), 0..=1),
+        proptest::collection::vec(0u32..2, 0..=3),
+    )
+        .prop_map(|(edge, isolated)| {
+            let mut g = Graph::new();
+            for (a, b, e) in edge {
+                let u = g.add_vertex(Label(a));
+                let v = g.add_vertex(Label(b));
+                g.add_edge(u, v, Label(e)).unwrap();
+            }
+            for l in isolated {
+                g.add_vertex(Label(l));
             }
             g
         })
@@ -190,6 +237,27 @@ proptest! {
         if !take.is_empty() {
             let sub = pgs_graph::relax::drop_isolated(&g.edge_subgraph(&take));
             prop_assert!(contains_subgraph(&sub, &g));
+        }
+    }
+
+    #[test]
+    fn single_edge_containment_agrees_with_the_vf2_search(
+        target in arb_small_target(),
+        patterns in proptest::collection::vec(arb_single_edge_pattern(), 16),
+    ) {
+        // `contains_subgraph_summarized` answers a pattern of at most one
+        // edge from the summaries alone; the matcher's search is the
+        // reference.  Sixteen patterns per target over two-letter alphabets
+        // give hits and misses on the edge signature and on the isolated
+        // labels.
+        let ts = StructuralSummary::of(&target);
+        for p in &patterns {
+            let ps = StructuralSummary::of(p);
+            prop_assert_eq!(
+                contains_subgraph_summarized(p, ps.view(), &target, ts.view()),
+                Matcher::new(p, ps.view(), &target, ts.view()).exists(),
+                "pattern {:?} in target {:?}", p, target
+            );
         }
     }
 
