@@ -18,7 +18,7 @@
 
 use crate::prune::{candidate_bounds, BoundInstance, CrossTermRule, FeatureRelation};
 use crate::structural::structural_candidates_tested;
-use crate::verify::{verify_embeddings, VerifyOptions, VerifyOutcome};
+use crate::verify::{prepare, verify_embeddings, Prepared, VerifyOptions, VerifyOutcome};
 use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{
@@ -48,6 +48,13 @@ const SEED_PHASE_EXACT_FALLBACK: u64 = 0x6578_6163_7400_9e37; // "exact"
 /// Churn fraction at which [`QueryEngine::should_remine`] recommends a
 /// re-mine.
 const REMINE_THRESHOLD: f64 = 0.5;
+
+/// Candidates whose threshold-free verification half a top-k walk prepares
+/// together on the workers (DESIGN.md §16).  A constant, never the thread
+/// count, so which candidates are prepared, and with them
+/// `PhaseStats::topk_speculative`, is the same at every thread count; at
+/// most `TOPK_WINDOW − 1` preparations per query are discarded.
+const TOPK_WINDOW: usize = 64;
 
 /// Which pruning stack a query run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -536,6 +543,11 @@ pub struct PhaseStats {
     /// their phase-2 upper bound fell below the running k-th-best lower
     /// bound (always zero for threshold queries).
     pub topk_pruned: usize,
+    /// Top-k only: candidates whose threshold-free verification half was
+    /// prepared ahead of the walk and then discarded because the k-th-best
+    /// key cut them first — wasted work, at most 63 per query, never
+    /// counted in `verified` (always zero for threshold queries).
+    pub topk_speculative: usize,
     /// Graphs surviving probabilistic pruning (accepted + to-verify); the
     /// paper's "candidate size" for Figures 10–12.
     pub probabilistic_candidates: usize,
@@ -574,6 +586,7 @@ impl PhaseStats {
         self.early_accepts += other.early_accepts;
         self.early_rejects += other.early_rejects;
         self.topk_pruned += other.topk_pruned;
+        self.topk_speculative += other.topk_speculative;
         self.probabilistic_candidates += other.probabilistic_candidates;
         self.structural_seconds += other.structural_seconds;
         self.probabilistic_seconds += other.probabilistic_seconds;
@@ -1027,18 +1040,12 @@ impl QueryEngine {
         }
     }
 
-    /// Phase 3 for one candidate: its embeddings, collected over the
-    /// stream's relaxed set with both sides' cached summaries, then the
-    /// verifier against `threshold` under the candidate's content-seeded
-    /// RNG, its trials on up to `threads` workers.
-    fn verify_candidate(
-        &self,
-        stream: &CandidateStream,
-        gi: usize,
-        threshold: f64,
-        accept_early: bool,
-        threads: usize,
-    ) -> VerifyOutcome {
+    /// The threshold-free half of phase 3 for one candidate: its
+    /// embeddings, collected over the stream's relaxed set with both sides'
+    /// cached summaries, then [`prepare`] under the candidate's
+    /// content-seeded RNG.  [`Prepared::finish`] completes the verdict
+    /// against a threshold.
+    fn prepare_candidate(&self, stream: &CandidateStream, gi: usize) -> Prepared {
         let pg = &self.db[gi];
         let options = &self.config.verify;
         let embeddings = collect_embeddings_summarized(
@@ -1049,15 +1056,7 @@ impl QueryEngine {
             options.max_embeddings,
         );
         let mut rng = self.candidate_rng(stream.query_hash, SEED_PHASE_VERIFY, gi);
-        verify_embeddings(
-            pg,
-            &embeddings,
-            options,
-            threshold,
-            accept_early,
-            threads,
-            &mut rng,
-        )
+        prepare(pg, &embeddings, options, &mut rng)
     }
 
     /// One candidate's `Lsim`, solved on first read: the stream's feature
@@ -1134,7 +1133,8 @@ impl QueryEngine {
         };
         let verdicts: Vec<VerifyOutcome> =
             par_map_chunked_costed(&to_verify, across, CostHint::HEAVY, |_, &gi| {
-                self.verify_candidate(&stream, gi, params.epsilon, true, within)
+                self.prepare_candidate(&stream, gi)
+                    .finish(params.epsilon, true, within)
             });
         for (&gi, v) in to_verify.iter().zip(&verdicts) {
             stats.record_verification(v);
@@ -1152,14 +1152,23 @@ impl QueryEngine {
     ///
     /// Candidates are walked in rank-key order — descending capped upper
     /// bound, ties broken by content salt then index, the final ranking's
-    /// order — sequentially, keeping the keys of the k best verified lower
-    /// bounds: exact verdicts contribute their SSP, sampled full-budget
-    /// verdicts `max(Lsim, ssp − τ)`, their `Lsim` solved only then.  The
-    /// walk stops once the next candidate's key ranks after the k-th best
-    /// key (every per-candidate computation uses its own content-seeded
-    /// RNG, so the walk order, cuts and estimates are identical for every
-    /// thread count and insertion order).  The trivial relaxation ranks by
-    /// that order alone, every SSP being 1.
+    /// order — keeping the keys of the k best verified lower bounds: exact
+    /// verdicts contribute their SSP, sampled full-budget verdicts
+    /// `max(Lsim, ssp − τ)`, their `Lsim` solved only then.  The walk stops
+    /// once the next candidate's key ranks after the k-th best key.
+    ///
+    /// The threshold-free half of each verdict ([`Self::prepare_candidate`])
+    /// runs ahead on up to `threads` workers, [`TOPK_WINDOW`] candidates at
+    /// a time; the walk then folds the window in key order, one candidate
+    /// at a time, and only a pending sampler reads the k-th-best lower
+    /// bound as it stands at its turn.  An exact verdict never reads it and
+    /// no trial is drawn before it, so the window moves no verdict, ranking
+    /// or counter away from a one-at-a-time walk; the preparations the cut
+    /// discards are counted in `topk_speculative`.  Every per-candidate
+    /// computation uses its own content-seeded RNG and the window is a
+    /// constant, so the walk order, cuts and estimates are identical for
+    /// every thread count and insertion order.  The trivial relaxation
+    /// ranks by that order alone, every SSP being 1.
     fn query_topk_with_threads(
         &self,
         q: &Graph,
@@ -1196,34 +1205,47 @@ impl QueryEngine {
             return TopkResult { ranked, stats };
         }
 
-        // The walk is sequential over candidates (each adaptive sampler fans
-        // its chunks out on up to `threads` workers) because every decision
-        // threshold depends on the verdicts before it; determinism comes for
-        // free since the walk order is fixed above.
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t2 = Instant::now();
         let tau = self.config.verify.mc.tau;
+        let candidates = &stream.candidates;
         // The keys of the k best verified lower bounds so far, best first.
         // Only the k-th entry is ever read, so the list is cut back to k.
         let mut best: Vec<(Reverse<u64>, u64, usize)> = Vec::new();
         let mut evaluated: Vec<(usize, f64)> = Vec::new();
-        for (pos, c) in stream.candidates.iter().enumerate() {
+        // The prepared halves of `candidates[window_start..]`.
+        let (mut window, mut window_start) = (Vec::<Prepared>::new(), 0);
+        for (pos, c) in candidates.iter().enumerate() {
             let gi = c.graph;
             let kth = best.get(params.k - 1).copied();
-            if kth.is_some_and(|kth| rank(c) > kth) {
+            let cut = |c: &Candidate| kth.is_some_and(|kth| rank(c) > kth);
+            if cut(c) {
                 // The candidate's SSP is at most its upper bound, and each of
                 // the k best has at least its lower bound: one that ties it
                 // wins on salt, as in the final ranking.  The walk is in key
                 // order, so nothing after this candidate can reach the top k
                 // either.
-                stats.topk_pruned += stream.candidates.len() - pos;
+                stats.topk_pruned += candidates.len() - pos;
+                stats.topk_speculative += window_start + window.len() - pos;
                 break;
+            }
+            if pos == window_start + window.len() {
+                // The k-th key only improves, so the candidates it already
+                // cuts would be cut at their turn: the window stops before
+                // them.  A preparation is one embedding collection plus an
+                // exact union or a sampler build, tens of microseconds.
+                let next = &candidates[pos..candidates.len().min(pos + TOPK_WINDOW)];
+                let live = &next[..next.partition_point(|c| !cut(c))];
+                window = par_map_chunked_costed(live, threads, CostHint::MODERATE, |_, c| {
+                    self.prepare_candidate(&stream, c.graph)
+                });
+                window_start = pos;
             }
             // The k-th-best lower bound is the sampler's rejection threshold;
             // accepts never stop early because a ranked winner needs its
             // full-budget estimate.
             let kth_lower = kth.map_or(0.0, |(Reverse(bits), _, _)| f64::from_bits(bits));
-            let v = self.verify_candidate(&stream, gi, kth_lower, false, threads);
+            let v = window[pos - window_start].finish(kth_lower, false, threads);
             stats.record_verification(&v);
             if v.early == Some(false) {
                 // The interval fell below the k-th-best lower bound: the
@@ -2399,6 +2421,160 @@ mod tests {
             one.query_topk_batch(&[Graph::new()], &params).unwrap_err(),
             QueryError::EmptyQuery
         );
+    }
+
+    /// The one-candidate-at-a-time top-k walk the windowed walk must
+    /// reproduce: every candidate is prepared only at its turn, so nothing
+    /// is ever speculative.
+    fn sequential_topk(
+        engine: &QueryEngine,
+        q: &Graph,
+        params: &TopkParams,
+        threads: usize,
+    ) -> TopkResult {
+        let salts = engine.pmi().graph_salts();
+        let mut stream =
+            engine.candidate_stream(q, params.delta, params.variant, f64::INFINITY, threads);
+        let mut stats = stream.stats;
+        stats.probabilistic_candidates = stream.candidates.len();
+        let key = |value: f64, gi: usize| {
+            let bits = if value <= 0.0 { 0 } else { value.to_bits() };
+            (Reverse(bits), salts[gi], gi)
+        };
+        let rank = |c: &Candidate| key(c.usim.min(1.0), c.graph);
+        stream.candidates.sort_unstable_by_key(rank);
+        assert!(!stream.trivial, "the oracle walks verified candidates only");
+        let tau = engine.config().verify.mc.tau;
+        let mut best: Vec<(Reverse<u64>, u64, usize)> = Vec::new();
+        let mut evaluated: Vec<(usize, f64)> = Vec::new();
+        for (pos, c) in stream.candidates.iter().enumerate() {
+            let kth = best.get(params.k - 1).copied();
+            if kth.is_some_and(|kth| rank(c) > kth) {
+                stats.topk_pruned += stream.candidates.len() - pos;
+                break;
+            }
+            let kth_lower = kth.map_or(0.0, |(Reverse(bits), _, _)| f64::from_bits(bits));
+            let v = engine
+                .prepare_candidate(&stream, c.graph)
+                .finish(kth_lower, false, threads);
+            stats.record_verification(&v);
+            if v.early == Some(false) {
+                continue;
+            }
+            let lower = if v.exact {
+                v.ssp
+            } else {
+                (v.ssp - tau).max(engine.read_lsim(&stream, c, params.variant, &mut stats))
+            };
+            let entry = key(lower, c.graph);
+            best.insert(best.partition_point(|k| *k < entry), entry);
+            best.truncate(params.k);
+            evaluated.push((c.graph, v.ssp));
+        }
+        evaluated.sort_unstable_by_key(|&(gi, ssp)| key(ssp, gi));
+        let ranked = evaluated
+            .into_iter()
+            .filter(|&(_, ssp)| ssp > 0.0)
+            .take(params.k)
+            .map(|(gi, ssp)| RankedAnswer { graph: gi, ssp })
+            .collect();
+        TopkResult { ranked, stats }
+    }
+
+    #[test]
+    fn topk_windows_reproduce_the_one_at_a_time_walk() {
+        // Exact verdicts on 160 triangles and on the small PPI engine, then
+        // forced sampling (exact_cutoff 0) on the latter; the inputs must
+        // between them cut inside the first window, cut in a later window,
+        // ask for k above the candidate count, and move a sampled walk's
+        // k-th threshold inside a window.
+        let (small, queries) = small_engine();
+        let mut sampling_config = *small.config();
+        sampling_config.verify.exact_cutoff = 0;
+        let sampling = QueryEngine::build(small.db().to_vec(), sampling_config);
+        // 160 triangles with edge probabilities spread over (0.05, 0.95), so
+        // their SSPs and phase-2 upper bounds are spread too; small_engine's
+        // config keeps their verification exact.
+        let triangle_graphs = (0..160)
+            .map(|i| {
+                let g = GraphBuilder::new()
+                    .name(format!("t{i}"))
+                    .vertices(&[0, 1, 2])
+                    .edge(0, 1, 0)
+                    .edge(1, 2, 0)
+                    .edge(0, 2, 0)
+                    .build();
+                let p = 0.05 + 0.9 * ((i * 37) % 160) as f64 / 160.0;
+                ProbabilisticGraph::independent(g, &[p, p, (p + 0.3) % 1.0]).unwrap()
+            })
+            .collect();
+        let triangles = QueryEngine::build(triangle_graphs, *small.config());
+        let path = GraphBuilder::new()
+            .vertices(&[0, 1, 2])
+            .edge(0, 1, 0)
+            .edge(1, 2, 0)
+            .build();
+        let mut inputs: Vec<(&QueryEngine, &Graph, usize)> = vec![
+            (&triangles, &path, 3),
+            (&triangles, &path, 90),
+            (&triangles, &path, 500),
+        ];
+        for wq in &queries {
+            for (engine, k) in [(&small, 2), (&small, 40), (&sampling, 2)] {
+                inputs.push((engine, &wq.graph, k));
+            }
+        }
+        // First-window cut, later-window cut, k above the candidate count,
+        // a moving sampled threshold, a discarded preparation.
+        let mut covered = [false; 5];
+        for (engine, q, k) in inputs {
+            let params = TopkParams {
+                k,
+                delta: 1,
+                variant: PruningVariant::OptSspBound,
+            };
+            let oracle = sequential_topk(engine, q, &params, 1);
+            let s = oracle.stats;
+            let cut_at = (s.topk_pruned > 0).then_some(s.structural_candidates - s.topk_pruned);
+            covered[0] |= cut_at.is_some_and(|pos| pos < TOPK_WINDOW);
+            covered[1] |= cut_at.is_some_and(|pos| pos >= TOPK_WINDOW);
+            covered[2] |= k > s.structural_candidates;
+            covered[3] |= s.verified > s.exact_verifications && s.early_rejects > 0;
+            let fingerprint = |r: &TopkResult| {
+                let ranked: Vec<(usize, u64)> = r
+                    .ranked
+                    .iter()
+                    .map(|a| (a.graph, a.ssp.to_bits()))
+                    .collect();
+                let stats = PhaseStats {
+                    topk_speculative: 0,
+                    structural_seconds: 0.0,
+                    probabilistic_seconds: 0.0,
+                    verification_seconds: 0.0,
+                    ..r.stats
+                };
+                (ranked, stats)
+            };
+            let mut runs: Vec<TopkResult> = [1usize, 2, 4]
+                .into_iter()
+                .map(|threads| engine.query_topk_with_threads(q, &params, threads))
+                .collect();
+            let batch = engine
+                .query_topk_batch(&[q.clone(), q.clone()], &params)
+                .unwrap();
+            runs.extend(batch.results);
+            let speculative = runs[0].stats.topk_speculative;
+            for got in &runs {
+                assert_eq!(fingerprint(got), fingerprint(&oracle), "k = {k}");
+                assert_eq!(got.stats.topk_speculative, speculative, "k = {k}");
+            }
+            assert!(speculative < TOPK_WINDOW);
+            if cut_at.is_none() {
+                assert_eq!(speculative, 0, "k = {k}: no cut, nothing discarded");
+            }
+            covered[4] |= speculative > 0;
+        }
+        assert_eq!(covered, [true; 5], "an input class went unexercised");
     }
 
     #[test]

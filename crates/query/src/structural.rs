@@ -75,7 +75,8 @@ pub fn structural_candidates(skeletons: &[Graph], q: &Graph, delta: usize) -> Ve
 /// `SC_q` via the S-Index: posting-list deficit accumulation generates the
 /// filter survivors without touching unrelated graphs, then `tester`
 /// confirms them, so the query summary and the relaxed patterns' summaries
-/// are derived once per query instead of once per candidate.  Returns the
+/// are derived once per query instead of once per candidate; at
+/// `δ = |E(q)| − 1` the filter alone decides.  Returns the
 /// candidate list (ascending, identical to [`structural_candidates`]) plus
 /// the phase's work counters.
 ///
@@ -88,11 +89,19 @@ pub fn structural_candidates_tested(
     threads: usize,
 ) -> (Vec<usize>, StructuralFilterStats) {
     debug_assert_eq!(index.graph_count(), db.len());
-    let outcome = index.filter_candidates(tester.query_summary().view(), tester.delta());
+    let query = tester.query_summary().view();
+    let outcome = index.filter_candidates(query, tester.delta());
     let stats = StructuralFilterStats {
         posting_entries_scanned: outcome.posting_entries_scanned,
         filter_survivors: outcome.candidates.len(),
     };
+    if query.edge_count() == tester.delta() + 1 {
+        // One edge is left after δ deletions, so every relaxed pattern is a
+        // single edge (relaxation drops isolated vertices), and a survivor's
+        // deficit of at most δ means it holds one of the query's edge
+        // signatures — which is `any(rq ⊆ g)` already.
+        return (outcome.candidates, stats);
+    }
     let keep = par_map_chunked_costed(
         &outcome.candidates,
         threads,

@@ -168,12 +168,12 @@ pub fn verify_ssp_with_stats<R: Rng + ?Sized>(
 /// `options.adaptive` off the rule never fires.  Early decisions stay
 /// within the `(τ, ξ)` accuracy band of the fixed-budget estimate.
 ///
-/// The query pipeline calls it directly with the list
-/// `collect_embeddings_summarized` builds from the per-query relaxed
-/// summaries and the S-Index's skeleton summary.  The `Exact` scan's sampling fallback calls it with the first
-/// `max_embeddings` entries of the uncapped list it already holds, which is
-/// exactly what [`collect_embeddings_of_relaxations`] would return at that
-/// cap.
+/// It is [`prepare`] then [`Prepared::finish`]; the top-k walk calls the
+/// two halves itself so that it can prepare several candidates before it
+/// knows their thresholds.  The `Exact` scan's sampling fallback calls it
+/// with the first `max_embeddings` entries of the uncapped list it already
+/// holds, which is exactly what [`collect_embeddings_of_relaxations`] would
+/// return at that cap.
 pub(crate) fn verify_embeddings<R: Rng + ?Sized>(
     pg: &ProbabilisticGraph,
     embeddings: &[EdgeSet],
@@ -183,8 +183,36 @@ pub(crate) fn verify_embeddings<R: Rng + ?Sized>(
     threads: usize,
     rng: &mut R,
 ) -> VerifyOutcome {
+    prepare(pg, embeddings, options, rng).finish(threshold, accept_early, threads)
+}
+
+/// A candidate's verification up to the point where it reads its decision
+/// threshold: [`prepare`]'s result.
+#[derive(Debug)]
+pub(crate) enum Prepared {
+    /// The exact short-circuit answered; the threshold cannot change it.
+    Exact(f64),
+    /// The union sampler with the chunk seed already drawn from the
+    /// candidate's RNG, waiting for a threshold.
+    Sampling {
+        sampler: Box<UnionSampler>,
+        seed: u64,
+        options: VerifyOptions,
+    },
+}
+
+/// The threshold-free half of [`verify_embeddings`]: the exact
+/// short-circuits (no embeddings, a relevant-edge set within
+/// `exact_cutoff`, a zero-weight union), else the union sampler's
+/// projection and alias tables plus its one seed draw from `rng`.
+pub(crate) fn prepare<R: Rng + ?Sized>(
+    pg: &ProbabilisticGraph,
+    embeddings: &[EdgeSet],
+    options: &VerifyOptions,
+    rng: &mut R,
+) -> Prepared {
     if embeddings.is_empty() {
-        return VerifyOutcome::exactly(0.0);
+        return Prepared::Exact(0.0);
     }
     // Small instances: answer exactly (cheaper and noise-free).
     let mut relevant: Vec<_> = embeddings.iter().flatten().copied().collect();
@@ -194,29 +222,56 @@ pub(crate) fn verify_embeddings<R: Rng + ?Sized>(
         if let Ok(value) =
             pgs_prob::exact::exact_union_probability(pg, embeddings, options.exact_cutoff)
         {
-            return VerifyOutcome::exactly(value);
+            return Prepared::Exact(value);
         }
     }
     let Some(sampler) = UnionSampler::with_relevant(pg, embeddings, &relevant) else {
         // The union event has probability zero (every Pr(Bf_i) = 0).
-        return VerifyOutcome::exactly(0.0);
+        return Prepared::Exact(0.0);
     };
-    let n = options.mc.num_samples();
-    let seed: u64 = rng.gen();
-    // `adaptive` off only picks the rule: a zero threshold without early
-    // accepts can never fire.
-    let rule = StoppingRule {
-        threshold: if options.adaptive { threshold } else { 0.0 },
-        xi: options.mc.xi,
-        accept_early: options.adaptive && accept_early,
-    };
-    let est = sampler.estimate_adaptive(n, seed, threads, &rule);
-    VerifyOutcome {
-        ssp: est.estimate,
-        samples_drawn: est.samples_drawn,
-        budget: n,
-        exact: false,
-        early: est.decision,
+    Prepared::Sampling {
+        sampler: Box::new(sampler),
+        seed: rng.gen(),
+        options: *options,
+    }
+}
+
+impl Prepared {
+    /// The threshold half of [`verify_embeddings`]: an exact answer as it
+    /// stands, else the sampler's trials on up to `threads` workers under
+    /// the stopping rule for `threshold`.  It reads no RNG, so one
+    /// preparation finishes at any threshold exactly as a fresh
+    /// verification would.
+    pub(crate) fn finish(
+        &self,
+        threshold: f64,
+        accept_early: bool,
+        threads: usize,
+    ) -> VerifyOutcome {
+        let (sampler, seed, options) = match self {
+            &Prepared::Exact(ssp) => return VerifyOutcome::exactly(ssp),
+            Prepared::Sampling {
+                sampler,
+                seed,
+                options,
+            } => (sampler, *seed, options),
+        };
+        let n = options.mc.num_samples();
+        // `adaptive` off only picks the rule: a zero threshold without early
+        // accepts can never fire.
+        let rule = StoppingRule {
+            threshold: if options.adaptive { threshold } else { 0.0 },
+            xi: options.mc.xi,
+            accept_early: options.adaptive && accept_early,
+        };
+        let est = sampler.estimate_adaptive(n, seed, threads, &rule);
+        VerifyOutcome {
+            ssp: est.estimate,
+            samples_drawn: est.samples_drawn,
+            budget: n,
+            exact: false,
+            early: est.decision,
+        }
     }
 }
 
@@ -619,6 +674,52 @@ mod tests {
             &mut rng,
         );
         assert!(verdict.exact && verdict.ssp == 0.0);
+    }
+
+    #[test]
+    fn one_preparation_finishes_like_a_fresh_verification_at_every_threshold() {
+        // The split must be invisible: `finish` on one `prepare` reproduces a
+        // fresh `verify_embeddings` (same caller seed) bit for bit, at any
+        // threshold and either early-accept setting — the top-k walk relies
+        // on it when it prepares candidates before their threshold is known.
+        let (pg, q) = verification_candidate(10);
+        let sampled = VerifyOptions {
+            exact_cutoff: 0,
+            ..VerifyOptions::default()
+        };
+        for (options, exact) in [(sampled, false), (VerifyOptions::default(), true)] {
+            let relaxed = relax_query_clamped(&q, 1);
+            let embeddings =
+                collect_embeddings_of_relaxations(&pg, &relaxed, options.max_embeddings);
+            let prepared = prepare(&pg, &embeddings, &options, &mut StdRng::seed_from_u64(31));
+            assert_eq!(matches!(prepared, Prepared::Exact(_)), exact);
+            let mut early_stops = 0usize;
+            for threshold in [0.0, 0.05, 0.3, 0.6, 0.95, 1.0] {
+                for accept_early in [false, true] {
+                    let got = prepared.finish(threshold, accept_early, 1);
+                    let want = verify_embeddings(
+                        &pg,
+                        &embeddings,
+                        &options,
+                        threshold,
+                        accept_early,
+                        1,
+                        &mut StdRng::seed_from_u64(31),
+                    );
+                    let bits = |v: &VerifyOutcome| (v.ssp.to_bits(), v.samples_drawn, v.early);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "exact={exact} threshold={threshold} accept_early={accept_early}"
+                    );
+                    assert_eq!(got, want);
+                    early_stops += usize::from(got.early.is_some());
+                }
+            }
+            // The sampled candidate actually stops at some thresholds, so
+            // the sweep reaches the rule's decisions, not just full budgets.
+            assert_eq!(early_stops > 0, !exact);
+        }
     }
 
     #[test]

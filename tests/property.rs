@@ -12,6 +12,7 @@ use pgs_graph::summary::StructuralSummary;
 use pgs_graph::vf2::{
     contains_subgraph, contains_subgraph_summarized, enumerate_embeddings, MatchOptions, Matcher,
 };
+use pgs_index::sindex::StructuralIndex;
 use pgs_index::sip_bounds::{sip_bounds, BoundsConfig};
 use pgs_prob::neighbor::{is_neighbor_edge_set, partition_with_triangles};
 use pgs_prob::union_sampler::{StoppingRule, UnionSampler};
@@ -98,6 +99,32 @@ fn arb_single_edge_pattern() -> impl Strategy<Value = Graph> {
             }
             for l in isolated {
                 g.add_vertex(Label(l));
+            }
+            g
+        })
+}
+
+/// Strategy: a query of 2–4 edges over the label alphabets of
+/// [`arb_small_target`] — a random tree, its vertex `i + 1` hung below one of
+/// the vertices before it — plus 0–1 isolated vertex.
+fn arb_few_edge_query() -> impl Strategy<Value = Graph> {
+    (2usize..=4)
+        .prop_flat_map(|m| {
+            (
+                proptest::collection::vec(0u32..2, m + 1),
+                proptest::collection::vec((0u64..u64::MAX, 0u32..2), m),
+                proptest::collection::vec(0u32..2, 0..=1),
+            )
+        })
+        .prop_map(|(vlabels, edges, isolated)| {
+            let mut g = Graph::new();
+            for &l in vlabels.iter().chain(&isolated) {
+                g.add_vertex(Label(l));
+            }
+            for (i, &(parent, e)) in edges.iter().enumerate() {
+                let p = (parent % (i as u64 + 1)) as u32;
+                g.add_edge(VertexId(i as u32 + 1), VertexId(p), Label(e))
+                    .unwrap();
             }
             g
         })
@@ -259,6 +286,33 @@ proptest! {
                 "pattern {:?} in target {:?}", p, target
             );
         }
+    }
+
+    #[test]
+    fn one_edge_short_filter_survivors_are_exactly_the_vf2_matches(
+        targets in proptest::collection::vec(arb_small_target(), 8),
+        q in arb_few_edge_query(),
+    ) {
+        // At δ = |E(q)| − 1 every relaxed pattern is one edge, so phase 1
+        // returns the deficit filter's survivors without its exact check;
+        // VF2 over the relaxed set is the reference.
+        let delta = q.edge_count() - 1;
+        let index = StructuralIndex::build(&targets);
+        let filtered = index
+            .filter_candidates(StructuralSummary::of(&q).view(), delta)
+            .candidates;
+        let relaxed = relax_query(&q, delta);
+        prop_assert!(relaxed.iter().all(|rq| rq.edge_count() == 1));
+        let matched: Vec<usize> = (0..targets.len())
+            .filter(|&gi| {
+                let g = &targets[gi];
+                let gs = StructuralSummary::of(g);
+                relaxed.iter().any(|rq| {
+                    Matcher::new(rq, StructuralSummary::of(rq).view(), g, gs.view()).exists()
+                })
+            })
+            .collect();
+        prop_assert_eq!(filtered, matched, "query {:?}", q);
     }
 
     #[test]
