@@ -6,11 +6,11 @@
 //! allocation, every access a pointer chase, and a database of `n` graphs
 //! costs `O(n)` allocator round trips to build or drop.  [`FlatVecVec`] packs
 //! the same data into exactly two allocations — an offsets table and a values
-//! arena — with O(1) row slicing, and [`CsrAdjacency`] specialises the idea
-//! for graph adjacency, rebuilding the classic compressed-sparse-row layout
-//! from an edge list while preserving the exact neighbor order incremental
-//! insertion would have produced (the determinism contract of DESIGN.md §8
-//! depends on that order).
+//! arena — with O(1) row slicing.  It is the workspace's one such layout: the
+//! S-Index's summary arenas, the PMI's graph columns and every graph's
+//! adjacency, whose counting-pass constructor keeps the exact neighbor order
+//! incremental insertion would have produced (the determinism contract of
+//! DESIGN.md §8 depends on that order).
 
 use crate::model::{Edge, EdgeId, VertexId};
 
@@ -19,9 +19,9 @@ use crate::model::{Edge, EdgeId, VertexId};
 /// `offsets` has one entry per row plus a trailing sentinel; row `i` is
 /// `values[offsets[i]..offsets[i + 1]]`.  Rows are appended with
 /// [`push_row`](Self::push_row) in O(row); removing a row is a single
-/// O(total) shift, which is how the S-Index's summary arenas handle a
-/// (rare) graph removal.  Rows that grow after they are pushed belong in
-/// their own `Vec`s, not here.
+/// O(total) shift, which is how the S-Index's summary arenas and the PMI's
+/// columns handle a (rare) graph removal.  Rows that grow after they are
+/// pushed belong in their own `Vec`s, not here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatVecVec<T> {
     offsets: Vec<u32>,
@@ -109,22 +109,13 @@ impl<T> FlatVecVec<T> {
     }
 }
 
-/// Compressed-sparse-row adjacency for a [`crate::model::Graph`].
-///
-/// Built in one pass from the edge list; `row(v)` yields `(neighbor, edge)`
-/// pairs in exactly the order incremental `add_edge` calls would have pushed
-/// them (edge-id order), so every traversal that consumed the old nested-Vec
-/// adjacency enumerates identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrAdjacency {
-    offsets: Vec<u32>,
-    pairs: Vec<(VertexId, EdgeId)>,
-}
-
-impl CsrAdjacency {
-    /// Builds the CSR layout for `vertex_count` vertices from `edges`
-    /// (indexed by edge id).
-    pub fn build(vertex_count: usize, edges: &[Edge]) -> Self {
+impl FlatVecVec<(VertexId, EdgeId)> {
+    /// The adjacency of a [`crate::model::Graph`] with `vertex_count`
+    /// vertices and edge list `edges` (indexed by edge id), built by one
+    /// counting pass: row `v` holds the `(neighbour, edge)` pairs of `v` in
+    /// edge-id order, exactly the order incremental `add_edge` calls would
+    /// have pushed them, so every traversal enumerates identically.
+    pub(crate) fn adjacency(vertex_count: usize, edges: &[Edge]) -> Self {
         let mut degree = vec![0u32; vertex_count];
         for e in edges {
             degree[e.u.index()] += 1;
@@ -137,37 +128,19 @@ impl CsrAdjacency {
             running += d;
             offsets.push(running);
         }
-        // Fill each row in edge-id order using per-vertex cursors; this
-        // reproduces the insertion order of incremental `add_edge` calls.
+        // Fill each row in edge-id order using per-vertex cursors.
         let mut cursor: Vec<u32> = offsets[..vertex_count].to_vec();
-        let mut pairs = vec![(VertexId(0), EdgeId(0)); running as usize];
+        let mut values = vec![(VertexId(0), EdgeId(0)); running as usize];
         for (id, e) in edges.iter().enumerate() {
             let id = EdgeId(id as u32);
             let cu = &mut cursor[e.u.index()];
-            pairs[*cu as usize] = (e.v, id);
+            values[*cu as usize] = (e.v, id);
             *cu += 1;
             let cv = &mut cursor[e.v.index()];
-            pairs[*cv as usize] = (e.u, id);
+            values[*cv as usize] = (e.u, id);
             *cv += 1;
         }
-        Self { offsets, pairs }
-    }
-
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The `(neighbor, edge)` pairs incident to vertex `v`.
-    pub fn row(&self, v: usize) -> &[(VertexId, EdgeId)] {
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        &self.pairs[lo..hi]
-    }
-
-    /// Degree of vertex `v`, read from the offsets table alone.
-    pub fn degree(&self, v: usize) -> usize {
-        (self.offsets[v + 1] - self.offsets[v]) as usize
+        Self { offsets, values }
     }
 }
 
@@ -220,8 +193,8 @@ mod tests {
         assert!(flat.is_empty());
     }
 
-    /// The CSR rows must reproduce the neighbor order incremental insertion
-    /// produces, including for vertices with no edges.
+    /// The adjacency rows must reproduce the neighbor order incremental
+    /// insertion produces, including for vertices with no edges.
     #[test]
     fn csr_matches_incremental_insertion_order() {
         let mut g = Graph::with_name("csr");
@@ -233,8 +206,8 @@ mod tests {
         for (a, b, l) in [(0, 1, 0), (2, 1, 1), (0, 2, 0), (3, 0, 1), (1, 3, 0)] {
             g.add_edge(VertexId(a), VertexId(b), Label(l)).unwrap();
         }
-        let csr = CsrAdjacency::build(g.vertex_count(), g.edge_slice());
-        assert_eq!(csr.vertex_count(), 5);
+        let csr = FlatVecVec::adjacency(g.vertex_count(), g.edge_slice());
+        assert_eq!(csr.len(), 5);
         assert_eq!(
             csr.row(0),
             &[
@@ -260,7 +233,7 @@ mod tests {
             &[(VertexId(0), EdgeId(3)), (VertexId(1), EdgeId(4))]
         );
         assert_eq!(csr.row(4), &[]);
-        assert_eq!(csr.degree(0), 3);
-        assert_eq!(csr.degree(4), 0);
+        assert_eq!(g.degree(VertexId(0)), 3);
+        assert_eq!(g.degree(VertexId(4)), 0);
     }
 }

@@ -52,7 +52,7 @@ pub mod summary;
 pub mod traversal;
 pub mod vf2;
 
-pub use arena::{CsrAdjacency, FlatVecVec};
+pub use arena::FlatVecVec;
 pub use clique::{max_weight_clique, BitMatrix};
 pub use cuts::minimal_cuts;
 pub use dfs_code::{canonical_code, CanonicalCode};

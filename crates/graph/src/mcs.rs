@@ -17,9 +17,8 @@
 //!   ([`relax_query_clamped`], deduplicated, isolated vertices dropped) —
 //!   the same set phases 2 and 3 read.  For `|E(q)| > δ` this equals
 //!   `dis(q, g) ≤ δ`: if `q` minus `d ≤ δ` edges embeds in `g`, deleting
-//!   `δ − d` more edges still embeds.  Past 4 096 deletion subsets
-//!   (`C(|E(q)|, δ)`) the tester uses the exact distance instead.
-//!   [`subgraph_similar`] is a tester used once.
+//!   `δ − d` more edges still embeds.  [`subgraph_similar`] is a tester
+//!   used once.
 
 use crate::model::{Graph, VertexId};
 use crate::relax::relax_query_clamped;
@@ -65,38 +64,33 @@ pub fn subgraph_similar(q: &Graph, g: &Graph, delta: usize) -> bool {
     SimilarityTester::new(q, delta).matches(g, StructuralSummary::of(g).view())
 }
 
-/// Most `δ`-edge deletion subsets (`C(|E(q)|, δ)`) the tester enumerates;
-/// beyond it the tester computes the exact MCS distance per graph instead.
-const DELETION_BUDGET_CAP: usize = 4_096;
-
 /// A reusable `dis(q, ·) ≤ δ` tester that precomputes everything derivable
-/// from the query alone: its [`StructuralSummary`] and, while
-/// `C(|E(q)|, δ)` is within the deletion budget cap (4 096), the relaxed
-/// query set `U = relax_query_clamped(q, δ)` with each pattern's summary.
-/// [`SimilarityTester::matches`] then answers `any(rq ⊆ g)` over `U` (or the
-/// exact MCS distance past the cap); both equal `dis(q, g) ≤ δ`.
+/// from the query alone: its [`StructuralSummary`] and the relaxed query set
+/// `U = relax_query_clamped(q, δ)` with each pattern's summary.
+/// [`SimilarityTester::matches`] then answers `any(rq ⊆ g)` over `U`, which
+/// equals `dis(q, g) ≤ δ`.
 pub struct SimilarityTester<'a> {
     q: &'a Graph,
     delta: usize,
     q_summary: StructuralSummary,
-    /// `U` with its summaries; `None` when the deletion budget exceeds the
-    /// cap and candidates fall back to the exact MCS distance.
-    relaxed: Option<RelaxedSet<'a>>,
+    /// `U`, and the summary of each of its patterns.
+    relaxed: Cow<'a, [Graph]>,
+    summaries: Cow<'a, [StructuralSummary]>,
 }
-
-/// The relaxed query set `U` and the summary of each of its patterns.
-type RelaxedSet<'a> = (Cow<'a, [Graph]>, Cow<'a, [StructuralSummary]>);
 
 impl<'a> SimilarityTester<'a> {
     /// Precomputes the tester for `(q, delta)`, enumerating and summarising
     /// `U` itself.
     pub fn new(q: &'a Graph, delta: usize) -> SimilarityTester<'a> {
-        let relaxed = within_budget(q, delta).then(|| {
-            let set = relax_query_clamped(q, delta);
-            let summaries = set.iter().map(StructuralSummary::of).collect();
-            (Cow::Owned(set), Cow::Owned(summaries))
-        });
-        SimilarityTester::from_set(q, delta, relaxed)
+        let relaxed = relax_query_clamped(q, delta);
+        let summaries = relaxed.iter().map(StructuralSummary::of).collect();
+        SimilarityTester {
+            q,
+            delta,
+            q_summary: StructuralSummary::of(q),
+            relaxed: Cow::Owned(relaxed),
+            summaries: Cow::Owned(summaries),
+        }
     }
 
     /// The tester over a relaxed set the caller already holds: `relaxed`
@@ -111,21 +105,12 @@ impl<'a> SimilarityTester<'a> {
         summaries: &'a [StructuralSummary],
     ) -> SimilarityTester<'a> {
         debug_assert_eq!(relaxed.len(), summaries.len());
-        let relaxed =
-            within_budget(q, delta).then_some((Cow::Borrowed(relaxed), Cow::Borrowed(summaries)));
-        SimilarityTester::from_set(q, delta, relaxed)
-    }
-
-    fn from_set(
-        q: &'a Graph,
-        delta: usize,
-        relaxed: Option<RelaxedSet<'a>>,
-    ) -> SimilarityTester<'a> {
         SimilarityTester {
             q,
             delta,
             q_summary: StructuralSummary::of(q),
-            relaxed,
+            relaxed: Cow::Borrowed(relaxed),
+            summaries: Cow::Borrowed(summaries),
         }
     }
 
@@ -145,32 +130,11 @@ impl<'a> SimilarityTester<'a> {
         if self.q.edge_count() <= self.delta {
             return true;
         }
-        match &self.relaxed {
-            Some((set, summaries)) => set.iter().zip(summaries.iter()).any(|(rq, summary)| {
-                contains_subgraph_summarized(rq, summary.view(), g, g_summary)
-            }),
-            None => subgraph_distance(self.q, g) <= self.delta,
-        }
+        self.relaxed
+            .iter()
+            .zip(self.summaries.iter())
+            .any(|(rq, summary)| contains_subgraph_summarized(rq, summary.view(), g, g_summary))
     }
-}
-
-/// Whether the tester may enumerate `U` for `(q, delta)`.
-fn within_budget(q: &Graph, delta: usize) -> bool {
-    binomial(q.edge_count(), delta) <= DELETION_BUDGET_CAP
-}
-
-fn binomial(n: usize, k: usize) -> usize {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut num: u128 = 1;
-    let mut den: u128 = 1;
-    for i in 0..k {
-        num *= (n - i) as u128;
-        den *= (i + 1) as u128;
-    }
-    (num / den).min(usize::MAX as u128) as usize
 }
 
 struct McsSearch<'a> {
@@ -427,9 +391,9 @@ mod tests {
     }
 
     #[test]
-    fn both_sides_of_the_deletion_budget_cap_agree_with_subgraph_distance() {
-        // A 15-edge path with distinct vertex labels: C(15, 5) = 3003 deletion
-        // subsets fit the cap, C(15, 6) = 5005 take the exact-MCS fallback.
+    fn large_relaxed_sets_agree_with_subgraph_distance() {
+        // A 15-edge path with distinct vertex labels: C(15, 5) = 3003 and
+        // C(15, 6) = 5005 deletion subsets.
         let labels: Vec<u32> = (0..16).collect();
         let path_without = |gaps: &[usize]| {
             let mut b = GraphBuilder::new().vertices(&labels);
@@ -439,17 +403,14 @@ mod tests {
             b.build()
         };
         let q = path_without(&[]);
-        assert!(binomial(15, 5) <= DELETION_BUDGET_CAP);
-        assert!(binomial(15, 6) > DELETION_BUDGET_CAP);
         let graphs = [
             q.clone(),
             path_without(&[0, 3, 6, 9, 12]),
             path_without(&[0, 2, 4, 6, 8, 10]),
             path_without(&[1, 3, 5, 7, 9, 11, 13]),
         ];
-        for (delta, enumerates) in [(5, true), (6, false)] {
+        for delta in [5, 6] {
             let tester = SimilarityTester::new(&q, delta);
-            assert_eq!(tester.relaxed.is_some(), enumerates, "delta {delta}");
             let verdicts: Vec<bool> = graphs
                 .iter()
                 .map(|g| tester.matches(g, StructuralSummary::of(g).view()))
@@ -461,14 +422,5 @@ mod tests {
             assert_eq!(verdicts, reference, "delta {delta}");
             assert_eq!(verdicts, [true, true, delta >= 6, false], "delta {delta}");
         }
-    }
-
-    #[test]
-    fn binomial_helper() {
-        assert_eq!(binomial(5, 0), 1);
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(5, 5), 1);
-        assert_eq!(binomial(3, 4), 0);
-        assert_eq!(binomial(60, 3), 34_220);
     }
 }

@@ -10,7 +10,7 @@
 //! data model and every downstream algorithm (VF2, MCS, relaxation) assumes
 //! simple graphs.
 
-use crate::arena::CsrAdjacency;
+use crate::arena::FlatVecVec;
 use crate::error::GraphError;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -115,16 +115,15 @@ pub struct Graph {
     name: String,
     vertex_labels: Vec<Label>,
     edges: Vec<Edge>,
-    /// CSR adjacency, rebuilt lazily from `edges` after mutation.  Row `v`
-    /// lists `(neighbour, edge id)` pairs in edge-insertion order — exactly
-    /// what the old per-vertex `Vec` rows held — so traversal order (and with
-    /// it every sampled answer) is unchanged by the flat layout.
-    csr: OnceLock<CsrAdjacency>,
+    /// Adjacency, rebuilt lazily from `edges` after mutation.  Row `v` lists
+    /// `(neighbour, edge id)` pairs in edge-insertion order, on which
+    /// traversal order (and with it every sampled answer) depends.
+    adjacency: OnceLock<FlatVecVec<(VertexId, EdgeId)>>,
     /// Fast lookup of edge id by (min endpoint, max endpoint).
     edge_index: BTreeMap<(u32, u32), EdgeId>,
 }
 
-/// The CSR cache is derived state: two graphs are equal iff their logical
+/// The adjacency cache is derived state: two graphs are equal iff their logical
 /// content (name, labels, edge list) is, regardless of whether either has
 /// materialised its adjacency yet.
 impl PartialEq for Graph {
@@ -184,7 +183,7 @@ impl Graph {
     pub fn add_vertex(&mut self, label: Label) -> VertexId {
         let id = VertexId(self.vertex_labels.len() as u32);
         self.vertex_labels.push(label);
-        self.csr = OnceLock::new();
+        self.adjacency = OnceLock::new();
         id
     }
 
@@ -215,17 +214,17 @@ impl Graph {
         let id = EdgeId(self.edges.len() as u32);
         let (a, b) = if u.0 < v.0 { (u, v) } else { (v, u) };
         self.edges.push(Edge { u: a, v: b, label });
-        self.csr = OnceLock::new();
+        self.adjacency = OnceLock::new();
         self.edge_index.insert(key, id);
         Ok(id)
     }
 
-    /// The materialised CSR adjacency, building it on first use after a
+    /// The materialised adjacency, building it on first use after a
     /// mutation.
     #[inline]
-    fn csr(&self) -> &CsrAdjacency {
-        self.csr
-            .get_or_init(|| CsrAdjacency::build(self.vertex_labels.len(), &self.edges))
+    fn adjacency(&self) -> &FlatVecVec<(VertexId, EdgeId)> {
+        self.adjacency
+            .get_or_init(|| FlatVecVec::adjacency(self.vertex_labels.len(), &self.edges))
     }
 
     /// Label of vertex `v`.
@@ -277,13 +276,13 @@ impl Graph {
     /// Neighbours of `v` as `(neighbour, edge id)` pairs, in insertion order.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        self.csr().row(v.index())
+        self.adjacency().row(v.index())
     }
 
     /// Degree of vertex `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.csr().degree(v.index())
+        self.adjacency().row(v.index()).len()
     }
 
     /// Looks up the edge between `u` and `v`, if any.
@@ -299,7 +298,7 @@ impl Graph {
 
     /// Edge ids incident to vertex `v`.
     pub fn incident_edges(&self, v: VertexId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.csr().row(v.index()).iter().map(|&(_, e)| e)
+        self.adjacency().row(v.index()).iter().map(|&(_, e)| e)
     }
 
     /// A deterministic 64-bit FNV-style hash of the graph structure (vertex

@@ -13,8 +13,6 @@
 //! * the S-Index — per-graph structural summaries plus an inverted
 //!   edge-signature posting list, the candidate generator of the
 //!   structural query phase — in [`sindex`],
-//! * the column-sparse cell storage shared by the in-memory index and the
-//!   on-disk snapshot in [`storage`],
 //! * the versioned binary snapshot format behind `Pmi::save` / `Pmi::load`
 //!   in [`snapshot`].
 
@@ -26,11 +24,9 @@ pub mod pmi;
 pub mod sindex;
 pub mod sip_bounds;
 pub mod snapshot;
-pub mod storage;
 
 pub use feature::{select_features, select_features_summarized, Feature, FeatureSelectionParams};
 pub use pmi::{graph_salt, Pmi, PmiBuildParams, PmiStats};
 pub use sindex::{FilterOutcome, PostingEntry, StructuralIndex};
 pub use sip_bounds::{sip_bounds, BoundsConfig, DisjointnessRule, SipBounds};
 pub use snapshot::{params_fingerprint, SnapshotError, FORMAT_V1, FORMAT_V2, FORMAT_VERSION};
-pub use storage::SparseMatrix;

@@ -10,9 +10,9 @@
 //! of every feature and whether the graph passes its α filter), then
 //! appends the columns in database order through the same push an
 //! incremental insert uses: the matrix is appended, never filled.  The
-//! index is held in memory as one global segment: the column storage
-//! ([`SparseMatrix`]), the per-feature support lists, the S-Index and one
-//! churn counter.
+//! index is held in memory as one global segment: the occupied cells (one
+//! [`FlatVecVec`] row per graph column, ascending by feature id), the
+//! per-feature support lists, the S-Index and one churn counter.
 //!
 //! # Persistence
 //!
@@ -37,7 +37,7 @@ use crate::feature::{alpha_holds, select_features_summarized, Feature, FeatureSe
 use crate::sindex::{keep_renumbered, StructuralIndex};
 use crate::sip_bounds::{embedded_sip_bounds, BoundsConfig, SipBounds};
 use crate::snapshot::{self, SnapshotError};
-use crate::storage::SparseMatrix;
+use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{derive_seed, par_map_chunked_costed, CostHint};
 use pgs_graph::summary::{StructuralSummary, SummaryView};
@@ -96,6 +96,11 @@ pub fn graph_salt(pg: &ProbabilisticGraph) -> u64 {
     derive_seed(&salts)
 }
 
+/// The occupied cells of the matrix: row `g` holds graph `g`'s `(feature
+/// id, bounds)` entries, strictly ascending by feature id (the paper's
+/// `D_g`); an absent entry is the empty cell `⟨0⟩`.
+pub(crate) type Cells = FlatVecVec<(u32, SipBounds)>;
+
 /// The probabilistic matrix index.
 #[derive(Debug, Clone)]
 pub struct Pmi {
@@ -109,8 +114,7 @@ pub struct Pmi {
     /// byte-identical to the column a fresh build would produce.
     params: PmiBuildParams,
     build_seconds: f64,
-    /// Occupied cells: `matrix.get(graph, feature)`.
-    matrix: SparseMatrix,
+    matrix: Cells,
     /// Per feature (row) the graph ids (ascending) passing the α filter.
     /// One `Vec` per feature (a few dozen rows), so a pushed column appends
     /// to the rows it supports in O(1) instead of shifting a flat table.
@@ -159,7 +163,7 @@ impl Pmi {
             features,
             graph_salts: Vec::with_capacity(db.len()),
             params: *params,
-            matrix: SparseMatrix::new(),
+            matrix: Cells::new(),
             sindex: Some(sindex),
             churn: 0,
             feature_summaries,
@@ -234,13 +238,30 @@ impl Pmi {
     /// The SIP bounds of `feature` in `graph`, or `None` when the feature does
     /// not occur in the graph skeleton.
     pub fn bounds(&self, graph: usize, feature: usize) -> Option<SipBounds> {
-        self.matrix.get(graph, feature)
+        let column = self.column(graph);
+        let i = column
+            .binary_search_by_key(&feature, |&(fi, _)| fi as usize)
+            .ok()?;
+        Some(column[i].1)
     }
 
     /// All non-empty `(feature index, bounds)` entries of one graph column —
     /// the paper's `D_g`.
     pub fn graph_entries(&self, graph: usize) -> Vec<(usize, SipBounds)> {
-        self.matrix.column(graph).collect()
+        self.column(graph)
+            .iter()
+            .map(|&(fi, bounds)| (fi as usize, bounds))
+            .collect()
+    }
+
+    /// The occupied cells of one graph column; empty for an out-of-range
+    /// graph.
+    fn column(&self, graph: usize) -> &[(u32, SipBounds)] {
+        if graph < self.matrix.len() {
+            self.matrix.row(graph)
+        } else {
+            &[]
+        }
     }
 
     /// The support list of one feature (ascending graph ids).
@@ -261,7 +282,7 @@ impl Pmi {
         PmiStats {
             feature_count: self.features.len(),
             graph_count: self.graph_count(),
-            occupied_cells: self.matrix.entry_count(),
+            occupied_cells: self.matrix.iter().map(<[_]>::len).sum(),
             build_seconds: self.build_seconds,
             size_bytes: self.to_bytes().len() - prefix,
         }
@@ -306,7 +327,7 @@ impl Pmi {
             }
         }
         self.matrix
-            .push_column(column.iter().map(|&(fi, bounds, _)| (fi, bounds)));
+            .push_row(column.iter().map(|&(fi, bounds, _)| (fi as u32, bounds)));
         self.graph_salts.push(salt);
     }
 
@@ -322,7 +343,7 @@ impl Pmi {
             "remove_graph: column {index} out of range ({} columns)",
             self.graph_count()
         );
-        self.matrix.remove_column(index);
+        self.matrix.remove_row(index);
         let removed = index as u32;
         for support in &mut self.supports {
             support.retain_mut(|g| keep_renumbered(g, removed));
@@ -381,10 +402,10 @@ impl Pmi {
     /// `QueryEngine::from_parts`, which re-derives the summaries).
     pub fn from_bytes(bytes: &[u8]) -> Result<Pmi, SnapshotError> {
         let parts = snapshot::decode(bytes)?;
-        if parts.matrix.column_count() != parts.graph_salts.len() {
+        if parts.matrix.len() != parts.graph_salts.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} matrix columns but {} graph salts",
-                parts.matrix.column_count(),
+                parts.matrix.len(),
                 parts.graph_salts.len()
             )));
         }

@@ -47,8 +47,9 @@
 //! empty.  The result always equals a fresh [`StructuralIndex::build`] over
 //! the same graphs in the same order.
 //!
-//! The S-Index is persisted as a versioned section of the PMI snapshot
-//! (format v2, see [`crate::snapshot`]); only the summaries are written —
+//! The S-Index is persisted in the PMI snapshot (one summary per graph in
+//! each format-v3 segment, see [`crate::snapshot`]); only the summaries are
+//! written —
 //! posting lists are a deterministic function of the summaries and are
 //! pushed again on load.
 

@@ -5,8 +5,8 @@
 //! start pays it anyway.  The snapshot makes the index build-once/load-many.
 //!
 //! The current format (**v3**) is a fixed-width prefix and a head (segment
-//! table, graph salts, feature definitions) followed by the segments (sparse
-//! matrix columns, per-feature support lists and per-graph summaries).  The
+//! table, graph salts, feature definitions) followed by the segments (matrix
+//! columns, per-feature support lists and per-graph summaries).  The
 //! writer emits exactly one segment covering the whole database.  Files with
 //! several segments, written by earlier versions of the engine, still load:
 //! decoding merges their segments into the same global layout.  See the
@@ -24,13 +24,17 @@
 //! salts    u64 count + one u64 content salt per database graph
 //! features u64 count + per feature: name, vertex labels, edges,
 //!          support list, frequency, discriminativity
-//! matrix   u64 entry count + CSR arrays of the sparse matrix verbatim
-//!          (offsets u64, feature ids u32, lower/upper bounds f64)
+//! matrix   u64 entry count + CSR arrays: (columns + 1) offsets u64,
+//!          feature ids u32, lower bounds f64, upper bounds f64
 //! sindex   (v2 only) u64 summary count + per graph: vertex/edge counts,
 //!          vertex-label histogram, edge-signature histogram, degree
 //!          sequence (posting lists are a deterministic function of the
 //!          summaries and are rebuilt on load)
 //! ```
+//!
+//! The matrix section is written straight from the index's cell store (one
+//! `FlatVecVec` row of `(feature id, bounds)` per graph column) and read
+//! straight back into it; the decoder checks the CSR invariants on the way.
 //!
 //! All multi-byte values are little-endian; `f64`s are written as their IEEE
 //! bit patterns, so bounds, frequencies and parameters round-trip exactly and
@@ -48,10 +52,9 @@
 //! it is given and refuses an index whose columns would not line up.
 
 use crate::feature::Feature;
-use crate::pmi::PmiBuildParams;
+use crate::pmi::{Cells, PmiBuildParams};
 use crate::sindex::StructuralIndex;
-use crate::sip_bounds::DisjointnessRule;
-use crate::storage::SparseMatrix;
+use crate::sip_bounds::{DisjointnessRule, SipBounds};
 use pgs_graph::model::{Graph, Label, VertexId};
 use pgs_graph::parallel::{derive_seed, mix64};
 use pgs_graph::summary::{EdgeSignature, StructuralSummary, SummaryView};
@@ -116,7 +119,7 @@ pub(crate) struct PmiParts {
     pub features: Vec<Feature>,
     /// Per feature (row) the graph ids (ascending) passing the α filter.
     pub supports: Vec<Vec<u32>>,
-    pub matrix: SparseMatrix,
+    pub matrix: Cells,
     /// `None` for format-v1 snapshots (pre-S-Index).
     pub sindex: Option<StructuralIndex>,
 }
@@ -131,7 +134,7 @@ pub(crate) struct PartsRef<'a> {
     pub graph_salts: &'a [u64],
     pub features: &'a [Feature],
     pub supports: &'a [Vec<u32>],
-    pub matrix: &'a SparseMatrix,
+    pub matrix: &'a Cells,
     /// `None` only for an index decoded from v1 and never paired.
     pub sindex: Option<&'a StructuralIndex>,
 }
@@ -423,7 +426,7 @@ fn members_of(salts: &[u64], shard_count: usize) -> Vec<Vec<u32>> {
 
 /// One decoded segment of a v3 snapshot, over local member ids.
 struct Segment {
-    matrix: SparseMatrix,
+    matrix: Cells,
     supports: Vec<Vec<u32>>,
     summaries: Vec<StructuralSummary>,
 }
@@ -571,16 +574,16 @@ fn merge_segments(
     segments: Vec<Segment>,
     graph_count: usize,
     feature_count: usize,
-) -> (SparseMatrix, Vec<Vec<u32>>, Vec<StructuralSummary>) {
+) -> (Cells, Vec<Vec<u32>>, Vec<StructuralSummary>) {
     let mut locator = vec![(0usize, 0usize); graph_count];
     for (s, m) in members.iter().enumerate() {
         for (l, &g) in m.iter().enumerate() {
             locator[g as usize] = (s, l);
         }
     }
-    let mut matrix = SparseMatrix::new();
+    let mut matrix = Cells::new();
     for &(s, l) in &locator {
-        matrix.push_column(segments[s].matrix.column(l));
+        matrix.push_row(segments[s].matrix.row(l).iter().copied());
     }
     let mut supports = Vec::with_capacity(feature_count);
     for fi in 0..feature_count {
@@ -617,52 +620,80 @@ fn decode_salts(r: &mut Reader) -> Result<Vec<u64>, SnapshotError> {
     Ok(salts)
 }
 
-fn encode_matrix(w: &mut Writer, m: &SparseMatrix) {
-    w.u64(m.feature_ids().len() as u64);
-    for &o in m.offsets() {
-        w.u64(o as u64);
+/// Writes the matrix section: the entry count, then the CSR arrays — the
+/// `u64` column offsets, the `u32` feature ids, the lower bounds and the
+/// upper bounds.
+fn encode_matrix(w: &mut Writer, m: &Cells) {
+    let cells = || m.iter().flatten();
+    let mut offset = 0u64;
+    w.u64(m.iter().map(<[_]>::len).sum::<usize>() as u64);
+    w.u64(offset);
+    for column in m.iter() {
+        offset += column.len() as u64;
+        w.u64(offset);
     }
-    for &fi in m.feature_ids() {
+    for &(fi, _) in cells() {
         w.u32(fi);
     }
-    for &l in m.lowers() {
-        w.f64(l);
+    for &(_, b) in cells() {
+        w.f64(b.lower);
     }
-    for &u in m.uppers() {
-        w.f64(u);
+    for &(_, b) in cells() {
+        w.f64(b.upper);
     }
 }
 
-/// Decodes a matrix section over `columns` graph columns.
+/// Decodes a matrix section over `columns` graph columns, rejecting a
+/// section that breaks the CSR invariants: offsets start at 0, never
+/// decrease and end at the entry count, and within a column the feature
+/// ids strictly increase and stay below `feature_count`.
 fn decode_matrix(
     r: &mut Reader,
     columns: usize,
     feature_count: usize,
-) -> Result<SparseMatrix, SnapshotError> {
+) -> Result<Cells, SnapshotError> {
+    let corrupt = |why: &str| Err(SnapshotError::Corrupt(why.into()));
     let entry_count = r.len_prefixed(20)?;
     let mut offsets = Vec::with_capacity(columns + 1);
     for _ in 0..columns + 1 {
-        offsets.push(r.u64()? as usize);
+        offsets.push(r.u64()?);
     }
-    let mut feature_ids = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        let fi = r.u32()?;
-        if fi as usize >= feature_count {
-            return Err(SnapshotError::Corrupt(format!(
-                "matrix entry references feature {fi} but only {feature_count} features exist"
-            )));
+    if offsets[0] != 0 {
+        return corrupt("offset array must start at 0");
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return corrupt("offset array must be non-decreasing");
+    }
+    if offsets[columns] != entry_count as u64 {
+        return corrupt("final offset must equal the entry count");
+    }
+    // The three entry arrays follow one another; read them side by side.
+    let mut ids = Reader::new(r.bytes(entry_count * 4)?);
+    let mut lowers = Reader::new(r.bytes(entry_count * 8)?);
+    let mut uppers = Reader::new(r.bytes(entry_count * 8)?);
+    let mut matrix = Cells::with_capacity(columns, entry_count);
+    let mut column = Vec::new();
+    for w in offsets.windows(2) {
+        column.clear();
+        for _ in w[0]..w[1] {
+            let fi = ids.u32()?;
+            if fi as usize >= feature_count {
+                return Err(SnapshotError::Corrupt(format!(
+                    "matrix entry references feature {fi} but only {feature_count} features exist"
+                )));
+            }
+            if column.last().is_some_and(|&(prev, _)| prev >= fi) {
+                return corrupt("feature ids must be strictly increasing within a column");
+            }
+            let bounds = SipBounds {
+                lower: lowers.f64()?,
+                upper: uppers.f64()?,
+            };
+            column.push((fi, bounds));
         }
-        feature_ids.push(fi);
+        matrix.push_row(column.drain(..));
     }
-    let mut lowers = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        lowers.push(r.f64()?);
-    }
-    let mut uppers = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        uppers.push(r.f64()?);
-    }
-    SparseMatrix::from_raw(offsets, feature_ids, lowers, uppers).map_err(SnapshotError::Corrupt)
+    Ok(matrix)
 }
 
 fn encode_summary(w: &mut Writer, s: SummaryView<'_>) {
@@ -967,7 +998,6 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sip_bounds::SipBounds;
     use pgs_graph::model::GraphBuilder;
 
     /// A format-v2 snapshot written by the retired v2 encoder (the golden
@@ -1014,15 +1044,11 @@ mod tests {
             .vertices(&[0, 1])
             .edge(0, 1, 9)
             .build();
-        let mut matrix = SparseMatrix::new();
-        matrix.push_column(vec![(
-            0,
-            SipBounds {
-                lower: 0.25,
-                upper: 0.75,
-            },
-        )]);
-        matrix.push_column(vec![]);
+        let bounds = SipBounds {
+            lower: 0.25,
+            upper: 0.75,
+        };
+        let matrix = Cells::from_rows([vec![(0, bounds)], vec![]]);
         PmiParts {
             params: PmiBuildParams::default(),
             build_seconds: 0.125,
@@ -1068,7 +1094,7 @@ mod tests {
         let parts = decode(V2_FIXTURE).unwrap();
         let sindex = parts.sindex.as_ref().expect("v2 carries an S-Index");
         assert_eq!(sindex.graph_count(), parts.graph_salts.len());
-        assert_eq!(parts.matrix.column_count(), parts.graph_salts.len());
+        assert_eq!(parts.matrix.len(), parts.graph_salts.len());
         // v2 is v1 plus the S-Index section.
         let v1 = decode(V1_FIXTURE).unwrap();
         assert_eq!(parts.graph_salts, v1.graph_salts);
@@ -1179,7 +1205,7 @@ mod tests {
         let merged = decode(V3_THREE_SEGMENTS).unwrap();
         let n = merged.graph_salts.len();
         assert_eq!(n, 32);
-        assert_eq!(merged.matrix.column_count(), n);
+        assert_eq!(merged.matrix.len(), n);
         assert_eq!(merged.sindex.as_ref().unwrap().graph_count(), n);
         assert_eq!(merged.supports.len(), merged.features.len());
         for support in merged.supports.iter() {
@@ -1243,6 +1269,50 @@ mod tests {
         match decode(&bytes) {
             Err(SnapshotError::Corrupt(why)) => assert!(why.contains("supporting graphs")),
             other => panic!("expected Corrupt, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn v3_rejects_a_corrupt_matrix_section() {
+        let parts = decode(V3_ONE_SEGMENT).unwrap();
+        let (matrix, columns) = (&parts.matrix, parts.matrix.len());
+        // Entries before column `g`, i.e. the stored offset `g`.
+        let offset = |g: usize| matrix.iter().take(g).map(<[_]>::len).sum::<usize>();
+        // The one segment opens with the matrix: the entry count, the
+        // offsets, then the feature ids.
+        let head_len = u64::from_le_bytes(V3_ONE_SEGMENT[20..28].try_into().unwrap()) as usize;
+        let offset_at = |g: usize| head_len + 8 + 8 * g;
+        let id_at = |i: usize| offset_at(columns + 1) + 4 * i;
+        let pair = (0..columns)
+            .find(|&g| matrix.row(g).len() >= 2)
+            .expect("some column holds two cells");
+        let u64_le = |v: usize| (v as u64).to_le_bytes().to_vec();
+        let cases = [
+            (offset_at(0), u64_le(1), "start at 0"),
+            (offset_at(1), u64_le(offset(2) + 1), "non-decreasing"),
+            (
+                offset_at(columns),
+                u64_le(offset(columns) + 1),
+                "final offset",
+            ),
+            (
+                id_at(offset(pair) + 1),
+                matrix.row(pair)[0].0.to_le_bytes().to_vec(),
+                "strictly increasing",
+            ),
+            (
+                id_at(0),
+                (parts.features.len() as u32).to_le_bytes().to_vec(),
+                "references feature",
+            ),
+        ];
+        for (at, patch, why) in cases {
+            let mut bytes = V3_ONE_SEGMENT.to_vec();
+            bytes[at..at + patch.len()].copy_from_slice(&patch);
+            match decode(&bytes) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(why), "{why}: {msg}"),
+                other => panic!("{why}: expected Corrupt, got {:?}", other.err()),
+            }
         }
     }
 

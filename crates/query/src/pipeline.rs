@@ -98,15 +98,15 @@ impl Default for ExactScanConfig {
 
 impl ExactScanConfig {
     /// Validates the configuration the way ε is validated: a `NaN` or
-    /// non-positive `τ`/`ξ` and a zero sample cap used to flow silently into
-    /// the Monte-Carlo clamp (`MonteCarloConfig::num_samples` substitutes
+    /// non-positive `τ`, a `ξ` outside `(0, 1)` and a zero sample cap used to
+    /// flow silently into the Monte-Carlo clamp (`MonteCarloConfig::num_samples` substitutes
     /// defaults), so a misconfigured "exact" baseline would quietly answer at
     /// a different precision than requested.  [`QueryEngine::exact_scan`]
     /// rejects such configurations with a typed error instead.
     pub fn validate(&self) -> Result<(), QueryError> {
         let mc = &self.fallback_mc;
         let bad_tau = mc.tau.is_nan() || mc.tau <= 0.0;
-        let bad_xi = mc.xi.is_nan() || mc.xi <= 0.0;
+        let bad_xi = mc.xi.is_nan() || mc.xi <= 0.0 || mc.xi >= 1.0;
         if bad_tau || bad_xi || mc.max_samples == 0 {
             return Err(QueryError::InvalidExactScanConfig {
                 tau: mc.tau,
@@ -306,8 +306,8 @@ pub enum QueryError {
     /// The query graph has no edges.  Silently evaluating it would return the
     /// full database (every graph trivially contains the empty query).
     EmptyQuery,
-    /// The `Exact` baseline's precision knobs are unusable: `τ`/`ξ` is `NaN`
-    /// or non-positive, or the sample cap is zero.  Silently evaluating would
+    /// The `Exact` baseline's precision knobs are unusable: `τ` is `NaN` or
+    /// non-positive, `ξ` lies outside `(0, 1)`, or the sample cap is zero.  Silently evaluating would
     /// let the Monte-Carlo clamp substitute defaults, so the "exact" answer
     /// would be computed at a precision the caller never asked for.
     InvalidExactScanConfig {
@@ -320,8 +320,8 @@ pub enum QueryError {
     },
     /// The verification sampler's options are unusable: the embedding cap is
     /// zero (it used to be silently clamped to one VF2 embedding per relaxed
-    /// query), or `τ`/`ξ` is `NaN` or non-positive (the Monte-Carlo clamp
-    /// would substitute defaults).  Either way the engine would quietly
+    /// query), `τ` is `NaN` or non-positive, or `ξ` lies outside `(0, 1)`
+    /// (the Monte-Carlo clamp would substitute other values).  Either way the engine would quietly
     /// verify at a precision nobody asked for.
     InvalidVerifyOptions {
         /// The configured embedding cap.
@@ -373,8 +373,8 @@ impl fmt::Display for QueryError {
                 max_samples,
             } => write!(
                 f,
-                "invalid exact-scan configuration: τ = {tau} and ξ = {xi} must be \
-                 positive numbers and the sample cap ({max_samples}) non-zero"
+                "invalid exact-scan configuration: τ = {tau} must be a positive number, \
+                 ξ = {xi} a number in (0, 1) and the sample cap ({max_samples}) non-zero"
             ),
             QueryError::InvalidVerifyOptions {
                 max_embeddings,
@@ -382,8 +382,9 @@ impl fmt::Display for QueryError {
                 xi,
             } => write!(
                 f,
-                "invalid verification options: τ = {tau} and ξ = {xi} must be \
-                 positive numbers and the embedding cap ({max_embeddings}) non-zero"
+                "invalid verification options: τ = {tau} must be a positive number, \
+                 ξ = {xi} a number in (0, 1) and the embedding cap ({max_embeddings}) \
+                 non-zero"
             ),
             QueryError::InvalidThreads { threads, max } => write!(
                 f,
@@ -1745,6 +1746,8 @@ mod tests {
             (-0.5, 0.01, 1000),
             (0.05, f64::NAN, 1000),
             (0.05, 0.0, 1000),
+            (0.05, 1.0, 1000),
+            (0.05, 2.0, 1000),
             (0.05, 0.01, 0),
         ] {
             let mut config = base;
@@ -1766,6 +1769,8 @@ mod tests {
             (256, f64::NAN, 0.05),
             (256, 0.0, 0.05),
             (256, 0.1, -0.5),
+            (256, 0.1, 1.0),
+            (256, 0.1, 2.0),
         ] {
             let mut config = base;
             config.verify.max_embeddings = max_embeddings;

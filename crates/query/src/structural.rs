@@ -24,9 +24,12 @@
 //!   posting lists (`pgs_index::sindex`), touching only graphs that share at
 //!   least one edge signature with the query, and the exact check reads each
 //!   survivor's skeleton from the database graph itself (the engine keeps no
-//!   second copy) next to its cached S-Index summary.  Sublinear in the
-//!   database size for selective queries.  The engine builds the tester over
-//!   the relaxed set it computed for the query.
+//!   second copy) next to its cached S-Index summary.  Posting work is
+//!   proportional to the entries of the query's own signatures, but the
+//!   dense accumulator's zero-fill and the final pass over it are linear in
+//!   the database size, so the phase is not sublinear (DESIGN.md §10).  The
+//!   engine builds the tester over the relaxed set it computed for the
+//!   query.
 //! * [`structural_candidates`] — the brute-force reference: a sequential
 //!   full scan with the per-graph filter.  The tester (and with it the query
 //!   histogram) is still built once per query, but every skeleton is

@@ -78,13 +78,14 @@ impl VerifyOptions {
     /// Validates the options the way `ExactScanConfig::validate` does.
     ///
     /// A `max_embeddings` of zero used to be silently clamped to one VF2
-    /// embedding per relaxed query, and a `NaN`/non-positive `τ` or `ξ` flows
-    /// into the Monte-Carlo clamp which substitutes defaults — in both cases
-    /// the engine would quietly answer at a precision nobody asked for, so
-    /// the query entry points reject such options with a typed error instead.
+    /// embedding per relaxed query, and a `NaN`/non-positive `τ` or a `ξ`
+    /// outside `(0, 1)` flows into the Monte-Carlo clamp which substitutes
+    /// other values — in both cases the engine would quietly answer at a
+    /// precision nobody asked for, so the query entry points reject such
+    /// options with a typed error instead.
     pub fn validate(&self) -> Result<(), QueryError> {
         let bad_tau = self.mc.tau.is_nan() || self.mc.tau <= 0.0;
-        let bad_xi = self.mc.xi.is_nan() || self.mc.xi <= 0.0;
+        let bad_xi = self.mc.xi.is_nan() || self.mc.xi <= 0.0 || self.mc.xi >= 1.0;
         if bad_tau || bad_xi || self.max_embeddings == 0 {
             return Err(QueryError::InvalidVerifyOptions {
                 max_embeddings: self.max_embeddings,
