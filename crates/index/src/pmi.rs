@@ -34,7 +34,7 @@
 //! length of the encoded snapshot minus its fixed prefix).
 
 use crate::feature::{alpha_holds, select_features_summarized, Feature, FeatureSelectionParams};
-use crate::sindex::{keep_renumbered, StructuralIndex};
+use crate::sindex::{remove_renumbered, StructuralIndex};
 use crate::sip_bounds::{embedded_sip_bounds, BoundsConfig, SipBounds};
 use crate::snapshot::{self, SnapshotError};
 use pgs_graph::arena::FlatVecVec;
@@ -346,7 +346,7 @@ impl Pmi {
         self.matrix.remove_row(index);
         let removed = index as u32;
         for support in &mut self.supports {
-            support.retain_mut(|g| keep_renumbered(g, removed));
+            remove_renumbered(support, removed, |&g| g, |g| g);
         }
         if let Some(sindex) = &mut self.sindex {
             sindex.remove(index);
@@ -832,6 +832,52 @@ mod tests {
         assert_eq!(old.to_bytes(), v1);
         old.ensure_sindex(&db);
         assert_eq!(old.sindex(), full.sindex());
+    }
+
+    /// The PMI over `db`'s graphs, for `full`'s features, pushed column by
+    /// column through `append_graph`: what a removal must leave behind.
+    fn rebuilt_with_features_of(full: &Pmi, db: &[ProbabilisticGraph]) -> Pmi {
+        let mut pmi = Pmi {
+            matrix: Cells::new(),
+            supports: vec![Vec::new(); full.features.len()],
+            graph_salts: Vec::new(),
+            sindex: Some(StructuralIndex::default()),
+            ..full.clone()
+        };
+        for pg in db {
+            pmi.append_graph(pg);
+        }
+        pmi
+    }
+
+    #[test]
+    fn removal_edge_cases_match_a_rebuild_from_the_surviving_columns() {
+        let db = database();
+        let full = Pmi::build(&db, &params());
+        let (mut absent, mut sole) = (false, false);
+        // The first, a middle and the last graph.
+        for index in 0..db.len() {
+            let mut pmi = full.clone();
+            pmi.remove_graph(index);
+            let mut survivors = db.clone();
+            survivors.remove(index);
+            let want = rebuilt_with_features_of(&full, &survivors);
+            assert_eq!(pmi.matrix, want.matrix, "remove({index}): cells");
+            assert_eq!(pmi.supports, want.supports, "remove({index}): supports");
+            assert_eq!(pmi.graph_salts, want.graph_salts, "remove({index}): salts");
+            assert_eq!(pmi.sindex, want.sindex, "remove({index}): S-Index");
+            for (f, w) in pmi.features.iter().zip(&want.features) {
+                assert_eq!(f.frequency.to_bits(), w.frequency.to_bits());
+            }
+            let g = index as u32;
+            absent |= full
+                .supports
+                .iter()
+                .any(|s| !s.is_empty() && !s.contains(&g));
+            sole |= full.supports.iter().any(|s| s == &[g]);
+        }
+        assert!(absent, "no removal of a graph missing from a support list");
+        assert!(sole, "no removal of a support list's only entry");
     }
 
     #[test]

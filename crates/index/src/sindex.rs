@@ -42,9 +42,9 @@
 //! [`StructuralIndex::append_summary`] all run it.  The new graph has the
 //! largest id, so its entries go at the end of their rows and no row is ever
 //! sorted.  [`StructuralIndex::remove`] drops one row per summary column
-//! ([`FlatVecVec::remove_row`]) and, in one pass over the postings, drops the
-//! graph's entries, renumbers later graphs down by one and deletes rows left
-//! empty.  The result always equals a fresh [`StructuralIndex::build`] over
+//! ([`FlatVecVec::remove_row`]) and, in each posting row, binary-searches
+//! the graph's entry, drops it, renumbers the later entries down by one and
+//! deletes the row if that left it empty.  The result always equals a fresh [`StructuralIndex::build`] over
 //! the same graphs in the same order.
 //!
 //! The S-Index is persisted in the PMI snapshot (one summary per graph in
@@ -78,18 +78,26 @@ pub struct FilterOutcome {
     pub posting_entries_scanned: usize,
 }
 
-/// The graph-id rule of every removal from the index: returns false for the
-/// removed graph's id and true for every other id, shifting ids after it
-/// down by one (mirroring `Vec::remove` on the database).  The S-Index
-/// postings and the PMI support lists both renumber through it.
-pub(crate) fn keep_renumbered(graph: &mut u32, removed: u32) -> bool {
-    if *graph == removed {
-        return false;
+/// The graph-id rule of every removal from the index, on one list of
+/// entries ascending by graph id (`id` reads an entry's id, `id_mut` writes
+/// it): drops the removed graph's entry if the list has one and shifts the
+/// ids after it down by one, mirroring `Vec::remove` on the database.  The
+/// removed id is found by binary search, so only the tail after it is
+/// touched.  The S-Index postings and the PMI support lists both renumber
+/// through it.
+pub(crate) fn remove_renumbered<T>(
+    list: &mut Vec<T>,
+    removed: u32,
+    id: impl Fn(&T) -> u32,
+    id_mut: impl Fn(&mut T) -> &mut u32,
+) {
+    let at = list.partition_point(|e| id(e) < removed);
+    if list.get(at).is_some_and(|e| id(e) == removed) {
+        list.remove(at);
     }
-    if *graph > removed {
-        *graph -= 1;
+    for e in &mut list[at..] {
+        *id_mut(e) -= 1;
     }
-    true
 }
 
 /// The structural candidate index (see the module docs).
@@ -205,7 +213,7 @@ impl StructuralIndex {
         self.degrees.remove_row(index);
         let removed = index as u32;
         self.postings.retain_mut(|(_, row)| {
-            row.retain_mut(|e| keep_renumbered(&mut e.graph, removed));
+            remove_renumbered(row, removed, |e| e.graph, |e| &mut e.graph);
             !row.is_empty()
         });
     }
@@ -407,6 +415,66 @@ mod tests {
         reappended.append_summary(StructuralSummary::of(&db[1]));
         assert_eq!(reappended.graph_count(), db.len());
         assert_eq!(reappended.posting_entry_count(), full.posting_entry_count());
+    }
+
+    #[test]
+    fn remove_renumbered_touches_only_the_tail() {
+        let remove = |mut list: Vec<u32>, removed| {
+            remove_renumbered(&mut list, removed, |&g| g, |g| g);
+            list
+        };
+        assert_eq!(remove(vec![0, 2, 5], 0), [1, 4], "first entry");
+        assert_eq!(remove(vec![0, 2, 5], 5), [0, 2], "last entry");
+        assert_eq!(remove(vec![0, 2, 5], 3), [0, 2, 4], "absent id");
+        assert_eq!(remove(vec![0, 2, 5], 9), [0, 2, 5], "past every entry");
+        assert_eq!(remove(vec![4], 4), Vec::<u32>::new(), "only entry");
+        assert_eq!(remove(Vec::new(), 0), Vec::<u32>::new(), "empty list");
+    }
+
+    #[test]
+    fn removal_edge_cases_match_a_rebuild_from_the_surviving_summaries() {
+        let db = skeletons();
+        let full = StructuralIndex::build(&db);
+        let rows = |index: &StructuralIndex, g: u32| {
+            let holding = index
+                .postings
+                .iter()
+                .filter(|(_, row)| row.iter().any(|e| e.graph == g));
+            (
+                holding.clone().count(),
+                holding.filter(|(_, row)| row.len() == 1).count(),
+            )
+        };
+        // Graph 0 is the first graph and the only entry of some rows, 3 the
+        // last and the only entry of both its rows, and 1 is absent from
+        // some rows (the b-d and a-d rows of graph 0's triangle).
+        assert_eq!(rows(&full, 3), (2, 2));
+        assert!(rows(&full, 0).1 > 0);
+        assert!(full
+            .postings
+            .iter()
+            .any(|(_, row)| row.iter().all(|e| e.graph != 1)));
+        for index in [0usize, 3, 1] {
+            let mut removed = full.clone();
+            removed.remove(index);
+            let survivors: Vec<StructuralSummary> = full
+                .summary_views()
+                .enumerate()
+                .filter(|&(g, _)| g != index)
+                .map(|(_, v)| v.to_owned_summary())
+                .collect();
+            assert_eq!(
+                removed,
+                StructuralIndex::from_summaries(survivors),
+                "remove({index})"
+            );
+            let dropped = full.signature_count() - removed.signature_count();
+            assert_eq!(
+                dropped,
+                rows(&full, index as u32).1,
+                "remove({index}): rows dropped"
+            );
+        }
     }
 
     #[test]

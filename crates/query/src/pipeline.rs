@@ -943,12 +943,13 @@ impl QueryEngine {
     /// query, and the exact check (`any(rq ⊆ g)` over `U`) reuses the cached
     /// summaries; the exact checks fan out over filter survivors.  Phase 2
     /// computes the feature relation (which PMI features contain or are
-    /// contained in which relaxed query) once per query, then every
-    /// candidate's record in parallel: each candidate gates the shared
-    /// relation by its PMI column into one [`BoundInstance`] and draws from
-    /// its own content-seeded RNG, `Usim` first, then `Lsim` only when
-    /// `Usim ≥ lsim_from` — the two halves of `bound_candidate`, bit for
-    /// bit.  A threshold query passes ε, so Pruning rule 1 decides before
+    /// contained in which relaxed query, and `Usim`'s cover layout over
+    /// them) once per query, then every candidate's record in parallel:
+    /// each candidate draws from its own content-seeded RNG, `Usim` first,
+    /// read off the shared layout with its PMI column's weights, then
+    /// `Lsim` only when `Usim ≥ lsim_from`, from the relation gated by its
+    /// column into one [`BoundInstance`] — the two halves of
+    /// `bound_candidate`, bit for bit.  A threshold query passes ε, so Pruning rule 1 decides before
     /// the costlier `Lsim` is solved; top-k passes `∞`, keeps each record's
     /// RNG right after its `Usim` draw and solves `Lsim` on first read.
     /// `Structure` skips the PMI and pins every record to the vacuous

@@ -19,8 +19,13 @@
 //!
 //! Both relations (`f ⊆iso rq` and `rq ⊆iso f`) depend only on the query and
 //! the feature set, so they are computed once per query as a
-//! [`FeatureRelation`]; per candidate, [`BoundInstance::from_relation`] only
-//! gates them by the presence of each feature's PMI cell.
+//! [`FeatureRelation`].  So is everything of Algorithm 1 but the weights: the
+//! cover sets (features in order, then a fallback singleton per relaxed query
+//! no feature covers) as bitsets, and each relaxed query's qualifying sets
+//! for the untightened bound.  Per candidate, `Usim` reads one `UpperB` per
+//! cover set from the PMI column and runs the greedy with no per-candidate
+//! copy of any set; only a candidate whose `Lsim` is solved gates the
+//! relation into a [`BoundInstance`] ([`BoundInstance::from_relation`]).
 //!
 //! [`candidate_bounds`] computes a candidate's `Usim` and then, only where
 //! a decision can read it, its costlier `Lsim`; [`bound_candidate`] is the
@@ -28,11 +33,13 @@
 //! and applies the two rules to it there.
 
 use crate::qp::{lsim_value, tightest_lsim, LsimSet};
-use crate::setcover::greedy_weighted_set_cover;
+use crate::setcover::{greedy_cover, CoverSets};
+use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::Graph;
 use pgs_graph::summary::StructuralSummary;
 use pgs_graph::vf2::contains_subgraph_summarized;
 use pgs_index::pmi::Pmi;
+use pgs_index::sip_bounds::SipBounds;
 use rand::Rng;
 
 /// How the pairwise cross term of the lower bound is computed.
@@ -63,11 +70,13 @@ pub struct BoundInstance {
 
 /// The feature ↔ relaxed-query containment of one query: for every PMI
 /// feature (row order), the relaxed queries it is a subgraph of and the
-/// relaxed queries that are subgraphs of it.
+/// relaxed queries that are subgraphs of it, plus `Usim`'s cover layout
+/// over the first relation.
 ///
-/// Neither relation depends on the candidate graph, so the engine computes
-/// it once per query and every candidate's [`BoundInstance`] only gates it
-/// by the presence of the feature's PMI cell.
+/// None of it depends on the candidate graph, so the engine computes it
+/// once per query.  A candidate's `Usim` reads only its `UpperB` weights
+/// from its PMI column; its `Lsim`, where solved, gates the relation by the
+/// presence of each feature's PMI cell into a [`BoundInstance`].
 #[derive(Debug, Clone)]
 pub struct FeatureRelation {
     /// Number of relaxed queries (`a = |U|`).
@@ -75,6 +84,85 @@ pub struct FeatureRelation {
     /// Per feature position: `(f ⊆iso rq, rq ⊆iso f)`, each a list of
     /// relaxed-query indices in ascending order.
     rows: Vec<(Vec<usize>, Vec<usize>)>,
+    /// The id of the feature behind each of `cover`'s feature sets.
+    cover_features: Vec<usize>,
+    /// Algorithm 1's sets: every feature with a non-empty `f ⊆iso rq` list,
+    /// in feature order, whether or not a candidate holds its cell.
+    cover: CoverLayout,
+}
+
+/// The candidate-independent half of `Usim` (Algorithm 1 and the `SSPBound`
+/// pick): the cover sets over `U` as bitsets — the feature sets, then one
+/// fallback singleton of weight 1.0 per relaxed query no feature set
+/// covers — and, per relaxed query, the feature sets containing it.  A
+/// candidate supplies one weight per feature set.
+#[derive(Debug, Clone)]
+struct CoverLayout {
+    /// The feature sets followed by the fallback singletons.
+    sets: CoverSets,
+    /// How many of `sets` are feature sets.
+    feature_sets: usize,
+    /// Per relaxed query, the feature sets containing it, ascending; empty
+    /// for a fallback element.
+    qualifying: FlatVecVec<u32>,
+}
+
+impl CoverLayout {
+    /// The layout of the feature sets `feature_sets` (each a list of
+    /// relaxed-query indices) over `universe` relaxed queries.
+    fn new<'a>(
+        universe: usize,
+        feature_sets: impl IntoIterator<Item = &'a [usize]>,
+    ) -> CoverLayout {
+        let mut sets = CoverSets::new(universe);
+        let mut qualifying: Vec<Vec<u32>> = vec![Vec::new(); universe];
+        for (si, elements) in feature_sets.into_iter().enumerate() {
+            sets.push(elements.iter().copied());
+            for &e in elements.iter().filter(|&&e| e < universe) {
+                if qualifying[e].last() != Some(&(si as u32)) {
+                    qualifying[e].push(si as u32);
+                }
+            }
+        }
+        let feature_sets = sets.len();
+        // Trivial fallback sets guarantee coverage.
+        for (e, _) in qualifying.iter().enumerate().filter(|(_, q)| q.is_empty()) {
+            sets.push([e]);
+        }
+        CoverLayout {
+            sets,
+            feature_sets,
+            qualifying: FlatVecVec::from_rows(qualifying),
+        }
+    }
+
+    /// The tightest `Usim(q)` (Algorithm 1) when feature set `si` weighs
+    /// `upper(si)`.
+    fn usim_optimal(&self, upper: impl Fn(usize) -> f64) -> f64 {
+        let weight = |si| {
+            if si < self.feature_sets {
+                upper(si)
+            } else {
+                1.0
+            }
+        };
+        greedy_cover(&self.sets, weight, |_| {}).0
+    }
+
+    /// The untightened `Usim(q)` when feature set `si` weighs `upper(si)`:
+    /// per relaxed query, one of its feature sets drawn from `rng`, or 1.0
+    /// when it has none.
+    fn usim_random<R: Rng + ?Sized>(&self, upper: impl Fn(usize) -> f64, rng: &mut R) -> f64 {
+        let mut total = 0.0;
+        for sets in self.qualifying.iter() {
+            total += if sets.is_empty() {
+                1.0
+            } else {
+                upper(sets[rng.gen_range(0..sets.len())] as usize)
+            };
+        }
+        total
+    }
 }
 
 impl FeatureRelation {
@@ -85,7 +173,7 @@ impl FeatureRelation {
     /// test is one VF2 call screened by the two summaries.
     pub fn new(pmi: &Pmi, relaxed: &[Graph], summaries: &[StructuralSummary]) -> FeatureRelation {
         debug_assert_eq!(relaxed.len(), summaries.len());
-        let rows = pmi
+        let rows: Vec<(Vec<usize>, Vec<usize>)> = pmi
             .features()
             .iter()
             .zip(pmi.feature_summaries())
@@ -103,9 +191,43 @@ impl FeatureRelation {
                 (contained_in, contains)
             })
             .collect();
+        let (cover_features, cover_sets): (Vec<usize>, Vec<&[usize]>) = pmi
+            .features()
+            .iter()
+            .zip(&rows)
+            .filter(|(_, (contained_in, _))| !contained_in.is_empty())
+            .map(|(feature, (contained_in, _))| (feature.id, contained_in.as_slice()))
+            .unzip();
+        let cover = CoverLayout::new(relaxed.len(), cover_sets);
         FeatureRelation {
             universe: relaxed.len(),
             rows,
+            cover_features,
+            cover,
+        }
+    }
+
+    /// Candidate `graph_idx`'s `Usim` over the cover layout: each feature
+    /// set weighs its feature's `UpperB` in the PMI column, `0` when the
+    /// cell is absent (Figure 4's `⟨0⟩`).  Equal, bit for bit and in its
+    /// draws from `rng`, to the same bound of
+    /// [`BoundInstance::from_relation`].
+    fn usim<R: Rng + ?Sized>(
+        &self,
+        pmi: &Pmi,
+        graph_idx: usize,
+        optimal: bool,
+        rng: &mut R,
+    ) -> f64 {
+        let upper = |si: usize| {
+            pmi.bounds(graph_idx, self.cover_features[si])
+                .unwrap_or(SipBounds::ABSENT)
+                .upper
+        };
+        if optimal {
+            self.cover.usim_optimal(upper)
+        } else {
+            self.cover.usim_random(upper, rng)
         }
     }
 }
@@ -140,7 +262,7 @@ impl BoundInstance {
             // (any relaxed query containing an absent feature has probability
             // zero), while they are useless for the lower bound and skipped.
             let cell = pmi.bounds(graph_idx, feature.id);
-            let bounds = cell.unwrap_or(pgs_index::sip_bounds::SipBounds::ABSENT);
+            let bounds = cell.unwrap_or(SipBounds::ABSENT);
             if !contained_in.is_empty() {
                 instance
                     .subgraph_sets
@@ -161,40 +283,26 @@ impl BoundInstance {
     /// The tightest `Usim(q)` (Algorithm 1).  Relaxed queries not covered by
     /// any feature fall back to the trivial per-element bound of 1.0.
     pub fn usim_optimal(&self) -> f64 {
-        let mut sets: Vec<(Vec<usize>, f64)> = self
-            .subgraph_sets
-            .iter()
-            .map(|(_, elems, upper)| (elems.clone(), *upper))
-            .collect();
-        // Trivial fallback sets guarantee coverage.
-        let covered: Vec<bool> = coverage(self.universe, sets.iter().map(|(e, _)| e.as_slice()));
-        for (i, c) in covered.iter().enumerate() {
-            if !c {
-                sets.push((vec![i], 1.0));
-            }
-        }
-        let solution = greedy_weighted_set_cover(self.universe, &sets);
-        solution.total_weight
+        self.cover_layout()
+            .usim_optimal(|si| self.subgraph_sets[si].2)
     }
 
     /// The untightened `Usim(q)`: one arbitrary qualifying feature per relaxed
     /// query (the `SSPBound` baseline).
     pub fn usim_random<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let mut total = 0.0;
-        for element in 0..self.universe {
-            let candidates: Vec<f64> = self
-                .subgraph_sets
+        self.cover_layout()
+            .usim_random(|si| self.subgraph_sets[si].2, rng)
+    }
+
+    /// The subgraph sets as `Usim`'s cover layout, the one the engine
+    /// builds once per query in its [`FeatureRelation`].
+    fn cover_layout(&self) -> CoverLayout {
+        CoverLayout::new(
+            self.universe,
+            self.subgraph_sets
                 .iter()
-                .filter(|(_, elems, _)| elems.contains(&element))
-                .map(|(_, _, upper)| *upper)
-                .collect();
-            total += if candidates.is_empty() {
-                1.0
-            } else {
-                candidates[rng.gen_range(0..candidates.len())]
-            };
-        }
-        total
+                .map(|(_, elems, _)| elems.as_slice()),
+        )
     }
 
     /// The tightest `Lsim(q)` (Algorithm 2).
@@ -252,22 +360,11 @@ impl BoundInstance {
     }
 }
 
-fn coverage<'a>(universe: usize, sets: impl Iterator<Item = &'a [usize]>) -> Vec<bool> {
-    let mut covered = vec![false; universe];
-    for set in sets {
-        for &e in set {
-            if e < universe {
-                covered[e] = true;
-            }
-        }
-    }
-    covered
-}
-
-/// Computes a single candidate's bounds: gates the query's feature relation
-/// by the candidate's PMI column to get its set-cover instance
-/// ([`BoundInstance::from_relation`]), evaluates `Usim`, and evaluates `Lsim`
-/// only when `Usim ≥ lsim_from`, else returns the vacuous lower bound `0`.
+/// Computes a single candidate's bounds: evaluates `Usim` over the query's
+/// cover layout with the weights of the candidate's PMI column, and only
+/// when `Usim ≥ lsim_from` gates the query's feature relation by that
+/// column into its set-cover instance ([`BoundInstance::from_relation`]) to
+/// evaluate `Lsim`; otherwise it returns the vacuous lower bound `0`.
 /// The bounds draw from `rng` in a fixed order (`usim_random` before
 /// `lsim_*`), so the gate changes no bit of what it lets through.  The engine
 /// seeds a fresh RNG per candidate, so the pair depends only on
@@ -286,15 +383,11 @@ pub fn candidate_bounds<R: Rng + ?Sized>(
     lsim_from: f64,
     rng: &mut R,
 ) -> (f64, f64) {
-    let instance = BoundInstance::from_relation(pmi, graph_idx, relation);
-    let usim = if optimal {
-        instance.usim_optimal()
-    } else {
-        instance.usim_random(rng)
-    };
+    let usim = relation.usim(pmi, graph_idx, optimal, rng);
     if usim < lsim_from {
         return (usim, 0.0);
     }
+    let instance = BoundInstance::from_relation(pmi, graph_idx, relation);
     (usim, instance.lsim(optimal, cross, rng))
 }
 
@@ -331,7 +424,7 @@ mod tests {
     use pgs_prob::jpt::JointProbTable;
     use pgs_prob::model::ProbabilisticGraph;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn database() -> Vec<ProbabilisticGraph> {
         // Three graphs built from a-b / b-c edges with different shapes so the
@@ -607,6 +700,298 @@ mod tests {
             }
         }
         assert!(checked_supergraph_sets, "no lower-bound sets exercised");
+    }
+
+    /// Algorithm 1 as the engine ran it before the cover layout: the list
+    /// greedy over clones of the instance's sets plus the fallback
+    /// singletons.  Returns the total and whether a pick beat or was tied by
+    /// another set's ratio within the `1e-15` window.
+    fn reference_usim_optimal(instance: &BoundInstance) -> (f64, bool) {
+        let a = instance.universe;
+        let mut sets: Vec<(Vec<usize>, f64)> = instance
+            .subgraph_sets
+            .iter()
+            .map(|(_, elems, upper)| (elems.clone(), *upper))
+            .collect();
+        let mut covered = vec![false; a];
+        for (elems, _) in &sets {
+            for &e in elems {
+                covered[e] = true;
+            }
+        }
+        for (e, _) in covered.iter().enumerate().filter(|(_, c)| !**c) {
+            sets.push((vec![e], 1.0));
+        }
+        let mut covered = vec![false; a];
+        let (mut num_covered, mut total, mut tied) = (0, 0.0, false);
+        let mut used = vec![false; sets.len()];
+        while num_covered < a {
+            let mut best: Option<(usize, f64, usize)> = None;
+            for (si, (elements, weight)) in sets.iter().enumerate() {
+                if used[si] {
+                    continue;
+                }
+                let new_count = elements.iter().filter(|&&e| !covered[e]).count();
+                if new_count == 0 {
+                    continue;
+                }
+                let ratio = weight.max(0.0) / new_count as f64;
+                let better = match best {
+                    None => true,
+                    Some((_, best_ratio, best_new)) => {
+                        tied |= (ratio - best_ratio).abs() <= 1e-15;
+                        ratio < best_ratio - 1e-15
+                            || ((ratio - best_ratio).abs() <= 1e-15 && new_count > best_new)
+                    }
+                };
+                if better {
+                    best = Some((si, ratio, new_count));
+                }
+            }
+            let Some((si, _, _)) = best else { break };
+            used[si] = true;
+            total += sets[si].1.max(0.0);
+            for &e in &sets[si].0 {
+                if !covered[e] {
+                    covered[e] = true;
+                    num_covered += 1;
+                }
+            }
+        }
+        (total, tied)
+    }
+
+    /// The `SSPBound` pick as the engine ran it before the cover layout.
+    fn reference_usim_random(instance: &BoundInstance, rng: &mut StdRng) -> f64 {
+        let mut total = 0.0;
+        for element in 0..instance.universe {
+            let candidates: Vec<f64> = instance
+                .subgraph_sets
+                .iter()
+                .filter(|(_, elems, _)| elems.contains(&element))
+                .map(|(_, _, upper)| *upper)
+                .collect();
+            total += if candidates.is_empty() {
+                1.0
+            } else {
+                candidates[rng.gen_range(0..candidates.len())]
+            };
+        }
+        total
+    }
+
+    /// What the pins below exercised, summed over their cases.
+    #[derive(Default)]
+    struct Seen {
+        fallback: bool,
+        zero_weight: bool,
+        tie: bool,
+        wide_universe: bool,
+        wide_sets: bool,
+    }
+
+    impl Seen {
+        fn note(&mut self, instance: &BoundInstance, tied: bool) {
+            let covered = |e| {
+                instance
+                    .subgraph_sets
+                    .iter()
+                    .any(|(_, s, _)| s.contains(&e))
+            };
+            self.fallback |= (0..instance.universe).any(|e| !covered(e));
+            self.zero_weight |= instance.subgraph_sets.iter().any(|(_, _, u)| *u == 0.0);
+            self.tie |= tied;
+            self.wide_universe |= instance.universe > 64;
+            self.wide_sets |= instance.subgraph_sets.len() > 64;
+        }
+
+        fn assert_all(&self) {
+            assert!(self.fallback, "no fallback element");
+            assert!(self.zero_weight, "no zero weight");
+            assert!(self.tie, "no ratio tie");
+            assert!(self.wide_universe, "no universe above 64");
+            assert!(self.wide_sets, "no set count above 64");
+        }
+    }
+
+    /// Checks the instance's two `Usim`s against the references, bits and
+    /// RNG state after the draws; `engine` is the engine's pair for the same
+    /// candidate, with its RNG.
+    fn assert_usims_match(
+        instance: &BoundInstance,
+        engine: Option<[(f64, StdRng); 2]>,
+        seed: u64,
+        seen: &mut Seen,
+        at: &str,
+    ) {
+        let (want, tied) = reference_usim_optimal(instance);
+        seen.note(instance, tied);
+        let mut want_rng = StdRng::seed_from_u64(seed);
+        let want_random = reference_usim_random(instance, &mut want_rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut got = [
+            (instance.usim_optimal(), StdRng::seed_from_u64(seed)),
+            (instance.usim_random(&mut rng), rng),
+        ]
+        .to_vec();
+        got.extend(engine.into_iter().flatten());
+        for (i, (usim, mut rng)) in got.into_iter().enumerate() {
+            let (want, want_next) = if i % 2 == 0 {
+                (want, StdRng::seed_from_u64(seed).gen::<u64>())
+            } else {
+                (want_random, want_rng.clone().gen::<u64>())
+            };
+            assert_eq!(usim.to_bits(), want.to_bits(), "{at}: usim #{i}");
+            assert_eq!(rng.gen::<u64>(), want_next, "{at}: rng after usim #{i}");
+        }
+    }
+
+    #[test]
+    fn cover_layout_matches_the_list_greedy_on_random_instances() {
+        // Weights from a small pool make exact ratio ties common.
+        const WEIGHTS: [f64; 6] = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0];
+        let mut seen = Seen::default();
+        let mut gen = StdRng::seed_from_u64(33);
+        for case in 0..400u64 {
+            let universe = if case % 4 == 0 {
+                gen.gen_range(60..140)
+            } else {
+                gen.gen_range(1..12)
+            };
+            let set_count = if case % 5 == 0 {
+                gen.gen_range(60..150)
+            } else {
+                gen.gen_range(0..10)
+            };
+            let subgraph_sets = (0..set_count)
+                .map(|id| {
+                    let mut elems: Vec<usize> = (0..gen.gen_range(1..4))
+                        .map(|_| gen.gen_range(0..universe))
+                        .collect();
+                    elems.sort_unstable();
+                    elems.dedup();
+                    let upper = if gen.gen_bool(0.7) {
+                        WEIGHTS[gen.gen_range(0..WEIGHTS.len())]
+                    } else {
+                        gen.gen::<f64>()
+                    };
+                    (id, elems, upper)
+                })
+                .collect();
+            let instance = BoundInstance {
+                universe,
+                subgraph_sets,
+                supergraph_sets: Vec::new(),
+            };
+            assert_usims_match(&instance, None, case, &mut seen, &format!("case {case}"));
+        }
+        seen.assert_all();
+    }
+
+    /// A random connected graph on `n` vertices labelled from `0..labels`.
+    fn random_graph(gen: &mut StdRng, n: u32, labels: u32) -> Graph {
+        let vertex_labels: Vec<u32> = (0..n).map(|_| gen.gen_range(0..labels)).collect();
+        let mut b = GraphBuilder::new().vertices(&vertex_labels);
+        let mut edges = std::collections::BTreeSet::new();
+        for v in 1..n {
+            edges.insert((gen.gen_range(0..v), v));
+        }
+        for _ in 0..n {
+            let (u, v) = (gen.gen_range(0..n), gen.gen_range(0..n));
+            if u < v {
+                edges.insert((u, v));
+            }
+        }
+        for (u, v) in edges {
+            b = b.edge(u, v, 9);
+        }
+        b.build()
+    }
+
+    fn probabilistic(gen: &mut StdRng, g: Graph) -> ProbabilisticGraph {
+        let tables = pgs_prob::neighbor::partition_with_triangles(&g, 3)
+            .iter()
+            .map(|grp| {
+                let ep: Vec<(EdgeId, f64)> =
+                    grp.iter().map(|&e| (e, gen.gen_range(0.1..0.9))).collect();
+                JointProbTable::from_max_rule(&ep).unwrap()
+            })
+            .collect();
+        ProbabilisticGraph::new(g, tables, true).unwrap()
+    }
+
+    #[test]
+    fn engine_usim_matches_the_instance_on_random_pmis() {
+        let mut seen = Seen::default();
+        let mut gen = StdRng::seed_from_u64(34);
+        for case in 0..4u64 {
+            let db: Vec<ProbabilisticGraph> = (0..30)
+                .map(|_| {
+                    let n = gen.gen_range(4..8);
+                    let g = random_graph(&mut gen, n, 5);
+                    probabilistic(&mut gen, g)
+                })
+                .collect();
+            let mut pmi = Pmi::build(
+                &db,
+                &PmiBuildParams {
+                    features: FeatureSelectionParams {
+                        alpha: 0.0,
+                        beta: 0.05,
+                        gamma: 0.0,
+                        max_l: 3,
+                        max_features: 200,
+                        max_embeddings: 16,
+                    },
+                    bounds: BoundsConfig::default(),
+                    threads: 1,
+                    seed: case,
+                },
+            );
+            // A column holding no feature's cell.
+            let foreign = GraphBuilder::new().vertices(&[7, 8]).edge(0, 1, 5).build();
+            pmi.append_graph(&probabilistic(&mut gen, foreign));
+            // Relaxed sets drawn from the skeletons, a few random graphs and
+            // one graph no feature embeds in (a fallback element).
+            let pool: Vec<Graph> = db.iter().map(|pg| pg.skeleton().clone()).collect();
+            for size in [1usize, 3, 9, 70] {
+                let mut relaxed: Vec<Graph> = (0..size)
+                    .map(|_| {
+                        if gen.gen_bool(0.8) {
+                            pool[gen.gen_range(0..pool.len())].clone()
+                        } else {
+                            let n = gen.gen_range(2..5);
+                            random_graph(&mut gen, n, 6)
+                        }
+                    })
+                    .collect();
+                if size > 1 {
+                    relaxed[0] = GraphBuilder::new().vertices(&[9, 9]).edge(0, 1, 9).build();
+                }
+                let relation = FeatureRelation::new(&pmi, &relaxed, &summaries_of(&relaxed));
+                for gi in 0..pmi.graph_count() {
+                    let seed = 1000 * case + gi as u64;
+                    let engine = [true, false].map(|optimal| {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let (usim, lsim) = candidate_bounds(
+                            &pmi,
+                            gi,
+                            &relation,
+                            optimal,
+                            CrossTermRule::SafeMin,
+                            f64::INFINITY,
+                            &mut rng,
+                        );
+                        assert_eq!(lsim, 0.0);
+                        (usim, rng)
+                    });
+                    let instance = BoundInstance::from_relation(&pmi, gi, &relation);
+                    let at = format!("case {case}, |U| = {size}, g{gi}");
+                    assert_usims_match(&instance, Some(engine), seed, &mut seen, &at);
+                }
+            }
+        }
+        seen.assert_all();
     }
 
     #[test]
