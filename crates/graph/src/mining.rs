@@ -12,29 +12,47 @@
 //!   its embeddings (either closing a cycle between mapped vertices or adding a
 //!   new vertex),
 //! * support is the number of *database graphs* containing the pattern
-//!   (standard transaction-style support), recounted with VF2 per candidate
-//!   within its parent's support list,
-//! * a candidate whose isomorphism class was already kept is a duplicate:
-//!   one `dfs_code::IsomorphismClasses` set, keyed by canonical code, holds
-//!   every kept pattern, so the first pattern of each class in enumeration
-//!   order wins,
-//! * a candidate whose class already failed `min_support` on this level is
-//!   skipped without a recount.  Support is anti-monotone: a parent's
-//!   support list is its true support (level 1 counts it exactly, and by
-//!   induction a recount within it misses no graph that contains the
-//!   candidate, since such a graph contains the parent too), so the recount
-//!   returns the candidate's true support from any parent.  Every pattern of
-//!   a level has the same edge count, so the memo is cleared per level.
+//!   (standard transaction-style support).
+//!
+//! Each level grows the next in three steps:
+//!
+//! 1. **Dedup.**  The level's extensions are enumerated parent by parent and
+//!    grouped by isomorphism class.  The classes live in a `Vec` in
+//!    first-occurrence order (a hash map by canonical code only finds a
+//!    class), each holding its first extension in enumeration order and every
+//!    level pattern that generated it.
+//! 2. **Count.**  Each class's support is counted once, with one VF2
+//!    containment test per graph in the intersection of all its parents'
+//!    support lists.  Support is anti-monotone: every parent is a subgraph
+//!    of the class, so a graph containing the class contains every parent
+//!    and lies in the intersection.  A parent's support list is its true
+//!    support (level 1 counts it exactly, and by induction a count within
+//!    the intersection misses no graph), so the count is the class's true
+//!    support whichever parents generated it.  An intersection shorter than
+//!    `min_support` rejects the class with no test, and a count stops as
+//!    soon as its hits plus its untested graphs fall short of `min_support`;
+//!    only rejected classes stop early, so every kept support list is
+//!    complete.
+//! 3. **Pool.**  The classes are counted on the worker pool
+//!    ([`crate::parallel`]), one class per task, and the results return in
+//!    class order, so the mined patterns (graphs, vertex numbering, support
+//!    lists and order) are the same at every thread count.
+//!
+//! The kept classes are then sorted by descending support (stably) and cut
+//! at `max_patterns_per_level`; the survivors are the next level's parents.
+//! Every pattern of a level has the same edge count, so a class never spans
+//! two levels.
 //!
 //! The miner is deliberately bounded (`max_patterns_per_level`,
 //! `max_embeddings_per_graph`) because PMI wants a *small* set of discriminative
 //! features, not the complete frequent-pattern lattice.
 
-use crate::dfs_code::{canonical_code, IsomorphismClasses};
+use crate::dfs_code::{are_isomorphic, canonical_code, CanonicalCode};
 use crate::model::{Graph, VertexId};
+use crate::parallel::{par_map_chunked_costed, resolve_threads, CostHint};
 use crate::summary::{StructuralSummary, SummaryView};
 use crate::vf2::{contains_subgraph_summarized, enumerate_embeddings_summarized, MatchOptions};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A mined pattern together with its support information.
 #[derive(Debug, Clone)]
@@ -87,76 +105,41 @@ impl Default for MiningOptions {
 pub fn mine_frequent_patterns(db: &[Graph], options: &MiningOptions) -> Vec<MinedPattern> {
     let summaries: Vec<StructuralSummary> = db.iter().map(StructuralSummary::of).collect();
     let views: Vec<SummaryView<'_>> = summaries.iter().map(StructuralSummary::view).collect();
-    mine_frequent_patterns_summarized(db, &views, options)
+    mine_frequent_patterns_summarized(db, &views, options, 0)
 }
 
 /// [`mine_frequent_patterns`] with cached per-graph summary views, so the
-/// per-candidate support recount's VF2 prefilter never reallocates the
-/// data-graph histograms (callers that already hold an S-Index pass its
-/// summary views straight through).
+/// support count's VF2 prefilter never reallocates the data-graph histograms
+/// (callers that already hold an S-Index pass its summary views straight
+/// through).  Each level's classes are counted with up to `threads` pool
+/// workers (`0` = automatic); the result is the same for every `threads`.
 pub fn mine_frequent_patterns_summarized(
     db: &[Graph],
     summaries: &[SummaryView<'_>],
     options: &MiningOptions,
+    threads: usize,
 ) -> Vec<MinedPattern> {
     debug_assert_eq!(db.len(), summaries.len());
     if db.is_empty() || options.min_support == 0 {
         return Vec::new();
     }
-    let mut all: Vec<MinedPattern> = Vec::new();
-    let mut seen = IsomorphismClasses::default();
-
     // Level 1: single-edge patterns grouped by signature.
     let mut level: Vec<MinedPattern> = single_edge_patterns(db, options);
-    for p in &level {
-        seen.insert(canonical_code(&p.graph), &p.graph);
-    }
-    all.extend(level.iter().cloned());
+    let mut all: Vec<MinedPattern> = level.clone();
 
     while !level.is_empty() {
-        let mut next: Vec<MinedPattern> = Vec::new();
-        // Candidates of this level that failed `min_support`.  Their support
-        // is the same from any parent (module doc), so none is recounted.
-        let mut rejected = IsomorphismClasses::default();
-        for pattern in &level {
-            if pattern.graph.edge_count() >= options.max_edges {
-                continue;
-            }
-            for candidate in extensions(pattern, db, summaries, options) {
-                if candidate.vertex_count() > options.max_vertices
-                    || candidate.edge_count() > options.max_edges
-                {
-                    continue;
-                }
-                let code = canonical_code(&candidate);
-                if seen.contains(&code, &candidate) || rejected.contains(&code, &candidate) {
-                    continue;
-                }
-                let candidate_summary = StructuralSummary::of(&candidate);
-                let support: Vec<usize> = pattern
-                    .support
-                    .iter()
-                    .copied()
-                    .filter(|&gi| {
-                        contains_subgraph_summarized(
-                            &candidate,
-                            candidate_summary.view(),
-                            &db[gi],
-                            summaries[gi],
-                        )
-                    })
-                    .collect();
-                if support.len() >= options.min_support {
-                    seen.insert(code, &candidate);
-                    next.push(MinedPattern {
-                        graph: candidate,
-                        support,
-                    });
-                } else {
-                    rejected.insert(code, &candidate);
-                }
-            }
-        }
+        let classes = candidate_classes(&level, db, summaries, options);
+        let supports = class_supports(&classes, &level, db, summaries, options, threads);
+        let mut next: Vec<MinedPattern> = classes
+            .into_iter()
+            .zip(supports)
+            .filter_map(|(class, support)| {
+                Some(MinedPattern {
+                    graph: class.graph,
+                    support: support?,
+                })
+            })
+            .collect();
         // Keep the strongest candidates per level.
         next.sort_by_key(|p| std::cmp::Reverse(p.support_count()));
         next.truncate(options.max_patterns_per_level);
@@ -166,6 +149,133 @@ pub fn mine_frequent_patterns_summarized(
 
     all.sort_by_key(|p| (std::cmp::Reverse(p.support_count()), p.graph.edge_count()));
     all
+}
+
+/// Keeps the entries of `acc` that also occur in `other`; both ascend (as
+/// support lists do), so one merge pass suffices.
+pub fn intersect_ascending(acc: &mut Vec<usize>, other: &[usize]) {
+    let mut rest = other.iter().peekable();
+    acc.retain(|&x| {
+        while rest.next_if(|&&y| y < x).is_some() {}
+        rest.peek() == Some(&&x)
+    });
+}
+
+/// One isomorphism class among a level's extensions.
+struct CandidateClass {
+    /// The class's first extension in enumeration order.
+    graph: Graph,
+    /// The level patterns (indices, ascending) with an extension in the class.
+    parents: Vec<usize>,
+}
+
+/// Step 1 of a level (module doc): the level's extensions grouped by
+/// isomorphism class, in first-occurrence order.
+fn candidate_classes(
+    level: &[MinedPattern],
+    db: &[Graph],
+    summaries: &[SummaryView<'_>],
+    options: &MiningOptions,
+) -> Vec<CandidateClass> {
+    let mut classes: Vec<CandidateClass> = Vec::new();
+    // Lookup only: the ids of the classes with a given code (more than one
+    // only where the code is an invariant rather than exact).
+    let mut by_code: HashMap<CanonicalCode, Vec<usize>> = HashMap::new();
+    for (pi, pattern) in level.iter().enumerate() {
+        if pattern.graph.edge_count() >= options.max_edges {
+            continue;
+        }
+        for candidate in extensions(pattern, db, summaries, options) {
+            if candidate.vertex_count() > options.max_vertices
+                || candidate.edge_count() > options.max_edges
+            {
+                continue;
+            }
+            let code = canonical_code(&candidate);
+            let exact = code.exact;
+            let ids = by_code.entry(code).or_default();
+            let found = ids
+                .iter()
+                .copied()
+                .find(|&ci| exact || are_isomorphic(&classes[ci].graph, &candidate));
+            match found {
+                Some(ci) => {
+                    let parents = &mut classes[ci].parents;
+                    if parents.last() != Some(&pi) {
+                        parents.push(pi);
+                    }
+                }
+                None => {
+                    ids.push(classes.len());
+                    classes.push(CandidateClass {
+                        graph: candidate,
+                        parents: vec![pi],
+                    });
+                }
+            }
+        }
+    }
+    classes
+}
+
+/// Steps 2 and 3 of a level (module doc): every class's support list, or
+/// `None` where it falls short of `min_support`, in class order.
+///
+/// Classes arrive in parent order and parents by descending support, so
+/// contiguous chunks would hand the heaviest classes to one worker.  The map
+/// runs over a stride order instead (with `T` workers, chunk `t` holds
+/// classes `t, t + T, …`) and scatters the results back.
+fn class_supports(
+    classes: &[CandidateClass],
+    level: &[MinedPattern],
+    db: &[Graph],
+    summaries: &[SummaryView<'_>],
+    options: &MiningOptions,
+    threads: usize,
+) -> Vec<Option<Vec<usize>>> {
+    let stride = resolve_threads(threads);
+    let order: Vec<usize> = (0..stride)
+        .flat_map(|t| (t..classes.len()).step_by(stride))
+        .collect();
+    let counted = par_map_chunked_costed(&order, threads, CostHint::MODERATE, |_, &ci| {
+        class_support(&classes[ci], level, db, summaries, options.min_support)
+    });
+    let mut supports = vec![None; classes.len()];
+    for (ci, support) in order.into_iter().zip(counted) {
+        supports[ci] = support;
+    }
+    supports
+}
+
+/// The support list of `class`, counted within its parents' common support
+/// (module doc), or `None` as soon as it cannot reach `min_support`.
+fn class_support(
+    class: &CandidateClass,
+    level: &[MinedPattern],
+    db: &[Graph],
+    summaries: &[SummaryView<'_>],
+    min_support: usize,
+) -> Option<Vec<usize>> {
+    let (&first, rest) = class.parents.split_first()?;
+    let mut within = level[first].support.clone();
+    for &pi in rest {
+        intersect_ascending(&mut within, &level[pi].support);
+    }
+    if within.len() < min_support {
+        return None;
+    }
+    let class_summary = StructuralSummary::of(&class.graph);
+    let mut support = Vec::new();
+    for (tested, &gi) in within.iter().enumerate() {
+        if support.len() + (within.len() - tested) < min_support {
+            return None;
+        }
+        if contains_subgraph_summarized(&class.graph, class_summary.view(), &db[gi], summaries[gi])
+        {
+            support.push(gi);
+        }
+    }
+    (support.len() >= min_support).then_some(support)
 }
 
 /// All frequent single-edge patterns.
@@ -255,9 +365,220 @@ fn extensions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfs_code::are_isomorphic;
-    use crate::model::GraphBuilder;
+    use crate::dfs_code::IsomorphismClasses;
+    use crate::model::{GraphBuilder, Label};
     use crate::vf2::contains_subgraph;
+    use proptest::prelude::*;
+
+    /// The level loop the class-counting miner replaced: every new candidate
+    /// is recounted within its own parent's support list, in enumeration
+    /// order, and a class that failed `min_support` on this level is skipped.
+    /// The pins below hold [`mine_frequent_patterns_summarized`] to it.
+    fn reference_mine(db: &[Graph], options: &MiningOptions) -> Vec<MinedPattern> {
+        let owned: Vec<StructuralSummary> = db.iter().map(StructuralSummary::of).collect();
+        let summaries: Vec<SummaryView<'_>> = owned.iter().map(StructuralSummary::view).collect();
+        if db.is_empty() || options.min_support == 0 {
+            return Vec::new();
+        }
+        let mut all: Vec<MinedPattern> = Vec::new();
+        let mut seen = IsomorphismClasses::default();
+        let mut level: Vec<MinedPattern> = single_edge_patterns(db, options);
+        for p in &level {
+            seen.insert(canonical_code(&p.graph), &p.graph);
+        }
+        all.extend(level.iter().cloned());
+        while !level.is_empty() {
+            let mut next: Vec<MinedPattern> = Vec::new();
+            let mut rejected = IsomorphismClasses::default();
+            for pattern in &level {
+                if pattern.graph.edge_count() >= options.max_edges {
+                    continue;
+                }
+                for candidate in extensions(pattern, db, &summaries, options) {
+                    if candidate.vertex_count() > options.max_vertices
+                        || candidate.edge_count() > options.max_edges
+                    {
+                        continue;
+                    }
+                    let code = canonical_code(&candidate);
+                    if seen.contains(&code, &candidate) || rejected.contains(&code, &candidate) {
+                        continue;
+                    }
+                    let candidate_summary = StructuralSummary::of(&candidate);
+                    let support: Vec<usize> = pattern
+                        .support
+                        .iter()
+                        .copied()
+                        .filter(|&gi| {
+                            contains_subgraph_summarized(
+                                &candidate,
+                                candidate_summary.view(),
+                                &db[gi],
+                                summaries[gi],
+                            )
+                        })
+                        .collect();
+                    if support.len() >= options.min_support {
+                        seen.insert(code, &candidate);
+                        next.push(MinedPattern {
+                            graph: candidate,
+                            support,
+                        });
+                    } else {
+                        rejected.insert(code, &candidate);
+                    }
+                }
+            }
+            next.sort_by_key(|p| std::cmp::Reverse(p.support_count()));
+            next.truncate(options.max_patterns_per_level);
+            all.extend(next.iter().cloned());
+            level = next;
+        }
+        all.sort_by_key(|p| (std::cmp::Reverse(p.support_count()), p.graph.edge_count()));
+        all
+    }
+
+    /// Asserts that the miner returns the reference's patterns (graphs
+    /// compared with `==`, vertex numbering included), support lists and
+    /// order at threads 1, 2 and 4.
+    fn assert_matches_reference(db: &[Graph], options: &MiningOptions) {
+        let owned: Vec<StructuralSummary> = db.iter().map(StructuralSummary::of).collect();
+        let views: Vec<SummaryView<'_>> = owned.iter().map(StructuralSummary::view).collect();
+        let expected = reference_mine(db, options);
+        for threads in [1, 2, 4] {
+            let got = mine_frequent_patterns_summarized(db, &views, options, threads);
+            assert_eq!(got.len(), expected.len(), "threads = {threads}");
+            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(g.graph, e.graph, "pattern {i}, threads = {threads}");
+                assert_eq!(g.support, e.support, "pattern {i}, threads = {threads}");
+            }
+        }
+    }
+
+    /// A random labelled graph of 2–7 vertices: a random spanning tree plus
+    /// up to as many extra edges, labels drawn from `0..labels`.
+    fn arb_graph(labels: u32) -> impl Strategy<Value = Graph> {
+        (2usize..=7)
+            .prop_flat_map(move |n| {
+                (
+                    proptest::collection::vec(0..labels, n),
+                    proptest::collection::vec((0usize..64, 0..labels), n - 1),
+                    proptest::collection::vec((0..n, 0..n, 0..labels), 0..=n),
+                )
+            })
+            .prop_map(|(vertex_labels, tree, extra)| {
+                let mut g = Graph::new();
+                for &l in &vertex_labels {
+                    g.add_vertex(Label(l));
+                }
+                for (v, &(parent, l)) in (1..).zip(&tree) {
+                    let u = VertexId((parent % v) as u32);
+                    let _ = g.add_edge(u, VertexId(v as u32), Label(l));
+                }
+                for (u, v, l) in extra {
+                    if u != v {
+                        let _ = g.add_edge(VertexId(u as u32), VertexId(v as u32), Label(l));
+                    }
+                }
+                g
+            })
+    }
+
+    /// A random database of 6–20 graphs over 2–4 labels with mining options
+    /// whose per-level cap is small enough to cut levels short.
+    fn arb_database() -> impl Strategy<Value = (Vec<Graph>, MiningOptions)> {
+        (6usize..=20, 2u32..=4)
+            .prop_flat_map(|(n, labels)| {
+                (
+                    proptest::collection::vec(arb_graph(labels), n),
+                    1..=n,
+                    1usize..=4,
+                    2usize..=7,
+                    1usize..=6,
+                )
+            })
+            .prop_map(
+                |(db, min_support, per_level, max_vertices, max_embeddings)| {
+                    let options = MiningOptions {
+                        min_support,
+                        max_vertices,
+                        max_edges: max_vertices + 1,
+                        max_patterns_per_level: per_level,
+                        max_embeddings_per_graph: max_embeddings,
+                    };
+                    (db, options)
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn class_counting_matches_the_recounting_miner(case in arb_database()) {
+            let (db, options) = case;
+            assert_matches_reference(&db, &options);
+        }
+    }
+
+    #[test]
+    fn intersection_below_min_support_and_support_at_min_support_match_the_reference() {
+        // Vertex labels a = 0, b = 1, c = 2; one edge label.  Edge a-b is in
+        // graphs {0, 1, 2, 5, 6} and edge b-c in {2, 3, 4}, so the path
+        // a-b-c is generated by both (in graph 2) and their supports share
+        // only graph 2; the path a-b-a is in exactly graphs {5, 6}.
+        let path = |labels: &[u32]| {
+            let mut b = GraphBuilder::new().vertices(labels);
+            for v in 1..labels.len() as u32 {
+                b = b.edge(v - 1, v, 0);
+            }
+            b.build()
+        };
+        let db = vec![
+            path(&[0, 1]),
+            path(&[0, 1]),
+            path(&[0, 1, 2]),
+            path(&[1, 2]),
+            path(&[1, 2]),
+            path(&[0, 1, 0]),
+            path(&[0, 1, 0]),
+        ];
+        let options = MiningOptions {
+            min_support: 2,
+            ..MiningOptions::default()
+        };
+        let owned: Vec<StructuralSummary> = db.iter().map(StructuralSummary::of).collect();
+        let views: Vec<SummaryView<'_>> = owned.iter().map(StructuralSummary::view).collect();
+        let level = single_edge_patterns(&db, &options);
+        let classes = candidate_classes(&level, &db, &views, &options);
+        let two_parents = classes
+            .iter()
+            .find(|c| c.parents.len() == 2)
+            .expect("the a-b-c path has two parents");
+        let mut within = level[two_parents.parents[0]].support.clone();
+        intersect_ascending(&mut within, &level[two_parents.parents[1]].support);
+        assert_eq!(within, vec![2]);
+        assert!(class_support(two_parents, &level, &db, &views, 2).is_none());
+
+        let mined = mine_frequent_patterns(&db, &options);
+        assert!(mined
+            .iter()
+            .any(|p| p.graph.edge_count() == 2 && p.support == vec![5, 6]));
+        assert!(!mined.iter().any(|p| p.graph.vertex_count() == 3
+            && p.graph
+                .vertices()
+                .any(|v| p.graph.vertex_label(v) == Label(2))));
+        assert_matches_reference(&db, &options);
+    }
+
+    #[test]
+    fn intersect_ascending_keeps_the_common_entries_in_order() {
+        let mut acc = vec![1, 3, 4, 7, 9, 12];
+        intersect_ascending(&mut acc, &[0, 3, 5, 7, 8, 12, 13]);
+        assert_eq!(acc, vec![3, 7, 12]);
+        intersect_ascending(&mut acc, &[]);
+        assert!(acc.is_empty());
+    }
 
     /// A small database of three graphs that all share an a-b edge and two of
     /// which share the a-b-c path.
@@ -327,7 +648,7 @@ mod tests {
         for i in 0..patterns.len() {
             for j in (i + 1)..patterns.len() {
                 assert!(
-                    !are_isomorphic(&patterns[i].graph, &patterns[j].graph),
+                    !crate::dfs_code::are_isomorphic(&patterns[i].graph, &patterns[j].graph),
                     "patterns {i} and {j} are isomorphic duplicates"
                 );
             }

@@ -23,8 +23,9 @@
 //! substitution in DESIGN.md §3.
 
 use pgs_graph::embeddings::{disjoint_embedding_count, Embedding};
-use pgs_graph::mining::{mine_frequent_patterns_summarized, MiningOptions};
+use pgs_graph::mining::{intersect_ascending, mine_frequent_patterns_summarized, MiningOptions};
 use pgs_graph::model::Graph;
+use pgs_graph::parallel::{par_map_chunked_costed, CostHint};
 use pgs_graph::summary::{StructuralSummary, SummaryView};
 use pgs_graph::vf2::{contains_subgraph, enumerate_embeddings_summarized, MatchOptions};
 
@@ -98,12 +99,26 @@ pub fn select_features(db: &[Graph], params: &FeatureSelectionParams) -> Vec<Fea
 
 /// [`select_features`] with cached per-graph summary views (one per database
 /// skeleton, in order).  `Pmi::build` passes the S-Index summaries straight
-/// through, so neither the miner's support recount nor the α-filter's
-/// embedding enumeration reallocates a data-graph histogram.
+/// through, so neither the miner's support count nor the α-filter's
+/// embedding enumeration reallocates a data-graph histogram.  Runs on the
+/// worker pool with automatic threads; the features are the same for every
+/// thread count.
 pub fn select_features_summarized(
     db: &[Graph],
     summaries: &[SummaryView<'_>],
     params: &FeatureSelectionParams,
+) -> Vec<Feature> {
+    select_features_pooled(db, summaries, params, 0)
+}
+
+/// [`select_features_summarized`] with up to `threads` pool workers (`0` =
+/// automatic) for the miner's support counts and the α filter; `Pmi::build`
+/// passes its own `threads`.
+pub(crate) fn select_features_pooled(
+    db: &[Graph],
+    summaries: &[SummaryView<'_>],
+    params: &FeatureSelectionParams,
+    threads: usize,
 ) -> Vec<Feature> {
     assert_eq!(db.len(), summaries.len(), "one summary per database graph");
     if db.is_empty() {
@@ -117,7 +132,7 @@ pub fn select_features_summarized(
         max_patterns_per_level: params.max_features.max(8) * 4,
         max_embeddings_per_graph: params.max_embeddings,
     };
-    let mut patterns = mine_frequent_patterns_summarized(db, summaries, &mining);
+    let mut patterns = mine_frequent_patterns_summarized(db, summaries, &mining, threads);
     // Rule 2: process small features first so discriminativity is evaluated
     // against already-indexed sub-features.
     patterns.sort_by_key(|p| (p.graph.edge_count(), std::cmp::Reverse(p.support_count())));
@@ -128,13 +143,11 @@ pub fn select_features_summarized(
             break;
         }
         // Rule 1: α-filtered support — only count graphs where the ratio of
-        // disjoint embeddings is at least α.
+        // disjoint embeddings is at least α.  Each graph is one embedding
+        // enumeration, mapped on the pool in support order.
         let pattern_summary = StructuralSummary::of(&pattern.graph);
-        let alpha_support: Vec<usize> = pattern
-            .support
-            .iter()
-            .copied()
-            .filter(|&gi| {
+        let alpha_support: Vec<usize> =
+            par_map_chunked_costed(&pattern.support, threads, CostHint::MODERATE, |_, &gi| {
                 alpha_supports(
                     &pattern.graph,
                     pattern_summary.view(),
@@ -142,7 +155,10 @@ pub fn select_features_summarized(
                     summaries[gi],
                     params,
                 )
+                .then_some(gi)
             })
+            .into_iter()
+            .flatten()
             .collect();
         let frequency = alpha_support.len() as f64 / db.len() as f64;
         if frequency < params.beta {
@@ -210,10 +226,10 @@ fn discriminativity(graph: &Graph, support: &[usize], selected: &[Feature]) -> f
     if sub_features.is_empty() {
         return 1.0;
     }
-    // Intersection of the sub-features' support lists.
+    // Intersection of the sub-features' (ascending) support lists.
     let mut intersection: Vec<usize> = sub_features[0].support.clone();
     for f in &sub_features[1..] {
-        intersection.retain(|gi| f.support.contains(gi));
+        intersect_ascending(&mut intersection, &f.support);
     }
     if intersection.is_empty() {
         return 1.0;

@@ -33,7 +33,7 @@
 //! build time and index size ([`PmiStats`]; `size_bytes` is measured: the
 //! length of the encoded snapshot minus its fixed prefix).
 
-use crate::feature::{alpha_holds, select_features_summarized, Feature, FeatureSelectionParams};
+use crate::feature::{alpha_holds, select_features_pooled, Feature, FeatureSelectionParams};
 use crate::sindex::{remove_renumbered, StructuralIndex};
 use crate::sip_bounds::{embedded_sip_bounds, BoundsConfig, SipBounds};
 use crate::snapshot::{self, SnapshotError};
@@ -143,7 +143,8 @@ impl Pmi {
         let skeletons: Vec<Graph> = db.iter().map(|g| g.skeleton().clone()).collect();
         let sindex = StructuralIndex::build(&skeletons);
         let sindex_views: Vec<SummaryView<'_>> = sindex.summary_views().collect();
-        let mut features = select_features_summarized(&skeletons, &sindex_views, &params.features);
+        let mut features =
+            select_features_pooled(&skeletons, &sindex_views, &params.features, params.threads);
         // The supports are re-derived column by column below.
         for f in &mut features {
             f.support = Vec::new();
@@ -506,6 +507,7 @@ fn compute_column(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feature::select_features_summarized;
     use pgs_datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
     use pgs_graph::model::{EdgeId, GraphBuilder};
     use pgs_graph::vf2::{contains_subgraph, enumerate_embeddings, MatchOptions};
@@ -654,27 +656,60 @@ mod tests {
 
     #[test]
     fn single_threaded_and_multi_threaded_builds_agree() {
-        let db = database();
-        let mut p1 = params();
-        p1.threads = 1;
-        let mut p2 = params();
-        p2.threads = 3;
-        let a = Pmi::build(&db, &p1);
-        let b = Pmi::build(&db, &p2);
-        assert_eq!(a.features().len(), b.features().len());
-        for gi in 0..db.len() {
-            for fi in 0..a.features().len() {
-                match (a.bounds(gi, fi), b.bounds(gi, fi)) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        // Bounds are computed exactly (no sampling) under the
-                        // default config, so they must agree bit-for-bit.
-                        assert!((x.lower - y.lower).abs() < 1e-12);
-                        assert!((x.upper - y.upper).abs() < 1e-12);
-                    }
-                    other => panic!("occupancy mismatch at ({gi},{fi}): {other:?}"),
-                }
+        // The tiny ppi-dense shape (3 vertex labels, dense graphs): its
+        // miner keeps patterns past two edges, and 96 features reach past
+        // the 70 one- and two-edge ones, so three-edge classes' pooled
+        // support counts and α filters reach the index.
+        let dense = generate_ppi_dataset(&PpiDatasetConfig {
+            graph_count: 24,
+            vertices_per_graph: 16,
+            edges_per_graph: 24,
+            vertex_label_count: 3,
+            seed: 5,
+            ..PpiDatasetConfig::default()
+        })
+        .graphs;
+        for (name, db, base) in [
+            ("figure 1", database(), params()),
+            (
+                "ppi-dense",
+                dense,
+                PmiBuildParams {
+                    features: FeatureSelectionParams {
+                        max_features: 96,
+                        ..FeatureSelectionParams::default()
+                    },
+                    ..PmiBuildParams::default()
+                },
+            ),
+        ] {
+            let mut a = Pmi::build(&db, &PmiBuildParams { threads: 1, ..base });
+            let mut b = Pmi::build(&db, &PmiBuildParams { threads: 3, ..base });
+            assert_eq!(a.features().len(), b.features().len(), "{name}");
+            for (x, y) in a.features().iter().zip(b.features()) {
+                assert_eq!(x.graph, y.graph, "{name}, feature {}", x.id);
+                assert_eq!(a.feature_support(x.id), b.feature_support(y.id), "{name}");
+                assert_eq!(x.frequency.to_bits(), y.frequency.to_bits(), "{name}");
+                assert_eq!(
+                    x.discriminativity.to_bits(),
+                    y.discriminativity.to_bits(),
+                    "{name}"
+                );
             }
+            if name == "ppi-dense" {
+                assert!(
+                    a.features().iter().any(|f| f.edge_count() >= 3),
+                    "mining must go past level 2"
+                );
+            }
+            // The snapshot holds the features, supports and every cell's
+            // bounds (computed exactly, no sampling, under the default
+            // config), plus the build's wall-clock time and thread count;
+            // all but those two must be the same bytes.
+            a.build_seconds = 0.0;
+            b.build_seconds = 0.0;
+            b.params.threads = a.params.threads;
+            assert!(a.to_bytes() == b.to_bytes(), "{name}: snapshots differ");
         }
     }
 
