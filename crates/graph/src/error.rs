@@ -7,8 +7,6 @@ use std::fmt;
 pub enum GraphError {
     /// A vertex id referenced an out-of-range vertex.
     InvalidVertex(usize),
-    /// An edge id referenced an out-of-range edge.
-    InvalidEdge(usize),
     /// Attempted to add a self-loop, which the model forbids.
     SelfLoop(usize),
     /// Attempted to add a duplicate (parallel) edge between the same endpoints.
@@ -26,7 +24,6 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::InvalidVertex(v) => write!(f, "invalid vertex id {v}"),
-            GraphError::InvalidEdge(e) => write!(f, "invalid edge id {e}"),
             GraphError::SelfLoop(v) => write!(f, "self-loop on vertex {v} is not allowed"),
             GraphError::DuplicateEdge(u, v) => {
                 write!(f, "duplicate edge between vertices {u} and {v}")
@@ -50,7 +47,6 @@ mod tests {
             GraphError::InvalidVertex(3).to_string(),
             "invalid vertex id 3"
         );
-        assert_eq!(GraphError::InvalidEdge(7).to_string(), "invalid edge id 7");
         assert_eq!(
             GraphError::SelfLoop(1).to_string(),
             "self-loop on vertex 1 is not allowed"

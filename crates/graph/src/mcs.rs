@@ -24,7 +24,6 @@ use crate::model::{Graph, VertexId};
 use crate::relax::relax_query_clamped;
 use crate::summary::{StructuralSummary, SummaryView};
 use crate::vf2::contains_subgraph_summarized;
-use std::borrow::Cow;
 
 /// Size (in edges) of the maximum common subgraph of `g1` and `g2`
 /// (largest subgraph of `g2` subgraph-isomorphic to a subgraph of `g1`).
@@ -64,53 +63,24 @@ pub fn subgraph_similar(q: &Graph, g: &Graph, delta: usize) -> bool {
     SimilarityTester::new(q, delta).matches(g, StructuralSummary::of(g).view())
 }
 
-/// A reusable `dis(q, ·) ≤ δ` tester that precomputes everything derivable
-/// from the query alone: its [`StructuralSummary`] and the relaxed query set
-/// `U = relax_query_clamped(q, δ)` with each pattern's summary.
-/// [`SimilarityTester::matches`] then answers `any(rq ⊆ g)` over `U`, which
-/// equals `dis(q, g) ≤ δ`.
+/// A reusable `dis(q, ·) ≤ δ` tester that precomputes the relaxed query set
+/// `U = relax_query_clamped(q, δ)`, the one set every phase reads: phase 1
+/// tests it here, and [`SimilarityTester::into_relaxed`] hands it on to
+/// phases 2 and 3.  [`SimilarityTester::matches`] answers `any(rq ⊆ g)` over
+/// `U`, which equals `dis(q, g) ≤ δ`.
 pub struct SimilarityTester<'a> {
     q: &'a Graph,
     delta: usize,
-    q_summary: StructuralSummary,
-    /// `U`, and the summary of each of its patterns.
-    relaxed: Cow<'a, [Graph]>,
-    summaries: Cow<'a, [StructuralSummary]>,
+    relaxed: Vec<Graph>,
 }
 
 impl<'a> SimilarityTester<'a> {
-    /// Precomputes the tester for `(q, delta)`, enumerating and summarising
-    /// `U` itself.
+    /// Precomputes the tester for `(q, delta)`, enumerating `U`.
     pub fn new(q: &'a Graph, delta: usize) -> SimilarityTester<'a> {
-        let relaxed = relax_query_clamped(q, delta);
-        let summaries = relaxed.iter().map(StructuralSummary::of).collect();
         SimilarityTester {
             q,
             delta,
-            q_summary: StructuralSummary::of(q),
-            relaxed: Cow::Owned(relaxed),
-            summaries: Cow::Owned(summaries),
-        }
-    }
-
-    /// The tester over a relaxed set the caller already holds: `relaxed`
-    /// must be `relax_query_clamped(q, delta)` and `summaries[i]` the
-    /// summary of `relaxed[i]`.  The query pipeline computes both once per
-    /// query and hands the same slices to all three phases; nothing is
-    /// enumerated or summarised here.
-    pub fn with_relaxed(
-        q: &'a Graph,
-        delta: usize,
-        relaxed: &'a [Graph],
-        summaries: &'a [StructuralSummary],
-    ) -> SimilarityTester<'a> {
-        debug_assert_eq!(relaxed.len(), summaries.len());
-        SimilarityTester {
-            q,
-            delta,
-            q_summary: StructuralSummary::of(q),
-            relaxed: Cow::Borrowed(relaxed),
-            summaries: Cow::Borrowed(summaries),
+            relaxed: relax_query_clamped(q, delta),
         }
     }
 
@@ -121,7 +91,7 @@ impl<'a> SimilarityTester<'a> {
 
     /// The query's summary (callers feed it to the S-Index filter).
     pub fn query_summary(&self) -> &StructuralSummary {
-        &self.q_summary
+        self.q.summary()
     }
 
     /// `dis(q, g) ≤ delta`, using the precomputed query-side state and `g`'s
@@ -132,8 +102,13 @@ impl<'a> SimilarityTester<'a> {
         }
         self.relaxed
             .iter()
-            .zip(self.summaries.iter())
-            .any(|(rq, summary)| contains_subgraph_summarized(rq, summary.view(), g, g_summary))
+            .any(|rq| contains_subgraph_summarized(rq, g, g_summary))
+    }
+
+    /// Hands `U` on to the later phases, each pattern with the summary
+    /// phase 1 cached in it.
+    pub fn into_relaxed(self) -> Vec<Graph> {
+        self.relaxed
     }
 }
 
@@ -369,11 +344,7 @@ mod tests {
         ];
         for q in &queries {
             for delta in 0..=4 {
-                let relaxed = relax_query_clamped(q, delta);
                 let tester = SimilarityTester::new(q, delta);
-                let summaries: Vec<StructuralSummary> =
-                    relaxed.iter().map(StructuralSummary::of).collect();
-                let shared = SimilarityTester::with_relaxed(q, delta, &relaxed, &summaries);
                 for g in &graphs {
                     let gs = StructuralSummary::of(g);
                     let expected = subgraph_distance(q, g) <= delta;
@@ -383,9 +354,9 @@ mod tests {
                         "query {} delta {delta}",
                         q.vertex_count()
                     );
-                    assert_eq!(shared.matches(g, gs.view()), expected);
                     assert_eq!(subgraph_similar(q, g, delta), expected);
                 }
+                assert_eq!(tester.into_relaxed(), relax_query_clamped(q, delta));
             }
         }
     }

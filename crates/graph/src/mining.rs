@@ -264,14 +264,12 @@ fn class_support(
     if within.len() < min_support {
         return None;
     }
-    let class_summary = StructuralSummary::of(&class.graph);
     let mut support = Vec::new();
     for (tested, &gi) in within.iter().enumerate() {
         if support.len() + (within.len() - tested) < min_support {
             return None;
         }
-        if contains_subgraph_summarized(&class.graph, class_summary.view(), &db[gi], summaries[gi])
-        {
+        if contains_subgraph_summarized(&class.graph, &db[gi], summaries[gi]) {
             support.push(gi);
         }
     }
@@ -316,18 +314,12 @@ fn extensions(
 ) -> Vec<Graph> {
     let mut out: Vec<Graph> = Vec::new();
     let match_opts = MatchOptions::capped(options.max_embeddings_per_graph);
-    let pattern_summary = StructuralSummary::of(&pattern.graph);
     // Look at a bounded number of supporting graphs; structural variety
     // saturates quickly.
     for &gi in pattern.support.iter().take(8) {
         let data = &db[gi];
-        let outcome = enumerate_embeddings_summarized(
-            &pattern.graph,
-            pattern_summary.view(),
-            data,
-            summaries[gi],
-            match_opts,
-        );
+        let outcome =
+            enumerate_embeddings_summarized(&pattern.graph, data, summaries[gi], match_opts);
         for emb in &outcome.embeddings {
             // Reverse map: data vertex -> pattern vertex.
             let mut rev: BTreeMap<VertexId, usize> = BTreeMap::new();
@@ -404,18 +396,12 @@ mod tests {
                     if seen.contains(&code, &candidate) || rejected.contains(&code, &candidate) {
                         continue;
                     }
-                    let candidate_summary = StructuralSummary::of(&candidate);
                     let support: Vec<usize> = pattern
                         .support
                         .iter()
                         .copied()
                         .filter(|&gi| {
-                            contains_subgraph_summarized(
-                                &candidate,
-                                candidate_summary.view(),
-                                &db[gi],
-                                summaries[gi],
-                            )
+                            contains_subgraph_summarized(&candidate, &db[gi], summaries[gi])
                         })
                         .collect();
                     if support.len() >= options.min_support {

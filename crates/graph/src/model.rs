@@ -12,6 +12,7 @@
 
 use crate::arena::FlatVecVec;
 use crate::error::GraphError;
+use crate::summary::StructuralSummary;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -119,13 +120,17 @@ pub struct Graph {
     /// `(neighbour, edge id)` pairs in edge-insertion order, on which
     /// traversal order (and with it every sampled answer) depends.
     adjacency: OnceLock<FlatVecVec<(VertexId, EdgeId)>>,
+    /// The graph's [`StructuralSummary`], computed on first use after a
+    /// mutation ([`Graph::summary`]).  Boxed: inline, the summary's five
+    /// fields would grow every graph, summarised or not, by 88 bytes.
+    summary: OnceLock<Box<StructuralSummary>>,
     /// Fast lookup of edge id by (min endpoint, max endpoint).
     edge_index: BTreeMap<(u32, u32), EdgeId>,
 }
 
-/// The adjacency cache is derived state: two graphs are equal iff their logical
-/// content (name, labels, edge list) is, regardless of whether either has
-/// materialised its adjacency yet.
+/// The adjacency and summary caches are derived state: two graphs are equal
+/// iff their logical content (name, labels, edge list) is, regardless of
+/// whether either has filled its caches yet.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -184,6 +189,7 @@ impl Graph {
         let id = VertexId(self.vertex_labels.len() as u32);
         self.vertex_labels.push(label);
         self.adjacency = OnceLock::new();
+        self.summary = OnceLock::new();
         id
     }
 
@@ -215,6 +221,7 @@ impl Graph {
         let (a, b) = if u.0 < v.0 { (u, v) } else { (v, u) };
         self.edges.push(Edge { u: a, v: b, label });
         self.adjacency = OnceLock::new();
+        self.summary = OnceLock::new();
         self.edge_index.insert(key, id);
         Ok(id)
     }
@@ -225,6 +232,16 @@ impl Graph {
     fn adjacency(&self) -> &FlatVecVec<(VertexId, EdgeId)> {
         self.adjacency
             .get_or_init(|| FlatVecVec::adjacency(self.vertex_labels.len(), &self.edges))
+    }
+
+    /// The graph's structural summary, computed on first use after a
+    /// mutation and cached with the graph.  Every pattern (query, relaxed
+    /// query, feature, mined candidate) is summarised through here, once.
+    /// Database skeletons are not: their summaries live in the S-Index, so
+    /// the engine never fills a skeleton's cache.
+    pub fn summary(&self) -> &StructuralSummary {
+        self.summary
+            .get_or_init(|| Box::new(StructuralSummary::of(self)))
     }
 
     /// Label of vertex `v`.
@@ -506,6 +523,31 @@ mod tests {
         assert_eq!(g.edge_label(EdgeId(1)), Label(11));
         assert_eq!(g.degree(VertexId(0)), 2);
         assert_eq!(g.degree(VertexId(1)), 2);
+    }
+
+    #[test]
+    fn summary_cache_follows_mutations() {
+        use crate::vf2::{contains_subgraph_summarized, Matcher};
+        let target = triangle();
+        let ts = StructuralSummary::of(&target);
+        // Two isolated vertices the triangle hosts; the summary alone
+        // answers a pattern of at most one edge.
+        let mut p = GraphBuilder::new().vertices(&[1, 2]).build();
+        assert_eq!(*p.summary(), StructuralSummary::of(&p));
+        assert!(contains_subgraph_summarized(&p, &target, ts.view()));
+        // A clone reports the same summary, and `==` ignores the cache.
+        let unsummarised = GraphBuilder::new().vertices(&[1, 2]).build();
+        assert_eq!(p.clone().summary(), p.summary());
+        assert_eq!(p, unsummarised);
+        // An edge whose label the triangle lacks: the cached summary is
+        // dropped, so the screen now rejects the pattern.
+        p.add_edge(VertexId(0), VertexId(1), Label(99)).unwrap();
+        assert_eq!(*p.summary(), StructuralSummary::of(&p));
+        assert!(!contains_subgraph_summarized(&p, &target, ts.view()));
+        p.add_vertex(Label(3));
+        assert_eq!(*p.summary(), StructuralSummary::of(&p));
+        assert_eq!(p.summary().view().vertex_count(), 3);
+        assert!(!Matcher::new(&p, &target, ts.view()).exists());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! the borrowed [`SummaryView`]; the owned type only builds, validates and
 //! lends views ([`StructuralSummary::view`]).
 //!
+//! A graph caches its own summary ([`Graph::summary`]); database skeletons'
+//! summaries live in the S-Index instead, whose arenas lend views.
 //! Summaries are consumed by
 //!
 //! * the S-Index (`pgs_index::sindex`), which inverts the edge-signature

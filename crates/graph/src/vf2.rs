@@ -20,9 +20,11 @@
 //! two graphs' [`StructuralSummary`] views (counts, label multisets, degree
 //! sequence); only a pair it passes is searched.  For a pattern with at most
 //! one edge the prefilter is exact, so a containment test of such a pattern
-//! is not searched at all.  Callers that match one graph against many hold
-//! the summaries and call the `_summarized` forms; [`contains_subgraph`] and
-//! [`enumerate_embeddings`] summarise both graphs for a one-off call.
+//! is not searched at all.  The pattern's summary is its own cached
+//! [`Graph::summary`]; the target's is an argument of the `_summarized`
+//! forms, because database skeletons keep theirs in the S-Index.
+//! [`contains_subgraph`] and [`enumerate_embeddings`] summarise the target
+//! for a one-off call.
 
 use crate::embeddings::Embedding;
 use crate::model::{EdgeId, Graph, VertexId};
@@ -79,17 +81,12 @@ pub struct Matcher<'a> {
 }
 
 impl<'a> Matcher<'a> {
-    /// Creates a matcher for `pattern` against `target`, given both graphs'
-    /// summary views.  The summaries must describe `pattern` and `target`
-    /// exactly; a stale summary makes the prefilter — and therefore the
-    /// match outcome — wrong.
-    pub fn new(
-        pattern: &'a Graph,
-        pattern_summary: SummaryView<'_>,
-        target: &'a Graph,
-        target_summary: SummaryView<'_>,
-    ) -> Self {
-        let subsumed = target_summary.subsumes(pattern_summary);
+    /// Creates a matcher for `pattern` against `target`, given the target's
+    /// summary view (the pattern's is [`Graph::summary`]).  The view must
+    /// describe `target` exactly; a stale one makes the prefilter — and
+    /// therefore the match outcome — wrong.
+    pub fn new(pattern: &'a Graph, target: &'a Graph, target_summary: SummaryView<'_>) -> Self {
+        let subsumed = target_summary.subsumes(pattern.summary().view());
         // A rejected pair is never searched, so it needs no matching order.
         let order = if subsumed {
             matching_order(pattern)
@@ -328,17 +325,13 @@ fn matching_order(pattern: &Graph) -> Vec<VertexId> {
 }
 
 /// True if `pattern ⊆iso target` (non-induced, label-preserving), for a
-/// one-off call: both graphs are summarised here.
+/// one-off call: the target is summarised here.
 pub fn contains_subgraph(pattern: &Graph, target: &Graph) -> bool {
-    contains_subgraph_summarized(
-        pattern,
-        StructuralSummary::of(pattern).view(),
-        target,
-        StructuralSummary::of(target).view(),
-    )
+    contains_subgraph_summarized(pattern, target, StructuralSummary::of(target).view())
 }
 
-/// [`contains_subgraph`] over cached summary views (see [`Matcher::new`]).
+/// [`contains_subgraph`] over the target's cached summary view (see
+/// [`Matcher::new`]).
 ///
 /// A pattern with at most one edge is answered by
 /// [`SummaryView::subsumes`] alone, without a search: that test is exact
@@ -349,18 +342,17 @@ pub fn contains_subgraph(pattern: &Graph, target: &Graph) -> bool {
 /// is injective but not induced.
 pub fn contains_subgraph_summarized(
     pattern: &Graph,
-    pattern_summary: SummaryView<'_>,
     target: &Graph,
     target_summary: SummaryView<'_>,
 ) -> bool {
     if pattern.edge_count() <= 1 {
-        return target_summary.subsumes(pattern_summary);
+        return target_summary.subsumes(pattern.summary().view());
     }
-    Matcher::new(pattern, pattern_summary, target, target_summary).exists()
+    Matcher::new(pattern, target, target_summary).exists()
 }
 
 /// Enumerates all distinct embeddings of `pattern` in `target`, for a
-/// one-off call: both graphs are summarised here.
+/// one-off call: the target is summarised here.
 pub fn enumerate_embeddings(
     pattern: &Graph,
     target: &Graph,
@@ -368,23 +360,21 @@ pub fn enumerate_embeddings(
 ) -> MatchOutcome {
     enumerate_embeddings_summarized(
         pattern,
-        StructuralSummary::of(pattern).view(),
         target,
         StructuralSummary::of(target).view(),
         options,
     )
 }
 
-/// [`enumerate_embeddings`] over cached summary views (see
+/// [`enumerate_embeddings`] over the target's cached summary view (see
 /// [`Matcher::new`]).
 pub fn enumerate_embeddings_summarized(
     pattern: &Graph,
-    pattern_summary: SummaryView<'_>,
     target: &Graph,
     target_summary: SummaryView<'_>,
     options: MatchOptions,
 ) -> MatchOutcome {
-    Matcher::new(pattern, pattern_summary, target, target_summary).embeddings(options)
+    Matcher::new(pattern, target, target_summary).embeddings(options)
 }
 
 #[cfg(test)]

@@ -145,17 +145,9 @@ pub(crate) fn select_features_pooled(
         // Rule 1: α-filtered support — only count graphs where the ratio of
         // disjoint embeddings is at least α.  Each graph is one embedding
         // enumeration, mapped on the pool in support order.
-        let pattern_summary = StructuralSummary::of(&pattern.graph);
         let alpha_support: Vec<usize> =
             par_map_chunked_costed(&pattern.support, threads, CostHint::MODERATE, |_, &gi| {
-                alpha_supports(
-                    &pattern.graph,
-                    pattern_summary.view(),
-                    &db[gi],
-                    summaries[gi],
-                    params,
-                )
-                .then_some(gi)
+                alpha_supports(&pattern.graph, &db[gi], summaries[gi], params).then_some(gi)
             })
             .into_iter()
             .flatten()
@@ -187,14 +179,12 @@ pub(crate) fn select_features_pooled(
 /// appended column's support matches a fresh selection.
 pub(crate) fn alpha_supports(
     feature: &Graph,
-    feature_summary: SummaryView<'_>,
     skeleton: &Graph,
     skeleton_summary: SummaryView<'_>,
     params: &FeatureSelectionParams,
 ) -> bool {
     let outcome = enumerate_embeddings_summarized(
         feature,
-        feature_summary,
         skeleton,
         skeleton_summary,
         MatchOptions::capped(params.max_embeddings),

@@ -125,11 +125,6 @@ pub struct Pmi {
     sindex: Option<StructuralIndex>,
     /// Columns appended/removed since the features were last mined.
     churn: usize,
-    /// One cached [`StructuralSummary`] per feature, row-aligned with
-    /// `features`.  Derived (never persisted): features only change at
-    /// build/decode time, so caching here keeps [`Pmi::append_graph`] and
-    /// every query's feature relation from re-summarising the features.
-    feature_summaries: Vec<StructuralSummary>,
 }
 
 impl Pmi {
@@ -149,15 +144,11 @@ impl Pmi {
         for f in &mut features {
             f.support = Vec::new();
         }
-        let feature_summaries: Vec<StructuralSummary> = features
-            .iter()
-            .map(|f| StructuralSummary::of(&f.graph))
-            .collect();
         // A column runs VF2 containment and bound computations over every
         // feature — far beyond the dispatch floor, so two graphs already
         // justify fanning out to the pool.
         let columns = par_map_chunked_costed(db, params.threads, CostHint::HEAVY, |gi, pg| {
-            compute_column(pg, &features, &feature_summaries, sindex_views[gi], params)
+            compute_column(pg, &features, sindex_views[gi], params)
         });
         let mut pmi = Pmi {
             supports: vec![Vec::new(); features.len()],
@@ -167,7 +158,6 @@ impl Pmi {
             matrix: Cells::new(),
             sindex: Some(sindex),
             churn: 0,
-            feature_summaries,
             build_seconds: 0.0,
         };
         for (pg, column) in db.iter().zip(&columns) {
@@ -181,12 +171,6 @@ impl Pmi {
     /// use [`Pmi::feature_support`].
     pub fn features(&self) -> &[Feature] {
         &self.features
-    }
-
-    /// One structural summary per feature, row-aligned with
-    /// [`Pmi::features`].
-    pub fn feature_summaries(&self) -> &[StructuralSummary] {
-        &self.feature_summaries
     }
 
     /// Number of database graphs the index covers.
@@ -301,13 +285,7 @@ impl Pmi {
     /// hash, never from the column position.
     pub fn append_graph(&mut self, pg: &ProbabilisticGraph) {
         let skeleton_summary = StructuralSummary::of(pg.skeleton());
-        let column = compute_column(
-            pg,
-            &self.features,
-            &self.feature_summaries,
-            skeleton_summary.view(),
-            &self.params,
-        );
+        let column = compute_column(pg, &self.features, skeleton_summary.view(), &self.params);
         self.push_column(&column, graph_salt(pg));
         if let Some(sindex) = &mut self.sindex {
             sindex.append_summary(skeleton_summary);
@@ -410,11 +388,6 @@ impl Pmi {
                 parts.graph_salts.len()
             )));
         }
-        let feature_summaries = parts
-            .features
-            .iter()
-            .map(|f| StructuralSummary::of(&f.graph))
-            .collect();
         Ok(Pmi {
             features: parts.features,
             graph_salts: parts.graph_salts,
@@ -424,7 +397,6 @@ impl Pmi {
             supports: parts.supports,
             sindex: parts.sindex,
             churn: parts.churn,
-            feature_summaries,
         })
     }
 
@@ -451,8 +423,8 @@ impl Pmi {
 /// One graph column of the matrix, as `(feature id, bounds, α holds)` per
 /// present cell in feature order; computed alike for the parallel build and
 /// [`Pmi::append_graph`], so both push identical cells.  Each cell is one
-/// VF2 enumeration over the cached summaries (one per feature, one for the
-/// skeleton); an empty enumeration is the absent cell.
+/// VF2 enumeration screened by the feature's own summary and
+/// `skeleton_summary`; an empty enumeration is the absent cell.
 ///
 /// The column's RNG is seeded from the build seed and the *content* hash of
 /// the skeleton (not its position), so any Monte-Carlo estimate inside the
@@ -468,7 +440,6 @@ impl Pmi {
 fn compute_column(
     pg: &ProbabilisticGraph,
     features: &[Feature],
-    feature_summaries: &[StructuralSummary],
     skeleton_summary: SummaryView<'_>,
     params: &PmiBuildParams,
 ) -> Vec<(usize, SipBounds, bool)> {
@@ -478,15 +449,13 @@ fn compute_column(
     let alpha_cap = params.features.max_embeddings.max(1);
     features
         .iter()
-        .zip(feature_summaries)
         .enumerate()
-        .filter_map(|(fi, (f, fs))| {
+        .filter_map(|(fi, f)| {
             let MatchOutcome {
                 mut embeddings,
                 complete,
             } = enumerate_embeddings_summarized(
                 &f.graph,
-                fs.view(),
                 pg.skeleton(),
                 skeleton_summary,
                 MatchOptions::capped(bounds_cap.max(alpha_cap)),

@@ -126,20 +126,19 @@ impl BoundsConfig {
     }
 }
 
-/// Computes the SIP bounds of `feature` in `pg` from one VF2 enumeration
-/// over both graphs' cached summaries.  `None` when the feature has no
-/// embedding in the skeleton: the PMI leaves that cell absent.
+/// Computes the SIP bounds of `feature` in `pg` from one VF2 enumeration,
+/// screened by the feature's own summary and `skeleton_summary` (the
+/// skeleton's).  `None` when the feature has no embedding in the skeleton:
+/// the PMI leaves that cell absent.
 pub fn sip_bounds<R: Rng + ?Sized>(
     pg: &ProbabilisticGraph,
     feature: &Graph,
-    feature_summary: SummaryView<'_>,
     skeleton_summary: SummaryView<'_>,
     config: &BoundsConfig,
     rng: &mut R,
 ) -> Option<SipBounds> {
     let outcome = enumerate_embeddings_summarized(
         feature,
-        feature_summary,
         pg.skeleton(),
         skeleton_summary,
         MatchOptions::capped(config.max_embeddings),
@@ -350,16 +349,15 @@ mod tests {
         ProbabilisticGraph::new(skeleton, vec![t1, t2], true).unwrap()
     }
 
-    /// [`sip_bounds`] for a one-off pair: summarises both graphs.
+    /// [`sip_bounds`] for a one-off pair: summarises the skeleton.
     fn bounds_of(
         pg: &ProbabilisticGraph,
         feature: &Graph,
         config: &BoundsConfig,
         rng: &mut StdRng,
     ) -> Option<SipBounds> {
-        let fs = StructuralSummary::of(feature);
         let gs = StructuralSummary::of(pg.skeleton());
-        sip_bounds(pg, feature, fs.view(), gs.view(), config, rng)
+        sip_bounds(pg, feature, gs.view(), config, rng)
     }
 
     fn exact_sip_of(pg: &ProbabilisticGraph, feature: &pgs_graph::model::Graph) -> f64 {

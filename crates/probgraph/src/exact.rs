@@ -163,26 +163,24 @@ pub fn exact_ssp(
 /// Collects the distinct embeddings (edge sets) of every graph in `relaxed`
 /// within the skeleton of `pg`, capped at `max_embeddings` in total: a
 /// one-off call onto [`collect_embeddings_summarized`] that summarises the
-/// skeleton and each relaxed query here.
+/// skeleton here.
 pub fn collect_embeddings_of_relaxations(
     pg: &ProbabilisticGraph,
     relaxed: &[Graph],
     max_embeddings: usize,
 ) -> Vec<EdgeSet> {
-    let summaries: Vec<StructuralSummary> = relaxed.iter().map(StructuralSummary::of).collect();
     collect_embeddings_summarized(
         pg,
         StructuralSummary::of(pg.skeleton()).view(),
         relaxed,
-        &summaries,
         max_embeddings,
     )
 }
 
-/// [`collect_embeddings_of_relaxations`] over cached summaries:
-/// `skeleton_summary` describes `pg`'s skeleton and `relaxed_summaries[i]`
-/// describes `relaxed[i]`.  The query pipeline summarises its relaxed set
-/// once per query and reads the skeletons' summaries from the S-Index.
+/// [`collect_embeddings_of_relaxations`] over the skeleton's cached summary
+/// view `skeleton_summary`; each relaxed query screens with its own cached
+/// summary.  The query pipeline reads the skeletons' summaries from the
+/// S-Index.
 ///
 /// The output is the concatenation of each relaxed query's VF2 list, in
 /// order, cut at the cap.  It needs no deduplication: VF2 lists each edge
@@ -198,18 +196,15 @@ pub fn collect_embeddings_summarized(
     pg: &ProbabilisticGraph,
     skeleton_summary: SummaryView<'_>,
     relaxed: &[Graph],
-    relaxed_summaries: &[StructuralSummary],
     max_embeddings: usize,
 ) -> Vec<EdgeSet> {
-    debug_assert_eq!(relaxed.len(), relaxed_summaries.len());
     let mut out: Vec<EdgeSet> = Vec::new();
-    for (rq, rq_summary) in relaxed.iter().zip(relaxed_summaries) {
+    for rq in relaxed {
         if rq.edge_count() == 0 {
             continue;
         }
         let outcome = enumerate_embeddings_summarized(
             rq,
-            rq_summary.view(),
             pg.skeleton(),
             skeleton_summary,
             MatchOptions::capped(max_embeddings - out.len()),

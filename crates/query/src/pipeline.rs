@@ -25,7 +25,6 @@ use pgs_graph::parallel::{
     derive_seed, par_map_chunked_costed, resolve_threads, CostHint, MAX_THREADS,
 };
 use pgs_graph::relax::relax_query_clamped;
-use pgs_graph::summary::StructuralSummary;
 use pgs_index::pmi::{graph_salt, Pmi, PmiBuildParams};
 use pgs_index::sindex::StructuralIndex;
 use pgs_index::snapshot::SnapshotError;
@@ -685,12 +684,9 @@ struct CandidateStream {
     /// can be rebuilt for its `Lsim`; `None` under `Structure` and for the
     /// trivial relaxation.
     relation: Option<FeatureRelation>,
-    /// `relax_query_clamped(q, delta)`, computed once before phase 1 and
-    /// shared with phases 2 and 3.
+    /// `relax_query_clamped(q, delta)`, enumerated once by phase 1's
+    /// tester and handed on to phases 2 and 3.
     relaxed: Vec<Graph>,
-    /// The summary of each `relaxed` graph, computed once per query for
-    /// phase 1's tester and phase 3's embedding collection.
-    relaxed_summaries: Vec<StructuralSummary>,
     query_hash: u64,
     /// `δ ≥ |E(q)|`: every graph streams out with SSP exactly 1.
     trivial: bool,
@@ -935,13 +931,14 @@ impl QueryEngine {
     /// auto): one [`Candidate`] per structural survivor, holding its `Usim`
     /// and, where `Usim ≥ lsim_from`, its `Lsim`.
     ///
-    /// The relaxed query set `U = relax_query_clamped(q, δ)` and its
-    /// summaries are computed first, once per query ([`relaxed_set`]), and
-    /// every phase reads that one set.  Phase 1 is structural pruning via
-    /// the S-Index — the query summary is computed once, posting-list
-    /// deficit accumulation touches only graphs sharing a signature with the
-    /// query, and the exact check (`any(rq ⊆ g)` over `U`) reuses the cached
-    /// summaries; the exact checks fan out over filter survivors.  Phase 2
+    /// The relaxed query set `U = relax_query_clamped(q, δ)` is enumerated
+    /// once per query, by phase 1's [`SimilarityTester`], which then hands
+    /// it on, so every phase reads that one set and each pattern's summary
+    /// cached in it.  Phase 1 is structural pruning via the S-Index — the
+    /// query summary is computed once, posting-list deficit accumulation
+    /// touches only graphs sharing a signature with the query, and the
+    /// exact check (`any(rq ⊆ g)` over `U`) reads the skeletons' summaries
+    /// from the S-Index; the exact checks fan out over filter survivors.  Phase 2
     /// computes the feature relation (which PMI features contain or are
     /// contained in which relaxed query, and `Usim`'s cover layout over
     /// them) once per query, then every candidate's record in parallel:
@@ -981,7 +978,6 @@ impl QueryEngine {
                 candidates: (0..self.db.len()).map(|gi| unbounded(gi, 1.0)).collect(),
                 relation: None,
                 relaxed: Vec::new(),
-                relaxed_summaries: Vec::new(),
                 query_hash,
                 trivial: true,
                 stats,
@@ -990,12 +986,13 @@ impl QueryEngine {
 
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
-        // The query's one relaxed set: phase 1's tester, phase 2's feature
-        // relation and phase 3's embedding collection all read it.
-        let (relaxed, relaxed_summaries) = relaxed_set(q, delta);
-        let tester = SimilarityTester::with_relaxed(q, delta, &relaxed, &relaxed_summaries);
+        // The query's one relaxed set: phase 1's tester enumerates it, and
+        // phase 2's feature relation and phase 3's embedding collection read
+        // it from the tester.
+        let tester = SimilarityTester::new(q, delta);
         let (structural, filter_stats) =
             structural_candidates_tested(self.sindex(), &self.db, &tester, threads);
+        let relaxed = tester.into_relaxed();
         stats.structural_seconds = t0.elapsed().as_secs_f64();
         stats.structural_candidates = structural.len();
         stats.posting_entries_scanned = filter_stats.posting_entries_scanned;
@@ -1009,7 +1006,7 @@ impl QueryEngine {
                 None,
             ),
             PruningVariant::SspBound | PruningVariant::OptSspBound => {
-                let relation = FeatureRelation::new(&self.pmi, &relaxed, &relaxed_summaries);
+                let relation = FeatureRelation::new(&self.pmi, &relaxed);
                 let optimal = variant == PruningVariant::OptSspBound;
                 let cross = self.config.cross_term;
                 let bound = |_, &graph: &usize| {
@@ -1035,7 +1032,6 @@ impl QueryEngine {
             candidates,
             relation,
             relaxed,
-            relaxed_summaries,
             query_hash,
             trivial: false,
             stats,
@@ -1054,7 +1050,6 @@ impl QueryEngine {
             pg,
             self.sindex().summary(gi),
             &stream.relaxed,
-            &stream.relaxed_summaries,
             options.max_embeddings,
         );
         let mut rng = self.candidate_rng(stream.query_hash, SEED_PHASE_VERIFY, gi);
@@ -1311,7 +1306,7 @@ impl QueryEngine {
         // pgs-lint: allow(wall-clock-in-query-path, phase timers feed PhaseStats reporting only, never control flow)
         let t0 = Instant::now();
         // Computed once and read by every graph, exact or sampled.
-        let (relaxed, relaxed_summaries) = relaxed_set(q, params.delta);
+        let relaxed = relax_query_clamped(q, params.delta);
         let trivial = q.edge_count() <= params.delta;
         // One flat per-graph map: each graph's fallback RNG is content-seeded,
         // so the database order never moves an answer.
@@ -1326,7 +1321,6 @@ impl QueryEngine {
                     pg,
                     self.sindex().summary(gi),
                     &relaxed,
-                    &relaxed_summaries,
                     usize::MAX,
                 );
                 match exact_union_probability(pg, &embeddings, self.config.exact.exact_edge_cap) {
@@ -1378,14 +1372,6 @@ impl QueryEngine {
             },
         })
     }
-}
-
-/// The query's relaxed set `relax_query_clamped(q, delta)` with each graph's
-/// summary, computed once per query and read by every phase.
-fn relaxed_set(q: &Graph, delta: usize) -> (Vec<Graph>, Vec<StructuralSummary>) {
-    let relaxed = relax_query_clamped(q, delta);
-    let summaries = relaxed.iter().map(StructuralSummary::of).collect();
-    (relaxed, summaries)
 }
 
 /// A deterministic 64-bit hash of a query graph (seeding per-query RNGs).

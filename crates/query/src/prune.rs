@@ -36,7 +36,6 @@ use crate::qp::{lsim_value, tightest_lsim, LsimSet};
 use crate::setcover::{greedy_cover, CoverSets};
 use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::Graph;
-use pgs_graph::summary::StructuralSummary;
 use pgs_graph::vf2::contains_subgraph_summarized;
 use pgs_index::pmi::Pmi;
 use pgs_index::sip_bounds::SipBounds;
@@ -167,24 +166,21 @@ impl CoverLayout {
 
 impl FeatureRelation {
     /// Runs both containment tests for every feature of `pmi` against every
-    /// relaxed query in `relaxed`, whose summaries are `summaries` (one per
-    /// graph, in order; the engine computes them once per query).  The
-    /// features' summaries come from the PMI's cache, so each containment
-    /// test is one VF2 call screened by the two summaries.
-    pub fn new(pmi: &Pmi, relaxed: &[Graph], summaries: &[StructuralSummary]) -> FeatureRelation {
-        debug_assert_eq!(relaxed.len(), summaries.len());
+    /// relaxed query in `relaxed`.  Features and relaxed queries are
+    /// patterns that cache their own summaries, so each containment test is
+    /// one VF2 call screened by the two graphs' summaries.
+    pub fn new(pmi: &Pmi, relaxed: &[Graph]) -> FeatureRelation {
         let rows: Vec<(Vec<usize>, Vec<usize>)> = pmi
             .features()
             .iter()
-            .zip(pmi.feature_summaries())
-            .map(|(feature, fs)| {
-                let (f, fs) = (&feature.graph, fs.view());
+            .map(|feature| {
+                let f = &feature.graph;
                 let (mut contained_in, mut contains) = (Vec::new(), Vec::new());
-                for (ri, (rq, rs)) in relaxed.iter().zip(summaries).enumerate() {
-                    if contains_subgraph_summarized(f, fs, rq, rs.view()) {
+                for (ri, rq) in relaxed.iter().enumerate() {
+                    if contains_subgraph_summarized(f, rq, rq.summary().view()) {
                         contained_in.push(ri);
                     }
-                    if contains_subgraph_summarized(rq, rs.view(), f, fs) {
+                    if contains_subgraph_summarized(rq, f, f.summary().view()) {
                         contains.push(ri);
                     }
                 }
@@ -234,13 +230,11 @@ impl FeatureRelation {
 
 impl BoundInstance {
     /// Builds the instance for PMI column `graph_idx` and relaxed query set
-    /// `relaxed`.  Summarises `relaxed` and computes the query's
-    /// [`FeatureRelation`] on the spot; a caller bounding several candidates
-    /// of one query should build the relation once and use
-    /// [`Self::from_relation`].
+    /// `relaxed`.  Computes the query's [`FeatureRelation`] on the spot; a
+    /// caller bounding several candidates of one query should build the
+    /// relation once and use [`Self::from_relation`].
     pub fn build(pmi: &Pmi, graph_idx: usize, relaxed: &[Graph]) -> BoundInstance {
-        let summaries: Vec<StructuralSummary> = relaxed.iter().map(StructuralSummary::of).collect();
-        let relation = FeatureRelation::new(pmi, relaxed, &summaries);
+        let relation = FeatureRelation::new(pmi, relaxed);
         BoundInstance::from_relation(pmi, graph_idx, &relation)
     }
 
@@ -546,10 +540,6 @@ mod tests {
         }
     }
 
-    fn summaries_of(relaxed: &[Graph]) -> Vec<StructuralSummary> {
-        relaxed.iter().map(StructuralSummary::of).collect()
-    }
-
     #[test]
     fn instance_sets_reference_valid_features() {
         let db = database();
@@ -655,7 +645,7 @@ mod tests {
         let mut checked_supergraph_sets = false;
         for delta in 0..=2usize {
             let relaxed = relax_query(&q, delta);
-            let relation = FeatureRelation::new(&pmi, &relaxed, &summaries_of(&relaxed));
+            let relation = FeatureRelation::new(&pmi, &relaxed);
             for gi in 0..=empty {
                 let hoisted = BoundInstance::from_relation(&pmi, gi, &relation);
                 let reference = reference_instance(&pmi, gi, &relaxed);
@@ -968,7 +958,7 @@ mod tests {
                 if size > 1 {
                     relaxed[0] = GraphBuilder::new().vertices(&[9, 9]).edge(0, 1, 9).build();
                 }
-                let relation = FeatureRelation::new(&pmi, &relaxed, &summaries_of(&relaxed));
+                let relation = FeatureRelation::new(&pmi, &relaxed);
                 for gi in 0..pmi.graph_count() {
                     let seed = 1000 * case + gi as u64;
                     let engine = [true, false].map(|optimal| {
@@ -1002,7 +992,7 @@ mod tests {
         let (mut solved, mut skipped) = (0usize, 0usize);
         for delta in 0..=2usize {
             let relaxed = relax_query(&q, delta);
-            let relation = FeatureRelation::new(&pmi, &relaxed, &summaries_of(&relaxed));
+            let relation = FeatureRelation::new(&pmi, &relaxed);
             for gi in 0..db.len() {
                 for optimal in [false, true] {
                     for cross in [CrossTermRule::SafeMin, CrossTermRule::PaperProduct] {

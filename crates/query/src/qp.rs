@@ -55,9 +55,6 @@ pub struct LsimSolution {
     pub chosen: Vec<usize>,
     /// The lower bound value (0 when no cover exists).
     pub value: f64,
-    /// The fractional optimum of the relaxed QP (an upper bound on the best
-    /// achievable integral `Lsim`, reported for diagnostics).
-    pub relaxed_value: f64,
 }
 
 /// Computes the tightest `Lsim(q)` for one candidate graph (Algorithm 2).
@@ -67,30 +64,20 @@ pub fn tightest_lsim<R: Rng + ?Sized>(
     cross: CrossTermRule,
     rng: &mut R,
 ) -> LsimSolution {
-    if universe_size == 0 {
+    if universe_size == 0 || sets.is_empty() || !is_coverable(universe_size, sets) {
         return LsimSolution {
             chosen: Vec::new(),
             value: 0.0,
-            relaxed_value: 0.0,
-        };
-    }
-    if sets.is_empty() || !is_coverable(universe_size, sets) {
-        return LsimSolution {
-            chosen: Vec::new(),
-            value: 0.0,
-            relaxed_value: 0.0,
         };
     }
     // --- continuous relaxation, solved by projected gradient ascent ---------
     let n = sets.len();
     let mut x = vec![0.5f64; n];
-    let mut relaxed_value = objective(sets, &x, cross);
     for _ in 0..ITERATIONS {
         let grad = gradient(universe_size, sets, &x, cross);
         for i in 0..n {
             x[i] = (x[i] + STEP * grad[i]).clamp(0.0, 1.0);
         }
-        relaxed_value = relaxed_value.max(objective(sets, &x, cross));
     }
 
     // --- randomized rounding (Algorithm 2) -----------------------------------
@@ -124,7 +111,6 @@ pub fn tightest_lsim<R: Rng + ?Sized>(
     LsimSolution {
         chosen: best_chosen,
         value: best_value,
-        relaxed_value,
     }
 }
 
@@ -147,19 +133,6 @@ fn cross_term(a: &LsimSet, b: &LsimSet, cross: CrossTermRule) -> f64 {
         CrossTermRule::SafeMin => a.upper.min(b.upper),
         CrossTermRule::PaperProduct => a.upper * b.upper,
     }
-}
-
-fn objective(sets: &[LsimSet], x: &[f64], cross: CrossTermRule) -> f64 {
-    let mut total = 0.0;
-    for (i, s) in sets.iter().enumerate() {
-        total += x[i] * s.lower;
-    }
-    for i in 0..sets.len() {
-        for j in (i + 1)..sets.len() {
-            total -= x[i] * x[j] * cross_term(&sets[i], &sets[j], cross);
-        }
-    }
-    total
 }
 
 /// Gradient of the penalised objective
@@ -348,7 +321,6 @@ mod tests {
         let sol = tightest_lsim(4, &sets, CrossTermRule::SafeMin, &mut rng);
         assert!(covers(4, &sets, &sol.chosen));
         assert!(sol.value > 0.0);
-        assert!(sol.relaxed_value.is_finite());
         // The best pairwise cover {s0, s2} scores 0.4 + 0.3 − min(0.5, 0.4) = 0.3;
         // whatever the optimiser returns must be a valid cover and can't exceed
         // the best possible single/pairwise combination by construction.

@@ -485,10 +485,12 @@ mod tests {
     }
 
     #[test]
-    fn hashset_dedup_matches_the_linear_scan_reference() {
-        // The pre-PR O(n²) reference implementation, kept here as the oracle:
-        // the hash-set dedup must collect the same embeddings in the same
-        // order for any (pg, relaxed, cap) input.
+    fn collector_matches_a_dedup_by_scan_reference_at_every_cap() {
+        // The oracle deduplicates every relaxed query's embeddings by a
+        // linear scan over those kept so far; the collector, which
+        // deduplicates nothing (see `collect_embeddings_summarized`), must
+        // return the same embeddings in the same order for any
+        // (pg, relaxed, cap) input.
         fn reference(pg: &ProbabilisticGraph, relaxed: &[Graph], cap: usize) -> Vec<EdgeSet> {
             let mut out: Vec<EdgeSet> = Vec::new();
             for rq in relaxed {

@@ -401,11 +401,9 @@ fn assert_same_phase2(
                 // can be recounted outside the query path, from a relation
                 // built over the engine's current features.
                 let relaxed = relax_query_clamped(q, delta);
-                let summaries: Vec<StructuralSummary> =
-                    relaxed.iter().map(StructuralSummary::of).collect();
                 let relations = (
-                    FeatureRelation::new(got.pmi(), &relaxed, &summaries),
-                    FeatureRelation::new(want.pmi(), &relaxed, &summaries),
+                    FeatureRelation::new(got.pmi(), &relaxed),
+                    FeatureRelation::new(want.pmi(), &relaxed),
                 );
                 let optimal = variant == PruningVariant::OptSspBound;
                 if optimal {

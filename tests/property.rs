@@ -279,10 +279,9 @@ proptest! {
         // labels.
         let ts = StructuralSummary::of(&target);
         for p in &patterns {
-            let ps = StructuralSummary::of(p);
             prop_assert_eq!(
-                contains_subgraph_summarized(p, ps.view(), &target, ts.view()),
-                Matcher::new(p, ps.view(), &target, ts.view()).exists(),
+                contains_subgraph_summarized(p, &target, ts.view()),
+                Matcher::new(p, &target, ts.view()).exists(),
                 "pattern {:?} in target {:?}", p, target
             );
         }
@@ -307,9 +306,7 @@ proptest! {
             .filter(|&gi| {
                 let g = &targets[gi];
                 let gs = StructuralSummary::of(g);
-                relaxed.iter().any(|rq| {
-                    Matcher::new(rq, StructuralSummary::of(rq).view(), g, gs.view()).exists()
-                })
+                relaxed.iter().any(|rq| Matcher::new(rq, g, gs.view()).exists())
             })
             .collect();
         prop_assert_eq!(filtered, matched, "query {:?}", q);
@@ -468,8 +465,8 @@ proptest! {
         let feature = pgs_graph::generate::random_connected_subgraph(pg.skeleton(), 2, &mut rng);
         prop_assume!(feature.is_some());
         let feature = feature.unwrap();
-        let (fs, gs) = (StructuralSummary::of(&feature), StructuralSummary::of(pg.skeleton()));
-        let bounds = sip_bounds(&pg, &feature, fs.view(), gs.view(), &BoundsConfig::default(), &mut rng)
+        let gs = StructuralSummary::of(pg.skeleton());
+        let bounds = sip_bounds(&pg, &feature, gs.view(), &BoundsConfig::default(), &mut rng)
             .expect("a subgraph of the skeleton has an embedding");
         let outcome = enumerate_embeddings(&feature, pg.skeleton(), MatchOptions::default());
         let sets: Vec<EdgeSet> = outcome.embeddings.iter().map(|e| e.edges.clone()).collect();

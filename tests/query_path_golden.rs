@@ -44,7 +44,6 @@ use pgs::query::verify::{verify_ssp_with_stats, VerifyOptions};
 use pgs_datagen::scenarios::verification_candidate;
 use pgs_graph::mining::{mine_frequent_patterns, MiningOptions};
 use pgs_graph::relax::relax_query_clamped;
-use pgs_graph::summary::StructuralSummary;
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::PmiBuildParams;
 use rand::rngs::StdRng;
@@ -571,9 +570,7 @@ fn bound_pairs_match_the_pinned_digest() {
     for (qi, q) in queries.iter().enumerate() {
         for delta in 1..=3usize {
             let relaxed = relax_query_clamped(q, delta);
-            let summaries: Vec<StructuralSummary> =
-                relaxed.iter().map(StructuralSummary::of).collect();
-            let relation = FeatureRelation::new(pmi, &relaxed, &summaries);
+            let relation = FeatureRelation::new(pmi, &relaxed);
             for gi in 0..pmi.graph_count() {
                 for optimal in [true, false] {
                     for cross in [CrossTermRule::SafeMin, CrossTermRule::PaperProduct] {
