@@ -10,9 +10,13 @@
 //! skeleton neighbourhoods, while still being exponential in the worst case
 //! (as the paper's own Exact baseline is).
 //!
-//! One enumerator serves every exact path: a world is a `u64` mask over the
-//! relevant edges, priced from the same per-table marginal rows the sampler's
-//! projection draws from (DESIGN.md §11).
+//! Two evaluators share the per-table marginal rows the sampler's projection
+//! draws from (DESIGN.md §11).  `for_each_world` walks every `u64`-mask world
+//! over the relevant edges; it serves Algorithm 3's exact branch and unions
+//! of at most 12 relevant edges.  Wider unions go to a depth-first search
+//! over the touched tables, which stops descending once one embedding is
+//! fully present or none can be, so it visits a small share of the flat
+//! worlds.
 
 use crate::error::ProbError;
 use crate::model::ProbabilisticGraph;
@@ -23,6 +27,7 @@ use pgs_graph::model::{EdgeId, Graph};
 use pgs_graph::relax::relax_query;
 use pgs_graph::summary::{StructuralSummary, SummaryView};
 use pgs_graph::vf2::{enumerate_embeddings_summarized, MatchOptions};
+use std::cmp::Reverse;
 
 /// Default cap on the number of relevant edges enumerated exactly.
 pub const DEFAULT_EXACT_LIMIT: usize = 22;
@@ -30,6 +35,58 @@ pub const DEFAULT_EXACT_LIMIT: usize = 22;
 /// Most relevant edges a `u64` world can carry while `2^k` still fits the
 /// mask counter.
 const MAX_WORLD_BITS: usize = 63;
+
+/// Relevant-edge count up to which [`exact_union_probability`] sums every
+/// world of [`for_each_world`]; wider unions go to [`union_search`].  The
+/// exact bits pinned on small unions are the flat sum's.
+const FLAT_UNION_EDGES: usize = 12;
+
+/// The typed refusals every exact path shares, in this precedence: more than
+/// `limit` (or 63) relevant edges is [`ProbError::TooManyWorlds`], an edge id
+/// past the skeleton [`ProbError::UnknownEdge`].
+fn check_relevant(
+    pg: &ProbabilisticGraph,
+    relevant: &[EdgeId],
+    limit: usize,
+) -> Result<(), ProbError> {
+    let limit = limit.min(MAX_WORLD_BITS);
+    if relevant.len() > limit {
+        return Err(ProbError::TooManyWorlds {
+            variables: relevant.len(),
+            limit,
+        });
+    }
+    match relevant.iter().find(|e| e.index() >= pg.edge_count()) {
+        Some(&e) => Err(ProbError::UnknownEdge(e)),
+        None => Ok(()),
+    }
+}
+
+/// Per table [`ProbabilisticGraph::tables_touched`] reports, in that order
+/// (ascending table index): the world bits of its relevant edges (in table
+/// bit order) and the start of its marginal rows over exactly those edges,
+/// which are appended to `rows`.
+fn touched_marginals(
+    pg: &ProbabilisticGraph,
+    relevant: &[EdgeId],
+    rows: &mut Vec<f64>,
+) -> Vec<(Vec<u32>, usize)> {
+    pg.tables_touched(relevant)
+        .into_iter()
+        .map(|ti| {
+            let table = &pg.tables()[ti];
+            let (mut keep, mut bits) = (Vec::new(), Vec::new());
+            for (bit, e) in table.edges().iter().enumerate() {
+                if let Ok(i) = relevant.binary_search(e) {
+                    keep.push(bit);
+                    bits.push(i as u32);
+                }
+            }
+            let start = table.marginal_rows_into(&keep, rows);
+            (bits, start)
+        })
+        .collect()
+}
 
 /// Calls `visit(world, prob)` for every assignment of `relevant` (sorted,
 /// deduplicated edge ids of `pg`), every other edge summed out.
@@ -40,9 +97,7 @@ const MAX_WORLD_BITS: usize = 63;
 /// worlds are visited in ascending mask order.  Both orders fix how callers
 /// sum, so they are part of the exact answers' bit patterns: do not reorder.
 ///
-/// Fails with [`ProbError::TooManyWorlds`] when `relevant` has more than
-/// `limit` (or more than 63) edges, and with [`ProbError::UnknownEdge`] for an
-/// edge id past the skeleton.
+/// Fails as [`check_relevant`] does.
 pub(crate) fn for_each_world(
     pg: &ProbabilisticGraph,
     relevant: &[EdgeId],
@@ -53,33 +108,10 @@ pub(crate) fn for_each_world(
         relevant.windows(2).all(|w| w[0] < w[1]),
         "must be sorted + deduped"
     );
-    let k = relevant.len();
-    let limit = limit.min(MAX_WORLD_BITS);
-    if k > limit {
-        return Err(ProbError::TooManyWorlds {
-            variables: k,
-            limit,
-        });
-    }
-    if let Some(&e) = relevant.iter().find(|e| e.index() >= pg.edge_count()) {
-        return Err(ProbError::UnknownEdge(e));
-    }
-    // Per touched table: the world bits of its relevant edges (in table bit
-    // order) and the start of its marginal rows over exactly those edges.
+    check_relevant(pg, relevant, limit)?;
     let mut rows: Vec<f64> = Vec::new();
-    let mut factors: Vec<(Vec<u32>, usize)> = Vec::new();
-    for ti in pg.tables_touched(relevant) {
-        let table = &pg.tables()[ti];
-        let (mut keep, mut bits) = (Vec::new(), Vec::new());
-        for (bit, e) in table.edges().iter().enumerate() {
-            if let Ok(i) = relevant.binary_search(e) {
-                keep.push(bit);
-                bits.push(i as u32);
-            }
-        }
-        factors.push((bits, table.marginal_rows_into(&keep, &mut rows)));
-    }
-    for world in 0..1u64 << k {
+    let factors = touched_marginals(pg, relevant, &mut rows);
+    for world in 0..1u64 << relevant.len() {
         let mut prob = 1.0;
         for (bits, start) in &factors {
             let row = bits
@@ -91,6 +123,111 @@ pub(crate) fn for_each_world(
         visit(world, prob);
     }
     Ok(())
+}
+
+/// One table of [`union_search`]: its nonzero marginal rows as
+/// `(probability, present world bits)` in ascending row order, its own world
+/// bits, and the world bits decided once it is visited (its own and those of
+/// every table before it).
+struct SearchTable {
+    rows: Vec<(f64, u64)>,
+    own: u64,
+    decided: u64,
+}
+
+/// `Pr(some mask of masks is fully present)` over the worlds of `relevant`
+/// (sorted, deduplicated, at most 63 edges of `pg`), by a depth-first search
+/// over the touched tables instead of every world.
+///
+/// Tables are visited most-touched first (by the number of masks sharing a
+/// bit with the table), ties by ascending table index, and each table's rows
+/// in ascending row order.  A node keeps the masks with no absent bit yet; the
+/// first one fully decided and present adds the node's mass (the product of
+/// its rows, folded from `1.0`) and ends the subtree, since the undecided
+/// tables' rows sum to one.  A node with no mask left adds nothing.  These
+/// orders fix the sum's bits: do not reorder.
+fn union_search(pg: &ProbabilisticGraph, relevant: &[EdgeId], masks: &[u64]) -> f64 {
+    let mut marginals: Vec<f64> = Vec::new();
+    let mut tables: Vec<(usize, SearchTable)> = touched_marginals(pg, relevant, &mut marginals)
+        .into_iter()
+        .map(|(bits, start)| {
+            let spread = |row: usize| {
+                bits.iter()
+                    .enumerate()
+                    .filter(|&(j, _)| row >> j & 1 == 1)
+                    .fold(0u64, |m, (_, &i)| m | 1 << i)
+            };
+            let own = spread(usize::MAX);
+            let rows = marginals[start..start + (1 << bits.len())]
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| p != 0.0)
+                .map(|(row, &p)| (p, spread(row)))
+                .collect();
+            let touching = masks.iter().filter(|&&m| m & own != 0).count();
+            let table = SearchTable {
+                rows,
+                own,
+                decided: 0,
+            };
+            (touching, table)
+        })
+        .collect();
+    // A stable sort: ties keep `touched_marginals`' ascending table index.
+    tables.sort_by_key(|&(touching, _)| Reverse(touching));
+    let mut decided = 0;
+    let tables: Vec<SearchTable> = tables
+        .into_iter()
+        .map(|(_, mut table)| {
+            decided |= table.own;
+            table.decided = decided;
+            table
+        })
+        .collect();
+    // One live-mask buffer per depth, reused by every node at that depth.
+    let width = masks.len();
+    let mut live = vec![0u64; width * (tables.len() + 1)];
+    live[..width].copy_from_slice(masks);
+    let mut total = 0.0;
+    descend(&tables, &mut live, width, width, 1.0, &mut total);
+    total
+}
+
+/// One node of [`union_search`]: `live[..count]` holds the masks still
+/// possible under the rows chosen so far, whose product is `mass`; the next
+/// depth's buffer starts at `live[width..]`.
+fn descend(
+    tables: &[SearchTable],
+    live: &mut [u64],
+    width: usize,
+    count: usize,
+    mass: f64,
+    total: &mut f64,
+) {
+    let Some((table, deeper)) = tables.split_first() else {
+        return;
+    };
+    let (here, below) = live.split_at_mut(width);
+    for &(p, present) in &table.rows {
+        let absent = table.own & !present;
+        let (mut kept, mut complete) = (0, false);
+        for &m in &here[..count] {
+            if m & absent != 0 {
+                continue;
+            }
+            if m & !table.decided == 0 {
+                complete = true;
+                break;
+            }
+            below[kept] = m;
+            kept += 1;
+        }
+        if complete {
+            *total += mass * p;
+        } else if kept > 0 {
+            descend(deeper, below, width, kept, mass * p, total);
+        }
+    }
 }
 
 /// Mask of `edges` over the world bits of [`for_each_world`] (`edges` ⊆
@@ -112,9 +249,11 @@ pub fn exact_sip(pg: &ProbabilisticGraph, embeddings: &[EdgeSet]) -> Result<f64,
 
 /// Probability that at least one of the given edge sets is fully present.
 ///
-/// Fails with [`ProbError::TooManyWorlds`] when the sets span more than
-/// `limit` (or 63) distinct edges and with [`ProbError::UnknownEdge`] for an
-/// edge id past the skeleton.
+/// Unions of at most 12 relevant edges sum every world; wider ones run the
+/// table-ordered search, which agrees with that sum up to rounding.  Fails
+/// with [`ProbError::TooManyWorlds`] when the sets span more than `limit` (or
+/// 63) distinct edges and with [`ProbError::UnknownEdge`] for an edge id past
+/// the skeleton.
 pub fn exact_union_probability(
     pg: &ProbabilisticGraph,
     edge_sets: &[EdgeSet],
@@ -132,11 +271,16 @@ pub fn exact_union_probability(
     relevant.dedup();
     let masks: Vec<u64> = edge_sets.iter().map(|s| world_mask(&relevant, s)).collect();
     let mut p = 0.0;
-    for_each_world(pg, &relevant, limit, |world, prob| {
-        if masks.iter().any(|&m| m & !world == 0) {
-            p += prob;
-        }
-    })?;
+    if relevant.len() <= FLAT_UNION_EDGES {
+        for_each_world(pg, &relevant, limit, |world, prob| {
+            if masks.iter().any(|&m| m & !world == 0) {
+                p += prob;
+            }
+        })?;
+    } else {
+        check_relevant(pg, &relevant, limit)?;
+        p = union_search(pg, &relevant, &masks);
+    }
     Ok(p.clamp(0.0, 1.0))
 }
 
@@ -254,6 +398,7 @@ mod tests {
     use crate::jpt::JointProbTable;
     use pgs_graph::model::GraphBuilder;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     /// Figure-1-style fixture: graph 002 with a triangle table and a pendant
@@ -553,5 +698,144 @@ mod tests {
             }
         }
         assert!(partial_tables > 0, "some event must touch part of a table");
+    }
+
+    /// A random branching model wider than `random_model`: a random tree of
+    /// `m` edges (each new vertex hangs off an earlier one, so degrees
+    /// vary), its edges shuffled into tables of 1–4 edges with random rows,
+    /// some of them zero.  With `never_first`, the first table gives its
+    /// lowest edge probability zero.
+    fn random_wide_model(rng: &mut StdRng, m: usize, never_first: bool) -> ProbabilisticGraph {
+        let mut b = GraphBuilder::new().vertices(&vec![0u32; m + 1]);
+        for v in 1..=m as u32 {
+            b = b.edge(rng.gen_range(0..v), v, 0);
+        }
+        let mut order: Vec<EdgeId> = (0..m as u32).map(EdgeId).collect();
+        order.shuffle(rng);
+        let mut tables = Vec::new();
+        let mut next = 0usize;
+        while next < m {
+            let arity = rng.gen_range(1..=4usize).min(m - next);
+            let mut edges = order[next..next + arity].to_vec();
+            next += arity;
+            edges.sort_unstable();
+            let mut rows: Vec<f64> = (0..1 << edges.len())
+                .map(|_| rng.gen::<f64>() + 0.01)
+                .collect();
+            if rng.gen::<bool>() {
+                let zero = rng.gen_range(0..rows.len());
+                rows[zero] = 0.0;
+            }
+            if never_first && tables.is_empty() {
+                rows.iter_mut().skip(1).step_by(2).for_each(|p| *p = 0.0);
+                rows[0] += 0.01;
+            }
+            let sum: f64 = rows.iter().sum();
+            rows.iter_mut().for_each(|p| *p /= sum);
+            tables.push(JointProbTable::new(edges, rows).unwrap());
+        }
+        ProbabilisticGraph::new(b.build(), tables, false).unwrap()
+    }
+
+    /// `Pr(∨ sets)` as the flat sum over every world of [`for_each_world`].
+    fn flat_union(pg: &ProbabilisticGraph, sets: &[EdgeSet]) -> f64 {
+        let mut relevant: Vec<EdgeId> = sets.iter().flatten().copied().collect();
+        relevant.sort_unstable();
+        relevant.dedup();
+        let masks: Vec<u64> = sets.iter().map(|s| world_mask(&relevant, s)).collect();
+        let mut p = 0.0;
+        for_each_world(pg, &relevant, MAX_WORLD_BITS, |world, prob| {
+            if masks.iter().any(|&m| m & !world == 0) {
+                p += prob;
+            }
+        })
+        .unwrap();
+        p.clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn table_ordered_search_matches_the_flat_sum_on_wide_unions() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let (mut partial_tables, mut brute_checked) = (0usize, 0usize);
+        for round in 0..40 {
+            // Rounds cycle through: random unions, a single embedding, an
+            // embedding inside one table, every embedding sharing one table,
+            // and a zero-mass union.
+            let case = round % 5;
+            let m = rng.gen_range(14..=24usize);
+            let pg = random_wide_model(&mut rng, m, case == 4);
+            let k = rng.gen_range(13..=m.min(22));
+            let mut relevant: Vec<EdgeId> = (0..m as u32).map(EdgeId).collect();
+            relevant.shuffle(&mut rng);
+            relevant.truncate(k);
+            if case == 4 && !relevant.contains(&pg.tables()[0].edges()[0]) {
+                relevant[0] = pg.tables()[0].edges()[0];
+            }
+            relevant.sort_unstable();
+            let n = if case == 1 {
+                1
+            } else {
+                rng.gen_range(1..=8usize)
+            };
+            let mut sets: Vec<EdgeSet> = vec![Vec::new(); n];
+            for &e in &relevant {
+                sets[rng.gen_range(0..n)].push(e);
+            }
+            for s in &mut sets {
+                for _ in 0..rng.gen_range(0..=2usize) {
+                    s.push(relevant[rng.gen_range(0..k)]);
+                }
+            }
+            let touched = pg.tables_touched(&relevant);
+            let shared = touched[rng.gen_range(0..touched.len())];
+            let in_shared: Vec<EdgeId> = relevant
+                .iter()
+                .copied()
+                .filter(|&e| pg.table_index_of(e) == shared)
+                .collect();
+            match case {
+                2 => sets.push(in_shared.clone()),
+                3 => sets.iter_mut().for_each(|s| s.push(in_shared[0])),
+                4 => {
+                    let never = pg.tables()[0].edges()[0];
+                    sets.iter_mut().for_each(|s| s.push(never));
+                }
+                _ => {}
+            }
+            sets.retain(|s| !s.is_empty());
+            for s in &mut sets {
+                s.sort_unstable();
+                s.dedup();
+            }
+            partial_tables += touched
+                .iter()
+                .filter(|&&t| pg.tables()[t].edges().iter().any(|e| !relevant.contains(e)))
+                .count();
+            let search = exact_union_probability(&pg, &sets, DEFAULT_EXACT_LIMIT).unwrap();
+            let flat = flat_union(&pg, &sets);
+            assert!(
+                (search - flat).abs() < 1e-12,
+                "round {round}: search {search} vs flat {flat}"
+            );
+            if case == 4 {
+                assert_eq!(
+                    search, 0.0,
+                    "round {round}: the union needs a never-present edge"
+                );
+            }
+            if m <= 16 {
+                brute_checked += 1;
+                let (brute, _) = reference(&pg, &brute_worlds(&pg), &sets, EventKind::Embedding);
+                assert!(
+                    (search - brute).abs() < 1e-12,
+                    "round {round}: brute {brute}"
+                );
+            }
+        }
+        assert!(partial_tables > 0, "some union must touch part of a table");
+        assert!(
+            brute_checked > 0,
+            "some skeleton must be small enough to brute-force"
+        );
     }
 }

@@ -73,8 +73,10 @@ pub enum PruningVariant {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactScanConfig {
     /// Cap on *relevant* edges (the union of embedding edges) up to which the
-    /// SSP is computed by exact enumeration.  Beyond it the scan falls back to
-    /// high-accuracy sampling; raising the cap trades time for exactness.
+    /// SSP is computed exactly: by world enumeration up to 12 edges, by the
+    /// table-ordered search of `pgs_prob::exact` above that.  Beyond the cap
+    /// the scan falls back to high-accuracy sampling; raising it trades time
+    /// for exactness, the search's cost growing with the union's width.
     pub exact_edge_cap: usize,
     /// Monte-Carlo accuracy of the sampling fallback.  Much tighter than the
     /// pipeline's verification sampler — the baseline is the ground truth the

@@ -21,10 +21,12 @@
 //! per-table row draws go through Walker alias tables, and the trials are
 //! chunked with per-chunk derived RNGs so the estimate is byte-identical for
 //! every thread count (see DESIGN.md §11).  Unions of at most `exact_cutoff`
-//! relevant edges skip the sampler: the exact union probability
-//! ([`pgs_prob::exact::exact_union_probability`]) enumerates `u64`-mask worlds
-//! over the same per-table marginal rows, and tests check the sampler against
-//! it.
+//! (16 by default) relevant edges skip the sampler: the exact union
+//! probability ([`pgs_prob::exact::exact_union_probability`]) prices worlds
+//! from the same per-table marginal rows, summing every `u64`-mask world up
+//! to 12 edges and searching the touched tables depth-first above that, and
+//! tests check the sampler against it.  The cutoff is the exact path's only
+//! budget: a union within it is answered exactly whatever the search costs.
 //!
 //! [`verify_ssp_exact`] wraps the exact evaluator of `pgs-prob` and doubles as
 //! the `Exact` baseline of Figures 9 and 13.
@@ -50,9 +52,10 @@ pub struct VerifyOptions {
     /// queries.
     pub max_embeddings: usize,
     /// Cap on relevant edges for the exact short-circuit: when the union of
-    /// embedding edges is at most this many edges the SSP is computed exactly
-    /// instead of sampled.  The exact enumerator refuses unions of more than
-    /// 63 edges, so larger caps act as 63.
+    /// embedding edges is at most this many edges (16 by default) the SSP is
+    /// computed exactly instead of sampled.  The exact evaluator refuses
+    /// unions of more than 63 edges, so larger caps act as 63; `0` sends
+    /// every union with an embedding to the sampler.
     pub exact_cutoff: usize,
     /// Whether the query pipeline may stop a candidate's sampler early once
     /// its running confidence interval has separated from the decision
@@ -68,7 +71,7 @@ impl Default for VerifyOptions {
         VerifyOptions {
             mc: MonteCarloConfig::default(),
             max_embeddings: 256,
-            exact_cutoff: 12,
+            exact_cutoff: 16,
             adaptive: true,
         }
     }
@@ -443,11 +446,41 @@ mod tests {
         let relaxed = relax_query_clamped(&q, 1);
         let outcome =
             verify_ssp_with_stats(&pg, &q, 1, &relaxed, &VerifyOptions::default(), 1, &mut rng);
-        // With the default cutoff (12 ≥ 5 relevant edges) the result is exact,
+        // With the default cutoff (16 ≥ 5 relevant edges) the result is exact,
         // and the outcome reports the shortcut.
         assert!((outcome.ssp - exact).abs() < 1e-9);
         assert!(outcome.exact);
         assert_eq!(outcome.samples_drawn, 0);
+    }
+
+    #[test]
+    fn unions_of_thirteen_to_sixteen_edges_are_exact_at_the_default_cutoff() {
+        // A path of 16 independent edges; three overlapping embeddings span
+        // its first `k` edges, past the flat enumerator's 12.
+        let mut b = GraphBuilder::new().vertices(&[0; 17]);
+        for i in 0..16 {
+            b = b.edge(i, i + 1, 9);
+        }
+        let pg = ProbabilisticGraph::independent(b.build(), &[0.8; 16]).unwrap();
+        let forced = VerifyOptions {
+            exact_cutoff: 0,
+            ..VerifyOptions::default()
+        };
+        for k in 13..=16u32 {
+            let span = |from: u32, to: u32| (from..to).map(EdgeId).collect::<EdgeSet>();
+            let embeddings = [span(0, k / 2 + 1), span(k / 3, k - 2), span(k / 2, k)];
+            let want = pgs_prob::exact::exact_union_probability(&pg, &embeddings, 63).unwrap();
+            let mut rng = StdRng::seed_from_u64(u64::from(k));
+            match prepare(&pg, &embeddings, &VerifyOptions::default(), &mut rng) {
+                Prepared::Exact(ssp) => assert_eq!(ssp.to_bits(), want.to_bits(), "k = {k}"),
+                Prepared::Sampling { .. } => panic!("k = {k}: default cutoff sampled"),
+            }
+            let sampled = prepare(&pg, &embeddings, &forced, &mut rng);
+            assert!(
+                matches!(sampled, Prepared::Sampling { .. }),
+                "k = {k}: cutoff 0 must sample"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Helpers shared by the integration suites: the frozen database behind the
 //! golden snapshots `tests/fixtures/pmi_v1.bin`, `pmi_v2.bin` and
-//! `pmi_v3_one_segment.bin`, and a counters-only view of `PhaseStats`.  Each
-//! suite uses a subset.
+//! `pmi_v3_one_segment.bin`, a label-poor dense workload whose embedding
+//! unions outgrow the flat exact enumerator, and a counters-only view of
+//! `PhaseStats`.  Each suite uses a subset.
 
 #![allow(dead_code)]
 
+use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
+use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
 use pgs_index::pmi::PmiBuildParams;
 use pgs_index::sip_bounds::BoundsConfig;
@@ -72,6 +75,33 @@ pub fn fixture_query() -> Graph {
         .edge(0, 1, 0)
         .edge(1, 2, 0)
         .build()
+}
+
+/// A tiny database in the shape of perfbench's ppi-dense workload (3 vertex
+/// labels, 40-vertex, 64-edge graphs) plus four 5-edge queries drawn from
+/// it.  Few labels make many overlapping embeddings, so at δ = 1 some
+/// unions span 13–22 relevant edges, past the 12 the flat exact enumerator
+/// serves.  Frozen: the wide-union pins depend on it.
+pub fn dense_workload() -> (Vec<ProbabilisticGraph>, Vec<Graph>) {
+    let ds = generate_ppi_dataset(&PpiDatasetConfig {
+        graph_count: 8,
+        vertices_per_graph: 40,
+        edges_per_graph: 64,
+        vertex_label_count: 3,
+        organism_count: 2,
+        perturbation: 0.3,
+        seed: 6,
+        ..PpiDatasetConfig::default()
+    });
+    let queries = generate_query_workload(
+        &ds,
+        &QueryWorkloadConfig {
+            query_size: 5,
+            count: 4,
+            seed: 3,
+        },
+    );
+    (ds.graphs, queries.into_iter().map(|wq| wq.graph).collect())
 }
 
 /// Strips the wall-clock fields so two `PhaseStats` can be compared on work

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::counters_only;
+use common::{counters_only, dense_workload};
 use pgs::prelude::*;
 use pgs_index::pmi::Pmi;
 use pgs_prob::neighbor::partition_with_triangles;
@@ -208,5 +208,67 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The default verifier answers unions of 13–16 relevant edges exactly.  On
+/// the label-poor dense workload it verifies more candidates exactly and
+/// draws fewer samples than one capped at the flat enumerator's 12 edges,
+/// and its answers, top-k lists (with their SSP bits) and counters are
+/// identical at threads {1, 2, 4}.
+#[test]
+fn wide_unions_are_verified_exactly_at_the_default_cutoff() {
+    let (graphs, queries) = dense_workload();
+    let pmi = QueryEngine::build(graphs.clone(), engine_config(1, true))
+        .pmi()
+        .clone();
+    // Every answer, ranking and counter of one engine, plus its totals of
+    // exact verifications and drawn samples.
+    let run = |threads: usize, exact_cutoff: usize| {
+        let mut config = engine_config(threads, true);
+        config.verify.exact_cutoff = exact_cutoff;
+        let engine = QueryEngine::from_parts(graphs.clone(), pmi.clone(), config).unwrap();
+        let (mut rendered, mut exact, mut samples) = (String::new(), 0usize, 0usize);
+        for epsilon in [0.1, 0.3] {
+            let params = QueryParams {
+                epsilon,
+                delta: 1,
+                variant: PruningVariant::OptSspBound,
+            };
+            for r in engine.query_batch(&queries, &params).unwrap().results {
+                rendered += &format!("{:?} {:?}\n", r.answers, counters_only(r.stats));
+                exact += r.stats.exact_verifications;
+                samples += r.stats.samples_drawn;
+            }
+        }
+        let params = TopkParams {
+            k: 3,
+            delta: 1,
+            variant: PruningVariant::OptSspBound,
+        };
+        for r in engine.query_topk_batch(&queries, &params).unwrap().results {
+            for a in &r.ranked {
+                rendered += &format!("{}:{:016x} ", a.graph, a.ssp.to_bits());
+            }
+            rendered += &format!("{:?}\n", counters_only(r.stats));
+            exact += r.stats.exact_verifications;
+            samples += r.stats.samples_drawn;
+        }
+        (rendered, exact, samples)
+    };
+    let default_cutoff = EngineConfig::default().verify.exact_cutoff;
+    let (want, exact, samples) = run(1, default_cutoff);
+    let (_, flat_exact, flat_samples) = run(1, 12);
+    assert!(
+        exact > flat_exact,
+        "exact verifications {exact} vs {flat_exact} at cutoff 12"
+    );
+    assert!(
+        samples < flat_samples,
+        "samples drawn {samples} vs {flat_samples} at cutoff 12"
+    );
+    for threads in [2usize, 4] {
+        let (got, ..) = run(threads, default_cutoff);
+        assert_eq!(got, want, "threads = {threads}");
     }
 }

@@ -31,19 +31,24 @@
 //! the `Exact` baseline scan, and phase 2's `(Usim, Lsim)` pairs under both
 //! cross-term rules.  Their expected values were computed once, before the
 //! search primitives lost their single-valued options; never regenerate
-//! them either.
+//! them either.  The golden PPI workload's embedding unions span at most 7
+//! relevant edges, so one more `exact_ssp` digest runs on a label-poor dense
+//! workload whose unions reach 13–22 edges, the range the table-ordered
+//! search answers; it was computed once too.
+
+mod common;
 
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
-use pgs::prob::exact::exact_ssp;
+use pgs::prob::exact::{collect_embeddings_of_relaxations, exact_ssp};
 use pgs::prob::montecarlo::MonteCarloConfig;
 use pgs::query::pipeline::PhaseStats;
 use pgs::query::prune::{bound_candidate, CrossTermRule, FeatureRelation};
 use pgs::query::verify::{verify_ssp_with_stats, VerifyOptions};
 use pgs_datagen::scenarios::verification_candidate;
 use pgs_graph::mining::{mine_frequent_patterns, MiningOptions};
-use pgs_graph::relax::relax_query_clamped;
+use pgs_graph::relax::{relax_query, relax_query_clamped};
 use pgs_index::feature::FeatureSelectionParams;
 use pgs_index::pmi::PmiBuildParams;
 use rand::rngs::StdRng;
@@ -507,6 +512,44 @@ fn exact_ssp_bits_match_the_pinned_digest() {
         }
     }
     assert_eq!(format!("{errors}:{:016x}", h.0), "0:ed5f40a78a14bb80");
+}
+
+/// Pins the bit pattern of `exact_ssp` at limit 22 past the flat world
+/// enumerator: every query of `common::dense_workload` against every graph at
+/// δ ∈ {0, 1}.  It counts the unions of 13–22 relevant edges, the ones the
+/// table-ordered search answers, and requires some.  A union wider than the
+/// limit contributes its error marker.  The expected value was computed
+/// once, and agreed with the flat enumerator's sums to 5e-14; it must never
+/// be regenerated.
+#[test]
+fn wide_union_exact_ssp_bits_match_the_pinned_digest() {
+    let (graphs, queries) = common::dense_workload();
+    let mut h = Fnv::new();
+    let (mut wide, mut errors) = (0usize, 0usize);
+    for q in &queries {
+        for delta in 0..=1usize {
+            for pg in &graphs {
+                let embeddings =
+                    collect_embeddings_of_relaxations(pg, &relax_query(q, delta), usize::MAX);
+                let mut relevant: Vec<EdgeId> = embeddings.into_iter().flatten().collect();
+                relevant.sort_unstable();
+                relevant.dedup();
+                wide += usize::from((13..=22).contains(&relevant.len()));
+                match exact_ssp(pg, q, delta, 22) {
+                    Ok(ssp) => h.word(ssp.to_bits()),
+                    Err(_) => {
+                        errors += 1;
+                        h.word(u64::MAX);
+                    }
+                }
+            }
+        }
+    }
+    assert!(wide > 0, "no union reaches the table-ordered search");
+    assert_eq!(
+        format!("{wide}:{errors}:{:016x}", h.0),
+        "8:1:235d50c73a05e782"
+    );
 }
 
 /// Pins the `Exact` baseline scan: answers and deterministic counters for
