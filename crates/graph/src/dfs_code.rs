@@ -23,7 +23,7 @@
 //! graphs count as duplicates.
 
 use crate::model::{Graph, VertexId};
-use crate::vf2::contains_subgraph;
+use crate::vf2::contains_subgraph_summarized;
 use std::collections::HashMap;
 
 /// Exact codes are computed while a graph has at most this many
@@ -72,18 +72,13 @@ pub fn canonical_code(g: &Graph) -> CanonicalCode {
 
 /// True if `g1` and `g2` are isomorphic (exact, any size).
 ///
-/// Uses counting invariants first, then an exact code comparison when the
-/// cells allow one, and finally a VF2 monomorphism check: for simple graphs
-/// with equal vertex and edge counts, a label-preserving monomorphism is an
-/// isomorphism.
+/// Compares the cached summaries first (counts, both label histograms and
+/// the degree sequence, all isomorphism invariants), then the exact codes
+/// when the cells allow one, and finally runs a VF2 monomorphism check: for
+/// simple graphs with equal vertex and edge counts, a label-preserving
+/// monomorphism is an isomorphism.
 pub fn are_isomorphic(g1: &Graph, g2: &Graph) -> bool {
-    if g1.vertex_count() != g2.vertex_count() || g1.edge_count() != g2.edge_count() {
-        return false;
-    }
-    if g1.vertex_label_histogram() != g2.vertex_label_histogram() {
-        return false;
-    }
-    if g1.edge_signature_histogram() != g2.edge_signature_histogram() {
+    if g1.summary() != g2.summary() {
         return false;
     }
     // Equal keys also mean equal order counts, so neither exact code below
@@ -95,7 +90,7 @@ pub fn are_isomorphic(g1: &Graph, g2: &Graph) -> bool {
     if c1.orders <= EXACT_ORDER_LIMIT {
         return exact_code(g1, c1) == exact_code(g2, c2);
     }
-    contains_subgraph(g1, g2)
+    contains_subgraph_summarized(g1, g2, g2.summary().view())
 }
 
 /// A set of graphs up to isomorphism, keyed by canonical code.

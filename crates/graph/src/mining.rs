@@ -50,8 +50,9 @@
 use crate::dfs_code::{are_isomorphic, canonical_code, CanonicalCode};
 use crate::model::{Graph, VertexId};
 use crate::parallel::{par_map_chunked_costed, resolve_threads, CostHint};
-use crate::summary::{StructuralSummary, SummaryView};
+use crate::summary::{EdgeSignature, StructuralSummary, SummaryView};
 use crate::vf2::{contains_subgraph_summarized, enumerate_embeddings_summarized, MatchOptions};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 /// A mined pattern together with its support information.
@@ -108,13 +109,14 @@ pub fn mine_frequent_patterns(db: &[Graph], options: &MiningOptions) -> Vec<Mine
     mine_frequent_patterns_summarized(db, &views, options, 0)
 }
 
-/// [`mine_frequent_patterns`] with cached per-graph summary views, so the
-/// support count's VF2 prefilter never reallocates the data-graph histograms
-/// (callers that already hold an S-Index pass its summary views straight
-/// through).  Each level's classes are counted with up to `threads` pool
-/// workers (`0` = automatic); the result is the same for every `threads`.
-pub fn mine_frequent_patterns_summarized(
-    db: &[Graph],
+/// [`mine_frequent_patterns`] over owned or borrowed graphs with cached
+/// per-graph summary views: level 1 reads the views' edge signatures, and the
+/// support count's VF2 prefilter never reallocates a data-graph histogram
+/// (callers that hold an S-Index pass its views straight through).  Each
+/// level's classes are counted with up to `threads` pool workers (`0` =
+/// automatic); the result is the same for every `threads`.
+pub fn mine_frequent_patterns_summarized<G: Borrow<Graph> + Sync>(
+    db: &[G],
     summaries: &[SummaryView<'_>],
     options: &MiningOptions,
     threads: usize,
@@ -124,7 +126,7 @@ pub fn mine_frequent_patterns_summarized(
         return Vec::new();
     }
     // Level 1: single-edge patterns grouped by signature.
-    let mut level: Vec<MinedPattern> = single_edge_patterns(db, options);
+    let mut level: Vec<MinedPattern> = single_edge_patterns(summaries, options);
     let mut all: Vec<MinedPattern> = level.clone();
 
     while !level.is_empty() {
@@ -171,9 +173,9 @@ struct CandidateClass {
 
 /// Step 1 of a level (module doc): the level's extensions grouped by
 /// isomorphism class, in first-occurrence order.
-fn candidate_classes(
+fn candidate_classes<G: Borrow<Graph>>(
     level: &[MinedPattern],
-    db: &[Graph],
+    db: &[G],
     summaries: &[SummaryView<'_>],
     options: &MiningOptions,
 ) -> Vec<CandidateClass> {
@@ -225,10 +227,10 @@ fn candidate_classes(
 /// contiguous chunks would hand the heaviest classes to one worker.  The map
 /// runs over a stride order instead (with `T` workers, chunk `t` holds
 /// classes `t, t + T, …`) and scatters the results back.
-fn class_supports(
+fn class_supports<G: Borrow<Graph> + Sync>(
     classes: &[CandidateClass],
     level: &[MinedPattern],
-    db: &[Graph],
+    db: &[G],
     summaries: &[SummaryView<'_>],
     options: &MiningOptions,
     threads: usize,
@@ -249,10 +251,10 @@ fn class_supports(
 
 /// The support list of `class`, counted within its parents' common support
 /// (module doc), or `None` as soon as it cannot reach `min_support`.
-fn class_support(
+fn class_support<G: Borrow<Graph>>(
     class: &CandidateClass,
     level: &[MinedPattern],
-    db: &[Graph],
+    db: &[G],
     summaries: &[SummaryView<'_>],
     min_support: usize,
 ) -> Option<Vec<usize>> {
@@ -269,24 +271,23 @@ fn class_support(
         if support.len() + (within.len() - tested) < min_support {
             return None;
         }
-        if contains_subgraph_summarized(&class.graph, &db[gi], summaries[gi]) {
+        if contains_subgraph_summarized(&class.graph, db[gi].borrow(), summaries[gi]) {
             support.push(gi);
         }
     }
     (support.len() >= min_support).then_some(support)
 }
 
-/// All frequent single-edge patterns.
-fn single_edge_patterns(db: &[Graph], options: &MiningOptions) -> Vec<MinedPattern> {
-    // signature -> set of graph indices containing it
-    let mut by_sig: BTreeMap<(u32, u32, u32), Vec<usize>> = BTreeMap::new();
-    for (gi, g) in db.iter().enumerate() {
-        for (sig, _) in g.edge_signature_histogram() {
-            let key = (sig.0 .0, sig.1 .0, sig.2 .0);
-            let entry = by_sig.entry(key).or_default();
-            if entry.last() != Some(&gi) {
-                entry.push(gi);
-            }
+/// All frequent single-edge patterns, from the summary views (a view lists
+/// each of its graph's edge signatures once).
+fn single_edge_patterns(
+    summaries: &[SummaryView<'_>],
+    options: &MiningOptions,
+) -> Vec<MinedPattern> {
+    let mut by_sig: BTreeMap<EdgeSignature, Vec<usize>> = BTreeMap::new();
+    for (gi, view) in summaries.iter().enumerate() {
+        for &(sig, _) in view.edge_signatures() {
+            by_sig.entry(sig).or_default().push(gi);
         }
     }
     let mut out = Vec::new();
@@ -294,10 +295,10 @@ fn single_edge_patterns(db: &[Graph], options: &MiningOptions) -> Vec<MinedPatte
         if support.len() < options.min_support {
             continue;
         }
-        let mut g = Graph::with_name(format!("edge-{l1}-{elabel}-{l2}"));
-        let a = g.add_vertex(crate::model::Label(l1));
-        let b = g.add_vertex(crate::model::Label(l2));
-        g.add_edge(a, b, crate::model::Label(elabel))
+        let mut g = Graph::with_name(format!("edge-{}-{}-{}", l1.0, elabel.0, l2.0));
+        let a = g.add_vertex(l1);
+        let b = g.add_vertex(l2);
+        g.add_edge(a, b, elabel)
             // pgs-lint: allow(panic-in-library, a single edge between two fresh vertices cannot be a duplicate)
             .expect("single edge pattern");
         out.push(MinedPattern { graph: g, support });
@@ -306,9 +307,9 @@ fn single_edge_patterns(db: &[Graph], options: &MiningOptions) -> Vec<MinedPatte
 }
 
 /// Generates candidate one-edge extensions of `pattern` observed in the data.
-fn extensions(
+fn extensions<G: Borrow<Graph>>(
     pattern: &MinedPattern,
-    db: &[Graph],
+    db: &[G],
     summaries: &[SummaryView<'_>],
     options: &MiningOptions,
 ) -> Vec<Graph> {
@@ -317,7 +318,7 @@ fn extensions(
     // Look at a bounded number of supporting graphs; structural variety
     // saturates quickly.
     for &gi in pattern.support.iter().take(8) {
-        let data = &db[gi];
+        let data = db[gi].borrow();
         let outcome =
             enumerate_embeddings_summarized(&pattern.graph, data, summaries[gi], match_opts);
         for emb in &outcome.embeddings {
@@ -374,7 +375,7 @@ mod tests {
         }
         let mut all: Vec<MinedPattern> = Vec::new();
         let mut seen = IsomorphismClasses::default();
-        let mut level: Vec<MinedPattern> = single_edge_patterns(db, options);
+        let mut level: Vec<MinedPattern> = single_edge_patterns(&summaries, options);
         for p in &level {
             seen.insert(canonical_code(&p.graph), &p.graph);
         }
@@ -470,6 +471,44 @@ mod tests {
             })
     }
 
+    /// Level 1 as the miner built it before it read summary views: one
+    /// `edge_signature_histogram` per graph, keyed by raw label triples.  The
+    /// class-counting pin cannot check level 1 (both miners share
+    /// [`single_edge_patterns`]); this reference does.
+    fn reference_single_edge_patterns(db: &[Graph], options: &MiningOptions) -> Vec<MinedPattern> {
+        let mut by_sig: BTreeMap<(u32, u32, u32), Vec<usize>> = BTreeMap::new();
+        for (gi, g) in db.iter().enumerate() {
+            for (sig, _) in g.edge_signature_histogram() {
+                let key = (sig.0 .0, sig.1 .0, sig.2 .0);
+                let entry = by_sig.entry(key).or_default();
+                if entry.last() != Some(&gi) {
+                    entry.push(gi);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for ((elabel, l1, l2), support) in by_sig {
+            if support.len() < options.min_support {
+                continue;
+            }
+            let mut g = Graph::with_name(format!("edge-{l1}-{elabel}-{l2}"));
+            let a = g.add_vertex(Label(l1));
+            let b = g.add_vertex(Label(l2));
+            g.add_edge(a, b, Label(elabel))
+                .expect("single edge pattern");
+            out.push(MinedPattern { graph: g, support });
+        }
+        out
+    }
+
+    /// A random database of 0–12 graphs over 1–3 labels, so signatures repeat
+    /// within and across graphs, and a `min_support` of 1–4.
+    fn arb_level_one_case() -> impl Strategy<Value = (Vec<Graph>, usize)> {
+        (0usize..=12, 1u32..=3).prop_flat_map(|(n, labels)| {
+            (proptest::collection::vec(arb_graph(labels), n), 1usize..=4)
+        })
+    }
+
     /// A random database of 6–20 graphs over 2–4 labels with mining options
     /// whose per-level cap is small enough to cut levels short.
     fn arb_database() -> impl Strategy<Value = (Vec<Graph>, MiningOptions)> {
@@ -505,6 +544,29 @@ mod tests {
             let (db, options) = case;
             assert_matches_reference(&db, &options);
         }
+
+        #[test]
+        fn level_one_matches_the_histogram_reference(case in arb_level_one_case()) {
+            let (db, min_support) = case;
+            let options = MiningOptions {
+                min_support,
+                ..MiningOptions::default()
+            };
+            // The whole database, its first graph alone, and no graph at all.
+            for n in [db.len(), db.len().min(1), 0] {
+                let part = &db[..n];
+                let owned: Vec<StructuralSummary> = part.iter().map(StructuralSummary::of).collect();
+                let views: Vec<SummaryView<'_>> = owned.iter().map(StructuralSummary::view).collect();
+                let got = single_edge_patterns(&views, &options);
+                let want = reference_single_edge_patterns(part, &options);
+                assert_eq!(got.len(), want.len(), "{n} graphs");
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    // Graph equality compares names too.
+                    assert_eq!(g.graph, w.graph, "pattern {i}, {n} graphs");
+                    assert_eq!(g.support, w.support, "pattern {i}, {n} graphs");
+                }
+            }
+        }
     }
 
     #[test]
@@ -535,7 +597,7 @@ mod tests {
         };
         let owned: Vec<StructuralSummary> = db.iter().map(StructuralSummary::of).collect();
         let views: Vec<SummaryView<'_>> = owned.iter().map(StructuralSummary::view).collect();
-        let level = single_edge_patterns(&db, &options);
+        let level = single_edge_patterns(&views, &options);
         let classes = candidate_classes(&level, &db, &views, &options);
         let two_parents = classes
             .iter()

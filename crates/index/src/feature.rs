@@ -27,7 +27,8 @@ use pgs_graph::mining::{intersect_ascending, mine_frequent_patterns_summarized, 
 use pgs_graph::model::Graph;
 use pgs_graph::parallel::{par_map_chunked_costed, CostHint};
 use pgs_graph::summary::{StructuralSummary, SummaryView};
-use pgs_graph::vf2::{contains_subgraph, enumerate_embeddings_summarized, MatchOptions};
+use pgs_graph::vf2::{contains_subgraph_summarized, enumerate_embeddings_summarized, MatchOptions};
+use std::borrow::Borrow;
 
 /// One indexed feature.
 #[derive(Debug, Clone)]
@@ -98,13 +99,14 @@ pub fn select_features(db: &[Graph], params: &FeatureSelectionParams) -> Vec<Fea
 }
 
 /// [`select_features`] with cached per-graph summary views (one per database
-/// skeleton, in order).  `Pmi::build` passes the S-Index summaries straight
+/// skeleton, in order) over owned or borrowed skeletons.  `Pmi::build`
+/// passes the database's own skeletons and the S-Index summaries straight
 /// through, so neither the miner's support count nor the α-filter's
 /// embedding enumeration reallocates a data-graph histogram.  Runs on the
 /// worker pool with automatic threads; the features are the same for every
 /// thread count.
-pub fn select_features_summarized(
-    db: &[Graph],
+pub fn select_features_summarized<G: Borrow<Graph> + Sync>(
+    db: &[G],
     summaries: &[SummaryView<'_>],
     params: &FeatureSelectionParams,
 ) -> Vec<Feature> {
@@ -114,8 +116,8 @@ pub fn select_features_summarized(
 /// [`select_features_summarized`] with up to `threads` pool workers (`0` =
 /// automatic) for the miner's support counts and the α filter; `Pmi::build`
 /// passes its own `threads`.
-pub(crate) fn select_features_pooled(
-    db: &[Graph],
+pub(crate) fn select_features_pooled<G: Borrow<Graph> + Sync>(
+    db: &[G],
     summaries: &[SummaryView<'_>],
     params: &FeatureSelectionParams,
     threads: usize,
@@ -147,7 +149,7 @@ pub(crate) fn select_features_pooled(
         // enumeration, mapped on the pool in support order.
         let alpha_support: Vec<usize> =
             par_map_chunked_costed(&pattern.support, threads, CostHint::MODERATE, |_, &gi| {
-                alpha_supports(&pattern.graph, &db[gi], summaries[gi], params).then_some(gi)
+                alpha_supports(&pattern.graph, db[gi].borrow(), summaries[gi], params).then_some(gi)
             })
             .into_iter()
             .flatten()
@@ -211,7 +213,10 @@ fn discriminativity(graph: &Graph, support: &[usize], selected: &[Feature]) -> f
     }
     let sub_features: Vec<&Feature> = selected
         .iter()
-        .filter(|f| f.graph.edge_count() < graph.edge_count() && contains_subgraph(&f.graph, graph))
+        .filter(|f| {
+            f.graph.edge_count() < graph.edge_count()
+                && contains_subgraph_summarized(&f.graph, graph, graph.summary().view())
+        })
         .collect();
     if sub_features.is_empty() {
         return 1.0;
@@ -231,6 +236,7 @@ fn discriminativity(graph: &Graph, support: &[usize], selected: &[Feature]) -> f
 mod tests {
     use super::*;
     use pgs_graph::model::GraphBuilder;
+    use pgs_graph::vf2::contains_subgraph;
 
     /// Six small graphs: all contain an a-b edge; four contain the a-b-c path;
     /// two contain a triangle a-b-c.

@@ -129,13 +129,13 @@ pub struct Pmi {
 
 impl Pmi {
     /// Builds the PMI for a database of probabilistic graphs, including the
-    /// S-Index: every per-graph structural summary is computed exactly once
-    /// here and then shared by feature mining, the column computation and the
-    /// structural query phase.
+    /// S-Index.  The skeletons are borrowed from `db`, never copied; the
+    /// S-Index build pushes each summary once, as it computes it, and feature
+    /// mining, the columns and the structural query phase read those views.
     pub fn build(db: &[ProbabilisticGraph], params: &PmiBuildParams) -> Pmi {
         // pgs-lint: allow(wall-clock-in-query-path, build_seconds is snapshot-head metadata for reporting, never control flow)
         let start = Instant::now();
-        let skeletons: Vec<Graph> = db.iter().map(|g| g.skeleton().clone()).collect();
+        let skeletons: Vec<&Graph> = db.iter().map(ProbabilisticGraph::skeleton).collect();
         let sindex = StructuralIndex::build(&skeletons);
         let sindex_views: Vec<SummaryView<'_>> = sindex.summary_views().collect();
         let mut features =
@@ -212,11 +212,8 @@ impl Pmi {
             self.graph_count()
         );
         if self.sindex.is_none() {
-            self.sindex = Some(StructuralIndex::from_summaries(
-                db.iter()
-                    .map(|g| StructuralSummary::of(g.skeleton()))
-                    .collect(),
-            ));
+            let skeletons: Vec<&Graph> = db.iter().map(ProbabilisticGraph::skeleton).collect();
+            self.sindex = Some(StructuralIndex::build(&skeletons));
         }
     }
 

@@ -56,6 +56,7 @@
 use pgs_graph::arena::FlatVecVec;
 use pgs_graph::model::{Graph, Label};
 use pgs_graph::summary::{EdgeSignature, StructuralSummary, SummaryView};
+use std::borrow::Borrow;
 
 /// One posting entry: a graph containing the signature, with its multiplicity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,9 +118,14 @@ pub struct StructuralIndex {
 }
 
 impl StructuralIndex {
-    /// Builds the index over database skeletons.
-    pub fn build(skeletons: &[Graph]) -> StructuralIndex {
-        StructuralIndex::from_summaries(skeletons.iter().map(StructuralSummary::of).collect())
+    /// Builds the index over database skeletons (owned or borrowed from the
+    /// database), pushing each summary as soon as it is computed.
+    pub fn build<G: Borrow<Graph>>(skeletons: &[G]) -> StructuralIndex {
+        let mut index = StructuralIndex::default();
+        for g in skeletons {
+            index.push(StructuralSummary::of(g.borrow()).view());
+        }
+        index
     }
 
     /// Builds the index from per-graph summaries (the snapshot decode path),
@@ -490,7 +496,7 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let index = StructuralIndex::build(&[]);
+        let index = StructuralIndex::build::<Graph>(&[]);
         assert_eq!(index.graph_count(), 0);
         assert_eq!(index.posting_entry_count(), 0);
         let qs = StructuralSummary::of(&query());

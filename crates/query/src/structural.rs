@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn empty_database_gives_no_candidates() {
         assert!(structural_candidates(&[], &query(), 1).is_empty());
-        let index = StructuralIndex::build(&[]);
+        let index = StructuralIndex::build::<Graph>(&[]);
         let q = query();
         let tester = SimilarityTester::new(&q, 1);
         assert!(structural_candidates_tested(&index, &[], &tester, 1)

@@ -1,12 +1,12 @@
 //! Helpers shared by the integration suites: the frozen database behind the
 //! golden snapshots `tests/fixtures/pmi_v1.bin`, `pmi_v2.bin` and
-//! `pmi_v3_one_segment.bin`, a label-poor dense workload whose embedding
-//! unions outgrow the flat exact enumerator, and a counters-only view of
-//! `PhaseStats`.  Each suite uses a subset.
+//! `pmi_v3_one_segment.bin`, the golden PPI database, a label-poor dense
+//! workload whose embedding unions outgrow the flat exact enumerator, and a
+//! counters-only view of `PhaseStats`.  Each suite uses a subset.
 
 #![allow(dead_code)]
 
-use pgs::datagen::ppi::{generate_ppi_dataset, PpiDatasetConfig};
+use pgs::datagen::ppi::{generate_ppi_dataset, PpiDataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
 use pgs_index::pmi::PmiBuildParams;
@@ -66,6 +66,21 @@ pub fn fixture_graphs() -> Vec<ProbabilisticGraph> {
             ProbabilisticGraph::independent(skeleton, &probs).unwrap()
         })
         .collect()
+}
+
+/// The frozen golden PPI database: the engine half of
+/// `tests/query_path_golden.rs` runs on it.
+pub fn ppi_dataset() -> PpiDataset {
+    generate_ppi_dataset(&PpiDatasetConfig {
+        graph_count: 24,
+        vertices_per_graph: 10,
+        edges_per_graph: 14,
+        vertex_label_count: 6,
+        organism_count: 3,
+        perturbation: 0.3,
+        seed: 4242,
+        ..PpiDatasetConfig::default()
+    })
 }
 
 /// The query the fixture workload asks.

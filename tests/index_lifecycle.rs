@@ -16,17 +16,18 @@
 
 mod common;
 
-use common::{counters_only, fixture_config, fixture_graphs, fixture_query, PMI_V1};
+use common::{counters_only, fixture_config, fixture_graphs, fixture_query, ppi_dataset, PMI_V1};
 use pgs::prelude::*;
 use pgs::prob::montecarlo::MonteCarloConfig;
 use pgs::query::prune::{bound_candidate, BoundInstance, FeatureRelation};
 use pgs::query::structural::{structural_candidates, structural_candidates_tested};
 use pgs::query::verify::VerifyOptions;
+use pgs_datagen::scenarios::bulk_skeletons;
 use pgs_graph::mcs::SimilarityTester;
 use pgs_graph::model::EdgeId;
 use pgs_graph::relax::relax_query_clamped;
-use pgs_graph::summary::StructuralSummary;
-use pgs_index::feature::FeatureSelectionParams;
+use pgs_graph::summary::{StructuralSummary, SummaryView};
+use pgs_index::feature::{select_features_summarized, FeatureSelectionParams};
 use pgs_index::pmi::{Pmi, PmiBuildParams};
 use pgs_index::sindex::StructuralIndex;
 use pgs_index::sip_bounds::BoundsConfig;
@@ -626,6 +627,61 @@ fn v1_snapshot_still_loads_and_answers_identically() {
         migrated.pmi().sindex(),
         "the re-derived S-Index is persisted"
     );
+}
+
+/// `Pmi::build` hands the S-Index and feature selection the database's own
+/// skeletons by reference.  Both must read exactly what they read from
+/// cloned skeletons: the same index, and the same features, supports,
+/// frequencies and discriminativities, bit for bit.
+#[test]
+fn borrowed_and_cloned_skeletons_build_the_same_index() {
+    // The bulk graphs share few 2-edge patterns, so a lower β lets
+    // features grow there too.
+    let bulk_params = FeatureSelectionParams {
+        beta: 0.03,
+        ..FeatureSelectionParams::default()
+    };
+    for (name, db, params) in [
+        (
+            "golden PPI",
+            ppi_dataset().graphs,
+            FeatureSelectionParams::default(),
+        ),
+        ("bulk", bulk_skeletons(200, 1), bulk_params),
+    ] {
+        let borrowed: Vec<&Graph> = db.iter().map(ProbabilisticGraph::skeleton).collect();
+        let cloned: Vec<Graph> = db.iter().map(|g| g.skeleton().clone()).collect();
+        let borrowed_index = StructuralIndex::build(&borrowed);
+        let cloned_index = StructuralIndex::build(&cloned);
+        assert_eq!(borrowed_index, cloned_index, "{name}");
+        let borrowed_views: Vec<SummaryView<'_>> = borrowed_index.summary_views().collect();
+        let cloned_views: Vec<SummaryView<'_>> = cloned_index.summary_views().collect();
+        let got = select_features_summarized(&borrowed, &borrowed_views, &params);
+        let want = select_features_summarized(&cloned, &cloned_views, &params);
+        assert!(
+            got.iter().any(|f| f.edge_count() > 1),
+            "{name}: no grown feature"
+        );
+        assert!(
+            got.iter().any(|f| f.discriminativity < 1.0),
+            "{name}: no feature with an indexed sub-feature"
+        );
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (g, w) in got.iter().zip(&want) {
+            let at = format!("{name}, feature {}", w.id);
+            assert_eq!(
+                (g.id, &g.graph, &g.support),
+                (w.id, &w.graph, &w.support),
+                "{at}"
+            );
+            assert_eq!(g.frequency.to_bits(), w.frequency.to_bits(), "{at}");
+            assert_eq!(
+                g.discriminativity.to_bits(),
+                w.discriminativity.to_bits(),
+                "{at}"
+            );
+        }
+    }
 }
 
 #[test]

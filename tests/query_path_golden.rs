@@ -38,6 +38,7 @@
 
 mod common;
 
+use common::ppi_dataset;
 use pgs::datagen::ppi::{generate_ppi_dataset, PpiDataset, PpiDatasetConfig};
 use pgs::datagen::queries::{generate_query_workload, QueryWorkloadConfig};
 use pgs::prelude::*;
@@ -166,20 +167,6 @@ fn render_verification(out: &mut String) {
             }
         }
     }
-}
-
-/// The frozen PPI database the engine half of the workload runs on.
-fn ppi_dataset() -> PpiDataset {
-    generate_ppi_dataset(&PpiDatasetConfig {
-        graph_count: 24,
-        vertices_per_graph: 10,
-        edges_per_graph: 14,
-        vertex_label_count: 6,
-        organism_count: 3,
-        perturbation: 0.3,
-        seed: 4242,
-        ..PpiDatasetConfig::default()
-    })
 }
 
 /// Four `query_size`-edge queries drawn from `ds`.
